@@ -130,8 +130,10 @@ def _cmd_eval(args) -> int:
         name, eq, text = binding.partition("=")
         if not eq or not name.strip():
             raise ParseError(f"--let expects X=SET, got {binding!r}", 0)
-        value = parse_fci(text) if args.sig == "l" else parse_finset(text)
-        assignment[name.strip()] = value
+        name = name.strip()
+        if name in assignment:
+            raise ValueError(f"--let binds {name} more than once")
+        assignment[name] = parse_fci(text) if args.sig == "l" else parse_finset(text)
     if args.pool is not None:
         points = parse_finset(args.pool)
         pool = WitnessPool(points=points, max_segments=len(points))

@@ -133,9 +133,6 @@ class FciSet:
             object.__setattr__(self, "_boundary", got)
         return got
 
-    def is_bounded(self) -> bool:
-        return self.ray_lo is None
-
     # -- membership ----------------------------------------------------------
 
     def contains(self, p: Point) -> bool:

@@ -142,7 +142,6 @@ class EquivReport:
 
     checked: int = 0
     failures: list[tuple[dict, bool, bool]] = field(default_factory=list)
-    pool_used: object = None
 
     @property
     def ok(self) -> bool:
@@ -178,7 +177,6 @@ def check_equiv(
             p = pool(a)
         else:
             p = pool
-        report.pool_used = p
         try:
             lhs = bool(predicate(a))
             rhs = eval_bounded(formula, a, p, sig, cache=cache)

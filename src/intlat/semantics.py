@@ -106,10 +106,6 @@ def default_pool(a: Assignment) -> WitnessPool:
     return WitnessPool(points=points, max_segments=len(points), allow_ray=True)
 
 
-def _is_w(sig: Signature) -> bool:
-    return sig.name != "l"
-
-
 def _infer_sig(f: Formula, a: Assignment) -> Signature:
     for v in a.values():
         if isinstance(v, FinSet):
@@ -127,14 +123,14 @@ def _infer_sig(f: Formula, a: Assignment) -> Signature:
 
 
 def _empty(sig: Signature) -> Value:
-    return EMPTY_FS if _is_w(sig) else EMPTY_FCI
+    return EMPTY_FS if sig.finite_sets else EMPTY_FCI
 
 
 # -- term and quantifier-free evaluation -------------------------------------------
 
 
 def eval_term(t: Term, a: Assignment, sig: Signature) -> Value:
-    w = _is_w(sig)
+    w = sig.finite_sets
     if isinstance(t, Var):
         try:
             return a[t.name]
@@ -202,7 +198,7 @@ def _universe_l(pool: WitnessPool) -> tuple[FciSet, ...]:
 
 def universe(pool: WitnessPool, sig: Signature) -> tuple[Value, ...]:
     """Every value a quantified variable ranges over."""
-    return _universe_w(pool) if _is_w(sig) else _universe_l(pool)
+    return _universe_w(pool) if sig.finite_sets else _universe_l(pool)
 
 
 @lru_cache(maxsize=None)
@@ -228,77 +224,52 @@ def _in_universe(val: Value, pool: WitnessPool) -> bool:
 # -- the solver ---------------------------------------------------------------------
 
 
-class EvalCache:
-    """Shared memo for bounded evaluation.
+class _Node(NamedTuple):
+    """What the solver reads off one formula node, once per structure."""
 
-    Keys include object identity, so the cache keeps every formula it has
-    seen alive; identities then cannot be reused while it exists.
+    formula: Formula
+    fv: frozenset[str]
+    names: tuple[str, ...]  # fv sorted: the order of the values in a verdict key
+    shape: _Shape | tuple[str, str] | None  # equation: its patterns; disjunction: its valid pair
+
+
+class EvalCache:
+    """Shared memo for bounded evaluation, keyed by formula structure.
+
+    Structurally equal formulas share every entry, so the conjuncts
+    ``_normalize`` rebuilds for each set of names in scope share one node.
     """
 
     def __init__(self) -> None:
-        self._fv: dict[int, frozenset[str]] = {}
-        self._fvt: dict[int, tuple[str, ...]] = {}
-        self._tv: dict[int, frozenset[str]] = {}
-        self._vals: dict = {}
-        self._pair: dict[int, Optional[tuple[str, str]]] = {}
-        self._norm: dict = {}
-        self._item: dict[int, tuple] = {}
-        self._keep: list = []
+        self._vals: dict[tuple, bool] = {}
+        self._norm: dict[tuple, tuple[tuple[str, ...], tuple[_Node, ...]]] = {}
+        self._nodes: dict[Formula, _Node] = {}
 
-    def fv(self, f: Formula) -> frozenset[str]:
-        got = self._fv.get(id(f))
+    def node(self, f: Formula) -> _Node:
+        """The solver's bundle for ``f`` and every formula equal to it."""
+        got = self._nodes.get(f)
         if got is None:
-            got = frozenset(free_vars(f))
-            self._fv[id(f)] = got
-            self._keep.append(f)
-        return got
-
-    def fvt(self, f: Formula) -> tuple[str, ...]:
-        got = self._fvt.get(id(f))
-        if got is None:
-            got = tuple(sorted(self.fv(f)))
-            self._fvt[id(f)] = got
-        return got
-
-    def tv(self, t: Term) -> frozenset[str]:
-        got = self._tv.get(id(t))
-        if got is None:
-            got = frozenset(term_vars(t))
-            self._tv[id(t)] = got
-            self._keep.append(t)
-        return got
-
-    def pair_template(self, f: Formula) -> Optional[tuple[str, str]]:
-        if id(f) not in self._pair:
-            self._pair[id(f)] = _match_valid_pair(f)
-            self._keep.append(f)
-        return self._pair[id(f)]
-
-    def item(self, f: Formula) -> tuple:
-        """A conjunct bundled with its free variables and, for equations,
-        the precomputed pin/guard patterns its two sides offer."""
-        got = self._item.get(id(f))
-        if got is None:
-            shape = _atom_shape(f, self.tv) if isinstance(f, Atomic) else None
-            got = (f, self.fv(f), shape)
-            self._item[id(f)] = got
-            self._keep.append(f)
+            fv = frozenset(free_vars(f))
+            if isinstance(f, Atomic):
+                shape = _atom_shape(f)
+            elif isinstance(f, Or):
+                shape = _match_valid_pair(f)
+            else:
+                shape = None
+            got = self._nodes[f] = _Node(f, fv, tuple(sorted(fv)), shape)
         return got
 
     def normalized(
         self, f: Formula, taken: frozenset[str], negate: bool = False
-    ) -> tuple[tuple[str, ...], tuple[tuple, ...]]:
+    ) -> tuple[tuple[str, ...], tuple[_Node, ...]]:
         """Solver normal form of one conjunct, memoized: the result depends
         on the names in scope but never on their values."""
-        key = (id(f), negate, taken)
+        key = (f, negate, taken)
         hit = self._norm.get(key)
         if hit is None:
             hoisted: list[str] = []
             conjuncts = _normalize(hoisted, [Not(f) if negate else f], set(taken))
-            hit = (tuple(hoisted), tuple(self.item(c) for c in conjuncts))
-            self._norm[key] = hit
-            self._keep.append(f)
-            self._keep.append(hit)
+            hit = self._norm[key] = (tuple(hoisted), tuple(self.node(c) for c in conjuncts))
         return hit
 
 
@@ -313,10 +284,10 @@ def eval_bounded(
         sig = _infer_sig(f, a)
     if cache is None:
         cache = EvalCache()
-    missing = free_vars(f) - a.keys()
+    missing = cache.node(f).fv - a.keys()
     if missing:
         raise EvalError(f"assignment is missing {sorted(missing)}")
-    want = FinSet if _is_w(sig) else FciSet
+    want = FinSet if sig.finite_sets else FciSet
     for name, val in a.items():
         if not isinstance(val, want):
             raise EvalError(f"{name} is bound to {type(val).__name__}, expected {want.__name__}")
@@ -324,8 +295,7 @@ def eval_bounded(
 
 
 def _eval(f: Formula, env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> bool:
-    scope = tuple((n, env[n]) for n in cache.fvt(f))
-    key = (id(f), scope, pool)
+    key = (f, tuple(env[n] for n in cache.node(f).names), pool, sig.finite_sets)
     hit = cache._vals.get(key)
     if hit is not None:
         return hit
@@ -399,14 +369,14 @@ def _normalize(vars: list[str], conjuncts: list[Formula], taken: set[str]) -> li
     return out
 
 
-def _branch(vars: list[str], items: list[tuple], env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> bool:
+def _branch(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> bool:
     """Is there an assignment of pool values to ``vars`` satisfying all
-    conjuncts?  Expects ``cache.item`` bundles in solver normal form."""
+    conjuncts?  Expects ``cache.node`` bundles in solver normal form."""
     for i, it in enumerate(items):
-        c = it[0]
+        c = it.formula
         if isinstance(c, Or):
-            if _is_w(sig):
-                match = cache.pair_template(c)
+            if sig.finite_sets:
+                match = it.shape
                 if match is not None and set(match) <= set(vars):
                     # an endpoint-pair relativizer: leave it whole so the
                     # two variables can be enumerated jointly
@@ -421,36 +391,37 @@ def _branch(vars: list[str], items: list[tuple], env: dict, pool: WitnessPool, s
     return _assign(vars, items, env, pool, sig, cache)
 
 
-def _assign(vars: list[str], items: list[tuple], env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> bool:
+def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> bool:
     keys = env.keys()
     ready, pending = [], []
     for it in items:
-        (ready if it[1] <= keys else pending).append(it)
+        (ready if it.fv <= keys else pending).append(it)
     for it in ready:
-        if not _eval(it[0], env, pool, sig, cache):
+        if not _eval(it.formula, env, pool, sig, cache):
             return False
     if not pending:
         return True
     if not vars:
-        loose = set().union(*(it[1] for it in pending)) - keys
+        loose = set().union(*(it.fv for it in pending)) - keys
         raise EvalError(f"unbound variables {sorted(loose)}")
 
-    used = frozenset().union(*(it[1] for it in pending))
+    used = frozenset().union(*(it.fv for it in pending))
     for v in vars:
         if v not in used:
             rest = [u for u in vars if u != v]
             return _assign(rest, pending, {**env, v: _empty(sig)}, pool, sig, cache)
 
     vars_set = set(vars)
-    pin = _find_pin(pending, vars_set, env, pool, sig, cache)
+    shapes = [it.shape for it in pending if isinstance(it.formula, Atomic)]
+    pin = _find_pin(shapes, vars_set, env, pool, sig)
     if pin is not None:
         v, candidates = pin
         rest = [u for u in vars if u != v]
         return any(_assign(rest, pending, {**env, v: val}, pool, sig, cache) for val in candidates)
 
-    if _is_w(sig):
+    if sig.finite_sets:
         for it in pending:
-            match = cache.pair_template(it[0])
+            match = it.shape if isinstance(it.formula, Or) else None
             if match is not None and set(match) <= vars_set:
                 v1, v2 = match
                 rest = [u for u in vars if u not in (v1, v2)]
@@ -462,11 +433,11 @@ def _assign(vars: list[str], items: list[tuple], env: dict, pool: WitnessPool, s
     best_v: Optional[str] = None
     best: Optional[list] = None
     for v in vars:
-        got = _guard_candidates(v, pending, env, pool, sig, cache)
+        got = _guard_candidates(v, shapes, env, pool, sig)
         if got is not None and (best is None or len(got) < len(best)):
             best_v, best = v, got
     if best is None:
-        occurrences = {v: sum(1 for it in pending if v in it[1]) for v in vars}
+        occurrences = {v: sum(1 for it in pending if v in it.fv) for v in vars}
         best_v = max(vars, key=lambda v: occurrences[v])
         best = list(universe(pool, sig))
     rest = [u for u in vars if u != best_v]
@@ -497,16 +468,16 @@ class _Shape(NamedTuple):
     capself: tuple  # (name, other, vars):      cap(V, other) = V
 
 
-def _atom_shape(atom: Atomic, tv) -> _Shape:
+def _atom_shape(atom: Atomic) -> _Shape:
     eq, lr, diff, plus, disj = [], [], [], [], []
     minself, lreq, capself = [], [], []
     for a, b in _sides(atom):
         if isinstance(a, Var) and a != b:
-            eq.append((a.name, b, tv(b)))
+            eq.append((a.name, b, term_vars(b)))
         if not isinstance(a, App):
             continue
         if a.op in ("l", "r") and isinstance(a.args[0], Var):
-            lr.append((a.op, a.args[0].name, b, tv(b)))
+            lr.append((a.op, a.args[0].name, b, term_vars(b)))
             if (
                 a.op == "l"
                 and isinstance(b, App)
@@ -515,7 +486,7 @@ def _atom_shape(atom: Atomic, tv) -> _Shape:
             ):
                 lreq.append(a.args[0].name)
         if a.op == "diff" and isinstance(b, Var):
-            diff.append((b.name, a.args[0], a.args[1], tv(a.args[0]) | tv(a.args[1])))
+            diff.append((b.name, a.args[0], a.args[1], term_vars(a.args[0]) | term_vars(a.args[1])))
         if (
             a.op == "cup"
             and isinstance(a.args[0], App)
@@ -523,21 +494,22 @@ def _atom_shape(atom: Atomic, tv) -> _Shape:
             and isinstance(a.args[1], Var)
         ):
             x, y = a.args[0].args
+            need = term_vars(x) | term_vars(y)  # the pin evaluates both t1 and t2
             if b == x:
-                plus.append((x, y, a.args[1].name, tv(y)))
+                plus.append((x, y, a.args[1].name, need))
             elif b == y:
-                plus.append((y, x, a.args[1].name, tv(x)))
+                plus.append((y, x, a.args[1].name, need))
         if a.op == "cap":
             x, y = a.args
             if isinstance(b, App) and b.op == "bot":
                 if isinstance(y, Var):
-                    disj.append((x, y.name, tv(x)))
+                    disj.append((x, y.name, term_vars(x)))
                 if isinstance(x, Var):
-                    disj.append((y, x.name, tv(y)))
+                    disj.append((y, x.name, term_vars(y)))
             if isinstance(b, Var):
                 other = y if x == b else x if y == b else None
                 if other is not None:
-                    capself.append((b.name, other, tv(other)))
+                    capself.append((b.name, other, term_vars(other)))
         if a.op == "min" and isinstance(b, Var) and a.args == (b,):
             minself.append(b.name)
     return _Shape(
@@ -546,13 +518,11 @@ def _atom_shape(atom: Atomic, tv) -> _Shape:
     )
 
 
-def _find_pin(pending: list[tuple], vars_set: set[str], env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache):
+def _find_pin(shapes: list[_Shape], vars_set: set[str], env: dict, pool: WitnessPool, sig: Signature):
     keys = env.keys()
 
     # a bare equation with one side a block variable and the other evaluable
-    for _, _, sh in pending:
-        if sh is None:
-            continue
+    for sh in shapes:
         for name, other, need in sh.eq:
             if name in vars_set and need <= keys:
                 val = eval_term(other, env, sig)
@@ -560,12 +530,10 @@ def _find_pin(pending: list[tuple], vars_set: set[str], env: dict, pool: Witness
 
     # both endpoint maps of one variable pinned: the endpoint lemma gives
     # the unique interval union, or rules one out
-    if not _is_w(sig):
+    if not sig.finite_sets:
         l_of: dict[str, Term] = {}
         r_of: dict[str, Term] = {}
-        for _, _, sh in pending:
-            if sh is None:
-                continue
+        for sh in shapes:
             for op, name, other, need in sh.lr:
                 if name in vars_set and need <= keys:
                     (l_of if op == "l" else r_of)[name] = other
@@ -583,7 +551,7 @@ def _find_pin(pending: list[tuple], vars_set: set[str], env: dict, pool: Witness
                 return v, [d for d in candidates if _in_universe(d, pool)]
 
     # difference pinned directly or through its defining pair of equations
-    diff_pins = _diff_pins(pending, vars_set, keys)
+    diff_pins = _diff_pins(shapes, vars_set, keys)
     for v, (t1, t2) in diff_pins.items():
         x = eval_term(t1, env, sig)
         y = eval_term(t2, env, sig)
@@ -597,13 +565,11 @@ def _find_pin(pending: list[tuple], vars_set: set[str], env: dict, pool: Witness
     return None
 
 
-def _diff_pins(pending: list[tuple], vars_set: set[str], keys) -> dict[str, tuple[Term, Term]]:
+def _diff_pins(shapes: list[_Shape], vars_set: set[str], keys) -> dict[str, tuple[Term, Term]]:
     out: dict[str, tuple[Term, Term]] = {}
     plus: list[tuple[Term, Term, str]] = []
     disjoint: list[tuple[Term, str]] = []
-    for _, _, sh in pending:
-        if sh is None:
-            continue
+    for sh in shapes:
         for name, t1, t2, need in sh.diff:
             if name in vars_set and need <= keys:
                 out[name] = (t1, t2)
@@ -622,8 +588,8 @@ def _diff_pins(pending: list[tuple], vars_set: set[str], keys) -> dict[str, tupl
 # -- guards: conjuncts that bound a variable's shape ---------------------------------
 
 
-def _guard_candidates(v: str, pending: list[tuple], env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> Optional[list]:
-    w = _is_w(sig)
+def _guard_candidates(v: str, shapes: list[_Shape], env: dict, pool: WitnessPool, sig: Signature) -> Optional[list]:
+    w = sig.finite_sets
     keys = env.keys()
     best: Optional[list] = None
 
@@ -632,9 +598,7 @@ def _guard_candidates(v: str, pending: list[tuple], env: dict, pool: WitnessPool
         if best is None or len(candidates) < len(best):
             best = candidates
 
-    for _, _, sh in pending:
-        if sh is None:
-            continue
+    for sh in shapes:
         # min(V) = V keeps V empty or a single point
         for name in sh.minself:
             if name == v:

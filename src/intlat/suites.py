@@ -9,9 +9,10 @@ formula under test, so a bug in either layer shows up as a failure.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .fci import (
     EMPTY_FCI,
@@ -58,13 +59,17 @@ def _with_midpoints(points: FinSet) -> FinSet:
     return FinSet.of(pts + extra)
 
 
+def _assignments(names: Sequence[str], family: Iterable) -> Iterator[dict]:
+    """Every assignment of family members to the names, first name outermost."""
+    return (dict(zip(names, values)) for values in itertools.product(family, repeat=len(names)))
+
+
 def _merge(total: EquivReport, part: EquivReport, tag: str) -> None:
     total.checked += part.checked
     for a, lhs, rhs in part.failures:
         noted = dict(a)
         noted["formula"] = tag
         total.failures.append((noted, lhs, rhs))
-    total.pool_used = part.pool_used
 
 
 def _fail(report: EquivReport, note: dict, lhs, rhs) -> None:
@@ -151,7 +156,6 @@ def suite_ipschar(pool_size: Optional[int] = None, seed: Optional[int] = None) -
                 env = {"X": embed_finset(a), "Y": embed_finset(b), "Z": embed_finset(c)}
                 got = eval_bounded(form, env, pool, SIG_L, cache=cache)
                 _fail(report, {"X": a, "Y": b, "Z": c}, a.ips(b) == c, got)
-    report.pool_used = pool
     return report
 
 
@@ -234,21 +238,21 @@ def suite_subset(pool_size: Optional[int] = None, seed: Optional[int] = None) ->
     """phi_subseteq on coordinates agrees with containment."""
     _, sets, zs = _member_family(pool_size)
 
-    def stream():
-        for x in sets:
-            for y in sets:
-                yield {
-                    "Xl": x.left_endpoints(),
-                    "Xr": x.right_endpoints(),
-                    "Yl": y.left_endpoints(),
-                    "Yr": y.right_endpoints(),
-                }
+    stream = (
+        {
+            "Xl": a["X"].left_endpoints(),
+            "Xr": a["X"].right_endpoints(),
+            "Yl": a["Y"].left_endpoints(),
+            "Yr": a["Y"].right_endpoints(),
+        }
+        for a in _assignments(("X", "Y"), sets)
+    )
 
     def issub(a: dict) -> bool:
         return _from_pair(a["Xl"], a["Xr"]).issubset(_from_pair(a["Yl"], a["Yr"]))
 
     pool = WitnessPool(points=FinSet.of(zs), max_segments=len(zs))
-    return check_equiv(issub, phi_subseteq(), stream(), SIG_W, pool=pool)
+    return check_equiv(issub, phi_subseteq(), stream, SIG_W, pool=pool)
 
 
 # -- quantifier-free negation elimination --------------------------------------------
@@ -277,25 +281,11 @@ def suite_posex(pool_size: Optional[int] = None, seed: Optional[int] = None) -> 
         f = parse(text, SIG_W)
         g = to_positive_existential(f)
         _fail(report, {"formula": text, "side": "shape"}, "positive_existential", classify(g))
-        names = sorted(free_vars(f))
-        cache = EvalCache()
-
-        def stream():
-            def rec(i: int, acc: dict):
-                if i == len(names):
-                    yield dict(acc)
-                    return
-                for s in enum_finsets(points):
-                    acc[names[i]] = s
-                    yield from rec(i + 1, acc)
-
-            yield from rec(0, {})
-
+        stream = _assignments(sorted(free_vars(f)), enum_finsets(points))
         part = check_equiv(
-            lambda a: eval_qf(f, a, SIG_W), g, stream(), SIG_W, pool=pool, cache=cache
+            lambda a: eval_qf(f, a, SIG_W), g, stream, SIG_W, pool=pool, cache=EvalCache()
         )
         _merge(report, part, text)
-    report.pool_used = pool
     return report
 
 
@@ -323,32 +313,21 @@ def suite_w2l(pool_size: Optional[int] = None, seed: Optional[int] = None) -> Eq
     points = _ints(4 if pool_size is None else pool_size)
     wpool = WitnessPool(points=points, max_segments=len(points) + 1)
     lpool = WitnessPool(points=points, max_segments=len(points) + 1)
+    embedded = [embed_finset(s) for s in enum_finsets(points)]
     report = EquivReport()
     for text in W2L_CORPUS:
         f = parse(text, SIG_W)
         g = translate_W_to_L(f)
-        names = sorted(free_vars(f))
         wcache = EvalCache()
         lcache = EvalCache()
-
-        def stream():
-            def rec(i: int, acc: dict):
-                if i == len(names):
-                    yield {k: embed_finset(v) for k, v in acc.items()}
-                    return
-                for s in enum_finsets(points):
-                    acc[names[i]] = s
-                    yield from rec(i + 1, acc)
-
-            yield from rec(0, {})
 
         def on_finite(a: dict) -> bool:
             finsets = {k: v.as_finset() for k, v in a.items()}
             return eval_bounded(f, finsets, wpool, SIG_W, cache=wcache)
 
-        part = check_equiv(on_finite, g, stream(), SIG_L, pool=lpool, cache=lcache)
+        stream = _assignments(sorted(free_vars(f)), embedded)
+        part = check_equiv(on_finite, g, stream, SIG_L, pool=lpool, cache=lcache)
         _merge(report, part, text)
-    report.pool_used = lpool
     return report
 
 
@@ -397,19 +376,8 @@ def suite_l2w(pool_size: Optional[int] = None, seed: Optional[int] = None) -> Eq
         wcache = EvalCache()
         lcache = EvalCache()
 
-        def stream():
-            def rec(i: int, acc: dict):
-                if i == len(names):
-                    yield dict(acc)
-                    return
-                for x in family:
-                    acc[names[i]] = x
-                    yield from rec(i + 1, acc)
-
-            yield from rec(0, {})
-
         # the predicate is the reference; the interval reading must match it
-        part = check_equiv(predicate, f, stream(), SIG_L, pool=lpool, cache=lcache)
+        part = check_equiv(predicate, f, _assignments(names, family), SIG_L, pool=lpool, cache=lcache)
         _merge(report, part, text + " (interval)")
 
         def coords(a: dict) -> dict:
@@ -426,13 +394,12 @@ def suite_l2w(pool_size: Optional[int] = None, seed: Optional[int] = None) -> Eq
         part = check_equiv(
             pred_on_coords,
             g,
-            (coords(a) for a in stream()),
+            (coords(a) for a in _assignments(names, family)),
             SIG_W,
             pool=wpool,
             cache=wcache,
         )
         _merge(report, part, text + " (coordinates)")
-    report.pool_used = wpool
     return report
 
 
@@ -497,7 +464,6 @@ def suite_pipeline(pool_size: Optional[int] = None, seed: Optional[int] = None) 
                 noted = dict(a)
                 noted["formula"] = text
                 report.failures.append((noted, lhs, rhs))
-        report.pool_used = None
     for text in PIPELINE_REJECTS:
         f = parse(text, SIG_L)
         try:

@@ -95,15 +95,30 @@ def diff_t(a: Term, b: Term) -> App:
 # -- formulas ------------------------------------------------------------------
 
 
+def _cached_hash(self) -> int:
+    # formulas key the solver's memo tables; the generated hash would walk
+    # the whole tree on every lookup
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash((type(self),) + tuple(getattr(self, n) for n in self.__match_args__))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
 @dataclass(frozen=True)
 class Atomic:
     lhs: Term
     rhs: Term
 
+    __hash__ = _cached_hash
+
 
 @dataclass(frozen=True)
 class Not:
     body: "Formula"
+
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
@@ -111,11 +126,15 @@ class And:
     lhs: "Formula"
     rhs: "Formula"
 
+    __hash__ = _cached_hash
+
 
 @dataclass(frozen=True)
 class Or:
     lhs: "Formula"
     rhs: "Formula"
+
+    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
@@ -123,17 +142,23 @@ class Implies:
     lhs: "Formula"
     rhs: "Formula"
 
+    __hash__ = _cached_hash
+
 
 @dataclass(frozen=True)
 class Exists:
     var: str
     body: "Formula"
 
+    __hash__ = _cached_hash
+
 
 @dataclass(frozen=True)
 class Forall:
     var: str
     body: "Formula"
+
+    __hash__ = _cached_hash
 
 
 Formula = Union[Atomic, Not, And, Or, Implies, Exists, Forall]
@@ -153,15 +178,6 @@ def and_all(parts: list) -> Formula:
     return out
 
 
-def or_all(parts: list) -> Formula:
-    if not parts:
-        raise ValueError("empty disjunction")
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
-    return out
-
-
 def exists_all(names: list[str], body: Formula) -> Formula:
     for name in reversed(names):
         body = Exists(name, body)
@@ -175,6 +191,7 @@ def exists_all(names: list[str], body: Formula) -> Formula:
 class Signature:
     name: str
     symbols: tuple[tuple[str, int], ...]
+    finite_sets: bool  # interpreted in finite sets, else in interval unions
 
     def arity(self, op: str) -> Optional[int]:
         for sym, ar in self.symbols:
@@ -185,11 +202,11 @@ class Signature:
 
 _SHARED = (("cup", 2), ("cap", 2), ("bot", 0), ("cz", 0), ("min", 1), ("max", 1))
 
-SIG_W = Signature("w", _SHARED + (("ips", 2),))
-SIG_L = Signature("l", _SHARED + (("l", 1), ("r", 1)))
+SIG_W = Signature("w", _SHARED + (("ips", 2),), True)
+SIG_L = Signature("l", _SHARED + (("l", 1), ("r", 1)), False)
 
 # internal extension used while eliminating relative complements
-SIG_W_DIFF = Signature("w+diff", SIG_W.symbols + (("diff", 2),))
+SIG_W_DIFF = Signature("w+diff", SIG_W.symbols + (("diff", 2),), True)
 
 
 def term_symbols(t: Term) -> set[str]:
@@ -469,10 +486,6 @@ def parse(text: str, sig: Signature) -> Formula:
 
 
 # -- printer -------------------------------------------------------------------
-
-
-def format_term(t: Term) -> str:
-    return str(t)
 
 
 def format_formula(f: Formula) -> str:

@@ -71,6 +71,27 @@ def test_eval_rejects_malformed_binding(capsys):
     assert "X=SET" in err or "error" in err
 
 
+def test_eval_rejects_a_repeated_binding(capsys):
+    code, out, err = run(
+        capsys, "eval", "--sig", "w", "--let", "X={1}", "--let", "X={2}", "X = bot"
+    )
+    assert code == 2
+    assert out == ""
+    assert "X" in err and "more than once" in err
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["E X. !(X = bot)", "E X. E Y. !(X = Y) & cap(X, Y) = X"],
+)
+def test_eval_of_a_positive_existential_rewrite(capsys, formula):
+    # the rewrite's difference pins read both sides of cup(cap(t1, t2), V) = t1
+    code, rewritten, _ = run(capsys, "posex", formula)
+    assert code == 0
+    code, out, err = run(capsys, "eval", "--sig", "w", rewritten.strip())
+    assert (code, out.strip(), err) == (0, "true", "")
+
+
 def test_translate_w2l_emits_interval_syntax(capsys):
     code, out, _ = run(capsys, "translate", "--dir", "w2l", "ips(X, Y) = Z")
     assert code == 0

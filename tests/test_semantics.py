@@ -154,6 +154,16 @@ def test_shared_cache_is_consistent_across_assignments():
     assert fresh == shared
 
 
+def test_shared_cache_is_consistent_across_signatures():
+    # a nonempty set without a maximum exists among interval unions (a ray)
+    # but not among finite sets
+    pool = WitnessPool(points=fs([0, 1]), max_segments=2)
+    f = parse("E X. max(X) = bot & !(X = bot)", SIG_L)
+    cache = EvalCache()
+    assert eval_bounded(f, {}, pool, SIG_W, cache=cache) is False
+    assert eval_bounded(f, {}, pool, SIG_L, cache=cache) is True
+
+
 def test_missing_assignment_and_wrong_sort_raise():
     pool = WitnessPool(points=fs([0]), max_segments=1)
     with pytest.raises(EvalError):
