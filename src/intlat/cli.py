@@ -129,7 +129,7 @@ def _cmd_eval(args) -> int:
     for binding in args.let:
         name, eq, text = binding.partition("=")
         if not eq or not name.strip():
-            raise ParseError(f"--let expects X=SET, got {binding!r}", 0)
+            raise ValueError(f"--let expects X=SET, got {binding!r}")
         name = name.strip()
         if name in assignment:
             raise ValueError(f"--let binds {name} more than once")

@@ -8,6 +8,9 @@ exact for that relativized semantics.  The solver prunes candidate
 witnesses only when a conjunct forces the value outright (a definitional
 pin) or bounds it to a small shape (a guard atom); pruning never changes
 the answer, it only skips values that could not satisfy the conjuncts.
+Each step of the search checks the conjuncts already decided, binds an
+unused variable to bot, applies a pin, splits a disjunction, enumerates
+a valid endpoint pair, applies a guard, or else ranges over the universe.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .fci import (
     EMPTY_FCI,
@@ -46,6 +49,7 @@ from .syntax import (
     Signature,
     Term,
     Var,
+    _cached_hash,
     formula_symbols,
     free_vars,
     substitute,
@@ -85,6 +89,8 @@ class WitnessPool:
             raise ValueError("max_segments must be nonnegative")
         if self.pair_points is not None and not self.pair_points.issubset(self.points):
             raise ValueError("pair_points must be a subset of points")
+
+    __hash__ = _cached_hash  # every verdict key holds the pool
 
 
 def default_pool(a: Assignment) -> WitnessPool:
@@ -185,13 +191,17 @@ def eval_qf(f: Formula, a: Assignment, sig: Signature) -> bool:
 
 # -- witness universes --------------------------------------------------------------
 
+# Pools a caller is still using stay cached; a caller that builds a pool
+# per item (the pipeline suite does) must not grow these tables forever.
+_POOL_CACHE_SIZE = 32
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_POOL_CACHE_SIZE)
 def _universe_w(pool: WitnessPool) -> tuple[FinSet, ...]:
     return tuple(enum_finsets(pool.points))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_POOL_CACHE_SIZE)
 def _universe_l(pool: WitnessPool) -> tuple[FciSet, ...]:
     return tuple(enum_fcis(pool.points, pool.max_segments, pool.allow_ray))
 
@@ -201,7 +211,7 @@ def universe(pool: WitnessPool, sig: Signature) -> tuple[Value, ...]:
     return _universe_w(pool) if sig.finite_sets else _universe_l(pool)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_POOL_CACHE_SIZE)
 def _valid_endpoint_pairs(pool: WitnessPool) -> tuple[tuple[FinSet, FinSet], ...]:
     # one pair per interval union over the pool's points; covers (bot, bot)
     points = pool.points if pool.pair_points is None else pool.pair_points
@@ -209,6 +219,12 @@ def _valid_endpoint_pairs(pool: WitnessPool) -> tuple[tuple[FinSet, FinSet], ...
         (u.left_endpoints(), u.right_endpoints())
         for u in enum_fcis(points, len(points), True)
     )
+
+
+@lru_cache(maxsize=_POOL_CACHE_SIZE)
+def _embedded_finsets(pool: WitnessPool) -> tuple[FciSet, ...]:
+    # the candidates of an l(V) = r(V) guard
+    return tuple(embed_finset(s) for s in enum_finsets(pool.points) if len(s) <= pool.max_segments)
 
 
 def _in_universe(val: Value, pool: WitnessPool) -> bool:
@@ -312,7 +328,7 @@ def _eval(f: Formula, env: dict, pool: WitnessPool, sig: Signature, cache: EvalC
     elif isinstance(f, (Exists, Forall)):
         negate = isinstance(f, Forall)
         vars, items = cache.normalized(f, frozenset(env), negate)
-        found = _branch(list(vars), list(items), env, pool, sig, cache)
+        found = _assign(list(vars), list(items), env, pool, sig, cache)
         out = not found if negate else found
     else:
         raise EvalError(f"cannot evaluate {type(f).__name__}")
@@ -369,29 +385,12 @@ def _normalize(vars: list[str], conjuncts: list[Formula], taken: set[str]) -> li
     return out
 
 
-def _branch(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> bool:
-    """Is there an assignment of pool values to ``vars`` satisfying all
-    conjuncts?  Expects ``cache.node`` bundles in solver normal form."""
-    for i, it in enumerate(items):
-        c = it.formula
-        if isinstance(c, Or):
-            if sig.finite_sets:
-                match = it.shape
-                if match is not None and set(match) <= set(vars):
-                    # an endpoint-pair relativizer: leave it whole so the
-                    # two variables can be enumerated jointly
-                    continue
-            rest = items[:i] + items[i + 1 :]
-            taken = frozenset(env) | frozenset(vars)
-            for p in _flatten_or(c):
-                hoisted, extra = cache.normalized(p, taken)
-                if _branch(vars + list(hoisted), rest + list(extra), env, pool, sig, cache):
-                    return True
-            return False
-    return _assign(vars, items, env, pool, sig, cache)
-
-
 def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> bool:
+    """Is there an assignment of pool values to ``vars`` satisfying all
+    conjuncts?  Expects ``cache.node`` bundles in solver normal form.
+    Each call takes the first step that applies, in this order: ready
+    checks, unused variable, pin, disjunction split, valid pair, guard,
+    universe."""
     keys = env.keys()
     ready, pending = [], []
     for it in items:
@@ -419,6 +418,19 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
         rest = [u for u in vars if u != v]
         return any(_assign(rest, pending, {**env, v: val}, pool, sig, cache) for val in candidates)
 
+    # split disjunctions only after the pins, which every branch shares; an
+    # endpoint-pair relativizer stays whole for the joint enumeration below
+    for i, it in enumerate(pending):
+        if isinstance(it.formula, Or) and not (
+            sig.finite_sets and it.shape is not None and set(it.shape) <= vars_set
+        ):
+            taken = frozenset(env) | vars_set
+            rest = pending[:i] + pending[i + 1 :]
+            return any(
+                _assign(vars + list(hoisted), rest + list(extra), env, pool, sig, cache)
+                for hoisted, extra in (cache.normalized(p, taken) for p in _flatten_or(it.formula))
+            )
+
     if sig.finite_sets:
         for it in pending:
             match = it.shape if isinstance(it.formula, Or) else None
@@ -431,7 +443,7 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
                 )
 
     best_v: Optional[str] = None
-    best: Optional[list] = None
+    best: Optional[Sequence] = None
     for v in vars:
         got = _guard_candidates(v, shapes, env, pool, sig)
         if got is not None and (best is None or len(got) < len(best)):
@@ -439,7 +451,7 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
     if best is None:
         occurrences = {v: sum(1 for it in pending if v in it.fv) for v in vars}
         best_v = max(vars, key=lambda v: occurrences[v])
-        best = list(universe(pool, sig))
+        best = universe(pool, sig)
     rest = [u for u in vars if u != best_v]
     return any(_assign(rest, pending, {**env, best_v: val}, pool, sig, cache) for val in best)
 
@@ -588,12 +600,12 @@ def _diff_pins(shapes: list[_Shape], vars_set: set[str], keys) -> dict[str, tupl
 # -- guards: conjuncts that bound a variable's shape ---------------------------------
 
 
-def _guard_candidates(v: str, shapes: list[_Shape], env: dict, pool: WitnessPool, sig: Signature) -> Optional[list]:
+def _guard_candidates(v: str, shapes: list[_Shape], env: dict, pool: WitnessPool, sig: Signature) -> Optional[Sequence]:
     w = sig.finite_sets
     keys = env.keys()
-    best: Optional[list] = None
+    best: Optional[Sequence] = None
 
-    def consider(candidates: list) -> None:
+    def consider(candidates: Sequence) -> None:
         nonlocal best
         if best is None or len(candidates) < len(best):
             best = candidates
@@ -608,13 +620,7 @@ def _guard_candidates(v: str, shapes: list[_Shape], env: dict, pool: WitnessPool
         if not w:
             for name in sh.lreq:
                 if name == v:
-                    consider(
-                        [
-                            embed_finset(s)
-                            for s in enum_finsets(pool.points)
-                            if len(s) <= pool.max_segments
-                        ]
-                    )
+                    consider(_embedded_finsets(pool))
         # cap(V, t) = V keeps V below t
         for name, other, need in sh.capself:
             if name == v and need <= keys:

@@ -66,9 +66,11 @@ def test_eval_with_explicit_pool(capsys):
 
 
 def test_eval_rejects_malformed_binding(capsys):
-    code, _, err = run(capsys, "eval", "--sig", "w", "--let", "X", "X = bot")
-    assert code == 2
-    assert "X=SET" in err or "error" in err
+    # the binding is no formula text, so the message names no position in one
+    for binding in ("X", " ={1}"):
+        code, out, err = run(capsys, "eval", "--sig", "w", "--let", binding, "X = bot")
+        assert (code, out) == (2, "")
+        assert err == f"error: --let expects X=SET, got {binding!r}\n"
 
 
 def test_eval_rejects_a_repeated_binding(capsys):

@@ -23,7 +23,8 @@ from intlat.semantics import (
     eval_term,
     universe,
 )
-from intlat.syntax import SIG_L, SIG_W, parse
+from intlat.syntax import SIG_L, SIG_W, And, Atomic, Exists, Implies, Not, Or, parse
+from intlat.transforms import pipeline
 
 F = Fraction
 fs = FinSet.of
@@ -170,3 +171,79 @@ def test_missing_assignment_and_wrong_sort_raise():
         eval_bounded(parse("X = bot", SIG_W), {}, pool, SIG_W)
     with pytest.raises(EvalError):
         eval_bounded(parse("X = bot", SIG_W), {"X": EMPTY_FCI}, pool, SIG_W)
+
+
+def _naive(f, env, pool, sig):
+    """Reference semantics: every quantifier ranges over the whole universe."""
+    if isinstance(f, Atomic):
+        return eval_term(f.lhs, env, sig) == eval_term(f.rhs, env, sig)
+    if isinstance(f, Not):
+        return not _naive(f.body, env, pool, sig)
+    if isinstance(f, And):
+        return _naive(f.lhs, env, pool, sig) and _naive(f.rhs, env, pool, sig)
+    if isinstance(f, Or):
+        return _naive(f.lhs, env, pool, sig) or _naive(f.rhs, env, pool, sig)
+    if isinstance(f, Implies):
+        return not _naive(f.lhs, env, pool, sig) or _naive(f.rhs, env, pool, sig)
+    branches = (_naive(f.body, {**env, f.var: u}, pool, sig) for u in universe(pool, sig))
+    return any(branches) if isinstance(f, Exists) else all(branches)
+
+
+def _shadowing(disjunct: str, inner: str, rest: str):
+    """E Y. (disjunct | E <inner>) & rest, built by hand: the parser renames
+    bound variables apart, and here the hoisted name must clash."""
+
+    def build(sig):
+        return Exists(
+            "Y", And(Or(parse(disjunct, sig), parse(inner, sig)), parse(rest, sig))
+        )
+
+    return pytest.param(build, id=f"E Y. ({disjunct} | {inner}) & {rest}")
+
+
+def _parsed(text: str):
+    return pytest.param(lambda sig: parse(text, sig), id=text)
+
+
+@pytest.mark.parametrize("sig", [SIG_W, SIG_L], ids=["w", "l"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        _parsed("E Y. cap(Y, X) = Y & !(Y = X) & !(Y = bot)"),
+        _parsed("A Y. cap(Y, X) = bot | cup(Y, X) = Y"),
+        # the only pin sits in a disjunct
+        _parsed("E Y. (Y = cz | Y = X) & cap(Y, X) = bot"),
+        _parsed("A Y. (Y = cz | Y = X) -> min(Y) = min(X)"),
+        # disjunctions nested under two quantifiers
+        _parsed(
+            "E Y. (Y = min(X) | Y = max(X)) & !(Y = bot) & "
+            "(E Z. (Z = Y | (cup(Z, Y) = X | Z = cz)) & !(cap(Z, Y) = bot) & !(Z = X))"
+        ),
+        _parsed("E Y. (min(Y) = Y | Y = X) & (E Z. (Z = Y | cup(Z, cz) = Z) & !(cap(Z, X) = Z))"),
+        # a disjunct hoists an existential over the block's Y, or over the free X
+        _shadowing(
+            "Y = X", "E Y. cap(Y, X) = Y & !(Y = bot) & !(Y = X)",
+            "!(Y = bot) & cap(Y, X) = bot",
+        ),
+        _shadowing(
+            "Y = cz", "E X. cup(X, Y) = X & !(X = Y) & min(X) = min(Y)",
+            "cap(Y, X) = bot & !(Y = bot)",
+        ),
+    ],
+)
+def test_eval_bounded_agrees_with_naive_enumeration(build, sig):
+    pool = WitnessPool(points=fs([0, 1, 2]), max_segments=3)
+    f = build(sig)
+    cache = EvalCache()
+    for x in universe(pool, sig):
+        a = {"X": x}
+        assert eval_bounded(f, a, pool, sig, cache=cache) == _naive(f, a, pool, sig), x
+
+
+def test_pipeline_output_of_disjoint_extremes():
+    # min(X) and max(X) meet exactly when X is a nonempty finite union
+    # ending in a point; the rewrite nests disjunctions under both blocks
+    g = pipeline(parse("E Y. E W. min(X) = Y & max(X) = W & cap(Y, W) = bot", SIG_L))
+    pool = WitnessPool(points=fs([0, 1, 2]), max_segments=3)
+    for text, want in [("empty", True), ("{1}", False), ("[1,*)", True)]:
+        assert eval_bounded(g, {"X": parse_fci(text)}, pool, SIG_L) is want, text
