@@ -2,7 +2,7 @@
 
 Subcommands: ``parse``, ``eval``, ``translate``, ``posex``, ``pipeline``
 and ``check``.  Exit codes: 0 success, 1 a check found a counterexample,
-2 usage or parse error, 3 input outside the supported fragment.
+2 usage, parse or evaluation error, 3 input outside the supported fragment.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ the answer, it only skips values that could not satisfy the conjuncts.
 Each step of the search checks the conjuncts already decided, binds an
 unused variable to bot, applies a pin, splits a disjunction, enumerates
 a valid endpoint pair, applies a guard, or else ranges over the universe.
+``_Rule`` lists the pin and guard patterns.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .fci import (
     EMPTY_FCI,
@@ -31,7 +32,7 @@ from .fci import (
     zero_fci,
 )
 from .finset import EMPTY_FS, FinSet, zero_set
-from .order import ZERO, above, midpoint
+from .order import ZERO, Point, above, midpoint
 from .oracle import enum_fcis, enum_finsets
 from .syntax import (
     And,
@@ -40,6 +41,7 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
+    FreshNames,
     Implies,
     Not,
     Or,
@@ -54,6 +56,7 @@ from .syntax import (
     free_vars,
     substitute,
     term_vars,
+    valid_pair,
 )
 
 Value = Union[FinSet, FciSet]
@@ -93,9 +96,16 @@ class WitnessPool:
     __hash__ = _cached_hash  # every verdict key holds the pool
 
 
+def widened(points: Iterable[Point]) -> FinSet:
+    """The points, the midpoint of each neighbouring pair, and one point
+    above the largest."""
+    ordered = sorted(set(points))
+    mids = [midpoint(x, y) for x, y in zip(ordered, ordered[1:])]
+    return FinSet.of(ordered + mids + [above(ordered[-1])])
+
+
 def default_pool(a: Assignment) -> WitnessPool:
-    """Zero, every boundary point of the assigned values, midpoints of
-    consecutive collected points, and one point above the largest."""
+    """Zero and every boundary point of the assigned values, widened."""
     pts = {ZERO}
     for v in a.values():
         if isinstance(v, FinSet):
@@ -104,11 +114,7 @@ def default_pool(a: Assignment) -> WitnessPool:
             pts.update(v.boundary().elements)
         else:
             raise TypeError(f"assignment values must be FinSet or FciSet, got {type(v).__name__}")
-    ordered = sorted(pts)
-    widened = set(ordered)
-    widened.update(midpoint(x, y) for x, y in zip(ordered, ordered[1:]))
-    widened.add(above(ordered[-1]))
-    points = FinSet(tuple(sorted(widened)))
+    points = widened(pts)
     return WitnessPool(points=points, max_segments=len(points), allow_ray=True)
 
 
@@ -246,7 +252,8 @@ class _Node(NamedTuple):
     formula: Formula
     fv: frozenset[str]
     names: tuple[str, ...]  # fv sorted: the order of the values in a verdict key
-    shape: _Shape | tuple[str, str] | None  # equation: its patterns; disjunction: its valid pair
+    rules: tuple[_Rule, ...]  # of an equation
+    pair: Optional[tuple[str, str]]  # of a disjunction that is a valid-pair relativizer
 
 
 class EvalCache:
@@ -266,13 +273,9 @@ class EvalCache:
         got = self._nodes.get(f)
         if got is None:
             fv = frozenset(free_vars(f))
-            if isinstance(f, Atomic):
-                shape = _atom_shape(f)
-            elif isinstance(f, Or):
-                shape = _match_valid_pair(f)
-            else:
-                shape = None
-            got = self._nodes[f] = _Node(f, fv, tuple(sorted(fv)), shape)
+            rules = _atom_rules(f) if isinstance(f, Atomic) else ()
+            pair = _match_valid_pair(f) if isinstance(f, Or) else None
+            got = self._nodes[f] = _Node(f, fv, tuple(sorted(fv)), rules, pair)
         return got
 
     def normalized(
@@ -357,11 +360,8 @@ def _normalize(vars: list[str], conjuncts: list[Formula], taken: set[str]) -> li
         elif isinstance(c, Exists):
             name, body = c.var, c.body
             if name in taken or name in vars:
-                base, n = name, 0
-                while name in taken or name in vars or name in free_vars(body):
-                    n += 1
-                    name = f"{base}{n}"
-                body = substitute(body, {base: Var(name)})
+                name = FreshNames(taken | set(vars) | free_vars(body)).fresh(name)
+                body = substitute(body, {c.var: Var(name)})
             vars.append(name)
             queue.appendleft(body)
         elif isinstance(c, Not):
@@ -411,8 +411,8 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
             return _assign(rest, pending, {**env, v: _empty(sig)}, pool, sig, cache)
 
     vars_set = set(vars)
-    shapes = [it.shape for it in pending if isinstance(it.formula, Atomic)]
-    pin = _find_pin(shapes, vars_set, env, pool, sig)
+    live = [r for it in pending for r in it.rules if r.var in vars_set and r.need <= keys]
+    pin = _find_pin(live, env, pool, sig)
     if pin is not None:
         v, candidates = pin
         rest = [u for u in vars if u != v]
@@ -422,7 +422,7 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
     # endpoint-pair relativizer stays whole for the joint enumeration below
     for i, it in enumerate(pending):
         if isinstance(it.formula, Or) and not (
-            sig.finite_sets and it.shape is not None and set(it.shape) <= vars_set
+            sig.finite_sets and it.pair is not None and set(it.pair) <= vars_set
         ):
             taken = frozenset(env) | vars_set
             rest = pending[:i] + pending[i + 1 :]
@@ -433,21 +433,22 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
 
     if sig.finite_sets:
         for it in pending:
-            match = it.shape if isinstance(it.formula, Or) else None
-            if match is not None and set(match) <= vars_set:
-                v1, v2 = match
+            if it.pair is not None and set(it.pair) <= vars_set:
+                v1, v2 = it.pair
                 rest = [u for u in vars if u not in (v1, v2)]
                 return any(
                     _assign(rest, pending, {**env, v1: b, v2: r}, pool, sig, cache)
                     for b, r in _valid_endpoint_pairs(pool)
                 )
 
+    # the fewest candidates win; ties go to the earlier variable, then rule
     best_v: Optional[str] = None
     best: Optional[Sequence] = None
     for v in vars:
-        got = _guard_candidates(v, shapes, env, pool, sig)
-        if got is not None and (best is None or len(got) < len(best)):
-            best_v, best = v, got
+        for r in live:
+            got = _guard(r, env, pool, sig) if r.var == v else None
+            if got is not None and (best is None or len(got) < len(best)):
+                best_v, best = v, got
     if best is None:
         occurrences = {v: sum(1 for it in pending if v in it.fv) for v in vars}
         best_v = max(vars, key=lambda v: occurrences[v])
@@ -456,49 +457,49 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
     return any(_assign(rest, pending, {**env, best_v: val}, pool, sig, cache) for val in best)
 
 
-# -- pins: conjuncts that force a variable's value -----------------------------------
+# -- pins and guards: conjuncts that force or bound a variable's value ---------------
 
 
-def _sides(atom: Atomic) -> tuple[tuple[Term, Term], tuple[Term, Term]]:
-    return (atom.lhs, atom.rhs), (atom.rhs, atom.lhs)
+class _Rule(NamedTuple):
+    """One pattern an equation offers for block variable ``var``, read off
+    the syntax once.  ``need`` holds the variables of ``terms``, so a rule
+    is usable as soon as they are bound.  Pins (``_find_pin``):
 
+    - ``eq``: ``var = t``
+    - ``l``, ``r``: ``l(var) = t``, ``r(var) = t``; both of one variable
+      pin it through the endpoint lemma
+    - ``plus``, ``disj``: ``cup(cap(t1, t2), var) = t1`` and
+      ``cap(t2, var) = bot``; the two together pin ``var`` to ``t1``
+      minus ``t2``
 
-class _Shape(NamedTuple):
-    """The side patterns one equation offers, read off the syntax once.
+    Guards (``_guard``):
 
-    Each entry carries the variables of the terms whose values the
-    pattern needs, so groundness is a set comparison at use time.
+    - ``minself``: ``min(var) = var``, so ``var`` is empty or one point
+    - ``lreq``: ``l(var) = r(var)``, so ``var`` is an embedded finite set
+    - ``capself``: ``cap(var, t) = var``, so ``var`` lies below ``t``
     """
 
-    eq: tuple  # (name, other, vars):           V = other
-    lr: tuple  # (op, name, other, vars):       l(V) = other / r(V) = other
-    diff: tuple  # (name, t1, t2, vars):        diff(t1, t2) = V
-    plus: tuple  # (t1, t2, name, vars):        cup(cap(t1, t2), V) = t1
-    disj: tuple  # (t, name, vars):             cap(t, V) = bot
-    minself: tuple  # (name,):                  min(V) = V
-    lreq: tuple  # (name,):                     l(V) = r(V)
-    capself: tuple  # (name, other, vars):      cap(V, other) = V
+    kind: str
+    var: str
+    terms: tuple[Term, ...]
+    need: frozenset[str]
 
 
-def _atom_shape(atom: Atomic) -> _Shape:
-    eq, lr, diff, plus, disj = [], [], [], [], []
-    minself, lreq, capself = [], [], []
-    for a, b in _sides(atom):
+def _atom_rules(atom: Atomic) -> tuple[_Rule, ...]:
+    out: list[_Rule] = []
+
+    def rule(kind: str, var: str, *terms: Term) -> None:
+        out.append(_Rule(kind, var, terms, frozenset().union(*map(term_vars, terms))))
+
+    for a, b in ((atom.lhs, atom.rhs), (atom.rhs, atom.lhs)):
         if isinstance(a, Var) and a != b:
-            eq.append((a.name, b, term_vars(b)))
+            rule("eq", a.name, b)
         if not isinstance(a, App):
             continue
         if a.op in ("l", "r") and isinstance(a.args[0], Var):
-            lr.append((a.op, a.args[0].name, b, term_vars(b)))
-            if (
-                a.op == "l"
-                and isinstance(b, App)
-                and b.op == "r"
-                and a.args == b.args
-            ):
-                lreq.append(a.args[0].name)
-        if a.op == "diff" and isinstance(b, Var):
-            diff.append((b.name, a.args[0], a.args[1], term_vars(a.args[0]) | term_vars(a.args[1])))
+            rule(a.op, a.args[0].name, b)
+            if a.op == "l" and isinstance(b, App) and b.op == "r" and a.args == b.args:
+                rule("lreq", a.args[0].name)
         if (
             a.op == "cup"
             and isinstance(a.args[0], App)
@@ -506,53 +507,38 @@ def _atom_shape(atom: Atomic) -> _Shape:
             and isinstance(a.args[1], Var)
         ):
             x, y = a.args[0].args
-            need = term_vars(x) | term_vars(y)  # the pin evaluates both t1 and t2
-            if b == x:
-                plus.append((x, y, a.args[1].name, need))
-            elif b == y:
-                plus.append((y, x, a.args[1].name, need))
+            if b in (x, y):
+                rule("plus", a.args[1].name, b, y if b == x else x)
         if a.op == "cap":
             x, y = a.args
             if isinstance(b, App) and b.op == "bot":
-                if isinstance(y, Var):
-                    disj.append((x, y.name, term_vars(x)))
-                if isinstance(x, Var):
-                    disj.append((y, x.name, term_vars(y)))
-            if isinstance(b, Var):
-                other = y if x == b else x if y == b else None
-                if other is not None:
-                    capself.append((b.name, other, term_vars(other)))
+                for t, v in ((x, y), (y, x)):
+                    if isinstance(v, Var):
+                        rule("disj", v.name, t)
+            elif isinstance(b, Var) and b in a.args:
+                rule("capself", b.name, y if x == b else x)
         if a.op == "min" and isinstance(b, Var) and a.args == (b,):
-            minself.append(b.name)
-    return _Shape(
-        tuple(eq), tuple(lr), tuple(diff), tuple(plus), tuple(disj),
-        tuple(minself), tuple(lreq), tuple(capself),
-    )
+            rule("minself", b.name)
+    return tuple(out)
 
 
-def _find_pin(shapes: list[_Shape], vars_set: set[str], env: dict, pool: WitnessPool, sig: Signature):
-    keys = env.keys()
-
-    # a bare equation with one side a block variable and the other evaluable
-    for sh in shapes:
-        for name, other, need in sh.eq:
-            if name in vars_set and need <= keys:
-                val = eval_term(other, env, sig)
-                return name, ([val] if _in_universe(val, pool) else [])
+def _find_pin(live: list[_Rule], env: dict, pool: WitnessPool, sig: Signature):
+    for r in live:
+        if r.kind == "eq":
+            val = eval_term(r.terms[0], env, sig)
+            return r.var, ([val] if _in_universe(val, pool) else [])
 
     # both endpoint maps of one variable pinned: the endpoint lemma gives
     # the unique interval union, or rules one out
     if not sig.finite_sets:
-        l_of: dict[str, Term] = {}
-        r_of: dict[str, Term] = {}
-        for sh in shapes:
-            for op, name, other, need in sh.lr:
-                if name in vars_set and need <= keys:
-                    (l_of if op == "l" else r_of)[name] = other
-        for v in l_of:
-            if v in r_of:
-                lv = eval_term(l_of[v], env, sig)
-                rv = eval_term(r_of[v], env, sig)
+        ends: dict[str, dict[str, Term]] = {"l": {}, "r": {}}
+        for r in live:
+            if r.kind in ends:
+                ends[r.kind][r.var] = r.terms[0]
+        for v, lt in ends["l"].items():
+            if v in ends["r"]:
+                lv = eval_term(lt, env, sig)
+                rv = eval_term(ends["r"][v], env, sig)
                 candidates: list = []
                 if not lv and not rv:
                     candidates = [EMPTY_FCI]
@@ -562,101 +548,47 @@ def _find_pin(shapes: list[_Shape], vars_set: set[str], env: dict, pool: Witness
                         candidates = [build_from_endpoints(bf, cf)]
                 return v, [d for d in candidates if _in_universe(d, pool)]
 
-    # difference pinned directly or through its defining pair of equations
-    diff_pins = _diff_pins(shapes, vars_set, keys)
-    for v, (t1, t2) in diff_pins.items():
-        x = eval_term(t1, env, sig)
-        y = eval_term(t2, env, sig)
-        if isinstance(x, FinSet):
-            val = x.difference(y)
-        else:
-            val = difference_closed(x, y)
-            if val is None:
-                return v, []
-        return v, ([val] if _in_universe(val, pool) else [])
+    disjoint = {(r.var, r.terms[0]) for r in live if r.kind == "disj"}
+    for r in live:
+        if r.kind == "plus" and (r.var, r.terms[1]) in disjoint:
+            x = eval_term(r.terms[0], env, sig)
+            y = eval_term(r.terms[1], env, sig)
+            if isinstance(x, FinSet):
+                val = x.difference(y)
+            else:
+                val = difference_closed(x, y)
+                if val is None:
+                    return r.var, []
+            return r.var, ([val] if _in_universe(val, pool) else [])
     return None
 
 
-def _diff_pins(shapes: list[_Shape], vars_set: set[str], keys) -> dict[str, tuple[Term, Term]]:
-    out: dict[str, tuple[Term, Term]] = {}
-    plus: list[tuple[Term, Term, str]] = []
-    disjoint: list[tuple[Term, str]] = []
-    for sh in shapes:
-        for name, t1, t2, need in sh.diff:
-            if name in vars_set and need <= keys:
-                out[name] = (t1, t2)
-        for t1, t2, name, need in sh.plus:
-            if name in vars_set and need <= keys:
-                plus.append((t1, t2, name))
-        for t, name, need in sh.disj:
-            if name in vars_set and need <= keys:
-                disjoint.append((t, name))
-    for t1, t2, v in plus:
-        if any(v == v2 and t2 == u for u, v2 in disjoint):
-            out.setdefault(v, (t1, t2))
-    return out
-
-
-# -- guards: conjuncts that bound a variable's shape ---------------------------------
-
-
-def _guard_candidates(v: str, shapes: list[_Shape], env: dict, pool: WitnessPool, sig: Signature) -> Optional[Sequence]:
+def _guard(r: _Rule, env: dict, pool: WitnessPool, sig: Signature) -> Optional[Sequence]:
     w = sig.finite_sets
-    keys = env.keys()
-    best: Optional[Sequence] = None
-
-    def consider(candidates: Sequence) -> None:
-        nonlocal best
-        if best is None or len(candidates) < len(best):
-            best = candidates
-
-    for sh in shapes:
-        # min(V) = V keeps V empty or a single point
-        for name in sh.minself:
-            if name == v:
-                single = [FinSet((p,)) for p in pool.points] if w else [embed_point(p) for p in pool.points]
-                consider([_empty(sig)] + single)
-        # l(V) = r(V) keeps V an embedded finite set
-        if not w:
-            for name in sh.lreq:
-                if name == v:
-                    consider(_embedded_finsets(pool))
-        # cap(V, t) = V keeps V below t
-        for name, other, need in sh.capself:
-            if name == v and need <= keys:
-                bound = eval_term(other, env, sig)
-                if w:
-                    consider(list(enum_finsets(bound.intersect(pool.points))))
-                elif bound.is_finite_set():
-                    base = bound.as_finset().intersect(pool.points)
-                    consider(
-                        [
-                            embed_finset(s)
-                            for s in enum_finsets(base)
-                            if len(s) <= pool.max_segments
-                        ]
-                    )
-                else:
-                    consider([u for u in _universe_l(pool) if u.issubset(bound)])
-    return best
+    if r.kind == "minself":
+        single = [FinSet((p,)) for p in pool.points] if w else [embed_point(p) for p in pool.points]
+        return [_empty(sig)] + single
+    if r.kind == "lreq" and not w:
+        return _embedded_finsets(pool)
+    if r.kind == "capself":
+        bound = eval_term(r.terms[0], env, sig)
+        if w:
+            return list(enum_finsets(bound.intersect(pool.points)))
+        if bound.is_finite_set():
+            base = bound.as_finset().intersect(pool.points)
+            return [embed_finset(s) for s in enum_finsets(base) if len(s) <= pool.max_segments]
+        return [u for u in _universe_l(pool) if u.issubset(bound)]
+    return None
 
 
-def _match_valid_pair(c: Formula) -> Optional[tuple[str, str]]:
+def _match_valid_pair(c: Or) -> Optional[tuple[str, str]]:
     """Recognize the relativizer marking two variables as the endpoint
     pair of one interval union, so they can be enumerated jointly."""
-    if not isinstance(c, Or) or not isinstance(c.rhs, And):
+    both_bot = c.rhs
+    if not isinstance(both_bot, And):
         return None
-
-    def bot_var(at: Formula) -> Optional[str]:
-        if isinstance(at, Atomic):
-            for x, y in _sides(at):
-                if isinstance(x, Var) and isinstance(y, App) and y.op == "bot":
-                    return x.name
+    sides = (both_bot.lhs, both_bot.rhs)
+    if not all(isinstance(at, Atomic) and isinstance(at.lhs, Var) for at in sides):
         return None
-
-    v1, v2 = bot_var(c.rhs.lhs), bot_var(c.rhs.rhs)
-    if not v1 or not v2 or v1 == v2:
-        return None
-    from .transforms import valid_pair
-
-    return (v1, v2) if c == valid_pair(v1, v2) else None
+    v1, v2 = (at.lhs.name for at in sides)
+    return (v1, v2) if v1 != v2 and c == valid_pair(v1, v2) else None

@@ -33,12 +33,11 @@ from .oracle import (
     random_points,
 )
 from .order import ZERO, above, midpoint
-from .semantics import EvalCache, WitnessPool, eval_bounded, eval_qf
-from .syntax import SIG_L, SIG_W, Formula, Var, classify, free_vars, parse
+from .semantics import EvalCache, WitnessPool, eval_bounded, eval_qf, widened
+from .syntax import SIG_L, SIG_W, Formula, Var, classify, delta_domain, free_vars, parse
 from .transforms import (
     FragmentError,
     _l2w,
-    delta_domain,
     notbot,
     phi_in,
     phi_ips,
@@ -203,9 +202,7 @@ def suite_endpoints(pool_size: Optional[int] = None, seed: Optional[int] = None)
 def _member_family(pool_size: Optional[int]) -> tuple[FinSet, list[FciSet], list]:
     points = _ints(5 if pool_size is None else pool_size)
     sets = list(enum_fcis(points, 3, True))
-    pts = sorted(points.elements)
-    zs = sorted(set(pts) | {midpoint(a, b) for a, b in zip(pts, pts[1:])} | {above(pts[-1])})
-    return points, sets, zs
+    return points, sets, list(widened(points))
 
 
 def _from_pair(b: FinSet, c: FinSet) -> FciSet:
@@ -359,10 +356,7 @@ def suite_l2w(pool_size: Optional[int] = None, seed: Optional[int] = None) -> Eq
     """Each corpus formula agrees with its coordinate translation, and
     with a directly computed predicate, over interval unions on the pool."""
     points = _ints(4 if pool_size is None else pool_size)
-    pts = sorted(points.elements)
-    dense = FinSet.of(
-        sorted(set(pts) | {midpoint(a, b) for a, b in zip(pts, pts[1:])} | {above(pts[-1])})
-    )
+    dense = widened(points)
     # point witnesses need the in-between points to tell sets apart, but
     # coordinate-pair witnesses (lub/glb tests) stay on the assignment grid
     wpool = WitnessPool(points=dense, max_segments=len(dense), pair_points=points)
@@ -453,17 +447,16 @@ def suite_pipeline(pool_size: Optional[int] = None, seed: Optional[int] = None) 
         )
         names = sorted(free_vars(f))
         fcache = EvalCache()
-        gcache = EvalCache()
-        for trial in range(200):
-            a = {v: random_fciset(rng, base, 3, True) for v in names}
-            pool = _pipeline_pool(a)
-            lhs = eval_bounded(f, a, pool, SIG_L, cache=fcache)
-            rhs = eval_bounded(g, a, pool, SIG_L, cache=gcache)
-            report.checked += 1
-            if lhs != rhs:
-                noted = dict(a)
-                noted["formula"] = text
-                report.failures.append((noted, lhs, rhs))
+        draws = ({v: random_fciset(rng, base, 3, True) for v in names} for _ in range(200))
+        part = check_equiv(
+            lambda a: eval_bounded(f, a, _pipeline_pool(a), SIG_L, cache=fcache),
+            g,
+            draws,
+            SIG_L,
+            pool=_pipeline_pool,
+            cache=EvalCache(),
+        )
+        _merge(report, part, text)
     for text in PIPELINE_REJECTS:
         f = parse(text, SIG_L)
         try:
@@ -479,6 +472,7 @@ SUITES: dict[str, Callable[..., EquivReport]] = {
     "notbot": suite_notbot,
     "ipschar": suite_ipschar,
     "endpoints": suite_endpoints,
+    "posex": suite_posex,
     "member": suite_member,
     "subset": suite_subset,
     "w2l": suite_w2l,

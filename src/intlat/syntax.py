@@ -169,6 +169,29 @@ def subset_atom(s: Term, t: Term) -> Atomic:
     return Atomic(cap(s, t), s)
 
 
+def delta_domain() -> Formula:
+    """(B, C) is the endpoint pair of some nonempty interval union."""
+    b, c = Var("B"), Var("C")
+    bd = cup(b, c)
+    gained = diff_t(c, b)
+    kept = diff_t(b, c)
+    closed = And(subset_atom(max_t(bd), c), Atomic(ips_t(bd, gained), kept))
+    open_end = And(
+        subset_atom(max_t(bd), kept),
+        Atomic(cup(ips_t(bd, gained), max_t(bd)), kept),
+    )
+    return And(
+        Not(Atomic(b, bot())),
+        And(subset_atom(min_t(bd), b), Or(closed, open_end)),
+    )
+
+
+def valid_pair(vl: str, vr: str) -> Formula:
+    """(vl, vr) is the coordinate image of some interval union."""
+    dom = substitute(delta_domain(), {"B": Var(vl), "C": Var(vr)})
+    return Or(dom, And(Atomic(Var(vl), bot()), Atomic(Var(vr), bot())))
+
+
 def and_all(parts: list) -> Formula:
     if not parts:
         raise ValueError("empty conjunction")

@@ -45,6 +45,7 @@ from .syntax import (
     classify,
     cup,
     cz,
+    delta_domain,  # re-exported for callers of intlat.transforms
     diff_t,
     exists_all,
     fits_signature,
@@ -60,6 +61,7 @@ from .syntax import (
     substitute,
     term_vars,
     unnest,
+    valid_pair,
 )
 
 
@@ -399,29 +401,6 @@ def phi_subseteq() -> Formula:
     member_x = phi_in()
     member_y = substitute(phi_in(), {"Xl": Var("Yl"), "Xr": Var("Yr")})
     return Forall("Z", Implies(at(), Implies(member_x, member_y)))
-
-
-def delta_domain() -> Formula:
-    """(B, C) is the endpoint pair of some nonempty interval union."""
-    b, c = Var("B"), Var("C")
-    bd = cup(b, c)
-    gained = diff_t(c, b)
-    kept = diff_t(b, c)
-    closed = And(subset_atom(max_t(bd), c), Atomic(ips_t(bd, gained), kept))
-    open_end = And(
-        subset_atom(max_t(bd), kept),
-        Atomic(cup(ips_t(bd, gained), max_t(bd)), kept),
-    )
-    return And(
-        Not(Atomic(b, bot())),
-        And(subset_atom(min_t(bd), b), Or(closed, open_end)),
-    )
-
-
-def valid_pair(vl: str, vr: str) -> Formula:
-    """(vl, vr) is the coordinate image of some interval union."""
-    dom = substitute(delta_domain(), {"B": Var(vl), "C": Var(vr)})
-    return Or(dom, And(Atomic(Var(vl), bot()), Atomic(Var(vr), bot())))
 
 
 # -- interval formulas to finite-set formulas ----------------------------------------

@@ -130,6 +130,12 @@ def test_check_notbot_summary(capsys):
     assert out.strip() == "checked=32 failures=0"
 
 
+def test_check_posex_summary(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "posex")
+    assert code == 0
+    assert out.strip() == "checked=1627 failures=0"
+
+
 def test_check_is_deterministic(capsys):
     _, first, _ = run(capsys, "check", "--suite", "endpoints")
     _, second, _ = run(capsys, "check", "--suite", "endpoints")

@@ -205,6 +205,15 @@ def _parsed(text: str):
     return pytest.param(lambda sig: parse(text, sig), id=text)
 
 
+def _interval_only(text: str):
+    def build(sig):
+        if sig.finite_sets:
+            pytest.skip("l and r are operations of the interval structure only")
+        return parse(text, sig)
+
+    return pytest.param(build, id=text)
+
+
 @pytest.mark.parametrize("sig", [SIG_W, SIG_L], ids=["w", "l"])
 @pytest.mark.parametrize(
     "build",
@@ -229,6 +238,12 @@ def _parsed(text: str):
             "Y = cz", "E X. cup(X, Y) = X & !(X = Y) & min(X) = min(Y)",
             "cap(Y, X) = bot & !(Y = bot)",
         ),
+        # the difference pair pins Y to X minus cz
+        _parsed("E Y. cup(cap(X, cz), Y) = X & cap(cz, Y) = bot & !(Y = bot)"),
+        # both endpoint maps pin Y; l(Y) = r(Y) and cap(Y, X) = Y are guards
+        _interval_only("E Y. l(Y) = l(X) & r(Y) = r(X) & !(Y = X)"),
+        _interval_only("E Y. l(Y) = l(X) & r(Y) = r(X) & min(Y) = min(X)"),
+        _interval_only("E Y. l(Y) = r(Y) & cap(Y, X) = Y & !(Y = bot)"),
     ],
 )
 def test_eval_bounded_agrees_with_naive_enumeration(build, sig):

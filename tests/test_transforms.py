@@ -199,6 +199,7 @@ def test_suite_registry_names():
         "notbot",
         "ipschar",
         "endpoints",
+        "posex",
         "member",
         "subset",
         "w2l",
