@@ -13,7 +13,7 @@ constructive translations between the two signatures, and exhaustive
 checking suites for all the algebraic identities the translations rely on.
 """
 
-from .order import Point, point, parse_point, format_point, midpoint, above
+from .order import Point, point, parse_point, midpoint, above
 from .finset import FinSet, parse_finset
 from .fci import FciSet, Segment, normalize, parse_fci, embed_finset
 from .syntax import SIG_W, SIG_L, parse, format_formula, classify
@@ -33,7 +33,6 @@ __all__ = [
     "Point",
     "point",
     "parse_point",
-    "format_point",
     "midpoint",
     "above",
     "FinSet",

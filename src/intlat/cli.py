@@ -2,7 +2,8 @@
 
 Subcommands: ``parse``, ``eval``, ``translate``, ``posex``, ``pipeline``
 and ``check``.  Exit codes: 0 success, 1 a check found a counterexample,
-2 usage, parse or evaluation error, 3 input outside the supported fragment.
+2 usage, parse or evaluation error or a formula nested too deeply, 3 input
+outside the supported fragment.
 """
 
 from __future__ import annotations
@@ -191,6 +192,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except (ParseError, EvalError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

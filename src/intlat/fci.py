@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .finset import FinSet
-from .order import Point, format_point, parse_point
+from .order import Point, parse_point
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class Segment:
 
     def __str__(self) -> str:
         if self.lo == self.hi:
-            return "{" + format_point(self.lo) + "}"
-        return f"[{format_point(self.lo)},{format_point(self.hi)}]"
+            return "{" + str(self.lo) + "}"
+        return f"[{self.lo},{self.hi}]"
 
 
 @dataclass(frozen=True)
@@ -385,5 +385,5 @@ def parse_fci(text: str) -> FciSet:
 def format_fci(s: FciSet) -> str:
     parts = [str(seg) for seg in s.segments]
     if s.ray_lo is not None:
-        parts.append(f"[{format_point(s.ray_lo)},*)")
+        parts.append(f"[{s.ray_lo},*)")
     return " + ".join(parts) if parts else "empty"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .order import Point, format_point, point
+from .order import Point, point
 
 
 @dataclass(frozen=True)
@@ -112,4 +112,4 @@ def parse_finset(text: str) -> FinSet:
 
 
 def format_finset(s: FinSet) -> str:
-    return "{" + ", ".join(format_point(p) for p in s.elements) + "}"
+    return "{" + ", ".join(str(p) for p in s.elements) + "}"

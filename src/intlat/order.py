@@ -32,11 +32,6 @@ def parse_point(text: str) -> Point:
     return point(text.strip())
 
 
-def format_point(p: Point) -> str:
-    """Render a point as ``p`` or ``p/q`` in lowest terms."""
-    return str(p)
-
-
 def midpoint(a: Point, b: Point) -> Point:
     """The arithmetic mean of two points; requires ``a < b``."""
     if not a < b:

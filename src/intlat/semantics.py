@@ -54,6 +54,7 @@ from .syntax import (
     _cached_hash,
     formula_symbols,
     free_vars,
+    operands,
     substitute,
     term_vars,
     valid_pair,
@@ -339,12 +340,6 @@ def _eval(f: Formula, env: dict, pool: WitnessPool, sig: Signature, cache: EvalC
     return out
 
 
-def _flatten_or(f: Formula) -> list[Formula]:
-    if isinstance(f, Or):
-        return _flatten_or(f.lhs) + _flatten_or(f.rhs)
-    return [f]
-
-
 def _normalize(vars: list[str], conjuncts: list[Formula], taken: set[str]) -> list[Formula]:
     """Flatten conjunctions, hoist existentials into the block, push
     negations toward leaves.  Mutates ``vars`` as binders are hoisted."""
@@ -428,7 +423,7 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
             rest = pending[:i] + pending[i + 1 :]
             return any(
                 _assign(vars + list(hoisted), rest + list(extra), env, pool, sig, cache)
-                for hoisted, extra in (cache.normalized(p, taken) for p in _flatten_or(it.formula))
+                for hoisted, extra in (cache.normalized(p, taken) for p in operands(it.formula, Or))
             )
 
     if sig.finite_sets:

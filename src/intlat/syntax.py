@@ -11,12 +11,20 @@ finite-set signature and the endpoint maps ``l``/``r`` only to the
 interval signature.  ``parse`` checks every symbol and arity against the
 requested signature and renames bound variables apart, so a parsed formula
 never shadows a name.
+
+Walkers over formulas go through four traversal helpers rather than
+dispatching on the node types themselves: ``subformulas`` and ``subterms``
+(iterative pre-order scans), ``rebuild`` (the same connective over a
+function of each immediate part) and ``lift`` (replace applications by
+fresh variables, recording their definitions).  ``term_vars``,
+``free_vars`` and ``substitute_term`` stay hand-written: they are the
+innermost loops of every rewrite.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
 
 
@@ -207,6 +215,73 @@ def exists_all(names: list[str], body: Formula) -> Formula:
     return body
 
 
+# -- traversal -------------------------------------------------------------------
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """``f`` and every subformula, in pre-order, left to right."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, (And, Or, Implies)):
+            stack += (g.rhs, g.lhs)
+        elif not isinstance(g, Atomic):
+            stack.append(g.body)
+
+
+def subterms(t: Term) -> Iterator[Term]:
+    """``t`` and every subterm, in pre-order, left to right."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, App):
+            stack.extend(reversed(s.args))
+
+
+def rebuild(f: Formula, fn, *args) -> Formula:
+    """The connective or quantifier of ``f`` over ``fn(g, *args)`` of each
+    immediate part ``g``, evaluated left to right; an equation comes back
+    as it is.  Walkers pass their context in ``args`` rather than through
+    a closure, which would cost a stack frame per level of nesting."""
+    if isinstance(f, Atomic):
+        return f
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(fn(f.lhs, *args), fn(f.rhs, *args))
+    if isinstance(f, Not):
+        return Not(fn(f.body, *args))
+    return type(f)(f.var, fn(f.body, *args))
+
+
+def operands(f: Formula, kind: type) -> list[Formula]:
+    """The operands of a chain of ``kind`` (``And`` or ``Or``), left to right."""
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, kind):
+            stack += (g.rhs, g.lhs)
+        else:
+            out.append(g)
+    return out
+
+
+def lift(t: Term, op: Optional[str], names: "FreshNames", base: str, defs: list) -> Term:
+    """``t`` with each application of ``op`` (of any operation when ``op``
+    is None) replaced, innermost first, by a fresh variable named after
+    ``base``.  Appends ``(name, application)`` to ``defs`` for each, the
+    application taken over the already-lifted arguments."""
+    if isinstance(t, Var):
+        return t
+    app = App(t.op, tuple(lift(a, op, names, base, defs) for a in t.args))
+    if op is not None and t.op != op:
+        return app
+    name = names.fresh(base)
+    defs.append((name, app))
+    return Var(name)
+
+
 # -- signatures ----------------------------------------------------------------
 
 
@@ -233,22 +308,15 @@ SIG_W_DIFF = Signature("w+diff", SIG_W.symbols + (("diff", 2),), True)
 
 
 def term_symbols(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return set()
-    out = {t.op}
-    for a in t.args:
-        out |= term_symbols(a)
-    return out
+    return {s.op for s in subterms(t) if isinstance(s, App)}
 
 
 def formula_symbols(f: Formula) -> set[str]:
-    if isinstance(f, Atomic):
-        return term_symbols(f.lhs) | term_symbols(f.rhs)
-    if isinstance(f, Not):
-        return formula_symbols(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return formula_symbols(f.lhs) | formula_symbols(f.rhs)
-    return formula_symbols(f.body)
+    out: set[str] = set()
+    for g in subformulas(f):
+        if isinstance(g, Atomic):
+            out |= term_symbols(g.lhs) | term_symbols(g.rhs)
+    return out
 
 
 def fits_signature(f: Formula, sig: Signature) -> bool:
@@ -279,13 +347,13 @@ def free_vars(f: Formula) -> set[str]:
 
 def all_names(f: Formula) -> set[str]:
     """Every variable name occurring anywhere, bound or free."""
-    if isinstance(f, Atomic):
-        return term_vars(f.lhs) | term_vars(f.rhs)
-    if isinstance(f, Not):
-        return all_names(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return all_names(f.lhs) | all_names(f.rhs)
-    return all_names(f.body) | {f.var}
+    out: set[str] = set()
+    for g in subformulas(f):
+        if isinstance(g, Atomic):
+            out |= term_vars(g.lhs) | term_vars(g.rhs)
+        elif isinstance(g, (Exists, Forall)):
+            out.add(g.var)
+    return out
 
 
 class FreshNames:
@@ -319,10 +387,8 @@ def substitute(f: Formula, mapping: Mapping[str, Term]) -> Formula:
     """Capture-avoiding substitution of terms for free variables."""
     if isinstance(f, Atomic):
         return Atomic(substitute_term(f.lhs, mapping), substitute_term(f.rhs, mapping))
-    if isinstance(f, Not):
-        return Not(substitute(f.body, mapping))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(substitute(f.lhs, mapping), substitute(f.rhs, mapping))
+    if not isinstance(f, (Exists, Forall)):
+        return rebuild(f, substitute, mapping)
     live = {k: v for k, v in mapping.items() if k != f.var}
     if not live:
         return f
@@ -345,10 +411,8 @@ def rename_bound_apart(f: Formula, taken: set[str] | None = None) -> Formula:
         if isinstance(g, Atomic):
             mapping = {k: Var(v) for k, v in ren.items()}
             return Atomic(substitute_term(g.lhs, mapping), substitute_term(g.rhs, mapping))
-        if isinstance(g, Not):
-            return Not(walk(g.body, ren))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(walk(g.lhs, ren), walk(g.rhs, ren))
+        if not isinstance(g, (Exists, Forall)):
+            return rebuild(g, walk, ren)
         var = g.var
         if var in used_binders:
             var = names.fresh(g.var)
@@ -564,17 +628,11 @@ def nnf(f: Formula) -> Formula:
     """Negation normal form: no implications, negation only on atoms."""
 
     def pos(g: Formula) -> Formula:
-        if isinstance(g, Atomic):
-            return g
         if isinstance(g, Not):
             return neg(g.body)
-        if isinstance(g, And):
-            return And(pos(g.lhs), pos(g.rhs))
-        if isinstance(g, Or):
-            return Or(pos(g.lhs), pos(g.rhs))
         if isinstance(g, Implies):
             return Or(neg(g.lhs), pos(g.rhs))
-        return type(g)(g.var, pos(g.body))
+        return rebuild(g, pos)
 
     def neg(g: Formula) -> Formula:
         if isinstance(g, Atomic):
@@ -594,28 +652,6 @@ def nnf(f: Formula) -> Formula:
     return pos(f)
 
 
-def is_quantifier_free(f: Formula) -> bool:
-    if isinstance(f, Atomic):
-        return True
-    if isinstance(f, Not):
-        return is_quantifier_free(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return is_quantifier_free(f.lhs) and is_quantifier_free(f.rhs)
-    return False
-
-
-def _contains(f: Formula, kinds: tuple[type, ...]) -> bool:
-    if isinstance(f, kinds):
-        return True
-    if isinstance(f, Atomic):
-        return False
-    if isinstance(f, Not):
-        return _contains(f.body, kinds)
-    if isinstance(f, (And, Or, Implies)):
-        return _contains(f.lhs, kinds) or _contains(f.rhs, kinds)
-    return _contains(f.body, kinds)
-
-
 def classify(f: Formula) -> str:
     """Syntactic class after negation normal form.
 
@@ -623,12 +659,12 @@ def classify(f: Formula) -> str:
     ``quantifier_free``, then ``existential`` (negation only on atoms),
     else ``other``.
     """
-    g = nnf(f)
-    if not _contains(g, (Not, Forall)):
+    kinds = {type(g) for g in subformulas(nnf(f))}
+    if not kinds & {Not, Forall}:
         return "positive_existential"
-    if is_quantifier_free(g):
+    if not kinds & {Exists, Forall}:
         return "quantifier_free"
-    if not _contains(g, (Forall,)):
+    if Forall not in kinds:
         return "existential"
     return "other"
 
@@ -654,57 +690,30 @@ def unnest(f: Formula) -> Formula:
     """
     names = FreshNames(all_names(f))
 
-    def flatten(t: Term, defs: list[Atomic]) -> Var:
-        if isinstance(t, Var):
-            return t
-        args = tuple(flatten(a, defs) for a in t.args)
-        v = Var(names.fresh("U"))
-        defs.append(Atomic(App(t.op, args), v))
-        return v
-
-    def rebuild(a: Atomic, negate: bool) -> Formula:
-        defs: list[Atomic] = []
+    def flat(a: Atomic, negate: bool) -> Formula:
+        defs: list[tuple[str, App]] = []
         lhs, rhs = a.lhs, a.rhs
         if isinstance(lhs, Var) and isinstance(rhs, App):
             lhs, rhs = rhs, lhs
-        if isinstance(lhs, App) and isinstance(rhs, Var) and all(isinstance(x, Var) for x in lhs.args):
-            core: Atomic = Atomic(lhs, rhs)
-        elif isinstance(lhs, Var) and isinstance(rhs, Var):
-            core = Atomic(lhs, rhs)
-        else:
+        core = Atomic(lhs, rhs)
+        if not is_unnested_atom(core):
             # flatten arguments of the head application, then the other side
-            if isinstance(lhs, App):
-                head = App(lhs.op, tuple(flatten(x, defs) for x in lhs.args))
-            else:
-                head = None  # unreachable: lhs is Var only when rhs is Var
-            rv = flatten(rhs, defs) if isinstance(rhs, App) else rhs
-            assert head is not None and isinstance(rv, Var)
-            core = Atomic(head, rv)
+            head = App(lhs.op, tuple(lift(x, None, names, "U", defs) for x in lhs.args))
+            core = Atomic(head, lift(rhs, None, names, "U", defs))
         wrapped: Formula = Not(core) if negate else core
         if defs:
-            wrapped = and_all(list(defs) + [wrapped])
-        bound = [d.rhs.name for d in defs if isinstance(d.rhs, Var)]
-        return exists_all(bound, wrapped)
+            wrapped = and_all([Atomic(app, Var(u)) for u, app in defs] + [wrapped])
+        return exists_all([u for u, _ in defs], wrapped)
 
     def walk(g: Formula) -> Formula:
         if isinstance(g, Atomic):
-            return rebuild(g, negate=False)
+            return flat(g, negate=False)
         if isinstance(g, Not) and isinstance(g.body, Atomic):
-            return rebuild(g.body, negate=True)
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(walk(g.lhs), walk(g.rhs))
-        return type(g)(g.var, walk(g.body))
+            return flat(g.body, negate=True)
+        return rebuild(g, walk)
 
     return walk(f)
 
 
 def is_unnested(f: Formula) -> bool:
-    if isinstance(f, Atomic):
-        return is_unnested_atom(f)
-    if isinstance(f, Not):
-        return is_unnested(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return is_unnested(f.lhs) and is_unnested(f.rhs)
-    return is_unnested(f.body)
+    return all(is_unnested_atom(g) for g in subformulas(f) if isinstance(g, Atomic))

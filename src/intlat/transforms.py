@@ -20,7 +20,6 @@ its endpoint pair.  This module realizes both directions on formulas:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .syntax import (
     And,
@@ -53,12 +52,17 @@ from .syntax import (
     free_vars,
     ips_t,
     l_t,
+    lift,
     max_t,
     min_t,
     nnf,
+    operands,
     r_t,
+    rebuild,
+    subformulas,
     subset_atom,
     substitute,
+    term_symbols,
     term_vars,
     unnest,
     valid_pair,
@@ -146,12 +150,6 @@ def _simp_term(t: Term) -> Term:
     return App(op, args)
 
 
-def _and_list(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _and_list(f.lhs) + _and_list(f.rhs)
-    return [f]
-
-
 def _simple_def(t: Term) -> bool:
     return isinstance(t, Var) or (isinstance(t, App) and not t.args)
 
@@ -165,132 +163,83 @@ def _simp(f: Formula) -> Formula:
         if pair == {bot(), cz()}:
             return FALSE
         return Atomic(lhs, rhs)
-    if isinstance(f, Not):
-        body = _simp(f.body)
-        if body == TRUE:
+    g = rebuild(f, _simp)
+    if isinstance(g, Not):
+        if g.body == TRUE:
             return FALSE
-        if body == FALSE:
+        if g.body == FALSE:
             return TRUE
-        if isinstance(body, Not):
-            return body.body
-        return Not(body)
-    if isinstance(f, And):
-        a, b = _simp(f.lhs), _simp(f.rhs)
+        if isinstance(g.body, Not):
+            return g.body.body
+        return g
+    if isinstance(g, (Exists, Forall)):
+        if g.var not in free_vars(g.body):
+            return g.body
+        if isinstance(g, Forall):
+            return g
+        conj = operands(g.body, And)
+        for i, c in enumerate(conj):
+            if not isinstance(c, Atomic):
+                continue
+            for x, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
+                if x == Var(g.var) and _simple_def(t) and g.var not in term_vars(t):
+                    rest = conj[:i] + conj[i + 1 :]
+                    if not rest:
+                        return TRUE
+                    return _simp(substitute(and_all(rest), {g.var: t}))
+        return g
+    a, b = g.lhs, g.rhs
+    if isinstance(g, And):
         if FALSE in (a, b):
             return FALSE
         if a == TRUE:
             return b
         if b == TRUE or a == b:
             return a
-        return And(a, b)
-    if isinstance(f, Or):
-        a, b = _simp(f.lhs), _simp(f.rhs)
+    elif isinstance(g, Or):
         if TRUE in (a, b):
             return TRUE
         if a == FALSE:
             return b
         if b == FALSE or a == b:
             return a
-        return Or(a, b)
-    if isinstance(f, Implies):
-        a, b = _simp(f.lhs), _simp(f.rhs)
+    else:
         if a == FALSE or b == TRUE:
             return TRUE
         if a == TRUE:
             return b
-        return Implies(a, b)
-    if isinstance(f, Exists):
-        body = _simp(f.body)
-        if f.var not in free_vars(body):
-            return body
-        parts = _and_list(body)
-        for i, c in enumerate(parts):
-            if not isinstance(c, Atomic):
-                continue
-            for x, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
-                if x == Var(f.var) and _simple_def(t) and f.var not in term_vars(t):
-                    rest = parts[:i] + parts[i + 1 :]
-                    if not rest:
-                        return TRUE
-                    inlined = substitute(and_all(rest), {f.var: t})
-                    return _simp(inlined)
-        return Exists(f.var, body)
-    if isinstance(f, Forall):
-        body = _simp(f.body)
-        if f.var not in free_vars(body):
-            return body
-        return Forall(f.var, body)
-    raise TypeError(f"cannot simplify {type(f).__name__}")
+    return g
 
 
 def simplify(f: Formula) -> Formula:
     """Constant folding plus inlining of definitional equations under
-    their own quantifier.  Equivalence-preserving in both structures."""
-    for _ in range(100):
-        g = _simp(f)
-        if g == f:
-            return g
-        f = g
-    return f
+    their own quantifier.  Equivalence-preserving in both structures, and
+    idempotent: one pass reaches the fixpoint."""
+    return _simp(f)
 
 
 # -- negation elimination ------------------------------------------------------------
 
 
-def _find_forall(f: Formula) -> Optional[str]:
-    if isinstance(f, Forall):
-        return f.var
-    if isinstance(f, (And, Or, Implies)):
-        return _find_forall(f.lhs) or _find_forall(f.rhs)
-    if isinstance(f, (Not, Exists)):
-        return _find_forall(f.body if isinstance(f, Not) else f.body)
-    return None
-
-
 def _eliminate_negations(f: Formula, names: FreshNames) -> Formula:
-    if isinstance(f, Atomic):
-        return f
-    if isinstance(f, Not):
-        if not isinstance(f.body, Atomic):
-            raise AssertionError("negation not at an equation after nnf")
-        y = names.fresh("Y")
-        witness = And(notbot(Var(y)), subset_atom(Var(y), delta_term(f.body.lhs, f.body.rhs)))
-        return Exists(y, witness)
-    if isinstance(f, And):
-        return And(_eliminate_negations(f.lhs, names), _eliminate_negations(f.rhs, names))
-    if isinstance(f, Or):
-        return Or(_eliminate_negations(f.lhs, names), _eliminate_negations(f.rhs, names))
-    if isinstance(f, Exists):
-        return Exists(f.var, _eliminate_negations(f.body, names))
-    raise AssertionError(f"unexpected {type(f).__name__} after nnf")
+    if not isinstance(f, Not):
+        return rebuild(f, _eliminate_negations, names)
+    if not isinstance(f.body, Atomic):
+        raise AssertionError("negation not at an equation after nnf")
+    y = names.fresh("Y")
+    witness = And(notbot(Var(y)), subset_atom(Var(y), delta_term(f.body.lhs, f.body.rhs)))
+    return Exists(y, witness)
 
 
 def _eliminate_diff(f: Formula, names: FreshNames) -> Formula:
-    if isinstance(f, Atomic):
-        defs: list[tuple[str, Term, Term]] = []
-
-        def strip(t: Term) -> Term:
-            if isinstance(t, Var):
-                return t
-            args = tuple(strip(x) for x in t.args)
-            if t.op == "diff":
-                c = names.fresh("C")
-                defs.append((c, args[0], args[1]))
-                return Var(c)
-            return App(t.op, args)
-
-        lhs, rhs = strip(f.lhs), strip(f.rhs)
-        if not defs:
-            return f
-        body = and_all([diffdef(a, b, Var(c)) for c, a, b in defs] + [Atomic(lhs, rhs)])
-        return exists_all([c for c, _, _ in defs], body)
-    if isinstance(f, And):
-        return And(_eliminate_diff(f.lhs, names), _eliminate_diff(f.rhs, names))
-    if isinstance(f, Or):
-        return Or(_eliminate_diff(f.lhs, names), _eliminate_diff(f.rhs, names))
-    if isinstance(f, Exists):
-        return Exists(f.var, _eliminate_diff(f.body, names))
-    raise AssertionError(f"unexpected {type(f).__name__} during difference elimination")
+    if not isinstance(f, Atomic):
+        return rebuild(f, _eliminate_diff, names)
+    defs: list[tuple[str, App]] = []
+    lhs, rhs = lift(f.lhs, "diff", names, "C", defs), lift(f.rhs, "diff", names, "C", defs)
+    if not defs:
+        return f
+    body = and_all([diffdef(*app.args, Var(c)) for c, app in defs] + [Atomic(lhs, rhs)])
+    return exists_all([c for c, _ in defs], body)
 
 
 def to_positive_existential(f: Formula) -> Formula:
@@ -305,9 +254,9 @@ def to_positive_existential(f: Formula) -> Formula:
     if foreign:
         raise FragmentError(f"not a finite-set formula: uses {sorted(foreign)}")
     g = nnf(f)
-    offender = _find_forall(g)
-    if offender is not None:
-        raise FragmentError(f"universal quantifier on {offender} cannot be eliminated")
+    for h in subformulas(g):
+        if isinstance(h, Forall):
+            raise FragmentError(f"universal quantifier on {h.var} cannot be eliminated")
     names = FreshNames(all_names(g))
     g = _eliminate_negations(g, names)
     g = _eliminate_diff(g, names)
@@ -487,15 +436,9 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
 
     def walk(h: Formula, finite: frozenset[str]) -> Formula:
         if isinstance(h, And):
-            parts = _and_list(h)
-            grown = _grow_finite(parts, finite)
-            return and_all([walk(p, grown) for p in parts])
-        if isinstance(h, Or):
-            return Or(walk(h.lhs, finite), walk(h.rhs, finite))
-        if isinstance(h, Not):
-            return Not(walk(h.body, finite))
-        if isinstance(h, Implies):
-            return Implies(walk(h.lhs, finite), walk(h.rhs, finite))
+            conj = operands(h, And)
+            grown = _grow_finite(conj, finite)
+            return and_all([walk(p, grown) for p in conj])
         if isinstance(h, Exists):
             p = pair_of(h.var)
             body = walk(h.body, finite)
@@ -504,7 +447,9 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
             p = pair_of(h.var)
             body = walk(h.body, finite)
             return Forall(p.left, Forall(p.right, Implies(valid_pair(p.left, p.right), body)))
-        return atom(h, finite)
+        if isinstance(h, Atomic):
+            return atom(h, finite)
+        return rebuild(h, walk, finite)
 
     def atom(h: Atomic, finite: frozenset[str]) -> Formula:
         a, b = h.lhs, h.rhs
@@ -568,12 +513,6 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
 # -- finite-set formulas to interval formulas ----------------------------------------
 
 
-def _has_ips(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return t.op == "ips" or any(_has_ips(x) for x in t.args)
-
-
 def _finite_coords(v: str) -> Formula:
     return Atomic(l_t(Var(v)), r_t(Var(v)))
 
@@ -598,47 +537,27 @@ def translate_W_to_L(f: Formula) -> Formula:
     names = FreshNames(all_names(f))
 
     def walk(g: Formula) -> Formula:
-        if isinstance(g, And):
-            return And(walk(g.lhs), walk(g.rhs))
-        if isinstance(g, Or):
-            return Or(walk(g.lhs), walk(g.rhs))
         if isinstance(g, Exists):
             return Exists(g.var, And(_finite_coords(g.var), walk(g.body)))
         if isinstance(g, Atomic):
             return atom(g)
-        raise AssertionError(f"unexpected {type(g).__name__} in a positive formula")
+        return rebuild(g, walk)
 
     def atom(g: Atomic) -> Formula:
         for a, b in ((g.lhs, g.rhs), (g.rhs, g.lhs)):
-            if (
-                isinstance(a, App)
-                and a.op == "ips"
-                and not _has_ips(b)
-                and not any(_has_ips(x) for x in a.args)
-            ):
+            if isinstance(a, App) and a.op == "ips" and not any("ips" in term_symbols(x) for x in (b, *a.args)):
                 return _phi_ips_at(a.args[0], a.args[1], b)
-        if not _has_ips(g.lhs) and not _has_ips(g.rhs):
+        defs: list[tuple[str, App]] = []
+        lhs, rhs = lift(g.lhs, "ips", names, "U", defs), lift(g.rhs, "ips", names, "U", defs)
+        if not defs:
             return g
-        defs: list[tuple[str, Term, Term]] = []
-
-        def strip(t: Term) -> Term:
-            if isinstance(t, Var):
-                return t
-            args = tuple(strip(x) for x in t.args)
-            if t.op == "ips":
-                u = names.fresh("U")
-                defs.append((u, args[0], args[1]))
-                return Var(u)
-            return App(t.op, args)
-
-        lhs, rhs = strip(g.lhs), strip(g.rhs)
-        parts = [
-            And(_finite_coords(u), _phi_ips_at(s, t, Var(u))) for u, s, t in defs
-        ]
+        parts = [And(_finite_coords(u), _phi_ips_at(*app.args, Var(u))) for u, app in defs]
         body = and_all(parts + [Atomic(lhs, rhs)])
-        return exists_all([u for u, _, _ in defs], body)
+        return exists_all([u for u, _ in defs], body)
 
-    return walk(f)
+    # negation normal form removes double negations and implications, which
+    # classify already looked through
+    return walk(nnf(f))
 
 
 # -- the composed pipeline -----------------------------------------------------------

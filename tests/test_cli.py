@@ -100,6 +100,22 @@ def test_translate_w2l_emits_interval_syntax(capsys):
     assert "l(" in out and "ips(" not in out
 
 
+@pytest.mark.parametrize(
+    "formula, expected",
+    [("!!(X = bot)", "X = bot"), ("E Y. !!(Y = X)", "E Y. l(Y) = r(Y) & Y = X")],
+)
+def test_translate_w2l_looks_through_double_negation(capsys, formula, expected):
+    code, out, err = run(capsys, "translate", "--dir", "w2l", formula)
+    assert (code, out.strip(), err) == (0, expected, "")
+
+
+def test_too_deep_formula_is_an_error_not_a_counterexample(capsys):
+    code, out, err = run(capsys, "parse", "--sig", "w", " & ".join(["X = bot"] * 5000))
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: formula nested too deeply"
+
+
 def test_translate_l2w_emits_coordinate_pairs(capsys):
     code, out, _ = run(capsys, "translate", "--dir", "l2w", "X = bot")
     assert code == 0

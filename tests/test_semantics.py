@@ -240,6 +240,10 @@ def _interval_only(text: str):
         ),
         # the difference pair pins Y to X minus cz
         _parsed("E Y. cup(cap(X, cz), Y) = X & cap(cz, Y) = bot & !(Y = bot)"),
+        # min(Y) = Y guards Y to the empty set or one point
+        _parsed("E Y. min(Y) = Y & cap(Y, X) = bot & cup(Y, X) = X"),
+        # a difference pair whose disjointness half names another term pins nothing
+        _parsed("E Y. cup(cap(X, cz), Y) = X & cap(bot, Y) = bot & cap(Y, cz) = cz"),
         # both endpoint maps pin Y; l(Y) = r(Y) and cap(Y, X) = Y are guards
         _interval_only("E Y. l(Y) = l(X) & r(Y) = r(X) & !(Y = X)"),
         _interval_only("E Y. l(Y) = l(X) & r(Y) = r(X) & min(Y) = min(X)"),

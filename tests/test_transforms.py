@@ -7,13 +7,32 @@ output, which inputs are rejected).
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intlat.fci import EMPTY_FCI, embed_finset, parse_fci
 from intlat.finset import FinSet
 from intlat.oracle import check_equiv, enum_fcis, enum_finsets
 from intlat.semantics import WitnessPool, default_pool, eval_bounded, eval_qf
 from intlat.suites import SUITES
-from intlat.syntax import SIG_L, SIG_W, classify, format_formula, free_vars, parse
+from intlat.syntax import (
+    SIG_L,
+    SIG_W,
+    SIG_W_DIFF,
+    And,
+    App,
+    Atomic,
+    Exists,
+    Forall,
+    Implies,
+    Not,
+    Or,
+    and_all,
+    classify,
+    format_formula,
+    free_vars,
+    parse,
+)
 from intlat.transforms import (
     FragmentError,
     notbot,
@@ -192,6 +211,43 @@ def test_simplify_keeps_meaning_while_shrinking():
         a = {"X": x}
         p = default_pool(a)
         assert eval_bounded(f, a, p, SIG_W) == eval_bounded(g, a, p, SIG_W), x
+
+
+_NAMES = ("X", "Y", "V")
+
+
+def _formulas(sig):
+    """Formulas over ``sig`` on a few names, with quantifiers that may
+    shadow and definitional blocks ``E V. ... & V = t & ...``."""
+    ops = [(op, n) for op, n in sig.symbols if n]
+    terms = st.recursive(
+        st.sampled_from([Var(v) for v in _NAMES] + [App(op) for op, n in sig.symbols if not n]),
+        lambda sub: st.one_of(
+            *[st.lists(sub, min_size=n, max_size=n).map(lambda args, op=op: App(op, tuple(args))) for op, n in ops]
+        ),
+        max_leaves=4,
+    )
+    names = st.sampled_from(_NAMES)
+    return st.recursive(
+        st.builds(Atomic, terms, terms),
+        lambda sub: st.one_of(
+            st.builds(Not, sub),
+            st.builds(And, sub, sub),
+            st.builds(Or, sub, sub),
+            st.builds(Implies, sub, sub),
+            st.builds(Exists, names, sub),
+            st.builds(Forall, names, sub),
+            st.builds(lambda v, t, a, b: Exists(v, and_all([a, Atomic(Var(v), t), b])), names, terms, sub, sub),
+        ),
+        max_leaves=8,
+    )
+
+
+@pytest.mark.parametrize("sig", [SIG_W_DIFF, SIG_L], ids=["w", "l"])
+@given(data=st.data())
+def test_simplify_is_idempotent(sig, data):
+    once = simplify(data.draw(_formulas(sig)))
+    assert simplify(once) == once
 
 
 def test_suite_registry_names():
