@@ -3,7 +3,7 @@
 Subcommands: ``parse``, ``eval``, ``translate``, ``posex``, ``pipeline``
 and ``check``.  Exit codes: 0 success, 1 a check found a counterexample,
 2 usage, parse or evaluation error or a formula nested too deeply, 3 input
-outside the supported fragment.
+outside the supported fragment, 4 an unexpected internal error.
 """
 
 from __future__ import annotations
@@ -196,6 +196,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RecursionError:
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ the answer, it only skips values that could not satisfy the conjuncts.
 Each step of the search checks the conjuncts already decided, binds an
 unused variable to bot, applies a pin, splits a disjunction, enumerates
 a valid endpoint pair, applies a guard, or else ranges over the universe.
-``_Rule`` lists the pin and guard patterns.
+``_Rule`` lists the pin and guard patterns.  Every guard is sized before
+any candidate is built, and only the smallest is built, so a pool over an
+enumeration cap is refused only when the chosen step must enumerate it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from math import comb
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .fci import (
     EMPTY_FCI,
@@ -436,20 +439,23 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
                     for b, r in _valid_endpoint_pairs(pool)
                 )
 
-    # the fewest candidates win; ties go to the earlier variable, then rule
+    # the fewest candidates win; ties go to the earlier variable, then rule;
+    # only the winner builds its candidates
     best_v: Optional[str] = None
-    best: Optional[Sequence] = None
+    best: Optional[tuple[int, Callable[[], Iterable[Value]]]] = None
     for v in vars:
         for r in live:
             got = _guard(r, env, pool, sig) if r.var == v else None
-            if got is not None and (best is None or len(got) < len(best)):
+            if got is not None and (best is None or got[0] < best[0]):
                 best_v, best = v, got
     if best is None:
         occurrences = {v: sum(1 for it in pending if v in it.fv) for v in vars}
         best_v = max(vars, key=lambda v: occurrences[v])
-        best = universe(pool, sig)
+        candidates = universe(pool, sig)
+    else:
+        candidates = best[1]()
     rest = [u for u in vars if u != best_v]
-    return any(_assign(rest, pending, {**env, best_v: val}, pool, sig, cache) for val in best)
+    return any(_assign(rest, pending, {**env, best_v: val}, pool, sig, cache) for val in candidates)
 
 
 # -- pins and guards: conjuncts that force or bound a variable's value ---------------
@@ -467,7 +473,8 @@ class _Rule(NamedTuple):
       ``cap(t2, var) = bot``; the two together pin ``var`` to ``t1``
       minus ``t2``
 
-    Guards (``_guard``):
+    Guards (``_guard``), each sized before it is built; only the one with
+    the fewest candidates builds them:
 
     - ``minself``: ``min(var) = var``, so ``var`` is empty or one point
     - ``lreq``: ``l(var) = r(var)``, so ``var`` is an embedded finite set
@@ -558,21 +565,39 @@ def _find_pin(live: list[_Rule], env: dict, pool: WitnessPool, sig: Signature):
     return None
 
 
-def _guard(r: _Rule, env: dict, pool: WitnessPool, sig: Signature) -> Optional[Sequence]:
+def _at_most(n: int, k: int) -> int:
+    """How many subsets of an n-element set have at most k elements."""
+    return sum(comb(n, i) for i in range(min(n, k) + 1))
+
+
+def _guard(
+    r: _Rule, env: dict, pool: WitnessPool, sig: Signature
+) -> Optional[tuple[int, Callable[[], Iterable[Value]]]]:
+    """The candidate count of a guard rule and a function building the
+    candidates, in universe order; None when ``r`` is no guard here."""
     w = sig.finite_sets
+    points = pool.points
     if r.kind == "minself":
-        single = [FinSet((p,)) for p in pool.points] if w else [embed_point(p) for p in pool.points]
-        return [_empty(sig)] + single
+        return len(points) + 1, lambda: [_empty(sig)] + [
+            FinSet((p,)) if w else embed_point(p) for p in points
+        ]
     if r.kind == "lreq" and not w:
-        return _embedded_finsets(pool)
+        return _at_most(len(points), pool.max_segments), lambda: _embedded_finsets(pool)
     if r.kind == "capself":
         bound = eval_term(r.terms[0], env, sig)
         if w:
-            return list(enum_finsets(bound.intersect(pool.points)))
+            base = bound.intersect(points)
+            return 1 << len(base), lambda: enum_finsets(base)
         if bound.is_finite_set():
-            base = bound.as_finset().intersect(pool.points)
-            return [embed_finset(s) for s in enum_finsets(base) if len(s) <= pool.max_segments]
-        return [u for u in _universe_l(pool) if u.issubset(bound)]
+            base = bound.as_finset().intersect(points)
+            return _at_most(len(base), pool.max_segments), lambda: (
+                embed_finset(s) for s in enum_finsets(base) if len(s) <= pool.max_segments
+            )
+        # every endpoint of a sub-union lies in the bound, and a smaller
+        # point set keeps the binary counting order of the universe
+        inside = FinSet(tuple(p for p in points if bound.contains(p)))
+        subs = [u for u in enum_fcis(inside, pool.max_segments, pool.allow_ray) if u.issubset(bound)]
+        return len(subs), lambda: subs
     return None
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from intlat import cli
 from intlat.cli import main
 
 
@@ -184,3 +185,34 @@ def test_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["check", "--suite", "nonsense"])
     assert ei.value.code == 2
+
+
+def test_eval_lists_the_sub_unions_of_a_bound_not_the_universe(capsys):
+    # the default pool has 10 points, over the interval enumeration cap;
+    # the sub-unions of X use only its 4 endpoints
+    code, out, err = run(
+        capsys, "eval", "--sig", "l", "--let", "X=[1,2]+[3,4]", "E Y. Y sub X & !(Y = X)"
+    )
+    assert (code, out.strip(), err) == (0, "true", "")
+
+
+@pytest.mark.parametrize(
+    "last, expected",
+    [("!(Y = bot)", "true"), ("min(Y) = cz", "false")],
+)
+def test_eval_builds_only_the_chosen_guard(capsys, last, expected):
+    # l(Y) = r(Y) would enumerate the 16-point default pool, over the
+    # finite-set cap; cap(Y, l(X)) = Y has 2^4 candidates and wins
+    formula = f"E Y. l(Y) = r(Y) & cap(Y, l(X)) = Y & {last}"
+    code, out, err = run(capsys, "eval", "--sig", "l", "--let", "X=[1,2]+[3,4]+[5,6]+{7}", formula)
+    assert (code, out.strip(), err) == (0, expected, "")
+
+
+def test_unexpected_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise TypeError("boom")
+
+    monkeypatch.setitem(cli._DISPATCH, "parse", broken)
+    code, out, err = run(capsys, "parse", "--sig", "w", "X = bot")
+    assert (code, out) == (4, "")
+    assert err.strip() == "internal error: TypeError: boom"

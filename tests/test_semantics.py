@@ -9,14 +9,18 @@ solver says so, which the hand-checked examples here pin down.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from intlat.fci import EMPTY_FCI, embed_finset, parse_fci
+from intlat.fci import EMPTY_FCI, embed_finset, normalize, parse_fci
 from intlat.finset import EMPTY_FS, FinSet, parse_finset
 from intlat.oracle import enum_fcis, enum_finsets
 from intlat.semantics import (
     EvalCache,
     EvalError,
     WitnessPool,
+    _atom_rules,
+    _guard,
     default_pool,
     eval_bounded,
     eval_qf,
@@ -266,3 +270,44 @@ def test_pipeline_output_of_disjoint_extremes():
     pool = WitnessPool(points=fs([0, 1, 2]), max_segments=3)
     for text, want in [("empty", True), ("{1}", False), ("[1,*)", True)]:
         assert eval_bounded(g, {"X": parse_fci(text)}, pool, SIG_L) is want, text
+
+
+@st.composite
+def guard_cases(draw):
+    """A signature, a pool of up to 6 points with a segment cap from 1 up,
+    and a bound X whose points may fall outside the pool; on the interval
+    side X is a finite set or has proper segments or a ray."""
+    sig = draw(st.sampled_from([SIG_W, SIG_L]))
+    points = fs({0} | draw(st.frozensets(st.integers(1, 10), max_size=5)))
+    pool = WitnessPool(
+        points=points,
+        max_segments=draw(st.integers(1, len(points))),
+        allow_ray=draw(st.booleans()),
+    )
+    spots = st.integers(0, 12)
+    if sig.finite_sets:
+        bound = fs(draw(st.frozensets(spots, max_size=6)))
+    elif draw(st.booleans()):
+        bound = embed_finset(fs(draw(st.frozensets(spots, max_size=6))))
+    else:
+        segments = draw(st.lists(st.tuples(spots, spots).map(sorted), max_size=3))
+        rays = draw(st.lists(spots, max_size=1))
+        bound = normalize(segments, rays)
+    return sig, pool, bound
+
+
+@given(guard_cases())
+def test_guard_counts_its_candidates_before_building_them(case):
+    # a count that differs from its candidates would reorder the search
+    # while every verdict stayed right
+    sig, pool, bound = case
+    texts = ["min(Y) = Y", "cap(Y, X) = Y"] + ([] if sig.finite_sets else ["l(Y) = r(Y)"])
+    for text in texts:
+        atom = parse(text, sig)
+        (rule,) = [r for r in _atom_rules(atom) if r.kind in ("minself", "lreq", "capself")]
+        count, build = _guard(rule, {"X": bound}, pool, sig)
+        got = list(build())
+        assert count == len(got), text
+        # the guard keeps exactly the universe values satisfying it, in order
+        want = [u for u in universe(pool, sig) if eval_qf(atom, {"X": bound, "Y": u}, sig)]
+        assert got == want, text
