@@ -14,6 +14,10 @@ a valid endpoint pair, applies a guard, or else ranges over the universe.
 ``_Rule`` lists the pin and guard patterns.  Every guard is sized before
 any candidate is built, and only the smallest is built, so a pool over an
 enumeration cap is refused only when the chosen step must enumerate it.
+An ``EvalCache`` interns each distinct term once and memoizes the values
+it takes, so the solver computes a repeated subterm once per set of
+values; equations read their sides from that memo and stay out of the
+verdict table.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .fci import (
@@ -59,7 +64,6 @@ from .syntax import (
     free_vars,
     operands,
     substitute,
-    term_vars,
     valid_pair,
 )
 
@@ -145,44 +149,42 @@ def _empty(sig: Signature) -> Value:
 # -- term and quantifier-free evaluation -------------------------------------------
 
 
+# op -> (the structure it belongs to, True finite sets and False interval
+# unions, None both; its value from the values of its arguments)
+_OPS: dict[str, tuple[Optional[bool], Callable[[list, bool], Value]]] = {
+    "bot": (None, lambda args, w: EMPTY_FS if w else EMPTY_FCI),
+    "cz": (None, lambda args, w: zero_set() if w else zero_fci()),
+    "cup": (None, lambda args, w: args[0].union(args[1])),
+    "cap": (None, lambda args, w: args[0].intersect(args[1])),
+    "min": (None, lambda args, w: args[0].min_set()),
+    "max": (None, lambda args, w: args[0].max_set()),
+    "ips": (True, lambda args, w: args[0].ips(args[1])),
+    "diff": (True, lambda args, w: args[0].difference(args[1])),
+    "l": (False, lambda args, w: embed_finset(args[0].left_endpoints())),
+    "r": (False, lambda args, w: embed_finset(args[0].right_endpoints())),
+}
+
+
+def _apply(op: str, args: list, finite_sets: bool) -> Value:
+    """The value of ``op`` on argument values, in the structure chosen by
+    ``finite_sets``."""
+    try:
+        only, fn = _OPS[op]
+    except KeyError:
+        raise EvalError(f"unknown operation {op}") from None
+    if only is not None and only != finite_sets:
+        structure = "finite-set" if finite_sets else "interval"
+        raise EvalError(f"{op} is not an operation of the {structure} structure")
+    return fn(args, finite_sets)
+
+
 def eval_term(t: Term, a: Assignment, sig: Signature) -> Value:
-    w = sig.finite_sets
     if isinstance(t, Var):
         try:
             return a[t.name]
         except KeyError:
             raise EvalError(f"unbound variable {t.name}") from None
-    op = t.op
-    args = [eval_term(x, a, sig) for x in t.args]
-    if op == "bot":
-        return EMPTY_FS if w else EMPTY_FCI
-    if op == "cz":
-        return zero_set() if w else zero_fci()
-    if op == "cup":
-        return args[0].union(args[1])
-    if op == "cap":
-        return args[0].intersect(args[1])
-    if op == "min":
-        return args[0].min_set()
-    if op == "max":
-        return args[0].max_set()
-    if op == "ips":
-        if not w:
-            raise EvalError("ips is not an operation of the interval structure")
-        return args[0].ips(args[1])
-    if op == "diff":
-        if not w:
-            raise EvalError("diff is not an operation of the interval structure")
-        return args[0].difference(args[1])
-    if op == "l":
-        if w:
-            raise EvalError("l is not an operation of the finite-set structure")
-        return embed_finset(args[0].left_endpoints())
-    if op == "r":
-        if w:
-            raise EvalError("r is not an operation of the finite-set structure")
-        return embed_finset(args[0].right_endpoints())
-    raise EvalError(f"unknown operation {op}")
+    return _apply(t.op, [eval_term(x, a, sig) for x in t.args], sig.finite_sets)
 
 
 def eval_qf(f: Formula, a: Assignment, sig: Signature) -> bool:
@@ -250,6 +252,44 @@ def _in_universe(val: Value, pool: WitnessPool) -> bool:
 # -- the solver ---------------------------------------------------------------------
 
 
+class _Term:
+    """One term interned in an ``EvalCache``, with the values it has taken.
+
+    ``vals`` maps the values of ``names`` (the term's variables, sorted) and
+    ``finite_sets`` to the term's value, so a subterm repeated across
+    conjuncts and assignments is computed once per set of values.  An error
+    is raised again on every call, never memoized."""
+
+    __slots__ = ("var", "op", "args", "names", "_key", "vals")
+
+    def __init__(self, t: Term, args: tuple[_Term, ...]) -> None:
+        self.var = t.name if isinstance(t, Var) else None
+        self.op = None if self.var is not None else t.op
+        self.args = args
+        names = sorted({self.var} if self.var is not None else set().union(*(a.names for a in args)))
+        self.names = tuple(names)
+        self._key = itemgetter(*names) if names else (lambda env: ())
+        self.vals: dict[tuple, Value] = {}
+
+    def value(self, env: dict, finite_sets: bool) -> Value:
+        """What ``eval_term`` returns for this term."""
+        if self.var is not None:
+            try:
+                return env[self.var]
+            except KeyError:
+                raise EvalError(f"unbound variable {self.var}") from None
+        try:
+            key = (self._key(env), finite_sets)
+        except KeyError:
+            # an unbound variable: the walk raises eval_term's error
+            return _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets)
+        got = self.vals.get(key)
+        if got is None:
+            got = _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets)
+            self.vals[key] = got
+        return got
+
+
 class _Node(NamedTuple):
     """What the solver reads off one formula node, once per structure."""
 
@@ -258,6 +298,7 @@ class _Node(NamedTuple):
     names: tuple[str, ...]  # fv sorted: the order of the values in a verdict key
     rules: tuple[_Rule, ...]  # of an equation
     pair: Optional[tuple[str, str]]  # of a disjunction that is a valid-pair relativizer
+    sides: Optional[tuple[_Term, _Term]]  # of an equation, interned
 
 
 class EvalCache:
@@ -265,21 +306,35 @@ class EvalCache:
 
     Structurally equal formulas share every entry, so the conjuncts
     ``_normalize`` rebuilds for each set of names in scope share one node.
+    Every distinct term is interned once (``term``) and memoizes its own
+    values; equations compare their memoized sides and so are kept out of
+    the verdict table, whose keys hold the pool and miss on every new one.
     """
 
     def __init__(self) -> None:
         self._vals: dict[tuple, bool] = {}
         self._norm: dict[tuple, tuple[tuple[str, ...], tuple[_Node, ...]]] = {}
         self._nodes: dict[Formula, _Node] = {}
+        self._terms: dict[Term, _Term] = {}
+
+    def term(self, t: Term) -> _Term:
+        """The one interned ``_Term`` of ``t`` and of every term equal to it."""
+        got = self._terms.get(t)
+        if got is None:
+            args = tuple(map(self.term, t.args)) if isinstance(t, App) else ()
+            got = self._terms[t] = _Term(t, args)
+        return got
 
     def node(self, f: Formula) -> _Node:
         """The solver's bundle for ``f`` and every formula equal to it."""
         got = self._nodes.get(f)
         if got is None:
             fv = frozenset(free_vars(f))
-            rules = _atom_rules(f) if isinstance(f, Atomic) else ()
+            atomic = isinstance(f, Atomic)
+            rules = _atom_rules(f, self.term) if atomic else ()
             pair = _match_valid_pair(f) if isinstance(f, Or) else None
-            got = self._nodes[f] = _Node(f, fv, tuple(sorted(fv)), rules, pair)
+            sides = (self.term(f.lhs), self.term(f.rhs)) if atomic else None
+            got = self._nodes[f] = _Node(f, fv, tuple(sorted(fv)), rules, pair, sides)
         return got
 
     def normalized(
@@ -318,13 +373,15 @@ def eval_bounded(
 
 
 def _eval(f: Formula, env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> bool:
-    key = (f, tuple(env[n] for n in cache.node(f).names), pool, sig.finite_sets)
+    node = cache.node(f)
+    if node.sides is not None:
+        lhs, rhs = node.sides
+        return lhs.value(env, sig.finite_sets) == rhs.value(env, sig.finite_sets)
+    key = (f, tuple(env[n] for n in node.names), pool, sig.finite_sets)
     hit = cache._vals.get(key)
     if hit is not None:
         return hit
-    if isinstance(f, Atomic):
-        out = eval_term(f.lhs, env, sig) == eval_term(f.rhs, env, sig)
-    elif isinstance(f, Not):
+    if isinstance(f, Not):
         out = not _eval(f.body, env, pool, sig, cache)
     elif isinstance(f, And):
         out = _eval(f.lhs, env, pool, sig, cache) and _eval(f.rhs, env, pool, sig, cache)
@@ -483,15 +540,17 @@ class _Rule(NamedTuple):
 
     kind: str
     var: str
-    terms: tuple[Term, ...]
+    terms: tuple[_Term, ...]
     need: frozenset[str]
 
 
-def _atom_rules(atom: Atomic) -> tuple[_Rule, ...]:
+def _atom_rules(atom: Atomic, intern: Callable[[Term], _Term]) -> tuple[_Rule, ...]:
+    """The rules of ``atom``, their terms interned by ``intern``."""
     out: list[_Rule] = []
 
     def rule(kind: str, var: str, *terms: Term) -> None:
-        out.append(_Rule(kind, var, terms, frozenset().union(*map(term_vars, terms))))
+        interned = tuple(map(intern, terms))
+        out.append(_Rule(kind, var, interned, frozenset().union(*(t.names for t in interned))))
 
     for a, b in ((atom.lhs, atom.rhs), (atom.rhs, atom.lhs)):
         if isinstance(a, Var) and a != b:
@@ -525,22 +584,23 @@ def _atom_rules(atom: Atomic) -> tuple[_Rule, ...]:
 
 
 def _find_pin(live: list[_Rule], env: dict, pool: WitnessPool, sig: Signature):
+    w = sig.finite_sets
     for r in live:
         if r.kind == "eq":
-            val = eval_term(r.terms[0], env, sig)
+            val = r.terms[0].value(env, w)
             return r.var, ([val] if _in_universe(val, pool) else [])
 
     # both endpoint maps of one variable pinned: the endpoint lemma gives
     # the unique interval union, or rules one out
-    if not sig.finite_sets:
-        ends: dict[str, dict[str, Term]] = {"l": {}, "r": {}}
+    if not w:
+        ends: dict[str, dict[str, _Term]] = {"l": {}, "r": {}}
         for r in live:
             if r.kind in ends:
                 ends[r.kind][r.var] = r.terms[0]
         for v, lt in ends["l"].items():
             if v in ends["r"]:
-                lv = eval_term(lt, env, sig)
-                rv = eval_term(ends["r"][v], env, sig)
+                lv = lt.value(env, w)
+                rv = ends["r"][v].value(env, w)
                 candidates: list = []
                 if not lv and not rv:
                     candidates = [EMPTY_FCI]
@@ -550,11 +610,12 @@ def _find_pin(live: list[_Rule], env: dict, pool: WitnessPool, sig: Signature):
                         candidates = [build_from_endpoints(bf, cf)]
                 return v, [d for d in candidates if _in_universe(d, pool)]
 
+    # interned terms: identity within one cache is structural equality
     disjoint = {(r.var, r.terms[0]) for r in live if r.kind == "disj"}
     for r in live:
         if r.kind == "plus" and (r.var, r.terms[1]) in disjoint:
-            x = eval_term(r.terms[0], env, sig)
-            y = eval_term(r.terms[1], env, sig)
+            x = r.terms[0].value(env, w)
+            y = r.terms[1].value(env, w)
             if isinstance(x, FinSet):
                 val = x.difference(y)
             else:
@@ -578,13 +639,15 @@ def _guard(
     w = sig.finite_sets
     points = pool.points
     if r.kind == "minself":
-        return len(points) + 1, lambda: [_empty(sig)] + [
-            FinSet((p,)) if w else embed_point(p) for p in points
+        # a one-point interval union is one segment
+        singles = points if w or pool.max_segments else ()
+        return len(singles) + 1, lambda: [_empty(sig)] + [
+            FinSet((p,)) if w else embed_point(p) for p in singles
         ]
     if r.kind == "lreq" and not w:
         return _at_most(len(points), pool.max_segments), lambda: _embedded_finsets(pool)
     if r.kind == "capself":
-        bound = eval_term(r.terms[0], env, sig)
+        bound = r.terms[0].value(env, w)
         if w:
             base = bound.intersect(points)
             return 1 << len(base), lambda: enum_finsets(base)

@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intlat.fci import EMPTY_FCI, embed_finset, normalize, parse_fci
+from intlat import semantics
+from intlat.fci import EMPTY_FCI, embed_finset, embed_point, normalize, parse_fci
 from intlat.finset import EMPTY_FS, FinSet, parse_finset
 from intlat.oracle import enum_fcis, enum_finsets
 from intlat.semantics import (
     EvalCache,
     EvalError,
     WitnessPool,
-    _atom_rules,
     _guard,
     default_pool,
     eval_bounded,
@@ -28,7 +28,7 @@ from intlat.semantics import (
     universe,
 )
 from intlat.syntax import SIG_L, SIG_W, And, Atomic, Exists, Implies, Not, Or, parse
-from intlat.transforms import pipeline
+from intlat.transforms import pipeline, simplify, to_positive_existential, translate_L_to_W
 
 F = Fraction
 fs = FinSet.of
@@ -169,6 +169,44 @@ def test_shared_cache_is_consistent_across_signatures():
     assert eval_bounded(f, {}, pool, SIG_L, cache=cache) is True
 
 
+def test_shared_cache_keeps_term_values_apart_per_structure():
+    # cz has no variables, so only the structure tells its two values apart
+    pool = WitnessPool(points=fs([0, 1]), max_segments=1)
+    cache = EvalCache()
+    assert eval_bounded(parse("X = cz", SIG_W), {"X": fs([0])}, pool, SIG_W, cache=cache) is True
+    assert eval_bounded(parse("X = cz", SIG_L), {"X": embed_point(0)}, pool, SIG_L, cache=cache) is True
+
+
+def test_shared_cache_raises_the_same_error_every_time():
+    pool = WitnessPool(points=fs([0, 1]), max_segments=1)
+    cache = EvalCache()
+    # min(X) is computed and kept before the unbound Y is reached
+    t = term("cup(min(X), Y)", SIG_W)
+    env = {"X": fs([1])}
+    with pytest.raises(EvalError) as walk:
+        eval_term(t, env, SIG_W)
+    for _ in range(2):
+        with pytest.raises(EvalError) as memo:
+            cache.term(t).value(env, True)
+        assert str(memo.value) == str(walk.value) == "unbound variable Y"
+    # l is no operation of the finite-set structure, whatever its argument
+    f = parse("l(min(X)) = X", SIG_L)
+    for _ in range(2):
+        with pytest.raises(EvalError, match="l is not an operation of the finite-set structure"):
+            eval_bounded(f, {"X": fs([1])}, pool, SIG_W, cache=cache)
+    assert eval_bounded(f, {"X": embed_point(1)}, pool, SIG_L, cache=cache) is True
+
+
+def test_min_guard_respects_a_zero_segment_cap():
+    # with no segments allowed the interval universe holds bot and rays
+    # only, and no nonempty one of them is its own minimum
+    pool = WitnessPool(points=fs([0, 1]), max_segments=0)
+    f = parse("E Y. min(Y) = Y & !(Y = bot)", SIG_L)
+    assert [str(u) for u in universe(pool, SIG_L)] == ["empty", "[0,*)", "[1,*)"]
+    assert eval_bounded(f, {}, pool, SIG_L) is False
+    assert eval_bounded(f, {}, pool, SIG_W) is True
+
+
 def test_missing_assignment_and_wrong_sort_raise():
     pool = WitnessPool(points=fs([0]), max_segments=1)
     with pytest.raises(EvalError):
@@ -274,14 +312,14 @@ def test_pipeline_output_of_disjoint_extremes():
 
 @st.composite
 def guard_cases(draw):
-    """A signature, a pool of up to 6 points with a segment cap from 1 up,
+    """A signature, a pool of up to 6 points with a segment cap from 0 up,
     and a bound X whose points may fall outside the pool; on the interval
     side X is a finite set or has proper segments or a ray."""
     sig = draw(st.sampled_from([SIG_W, SIG_L]))
     points = fs({0} | draw(st.frozensets(st.integers(1, 10), max_size=5)))
     pool = WitnessPool(
         points=points,
-        max_segments=draw(st.integers(1, len(points))),
+        max_segments=draw(st.integers(0, len(points))),
         allow_ray=draw(st.booleans()),
     )
     spots = st.integers(0, 12)
@@ -304,10 +342,42 @@ def test_guard_counts_its_candidates_before_building_them(case):
     texts = ["min(Y) = Y", "cap(Y, X) = Y"] + ([] if sig.finite_sets else ["l(Y) = r(Y)"])
     for text in texts:
         atom = parse(text, sig)
-        (rule,) = [r for r in _atom_rules(atom) if r.kind in ("minself", "lreq", "capself")]
+        rules = EvalCache().node(atom).rules
+        (rule,) = [r for r in rules if r.kind in ("minself", "lreq", "capself")]
         count, build = _guard(rule, {"X": bound}, pool, sig)
         got = list(build())
         assert count == len(got), text
         # the guard keeps exactly the universe values satisfying it, in order
         want = [u for u in universe(pool, sig) if eval_qf(atom, {"X": bound, "Y": u}, sig)]
         assert got == want, text
+
+
+@pytest.mark.parametrize(
+    "sig, x, want, steps",
+    [(SIG_L, "{1}", False, 71), (SIG_W, "[1,*)", True, 40)],
+    ids=["l", "w"],
+)
+def test_solver_search_order_is_pinned(monkeypatch, sig, x, want, steps):
+    # the solver's steps on the pipeline of the extremes formula (on
+    # coordinates, its positive existential stage): a change to which
+    # variable is bound next or which candidates it tries moves the count
+    # even when every verdict stays right
+    calls = 0
+    inner = semantics._assign
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(semantics, "_assign", counted)
+    f = parse("E Y. E W. min(X) = Y & max(X) = W & cap(Y, W) = bot", SIG_L)
+    pool = WitnessPool(points=fs([0, 1, 2]), max_segments=3)
+    x = parse_fci(x)
+    if sig.finite_sets:
+        g = simplify(to_positive_existential(simplify(translate_L_to_W(f))))
+        a = {"Xl": x.left_endpoints(), "Xr": x.right_endpoints()}
+    else:
+        g, a = pipeline(f), {"X": x}
+    assert eval_bounded(g, a, pool, sig) is want
+    assert calls == steps
