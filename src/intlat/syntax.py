@@ -16,15 +16,19 @@ Walkers over formulas go through four traversal helpers rather than
 dispatching on the node types themselves: ``subformulas`` and ``subterms``
 (iterative pre-order scans), ``rebuild`` (the same connective over a
 function of each immediate part) and ``lift`` (replace applications by
-fresh variables, recording their definitions).  ``term_vars``,
-``free_vars`` and ``substitute_term`` stay hand-written: they are the
-innermost loops of every rewrite.
+fresh variables, recording their definitions).  Formulas are immutable, so
+the walkers share what they leave alone: ``rebuild``, ``substitute``,
+``substitute_term`` and ``rename_bound_apart`` return an unchanged part as
+the very same object and build new nodes only along changed paths.
+``free_vars`` returns a frozenset cached on each node, beside the set of
+names bound inside it (``bound_vars``), so each is computed once per node.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import is_
 from typing import Iterator, Mapping, Optional, Union
 
 
@@ -177,9 +181,8 @@ def subset_atom(s: Term, t: Term) -> Atomic:
     return Atomic(cap(s, t), s)
 
 
-def delta_domain() -> Formula:
-    """(B, C) is the endpoint pair of some nonempty interval union."""
-    b, c = Var("B"), Var("C")
+def delta_domain(b: Term = Var("B"), c: Term = Var("C")) -> Formula:
+    """(b, c) is the endpoint pair of some nonempty interval union."""
     bd = cup(b, c)
     gained = diff_t(c, b)
     kept = diff_t(b, c)
@@ -196,8 +199,8 @@ def delta_domain() -> Formula:
 
 def valid_pair(vl: str, vr: str) -> Formula:
     """(vl, vr) is the coordinate image of some interval union."""
-    dom = substitute(delta_domain(), {"B": Var(vl), "C": Var(vr)})
-    return Or(dom, And(Atomic(Var(vl), bot()), Atomic(Var(vr), bot())))
+    left, right = Var(vl), Var(vr)
+    return Or(delta_domain(left, right), And(Atomic(left, bot()), Atomic(right, bot())))
 
 
 def and_all(parts: list) -> Formula:
@@ -243,15 +246,18 @@ def subterms(t: Term) -> Iterator[Term]:
 def rebuild(f: Formula, fn, *args) -> Formula:
     """The connective or quantifier of ``f`` over ``fn(g, *args)`` of each
     immediate part ``g``, evaluated left to right; an equation comes back
-    as it is.  Walkers pass their context in ``args`` rather than through
-    a closure, which would cost a stack frame per level of nesting."""
+    as it is, and so does ``f`` when ``fn`` returns every part as it is.
+    Walkers pass their context in ``args`` rather than through a closure,
+    which would cost a stack frame per level of nesting."""
     if isinstance(f, Atomic):
         return f
     if isinstance(f, (And, Or, Implies)):
-        return type(f)(fn(f.lhs, *args), fn(f.rhs, *args))
-    if isinstance(f, Not):
-        return Not(fn(f.body, *args))
-    return type(f)(f.var, fn(f.body, *args))
+        lhs, rhs = fn(f.lhs, *args), fn(f.rhs, *args)
+        return f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
+    body = fn(f.body, *args)
+    if body is f.body:
+        return f
+    return Not(body) if isinstance(f, Not) else type(f)(f.var, body)
 
 
 def operands(f: Formula, kind: type) -> list[Formula]:
@@ -335,25 +341,48 @@ def term_vars(t: Term) -> set[str]:
     return out
 
 
-def free_vars(f: Formula) -> set[str]:
+_NO_NAMES: frozenset[str] = frozenset()
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    # a part's own set when it already holds the other's: most do
+    return a if b <= a else b if a <= b else a | b
+
+
+def free_vars(f: Formula) -> frozenset[str]:
+    """The free variable names of ``f``, computed once per node and cached
+    on it, together with the names bound anywhere inside it."""
+    try:
+        return f._free
+    except AttributeError:
+        pass
     if isinstance(f, Atomic):
-        return term_vars(f.lhs) | term_vars(f.rhs)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.lhs) | free_vars(f.rhs)
-    return free_vars(f.body) - {f.var}
+        free, bound = frozenset(term_vars(f.lhs) | term_vars(f.rhs)), _NO_NAMES
+    elif isinstance(f, (And, Or, Implies)):
+        free = _union(free_vars(f.lhs), free_vars(f.rhs))
+        bound = _union(f.lhs._bound, f.rhs._bound)
+    else:
+        free, bound = free_vars(f.body), f.body._bound
+        if not isinstance(f, Not):
+            free = free - {f.var} if f.var in free else free
+            bound = bound if f.var in bound else bound | {f.var}
+    object.__setattr__(f, "_free", free)
+    object.__setattr__(f, "_bound", bound)
+    return free
+
+
+def bound_vars(f: Formula) -> frozenset[str]:
+    """Every name a quantifier inside ``f`` binds, cached like ``free_vars``."""
+    try:
+        return f._bound
+    except AttributeError:
+        free_vars(f)
+        return f._bound
 
 
 def all_names(f: Formula) -> set[str]:
     """Every variable name occurring anywhere, bound or free."""
-    out: set[str] = set()
-    for g in subformulas(f):
-        if isinstance(g, Atomic):
-            out |= term_vars(g.lhs) | term_vars(g.rhs)
-        elif isinstance(g, (Exists, Forall)):
-            out.add(g.var)
-    return out
+    return set(free_vars(f) | bound_vars(f))
 
 
 class FreshNames:
@@ -380,11 +409,16 @@ class FreshNames:
 def substitute_term(t: Term, mapping: Mapping[str, Term]) -> Term:
     if isinstance(t, Var):
         return mapping.get(t.name, t)
-    return App(t.op, tuple(substitute_term(a, mapping) for a in t.args))
+    args = tuple(substitute_term(a, mapping) for a in t.args)
+    return t if all(map(is_, args, t.args)) else App(t.op, args)
 
 
 def substitute(f: Formula, mapping: Mapping[str, Term]) -> Formula:
-    """Capture-avoiding substitution of terms for free variables."""
+    """Capture-avoiding substitution of terms for free variables.  A part
+    where no key is free and no binder is a variable of a value comes back
+    as it is; elsewhere a binder that is such a variable gets a fresh name."""
+    if mapping.keys().isdisjoint(free_vars(f)) and not _binds_a_value_var(f, mapping):
+        return f
     if isinstance(f, Atomic):
         return Atomic(substitute_term(f.lhs, mapping), substitute_term(f.rhs, mapping))
     if not isinstance(f, (Exists, Forall)):
@@ -399,64 +433,57 @@ def substitute(f: Formula, mapping: Mapping[str, Term]) -> Formula:
         names = FreshNames(all_names(f) | {n for v in live.values() for n in term_vars(v)} | set(live))
         var = names.fresh(f.var)
         body = substitute(body, {f.var: Var(var)})
-    return type(f)(var, substitute(body, live))
+    body = substitute(body, live)
+    return f if var == f.var and body is f.body else type(f)(var, body)
+
+
+def _binds_a_value_var(f: Formula, mapping: Mapping[str, Term]) -> bool:
+    bound = bound_vars(f)
+    return bool(bound) and any(not bound.isdisjoint(term_vars(v)) for v in mapping.values())
 
 
 def rename_bound_apart(f: Formula, taken: set[str] | None = None) -> Formula:
-    """Rename bound variables so no name is bound twice or shadows a free name."""
+    """Rename bound variables so no name is bound twice or shadows a free
+    name; ``f`` itself when it already has that shape."""
     names = FreshNames((taken or set()) | all_names(f))
     used_binders: set[str] = set(free_vars(f)) | (taken or set())
 
-    def walk(g: Formula, ren: dict[str, str]) -> Formula:
+    # ``ren`` maps each renamed binder in scope to its new variable; a
+    # binder that keeps its name never shadows a renamed one, since that
+    # one's name was already in use
+    def walk(g: Formula, ren: dict[str, Var]) -> Formula:
         if isinstance(g, Atomic):
-            mapping = {k: Var(v) for k, v in ren.items()}
-            return Atomic(substitute_term(g.lhs, mapping), substitute_term(g.rhs, mapping))
+            if not ren:
+                return g
+            lhs, rhs = substitute_term(g.lhs, ren), substitute_term(g.rhs, ren)
+            return g if lhs is g.lhs and rhs is g.rhs else Atomic(lhs, rhs)
         if not isinstance(g, (Exists, Forall)):
             return rebuild(g, walk, ren)
-        var = g.var
-        if var in used_binders:
-            var = names.fresh(g.var)
+        if g.var not in used_binders:
+            used_binders.add(g.var)
+            return rebuild(g, walk, ren)
+        var = names.fresh(g.var)
         used_binders.add(var)
-        inner = dict(ren)
-        inner[g.var] = var
-        return type(g)(var, walk(g.body, inner))
+        return type(g)(var, walk(g.body, {**ren, g.var: Var(var)}))
 
     return walk(f, {})
 
 
 # -- tokenizer and parser ---------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<punct>[().,=!&|]))"
-)
+# every character but white space starts a match, the last kind for a
+# character no token begins with
+_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<punct>[().,=!&|])|(?P<bad>\S)")
 
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    pos: int
+_Token = tuple[str, str, int]  # kind, text, position
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            at = len(text) - len(stripped)
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("ident"):
-            tokens.append(_Token("ident", m.group("ident"), m.start("ident")))
-        elif m.group("arrow"):
-            tokens.append(_Token("arrow", "->", m.start("arrow")))
-        else:
-            tokens.append(_Token("punct", m.group("punct"), m.start("punct")))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, bad, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {bad!r}", pos)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -471,14 +498,14 @@ class _Parser:
 
     def take(self) -> _Token:
         tok = self.tokens[self.i]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.i += 1
         return tok
 
     def expect(self, text: str) -> _Token:
         tok = self.take()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
+        if tok[1] != text:
+            raise ParseError(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
     def formula(self) -> Formula:
@@ -486,44 +513,39 @@ class _Parser:
 
     def implies(self) -> Formula:
         lhs = self.disjunction()
-        if self.peek().kind == "arrow":
+        if self.peek()[0] == "arrow":
             self.take()
             return Implies(lhs, self.implies())
         return lhs
 
     def disjunction(self) -> Formula:
         lhs = self.conjunction()
-        while self.peek().text == "|":
+        while self.peek()[1] == "|":
             self.take()
             lhs = Or(lhs, self.conjunction())
         return lhs
 
     def conjunction(self) -> Formula:
         lhs = self.unary()
-        while self.peek().text == "&":
+        while self.peek()[1] == "&":
             self.take()
             lhs = And(lhs, self.unary())
         return lhs
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "!":
+        kind, text, _ = self.peek()
+        if text == "!":
             self.take()
             return Not(self.unary())
-        if (
-            tok.kind == "ident"
-            and tok.text in ("E", "A")
-            and self.peek(1).kind == "ident"
-            and self.peek(2).text == "."
-        ):
+        if kind == "ident" and text in ("E", "A") and self.peek(1)[0] == "ident" and self.peek(2)[1] == ".":
             self.take()
-            var_tok = self.take()
-            if not var_tok.text[0].isupper():
-                raise ParseError(f"quantified variable must be capitalized, got {var_tok.text!r}", var_tok.pos)
+            _, var, pos = self.take()
+            if not var[0].isupper():
+                raise ParseError(f"quantified variable must be capitalized, got {var!r}", pos)
             self.expect(".")
             body = self.formula()
-            return Exists(var_tok.text, body) if tok.text == "E" else Forall(var_tok.text, body)
-        if tok.text == "(":
+            return Exists(var, body) if text == "E" else Forall(var, body)
+        if text == "(":
             self.take()
             inner = self.formula()
             self.expect(")")
@@ -532,33 +554,32 @@ class _Parser:
 
     def atom(self) -> Formula:
         lhs = self.term()
-        tok = self.take()
-        if tok.text == "=":
+        kind, text, pos = self.take()
+        if text == "=":
             return Atomic(lhs, self.term())
-        if tok.kind == "ident" and tok.text == "sub":
+        if kind == "ident" and text == "sub":
             return subset_atom(lhs, self.term())
-        raise ParseError(f"expected '=' or 'sub' after a term, found {tok.text or 'end of input'!r}", tok.pos)
+        raise ParseError(f"expected '=' or 'sub' after a term, found {text or 'end of input'!r}", pos)
 
     def term(self) -> Term:
-        tok = self.take()
-        if tok.kind != "ident":
-            raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
-        name = tok.text
+        kind, name, pos = self.take()
+        if kind != "ident":
+            raise ParseError(f"expected a term, found {name or 'end of input'!r}", pos)
         arity = self.sig.arity(name)
         if name[0].isupper() and arity is None:
             return Var(name)
         if arity is None:
-            raise ParseError(f"unknown symbol {name!r} in signature {self.sig.name}", tok.pos)
+            raise ParseError(f"unknown symbol {name!r} in signature {self.sig.name}", pos)
         if arity == 0:
             return App(name)
         self.expect("(")
         args = [self.term()]
-        while self.peek().text == ",":
+        while self.peek()[1] == ",":
             self.take()
             args.append(self.term())
         self.expect(")")
         if len(args) != arity:
-            raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}", tok.pos)
+            raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}", pos)
         return App(name, tuple(args))
 
 
@@ -566,9 +587,9 @@ def parse(text: str, sig: Signature) -> Formula:
     """Parse a formula over the given signature; bound variables are renamed apart."""
     parser = _Parser(text, sig)
     f = parser.formula()
-    end = parser.take()
-    if end.kind != "end":
-        raise ParseError(f"trailing input starting at {end.text!r}", end.pos)
+    kind, rest, pos = parser.take()
+    if kind != "end":
+        raise ParseError(f"trailing input starting at {rest!r}", pos)
     return rename_bound_apart(f)
 
 

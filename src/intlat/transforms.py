@@ -20,6 +20,8 @@ its endpoint pair.  This module realizes both directions on formulas:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
+from typing import Optional
 
 from .syntax import (
     And,
@@ -147,75 +149,91 @@ def _simp_term(t: Term) -> Term:
             return bot()
         if _is_op(a, "cz"):
             return cz()
-    return App(op, args)
+    return t if all(map(is_, args, t.args)) else App(op, args)
 
 
 def _simple_def(t: Term) -> bool:
     return isinstance(t, Var) or (isinstance(t, App) and not t.args)
 
 
-def _simp(f: Formula) -> Formula:
+_BOT, _CZ = bot(), cz()
+
+
+def _definition(g: Exists) -> Optional[tuple[list[Formula], Term]]:
+    """The other conjuncts of ``g``'s body and the term t of its first
+    conjunct X = t, for X the bound variable and t a variable or constant
+    other than X; None when no conjunct has that shape."""
+    conj = operands(g.body, And)
+    for i, c in enumerate(conj):
+        if not isinstance(c, Atomic):
+            continue
+        for x, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
+            if x == Var(g.var) and _simple_def(t) and g.var not in term_vars(t):
+                return conj[:i] + conj[i + 1 :], t
+    return None
+
+
+def _simp(f: Formula, memo: dict) -> Formula:
+    # memo: id of each node met in this call -> (node, result); holding the
+    # node keeps its id from passing to a later temporary.  The folds stay
+    # inline: in a helper, their comparisons would run one frame deeper and
+    # lower the nesting limit.
+    got = memo.get(id(f))
+    if got is not None:
+        return got[1]
     if isinstance(f, Atomic):
         lhs, rhs = _simp_term(f.lhs), _simp_term(f.rhs)
         if lhs == rhs:
-            return TRUE
-        pair = {lhs, rhs}
-        if pair == {bot(), cz()}:
-            return FALSE
-        return Atomic(lhs, rhs)
-    g = rebuild(f, _simp)
-    if isinstance(g, Not):
-        if g.body == TRUE:
-            return FALSE
-        if g.body == FALSE:
-            return TRUE
-        if isinstance(g.body, Not):
-            return g.body.body
-        return g
-    if isinstance(g, (Exists, Forall)):
-        if g.var not in free_vars(g.body):
-            return g.body
-        if isinstance(g, Forall):
-            return g
-        conj = operands(g.body, And)
-        for i, c in enumerate(conj):
-            if not isinstance(c, Atomic):
-                continue
-            for x, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
-                if x == Var(g.var) and _simple_def(t) and g.var not in term_vars(t):
-                    rest = conj[:i] + conj[i + 1 :]
-                    if not rest:
-                        return TRUE
-                    return _simp(substitute(and_all(rest), {g.var: t}))
-        return g
-    a, b = g.lhs, g.rhs
-    if isinstance(g, And):
-        if FALSE in (a, b):
-            return FALSE
-        if a == TRUE:
-            return b
-        if b == TRUE or a == b:
-            return a
-    elif isinstance(g, Or):
-        if TRUE in (a, b):
-            return TRUE
-        if a == FALSE:
-            return b
-        if b == FALSE or a == b:
-            return a
+            out = TRUE
+        elif (lhs == _BOT and rhs == _CZ) or (lhs == _CZ and rhs == _BOT):
+            out = FALSE
+        else:
+            out = f if lhs is f.lhs and rhs is f.rhs else Atomic(lhs, rhs)
     else:
-        if a == FALSE or b == TRUE:
-            return TRUE
-        if a == TRUE:
-            return b
-    return g
+        g = out = rebuild(f, _simp, memo)
+        if isinstance(g, Not):
+            if g.body == TRUE:
+                out = FALSE
+            elif g.body == FALSE:
+                out = TRUE
+            elif isinstance(g.body, Not):
+                out = g.body.body
+        elif isinstance(g, (Exists, Forall)):
+            if g.var not in free_vars(g.body):
+                out = g.body
+            elif isinstance(g, Exists) and (found := _definition(g)) is not None:
+                # put the defining term for the variable and simplify again;
+                # the memo skips the parts the substitution left alone
+                rest, t = found
+                out = _simp(substitute(and_all(rest), {g.var: t}), memo) if rest else TRUE
+        elif isinstance(g, (And, Or)):
+            unit, zero = (TRUE, FALSE) if isinstance(g, And) else (FALSE, TRUE)
+            a, b = g.lhs, g.rhs
+            if zero in (a, b):
+                out = zero
+            elif a == unit:
+                out = b
+            elif b == unit or a == b:
+                out = a
+        elif g.lhs == FALSE or g.rhs == TRUE:
+            out = TRUE
+        elif g.lhs == TRUE:
+            out = g.rhs
+    memo[id(f)] = (f, out)
+    # one pass reaches the fixpoint, so a result simplifies to itself
+    memo[id(out)] = (out, out)
+    return out
 
 
 def simplify(f: Formula) -> Formula:
     """Constant folding plus inlining of definitional equations under
     their own quantifier.  Equivalence-preserving in both structures, and
-    idempotent: one pass reaches the fixpoint."""
-    return _simp(f)
+    idempotent: one pass reaches the fixpoint.
+
+    A per-call memo visits each node once: after an inlined definition
+    only the paths the substitution changed are simplified again, and a
+    formula already simplified comes back as the same object."""
+    return _simp(f, {})
 
 
 # -- negation elimination ------------------------------------------------------------
@@ -307,9 +325,8 @@ def phi_ips() -> Formula:
 # -- membership and containment through endpoint coordinates -------------------------
 
 
-def phi_bdd_member() -> Formula:
-    """Membership of the point Z in a bounded set with endpoints Xl, Xr."""
-    xl, xr, z = Var("Xl"), Var("Xr"), Var("Z")
+def phi_bdd_member(xl: Term = Var("Xl"), xr: Term = Var("Xr"), z: Term = Var("Z")) -> Formula:
+    """Membership of the point z in a bounded set with endpoints xl, xr."""
     bd = cup(xl, xr)
     return And(
         subset_atom(ips_t(cup(bd, z), z), diff_t(xl, xr)),
@@ -317,11 +334,10 @@ def phi_bdd_member() -> Formula:
     )
 
 
-def phi_nbdd_member() -> Formula:
-    """Membership in an unbounded set: as in the bounded case, or Z lies
+def phi_nbdd_member(xl: Term = Var("Xl"), xr: Term = Var("Xr"), z: Term = Var("Z")) -> Formula:
+    """Membership in an unbounded set: as in the bounded case, or z lies
     at or beyond every endpoint."""
-    xl, xr, z = Var("Xl"), Var("Xr"), Var("Z")
-    return Or(phi_bdd_member(), Atomic(z, max_t(cup(cup(xl, xr), z))))
+    return Or(phi_bdd_member(xl, xr, z), Atomic(z, max_t(cup(cup(xl, xr), z))))
 
 
 def at() -> Formula:
@@ -330,26 +346,26 @@ def at() -> Formula:
     return And(Not(Atomic(z, bot())), Atomic(z, min_t(z)))
 
 
-def phi_in() -> Formula:
-    """The point Z belongs to the set with endpoint coordinates Xl, Xr."""
-    xl, xr = Var("Xl"), Var("Xr")
+def phi_in(xl: Term = Var("Xl"), xr: Term = Var("Xr"), z: Term = Var("Z")) -> Formula:
+    """The point z belongs to the set with endpoint coordinates xl, xr."""
     bd = cup(xl, xr)
     bounded = subset_atom(max_t(bd), xr)
     return And(
         Not(Atomic(bd, bot())),
         Or(
-            subset_atom(Var("Z"), bd),
-            Or(And(bounded, phi_bdd_member()), And(Not(bounded), phi_nbdd_member())),
+            subset_atom(z, bd),
+            Or(And(bounded, phi_bdd_member(xl, xr, z)), And(Not(bounded), phi_nbdd_member(xl, xr, z))),
         ),
     )
 
 
-def phi_subseteq() -> Formula:
-    """Containment between sets given by coordinates (Xl, Xr) and (Yl, Yr):
-    every single point of the first belongs to the second."""
-    member_x = phi_in()
-    member_y = substitute(phi_in(), {"Xl": Var("Yl"), "Xr": Var("Yr")})
-    return Forall("Z", Implies(at(), Implies(member_x, member_y)))
+def phi_subseteq(
+    xl: Term = Var("Xl"), xr: Term = Var("Xr"), yl: Term = Var("Yl"), yr: Term = Var("Yr")
+) -> Formula:
+    """Containment between sets given by coordinates (xl, xr) and (yl, yr):
+    every single point Z of the first belongs to the second.  No argument
+    may mention Z, which the formula binds."""
+    return Forall("Z", Implies(at(), Implies(phi_in(xl, xr), phi_in(yl, yr))))
 
 
 # -- interval formulas to finite-set formulas ----------------------------------------
@@ -399,10 +415,8 @@ def _grow_finite(conjuncts: list[Formula], finite: frozenset[str]) -> frozenset[
 
 
 def _sub_pair(p: CoordinatePair, q: CoordinatePair) -> Formula:
-    return substitute(
-        phi_subseteq(),
-        {"Xl": Var(p.left), "Xr": Var(p.right), "Yl": Var(q.left), "Yr": Var(q.right)},
-    )
+    # pair names end in l or r (and a counter), so none is the bound Z
+    return phi_subseteq(Var(p.left), Var(p.right), Var(q.left), Var(q.right))
 
 
 def translate_L_to_W(f: Formula) -> Formula:
@@ -517,10 +531,6 @@ def _finite_coords(v: str) -> Formula:
     return Atomic(l_t(Var(v)), r_t(Var(v)))
 
 
-def _phi_ips_at(s: Term, t: Term, u: Term) -> Formula:
-    return substitute(phi_ips(), {"X": s, "Y": t, "Z": u})
-
-
 def translate_W_to_L(f: Formula) -> Formula:
     """Reinterpret a positive existential finite-set formula over the
     embedded finite sets of the interval structure.
@@ -535,6 +545,12 @@ def translate_W_to_L(f: Formula) -> Formula:
     if foreign:
         raise FragmentError(f"not a finite-set formula: uses {sorted(foreign)}")
     names = FreshNames(all_names(f))
+    # one template per call: its variable sets are computed once, and the
+    # instances share the parts the substitution leaves alone
+    ips = phi_ips()
+
+    def phi_ips_at(s: Term, t: Term, u: Term) -> Formula:
+        return substitute(ips, {"X": s, "Y": t, "Z": u})
 
     def walk(g: Formula) -> Formula:
         if isinstance(g, Exists):
@@ -546,12 +562,12 @@ def translate_W_to_L(f: Formula) -> Formula:
     def atom(g: Atomic) -> Formula:
         for a, b in ((g.lhs, g.rhs), (g.rhs, g.lhs)):
             if isinstance(a, App) and a.op == "ips" and not any("ips" in term_symbols(x) for x in (b, *a.args)):
-                return _phi_ips_at(a.args[0], a.args[1], b)
+                return phi_ips_at(a.args[0], a.args[1], b)
         defs: list[tuple[str, App]] = []
         lhs, rhs = lift(g.lhs, "ips", names, "U", defs), lift(g.rhs, "ips", names, "U", defs)
         if not defs:
             return g
-        parts = [And(_finite_coords(u), _phi_ips_at(*app.args, Var(u))) for u, app in defs]
+        parts = [And(_finite_coords(u), phi_ips_at(*app.args, Var(u))) for u, app in defs]
         body = and_all(parts + [Atomic(lhs, rhs)])
         return exists_all([u for u, _ in defs], body)
 

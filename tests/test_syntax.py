@@ -12,10 +12,13 @@ from intlat.syntax import (
     App,
     Exists,
     Forall,
+    FreshNames,
+    Implies,
     Not,
     Or,
     ParseError,
     Var,
+    all_names,
     classify,
     format_formula,
     free_vars,
@@ -24,7 +27,9 @@ from intlat.syntax import (
     nnf,
     parse,
     rename_bound_apart,
+    subformulas,
     substitute,
+    term_vars,
     unnest,
 )
 
@@ -105,6 +110,18 @@ def test_parse_errors_carry_positions():
     assert ei.value.position > 0
 
 
+def test_unexpected_character_position_counts_leading_blanks():
+    for text, at in [("X = bot $", 8), ("  $", 2), ("X = bot\t-", 8), ("E 1X. X = bot", 2)]:
+        with pytest.raises(ParseError) as ei:
+            parse(text, SIG_W)
+        assert ei.value.position == at, text
+        assert "unexpected character" in str(ei.value)
+    # a bad character is reported even after an earlier syntax error
+    with pytest.raises(ParseError) as ei:
+        parse("cup(X Y) = $", SIG_W)
+    assert ei.value.position == 11
+
+
 def test_arity_is_enforced():
     with pytest.raises(ParseError):
         parse("cup(X) = Y", SIG_W)
@@ -128,11 +145,48 @@ def test_free_vars_respect_binders():
     assert free_vars(f) == {"X", "Z"}
 
 
+def test_free_vars_are_cached_frozensets():
+    f = parse("E Y. cap(X, Y) = Z & (A W. W = Y)", SIG_W)
+    got = free_vars(f)
+    assert isinstance(got, frozenset) and got == {"X", "Z"}
+    assert free_vars(f) is got
+    # a part whose set already holds the other's lends it to the parent
+    g = parse("cap(X, Y) = Z & X = bot", SIG_W)
+    assert free_vars(g) is free_vars(g.lhs)
+
+
+def test_all_names_are_the_free_and_the_bound():
+    f = parse("E Y. cap(X, Y) = Z & (A W. W = Y) | (E V. X = bot)", SIG_W)
+    assert all_names(f) == {"X", "Y", "Z", "W", "V"}
+
+
 def test_substitute_avoids_capture():
     f = Exists("Y", Atomic(App("cup", (Var("X"), Var("Y"))), Var("Y")))
     g = substitute(f, {"X": Var("Y")})
     assert isinstance(g, Exists) and g.var != "Y"
     assert free_vars(g) == {"Y"}
+
+
+def test_substitute_returns_untouched_parts_as_they_are():
+    f = parse("E Y. cap(X, Y) = Z & min(W) = X", SIG_W)
+    # no key is free and no binder is a variable of a value
+    assert substitute(f, {"V": Var("U")}) is f
+    assert substitute(f, {"Y": Var("U")}) is f
+    g = substitute(f, {"W": Var("U")})
+    assert format_formula(g) == "E Y. cap(X, Y) = Z & min(U) = X"
+    assert g.body.lhs is f.body.lhs
+    # a binder that is a variable of a value is still renamed, even where
+    # no key is free below it, exactly as without the shortcut
+    h = substitute(f, {"V": Var("Y")})
+    assert format_formula(h) == "E Y1. cap(X, Y1) = Z & min(W) = X"
+
+
+def test_rename_bound_apart_keeps_a_formula_already_renamed_apart():
+    f = Exists("Y", And(Atomic(Var("Y"), Var("X")), Forall("W", Atomic(Var("W"), App("bot")))))
+    assert rename_bound_apart(f) is f
+    g = And(f, Exists("Y", Atomic(Var("Y"), App("cz"))))
+    h = rename_bound_apart(g)
+    assert h.lhs is f and format_formula(h.rhs) == "E Y1. Y1 = cz"
 
 
 def test_rename_bound_apart_gives_distinct_binders():
@@ -175,3 +229,73 @@ def test_unnest_keeps_already_flat_formulas_flat():
 @pytest.mark.parametrize("text", W_TEXTS)
 def test_unnest_output_is_always_flat(text):
     assert is_unnested(unnest(parse(text, SIG_W)))
+
+
+# -- substitution against its unpruned form ------------------------------------------
+
+
+def _substitute_term_unpruned(t, mapping):
+    if isinstance(t, Var):
+        return mapping.get(t.name, t)
+    return App(t.op, tuple(_substitute_term_unpruned(a, mapping) for a in t.args))
+
+
+def _all_names_walked(f):
+    out = set()
+    for g in subformulas(f):
+        if isinstance(g, Atomic):
+            out |= term_vars(g.lhs) | term_vars(g.rhs)
+        elif isinstance(g, (Exists, Forall)):
+            out.add(g.var)
+    return out
+
+
+def _substitute_unpruned(f, mapping):
+    """Substitution that walks every part: each binder that is a variable
+    of a value in scope is renamed, whether or not a key is free below it."""
+    if isinstance(f, Atomic):
+        return Atomic(_substitute_term_unpruned(f.lhs, mapping), _substitute_term_unpruned(f.rhs, mapping))
+    if isinstance(f, Not):
+        return Not(_substitute_unpruned(f.body, mapping))
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(_substitute_unpruned(f.lhs, mapping), _substitute_unpruned(f.rhs, mapping))
+    live = {k: v for k, v in mapping.items() if k != f.var}
+    if not live:
+        return f
+    var, body = f.var, f.body
+    values = {n for v in live.values() for n in term_vars(v)}
+    if f.var in values:
+        var = FreshNames(_all_names_walked(f) | values | set(live)).fresh(f.var)
+        body = _substitute_unpruned(body, {f.var: Var(var)})
+    return type(f)(var, _substitute_unpruned(body, live))
+
+
+# few names, so binders often shadow each other and meet the values' variables;
+# the key W never occurs in a formula, so it is never free
+_SUB_NAMES = ("X", "Y", "Z")
+_sub_terms = st.recursive(
+    st.sampled_from([Var(v) for v in _SUB_NAMES] + [App("bot")]),
+    lambda sub: st.one_of(
+        st.builds(lambda a, b: App("cup", (a, b)), sub, sub),
+        st.builds(lambda a: App("min", (a,)), sub),
+    ),
+    max_leaves=3,
+)
+_sub_formulas = st.recursive(
+    st.builds(Atomic, _sub_terms, _sub_terms),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Exists, st.sampled_from(_SUB_NAMES), sub),
+        st.builds(Forall, st.sampled_from(_SUB_NAMES), sub),
+    ),
+    max_leaves=6,
+)
+
+
+@given(_sub_formulas, st.dictionaries(st.sampled_from(_SUB_NAMES + ("W",)), _sub_terms, min_size=1, max_size=2))
+def test_substitute_agrees_with_unpruned_substitution(f, mapping):
+    assert substitute(f, mapping) == _substitute_unpruned(f, mapping)
+    assert all_names(f) == _all_names_walked(f)

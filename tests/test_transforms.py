@@ -6,6 +6,10 @@ pin down hand-checked instances and the contracts (classification of the
 output, which inputs are rejected).
 """
 
+import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +18,7 @@ from intlat.fci import EMPTY_FCI, embed_finset, parse_fci
 from intlat.finset import FinSet
 from intlat.oracle import check_equiv, enum_fcis, enum_finsets
 from intlat.semantics import WitnessPool, default_pool, eval_bounded, eval_qf
-from intlat.suites import SUITES
+from intlat.suites import L2W_CORPUS, PIPELINE_CORPUS, POSEX_CORPUS, SUITES, W2L_CORPUS
 from intlat.syntax import (
     SIG_L,
     SIG_W,
@@ -32,11 +36,15 @@ from intlat.syntax import (
     format_formula,
     free_vars,
     parse,
+    substitute,
 )
 from intlat.transforms import (
     FragmentError,
+    delta_domain,
     notbot,
+    phi_in,
     phi_ips,
+    phi_subseteq,
     pipeline,
     simplify,
     to_positive_existential,
@@ -247,7 +255,7 @@ def _formulas(sig):
 @given(data=st.data())
 def test_simplify_is_idempotent(sig, data):
     once = simplify(data.draw(_formulas(sig)))
-    assert simplify(once) == once
+    assert simplify(once) is once
 
 
 def test_suite_registry_names():
@@ -262,3 +270,78 @@ def test_suite_registry_names():
         "l2w",
         "pipeline",
     }
+
+
+# -- coordinate templates ----------------------------------------------------------
+
+
+def test_coordinate_templates_take_their_variables():
+    v = {n: Var(n) for n in ("Al", "Ar", "Bl", "Br", "P")}
+    assert phi_subseteq(v["Al"], v["Ar"], v["Bl"], v["Br"]) == substitute(
+        phi_subseteq(), {"Xl": v["Al"], "Xr": v["Ar"], "Yl": v["Bl"], "Yr": v["Br"]}
+    )
+    assert phi_in(v["Al"], v["Ar"], v["P"]) == substitute(phi_in(), {"Xl": v["Al"], "Xr": v["Ar"], "Z": v["P"]})
+    assert delta_domain(v["Al"], v["Ar"]) == substitute(delta_domain(), {"B": v["Al"], "C": v["Ar"]})
+    assert free_vars(phi_subseteq()) == {"Xl", "Xr", "Yl", "Yr"}
+
+
+# -- printed outputs, pinned ----------------------------------------------------------
+
+_L_TEXTS = list(PIPELINE_CORPUS) + [t for t, _ in L2W_CORPUS]
+_W_TEXTS = list(POSEX_CORPUS) + list(W2L_CORPUS)
+_REWRITES = {
+    "pipeline": (pipeline, SIG_L, _L_TEXTS),
+    "simplify-l2w": (lambda f: simplify(translate_L_to_W(f)), SIG_L, _L_TEXTS),
+    "posex": (to_positive_existential, SIG_W, _W_TEXTS),
+    "simplify-w2l": (lambda f: simplify(translate_W_to_L(f)), SIG_W, _W_TEXTS),
+}
+# (outputs, SHA-256 of the lines "input TAB output"), inputs the rewrite
+# refuses left out: a change to any printed output must update these on purpose
+REWRITE_DIGESTS = {
+    "pipeline": (19, "ae70f14b29ee04a10fc227910b91dd32c364d69accc5e13e4e5bc7a733b07fd9"),
+    "simplify-l2w": (23, "451811a6674c42685ab0072bf4997d1c80e848f7b9bd9cf59b7b43e4054375e5"),
+    "posex": (23, "3295705ffc52a80c2a728044504789973fa0c345d6cd64c7ebb18ab7a1805657"),
+    "simplify-w2l": (13, "04711174e36060ad2d36267f39ebd570a012e41832072f513dbe12e069cc20e4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REWRITES))
+def test_corpus_rewrite_outputs_are_pinned(name):
+    rewrite, sig, texts = _REWRITES[name]
+    lines = []
+    for text in texts:
+        try:
+            lines.append(f"{text}\t{format_formula(rewrite(parse(text, sig)))}\n")
+        except FragmentError:
+            continue
+    assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == REWRITE_DIGESTS[name]
+
+
+# -- nesting limits -------------------------------------------------------------------
+
+
+def _on_fresh_stack(fn):
+    """``fn()`` on a new thread at the default recursion limit of 1000.  A
+    thread's stack starts empty, so the nesting reached does not depend on
+    how deep the test runner calls the test."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(fn).result(timeout=120)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _chain(n: int) -> str:
+    return " & ".join(["min(X) = X"] * n)
+
+
+def test_simplify_takes_a_chain_of_490_conjuncts():
+    got = _on_fresh_stack(lambda: simplify(parse(_chain(490), SIG_W)))
+    assert got == parse("min(X) = X", SIG_W)
+
+
+def test_pipeline_takes_a_chain_of_489_conjuncts():
+    got = _on_fresh_stack(lambda: format_formula(pipeline(parse(_chain(489), SIG_L))))
+    assert got == format_formula(pipeline(parse("min(X) = X", SIG_L)))
