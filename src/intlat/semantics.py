@@ -9,8 +9,9 @@ witnesses only when a conjunct forces the value outright (a definitional
 pin) or bounds it to a small shape (a guard atom); pruning never changes
 the answer, it only skips values that could not satisfy the conjuncts.
 Each step of the search checks the conjuncts already decided, binds an
-unused variable to bot, applies a pin, splits a disjunction, enumerates
-a valid endpoint pair, applies a guard, or else ranges over the universe.
+unused variable to bot, applies a pin, binds a ``min(V) = V`` variable
+ahead of a disjunction, splits a disjunction, enumerates a valid endpoint
+pair, applies a guard, or else ranges over the universe.
 ``_Rule`` lists the pin and guard patterns.  Every guard is sized before
 any candidate is built, and only the smallest is built, so a pool over an
 enumeration cap is refused only when the chosen step must enumerate it.
@@ -18,6 +19,16 @@ An ``EvalCache`` interns each distinct term once and memoizes the values
 it takes, so the solver computes a repeated subterm once per set of
 values; equations read their sides from that memo and stay out of the
 verdict table.
+
+The solver works on point ranks: ``eval_bounded`` renames each point of
+the pool and of the assigned values to its rank among them, so 0, the
+least point of every pool, is the int 0.  Every operation and every
+witness universe depends only on the order of the points and on 0, and
+no solver step creates a point, so the verdict on ranks is the verdict
+on the rationals.  Ints compare and hash cheaply, and every pool and
+assignment of one order type shares the pool-keyed universes and every
+``EvalCache`` entry.  ``eval_term`` and ``eval_qf`` keep the rational
+points.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Union
 from .fci import (
     EMPTY_FCI,
     FciSet,
+    Segment,
     build_from_endpoints,
     difference_closed,
     embed_finset,
@@ -112,16 +124,18 @@ def widened(points: Iterable[Point]) -> FinSet:
     return FinSet.of(ordered + mids + [above(ordered[-1])])
 
 
+def _value_points(v: Value) -> tuple[Point, ...]:
+    """The points a value is built from: its elements or its boundary."""
+    return v.elements if isinstance(v, FinSet) else v.boundary().elements
+
+
 def default_pool(a: Assignment) -> WitnessPool:
     """Zero and every boundary point of the assigned values, widened."""
     pts = {ZERO}
     for v in a.values():
-        if isinstance(v, FinSet):
-            pts.update(v.elements)
-        elif isinstance(v, FciSet):
-            pts.update(v.boundary().elements)
-        else:
+        if not isinstance(v, (FinSet, FciSet)):
             raise TypeError(f"assignment values must be FinSet or FciSet, got {type(v).__name__}")
+        pts.update(_value_points(v))
     points = widened(pts)
     return WitnessPool(points=points, max_segments=len(points), allow_ray=True)
 
@@ -165,11 +179,16 @@ _OPS: dict[str, tuple[Optional[bool], Callable[[list, bool], Value]]] = {
 }
 
 
-def _apply(op: str, args: list, finite_sets: bool) -> Value:
+# the solver's operations work on point ranks, where 0 is the int 0
+_RANK_ZERO = {True: FinSet((0,)), False: embed_point(0)}
+_RANK_OPS = {**_OPS, "cz": (None, lambda args, w: _RANK_ZERO[w])}
+
+
+def _apply(op: str, args: list, finite_sets: bool, ops: dict = _OPS) -> Value:
     """The value of ``op`` on argument values, in the structure chosen by
     ``finite_sets``."""
     try:
-        only, fn = _OPS[op]
+        only, fn = ops[op]
     except KeyError:
         raise EvalError(f"unknown operation {op}") from None
     if only is not None and only != finite_sets:
@@ -249,6 +268,61 @@ def _in_universe(val: Value, pool: WitnessPool) -> bool:
     )
 
 
+# -- point ranks --------------------------------------------------------------------
+
+
+class _Ranks(NamedTuple):
+    """Points renamed to their ranks: the rank of each point, the pool on
+    ranks, and the one ranked form of every value already seen."""
+
+    rank: dict
+    pool: WitnessPool
+    values: dict
+
+
+def _rank_set(s: FinSet, rank: dict) -> FinSet:
+    return FinSet(tuple(rank[p] for p in s.elements))
+
+
+def _ranks(pool: WitnessPool, points: Iterable[Point]) -> _Ranks:
+    rank = {p: i for i, p in enumerate(sorted(points))}
+    pairs = None if pool.pair_points is None else _rank_set(pool.pair_points, rank)
+    ranked = WitnessPool(_rank_set(pool.points, rank), pool.max_segments, pool.allow_ray, pairs)
+    return _Ranks(rank, ranked, {})
+
+
+@lru_cache(maxsize=_POOL_CACHE_SIZE)
+def _pool_ranks(pool: WitnessPool) -> _Ranks:
+    return _ranks(pool, pool.points)
+
+
+def _rank_value(v: Value, rank: dict) -> Value:
+    if isinstance(v, FinSet):
+        return _rank_set(v, rank)
+    ray = None if v.ray_lo is None else rank[v.ray_lo]
+    return FciSet(tuple(Segment(rank[s.lo], rank[s.hi]) for s in v.segments), ray)
+
+
+def _rank_assignment(a: Assignment, pool: WitnessPool) -> tuple[dict, WitnessPool]:
+    """The assignment and the pool with every point renamed to its rank
+    among the pool's points and the boundary points of the values."""
+    ranks = _pool_ranks(pool)
+    env = {}
+    for name, v in a.items():
+        got = ranks.values.get(v)
+        if got is None:
+            if not all(p in ranks.rank for p in _value_points(v)):
+                break
+            # one object per value, so its hash is computed once
+            got = ranks.values[v] = _rank_value(v, ranks.rank)
+        env[name] = got
+    else:
+        return env, ranks.pool
+    # a point outside the pool: rank this call's points afresh, keep nothing
+    ranks = _ranks(pool, set(pool.points.elements).union(*map(_value_points, a.values())))
+    return {name: _rank_value(v, ranks.rank) for name, v in a.items()}, ranks.pool
+
+
 # -- the solver ---------------------------------------------------------------------
 
 
@@ -257,8 +331,10 @@ class _Term:
 
     ``vals`` maps the values of ``names`` (the term's variables, sorted) and
     ``finite_sets`` to the term's value, so a subterm repeated across
-    conjuncts and assignments is computed once per set of values.  An error
-    is raised again on every call, never memoized."""
+    conjuncts and assignments is computed once per set of values.  Values
+    are on point ranks, as everywhere in the solver, so ``cz`` is ``{0}``
+    with the int 0.  An error is raised again on every call, never
+    memoized."""
 
     __slots__ = ("var", "op", "args", "names", "_key", "vals")
 
@@ -272,7 +348,7 @@ class _Term:
         self.vals: dict[tuple, Value] = {}
 
     def value(self, env: dict, finite_sets: bool) -> Value:
-        """What ``eval_term`` returns for this term."""
+        """What ``eval_term`` returns for this term, on point ranks."""
         if self.var is not None:
             try:
                 return env[self.var]
@@ -282,10 +358,10 @@ class _Term:
             key = (self._key(env), finite_sets)
         except KeyError:
             # an unbound variable: the walk raises eval_term's error
-            return _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets)
+            return _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets, _RANK_OPS)
         got = self.vals.get(key)
         if got is None:
-            got = _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets)
+            got = _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets, _RANK_OPS)
             self.vals[key] = got
         return got
 
@@ -308,7 +384,9 @@ class EvalCache:
     ``_normalize`` rebuilds for each set of names in scope share one node.
     Every distinct term is interned once (``term``) and memoizes its own
     values; equations compare their memoized sides and so are kept out of
-    the verdict table, whose keys hold the pool and miss on every new one.
+    the verdict table, whose keys hold the pool.  Pools and values are on
+    point ranks, so every pool and assignment of one order type shares
+    the same entries.
     """
 
     def __init__(self) -> None:
@@ -369,7 +447,8 @@ def eval_bounded(
     for name, val in a.items():
         if not isinstance(val, want):
             raise EvalError(f"{name} is bound to {type(val).__name__}, expected {want.__name__}")
-    return _eval(f, dict(a), pool, sig, cache)
+    env, ranked = _rank_assignment(a, pool)
+    return _eval(f, env, ranked, sig, cache)
 
 
 def _eval(f: Formula, env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> bool:
@@ -444,8 +523,8 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
     """Is there an assignment of pool values to ``vars`` satisfying all
     conjuncts?  Expects ``cache.node`` bundles in solver normal form.
     Each call takes the first step that applies, in this order: ready
-    checks, unused variable, pin, disjunction split, valid pair, guard,
-    universe."""
+    checks, unused variable, pin, disjunction split (preceded by a
+    ``minself`` guard when one applies), valid pair, guard, universe."""
     keys = env.keys()
     ready, pending = [], []
     for it in items:
@@ -479,6 +558,17 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
         if isinstance(it.formula, Or) and not (
             sig.finite_sets and it.pair is not None and set(it.pair) <= vars_set
         ):
+            # a min(V) = V guard has |pool| + 1 candidates and every branch
+            # would enumerate it anyway; other guards can be far larger
+            # than the disjunction, which often pins in each branch
+            for v in vars:
+                for r in live:
+                    if r.var == v and r.kind == "minself":
+                        rest = [u for u in vars if u != v]
+                        return any(
+                            _assign(rest, pending, {**env, v: val}, pool, sig, cache)
+                            for val in _guard(r, env, pool, sig)[1]()
+                        )
             taken = frozenset(env) | vars_set
             rest = pending[:i] + pending[i + 1 :]
             return any(

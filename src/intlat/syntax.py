@@ -297,11 +297,12 @@ class Signature:
     symbols: tuple[tuple[str, int], ...]
     finite_sets: bool  # interpreted in finite sets, else in interval unions
 
+    def __post_init__(self) -> None:
+        # the parser asks for an arity at every term token
+        object.__setattr__(self, "_arity", dict(self.symbols))
+
     def arity(self, op: str) -> Optional[int]:
-        for sym, ar in self.symbols:
-            if sym == op:
-                return ar
-        return None
+        return self._arity.get(op)
 
 
 _SHARED = (("cup", 2), ("cap", 2), ("bot", 0), ("cz", 0), ("min", 1), ("max", 1))

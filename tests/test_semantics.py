@@ -9,7 +9,7 @@ solver says so, which the hand-checked examples here pin down.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intlat import semantics
@@ -47,6 +47,8 @@ def test_eval_term_finite_sets():
     assert eval_term(term("ips(X, Y)", SIG_W), a, SIG_W) == fs([0])
     assert eval_term(term("bot", SIG_W), a, SIG_W) == EMPTY_FS
     assert eval_term(term("cz", SIG_W), a, SIG_W) == fs([0])
+    # the solver works on point ranks; terms keep their rational points
+    assert [type(p) for p in eval_term(term("cup(X, cz)", SIG_W), a, SIG_W)] == [Fraction] * 3
 
 
 def test_eval_term_interval_unions():
@@ -248,57 +250,128 @@ def _parsed(text: str):
 
 
 def _interval_only(text: str):
-    def build(sig):
-        if sig.finite_sets:
-            pytest.skip("l and r are operations of the interval structure only")
-        return parse(text, sig)
+    # None on the finite-set side: l and r are interval operations only
+    return pytest.param(lambda sig: None if sig.finite_sets else parse(text, sig), id=text)
 
-    return pytest.param(build, id=text)
+
+NAIVE_CASES = [
+    _parsed("E Y. cap(Y, X) = Y & !(Y = X) & !(Y = bot)"),
+    _parsed("A Y. cap(Y, X) = bot | cup(Y, X) = Y"),
+    # the only pin sits in a disjunct
+    _parsed("E Y. (Y = cz | Y = X) & cap(Y, X) = bot"),
+    _parsed("A Y. (Y = cz | Y = X) -> min(Y) = min(X)"),
+    # disjunctions nested under two quantifiers
+    _parsed(
+        "E Y. (Y = min(X) | Y = max(X)) & !(Y = bot) & "
+        "(E Z. (Z = Y | (cup(Z, Y) = X | Z = cz)) & !(cap(Z, Y) = bot) & !(Z = X))"
+    ),
+    _parsed("E Y. (min(Y) = Y | Y = X) & (E Z. (Z = Y | cup(Z, cz) = Z) & !(cap(Z, X) = Z))"),
+    # a disjunct hoists an existential over the block's Y, or over the free X
+    _shadowing(
+        "Y = X", "E Y. cap(Y, X) = Y & !(Y = bot) & !(Y = X)",
+        "!(Y = bot) & cap(Y, X) = bot",
+    ),
+    _shadowing(
+        "Y = cz", "E X. cup(X, Y) = X & !(X = Y) & min(X) = min(Y)",
+        "cap(Y, X) = bot & !(Y = bot)",
+    ),
+    # the difference pair pins Y to X minus cz
+    _parsed("E Y. cup(cap(X, cz), Y) = X & cap(cz, Y) = bot & !(Y = bot)"),
+    # min(Y) = Y guards Y to the empty set or one point
+    _parsed("E Y. min(Y) = Y & cap(Y, X) = bot & cup(Y, X) = X"),
+    # a difference pair whose disjointness half names another term pins nothing
+    _parsed("E Y. cup(cap(X, cz), Y) = X & cap(bot, Y) = bot & cap(Y, cz) = cz"),
+    # both endpoint maps pin Y; l(Y) = r(Y) and cap(Y, X) = Y are guards
+    _interval_only("E Y. l(Y) = l(X) & r(Y) = r(X) & !(Y = X)"),
+    _interval_only("E Y. l(Y) = l(X) & r(Y) = r(X) & min(Y) = min(X)"),
+    _interval_only("E Y. l(Y) = r(Y) & cap(Y, X) = Y & !(Y = bot)"),
+    # min(Y) = Y binds Y before the disjunction splits; the first needs
+    # every one-point candidate, the second the empty one
+    _parsed("E Y. min(Y) = Y & (cap(Y, X) = Y | Y = cz) & !(cap(Y, X) = bot)"),
+    _parsed("E Y. min(Y) = Y & (cap(Y, X) = bot | Y = cz) & cup(Y, X) = X"),
+]
 
 
 @pytest.mark.parametrize("sig", [SIG_W, SIG_L], ids=["w", "l"])
-@pytest.mark.parametrize(
-    "build",
-    [
-        _parsed("E Y. cap(Y, X) = Y & !(Y = X) & !(Y = bot)"),
-        _parsed("A Y. cap(Y, X) = bot | cup(Y, X) = Y"),
-        # the only pin sits in a disjunct
-        _parsed("E Y. (Y = cz | Y = X) & cap(Y, X) = bot"),
-        _parsed("A Y. (Y = cz | Y = X) -> min(Y) = min(X)"),
-        # disjunctions nested under two quantifiers
-        _parsed(
-            "E Y. (Y = min(X) | Y = max(X)) & !(Y = bot) & "
-            "(E Z. (Z = Y | (cup(Z, Y) = X | Z = cz)) & !(cap(Z, Y) = bot) & !(Z = X))"
-        ),
-        _parsed("E Y. (min(Y) = Y | Y = X) & (E Z. (Z = Y | cup(Z, cz) = Z) & !(cap(Z, X) = Z))"),
-        # a disjunct hoists an existential over the block's Y, or over the free X
-        _shadowing(
-            "Y = X", "E Y. cap(Y, X) = Y & !(Y = bot) & !(Y = X)",
-            "!(Y = bot) & cap(Y, X) = bot",
-        ),
-        _shadowing(
-            "Y = cz", "E X. cup(X, Y) = X & !(X = Y) & min(X) = min(Y)",
-            "cap(Y, X) = bot & !(Y = bot)",
-        ),
-        # the difference pair pins Y to X minus cz
-        _parsed("E Y. cup(cap(X, cz), Y) = X & cap(cz, Y) = bot & !(Y = bot)"),
-        # min(Y) = Y guards Y to the empty set or one point
-        _parsed("E Y. min(Y) = Y & cap(Y, X) = bot & cup(Y, X) = X"),
-        # a difference pair whose disjointness half names another term pins nothing
-        _parsed("E Y. cup(cap(X, cz), Y) = X & cap(bot, Y) = bot & cap(Y, cz) = cz"),
-        # both endpoint maps pin Y; l(Y) = r(Y) and cap(Y, X) = Y are guards
-        _interval_only("E Y. l(Y) = l(X) & r(Y) = r(X) & !(Y = X)"),
-        _interval_only("E Y. l(Y) = l(X) & r(Y) = r(X) & min(Y) = min(X)"),
-        _interval_only("E Y. l(Y) = r(Y) & cap(Y, X) = Y & !(Y = bot)"),
-    ],
-)
+@pytest.mark.parametrize("build", NAIVE_CASES)
 def test_eval_bounded_agrees_with_naive_enumeration(build, sig):
     pool = WitnessPool(points=fs([0, 1, 2]), max_segments=3)
     f = build(sig)
+    if f is None:
+        pytest.skip("l and r are operations of the interval structure only")
     cache = EvalCache()
     for x in universe(pool, sig):
         a = {"X": x}
         assert eval_bounded(f, a, pool, sig, cache=cache) == _naive(f, a, pool, sig), x
+
+
+def _stretch(p):
+    # strictly increasing on the half line and fixing 0
+    return 3 * p + p * p
+
+
+def _stretched(v):
+    if isinstance(v, FinSet):
+        return FinSet(tuple(map(_stretch, v.elements)))
+    return normalize(
+        [(_stretch(s.lo), _stretch(s.hi)) for s in v.segments],
+        [] if v.ray_lo is None else [_stretch(v.ray_lo)],
+    )
+
+
+@st.composite
+def isomorphism_cases(draw):
+    """A naive-enumeration formula, a pool of up to 5 points, and X, whose
+    points may fall between the pool's points or above them all."""
+    build = draw(st.sampled_from(NAIVE_CASES)).values[0]
+    sig = draw(st.sampled_from([SIG_W, SIG_L]))
+    f = build(sig)
+    if f is None:
+        sig = SIG_L
+        f = build(sig)
+    spots = st.fractions(min_value=0, max_value=5, max_denominator=2)
+    points = FinSet.of({0} | draw(st.frozensets(spots, max_size=4)))
+    pool = WitnessPool(points=points, max_segments=draw(st.integers(0, 2)), allow_ray=draw(st.booleans()))
+    near = st.sampled_from(points.elements) | st.fractions(min_value=0, max_value=6, max_denominator=4)
+    if sig.finite_sets:
+        x = FinSet.of(draw(st.frozensets(near, max_size=3)))
+    else:
+        segments = draw(st.lists(st.tuples(near, near).map(sorted), max_size=2))
+        x = normalize(segments, draw(st.lists(near, max_size=1)))
+    return f, sig, pool, x
+
+
+@settings(deadline=None)
+@given(isomorphism_cases())
+def test_eval_bounded_sees_points_only_up_to_order(case):
+    f, sig, pool, x = case
+    cache = EvalCache()
+    got = eval_bounded(f, {"X": x}, pool, sig, cache=cache)
+    # the naive reference quantifies over the pool alone, whatever X holds
+    assert got == _naive(f, {"X": x}, pool, sig)
+    image = WitnessPool(FinSet(tuple(map(_stretch, pool.points))), pool.max_segments, pool.allow_ray)
+    assert eval_bounded(f, {"X": _stretched(x)}, image, sig, cache=cache) == got
+
+
+def test_order_isomorphic_pools_share_the_cache(monkeypatch):
+    calls = 0
+    inner = semantics._assign
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(semantics, "_assign", counted)
+    f = parse("E Y. cap(Y, X) = Y & !(Y = X) & !(Y = bot)", SIG_L)
+    cache = EvalCache()
+    pool = WitnessPool(points=fs([0, 1, 2]), max_segments=2)
+    assert eval_bounded(f, {"X": parse_fci("[1,2]")}, pool, SIG_L, cache=cache) is True
+    seen, verdicts = calls, len(cache._vals)
+    assert seen > 0
+    image = WitnessPool(points=fs([0, F(5, 2), 7]), max_segments=2)
+    assert eval_bounded(f, {"X": parse_fci("[5/2,7]")}, image, SIG_L, cache=cache) is True
+    assert (calls, len(cache._vals)) == (seen, verdicts)
 
 
 def test_pipeline_output_of_disjoint_extremes():
