@@ -8,9 +8,13 @@ scope extends as far right as possible.
 
 The two signatures share the lattice symbols; ``ips`` belongs only to the
 finite-set signature and the endpoint maps ``l``/``r`` only to the
-interval signature.  ``parse`` checks every symbol and arity against the
-requested signature and renames bound variables apart, so a parsed formula
-never shadows a name.
+interval signature.  ``parse`` splits the text into string tokens with one
+regular expression and reads them without recursion (terms on a stack of
+open applications, connectives by how tightly they bind), checking every
+symbol and arity against the requested signature; a token's position is
+found only to report an error.  Each node it builds caches its free and
+bound names, so only a formula that binds a name twice or also free is
+walked by ``rename_bound_apart``: a parsed formula never shadows a name.
 
 Walkers over formulas go through four traversal helpers rather than
 dispatching on the node types themselves: ``subformulas`` and ``subterms``
@@ -27,8 +31,8 @@ names bound inside it (``bound_vars``), so each is computed once per node.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
-from operator import is_
 from typing import Iterator, Mapping, Optional, Union
 
 
@@ -123,14 +127,10 @@ class Atomic:
     lhs: Term
     rhs: Term
 
-    __hash__ = _cached_hash
-
 
 @dataclass(frozen=True)
 class Not:
     body: "Formula"
-
-    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
@@ -138,15 +138,11 @@ class And:
     lhs: "Formula"
     rhs: "Formula"
 
-    __hash__ = _cached_hash
-
 
 @dataclass(frozen=True)
 class Or:
     lhs: "Formula"
     rhs: "Formula"
-
-    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
@@ -154,15 +150,11 @@ class Implies:
     lhs: "Formula"
     rhs: "Formula"
 
-    __hash__ = _cached_hash
-
 
 @dataclass(frozen=True)
 class Exists:
     var: str
     body: "Formula"
-
-    __hash__ = _cached_hash
 
 
 @dataclass(frozen=True)
@@ -170,10 +162,13 @@ class Forall:
     var: str
     body: "Formula"
 
-    __hash__ = _cached_hash
-
 
 Formula = Union[Atomic, Not, And, Or, Implies, Exists, Forall]
+
+for _kind in Formula.__args__:
+    _kind.__hash__ = _cached_hash
+    # the names free_vars and bound_vars cache on a node, None until asked
+    _kind._free = _kind._bound = None
 
 
 def subset_atom(s: Term, t: Term) -> Atomic:
@@ -298,11 +293,8 @@ class Signature:
     finite_sets: bool  # interpreted in finite sets, else in interval unions
 
     def __post_init__(self) -> None:
-        # the parser asks for an arity at every term token
-        object.__setattr__(self, "_arity", dict(self.symbols))
-
-    def arity(self, op: str) -> Optional[int]:
-        return self._arity.get(op)
+        # symbol -> arity: the parser looks one up at every term token
+        object.__setattr__(self, "arities", dict(self.symbols))
 
 
 _SHARED = (("cup", 2), ("cap", 2), ("bot", 0), ("cz", 0), ("min", 1), ("max", 1))
@@ -327,7 +319,7 @@ def formula_symbols(f: Formula) -> set[str]:
 
 
 def fits_signature(f: Formula, sig: Signature) -> bool:
-    return all(sig.arity(op) is not None for op in formula_symbols(f))
+    return formula_symbols(f) <= sig.arities.keys()
 
 
 # -- variables and substitution --------------------------------------------------
@@ -353,18 +345,20 @@ def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
 def free_vars(f: Formula) -> frozenset[str]:
     """The free variable names of ``f``, computed once per node and cached
     on it, together with the names bound anywhere inside it."""
-    try:
-        return f._free
-    except AttributeError:
-        pass
-    if isinstance(f, Atomic):
+    free = f._free
+    if free is not None:
+        return free
+    # a part's cached set, computed here only when it has none (or is empty)
+    kind = f.__class__
+    if kind is Atomic:
         free, bound = frozenset(term_vars(f.lhs) | term_vars(f.rhs)), _NO_NAMES
-    elif isinstance(f, (And, Or, Implies)):
-        free = _union(free_vars(f.lhs), free_vars(f.rhs))
-        bound = _union(f.lhs._bound, f.rhs._bound)
+    elif kind is And or kind is Or or kind is Implies:
+        a, b = f.lhs, f.rhs
+        free = _union(a._free or free_vars(a), b._free or free_vars(b))
+        bound = _union(a._bound, b._bound)
     else:
-        free, bound = free_vars(f.body), f.body._bound
-        if not isinstance(f, Not):
+        free, bound = f.body._free or free_vars(f.body), f.body._bound
+        if kind is not Not:
             free = free - {f.var} if f.var in free else free
             bound = bound if f.var in bound else bound | {f.var}
     object.__setattr__(f, "_free", free)
@@ -374,11 +368,9 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 def bound_vars(f: Formula) -> frozenset[str]:
     """Every name a quantifier inside ``f`` binds, cached like ``free_vars``."""
-    try:
-        return f._bound
-    except AttributeError:
+    if f._bound is None:
         free_vars(f)
-        return f._bound
+    return f._bound
 
 
 def all_names(f: Formula) -> set[str]:
@@ -408,10 +400,18 @@ class FreshNames:
 
 
 def substitute_term(t: Term, mapping: Mapping[str, Term]) -> Term:
-    if isinstance(t, Var):
+    if t.__class__ is Var:
         return mapping.get(t.name, t)
-    args = tuple(substitute_term(a, mapping) for a in t.args)
-    return t if all(map(is_, args, t.args)) else App(t.op, args)
+    args = t.args
+    if len(args) == 2:
+        a, b = args
+        a1, b1 = substitute_term(a, mapping), substitute_term(b, mapping)
+        return t if a1 is a and b1 is b else App(t.op, (a1, b1))
+    if not args:
+        return t
+    (a,) = args  # no operation takes more than two arguments
+    a1 = substitute_term(a, mapping)
+    return t if a1 is a else App(t.op, (a1,))
 
 
 def substitute(f: Formula, mapping: Mapping[str, Term]) -> Formula:
@@ -443,19 +443,20 @@ def _binds_a_value_var(f: Formula, mapping: Mapping[str, Term]) -> bool:
     return bool(bound) and any(not bound.isdisjoint(term_vars(v)) for v in mapping.values())
 
 
-def rename_bound_apart(f: Formula, taken: set[str] | None = None) -> Formula:
+def rename_bound_apart(f: Formula) -> Formula:
     """Rename bound variables so no name is bound twice or shadows a free
     name; ``f`` itself when it already has that shape."""
-    names = FreshNames((taken or set()) | all_names(f))
-    used_binders: set[str] = set(free_vars(f)) | (taken or set())
+    names = FreshNames(all_names(f))
+    used_binders = set(free_vars(f))
 
     # ``ren`` maps each renamed binder in scope to its new variable; a
     # binder that keeps its name never shadows a renamed one, since that
-    # one's name was already in use
+    # one's name was already in use.  A part binding nothing, with no renamed
+    # name free, comes back as it is.
     def walk(g: Formula, ren: dict[str, Var]) -> Formula:
+        if not bound_vars(g) and ren.keys().isdisjoint(free_vars(g)):
+            return g
         if isinstance(g, Atomic):
-            if not ren:
-                return g
             lhs, rhs = substitute_term(g.lhs, ren), substitute_term(g.rhs, ren)
             return g if lhs is g.lhs and rhs is g.rhs else Atomic(lhs, rhs)
         if not isinstance(g, (Exists, Forall)):
@@ -472,126 +473,122 @@ def rename_bound_apart(f: Formula, taken: set[str] | None = None) -> Formula:
 
 # -- tokenizer and parser ---------------------------------------------------------
 
-# every character but white space starts a match, the last kind for a
-# character no token begins with
-_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<arrow>->)|(?P<punct>[().,=!&|])|(?P<bad>\S)")
-
-_Token = tuple[str, str, int]  # kind, text, position
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
-    for kind, bad, pos in tokens:
-        if kind == "bad":
-            raise ParseError(f"unexpected character {bad!r}", pos)
-    tokens.append(("end", "", len(text)))
-    return tokens
+# every character but white space starts a token; one that no token begins
+# with is a token of its own, reported as an unexpected character
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|->|[().,=!&|]|\S")
+_LETTERS = frozenset(string.ascii_letters)
+_PUNCT = frozenset(("->", "(", ")", ".", ",", "=", "!", "&", "|"))
+# how tightly each binary connective binds; ``->`` groups to the right.  A
+# pending ``!`` binds tighter than all, a quantifier looser than all, and an
+# open parenthesis is closed only by its ``)``
+_BINARY = {"&": (3, And), "|": (2, Or), "->": (1, Implies)}
+_PREFIX = {"!": (4, Not, None), "(": (-2, None, None)}
 
 
-class _Parser:
-    def __init__(self, text: str, sig: Signature) -> None:
-        self.tokens = _tokenize(text)
-        self.sig = sig
-        self.i = 0
-
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok[0] != "end":
-            self.i += 1
-        return tok
-
-    def expect(self, text: str) -> _Token:
-        tok = self.take()
-        if tok[1] != text:
-            raise ParseError(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return tok
-
-    def formula(self) -> Formula:
-        return self.implies()
-
-    def implies(self) -> Formula:
-        lhs = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.take()
-            return Implies(lhs, self.implies())
-        return lhs
-
-    def disjunction(self) -> Formula:
-        lhs = self.conjunction()
-        while self.peek()[1] == "|":
-            self.take()
-            lhs = Or(lhs, self.conjunction())
-        return lhs
-
-    def conjunction(self) -> Formula:
-        lhs = self.unary()
-        while self.peek()[1] == "&":
-            self.take()
-            lhs = And(lhs, self.unary())
-        return lhs
-
-    def unary(self) -> Formula:
-        kind, text, _ = self.peek()
-        if text == "!":
-            self.take()
-            return Not(self.unary())
-        if kind == "ident" and text in ("E", "A") and self.peek(1)[0] == "ident" and self.peek(2)[1] == ".":
-            self.take()
-            _, var, pos = self.take()
-            if not var[0].isupper():
-                raise ParseError(f"quantified variable must be capitalized, got {var!r}", pos)
-            self.expect(".")
-            body = self.formula()
-            return Exists(var, body) if text == "E" else Forall(var, body)
-        if text == "(":
-            self.take()
-            inner = self.formula()
-            self.expect(")")
-            return inner
-        return self.atom()
-
-    def atom(self) -> Formula:
-        lhs = self.term()
-        kind, text, pos = self.take()
-        if text == "=":
-            return Atomic(lhs, self.term())
-        if kind == "ident" and text == "sub":
-            return subset_atom(lhs, self.term())
-        raise ParseError(f"expected '=' or 'sub' after a term, found {text or 'end of input'!r}", pos)
-
-    def term(self) -> Term:
-        kind, name, pos = self.take()
-        if kind != "ident":
-            raise ParseError(f"expected a term, found {name or 'end of input'!r}", pos)
-        arity = self.sig.arity(name)
-        if name[0].isupper() and arity is None:
-            return Var(name)
-        if arity is None:
-            raise ParseError(f"unknown symbol {name!r} in signature {self.sig.name}", pos)
-        if arity == 0:
-            return App(name)
-        self.expect("(")
-        args = [self.term()]
-        while self.peek()[1] == ",":
-            self.take()
-            args.append(self.term())
-        self.expect(")")
-        if len(args) != arity:
-            raise ParseError(f"{name} takes {arity} argument(s), got {len(args)}", pos)
-        return App(name, tuple(args))
+def _error(text: str, index: int, message: str) -> ParseError:
+    """The error for the token at ``index``, unless the text holds an
+    unexpected character: the first of those is reported instead."""
+    found = list(_TOKEN_RE.finditer(text))
+    for m in found:
+        if m.group()[0] not in _LETTERS and m.group() not in _PUNCT:
+            return ParseError(f"unexpected character {m.group()!r}", m.start())
+    return ParseError(message, found[index].start() if index < len(found) else len(text))
 
 
 def parse(text: str, sig: Signature) -> Formula:
     """Parse a formula over the given signature; bound variables are renamed apart."""
-    parser = _Parser(text, sig)
-    f = parser.formula()
-    kind, rest, pos = parser.take()
-    if kind != "end":
-        raise ParseError(f"trailing input starting at {rest!r}", pos)
-    return rename_bound_apart(f)
+    toks = _TOKEN_RE.findall(text) + ["", ""]  # end of input, and a token of lookahead past it
+    arities = sig.arities
+    leaves: dict[str, Term] = {}  # one object per variable or constant
+
+    def term(i: int) -> tuple[Term, int]:
+        apps: list = []  # open applications: (symbol, token index, arguments)
+        while True:
+            tok = toks[i]
+            n = arities.get(tok)
+            if n:
+                if toks[i + 1] != "(":
+                    raise _error(text, i + 1, f"expected '(', found {toks[i + 1] or 'end of input'!r}")
+                apps.append((tok, i, []))
+                i += 2
+                continue
+            t = leaves.get(tok)
+            if t is None:
+                if n == 0:
+                    t = App(tok)
+                elif tok[:1] not in _LETTERS:
+                    raise _error(text, i, f"expected a term, found {tok or 'end of input'!r}")
+                elif tok[0].isupper():
+                    t = Var(tok)
+                else:
+                    raise _error(text, i, f"unknown symbol {tok!r} in signature {sig.name}")
+                leaves[tok] = t
+            i += 1
+            while apps:
+                op, at, args = apps[-1]
+                args.append(t)
+                tok = toks[i]
+                i += 1
+                if tok == ",":
+                    break
+                if tok != ")":
+                    raise _error(text, i - 1, f"expected ')', found {tok or 'end of input'!r}")
+                apps.pop()
+                if len(args) != arities[op]:
+                    raise _error(text, at, f"{op} takes {arities[op]} argument(s), got {len(args)}")
+                t = App(op, tuple(args))
+            else:
+                return t, i
+
+    # operator precedence without recursion: ``pending`` holds each operator
+    # still open as (binding strength, constructor, left operand or bound
+    # variable), and ``f`` is the formula last completed
+    pending: list = []
+    quantifiers = 0
+    i = 0
+    while True:
+        while True:
+            tok = toks[i]
+            if tok in _PREFIX:
+                pending.append(_PREFIX[tok])
+            elif (tok == "E" or tok == "A") and toks[i + 1][:1] in _LETTERS and toks[i + 2] == ".":
+                var = toks[i + 1]
+                if not var[0].isupper():
+                    raise _error(text, i + 1, f"quantified variable must be capitalized, got {var!r}")
+                pending.append((0, Exists if tok == "E" else Forall, var))
+                quantifiers += 1
+                i += 2
+            else:
+                break
+            i += 1
+        lhs, i = term(i)
+        tok = toks[i]
+        if tok != "=" and tok != "sub":
+            raise _error(text, i, f"expected '=' or 'sub' after a term, found {tok or 'end of input'!r}")
+        rhs, i = term(i + 1)
+        f = Atomic(lhs, rhs) if tok == "=" else subset_atom(lhs, rhs)
+        free_vars(f)
+        while True:
+            tok = toks[i]
+            strength, connective = _BINARY.get(tok, (-1, None))
+            while pending and (pending[-1][0] > strength or pending[-1][0] == strength > 1):
+                _, make, part = pending.pop()
+                f = make(f) if part is None else make(part, f)
+                free_vars(f)
+            if connective is not None:
+                pending.append((strength, connective, f))
+                i += 1
+                break
+            if tok == ")" and pending:
+                pending.pop()
+                i += 1
+            elif pending:
+                raise _error(text, i, f"expected ')', found {tok or 'end of input'!r}")
+            elif tok:
+                raise _error(text, i, f"trailing input starting at {tok!r}")
+            else:
+                bound = f._bound
+                return f if len(bound) == quantifiers and f._free.isdisjoint(bound) else rename_bound_apart(f)
 
 
 # -- printer -------------------------------------------------------------------

@@ -20,7 +20,6 @@ its endpoint pair.  This module realizes both directions on formulas:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
 from typing import Optional
 
 from .syntax import (
@@ -65,7 +64,6 @@ from .syntax import (
     subset_atom,
     substitute,
     term_symbols,
-    term_vars,
     unnest,
     valid_pair,
 )
@@ -99,64 +97,59 @@ def notbot(y: Term) -> Formula:
 
 TRUE = Atomic(bot(), bot())
 FALSE = Atomic(cz(), bot())
-
-
-def _is_op(t: Term, op: str) -> bool:
-    return isinstance(t, App) and t.op == op
-
-
-def _simp_term(t: Term) -> Term:
-    if isinstance(t, Var):
-        return t
-    args = tuple(_simp_term(x) for x in t.args)
-    op = t.op
-    if op == "cup":
-        a, b = args
-        if _is_op(a, "bot"):
-            return b
-        if _is_op(b, "bot") or a == b:
-            return a
-    elif op == "cap":
-        a, b = args
-        if _is_op(a, "bot") or _is_op(b, "bot"):
-            return bot()
-        if a == b:
-            return a
-    elif op in ("min", "max"):
-        (a,) = args
-        if _is_op(a, "bot"):
-            return bot()
-        if _is_op(a, "cz"):
-            return cz()
-        if _is_op(a, "min") or (op == "min" and _is_op(a, "max")):
-            # min and max yield at most one point, so they absorb
-            return a
-        if op == "max" and _is_op(a, "max"):
-            return a
-    elif op == "ips":
-        a, b = args
-        if _is_op(a, "bot") or _is_op(b, "bot") or _is_op(a, "cz"):
-            return bot()
-    elif op == "diff":
-        a, b = args
-        if _is_op(b, "bot"):
-            return a
-        if _is_op(a, "bot") or a == b:
-            return bot()
-    elif op in ("l", "r"):
-        (a,) = args
-        if _is_op(a, "bot"):
-            return bot()
-        if _is_op(a, "cz"):
-            return cz()
-    return t if all(map(is_, args, t.args)) else App(op, args)
-
-
-def _simple_def(t: Term) -> bool:
-    return isinstance(t, Var) or (isinstance(t, App) and not t.args)
-
-
 _BOT, _CZ = bot(), cz()
+
+
+def _simp_term(t: Term, memo: dict) -> Term:
+    # memo as in _simp: terms the rewrites share are folded once per call
+    if t.__class__ is Var or not t.args:
+        return t
+    got = memo.get(id(t))
+    if got is not None:
+        return got[1]
+    op, args = t.op, t.args
+    out = t
+    if len(args) == 2:
+        a0, b0 = args
+        a, b = _simp_term(a0, memo), _simp_term(b0, memo)
+        ka = a.op if a.__class__ is App else None
+        kb = b.op if b.__class__ is App else None
+        if op == "cup":
+            if ka == "bot":
+                out = b
+            elif kb == "bot" or a == b:
+                out = a
+        elif op == "cap":
+            if ka == "bot" or kb == "bot":
+                out = _BOT
+            elif a == b:
+                out = a
+        elif op == "ips":
+            if ka == "bot" or kb == "bot" or ka == "cz":
+                out = _BOT
+        elif op == "diff":
+            if kb == "bot":
+                out = a
+            elif ka == "bot" or a == b:
+                out = _BOT
+        if out is t and not (a is a0 and b is b0):
+            out = App(op, (a, b))
+    else:
+        (a0,) = args
+        a = _simp_term(a0, memo)
+        ka = a.op if a.__class__ is App else None
+        # min, max, l and r each take bot to bot and cz to cz
+        if ka == "bot":
+            out = _BOT
+        elif ka == "cz":
+            out = _CZ
+        elif op in ("min", "max") and ka in ("min", "max"):
+            # min and max yield at most one point, so they absorb
+            out = a
+        elif a is not a0:
+            out = App(op, (a,))
+    memo[id(t)] = (t, out)
+    return out
 
 
 def _definition(g: Exists) -> Optional[tuple[list[Formula], Term]]:
@@ -168,57 +161,67 @@ def _definition(g: Exists) -> Optional[tuple[list[Formula], Term]]:
         if not isinstance(c, Atomic):
             continue
         for x, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
-            if x == Var(g.var) and _simple_def(t) and g.var not in term_vars(t):
+            if isinstance(x, Var) and x.name == g.var and (isinstance(t, Var) or not t.args) and x != t:
                 return conj[:i] + conj[i + 1 :], t
     return None
 
 
 def _simp(f: Formula, memo: dict) -> Formula:
     # memo: id of each node met in this call -> (node, result); holding the
-    # node keeps its id from passing to a later temporary.  The folds stay
-    # inline: in a helper, their comparisons would run one frame deeper and
-    # lower the nesting limit.
+    # node keeps its id from passing to a later temporary.  Every part comes
+    # back from _simp, where an equation that folds becomes TRUE or FALSE
+    # itself, so the folds test those by identity.  They stay inline: in a
+    # helper, their comparisons would run one frame deeper and lower the
+    # nesting limit.
     got = memo.get(id(f))
     if got is not None:
         return got[1]
-    if isinstance(f, Atomic):
-        lhs, rhs = _simp_term(f.lhs), _simp_term(f.rhs)
+    kind = f.__class__
+    if kind is Atomic:
+        lhs, rhs = _simp_term(f.lhs, memo), _simp_term(f.rhs, memo)
         if lhs == rhs:
             out = TRUE
-        elif (lhs == _BOT and rhs == _CZ) or (lhs == _CZ and rhs == _BOT):
+        elif lhs.__class__ is App is rhs.__class__ and (lhs.op, rhs.op) in (("bot", "cz"), ("cz", "bot")):
             out = FALSE
         else:
             out = f if lhs is f.lhs and rhs is f.rhs else Atomic(lhs, rhs)
-    else:
-        g = out = rebuild(f, _simp, memo)
-        if isinstance(g, Not):
-            if g.body == TRUE:
-                out = FALSE
-            elif g.body == FALSE:
-                out = TRUE
-            elif isinstance(g.body, Not):
-                out = g.body.body
-        elif isinstance(g, (Exists, Forall)):
-            if g.var not in free_vars(g.body):
-                out = g.body
-            elif isinstance(g, Exists) and (found := _definition(g)) is not None:
-                # put the defining term for the variable and simplify again;
-                # the memo skips the parts the substitution left alone
-                rest, t = found
-                out = _simp(substitute(and_all(rest), {g.var: t}), memo) if rest else TRUE
-        elif isinstance(g, (And, Or)):
-            unit, zero = (TRUE, FALSE) if isinstance(g, And) else (FALSE, TRUE)
-            a, b = g.lhs, g.rhs
-            if zero in (a, b):
-                out = zero
-            elif a == unit:
-                out = b
-            elif b == unit or a == b:
-                out = a
-        elif g.lhs == FALSE or g.rhs == TRUE:
+    elif kind is Not:
+        body = _simp(f.body, memo)
+        if body is TRUE:
+            out = FALSE
+        elif body is FALSE:
             out = TRUE
-        elif g.lhs == TRUE:
-            out = g.rhs
+        elif body.__class__ is Not:
+            out = body.body
+        else:
+            out = f if body is f.body else Not(body)
+    elif kind is Exists or kind is Forall:
+        body = _simp(f.body, memo)
+        g = out = f if body is f.body else kind(f.var, body)
+        if f.var not in free_vars(body):
+            out = body
+        elif kind is Exists and (found := _definition(g)) is not None:
+            # put the defining term for the variable and simplify again;
+            # the memo skips the parts the substitution left alone
+            rest, t = found
+            out = _simp(substitute(and_all(rest), {f.var: t}), memo) if rest else TRUE
+    else:
+        a, b = _simp(f.lhs, memo), _simp(f.rhs, memo)
+        unit, zero = (FALSE, TRUE) if kind is Or else (TRUE, FALSE)
+        out = None
+        if kind is Implies:
+            if a is FALSE or b is TRUE:
+                out = TRUE
+            elif a is TRUE:
+                out = b
+        elif a is zero or b is zero:
+            out = zero
+        elif a is unit:
+            out = b
+        elif b is unit or a == b:
+            out = a
+        if out is None:
+            out = f if a is f.lhs and b is f.rhs else kind(a, b)
     memo[id(f)] = (f, out)
     # one pass reaches the fixpoint, so a result simplifies to itself
     memo[id(out)] = (out, out)

@@ -91,42 +91,84 @@ def test_quantifier_scope_extends_right():
     assert isinstance(f, Exists) and isinstance(f.body, And)
 
 
-def test_signatures_reject_each_others_symbols():
-    with pytest.raises(ParseError):
-        parse("l(X) = r(X)", SIG_W)
-    with pytest.raises(ParseError):
-        parse("ips(X, Y) = Z", SIG_L)
+# (signature, text, position, message) of each kind of parse error: an
+# unexpected character (found before any other error), a missing ')' or '(',
+# trailing input, an unknown symbol, a wrong arity, a lowercase quantified
+# variable, a missing '=' or 'sub', and a missing term, at end of input too
+PARSE_ERRORS = [
+    (SIG_W, "X = bot $", 8, "unexpected character '$' (at position 8)"),
+    (SIG_W, "  $", 2, "unexpected character '$' (at position 2)"),
+    (SIG_W, "X = bot\t-", 8, "unexpected character '-' (at position 8)"),
+    (SIG_W, "E 1X. X = bot", 2, "unexpected character '1' (at position 2)"),
+    (SIG_W, "cup(X Y) = $", 11, "unexpected character '$' (at position 11)"),
+    (SIG_W, "_X = bot", 0, "unexpected character '_' (at position 0)"),
+    (SIG_W, "X = bot > Y = bot", 8, "unexpected character '>' (at position 8)"),
+    (SIG_W, "X = bot - > Y = bot", 8, "unexpected character '-' (at position 8)"),
+    (SIG_W, "É = bot", 0, "unexpected character 'É' (at position 0)"),
+    (SIG_W, "min(X) = 2", 9, "unexpected character '2' (at position 9)"),
+    (SIG_W, "(X = bot) #", 10, "unexpected character '#' (at position 10)"),
+    (SIG_W, "X = bot & (Y = bot", 18, "expected ')', found 'end of input' (at position 18)"),
+    (SIG_W, "min(X", 5, "expected ')', found 'end of input' (at position 5)"),
+    (SIG_W, "cup(X Y) = Z", 6, "expected ')', found 'Y' (at position 6)"),
+    (SIG_W, "(X = bot", 8, "expected ')', found 'end of input' (at position 8)"),
+    (SIG_W, "(X = bot Y = bot)", 9, "expected ')', found 'Y' (at position 9)"),
+    (SIG_W, "((X = bot) & Y = bot", 20, "expected ')', found 'end of input' (at position 20)"),
+    (SIG_W, "(E Y. Y = X Z)", 12, "expected ')', found 'Z' (at position 12)"),
+    (SIG_W, "cup X = Y", 4, "expected '(', found 'X' (at position 4)"),
+    (SIG_W, "cup(X, Y = Z", 9, "expected ')', found '=' (at position 9)"),
+    (SIG_W, "min(X, Y", 8, "expected ')', found 'end of input' (at position 8)"),
+    (SIG_W, "X = bot Y", 8, "trailing input starting at 'Y' (at position 8)"),
+    (SIG_W, "X = bot)", 7, "trailing input starting at ')' (at position 7)"),
+    (SIG_W, "E Y. Y = X) & Z = bot", 10, "trailing input starting at ')' (at position 10)"),
+    (SIG_W, "X = Y = Z", 6, "trailing input starting at '=' (at position 6)"),
+    (SIG_W, "X sub Y sub Z", 8, "trailing input starting at 'sub' (at position 8)"),
+    (SIG_W, "X = bot ! Y = bot", 8, "trailing input starting at '!' (at position 8)"),
+    (SIG_W, "foo(X) = Y", 0, "unknown symbol 'foo' in signature w (at position 0)"),
+    (SIG_W, "l(X) = r(X)", 0, "unknown symbol 'l' in signature w (at position 0)"),
+    (SIG_L, "ips(X, Y) = Z", 0, "unknown symbol 'ips' in signature l (at position 0)"),
+    (SIG_W, "x = bot", 0, "unknown symbol 'x' in signature w (at position 0)"),
+    (SIG_L, "X = cap(x, Y)", 8, "unknown symbol 'x' in signature l (at position 8)"),
+    (SIG_W, "diff(X, Y) = Z", 0, "unknown symbol 'diff' in signature w (at position 0)"),
+    (SIG_W, "E Y. subs = Y", 5, "unknown symbol 'subs' in signature w (at position 5)"),
+    (SIG_W, "cup(X) = Y", 0, "cup takes 2 argument(s), got 1 (at position 0)"),
+    (SIG_W, "min(X, Y) = Z", 0, "min takes 1 argument(s), got 2 (at position 0)"),
+    (SIG_L, "l(X, Y) = Z", 0, "l takes 1 argument(s), got 2 (at position 0)"),
+    (SIG_W, "X = cap(X, Y, Z)", 4, "cap takes 2 argument(s), got 3 (at position 4)"),
+    (SIG_W, "E x. x = bot", 2, "quantified variable must be capitalized, got 'x' (at position 2)"),
+    (SIG_L, "A bot. X = bot", 2, "quantified variable must be capitalized, got 'bot' (at position 2)"),
+    (SIG_W, "X = bot & E y. y = X", 12, "quantified variable must be capitalized, got 'y' (at position 12)"),
+    (SIG_W, "X", 1, "expected '=' or 'sub' after a term, found 'end of input' (at position 1)"),
+    (SIG_W, "min(X) cz", 7, "expected '=' or 'sub' after a term, found 'cz' (at position 7)"),
+    (SIG_W, "X & Y = bot", 2, "expected '=' or 'sub' after a term, found '&' (at position 2)"),
+    (SIG_W, "bot(X) = Y", 3, "expected '=' or 'sub' after a term, found '(' (at position 3)"),
+    (SIG_W, "E X = bot", 2, "expected '=' or 'sub' after a term, found 'X' (at position 2)"),
+    (SIG_W, "A. X = bot", 1, "expected '=' or 'sub' after a term, found '.' (at position 1)"),
+    (SIG_W, "X sup Y", 2, "expected '=' or 'sub' after a term, found 'sup' (at position 2)"),
+    (SIG_W, "", 0, "expected a term, found 'end of input' (at position 0)"),
+    (SIG_W, "   ", 3, "expected a term, found 'end of input' (at position 3)"),
+    (SIG_W, "= bot", 0, "expected a term, found '=' (at position 0)"),
+    (SIG_W, "X =", 3, "expected a term, found 'end of input' (at position 3)"),
+    (SIG_W, "X = (Y)", 4, "expected a term, found '(' (at position 4)"),
+    (SIG_W, "!", 1, "expected a term, found 'end of input' (at position 1)"),
+    (SIG_W, "E X.", 4, "expected a term, found 'end of input' (at position 4)"),
+    (SIG_W, "X = bot ->", 10, "expected a term, found 'end of input' (at position 10)"),
+    (SIG_W, "X = bot &", 9, "expected a term, found 'end of input' (at position 9)"),
+    (SIG_W, "X = bot | ", 10, "expected a term, found 'end of input' (at position 10)"),
+    (SIG_W, "min() = cz", 4, "expected a term, found ')' (at position 4)"),
+    (SIG_W, "cup(X, ) = Y", 7, "expected a term, found ')' (at position 7)"),
+    (SIG_W, "X sub", 5, "expected a term, found 'end of input' (at position 5)"),
+    (SIG_W, "()", 1, "expected a term, found ')' (at position 1)"),
+    (SIG_W, "X = bot & & Y = bot", 10, "expected a term, found '&' (at position 10)"),
+    (SIG_W, "X = ->", 4, "expected a term, found '->' (at position 4)"),
+    (SIG_W, "(X = bot) -> (E Y.", 18, "expected a term, found 'end of input' (at position 18)"),
+]
 
 
-def test_parse_errors_carry_positions():
+@pytest.mark.parametrize("sig, text, position, message", PARSE_ERRORS)
+def test_parse_error_message_and_position(sig, text, position, message):
     with pytest.raises(ParseError) as ei:
-        parse("min(X", SIG_W)
-    assert ei.value.position == 5
-    with pytest.raises(ParseError) as ei:
-        parse("cup(X Y) = Z", SIG_W)
-    assert ei.value.position == 6
-    with pytest.raises(ParseError) as ei:
-        parse("min() = cz", SIG_W)
-    assert ei.value.position > 0
-
-
-def test_unexpected_character_position_counts_leading_blanks():
-    for text, at in [("X = bot $", 8), ("  $", 2), ("X = bot\t-", 8), ("E 1X. X = bot", 2)]:
-        with pytest.raises(ParseError) as ei:
-            parse(text, SIG_W)
-        assert ei.value.position == at, text
-        assert "unexpected character" in str(ei.value)
-    # a bad character is reported even after an earlier syntax error
-    with pytest.raises(ParseError) as ei:
-        parse("cup(X Y) = $", SIG_W)
-    assert ei.value.position == 11
-
-
-def test_arity_is_enforced():
-    with pytest.raises(ParseError):
-        parse("cup(X) = Y", SIG_W)
-    with pytest.raises(ParseError):
-        parse("min(X, Y) = Z", SIG_W)
+        parse(text, sig)
+    assert (ei.value.position, str(ei.value)) == (position, message)
 
 
 def test_classify_by_quantifier_shape():
@@ -299,3 +341,25 @@ _sub_formulas = st.recursive(
 def test_substitute_agrees_with_unpruned_substitution(f, mapping):
     assert substitute(f, mapping) == _substitute_unpruned(f, mapping)
     assert all_names(f) == _all_names_walked(f)
+
+
+# -- binders renamed apart by the parse ------------------------------------------------
+
+
+def _binders(f):
+    return [g.var for g in subformulas(f) if isinstance(g, (Exists, Forall))]
+
+
+def _renamed_apart(f) -> bool:
+    binders = _binders(f)
+    return len(set(binders)) == len(binders) and free_vars(f).isdisjoint(binders)
+
+
+@given(_sub_formulas)
+def test_parse_renames_binders_apart_as_rename_bound_apart_does(f):
+    g = parse(format_formula(f), SIG_W)
+    assert g == rename_bound_apart(f)
+    assert _renamed_apart(g)
+    assert rename_bound_apart(g) is g
+    if _renamed_apart(f):
+        assert g == f and rename_bound_apart(f) is f

@@ -7,6 +7,7 @@ output, which inputs are rejected).
 """
 
 import hashlib
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -36,6 +37,8 @@ from intlat.syntax import (
     format_formula,
     free_vars,
     parse,
+    rename_bound_apart,
+    subformulas,
     substitute,
 )
 from intlat.transforms import (
@@ -317,6 +320,62 @@ def test_corpus_rewrite_outputs_are_pinned(name):
     assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == REWRITE_DIGESTS[name]
 
 
+# -- printed outputs of seeded compositions, pinned -----------------------------------
+
+
+def _compose(rng: random.Random, texts: list, sig, parts: int) -> str:
+    """``parts`` corpus formulas joined by ``&`` and ``|``, each join maybe
+    negated or closed by ``E`` over one of its free names, so binders meet
+    the corpora's own binders and free names."""
+    picked = [rng.choice(texts) for _ in range(parts)]
+    text, free = picked[0], set(free_vars(parse(picked[0], sig)))
+    for t in picked[1:]:
+        text, free = f"({text}) {rng.choice('&|')} ({t})", free | free_vars(parse(t, sig))
+        wrap = rng.random()
+        if wrap < 0.2:
+            text = f"!({text})"
+        elif wrap < 0.5 and free:
+            v = rng.choice(sorted(free))
+            text, free = f"E {v}. ({text})", free - {v}
+    return text
+
+
+def _rewrites(side: str, f):
+    """Each rewrite of ``f`` with the signature its output prints in; an
+    input the rewrite refuses gives no output."""
+    if side == "l":
+        outs = [(simplify(translate_L_to_W(f)), SIG_W_DIFF)]
+        try:
+            outs.append((pipeline(f), SIG_L))
+        except FragmentError:
+            pass
+        return outs
+    try:
+        p = to_positive_existential(f)
+    except FragmentError:
+        return []
+    return [(p, SIG_W), (simplify(translate_W_to_L(p)), SIG_L)]
+
+
+# (outputs, SHA-256 of the lines "input TAB output TAB simplified TAB reparsed")
+COMPOSITION_DIGEST = (30, "565a58a0e68b208efc2d43c057d7958c15246bdc8e6b9768f422626d29b56b34")
+
+
+def test_composition_rewrite_outputs_are_pinned():
+    rng = random.Random("compositions/1")
+    lines = []
+    for side, sig, texts in (("w", SIG_W, _W_TEXTS), ("l", SIG_L, _L_TEXTS)):
+        for parts in (1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6):
+            text = _compose(rng, texts, sig, parts)
+            for out, out_sig in _rewrites(side, parse(text, sig)):
+                printed = format_formula(out)
+                back = parse(printed, out_sig)
+                assert back == rename_bound_apart(out)
+                fields = [text, printed, format_formula(simplify(out)), format_formula(back)]
+                lines.append("\t".join(fields) + "\n")
+    assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == COMPOSITION_DIGEST
+
+
 # -- nesting limits -------------------------------------------------------------------
 
 
@@ -345,3 +404,21 @@ def test_simplify_takes_a_chain_of_490_conjuncts():
 def test_pipeline_takes_a_chain_of_489_conjuncts():
     got = _on_fresh_stack(lambda: format_formula(pipeline(parse(_chain(489), SIG_L))))
     assert got == format_formula(pipeline(parse("min(X) = X", SIG_L)))
+
+
+# each shape of nesting with a depth parse must reach at the default
+# recursion limit and the number of subformulas it parses to; a change may
+# raise these depths but must not lower them
+_PARSE_NESTING = {
+    "parentheses": (5000, lambda n: "(" * n + "X = bot" + ")" * n, lambda n: 1),
+    "negations": (5000, lambda n: "!" * n + "X = bot", lambda n: n + 1),
+    "quantifiers": (5000, lambda n: "".join(f"E X{i}. " for i in range(n)) + "X = bot", lambda n: n + 1),
+    "conjuncts": (5000, lambda n: " & ".join(["X = bot"] * n), lambda n: 2 * n - 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_PARSE_NESTING))
+def test_parse_reaches_its_nesting_depth(shape):
+    depth, text, size = _PARSE_NESTING[shape]
+    f = _on_fresh_stack(lambda: parse(text(depth), SIG_W))
+    assert sum(1 for _ in subformulas(f)) == size(depth)
