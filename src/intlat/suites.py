@@ -32,7 +32,7 @@ from .oracle import (
     random_fciset,
     random_points,
 )
-from .order import ZERO, above, midpoint
+from .order import ZERO, above
 from .semantics import EvalCache, WitnessPool, eval_bounded, eval_qf, widened
 from .syntax import SIG_L, SIG_W, Formula, Var, classify, delta_domain, free_vars, parse
 from .transforms import (
@@ -50,12 +50,6 @@ from .transforms import (
 
 def _ints(n: int) -> FinSet:
     return FinSet.of(range(n))
-
-
-def _with_midpoints(points: FinSet) -> FinSet:
-    pts = sorted(points.elements)
-    extra = [midpoint(a, b) for a, b in zip(pts, pts[1:])]
-    return FinSet.of(pts + extra)
 
 
 def _assignments(names: Sequence[str], family: Iterable) -> Iterator[dict]:
@@ -118,7 +112,7 @@ def suite_ipschar(pool_size: Optional[int] = None, seed: Optional[int] = None) -
     unbounded interval witness, plus the formula version over all triples."""
     points = _ints(4 if pool_size is None else pool_size)
     report = EquivReport()
-    dpoints = _with_midpoints(points)
+    dpoints = widened(points)
 
     # forward: the constructed witness satisfies a clause whenever ips(A,B)=C
     for a in enum_finsets(points):

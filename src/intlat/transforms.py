@@ -11,10 +11,14 @@ its endpoint pair.  This module realizes both directions on formulas:
   over embedded finite sets, replacing ``ips`` equations by their
   interval characterization ``phi_ips``;
 * ``translate_L_to_W`` rewrites an interval formula in terms of endpoint
-  coordinates, with membership and containment expressed by ``phi_in``
-  and ``phi_subseteq``;
+  coordinates, with membership and containment expressed by the
+  quantifier-free equations ``phi_in`` and ``phi_subseteq``;
 * ``pipeline`` composes the three so that supported interval formulas
   come out existential.
+
+Universal quantifiers in a coordinate form come only from the input
+itself or from the bound clause that ``translate_L_to_W`` writes for a
+``cup`` or ``cap`` over sets not known to be finite.
 """
 
 from __future__ import annotations
@@ -328,37 +332,23 @@ def phi_ips() -> Formula:
 # -- membership and containment through endpoint coordinates -------------------------
 
 
-def phi_bdd_member(xl: Term = Var("Xl"), xr: Term = Var("Xr"), z: Term = Var("Z")) -> Formula:
-    """Membership of the point z in a bounded set with endpoints xl, xr."""
-    bd = cup(xl, xr)
-    return And(
-        subset_atom(ips_t(cup(bd, z), z), diff_t(xl, xr)),
-        Not(Atomic(cap(ips_t(cup(bd, z), diff_t(xr, xl)), z), bot())),
-    )
-
-
-def phi_nbdd_member(xl: Term = Var("Xl"), xr: Term = Var("Xr"), z: Term = Var("Z")) -> Formula:
-    """Membership in an unbounded set: as in the bounded case, or z lies
-    at or beyond every endpoint."""
-    return Or(phi_bdd_member(xl, xr, z), Atomic(z, max_t(cup(cup(xl, xr), z))))
-
-
-def at() -> Formula:
-    """Z is a single point."""
-    z = Var("Z")
-    return And(Not(Atomic(z, bot())), Atomic(z, min_t(z)))
-
-
 def phi_in(xl: Term = Var("Xl"), xr: Term = Var("Xr"), z: Term = Var("Z")) -> Formula:
-    """The point z belongs to the set with endpoint coordinates xl, xr."""
+    """The finite set z lies in the set with endpoint coordinates xl, xr:
+    every point of z off the endpoints follows, within z and the endpoints,
+    a point of z or an endpoint that opens a segment or the ray."""
     bd = cup(xl, xr)
-    bounded = subset_atom(max_t(bd), xr)
+    s, d = cup(bd, z), diff_t(z, bd)
+    return And(subset_atom(cap(ips_t(s, d), bd), diff_t(xl, xr)), Atomic(cap(min_t(s), d), bot()))
+
+
+def _misses(xl: Term, xr: Term, y: Term) -> Formula:
+    """The finite set y is disjoint from the set with coordinates xl, xr:
+    no point of y is an endpoint or follows an endpoint that opens a
+    segment or the ray."""
+    bd = cup(xl, xr)
     return And(
-        Not(Atomic(bd, bot())),
-        Or(
-            subset_atom(z, bd),
-            Or(And(bounded, phi_bdd_member(xl, xr, z)), And(Not(bounded), phi_nbdd_member(xl, xr, z))),
-        ),
+        Atomic(cap(y, bd), bot()),
+        Atomic(cap(cap(ips_t(cup(bd, y), y), bd), diff_t(xl, xr)), bot()),
     )
 
 
@@ -366,9 +356,9 @@ def phi_subseteq(
     xl: Term = Var("Xl"), xr: Term = Var("Xr"), yl: Term = Var("Yl"), yr: Term = Var("Yr")
 ) -> Formula:
     """Containment between sets given by coordinates (xl, xr) and (yl, yr):
-    every single point Z of the first belongs to the second.  No argument
-    may mention Z, which the formula binds."""
-    return Forall("Z", Implies(at(), Implies(phi_in(xl, xr), phi_in(yl, yr))))
+    the endpoints of the first lie in the second, and no right endpoint of
+    the second that does not close the first lies in the first."""
+    return And(phi_in(yl, yr, cup(xl, xr)), _misses(xl, xr, diff_t(yr, xr)))
 
 
 # -- interval formulas to finite-set formulas ----------------------------------------
@@ -418,7 +408,6 @@ def _grow_finite(conjuncts: list[Formula], finite: frozenset[str]) -> frozenset[
 
 
 def _sub_pair(p: CoordinatePair, q: CoordinatePair) -> Formula:
-    # pair names end in l or r (and a counter), so none is the bound Z
     return phi_subseteq(Var(p.left), Var(p.right), Var(q.left), Var(q.right))
 
 
@@ -427,9 +416,11 @@ def translate_L_to_W(f: Formula) -> Formula:
 
     Every variable X becomes a pair (Xl, Xr) of finite-set variables;
     quantifiers are relativized to coordinate pairs of actual interval
-    unions.  Lattice operations between variables not forced finite by
-    their context are expressed order-theoretically through
-    ``phi_subseteq``, which costs universal quantifiers."""
+    unions.  Containment is the quantifier-free ``phi_subseteq``.  Lattice
+    operations between variables not forced finite by their context are
+    expressed order-theoretically: above (or below) both operands, and
+    least (or greatest) such, a bound clause over every coordinate pair
+    that costs a universal quantifier."""
     return _l2w(f)[0]
 
 
@@ -587,8 +578,10 @@ def pipeline(f: Formula) -> Formula:
 
     Coordinates first, then negation elimination, then back to interval
     terms; the simplifier runs between stages.  Inputs whose coordinate
-    form needs a universal quantifier (order-theoretic cup or cap over
-    possibly-unbounded sets, or an explicit one) raise FragmentError."""
+    form keeps a universal quantifier after negation normal form (the
+    bound clause of a cup or cap over sets not known to be finite, unless
+    a negation turns it existential, or one in the input) raise
+    FragmentError."""
     w, pairs = _l2w(f)
     w = simplify(w)
     p = simplify(to_positive_existential(w))

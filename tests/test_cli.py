@@ -135,6 +135,13 @@ def test_pipeline_rejects_universal_input_with_exit_3(capsys):
     assert "fragment error" in err
 
 
+def test_pipeline_takes_a_negated_containment(capsys):
+    code, out, err = run(capsys, "pipeline", "!(X sub Y)")
+    assert code == 0
+    assert out.strip()
+    assert err == ""
+
+
 def test_pipeline_emits_an_interval_formula(capsys):
     code, out, _ = run(capsys, "pipeline", "l(X) = r(X)")
     assert code == 0
