@@ -8,6 +8,16 @@ next) and the ray, if present, strictly beyond the last segment.  Because
 the order is dense, two closed parts can be merged exactly when they share
 a point.
 
+By the endpoint lemma, a set whose boundary points lie among sorted
+points p0 < ... < pn-1 is fixed by its cells: which of those points, and
+which open gaps between them, it holds, the gap above pn-1 being the
+ray.  ``_cells`` writes the cells as a mask, bit 2i for pi and bit 2i+1
+for the gap above it, and ``_from_cells`` reads a mask back.  A mask is
+a set exactly when it is closed: each held gap holds the points on both
+sides (below only, for the ray).  On the boundary points of both
+operands, ``intersect`` is ``&`` and ``difference_closed`` is ``& ~``;
+``build_from_endpoints`` and ``witness_d`` write their masks directly.
+
 Besides the lattice operations the module provides the endpoint maps
 (``left_endpoints``/``right_endpoints``), the embedding of finite point
 sets as unions of degenerate segments, reconstruction of a set from its
@@ -17,11 +27,12 @@ two endpoint sets, and the complement-of-open-gaps construction
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .finset import FinSet
+from .finset import FinSet, zero_set
 from .order import Point, parse_point
 
 
@@ -78,24 +89,8 @@ class FciSet:
         return normalize(self.segments + other.segments, rays)
 
     def intersect(self, other: "FciSet") -> "FciSet":
-        parts: list[Segment] = []
-        for s in self.segments:
-            for t in other.segments:
-                lo, hi = max(s.lo, t.lo), min(s.hi, t.hi)
-                if lo <= hi:
-                    parts.append(Segment(lo, hi))
-        if other.ray_lo is not None:
-            for s in self.segments:
-                if s.hi >= other.ray_lo:
-                    parts.append(Segment(max(s.lo, other.ray_lo), s.hi))
-        if self.ray_lo is not None:
-            for t in other.segments:
-                if t.hi >= self.ray_lo:
-                    parts.append(Segment(max(t.lo, self.ray_lo), t.hi))
-        rays = []
-        if self.ray_lo is not None and other.ray_lo is not None:
-            rays.append(max(self.ray_lo, other.ray_lo))
-        return normalize(parts, rays)
+        pts = _grid(self, other)
+        return _from_cells(pts, _cells(self, pts) & _cells(other, pts))
 
     def min_set(self) -> "FciSet":
         """Singleton of the least point; empty set is a fixed point."""
@@ -213,6 +208,50 @@ def normalize(segments: Iterable[Segment | tuple[Point, Point]] = (), rays: Iter
     return FciSet(tuple(merged), ray_lo)
 
 
+# -- cells ---------------------------------------------------------------------
+
+
+def _grid(*sets: FciSet) -> list[Point]:
+    """The sorted boundary points of ``sets``, read off their parts."""
+    pts = set()
+    for x in sets:
+        for s in x.segments:
+            pts.add(s.lo)
+            pts.add(s.hi)
+        if x.ray_lo is not None:
+            pts.add(x.ray_lo)
+    return sorted(pts)
+
+
+def _cells(x: FciSet, pts: Sequence[Point]) -> int:
+    """The cells of ``pts`` that ``x`` holds; ``pts`` holds its boundary."""
+    mask = 0
+    for s in x.segments:
+        mask |= (2 << 2 * bisect_left(pts, s.hi)) - (1 << 2 * bisect_left(pts, s.lo))
+    if x.ray_lo is not None:
+        mask |= (1 << 2 * len(pts)) - (1 << 2 * bisect_left(pts, x.ray_lo))
+    return mask
+
+
+def _from_cells(pts: Sequence[Point], mask: int) -> Optional[FciSet]:
+    """The set holding exactly the cells in ``mask``, or None when they
+    are not closed: a held gap lacks the point below it, or the point
+    above it short of the last point."""
+    segments: list[Segment] = []
+    lo: Optional[Point] = None
+    for p in pts:
+        if mask & 1:
+            if lo is None:
+                lo = p
+            if not mask & 2:
+                segments.append(Segment(lo, p))
+                lo = None
+        elif mask & 2 or lo is not None:
+            return None
+        mask >>= 2
+    return FciSet(tuple(segments), lo)
+
+
 # -- endpoint pairing ---------------------------------------------------------
 
 
@@ -247,27 +286,10 @@ def build_from_endpoints(b: FinSet, c: FinSet) -> FciSet:
     """
     if not endpoint_condition(b, c):
         raise ValueError(f"no interval union has left endpoints {b} and right endpoints {c}")
-    b_pts = set(b.elements)
-    c_pts = set(c.elements)
-    bd = sorted(b_pts | c_pts)
-    segments: list[Segment] = []
-    ray_lo: Optional[Point] = None
-    i = 0
-    while i < len(bd):
-        p = bd[i]
-        if p in b_pts and p in c_pts:
-            segments.append(Segment(p, p))
-            i += 1
-        elif p in b_pts:
-            if i + 1 < len(bd):
-                segments.append(Segment(p, bd[i + 1]))
-                i += 2
-            else:
-                ray_lo = p
-                i += 1
-        else:
-            raise ValueError(f"unpaired right endpoint {p} in ({b}, {c})")
-    return FciSet(tuple(segments), ray_lo)
+    # every boundary point is held, and a proper left endpoint holds the gap above it
+    opens = set(b.elements).difference(c.elements)
+    pts = b.union(c).elements
+    return _from_cells(pts, sum((3 if p in opens else 1) << 2 * i for i, p in enumerate(pts)))
 
 
 def witness_d(a: FinSet, b: FinSet, c: FinSet) -> FciSet:
@@ -282,14 +304,10 @@ def witness_d(a: FinSet, b: FinSet, c: FinSet) -> FciSet:
         raise ValueError(f"need a nonempty subset, got b={b} inside a={a}")
     if a.ips(b) != c:
         raise ValueError(f"ips({a}, {b}) is {a.ips(b)}, not {c}")
-    gaps = [(i, a.successor(i)) for i in c.elements]
-    segments: list[Segment] = []
-    cursor = Fraction(0)
-    for lo, hi in gaps:
-        segments.append(Segment(cursor, lo))
-        assert hi is not None
-        cursor = hi
-    return FciSet(tuple(segments), cursor)
+    # every point of a and 0 is held, and every gap but those above c
+    pts = a.union(zero_set()).elements
+    closes = set(c.elements)
+    return _from_cells(pts, sum((1 if p in closes else 3) << 2 * i for i, p in enumerate(pts)))
 
 
 # -- representable set difference ---------------------------------------------
@@ -302,55 +320,8 @@ def difference_closed(a: FciSet, b: FciSet) -> Optional[FciSet]:
     difference is representable only when every exposed end is degenerate.
     Returns None otherwise.
     """
-    def nonempty(lo: Point, lo_strict: bool, hi: Optional[Point], hi_strict: bool) -> bool:
-        if hi is None:
-            return True
-        if lo < hi:
-            return True
-        return lo == hi and not lo_strict and not hi_strict
-
-    def b_complement() -> list[tuple[Point, bool, Optional[Point], bool]]:
-        # flagged intervals (lo, lo_strict, hi, hi_strict), hi None = unbounded
-        pieces: list[tuple[Point, bool, Optional[Point], bool]] = []
-        cursor = Fraction(0)
-        strict = False
-        for s in b.segments:
-            pieces.append((cursor, strict, s.lo, True))
-            cursor, strict = s.hi, True
-        if b.ray_lo is not None:
-            pieces.append((cursor, strict, b.ray_lo, True))
-        else:
-            pieces.append((cursor, strict, None, False))
-        return [p for p in pieces if nonempty(*p)]
-
-    a_parts: list[tuple[Point, Optional[Point]]] = [(s.lo, s.hi) for s in a.segments]
-    if a.ray_lo is not None:
-        a_parts.append((a.ray_lo, None))
-
-    segments: list[Segment] = []
-    rays: list[Point] = []
-    for plo, plo_strict, phi, phi_strict in b_complement():
-        for lo, hi in a_parts:
-            # intersect [lo, hi] (closed, hi None = unbounded) with the flagged piece
-            if plo > lo or (plo == lo and plo_strict):
-                ilo, ilo_strict = plo, plo_strict
-            else:
-                ilo, ilo_strict = lo, False
-            if phi is None:
-                ihi, ihi_strict = hi, False
-            elif hi is None or phi < hi or (phi == hi and phi_strict):
-                ihi, ihi_strict = phi, phi_strict
-            else:
-                ihi, ihi_strict = hi, False
-            if not nonempty(ilo, ilo_strict, ihi, ihi_strict):
-                continue
-            if ilo_strict or (ihi is not None and ihi_strict):
-                return None
-            if ihi is None:
-                rays.append(ilo)
-            else:
-                segments.append(Segment(ilo, ihi))
-    return normalize(segments, rays)
+    pts = _grid(a, b)
+    return _from_cells(pts, _cells(a, pts) & ~_cells(b, pts))
 
 
 # -- text form ---------------------------------------------------------------

@@ -8,10 +8,9 @@ exact for that relativized semantics.  The solver prunes candidate
 witnesses only when a conjunct forces the value outright (a definitional
 pin) or bounds it to a small shape (a guard atom); pruning never changes
 the answer, it only skips values that could not satisfy the conjuncts.
-Each step of the search checks the conjuncts already decided, binds an
-unused variable to bot, applies a pin, binds a ``min(V) = V`` variable
-ahead of a disjunction, splits a disjunction, enumerates a valid endpoint
-pair, applies a guard, or else ranges over the universe.
+Each step of the search checks the conjuncts already decided, applies a
+pin, splits a disjunction, enumerates a valid endpoint pair, applies a
+guard, or else ranges over the universe.
 ``_Rule`` lists the pin and guard patterns.  Every guard is sized before
 any candidate is built, and only the smallest is built, so a pool over an
 enumeration cap is refused only when the chosen step must enumerate it.
@@ -523,8 +522,7 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
     """Is there an assignment of pool values to ``vars`` satisfying all
     conjuncts?  Expects ``cache.node`` bundles in solver normal form.
     Each call takes the first step that applies, in this order: ready
-    checks, unused variable, pin, disjunction split (preceded by a
-    ``minself`` guard when one applies), valid pair, guard, universe."""
+    checks, pin, disjunction split, valid pair, guard, universe."""
     keys = env.keys()
     ready, pending = [], []
     for it in items:
@@ -537,12 +535,6 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
     if not vars:
         loose = set().union(*(it.fv for it in pending)) - keys
         raise EvalError(f"unbound variables {sorted(loose)}")
-
-    used = frozenset().union(*(it.fv for it in pending))
-    for v in vars:
-        if v not in used:
-            rest = [u for u in vars if u != v]
-            return _assign(rest, pending, {**env, v: _empty(sig)}, pool, sig, cache)
 
     vars_set = set(vars)
     live = [r for it in pending for r in it.rules if r.var in vars_set and r.need <= keys]
@@ -558,17 +550,6 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
         if isinstance(it.formula, Or) and not (
             sig.finite_sets and it.pair is not None and set(it.pair) <= vars_set
         ):
-            # a min(V) = V guard has |pool| + 1 candidates and every branch
-            # would enumerate it anyway; other guards can be far larger
-            # than the disjunction, which often pins in each branch
-            for v in vars:
-                for r in live:
-                    if r.var == v and r.kind == "minself":
-                        rest = [u for u in vars if u != v]
-                        return any(
-                            _assign(rest, pending, {**env, v: val}, pool, sig, cache)
-                            for val in _guard(r, env, pool, sig)[1]()
-                        )
             taken = frozenset(env) | vars_set
             rest = pending[:i] + pending[i + 1 :]
             return any(

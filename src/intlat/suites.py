@@ -32,8 +32,7 @@ from .oracle import (
     random_fciset,
     random_points,
 )
-from .order import ZERO, above
-from .semantics import EvalCache, WitnessPool, eval_bounded, eval_qf, widened
+from .semantics import EvalCache, WitnessPool, default_pool, eval_bounded, eval_qf, widened
 from .syntax import SIG_L, SIG_W, Formula, Var, classify, delta_domain, free_vars, parse
 from .transforms import (
     FragmentError,
@@ -302,8 +301,7 @@ def suite_w2l(pool_size: Optional[int] = None, seed: Optional[int] = None) -> Eq
     """Each corpus formula agrees with its interval translation on all
     embedded finite sets over the pool."""
     points = _ints(4 if pool_size is None else pool_size)
-    wpool = WitnessPool(points=points, max_segments=len(points) + 1)
-    lpool = WitnessPool(points=points, max_segments=len(points) + 1)
+    pool = WitnessPool(points=points, max_segments=len(points) + 1)
     embedded = [embed_finset(s) for s in enum_finsets(points)]
     report = EquivReport()
     for text in W2L_CORPUS:
@@ -314,10 +312,10 @@ def suite_w2l(pool_size: Optional[int] = None, seed: Optional[int] = None) -> Eq
 
         def on_finite(a: dict) -> bool:
             finsets = {k: v.as_finset() for k, v in a.items()}
-            return eval_bounded(f, finsets, wpool, SIG_W, cache=wcache)
+            return eval_bounded(f, finsets, pool, SIG_W, cache=wcache)
 
         stream = _assignments(sorted(free_vars(f)), embedded)
-        part = check_equiv(on_finite, g, stream, SIG_L, pool=lpool, cache=lcache)
+        part = check_equiv(on_finite, g, stream, SIG_L, pool=pool, cache=lcache)
         _merge(report, part, text)
     return report
 
@@ -353,8 +351,7 @@ def suite_l2w(pool_size: Optional[int] = None, seed: Optional[int] = None) -> Eq
     dense = widened(points)
     # point witnesses need the in-between points to tell sets apart, but
     # coordinate-pair witnesses (lub/glb tests) stay on the assignment grid
-    wpool = WitnessPool(points=dense, max_segments=len(dense), pair_points=points)
-    lpool = WitnessPool(points=dense, max_segments=len(dense), pair_points=points)
+    pool = WitnessPool(points=dense, max_segments=len(dense), pair_points=points)
     family = list(enum_fcis(points, 2, True))
     report = EquivReport()
     for text, predicate in L2W_CORPUS:
@@ -365,7 +362,7 @@ def suite_l2w(pool_size: Optional[int] = None, seed: Optional[int] = None) -> Eq
         lcache = EvalCache()
 
         # the predicate is the reference; the interval reading must match it
-        part = check_equiv(predicate, f, _assignments(names, family), SIG_L, pool=lpool, cache=lcache)
+        part = check_equiv(predicate, f, _assignments(names, family), SIG_L, pool=pool, cache=lcache)
         _merge(report, part, text + " (interval)")
 
         def coords(a: dict) -> dict:
@@ -384,7 +381,7 @@ def suite_l2w(pool_size: Optional[int] = None, seed: Optional[int] = None) -> Eq
             g,
             (coords(a) for a in _assignments(names, family)),
             SIG_W,
-            pool=wpool,
+            pool=pool,
             cache=wcache,
         )
         _merge(report, part, text + " (coordinates)")
@@ -414,15 +411,6 @@ PIPELINE_REJECTS = [
 ]
 
 
-def _pipeline_pool(a: dict) -> WitnessPool:
-    pts = {ZERO}
-    for v in a.values():
-        pts.update(v.boundary().elements)
-    pts.add(above(max(pts)))
-    points = FinSet.of(sorted(pts))
-    return WitnessPool(points=points, max_segments=len(points), allow_ray=True)
-
-
 def suite_pipeline(pool_size: Optional[int] = None, seed: Optional[int] = None) -> EquivReport:
     """The pipeline output is existential and agrees with its input on
     seeded random assignments; unsupported inputs are rejected."""
@@ -443,11 +431,10 @@ def suite_pipeline(pool_size: Optional[int] = None, seed: Optional[int] = None) 
         fcache = EvalCache()
         draws = ({v: random_fciset(rng, base, 3, True) for v in names} for _ in range(200))
         part = check_equiv(
-            lambda a: eval_bounded(f, a, _pipeline_pool(a), SIG_L, cache=fcache),
+            lambda a: eval_bounded(f, a, default_pool(a), SIG_L, cache=fcache),
             g,
             draws,
             SIG_L,
-            pool=_pipeline_pool,
             cache=EvalCache(),
         )
         _merge(report, part, text)

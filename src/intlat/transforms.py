@@ -466,8 +466,6 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
             return And(
                 Atomic(Var(pa.left), Var(pb.left)), Atomic(Var(pa.right), Var(pb.right))
             )
-        if isinstance(a, Var):
-            a, b = b, a
         if not (isinstance(a, App) and isinstance(b, Var)):
             raise AssertionError("atom not in unnested shape")
         p = pair_of(b.name)

@@ -24,7 +24,8 @@ from intlat.fci import (
     zero_fci,
 )
 from intlat.finset import FinSet
-from intlat.oracle import enum_fcis
+from intlat.oracle import enum_fcis, enum_finsets
+from intlat.semantics import widened
 
 F = Fraction
 fs = FinSet.of
@@ -175,6 +176,64 @@ def test_difference_closed_is_the_set_difference_when_defined(a, b):
     assert d.intersect(b) == EMPTY_FCI
     assert d.union(a.intersect(b)) == a
     assert d.issubset(a)
+
+
+# -- the cell constructions against pointwise membership ---------------------------
+
+# four points as plain ints (the solver's ranks) and as rationals
+SMALL_POOLS = [FinSet((0, 1, 2, 3)), fs([0, F(1, 3), F(1, 2), F(7, 4)])]
+
+
+def probes(pool):
+    """Every point and midpoint of the widened pool, and one point above:
+    each cell over the pool's points holds one of them."""
+    return widened(widened(pool.elements)).elements
+
+
+@pytest.mark.parametrize("pool", SMALL_POOLS, ids=["ints", "rationals"])
+def test_intersect_and_difference_agree_with_membership(pool):
+    unions = list(enum_fcis(pool, len(pool), True))
+    assert len(unions) == 55
+    pts, ends = probes(pool), set(pool.elements)
+    undefined = 0
+    for a in unions:
+        for b in unions:
+            inside = [a.contains(p) and b.contains(p) for p in pts]
+            assert [a.intersect(b).contains(p) for p in pts] == inside, (a, b)
+            outside = [a.contains(p) and not b.contains(p) for p in pts]
+            d = difference_closed(a, b)
+            # a - b is closed unless a point of the pool it misses is next
+            # to a probe it holds
+            closed = all(
+                outside[i] or not (i and outside[i - 1] or outside[i + 1])
+                for i, p in enumerate(pts)
+                if p in ends
+            )
+            if d is None:
+                undefined += 1
+                assert not closed, (a, b)
+            else:
+                assert closed and [d.contains(p) for p in pts] == outside, (a, b)
+    assert 0 < undefined < len(unions) ** 2
+
+
+@pytest.mark.parametrize("pool", SMALL_POOLS, ids=["ints", "rationals"])
+def test_build_from_endpoints_agrees_with_membership(pool):
+    # a point lies in the set when it is an endpoint or the greatest
+    # endpoint below it opens a segment or the ray
+    pts = probes(pool)
+    built = 0
+    for b in enum_finsets(pool):
+        for c in enum_finsets(pool):
+            if not endpoint_condition(b, c):
+                with pytest.raises(ValueError):
+                    build_from_endpoints(b, c)
+                continue
+            bd, opens = b.union(c).elements, set(b.difference(c).elements)
+            want = [p in bd or max((q for q in bd if q < p), default=None) in opens for p in pts]
+            assert [build_from_endpoints(b, c).contains(p) for p in pts] == want, (b, c)
+            built += 1
+    assert built == 54  # every nonempty union over the pool
 
 
 def test_parse_accepts_both_spaced_and_compact_forms():

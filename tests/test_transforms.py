@@ -43,6 +43,7 @@ from intlat.syntax import (
 )
 from intlat.transforms import (
     FragmentError,
+    _grow_finite,
     _misses,
     delta_domain,
     notbot,
@@ -178,6 +179,17 @@ def test_l2w_agreement_on_finiteness():
         a = {"Xl": u.left_endpoints(), "Xr": u.right_endpoints()}
         got = eval_bounded(g, a, default_pool(a), SIG_W)
         assert got == u.is_finite_set(), u
+
+
+def test_grow_finite_spreads_finiteness_through_cup_and_cap():
+    # a union is finite exactly when both parts are, and a meet with a
+    # finite set is finite; no corpus formula takes these two steps
+    cup_atom = parse("cup(U, V) = W", SIG_L)
+    assert _grow_finite([cup_atom], frozenset({"W"})) == {"U", "V", "W"}
+    assert _grow_finite([cup_atom], frozenset({"U"})) == {"U"}
+    cap_atom = parse("cap(U, V) = W", SIG_L)
+    assert _grow_finite([cap_atom], frozenset({"U"})) == {"U", "W"}
+    assert _grow_finite([cap_atom], frozenset({"W"})) == {"W"}
 
 
 # -- the composed rewrite -----------------------------------------------------------
