@@ -11,12 +11,14 @@ a point.
 By the endpoint lemma, a set whose boundary points lie among sorted
 points p0 < ... < pn-1 is fixed by its cells: which of those points, and
 which open gaps between them, it holds, the gap above pn-1 being the
-ray.  ``_cells`` writes the cells as a mask, bit 2i for pi and bit 2i+1
-for the gap above it, and ``_from_cells`` reads a mask back.  A mask is
-a set exactly when it is closed: each held gap holds the points on both
-sides (below only, for the ray).  On the boundary points of both
-operands, ``intersect`` is ``&`` and ``difference_closed`` is ``& ~``;
-``build_from_endpoints`` and ``witness_d`` write their masks directly.
+ray.  ``_held`` writes the cells of raw parts as a mask, bit 2i for pi
+and bit 2i+1 for the gap above it, and ``_from_cells`` reads a mask back.
+A mask is a set exactly when it is closed: each held gap holds the points
+on both sides (below only, for the ray).  Every set-valued operation goes
+through the cells.  ``normalize`` is the OR of its raw parts' masks.  On
+the boundary points of both operands, ``union`` is ``|``, ``intersect``
+``&``, ``difference_closed`` ``& ~`` and ``issubset`` an empty ``& ~``.
+The endpoint builder and ``witness_d`` write their masks directly.
 
 Besides the lattice operations the module provides the endpoint maps
 (``left_endpoints``/``right_endpoints``), the embedding of finite point
@@ -85,12 +87,12 @@ class FciSet:
     # -- lattice operations -------------------------------------------------
 
     def union(self, other: "FciSet") -> "FciSet":
-        rays = [r for r in (self.ray_lo, other.ray_lo) if r is not None]
-        return normalize(self.segments + other.segments, rays)
+        pts, a, b = _cells(self, other)
+        return _from_cells(pts, a | b)
 
     def intersect(self, other: "FciSet") -> "FciSet":
-        pts = _grid(self, other)
-        return _from_cells(pts, _cells(self, pts) & _cells(other, pts))
+        pts, a, b = _cells(self, other)
+        return _from_cells(pts, a & b)
 
     def min_set(self) -> "FciSet":
         """Singleton of the least point; empty set is a fixed point."""
@@ -137,15 +139,9 @@ class FciSet:
         return self.ray_lo is not None and p >= self.ray_lo
 
     def issubset(self, other: "FciSet") -> bool:
-        """Each maximal part must fit inside a single maximal part of ``other``."""
-        for s in self.segments:
-            if not any(t.lo <= s.lo and s.hi <= t.hi for t in other.segments):
-                if other.ray_lo is None or s.lo < other.ray_lo:
-                    return False
-        if self.ray_lo is not None:
-            if other.ray_lo is None or self.ray_lo < other.ray_lo:
-                return False
-        return True
+        """Whether ``other`` holds every cell this set holds."""
+        _, a, b = _cells(self, other)
+        return not a & ~b
 
     # -- finite sets inside the structure -------------------------------------
 
@@ -181,56 +177,38 @@ def normalize(segments: Iterable[Segment | tuple[Point, Point]] = (), rays: Iter
     Touching counts as overlapping: ``[1,2]`` and ``[2,3]`` merge, while a
     gap of any positive length keeps parts separate.
     """
-    segs = sorted(
-        (s if isinstance(s, Segment) else Segment(*s) for s in segments),
-        key=lambda s: (s.lo, s.hi),
-    )
-    ray_list = list(rays)
-    ray_lo = min(ray_list) if ray_list else None
-
-    merged: list[Segment] = []
-    for s in segs:
-        if merged and s.lo <= merged[-1].hi:
-            last = merged[-1]
-            merged[-1] = Segment(last.lo, max(last.hi, s.hi))
-        else:
-            merged.append(s)
-
-    if ray_lo is not None:
-        kept: list[Segment] = []
-        for s in reversed(merged):
-            if s.hi >= ray_lo:
-                ray_lo = min(ray_lo, s.lo)
-            else:
-                kept.append(s)
-        merged = list(reversed(kept))
-
-    return FciSet(tuple(merged), ray_lo)
+    segs = [s if isinstance(s, Segment) else Segment(*s) for s in segments]
+    ray_lo = min(rays, default=None)
+    pts = _grid(segs, (ray_lo,))
+    return _from_cells(pts, _held(pts, segs, ray_lo))
 
 
 # -- cells ---------------------------------------------------------------------
 
 
-def _grid(*sets: FciSet) -> list[Point]:
-    """The sorted boundary points of ``sets``, read off their parts."""
-    pts = set()
-    for x in sets:
-        for s in x.segments:
-            pts.add(s.lo)
-            pts.add(s.hi)
-        if x.ray_lo is not None:
-            pts.add(x.ray_lo)
+def _grid(segments: Iterable[Segment], rays: Iterable[Optional[Point]]) -> list[Point]:
+    """The sorted end points of the segments and the rays (None for no ray)."""
+    pts = {r for r in rays if r is not None}
+    for s in segments:
+        pts.add(s.lo)
+        pts.add(s.hi)
     return sorted(pts)
 
 
-def _cells(x: FciSet, pts: Sequence[Point]) -> int:
-    """The cells of ``pts`` that ``x`` holds; ``pts`` holds its boundary."""
+def _held(pts: Sequence[Point], segments: Iterable[Segment], ray_lo: Optional[Point]) -> int:
+    """The cells of ``pts`` that the parts hold; ``pts`` holds their end points."""
     mask = 0
-    for s in x.segments:
+    for s in segments:
         mask |= (2 << 2 * bisect_left(pts, s.hi)) - (1 << 2 * bisect_left(pts, s.lo))
-    if x.ray_lo is not None:
-        mask |= (1 << 2 * len(pts)) - (1 << 2 * bisect_left(pts, x.ray_lo))
+    if ray_lo is not None:
+        mask |= (1 << 2 * len(pts)) - (1 << 2 * bisect_left(pts, ray_lo))
     return mask
+
+
+def _cells(a: FciSet, b: FciSet) -> tuple[list[Point], int, int]:
+    """The sorted boundary points of ``a`` and ``b``, and the cells each holds."""
+    pts = _grid(a.segments + b.segments, (a.ray_lo, b.ray_lo))
+    return pts, _held(pts, a.segments, a.ray_lo), _held(pts, b.segments, b.ray_lo)
 
 
 def _from_cells(pts: Sequence[Point], mask: int) -> Optional[FciSet]:
@@ -255,41 +233,35 @@ def _from_cells(pts: Sequence[Point], mask: int) -> Optional[FciSet]:
 # -- endpoint pairing ---------------------------------------------------------
 
 
-def endpoint_condition(b: FinSet, c: FinSet) -> bool:
-    """Whether (b, c) is the (left, right) endpoint pair of some nonempty set.
+def _from_endpoints(b: FinSet, c: FinSet) -> Optional[FciSet]:
+    """The set whose (left, right) endpoint pair is (b, c), or None.
 
-    Proper left endpoints must pair off with the next boundary point as a
-    proper right endpoint; a set is unbounded exactly when its greatest
-    boundary point is a proper left endpoint, which the second branch allows.
+    The only candidate holds every point of b | c and the open gap above
+    each point of b - c, the gap above the last point being the ray.
+    (b, c) is a pair exactly when b is nonempty and the candidate's
+    endpoints are exactly (b, c).
     """
-    if not b:
-        return False
-    bd = b.union(c)
-    if not bd.min_set().issubset(b):
-        return False
-    c_only = c.difference(b)
-    b_only = b.difference(c)
-    paired = bd.ips(c_only)
-    if bd.max_set().issubset(c):
-        return paired == b_only
-    if bd.max_set().issubset(b_only):
-        return paired.union(bd.max_set()) == b_only
-    return False
+    opens = set(b.elements).difference(c.elements)
+    pts = b.union(c).elements
+    x = _from_cells(pts, sum((3 if p in opens else 1) << 2 * i for i, p in enumerate(pts)))
+    return x if b and x.left_endpoints() == b and x.right_endpoints() == c else None
+
+
+def endpoint_condition(b: FinSet, c: FinSet) -> bool:
+    """Whether (b, c) is the (left, right) endpoint pair of some nonempty set."""
+    return _from_endpoints(b, c) is not None
 
 
 def build_from_endpoints(b: FinSet, c: FinSet) -> FciSet:
     """Reconstruct the unique set whose endpoint pair is (b, c).
 
-    Requires ``endpoint_condition(b, c)``.  Points in both sets are
-    degenerate segments; a proper left endpoint pairs with the next
-    boundary point, or starts the ray when it is the last one.
+    Raises ValueError when there is none, that is unless
+    ``endpoint_condition(b, c)``.
     """
-    if not endpoint_condition(b, c):
+    x = _from_endpoints(b, c)
+    if x is None:
         raise ValueError(f"no interval union has left endpoints {b} and right endpoints {c}")
-    # every boundary point is held, and a proper left endpoint holds the gap above it
-    opens = set(b.elements).difference(c.elements)
-    pts = b.union(c).elements
-    return _from_cells(pts, sum((3 if p in opens else 1) << 2 * i for i, p in enumerate(pts)))
+    return x
 
 
 def witness_d(a: FinSet, b: FinSet, c: FinSet) -> FciSet:
@@ -320,8 +292,8 @@ def difference_closed(a: FciSet, b: FciSet) -> Optional[FciSet]:
     difference is representable only when every exposed end is degenerate.
     Returns None otherwise.
     """
-    pts = _grid(a, b)
-    return _from_cells(pts, _cells(a, pts) & ~_cells(b, pts))
+    pts, x, y = _cells(a, b)
+    return _from_cells(pts, x & ~y)
 
 
 # -- text form ---------------------------------------------------------------

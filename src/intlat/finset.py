@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .order import Point, point
 
@@ -71,16 +71,6 @@ class FinSet:
     def max_set(self) -> "FinSet":
         """Singleton of the greatest element; empty set is a fixed point."""
         return FinSet(self.elements[-1:])
-
-    def successor(self, p: Point) -> Optional[Point]:
-        """The next element after ``p`` inside this set; ``p`` must be a member.
-
-        Returns None for the greatest element.
-        """
-        if p not in self:
-            raise ValueError(f"successor of {p} undefined: not an element of {self}")
-        idx = self.elements.index(p)
-        return self.elements[idx + 1] if idx + 1 < len(self.elements) else None
 
     def ips(self, other: "FinSet") -> "FinSet":
         """Elements of A whose successor inside A belongs to B."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
-from .fci import FciSet, Segment
+from .fci import FciSet, Segment, _from_cells
 from .finset import FinSet
 from .order import Point
 from .syntax import Formula, Signature
@@ -37,35 +37,17 @@ def enum_finsets(pool: FinSet) -> Iterator[FinSet]:
         yield FinSet(tuple(elements[i] for i in range(n) if mask >> i & 1))
 
 
-def _parses(
-    points: tuple[Point, ...], segments_left: int, allow_ray: bool
-) -> Iterator[tuple[tuple[Segment, ...], Optional[Point]]]:
-    """All ways to read the sorted points as segments and an optional final ray.
-
-    Each point is consumed either as a degenerate segment, as the left end
-    of a segment closed by the next point, or (if it is the last one) as
-    the start of the ray.
-    """
-    if not points:
-        yield (), None
-        return
-    head, rest = points[0], points[1:]
-    if segments_left > 0:
-        for segs, ray in _parses(rest, segments_left - 1, allow_ray):
-            yield (Segment(head, head),) + segs, ray
-        if rest:
-            for segs, ray in _parses(rest[1:], segments_left - 1, allow_ray):
-                yield (Segment(head, rest[0]),) + segs, ray
-    if allow_ray and not rest:
-        yield (), head
-
-
 def enum_fcis(pool: FinSet, max_segments: int, allow_ray: bool) -> Iterator[FciSet]:
     """All normalized interval unions with endpoints in the pool.
 
     Ordered by the subset of endpoints actually used (binary counting
-    order), then by the reading of that subset.  Distinct readings give
-    distinct normalized sets, so the stream is duplicate-free.
+    order), then by the reading of that subset.  A reading of m used
+    points holds all of them and a set of the open gaps above them, no
+    two adjacent; bit m-1-j holds the gap above the j-th point, so the
+    first point varies slowest and bit 0 is the ray.  Each held gap joins
+    two points into a segment or makes the last one the ray, so a reading
+    has m - popcount segments.  Distinct readings give distinct sets, so
+    the stream is duplicate-free.
     """
     n = len(pool)
     if n > FCI_POOL_CAP:
@@ -73,8 +55,13 @@ def enum_fcis(pool: FinSet, max_segments: int, allow_ray: bool) -> Iterator[FciS
     elements = pool.elements
     for mask in range(1 << n):
         used = tuple(elements[i] for i in range(n) if mask >> i & 1)
-        for segs, ray in _parses(used, max_segments, allow_ray):
-            yield FciSet(segs, ray)
+        m = len(used)
+        points = (4**m - 1) // 3  # bit 2j for each used point
+        for reading in range(0, 1 << m, 1 if allow_ray else 2):
+            if reading & reading >> 1 or m - reading.bit_count() > max_segments:
+                continue
+            gaps = sum(2 << 2 * j for j in range(m) if reading >> m - 1 - j & 1)
+            yield _from_cells(used, points | gaps)
 
 
 def count_fcis(n_points: int, max_segments: int, allow_ray: bool) -> int:
@@ -161,9 +148,9 @@ def check_equiv(
 ) -> EquivReport:
     """Compare a Python predicate with bounded evaluation of a formula.
 
-    ``pool`` may be a fixed WitnessPool, a callable from assignment to
-    pool, or None for default_pool per assignment.  Evaluation errors are
-    re-raised with the offending assignment attached.
+    ``pool`` may be a fixed WitnessPool, or None for default_pool per
+    assignment.  Evaluation errors are re-raised with the offending
+    assignment attached.
     """
     from .semantics import EvalCache, default_pool, eval_bounded
 
@@ -171,12 +158,7 @@ def check_equiv(
         cache = EvalCache()
     report = EquivReport()
     for a in assignments:
-        if pool is None:
-            p = default_pool(a)
-        elif callable(pool):
-            p = pool(a)
-        else:
-            p = pool
+        p = default_pool(a) if pool is None else pool
         try:
             lhs = bool(predicate(a))
             rhs = eval_bounded(formula, a, p, sig, cache=cache)

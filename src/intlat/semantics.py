@@ -47,7 +47,6 @@ from .fci import (
     difference_closed,
     embed_finset,
     embed_point,
-    endpoint_condition,
     zero_fci,
 )
 from .finset import EMPTY_FS, FinSet, zero_set
@@ -676,9 +675,10 @@ def _find_pin(live: list[_Rule], env: dict, pool: WitnessPool, sig: Signature):
                 if not lv and not rv:
                     candidates = [EMPTY_FCI]
                 elif lv.is_finite_set() and rv.is_finite_set():
-                    bf, cf = lv.as_finset(), rv.as_finset()
-                    if endpoint_condition(bf, cf):
-                        candidates = [build_from_endpoints(bf, cf)]
+                    try:
+                        candidates = [build_from_endpoints(lv.as_finset(), rv.as_finset())]
+                    except ValueError:
+                        pass
                 return v, [d for d in candidates if _in_universe(d, pool)]
 
     # interned terms: identity within one cache is structural equality

@@ -483,6 +483,7 @@ _PUNCT = frozenset(("->", "(", ")", ".", ",", "=", "!", "&", "|"))
 # open parenthesis is closed only by its ``)``
 _BINARY = {"&": (3, And), "|": (2, Or), "->": (1, Implies)}
 _PREFIX = {"!": (4, Not, None), "(": (-2, None, None)}
+_CONNECTIVE = {connective: (tok, strength) for tok, (strength, connective) in _BINARY.items()}
 
 
 def _error(text: str, index: int, message: str) -> ParseError:
@@ -598,7 +599,8 @@ def format_formula(f: Formula) -> str:
     """Render with minimal parentheses; ``parse(format_formula(f), sig) == f``."""
 
     def binary(g: Formula) -> tuple[str, int]:
-        # precedence: -> 1, | 2, & 3, ! and atoms 4; quantifiers parenthesized as operands
+        # binding strength as the parser reads it: ! and atoms 4 over the
+        # binary connectives, quantifiers 0, parenthesized as operands
         if isinstance(g, Atomic):
             if isinstance(g.lhs, App) and g.lhs.op == "cap" and g.lhs.args[0] == g.rhs:
                 return f"{g.rhs} sub {g.lhs.args[1]}", 4
@@ -608,30 +610,16 @@ def format_formula(f: Formula) -> str:
             if prec < 4:
                 body = f"({body})"
             return f"!{body}", 4
-        if isinstance(g, And):
+        if type(g) in _CONNECTIVE:
+            op, strength = _CONNECTIVE[type(g)]
+            left = strength > 1  # & and | group to the left, -> to the right
             lhs, lp = binary(g.lhs)
             rhs, rp = binary(g.rhs)
-            if lp < 3:
+            if lp < strength + (not left):
                 lhs = f"({lhs})"
-            if rp <= 3 and not isinstance(g.rhs, (Atomic, Not)):
+            if rp < strength + left:
                 rhs = f"({rhs})"
-            return f"{lhs} & {rhs}", 3
-        if isinstance(g, Or):
-            lhs, lp = binary(g.lhs)
-            rhs, rp = binary(g.rhs)
-            if lp < 2:
-                lhs = f"({lhs})"
-            if rp <= 2 and not isinstance(g.rhs, (Atomic, Not, And)):
-                rhs = f"({rhs})"
-            return f"{lhs} | {rhs}", 2
-        if isinstance(g, Implies):
-            lhs, lp = binary(g.lhs)
-            rhs, rp = binary(g.rhs)
-            if lp <= 1:
-                lhs = f"({lhs})"
-            if isinstance(g.rhs, (Exists, Forall)):
-                rhs = f"({rhs})"
-            return f"{lhs} -> {rhs}", 1
+            return f"{lhs} {op} {rhs}", strength
         letter = "E" if isinstance(g, Exists) else "A"
         body, _ = binary(g.body)
         return f"{letter} {g.var}. {body}", 0

@@ -2,6 +2,7 @@
 endpoint maps, and the reconstruction of a union from its endpoint sets.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,7 @@ def probes(pool):
 
 @pytest.mark.parametrize("pool", SMALL_POOLS, ids=["ints", "rationals"])
 def test_intersect_and_difference_agree_with_membership(pool):
+    # and union, containment and the normal form of both operands' parts
     unions = list(enum_fcis(pool, len(pool), True))
     assert len(unions) == 55
     pts, ends = probes(pool), set(pool.elements)
@@ -200,6 +202,11 @@ def test_intersect_and_difference_agree_with_membership(pool):
         for b in unions:
             inside = [a.contains(p) and b.contains(p) for p in pts]
             assert [a.intersect(b).contains(p) for p in pts] == inside, (a, b)
+            either = [a.contains(p) or b.contains(p) for p in pts]
+            assert [a.union(b).contains(p) for p in pts] == either, (a, b)
+            merged = normalize(a.segments + b.segments, [r for r in (a.ray_lo, b.ray_lo) if r is not None])
+            assert [merged.contains(p) for p in pts] == either, (a, b)
+            assert a.issubset(b) == (inside == [a.contains(p) for p in pts]), (a, b)
             outside = [a.contains(p) and not b.contains(p) for p in pts]
             d = difference_closed(a, b)
             # a - b is closed unless a point of the pool it misses is next
@@ -234,6 +241,21 @@ def test_build_from_endpoints_agrees_with_membership(pool):
             assert [build_from_endpoints(b, c).contains(p) for p in pts] == want, (b, c)
             built += 1
     assert built == 54  # every nonempty union over the pool
+
+
+# the printed stream over five points, for every segment cap and both ray
+# settings; the solver's search-order pins rest on this order
+ENUM_FCIS_DIGEST = (888, "e675d25f76f127cb39d7963f7e4112a64a712cf35a7ad886aa7fe7b4a481b3c7")
+
+
+def test_enum_fcis_order_is_pinned():
+    lines = [
+        f"{u}\n"
+        for cap in range(6)
+        for ray in (False, True)
+        for u in enum_fcis(fs(range(5)), cap, ray)
+    ]
+    assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == ENUM_FCIS_DIGEST
 
 
 def test_parse_accepts_both_spaced_and_compact_forms():

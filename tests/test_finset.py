@@ -1,4 +1,4 @@
-"""Finite point sets: lattice laws, min/max, successor, and parsing.
+"""Finite point sets: lattice laws, min/max, successor preimage, and parsing.
 
 The lattice laws are checked generatively; the successor-preimage
 operation gets hand-computed values since it is the one operation whose
@@ -65,15 +65,6 @@ def test_min_max_are_singletons_of_extremes(a):
     lo, hi = min(a), max(a)
     assert a.min_set() == FinSet.of([lo])
     assert a.max_set() == FinSet.of([hi])
-
-
-def test_successor_steps_within_the_set():
-    a = FinSet.of([0, 1, 3])
-    assert a.successor(Fraction(0)) == 1
-    assert a.successor(Fraction(1)) == 3
-    assert a.successor(Fraction(3)) is None
-    with pytest.raises(ValueError):
-        a.successor(Fraction(2))  # not a member
 
 
 def test_ips_collects_points_whose_successor_lands_in_the_other_set():
