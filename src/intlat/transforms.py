@@ -14,7 +14,10 @@ its endpoint pair.  This module realizes both directions on formulas:
   coordinates, with membership and containment expressed by the
   quantifier-free equations ``phi_in`` and ``phi_subseteq``;
 * ``pipeline`` composes the three so that supported interval formulas
-  come out existential.
+  come out existential.  Bound interval variables stay interval
+  variables: by the endpoint lemma their coordinate pairs are exactly the
+  valid ones, so the validity guard of each pair is dropped before the
+  finite-set stages and the pair is regrouped into one variable after.
 
 Universal quantifiers in a coordinate form come only from the input
 itself or from the bound clause that ``translate_L_to_W`` writes for a
@@ -44,6 +47,7 @@ from .syntax import (
     Var,
     all_names,
     and_all,
+    bound_vars,
     bot,
     cap,
     classify,
@@ -64,6 +68,7 @@ from .syntax import (
     operands,
     r_t,
     rebuild,
+    rename_bound_apart,
     subformulas,
     subset_atom,
     substitute,
@@ -170,13 +175,13 @@ def _definition(g: Exists) -> Optional[tuple[list[Formula], Term]]:
     return None
 
 
-def _simp(f: Formula, memo: dict) -> Formula:
+def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
     # memo: id of each node met in this call -> (node, result); holding the
     # node keeps its id from passing to a later temporary.  Every part comes
     # back from _simp, where an equation that folds becomes TRUE or FALSE
     # itself, so the folds test those by identity.  They stay inline: in a
     # helper, their comparisons would run one frame deeper and lower the
-    # nesting limit.
+    # nesting limit.  A variable named in keep is never inlined.
     got = memo.get(id(f))
     if got is not None:
         return got[1]
@@ -190,7 +195,7 @@ def _simp(f: Formula, memo: dict) -> Formula:
         else:
             out = f if lhs is f.lhs and rhs is f.rhs else Atomic(lhs, rhs)
     elif kind is Not:
-        body = _simp(f.body, memo)
+        body = _simp(f.body, memo, keep)
         if body is TRUE:
             out = FALSE
         elif body is FALSE:
@@ -200,17 +205,17 @@ def _simp(f: Formula, memo: dict) -> Formula:
         else:
             out = f if body is f.body else Not(body)
     elif kind is Exists or kind is Forall:
-        body = _simp(f.body, memo)
+        body = _simp(f.body, memo, keep)
         g = out = f if body is f.body else kind(f.var, body)
         if f.var not in free_vars(body):
             out = body
-        elif kind is Exists and (found := _definition(g)) is not None:
+        elif kind is Exists and f.var not in keep and (found := _definition(g)) is not None:
             # put the defining term for the variable and simplify again;
             # the memo skips the parts the substitution left alone
             rest, t = found
-            out = _simp(substitute(and_all(rest), {f.var: t}), memo) if rest else TRUE
+            out = _simp(substitute(and_all(rest), {f.var: t}), memo, keep) if rest else TRUE
     else:
-        a, b = _simp(f.lhs, memo), _simp(f.rhs, memo)
+        a, b = _simp(f.lhs, memo, keep), _simp(f.rhs, memo, keep)
         unit, zero = (FALSE, TRUE) if kind is Or else (TRUE, FALSE)
         out = None
         if kind is Implies:
@@ -240,7 +245,7 @@ def simplify(f: Formula) -> Formula:
     A per-call memo visits each node once: after an inlined definition
     only the paths the substitution changed are simplified again, and a
     formula already simplified comes back as the same object."""
-    return _simp(f, {})
+    return _simp(f, {}, frozenset())
 
 
 # -- negation elimination ------------------------------------------------------------
@@ -571,6 +576,71 @@ def translate_W_to_L(f: Formula) -> Formula:
 # -- the composed pipeline -----------------------------------------------------------
 
 
+# valid_pair(Z, Z) as simplify leaves it.  A finite set paired with itself
+# is the coordinate pair of that set, so every instance of it holds.
+_SELF_PAIR = simplify(valid_pair("Z", "Z"))
+
+
+def _strip_guards(f: Formula, positive: bool, found: list) -> Formula:
+    """``f`` with the validity guard dropped from each coordinate pair bound
+    existentially once negation normal form is taken: ``E Wl. E Wr.
+    valid_pair(Wl, Wr) & body`` in positive position and ``A Wl. A Wr.
+    valid_pair(Wl, Wr) -> body`` in negative position.  Appends each such
+    pair ``(Wl, Wr)`` to ``found``; the result means what ``f`` means only
+    once each pair is regrouped into one interval variable.  A guard that
+    simplify reduced to ``_SELF_PAIR`` of some variable becomes TRUE."""
+    kind = f.__class__
+    if kind is Atomic:
+        return f
+    if kind is Not:
+        body = _strip_guards(f.body, not positive, found)
+        return f if body is f.body else Not(body)
+    if kind is Implies:
+        lhs, rhs = _strip_guards(f.lhs, not positive, found), _strip_guards(f.rhs, positive, found)
+        return f if lhs is f.lhs and rhs is f.rhs else Implies(lhs, rhs)
+    if kind is Or:
+        side = f.rhs
+        if side.__class__ is Atomic and side.lhs.__class__ is Var and f == substitute(_SELF_PAIR, {"Z": side.lhs}):
+            return TRUE
+    elif (kind is Exists and positive or kind is Forall and not positive) and f.body.__class__ is kind:
+        wl, wr, body = f.var, f.body.var, f.body.body
+        # simplify folds nothing in the guard of two distinct variables
+        guard = valid_pair(wl, wr)
+        if body.__class__ is (And if kind is Exists else Implies) and body.lhs == guard:
+            body = body.rhs
+        elif kind is Exists and body == guard:
+            body = TRUE
+        else:
+            return rebuild(f, _strip_guards, positive, found)
+        found.append((wl, wr))
+        return kind(wl, kind(wr, _strip_guards(body, positive, found)))
+    return rebuild(f, _strip_guards, positive, found)
+
+
+def _regroup(f: Formula, coords: dict, names: FreshNames) -> Formula:
+    """``f`` with each ``E Wl. l(Wl) = r(Wl) & E Wr. l(Wr) = r(Wr) & B``
+    over a stripped pair turned into ``E W. B[l(W)/Wl, r(W)/Wr]``.
+    ``coords`` maps each coordinate of a stripped pair to the pair and the
+    name of its interval variable.  A binder whose partner simplify dropped
+    regroups alone: l(W) and r(W) each range over every finite set."""
+    if coords.keys().isdisjoint(bound_vars(f)):
+        return f
+    if f.__class__ is not Exists or f.var not in coords:
+        return rebuild(f, _regroup, coords, names)
+    (left, right), base = coords[f.var]
+    w = Var(names.fresh(base))
+    mapping: dict[str, Term] = {}
+    g: Formula = f
+    for v, coord in ((left, l_t), (right, r_t)):
+        if g.__class__ is Exists and g.var == v:
+            mapping[v] = coord(w)
+            g = g.body
+            # translate_W_to_L put l(v) = r(v) first; l(W) and r(W) are finite
+            if g.__class__ is And and g.lhs == _finite_coords(v):
+                g = g.rhs
+    return Exists(w.name, _regroup(substitute(g, mapping), coords, names))
+
+
 def pipeline(f: Formula) -> Formula:
     """Turn a supported interval formula into an equivalent existential one.
 
@@ -579,15 +649,32 @@ def pipeline(f: Formula) -> Formula:
     form keeps a universal quantifier after negation normal form (the
     bound clause of a cup or cap over sets not known to be finite, unless
     a negation turns it existential, or one in the input) raise
-    FragmentError."""
-    w, pairs = _l2w(f)
-    w = simplify(w)
-    p = simplify(to_positive_existential(w))
-    out = simplify(translate_W_to_L(p))
+    FragmentError.
+
+    Free variables come back as their endpoint maps ``l(X)`` and ``r(X)``.
+    A bound interval variable comes back as an interval variable: by the
+    endpoint lemma its coordinate pairs are exactly the valid ones, so
+    ``E Wl. E Wr. valid_pair(Wl, Wr) & body`` is ``E W. body[l(W), r(W)]``
+    and ``valid_pair`` is never translated.  The later simplify passes
+    keep those coordinates, which must stay paired.  A pair the first
+    simplify inlined keeps its simplified ``valid_pair``, unless one
+    variable stands for both coordinates and the guard holds outright."""
+    # bound apart, each binder has a pair of its own, so a coordinate's
+    # name tells which pair it belongs to
+    w, pairs = _l2w(rename_bound_apart(f))
+    found: list[tuple[str, str]] = []
+    w = _strip_guards(simplify(w), True, found)
+    keep = frozenset(v for pair in found for v in pair)
+    p = _simp(to_positive_existential(w), {}, keep)
+    out = _simp(translate_W_to_L(p), {}, keep)
+    owner = {pr.left: v for v, pr in pairs.items()}
+    # a bound clause's pair has no interval variable of its own
+    coords = {v: (pair, owner.get(pair[0], "T")) for pair in found for v in pair}
+    out = _regroup(out, coords, FreshNames(all_names(out) | free_vars(f)))
     back: dict[str, Term] = {}
-    for v, pr in pairs.items():
-        back[pr.left] = l_t(Var(v))
-        back[pr.right] = r_t(Var(v))
+    for v in free_vars(f):
+        back[pairs[v].left] = l_t(Var(v))
+        back[pairs[v].right] = r_t(Var(v))
     out = substitute(out, back)
     if classify(out) not in ("positive_existential", "existential", "quantifier_free"):
         raise AssertionError("pipeline produced a non-existential formula")

@@ -233,6 +233,75 @@ def test_pipeline_takes_a_negated_containment():
     assert free_vars(g) == {"X", "Y"}
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the first simplify inlines the right coordinate, so the pair
+        # keeps its validity guard
+        "E Y. r(Y) = r(X) & !(Y = X)",
+        # a shadowed binder: the inner pair is inlined into one variable,
+        # whose guard then holds outright
+        "E Y. min(Y) = X & (E Y. l(Y) = r(Y) & cup(Y, X) = X)",
+        # a universal under negation
+        "!(A Y. !(min(Y) = X))",
+        # coordinates defined only after negation normal form: inlining
+        # them would drop the pair's validity (no Y has l(Y) = bot and a
+        # nonempty r(Y))
+        "!(A Y. !(l(Y) = bot & r(Y) = r(X)))",
+        # a pair that simplify inlines away
+        "E Y. cz = Y & min(X) = Y",
+        # two pairs regrouped whole
+        "E Y. E W. l(W) = r(Y) & !(W = Y)",
+        # a pair regrouped from its left binder alone, then from its right
+        "E Y. !(l(Y) = r(X))",
+        "E Y. !(r(Y) = l(X))",
+    ],
+)
+def test_pipeline_keeps_bound_interval_variables(text):
+    f = parse(text, SIG_L)
+    g = pipeline(f)
+    for u in enum_fcis(fs([0, 1, 2]), 2, True):
+        a = {"X": u}
+        pool = default_pool(a)
+        assert eval_bounded(g, a, pool, SIG_L) == eval_bounded(f, a, pool, SIG_L), u
+
+
+def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
+    # unnested, l(X) = r(X) binds a helper U with l(X) = U and r(X) = U;
+    # simplify puts r(X)'s right coordinate for both of U's, and U's
+    # validity guard then holds outright
+    assert pipeline(parse("l(X) = r(X)", SIG_L)) == parse("r(X) = l(X)", SIG_L)
+
+
+def _count_nodes(node) -> int:
+    """AST nodes of a formula or term, counted as the benchmark counts them:
+    connectives, quantifiers, equations, applications and variables each
+    count one."""
+    total, stack = 0, [node]
+    while stack:
+        n = stack.pop()
+        total += 1
+        if isinstance(n, App):
+            stack.extend(n.args)
+        elif isinstance(n, (Atomic, And, Or, Implies)):
+            stack += (n.lhs, n.rhs)
+        elif not isinstance(n, Var):
+            stack.append(n.body)
+    return total
+
+
+# each PIPELINE_CORPUS output's size when every bound interval variable
+# came back as a coordinate pair under its translated validity guard
+_PIPELINE_SIZE_CEILINGS = [9, 234, 379, 614, 18, 453, 1696, 687, 1025, 1723, 209]
+
+
+def test_pipeline_outputs_stay_within_their_size_ceilings():
+    sizes = [_count_nodes(pipeline(parse(text, SIG_L))) for text in PIPELINE_CORPUS]
+    assert len(sizes) == len(_PIPELINE_SIZE_CEILINGS)
+    assert all(n <= ceiling for n, ceiling in zip(sizes, _PIPELINE_SIZE_CEILINGS)), sizes
+    assert sum(sizes) <= 3675
+
+
 def test_simplify_keeps_meaning_while_shrinking():
     f = parse("E Y. Y = X & cup(Y, Y) = Y & !(Y = bot) | X = bot & X = bot", SIG_W)
     g = simplify(f)
@@ -359,7 +428,7 @@ _REWRITES = {
 # (outputs, SHA-256 of the lines "input TAB output"), inputs the rewrite
 # refuses left out: a change to any printed output must update these on purpose
 REWRITE_DIGESTS = {
-    "pipeline": (19, "ae70f14b29ee04a10fc227910b91dd32c364d69accc5e13e4e5bc7a733b07fd9"),
+    "pipeline": (19, "b1fba387f6c8649e271b9aa16d368c0d32eb5cb18ecec19e6fb0e83bb8616634"),
     "simplify-l2w": (23, "a4f48d6fda22f5ba79d13a25787259af112cad72d2de4e5d02ac6b224495b583"),
     "posex": (23, "3295705ffc52a80c2a728044504789973fa0c345d6cd64c7ebb18ab7a1805657"),
     "simplify-w2l": (13, "04711174e36060ad2d36267f39ebd570a012e41832072f513dbe12e069cc20e4"),
@@ -416,7 +485,7 @@ def _rewrites(side: str, f):
 
 
 # (outputs, SHA-256 of the lines "input TAB output TAB simplified TAB reparsed")
-COMPOSITION_DIGEST = (30, "8cbef10266dde79db19967620d49dca513bb68bbc527bd63a6d20cd5f2957b21")
+COMPOSITION_DIGEST = (30, "da2ca41c1451ea2dfd6a2a6efbeee6f9db2fedaf041eab9c6ff064e562a3a6b4")
 
 
 def test_composition_rewrite_outputs_are_pinned():
