@@ -596,7 +596,9 @@ def parse(text: str, sig: Signature) -> Formula:
 
 
 def format_formula(f: Formula) -> str:
-    """Render with minimal parentheses; ``parse(format_formula(f), sig) == f``."""
+    """Render with minimal parentheses.  ``parse(format_formula(f), sig)``
+    is ``rename_bound_apart(f)``: it is ``f`` itself only when ``f`` binds
+    no name twice and binds no name that is also free."""
 
     def binary(g: Formula) -> tuple[str, int]:
         # binding strength as the parser reads it: ! and atoms 4 over the

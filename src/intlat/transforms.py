@@ -12,7 +12,11 @@ its endpoint pair.  This module realizes both directions on formulas:
   interval characterization ``phi_ips``;
 * ``translate_L_to_W`` rewrites an interval formula in terms of endpoint
   coordinates, with membership and containment expressed by the
-  quantifier-free equations ``phi_in`` and ``phi_subseteq``;
+  quantifier-free equations ``phi_in`` and ``phi_subseteq``.  Each bound
+  pair carries the validity guard ``valid_pair``, except the pair of an
+  ``E V`` whose block defines V by ``bot``, ``cz``, ``l``, ``r``, ``min``
+  or ``max`` of other variables: such a V is a finite set F, its pair is
+  (F, F), and that pair is always valid;
 * ``pipeline`` composes the three so that supported interval formulas
   come out existential.  Bound interval variables stay interval
   variables: by the endpoint lemma their coordinate pairs are exactly the
@@ -377,39 +381,64 @@ class CoordinatePair:
     right: str
 
 
-def _grow_finite(conjuncts: list[Formula], finite: frozenset[str]) -> frozenset[str]:
-    """Variables forced to be embedded finite sets by equations that hold
-    in the current conjunction."""
-    known = set(finite)
-    changed = True
-    while changed:
-        changed = False
+# operations whose every value is a finite set
+_FINITE_OPS = frozenset(("bot", "cz", "l", "r", "min", "max"))
+
+
+def _grow_finite(
+    conjuncts: list[Formula], finite: frozenset[str], forced: frozenset[str]
+) -> tuple[frozenset[str], frozenset[str]]:
+    """``finite`` and ``forced`` grown over the unnested equations of one
+    conjunction.  Finite: the variables the conjunction forces to be
+    finite sets.  Forced: those whose two coordinates the translated
+    equations make equal, namely one a finite-valued operation defines,
+    one equal to such a variable, and a coordinatewise ``cup`` or ``cap``
+    of two such variables.  Only finite reasons back from an atom to its
+    operands, so only forced holds of the translation as well."""
+    finite, forced = set(finite), set(forced)
+    size = -1
+    while size < len(finite) + len(forced):
+        size = len(finite) + len(forced)
         for c in conjuncts:
-            if not isinstance(c, Atomic):
+            if c.__class__ is not Atomic:
                 continue
-            for a, b in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
-                if isinstance(a, Var) and isinstance(b, Var):
-                    if a.name in known and b.name not in known:
-                        known.add(b.name)
-                        changed = True
-                if not (isinstance(a, App) and isinstance(b, Var)):
-                    continue
-                if a.op in ("l", "r", "min", "max", "bot", "cz") and b.name not in known:
-                    known.add(b.name)
-                    changed = True
-                if a.op in ("cup", "cap") and all(isinstance(x, Var) for x in a.args):
-                    u, v = (x.name for x in a.args)
-                    if a.op == "cup":
-                        if u in known and v in known and b.name not in known:
-                            known.add(b.name)
-                            changed = True
-                        if b.name in known and {u, v} - known:
-                            known.update((u, v))
-                            changed = True
-                    elif (u in known or v in known) and b.name not in known:
-                        known.add(b.name)
-                        changed = True
-    return frozenset(known)
+            a, w = c.lhs, c.rhs.name
+            if a.__class__ is Var:
+                for known in (finite, forced):
+                    if a.name in known or w in known:
+                        known.update((a.name, w))
+            elif a.op in _FINITE_OPS:
+                finite.add(w)
+                forced.add(w)
+            else:
+                u, v = (x.name for x in a.args)
+                if u in forced and v in forced:
+                    forced.add(w)
+                if a.op == "cap":
+                    if u in finite or v in finite:
+                        finite.add(w)
+                elif u in finite and v in finite:
+                    finite.add(w)
+                elif w in finite:
+                    finite.update((u, v))
+    return frozenset(finite), frozenset(forced)
+
+
+def _finitely_defined(h: Exists) -> bool:
+    """A top-level conjunct of ``h``'s block, looking through the block's
+    nested ``E``s, is ``g(vars) = V`` for ``h``'s variable V, with g one of
+    ``_FINITE_OPS`` and V not among the arguments."""
+    v, body = h.var, h.body
+    while body.__class__ is Exists:
+        if body.var == v:
+            return False
+        body = body.body
+    for c in operands(body, And):
+        if c.__class__ is Atomic and c.rhs.__class__ is Var and c.rhs.name == v:
+            a = c.lhs
+            if a.__class__ is App and a.op in _FINITE_OPS and all(x.name != v for x in a.args):
+                return True
+    return False
 
 
 def _sub_pair(p: CoordinatePair, q: CoordinatePair) -> Formula:
@@ -421,15 +450,23 @@ def translate_L_to_W(f: Formula) -> Formula:
 
     Every variable X becomes a pair (Xl, Xr) of finite-set variables;
     quantifiers are relativized to coordinate pairs of actual interval
-    unions.  Containment is the quantifier-free ``phi_subseteq``.  Lattice
-    operations between variables not forced finite by their context are
+    unions by ``valid_pair``.  An ``E V`` whose block has a top-level
+    conjunct ``g(vars) = V``, with g one of ``bot``, ``cz``, ``l``, ``r``,
+    ``min``, ``max`` and V not among the arguments, writes no guard: that
+    conjunct makes both coordinates one finite set, a valid pair.  A
+    definition by another variable does not count, since with ``E X. E Y.
+    X = Y`` each guard would rest on the other.  Containment is the
+    quantifier-free ``phi_subseteq``.  A ``cup`` or ``cap`` whose operands
+    the conjunction around it forces finite is taken coordinatewise, with
+    ``Ul = Ur`` written for each operand whose finiteness the translated
+    conjuncts do not already force.  Other lattice operations are
     expressed order-theoretically: above (or below) both operands, and
     least (or greatest) such, a bound clause over every coordinate pair
     that costs a universal quantifier."""
     return _l2w(f)[0]
 
 
-def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
+def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair], list[CoordinatePair]]:
     if not fits_signature(f, SIG_L):
         foreign = formula_symbols(f) - {s for s, _ in SIG_L.symbols}
         raise FragmentError(f"not an interval formula: uses {sorted(foreign)}")
@@ -447,24 +484,33 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
     for v in sorted(free_vars(g)):
         pair_of(v)
 
-    def walk(h: Formula, finite: frozenset[str]) -> Formula:
+    unguarded: list[CoordinatePair] = []
+
+    # finite and forced as _grow_finite grows them in the enclosing
+    # conjunctions
+    def walk(h: Formula, finite: frozenset[str], forced: frozenset[str]) -> Formula:
         if isinstance(h, And):
             conj = operands(h, And)
-            grown = _grow_finite(conj, finite)
-            return and_all([walk(p, grown) for p in conj])
-        if isinstance(h, Exists):
+            grown, pinned = _grow_finite(conj, finite, forced)
+            return and_all([walk(p, grown, pinned) for p in conj])
+        if isinstance(h, (Exists, Forall)):
             p = pair_of(h.var)
-            body = walk(h.body, finite)
+            # an inner binder of a name is a new variable
+            hidden = {h.var}
+            body = walk(h.body, finite - hidden, forced - hidden)
+            if isinstance(h, Forall):
+                return Forall(p.left, Forall(p.right, Implies(valid_pair(p.left, p.right), body)))
+            if _finitely_defined(h):
+                # its block makes both coordinates one finite set F, and
+                # (F, F) is the pair of F itself
+                unguarded.append(p)
+                return Exists(p.left, Exists(p.right, body))
             return Exists(p.left, Exists(p.right, And(valid_pair(p.left, p.right), body)))
-        if isinstance(h, Forall):
-            p = pair_of(h.var)
-            body = walk(h.body, finite)
-            return Forall(p.left, Forall(p.right, Implies(valid_pair(p.left, p.right), body)))
         if isinstance(h, Atomic):
-            return atom(h, finite)
-        return rebuild(h, walk, finite)
+            return atom(h, finite, forced)
+        return rebuild(h, walk, finite, forced)
 
-    def atom(h: Atomic, finite: frozenset[str]) -> Formula:
+    def atom(h: Atomic, finite: frozenset[str], forced: frozenset[str]) -> Formula:
         a, b = h.lhs, h.rhs
         if isinstance(a, Var) and isinstance(b, Var):
             pa, pb = pair_of(a.name), pair_of(b.name)
@@ -505,7 +551,10 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
             if u in finite and v in finite:
                 lo = App(op, (Var(pu.left), Var(pv.left)))
                 hi = App(op, (Var(pu.right), Var(pv.right)))
-                return And(Atomic(lo, wl), Atomic(hi, wr))
+                # coordinatewise is right only on finite operands, and the
+                # input may force an operand finite through this very atom
+                own = [Atomic(Var(q.left), Var(q.right)) for x, q in {u: pu, v: pv}.items() if x not in forced]
+                return and_all([Atomic(lo, wl), Atomic(hi, wr)] + own)
             tl, tr = names.fresh("Tl"), names.fresh("Tr")
             tp = CoordinatePair(tl, tr)
             rel = valid_pair(tl, tr)
@@ -518,7 +567,7 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
             return And(below_both, Forall(tl, Forall(tr, Implies(rel, greatest_such))))
         raise AssertionError(f"unexpected operation {op}")
 
-    return walk(g, frozenset()), pairs
+    return walk(g, frozenset(), frozenset()), pairs, unguarded
 
 
 # -- finite-set formulas to interval formulas ----------------------------------------
@@ -619,8 +668,8 @@ def _strip_guards(f: Formula, positive: bool, found: list) -> Formula:
 
 def _regroup(f: Formula, coords: dict, names: FreshNames) -> Formula:
     """``f`` with each ``E Wl. l(Wl) = r(Wl) & E Wr. l(Wr) = r(Wr) & B``
-    over a stripped pair turned into ``E W. B[l(W)/Wl, r(W)/Wr]``.
-    ``coords`` maps each coordinate of a stripped pair to the pair and the
+    over a stripped or unguarded pair turned into ``E W. B[l(W)/Wl,
+    r(W)/Wr]``.  ``coords`` maps each coordinate of such a pair to it and the
     name of its interval variable.  A binder whose partner simplify dropped
     regroups alone: l(W) and r(W) each range over every finite set."""
     if coords.keys().isdisjoint(bound_vars(f)):
@@ -655,15 +704,23 @@ def pipeline(f: Formula) -> Formula:
     A bound interval variable comes back as an interval variable: by the
     endpoint lemma its coordinate pairs are exactly the valid ones, so
     ``E Wl. E Wr. valid_pair(Wl, Wr) & body`` is ``E W. body[l(W), r(W)]``
-    and ``valid_pair`` is never translated.  The later simplify passes
-    keep those coordinates, which must stay paired.  A pair the first
-    simplify inlined keeps its simplified ``valid_pair``, unless one
-    variable stands for both coordinates and the guard holds outright."""
+    and ``valid_pair`` is never translated.  A pair that ``translate_L_to_W``
+    wrote without a guard (its variable defined by a finite value) is
+    regrouped the same way when the first simplify left both coordinates
+    bound.  The later simplify passes keep the regrouped coordinates,
+    which must stay paired.  A guarded pair the first simplify inlined
+    keeps its simplified ``valid_pair``, unless one variable stands for
+    both coordinates and the guard holds outright; an unguarded pair it
+    inlined needs no guard, as its definition still fixes it."""
     # bound apart, each binder has a pair of its own, so a coordinate's
     # name tells which pair it belongs to
-    w, pairs = _l2w(rename_bound_apart(f))
+    w, pairs, unguarded = _l2w(rename_bound_apart(f))
     found: list[tuple[str, str]] = []
     w = _strip_guards(simplify(w), True, found)
+    # an unguarded pair regroups as a stripped one does, unless simplify
+    # inlined a coordinate: the other alone would not pin the variable
+    bound = bound_vars(w)
+    found += [(p.left, p.right) for p in unguarded if p.left in bound and p.right in bound]
     keep = frozenset(v for pair in found for v in pair)
     p = _simp(to_positive_existential(w), {}, keep)
     out = _simp(translate_W_to_L(p), {}, keep)

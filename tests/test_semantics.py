@@ -427,7 +427,7 @@ def test_guard_counts_its_candidates_before_building_them(case):
 
 @pytest.mark.parametrize(
     "sig, x, want, steps",
-    [(SIG_L, "{1}", False, 18), (SIG_W, "[1,*)", True, 40)],
+    [(SIG_L, "{1}", False, 18), (SIG_W, "[1,*)", True, 14)],
     ids=["l", "w"],
 )
 def test_solver_search_order_is_pinned(monkeypatch, sig, x, want, steps):

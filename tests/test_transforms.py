@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from intlat.fci import EMPTY_FCI, embed_finset, parse_fci
 from intlat.finset import FinSet
 from intlat.oracle import check_equiv, enum_fcis, enum_finsets
-from intlat.semantics import WitnessPool, default_pool, eval_bounded, eval_qf, widened
+from intlat.semantics import EvalCache, WitnessPool, default_pool, eval_bounded, eval_qf, widened
 from intlat.suites import L2W_CORPUS, PIPELINE_CORPUS, PIPELINE_REJECTS, POSEX_CORPUS, SUITES, W2L_CORPUS
 from intlat.syntax import (
     SIG_L,
@@ -29,21 +29,33 @@ from intlat.syntax import (
     Atomic,
     Exists,
     Forall,
+    Formula,
     Implies,
     Not,
     Or,
+    Term,
     and_all,
+    bot,
+    bound_vars,
     classify,
+    cup,
+    cz,
     format_formula,
     free_vars,
+    l_t,
+    nnf,
+    operands,
     parse,
     rename_bound_apart,
     subformulas,
     substitute,
+    unnest,
+    valid_pair,
 )
 from intlat.transforms import (
     FragmentError,
     _grow_finite,
+    _l2w,
     _misses,
     delta_domain,
     notbot,
@@ -184,12 +196,175 @@ def test_l2w_agreement_on_finiteness():
 def test_grow_finite_spreads_finiteness_through_cup_and_cap():
     # a union is finite exactly when both parts are, and a meet with a
     # finite set is finite; no corpus formula takes these two steps
+    none = frozenset()
     cup_atom = parse("cup(U, V) = W", SIG_L)
-    assert _grow_finite([cup_atom], frozenset({"W"})) == {"U", "V", "W"}
-    assert _grow_finite([cup_atom], frozenset({"U"})) == {"U"}
+    assert _grow_finite([cup_atom], frozenset({"W"}), none) == ({"U", "V", "W"}, none)
+    assert _grow_finite([cup_atom], frozenset({"U"}), none) == ({"U"}, none)
     cap_atom = parse("cap(U, V) = W", SIG_L)
-    assert _grow_finite([cap_atom], frozenset({"U"})) == {"U", "W"}
-    assert _grow_finite([cap_atom], frozenset({"W"})) == {"W"}
+    assert _grow_finite([cap_atom], frozenset({"U"}), none) == ({"U", "W"}, none)
+    assert _grow_finite([cap_atom], frozenset({"W"}), none) == ({"W"}, none)
+
+
+def test_grow_finite_forces_coordinates_only_forwards():
+    # the translation makes a variable's coordinates equal only through a
+    # finite-valued definition, an equation, or a coordinatewise operation
+    # on such variables
+    conj = [parse(t, SIG_L) for t in ("min(X) = U", "U = V", "cap(V, Y) = W", "cup(W, Z) = Z")]
+    assert _grow_finite(conj, frozenset(), frozenset()) == ({"U", "V", "W"}, {"U", "V"})
+    yz = frozenset({"Y", "Z"})
+    assert _grow_finite(conj, yz, yz)[1] == {"U", "V", "W", "Y", "Z"}
+
+
+@pytest.mark.parametrize(
+    "text, x",
+    [
+        # X is inferred finite from the atom that is translated as if it
+        # were: the coordinatewise cap alone holds on these infinite X
+        ("cap(l(X), cup(X, bot)) = X", "{0} + [2,*)"),
+        ("cap(cap(cz, X), X) = X", "[0,*)"),
+    ],
+)
+def test_coordinatewise_lattice_operations_force_their_operands_finite(text, x):
+    f = parse(text, SIG_L)
+    a = {"X": parse_fci(x)}
+    pool = default_pool(a)
+    assert not eval_bounded(f, a, pool, SIG_L)
+    assert not eval_bounded(pipeline(f), a, pool, SIG_L)
+    g, pairs, _ = _l2w(f)
+    c = _coords(a["X"], pairs["X"].left, pairs["X"].right)
+    assert not eval_bounded(g, c, default_pool(c), SIG_W)
+
+
+def test_l2w_forgets_finiteness_at_an_inner_binder_of_the_same_name():
+    # the inner X is a new variable: finite outside says nothing of it.
+    # The parser renames such binders apart, so this one is built by hand
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    f = And(Atomic(l_t(y), x), Exists("X", Atomic(cup(x, cz()), z)))
+    a = {"X": parse_fci("{0}"), "Y": parse_fci("[0,1]"), "Z": parse_fci("[0,*)")}
+    g, pairs, _ = _l2w(f)
+    c = {k: v for name, u in a.items() for k, v in _coords(u, pairs[name].left, pairs[name].right).items()}
+    assert eval_bounded(f, a, default_pool(a), SIG_L)
+    assert eval_bounded(g, c, default_pool(c), SIG_W)
+
+
+def _guarded(g, pair) -> bool:
+    """Whether ``g`` binds ``pair`` as ``E l. E r. valid_pair(l, r) & body``
+    (or ``A l. A r. valid_pair(l, r) -> body``); raises when it does not
+    bind the pair as two adjacent binders at all."""
+    for h in subformulas(g):
+        if isinstance(h, (Exists, Forall)) and h.var == pair.left and type(h.body) is type(h) and h.body.var == pair.right:
+            body = h.body.body
+            return isinstance(body, (And, Implies)) and body.lhs == valid_pair(pair.left, pair.right)
+    raise AssertionError(f"{pair} is not bound as a pair")
+
+
+@pytest.mark.parametrize(
+    "text, unguarded",
+    [
+        ("E Y. min(X) = Y & cup(Y, X) = X", {"Y"}),
+        # looking through the nested E, and a definition by a bound variable
+        ("E Y. E W. max(X) = Y & l(Y) = W", {"Y", "W"}),
+        ("E Y. cz = Y & (E W. r(W) = Y)", {"Y"}),
+        # each guard would rest on the other
+        ("E Y. E W. Y = W & cup(Y, X) = W", set()),
+        # the variable among its own arguments
+        ("E Y. min(Y) = Y", set()),
+        # a definition under a negation or in one disjunct only
+        ("E Y. !(min(X) = Y)", set()),
+        ("E Y. min(X) = Y | Y = X", set()),
+        # a universal binder, and the bound clause of a cup
+        ("A Y. (min(X) = Y -> Y = X)", set()),
+        ("cup(X, Y) = Z", set()),
+        # unnested, l(X) = r(X) binds a helper U with l(X) = U & r(X) = U
+        ("l(X) = r(X)", {"U"}),
+    ],
+)
+def test_l2w_guards_every_pair_but_one_a_finite_value_defines(text, unguarded):
+    f = parse(text, SIG_L)
+    g, pairs, written = _l2w(f)
+    assert {v for v, p in pairs.items() if p in written} == unguarded
+    for v in bound_vars(unnest(f)):
+        assert _guarded(g, pairs[v]) == (v not in unguarded), v
+    # the bound clause of a cup or cap binds a pair of its own
+    for h in subformulas(g):
+        if isinstance(h, Forall) and isinstance(h.body, Forall):
+            assert isinstance(h.body.body, Implies) and h.body.body.lhs == valid_pair(h.var, h.body.var)
+
+
+def _defined_by_finite_value(h: Exists) -> bool:
+    body = h.body
+    while isinstance(body, Exists):
+        body = body.body
+    return any(
+        isinstance(c, Atomic)
+        and c.rhs == Var(h.var)
+        and isinstance(c.lhs, App)
+        and c.lhs.op in ("bot", "cz", "l", "r", "min", "max")
+        and Var(h.var) not in c.lhs.args
+        for c in operands(body, And)
+    )
+
+
+def test_l2w_guards_on_the_corpora_follow_the_definitions():
+    for text in _L_TEXTS:
+        f = unnest(parse(text, SIG_L))
+        g, pairs, _ = _l2w(f)
+        for h in subformulas(f):
+            if isinstance(h, (Exists, Forall)):
+                want = isinstance(h, Forall) or not _defined_by_finite_value(h)
+                assert _guarded(g, pairs[h.var]) == want, (text, h.var)
+
+
+_GENERATED_OPS = ("l", "r", "min", "max", "cup", "cap")
+
+
+def _generated_term(rng: random.Random, depth: int, names: tuple) -> Term:
+    if depth == 0 or rng.random() < 0.35:
+        return rng.choice([Var(v) for v in names] + [bot(), cz()])
+    op = rng.choice(_GENERATED_OPS)
+    arity = 2 if op in ("cup", "cap") else 1
+    return App(op, tuple(_generated_term(rng, depth - 1, names) for _ in range(arity)))
+
+
+def _generated_formula(rng: random.Random, depth: int, names: tuple) -> Formula:
+    """A small interval formula over X: equations between nested
+    terms under ``&``, ``|``, ``!`` and ``E`` over Y or Z, which may bind
+    a name again."""
+    if depth == 0 or rng.random() < 0.3:
+        return Atomic(_generated_term(rng, 2, names), _generated_term(rng, 1, names))
+    kind = rng.choice("&|!EE")
+    if kind == "!":
+        return Not(_generated_formula(rng, depth - 1, names))
+    if kind == "E":
+        v = rng.choice("YZ")
+        return Exists(v, _generated_formula(rng, depth - 1, names + (v,)))
+    parts = (_generated_formula(rng, depth - 1, names), _generated_formula(rng, depth - 1, names))
+    return And(*parts) if kind == "&" else Or(*parts)
+
+
+def test_l2w_agrees_with_generated_formulas_on_every_small_union():
+    points = fs([0, 1, 2])
+    dense = widened(points)
+    pool = WitnessPool(points=dense, max_segments=len(dense), pair_points=points)
+    unions = list(enum_fcis(points, 3, True))
+    rng = random.Random("l2w-generated")
+    checked = universal = 0
+    for _ in range(200):
+        f = _generated_formula(rng, 3, ("X",))
+        g, pairs, _ = _l2w(f)
+        g = simplify(g)
+        # a bound clause left universal would make the solver enumerate
+        # every coordinate pair
+        if any(isinstance(h, Forall) for h in subformulas(nnf(g))):
+            universal += 1
+            continue
+        lcache, wcache = EvalCache(), EvalCache()
+        for u in unions:
+            coords = _coords(u, pairs["X"].left, pairs["X"].right) if "X" in pairs else {}
+            want = eval_bounded(f, {"X": u}, pool, SIG_L, cache=lcache)
+            assert eval_bounded(g, coords, pool, SIG_W, cache=wcache) == want, (format_formula(f), u)
+            checked += 1
+    assert (checked, universal) == (2814, 66)
 
 
 # -- the composed rewrite -----------------------------------------------------------
@@ -267,10 +442,18 @@ def test_pipeline_keeps_bound_interval_variables(text):
 
 
 def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
-    # unnested, l(X) = r(X) binds a helper U with l(X) = U and r(X) = U;
-    # simplify puts r(X)'s right coordinate for both of U's, and U's
-    # validity guard then holds outright
-    assert pipeline(parse("l(X) = r(X)", SIG_L)) == parse("r(X) = l(X)", SIG_L)
+    # unnested, l(Y) = r(Y) binds a helper U with l(Y) = U and r(Y) = U;
+    # simplify puts Yl for both of U's coordinates and then for Yr, so
+    # Y's guard becomes valid_pair(Yl, Yl), which holds outright
+    f = parse("E Y. l(Y) = r(Y) & !(Y = X)", SIG_L)
+    assert simplify(valid_pair("Yl", "Yl")) in subformulas(simplify(translate_L_to_W(f)))
+    g = pipeline(f)
+    # translated instead, the guard would take the output to 699 nodes
+    assert _count_nodes(g) <= 480
+    for u in enum_fcis(fs([0, 1, 2]), 2, True):
+        a = {"X": u}
+        pool = default_pool(a)
+        assert eval_bounded(g, a, pool, SIG_L) == eval_bounded(f, a, pool, SIG_L), u
 
 
 def _count_nodes(node) -> int:
@@ -300,6 +483,18 @@ def test_pipeline_outputs_stay_within_their_size_ceilings():
     assert len(sizes) == len(_PIPELINE_SIZE_CEILINGS)
     assert all(n <= ceiling for n, ceiling in zip(sizes, _PIPELINE_SIZE_CEILINGS)), sizes
     assert sum(sizes) <= 3675
+
+
+# each simplified coordinate form's size when every existential pair kept
+# its validity guard
+_L2W_SIZE_CEILINGS = [7, 38, 8, 47, 14, 77, 232, 38, 138, 232, 11, 38, 7, 29, 6, 461, 469, 707, 138, 116, 3, 109, 167]
+
+
+def test_l2w_outputs_stay_within_their_size_ceilings():
+    sizes = [_count_nodes(simplify(translate_L_to_W(parse(text, SIG_L)))) for text in _L_TEXTS]
+    assert len(sizes) == len(_L2W_SIZE_CEILINGS)
+    assert all(n <= ceiling for n, ceiling in zip(sizes, _L2W_SIZE_CEILINGS)), sizes
+    assert sum(sizes) <= 2176
 
 
 def test_simplify_keeps_meaning_while_shrinking():
@@ -429,7 +624,7 @@ _REWRITES = {
 # refuses left out: a change to any printed output must update these on purpose
 REWRITE_DIGESTS = {
     "pipeline": (19, "b1fba387f6c8649e271b9aa16d368c0d32eb5cb18ecec19e6fb0e83bb8616634"),
-    "simplify-l2w": (23, "a4f48d6fda22f5ba79d13a25787259af112cad72d2de4e5d02ac6b224495b583"),
+    "simplify-l2w": (23, "ed84eac8345c3011758c55551735d25ad69336faf7bba250cd09c766d8b5eb30"),
     "posex": (23, "3295705ffc52a80c2a728044504789973fa0c345d6cd64c7ebb18ab7a1805657"),
     "simplify-w2l": (13, "04711174e36060ad2d36267f39ebd570a012e41832072f513dbe12e069cc20e4"),
 }
@@ -485,7 +680,7 @@ def _rewrites(side: str, f):
 
 
 # (outputs, SHA-256 of the lines "input TAB output TAB simplified TAB reparsed")
-COMPOSITION_DIGEST = (30, "da2ca41c1451ea2dfd6a2a6efbeee6f9db2fedaf041eab9c6ff064e562a3a6b4")
+COMPOSITION_DIGEST = (30, "a21143141d1f4218ca9fb0b22f211c149fc1cd3f54b4f84b43b3b0710d639663")
 
 
 def test_composition_rewrite_outputs_are_pinned():
