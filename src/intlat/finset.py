@@ -9,6 +9,7 @@ of ``A`` rather than at membership alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -49,7 +50,8 @@ class FinSet:
         return bool(self.elements)
 
     def __contains__(self, p: Point) -> bool:
-        return p in set(self.elements)
+        i = bisect_left(self.elements, p)
+        return i < len(self.elements) and self.elements[i] == p
 
     def __str__(self) -> str:
         return format_finset(self)

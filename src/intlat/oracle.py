@@ -1,9 +1,11 @@
 """Exhaustive enumerators, random generators, and the equivalence harness.
 
 The enumerators stream every structure element built from a small point
-pool, in a fixed order, so lemma-level checks can be exhaustive.  Both are
-capped: subsets explode as 2^n and interval unions faster still, so pools
-beyond the cap raise instead of hanging.
+pool, in a fixed order, so lemma-level checks can be exhaustive;
+``subset_masks`` and ``fci_masks`` list the same elements, in the same
+order, as the solver's cell masks.  All are capped: subsets explode as
+2^n and interval unions faster still, so pools beyond the cap raise
+instead of hanging.
 
 ``check_equiv`` runs a Python-level predicate against a formula over a
 stream of assignments and reports every disagreement; it is the harness
@@ -16,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .fci import FciSet, Segment, _from_cells
 from .finset import FinSet
@@ -24,21 +26,41 @@ from .order import Point
 from .syntax import Formula, Signature
 
 FINSET_POOL_CAP = 12
-FCI_POOL_CAP = 8
+FCI_POOL_CAP = 10
 
 
 def enum_finsets(pool: FinSet) -> Iterator[FinSet]:
     """All subsets of the pool, in binary counting order on sorted elements."""
-    n = len(pool)
-    if n > FINSET_POOL_CAP:
-        raise ValueError(f"refusing to enumerate 2^{n} subsets (cap is {FINSET_POOL_CAP} points)")
     elements = pool.elements
-    for mask in range(1 << n):
-        yield FinSet(tuple(elements[i] for i in range(n) if mask >> i & 1))
+    for mask in subset_masks(range(len(elements))):
+        yield FinSet(tuple(p for i, p in enumerate(elements) if mask >> 2 * i & 1))
+
+
+def subset_masks(ranks: Sequence[int]) -> list[int]:
+    """What ``enum_finsets`` yields, as cell masks over ranked points:
+    the point of rank r is bit 2r."""
+    if len(ranks) > FINSET_POOL_CAP:
+        raise ValueError(f"refusing to enumerate 2^{len(ranks)} subsets (cap is {FINSET_POOL_CAP} points)")
+    out = [0]
+    for r in ranks:
+        bit = 1 << 2 * r
+        out += [m | bit for m in out]
+    return out
 
 
 def enum_fcis(pool: FinSet, max_segments: int, allow_ray: bool) -> Iterator[FciSet]:
-    """All normalized interval unions with endpoints in the pool.
+    """All normalized interval unions with endpoints in the pool, in the
+    order of ``fci_masks``."""
+    elements = pool.elements
+    for mask in fci_masks(range(len(elements)), max_segments, allow_ray):
+        yield _from_cells(elements, mask)
+
+
+def fci_masks(ranks: Sequence[int], max_segments: int, allow_ray: bool) -> list[int]:
+    """All normalized interval unions with endpoints among the ranked
+    points, as cell masks: the point of rank r is bit 2r, the open gap
+    above it bit 2r+1, and a ray holds every bit from its start up, so
+    it is a negative int.
 
     Ordered by the subset of endpoints actually used (binary counting
     order), then by the reading of that subset.  A reading of m used
@@ -47,21 +69,34 @@ def enum_fcis(pool: FinSet, max_segments: int, allow_ray: bool) -> Iterator[FciS
     first point varies slowest and bit 0 is the ray.  Each held gap joins
     two points into a segment or makes the last one the ray, so a reading
     has m - popcount segments.  Distinct readings give distinct sets, so
-    the stream is duplicate-free.
+    the list is duplicate-free.
     """
-    n = len(pool)
+    n = len(ranks)
     if n > FCI_POOL_CAP:
         raise ValueError(f"refusing to enumerate interval unions over {n} points (cap is {FCI_POOL_CAP})")
-    elements = pool.elements
-    for mask in range(1 << n):
-        used = tuple(elements[i] for i in range(n) if mask >> i & 1)
+    # m -> the held gaps of each reading of m used points, in order
+    readings: dict[int, list[list[int]]] = {}
+    out = []
+    for used_mask in range(1 << n):
+        used = [ranks[i] for i in range(n) if used_mask >> i & 1]
         m = len(used)
-        points = (4**m - 1) // 3  # bit 2j for each used point
-        for reading in range(0, 1 << m, 1 if allow_ray else 2):
-            if reading & reading >> 1 or m - reading.bit_count() > max_segments:
-                continue
-            gaps = sum(2 << 2 * j for j in range(m) if reading >> m - 1 - j & 1)
-            yield _from_cells(used, points | gaps)
+        held = readings.get(m)
+        if held is None:
+            held = readings[m] = [
+                [j for j in range(m) if reading >> m - 1 - j & 1]
+                for reading in range(0, 1 << m, 1 if allow_ray else 2)
+                if not reading & reading >> 1 and m - reading.bit_count() <= max_segments
+            ]
+        points = sum(1 << 2 * r for r in used)
+        # the cells of each gap: up to and with the next used point, or the ray
+        gaps = [(2 << 2 * hi) - (1 << 2 * lo) for lo, hi in zip(used, used[1:])]
+        gaps += [-1 << 2 * r for r in used[-1:]]
+        for js in held:
+            x = points
+            for j in js:
+                x |= gaps[j]
+            out.append(x)
+    return out
 
 
 def count_fcis(n_points: int, max_segments: int, allow_ray: bool) -> int:

@@ -19,15 +19,21 @@ it takes, so the solver computes a repeated subterm once per set of
 values; equations read their sides from that memo and stay out of the
 verdict table.
 
-The solver works on point ranks: ``eval_bounded`` renames each point of
-the pool and of the assigned values to its rank among them, so 0, the
-least point of every pool, is the int 0.  Every operation and every
-witness universe depends only on the order of the points and on 0, and
-no solver step creates a point, so the verdict on ranks is the verdict
-on the rationals.  Ints compare and hash cheaply, and every pool and
-assignment of one order type shares the pool-keyed universes and every
-``EvalCache`` entry.  ``eval_term`` and ``eval_qf`` keep the rational
-points.
+The solver works on cell masks over point ranks: ``eval_bounded`` ranks
+each point of the pool and of the assigned values among them, so 0, the
+least point of every pool, has rank 0, and writes each value as one int.
+The point of rank i is bit 2i and the open gap above it bit 2i+1; a ray
+holds every bit from its start up, a negative int, and a finite set its
+point bits only.  Union and intersection are ``|`` and ``&``, ``l``,
+``r``, ``min`` and ``max`` are shifts and lowest or highest bits, and
+pins, guards and universes are built as masks in the enumerators' order.
+Every operation and every witness universe depends only on the order of
+the points and on 0, and no solver step creates a point, so the verdict
+on masks is the verdict on the rationals.  Ints compare and hash
+cheaply, and every pool and assignment of one order type shares the
+pool-keyed universes and every ``EvalCache`` entry.  ``eval_term``,
+``eval_qf`` and ``universe`` keep the rational ``FinSet``/``FciSet``
+values.
 """
 
 from __future__ import annotations
@@ -39,19 +45,10 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .fci import (
-    EMPTY_FCI,
-    FciSet,
-    Segment,
-    build_from_endpoints,
-    difference_closed,
-    embed_finset,
-    embed_point,
-    zero_fci,
-)
+from .fci import EMPTY_FCI, FciSet, embed_finset, zero_fci
 from .finset import EMPTY_FS, FinSet, zero_set
 from .order import ZERO, Point, above, midpoint
-from .oracle import enum_fcis, enum_finsets
+from .oracle import enum_fcis, enum_finsets, fci_masks, subset_masks
 from .syntax import (
     And,
     App,
@@ -154,10 +151,6 @@ def _infer_sig(f: Formula, a: Assignment) -> Signature:
     raise EvalError("cannot infer the signature from the assignment or symbols; pass sig")
 
 
-def _empty(sig: Signature) -> Value:
-    return EMPTY_FS if sig.finite_sets else EMPTY_FCI
-
-
 # -- term and quantifier-free evaluation -------------------------------------------
 
 
@@ -175,11 +168,6 @@ _OPS: dict[str, tuple[Optional[bool], Callable[[list, bool], Value]]] = {
     "l": (False, lambda args, w: embed_finset(args[0].left_endpoints())),
     "r": (False, lambda args, w: embed_finset(args[0].right_endpoints())),
 }
-
-
-# the solver's operations work on point ranks, where 0 is the int 0
-_RANK_ZERO = {True: FinSet((0,)), False: embed_point(0)}
-_RANK_OPS = {**_OPS, "cz": (None, lambda args, w: _RANK_ZERO[w])}
 
 
 def _apply(op: str, args: list, finite_sets: bool, ops: dict = _OPS) -> Value:
@@ -240,30 +228,111 @@ def universe(pool: WitnessPool, sig: Signature) -> tuple[Value, ...]:
     return _universe_w(pool) if sig.finite_sets else _universe_l(pool)
 
 
-@lru_cache(maxsize=_POOL_CACHE_SIZE)
-def _valid_endpoint_pairs(pool: WitnessPool) -> tuple[tuple[FinSet, FinSet], ...]:
-    # one pair per interval union over the pool's points; covers (bot, bot)
-    points = pool.points if pool.pair_points is None else pool.pair_points
-    return tuple(
-        (u.left_endpoints(), u.right_endpoints())
-        for u in enum_fcis(points, len(points), True)
-    )
+# -- cell masks (see the module docstring) ------------------------------------------
+
+
+def _left(x: int) -> int:
+    """``l``: every held cell whose cell below is not held."""
+    return x & ~(x << 1)
+
+
+def _right(x: int) -> int:
+    """``r``: every held cell whose cell above is not held; a ray has none."""
+    return x & ~(x >> 1)
+
+
+def _top(x: int) -> int:
+    """``max``: the highest held cell, none for a ray."""
+    return 1 << x.bit_length() - 1 if x > 0 else 0
+
+
+def _ips(a: int, b: int) -> int:
+    """The points of ``a`` whose successor inside ``a`` is a point of ``b``."""
+    out = 0
+    while a:
+        low = a & -a
+        a ^= low
+        if a & -a & b:
+            out |= low
+    return out
+
+
+# _OPS on the masks of the arguments
+_MASK_OPS: dict[str, tuple[Optional[bool], Callable[[list, bool], int]]] = {
+    "bot": (None, lambda args, w: 0),
+    "cz": (None, lambda args, w: 1),
+    "cup": (None, lambda args, w: args[0] | args[1]),
+    "cap": (None, lambda args, w: args[0] & args[1]),
+    "min": (None, lambda args, w: args[0] & -args[0]),
+    "max": (None, lambda args, w: _top(args[0])),
+    "ips": (True, lambda args, w: _ips(*args)),
+    "diff": (True, lambda args, w: args[0] & ~args[1]),
+    "l": (False, lambda args, w: _left(args[0])),
+    "r": (False, lambda args, w: _right(args[0])),
+}
+
+
+def _difference_closed(x: int, y: int) -> Optional[int]:
+    """``x`` minus ``y`` when it is a union, else None (as
+    ``difference_closed``): no run of its cells starts or ends at a gap,
+    an odd bit."""
+    d = x & ~y
+    ends = _left(d) | _right(d)
+    odd = ((4 ** ((ends.bit_length() + 1) // 2) - 1) // 3) << 1
+    return None if ends & odd else d
+
+
+def _from_endpoints(b: int, c: int) -> Optional[int]:
+    """The union whose left and right endpoints are ``b`` and ``c``, or
+    None (the endpoint lemma, as ``build_from_endpoints``; the empty union
+    for two empty sets).  The only candidate holds every point of ``b``
+    and ``c`` and, from each point of b - c, every cell up to the next of
+    those points, or up forever."""
+    if b & b >> 1 or c & c >> 1:
+        return None  # not two finite sets
+    both = x = b | c
+    opens = b & ~c
+    while opens:
+        p = opens & -opens
+        opens ^= p
+        above = both & -(p << 1)
+        x |= (above & -above) - p if above else -p
+    return x if _left(x) == b and _right(x) == c else None
 
 
 @lru_cache(maxsize=_POOL_CACHE_SIZE)
-def _embedded_finsets(pool: WitnessPool) -> tuple[FciSet, ...]:
-    # the candidates of an l(V) = r(V) guard
-    return tuple(embed_finset(s) for s in enum_finsets(pool.points) if len(s) <= pool.max_segments)
+def _point_cells(pool: WitnessPool) -> int:
+    """The point cells of a ranked pool."""
+    return sum(1 << 2 * r for r in pool.points.elements)
 
 
-def _in_universe(val: Value, pool: WitnessPool) -> bool:
-    if isinstance(val, FinSet):
-        return val.issubset(pool.points)
+def _in_universe(x: int, pool: WitnessPool, finite_sets: bool) -> bool:
+    """Whether ``x`` is a value of the ranked pool's universe."""
+    outside = ~_point_cells(pool)
+    if finite_sets:
+        return not x & outside
+    ends = _right(x)
     return (
-        val.boundary().issubset(pool.points)
-        and len(val.segments) <= pool.max_segments
-        and (val.ray_lo is None or pool.allow_ray)
+        not (_left(x) | ends) & outside
+        and ends.bit_count() <= pool.max_segments
+        and (x >= 0 or pool.allow_ray)
     )
+
+
+@lru_cache(maxsize=_POOL_CACHE_SIZE)
+def _masks(pool: WitnessPool, finite_sets: bool) -> tuple[int, ...]:
+    """``universe`` of a ranked pool, as masks in the same order."""
+    ranks = pool.points.elements
+    if finite_sets:
+        return tuple(subset_masks(ranks))
+    return tuple(fci_masks(ranks, pool.max_segments, pool.allow_ray))
+
+
+@lru_cache(maxsize=_POOL_CACHE_SIZE)
+def _endpoint_pairs(pool: WitnessPool) -> tuple[tuple[int, int], ...]:
+    # one pair per interval union over the pool's pair points; covers (bot, bot)
+    points = pool.points if pool.pair_points is None else pool.pair_points
+    return tuple((_left(u), _right(u)) for u in fci_masks(points.elements, len(points), True))
 
 
 # -- point ranks --------------------------------------------------------------------
@@ -271,7 +340,7 @@ def _in_universe(val: Value, pool: WitnessPool) -> bool:
 
 class _Ranks(NamedTuple):
     """Points renamed to their ranks: the rank of each point, the pool on
-    ranks, and the one ranked form of every value already seen."""
+    ranks, and the mask of every value already seen."""
 
     rank: dict
     pool: WitnessPool
@@ -294,31 +363,32 @@ def _pool_ranks(pool: WitnessPool) -> _Ranks:
     return _ranks(pool, pool.points)
 
 
-def _rank_value(v: Value, rank: dict) -> Value:
+def _mask(v: Value, rank: dict) -> int:
+    """The cells ``v`` holds over the ranked points."""
     if isinstance(v, FinSet):
-        return _rank_set(v, rank)
-    ray = None if v.ray_lo is None else rank[v.ray_lo]
-    return FciSet(tuple(Segment(rank[s.lo], rank[s.hi]) for s in v.segments), ray)
+        return sum(1 << 2 * rank[p] for p in v.elements)
+    x = 0 if v.ray_lo is None else -1 << 2 * rank[v.ray_lo]
+    for s in v.segments:
+        x |= (2 << 2 * rank[s.hi]) - (1 << 2 * rank[s.lo])
+    return x
 
 
 def _rank_assignment(a: Assignment, pool: WitnessPool) -> tuple[dict, WitnessPool]:
-    """The assignment and the pool with every point renamed to its rank
-    among the pool's points and the boundary points of the values."""
+    """The assignment as masks and the pool on ranks, every point renamed
+    to its rank among the pool's points and the points of the values."""
     ranks = _pool_ranks(pool)
     env = {}
-    for name, v in a.items():
-        got = ranks.values.get(v)
-        if got is None:
-            if not all(p in ranks.rank for p in _value_points(v)):
-                break
-            # one object per value, so its hash is computed once
-            got = ranks.values[v] = _rank_value(v, ranks.rank)
-        env[name] = got
-    else:
+    try:
+        for name, v in a.items():
+            got = ranks.values.get(v)
+            if got is None:
+                got = ranks.values[v] = _mask(v, ranks.rank)
+            env[name] = got
         return env, ranks.pool
-    # a point outside the pool: rank this call's points afresh, keep nothing
-    ranks = _ranks(pool, set(pool.points.elements).union(*map(_value_points, a.values())))
-    return {name: _rank_value(v, ranks.rank) for name, v in a.items()}, ranks.pool
+    except KeyError:
+        # a point outside the pool: rank this call's points afresh, keep nothing
+        ranks = _ranks(pool, set(pool.points.elements).union(*map(_value_points, a.values())))
+        return {name: _mask(v, ranks.rank) for name, v in a.items()}, ranks.pool
 
 
 # -- the solver ---------------------------------------------------------------------
@@ -330,9 +400,8 @@ class _Term:
     ``vals`` maps the values of ``names`` (the term's variables, sorted) and
     ``finite_sets`` to the term's value, so a subterm repeated across
     conjuncts and assignments is computed once per set of values.  Values
-    are on point ranks, as everywhere in the solver, so ``cz`` is ``{0}``
-    with the int 0.  An error is raised again on every call, never
-    memoized."""
+    are cell masks, as everywhere in the solver, so ``cz`` is 1.  An error
+    is raised again on every call, never memoized."""
 
     __slots__ = ("var", "op", "args", "names", "_key", "vals")
 
@@ -343,10 +412,10 @@ class _Term:
         names = sorted({self.var} if self.var is not None else set().union(*(a.names for a in args)))
         self.names = tuple(names)
         self._key = itemgetter(*names) if names else (lambda env: ())
-        self.vals: dict[tuple, Value] = {}
+        self.vals: dict[tuple, int] = {}
 
-    def value(self, env: dict, finite_sets: bool) -> Value:
-        """What ``eval_term`` returns for this term, on point ranks."""
+    def value(self, env: dict, finite_sets: bool) -> int:
+        """What ``eval_term`` returns for this term, as a mask."""
         if self.var is not None:
             try:
                 return env[self.var]
@@ -356,10 +425,10 @@ class _Term:
             key = (self._key(env), finite_sets)
         except KeyError:
             # an unbound variable: the walk raises eval_term's error
-            return _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets, _RANK_OPS)
+            return _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets, _MASK_OPS)
         got = self.vals.get(key)
         if got is None:
-            got = _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets, _RANK_OPS)
+            got = _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets, _MASK_OPS)
             self.vals[key] = got
         return got
 
@@ -382,9 +451,9 @@ class EvalCache:
     ``_normalize`` rebuilds for each set of names in scope share one node.
     Every distinct term is interned once (``term``) and memoizes its own
     values; equations compare their memoized sides and so are kept out of
-    the verdict table, whose keys hold the pool.  Pools and values are on
-    point ranks, so every pool and assignment of one order type shares
-    the same entries.
+    the verdict table, whose keys hold the pool.  Pools are on point ranks
+    and values are cell masks over them, so every pool and assignment of
+    one order type shares the same entries.
     """
 
     def __init__(self) -> None:
@@ -563,7 +632,7 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
                 rest = [u for u in vars if u not in (v1, v2)]
                 return any(
                     _assign(rest, pending, {**env, v1: b, v2: r}, pool, sig, cache)
-                    for b, r in _valid_endpoint_pairs(pool)
+                    for b, r in _endpoint_pairs(pool)
                 )
 
     # the fewest candidates win; ties go to the earlier variable, then rule;
@@ -578,7 +647,7 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
     if best is None:
         occurrences = {v: sum(1 for it in pending if v in it.fv) for v in vars}
         best_v = max(vars, key=lambda v: occurrences[v])
-        candidates = universe(pool, sig)
+        candidates = _masks(pool, sig.finite_sets)
     else:
         candidates = best[1]()
     rest = [u for u in vars if u != best_v]
@@ -655,10 +724,13 @@ def _atom_rules(atom: Atomic, intern: Callable[[Term], _Term]) -> tuple[_Rule, .
 
 def _find_pin(live: list[_Rule], env: dict, pool: WitnessPool, sig: Signature):
     w = sig.finite_sets
+
+    def pinned(v: str, val: Optional[int]) -> tuple[str, list[int]]:
+        return v, ([val] if val is not None and _in_universe(val, pool, w) else [])
+
     for r in live:
         if r.kind == "eq":
-            val = r.terms[0].value(env, w)
-            return r.var, ([val] if _in_universe(val, pool) else [])
+            return pinned(r.var, r.terms[0].value(env, w))
 
     # both endpoint maps of one variable pinned: the endpoint lemma gives
     # the unique interval union, or rules one out
@@ -669,17 +741,7 @@ def _find_pin(live: list[_Rule], env: dict, pool: WitnessPool, sig: Signature):
                 ends[r.kind][r.var] = r.terms[0]
         for v, lt in ends["l"].items():
             if v in ends["r"]:
-                lv = lt.value(env, w)
-                rv = ends["r"][v].value(env, w)
-                candidates: list = []
-                if not lv and not rv:
-                    candidates = [EMPTY_FCI]
-                elif lv.is_finite_set() and rv.is_finite_set():
-                    try:
-                        candidates = [build_from_endpoints(lv.as_finset(), rv.as_finset())]
-                    except ValueError:
-                        pass
-                return v, [d for d in candidates if _in_universe(d, pool)]
+                return pinned(v, _from_endpoints(lt.value(env, w), ends["r"][v].value(env, w)))
 
     # interned terms: identity within one cache is structural equality
     disjoint = {(r.var, r.terms[0]) for r in live if r.kind == "disj"}
@@ -687,13 +749,7 @@ def _find_pin(live: list[_Rule], env: dict, pool: WitnessPool, sig: Signature):
         if r.kind == "plus" and (r.var, r.terms[1]) in disjoint:
             x = r.terms[0].value(env, w)
             y = r.terms[1].value(env, w)
-            if isinstance(x, FinSet):
-                val = x.difference(y)
-            else:
-                val = difference_closed(x, y)
-                if val is None:
-                    return r.var, []
-            return r.var, ([val] if _in_universe(val, pool) else [])
+            return pinned(r.var, x & ~y if w else _difference_closed(x, y))
     return None
 
 
@@ -704,35 +760,32 @@ def _at_most(n: int, k: int) -> int:
 
 def _guard(
     r: _Rule, env: dict, pool: WitnessPool, sig: Signature
-) -> Optional[tuple[int, Callable[[], Iterable[Value]]]]:
+) -> Optional[tuple[int, Callable[[], Iterable[int]]]]:
     """The candidate count of a guard rule and a function building the
     candidates, in universe order; None when ``r`` is no guard here."""
     w = sig.finite_sets
-    points = pool.points
+    ranks = pool.points.elements
     if r.kind == "minself":
         # a one-point interval union is one segment
-        singles = points if w or pool.max_segments else ()
-        return len(singles) + 1, lambda: [_empty(sig)] + [
-            FinSet((p,)) if w else embed_point(p) for p in singles
-        ]
+        singles = ranks if w or pool.max_segments else ()
+        return len(singles) + 1, lambda: [0] + [1 << 2 * p for p in singles]
     if r.kind == "lreq" and not w:
-        return _at_most(len(points), pool.max_segments), lambda: _embedded_finsets(pool)
-    if r.kind == "capself":
+        inside = ranks
+    elif r.kind == "capself":
         bound = r.terms[0].value(env, w)
+        # every endpoint of a sub-union lies in the bound, and fewer points
+        # keep the binary counting order of the universe
+        inside = [p for p in ranks if bound >> 2 * p & 1]
         if w:
-            base = bound.intersect(points)
-            return 1 << len(base), lambda: enum_finsets(base)
-        if bound.is_finite_set():
-            base = bound.as_finset().intersect(points)
-            return _at_most(len(base), pool.max_segments), lambda: (
-                embed_finset(s) for s in enum_finsets(base) if len(s) <= pool.max_segments
-            )
-        # every endpoint of a sub-union lies in the bound, and a smaller
-        # point set keeps the binary counting order of the universe
-        inside = FinSet(tuple(p for p in points if bound.contains(p)))
-        subs = [u for u in enum_fcis(inside, pool.max_segments, pool.allow_ray) if u.issubset(bound)]
-        return len(subs), lambda: subs
-    return None
+            return 1 << len(inside), lambda: subset_masks(inside)
+        if bound & bound >> 1:  # not a finite set
+            subs = [u for u in fci_masks(inside, pool.max_segments, pool.allow_ray) if not u & ~bound]
+            return len(subs), lambda: subs
+    else:
+        return None
+    # an embedded finite set of at most max_segments points
+    most = pool.max_segments
+    return _at_most(len(inside), most), lambda: [s for s in subset_masks(inside) if s.bit_count() <= most]
 
 
 def _match_valid_pair(c: Or) -> Optional[tuple[str, str]]:

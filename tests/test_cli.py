@@ -195,10 +195,10 @@ def test_unknown_suite_is_a_usage_error(capsys):
 
 
 def test_eval_lists_the_sub_unions_of_a_bound_not_the_universe(capsys):
-    # the default pool has 10 points, over the interval enumeration cap;
-    # the sub-unions of X use only its 4 endpoints
+    # the default pool has 12 points, over the interval enumeration cap;
+    # the sub-unions of X use only the 7 pool points inside X
     code, out, err = run(
-        capsys, "eval", "--sig", "l", "--let", "X=[1,2]+[3,4]", "E Y. Y sub X & !(Y = X)"
+        capsys, "eval", "--sig", "l", "--let", "X=[1,2]+[3,4]+{5}", "E Y. Y sub X & !(Y = X)"
     )
     assert (code, out.strip(), err) == (0, "true", "")
 

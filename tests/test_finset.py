@@ -53,6 +53,14 @@ def test_difference_is_relative_complement(a, b):
     assert d.union(a.intersect(b)) == a
 
 
+@given(finsets, points)
+def test_membership_reads_the_elements(a, p):
+    assert (p in a) == any(p == x for x in a.elements)
+    assert all(x in a for x in a.elements)
+    # ints and Fractions of one value are one point
+    assert (int(p) in a) == (Fraction(int(p)) in a.elements)
+
+
 def test_min_max_of_empty_are_empty():
     assert EMPTY_FS.min_set() == EMPTY_FS
     assert EMPTY_FS.max_set() == EMPTY_FS

@@ -18,9 +18,11 @@ from intlat.oracle import (
     count_fcis,
     enum_fcis,
     enum_finsets,
+    fci_masks,
     random_fciset,
     random_finset,
     random_points,
+    subset_masks,
 )
 from intlat.syntax import SIG_W, parse
 
@@ -48,6 +50,16 @@ def test_enum_fcis_golden_count():
     # sum over k of C(3+k, 2k) + C(3+k, 2k+1) = (1+3) + (6+4) + (5+1) = 20
     assert count_fcis(3, 2, True) == 20
     assert len(list(enum_fcis(fs([0, 1, 2]), 2, True))) == 20
+
+
+def test_enum_fcis_order_is_pinned():
+    # the used points in binary counting order, then the readings: the
+    # solver's search order rides on it
+    got = [str(u) for u in enum_fcis(fs([0, 1]), 2, True)]
+    assert got == ["empty", "{0}", "[0,*)", "{1}", "[1,*)", "{0} + {1}", "{0} + [1,*)", "[0,1]"]
+    # the same unions as cell masks over ranks 0 and 2: a ray is negative
+    assert fci_masks([0, 2], 2, True) == [0, 1, -1, 16, -16, 17, 1 | -16, 31]
+    assert subset_masks([0, 2]) == [0, 1, 16, 17]
 
 
 def test_enum_fcis_respects_segment_and_ray_limits():

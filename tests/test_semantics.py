@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intlat import semantics
+from intlat import semantics, suites
 from intlat.fci import EMPTY_FCI, embed_finset, embed_point, normalize, parse_fci
 from intlat.finset import EMPTY_FS, FinSet, parse_finset
 from intlat.oracle import enum_fcis, enum_finsets
@@ -21,6 +21,7 @@ from intlat.semantics import (
     EvalError,
     WitnessPool,
     _guard,
+    _rank_assignment,
     default_pool,
     eval_bounded,
     eval_qf,
@@ -184,9 +185,10 @@ def test_shared_cache_raises_the_same_error_every_time():
     cache = EvalCache()
     # min(X) is computed and kept before the unbound Y is reached
     t = term("cup(min(X), Y)", SIG_W)
-    env = {"X": fs([1])}
+    a = {"X": fs([1])}
+    env, _ = _rank_assignment(a, pool)
     with pytest.raises(EvalError) as walk:
-        eval_term(t, env, SIG_W)
+        eval_term(t, a, SIG_W)
     for _ in range(2):
         with pytest.raises(EvalError) as memo:
             cache.term(t).value(env, True)
@@ -412,16 +414,24 @@ def test_guard_counts_its_candidates_before_building_them(case):
     # a count that differs from its candidates would reorder the search
     # while every verdict stayed right
     sig, pool, bound = case
+    env, ranked = _rank_assignment({"X": bound}, pool)
+
+    def mask(u):
+        # u lies in the pool, so the ranks stay those of the pool and X
+        got, same = _rank_assignment({"X": bound, "Y": u}, pool)
+        assert same == ranked
+        return got["Y"]
+
     texts = ["min(Y) = Y", "cap(Y, X) = Y"] + ([] if sig.finite_sets else ["l(Y) = r(Y)"])
     for text in texts:
         atom = parse(text, sig)
         rules = EvalCache().node(atom).rules
         (rule,) = [r for r in rules if r.kind in ("minself", "lreq", "capself")]
-        count, build = _guard(rule, {"X": bound}, pool, sig)
+        count, build = _guard(rule, env, ranked, sig)
         got = list(build())
         assert count == len(got), text
         # the guard keeps exactly the universe values satisfying it, in order
-        want = [u for u in universe(pool, sig) if eval_qf(atom, {"X": bound, "Y": u}, sig)]
+        want = [mask(u) for u in universe(pool, sig) if eval_qf(atom, {"X": bound, "Y": u}, sig)]
         assert got == want, text
 
 
@@ -454,3 +464,31 @@ def test_solver_search_order_is_pinned(monkeypatch, sig, x, want, steps):
         g, a = pipeline(f), {"X": x}
     assert eval_bounded(g, a, pool, sig) is want
     assert calls == steps
+
+
+@pytest.mark.parametrize("suite, steps", [("pipeline", 2134), ("posex", 6815)])
+def test_suite_search_totals_are_pinned(monkeypatch, suite, steps):
+    # every _assign call of a whole suite: a change to the search order
+    # moves the total even when every verdict stays right
+    calls = 0
+    inner = semantics._assign
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    monkeypatch.setattr(semantics, "_assign", counted)
+    assert getattr(suites, f"suite_{suite}")().ok
+    assert calls == steps
+
+
+def test_ten_point_pools_range_over_interval_unions():
+    # the default pool of X has 10 points; no guard bounds Y, so the solver
+    # ranges over the 17,711 interval unions on them
+    x = parse_fci("[1,2] + [3,4]")
+    pool = default_pool({"X": x})
+    assert len(pool.points) == 10
+    f = parse("E Y. E W. r(l(cz)) = max(Y)", SIG_L)
+    assert eval_bounded(f, {"X": x}, pool, SIG_L) is True
+    assert len(universe(pool, SIG_L)) == 17711
