@@ -634,11 +634,13 @@ def format_formula(f: Formula) -> str:
 
 
 def nnf(f: Formula) -> Formula:
-    """Negation normal form: no implications, negation only on atoms."""
+    """Negation normal form: no implications, negation only on atoms.  A
+    part already in that form comes back as the same object."""
 
     def pos(g: Formula) -> Formula:
         if isinstance(g, Not):
-            return neg(g.body)
+            # a negated equation is in normal form already
+            return g if isinstance(g.body, Atomic) else neg(g.body)
         if isinstance(g, Implies):
             return Or(neg(g.lhs), pos(g.rhs))
         return rebuild(g, pos)

@@ -7,9 +7,10 @@ its endpoint pair.  This module realizes both directions on formulas:
 * ``to_positive_existential`` removes negated equations from finite-set
   formulas (a nonempty witness inside the symmetric difference replaces
   each one);
-* ``translate_W_to_L`` rewrites a positive existential finite-set formula
-  over embedded finite sets, replacing ``ips`` equations by their
-  interval characterization ``phi_ips``;
+* ``translate_W_to_L`` rewrites an existential finite-set formula over
+  embedded finite sets, defining each ``ips`` application by its interval
+  characterization ``phi_ips``, outside the negation of a negated
+  equation;
 * ``translate_L_to_W`` rewrites an interval formula in terms of endpoint
   coordinates, with membership and containment expressed by the
   quantifier-free equations ``phi_in`` and ``phi_subseteq``.  Each bound
@@ -17,11 +18,15 @@ its endpoint pair.  This module realizes both directions on formulas:
   ``E V`` whose block defines V by ``bot``, ``cz``, ``l``, ``r``, ``min``
   or ``max`` of other variables: such a V is a finite set F, its pair is
   (F, F), and that pair is always valid;
-* ``pipeline`` composes the three so that supported interval formulas
-  come out existential.  Bound interval variables stay interval
-  variables: by the endpoint lemma their coordinate pairs are exactly the
-  valid ones, so the validity guard of each pair is dropped before the
-  finite-set stages and the pair is regrouped into one variable after.
+* ``pipeline`` composes ``translate_L_to_W`` and ``translate_W_to_L`` so
+  that supported interval formulas come out existential.  Negated
+  equations stay negated equations: only the functions ``diff`` and
+  ``ips``, which the interval signature lacks, are lifted out of a
+  negation and defined positively.  Bound interval variables stay
+  interval variables: by the endpoint lemma their coordinate pairs are
+  exactly the valid ones, so the validity guard of each pair is dropped
+  before the finite-set stage and the pair is regrouped into one variable
+  after.
 
 Universal quantifiers in a coordinate form come only from the input
 itself or from the bound clause that ``translate_L_to_W`` writes for a
@@ -255,6 +260,32 @@ def simplify(f: Formula) -> Formula:
 # -- negation elimination ------------------------------------------------------------
 
 
+def _existential_nnf(f: Formula) -> Formula:
+    """Negation normal form of ``f``, which must have no universal
+    quantifier there."""
+    g = nnf(f)
+    for h in subformulas(g):
+        if isinstance(h, Forall):
+            raise FragmentError(f"universal quantifier on {h.var} cannot be eliminated")
+    return g
+
+
+def _lift_defined(g: Formula, op: str, names: FreshNames, base: str, define) -> Formula:
+    """The equation or negated equation ``g`` with each application of
+    ``op`` lifted, innermost first, to a fresh variable named after
+    ``base``, bound around ``g`` beside ``define(application, variable)``.
+    Where ``define`` makes the variable the application's unique value, the
+    result means what ``g`` means, negated or not."""
+    eq = g.body if g.__class__ is Not else g
+    defs: list[tuple[str, App]] = []
+    lhs, rhs = lift(eq.lhs, op, names, base, defs), lift(eq.rhs, op, names, base, defs)
+    if not defs:
+        return g
+    core = Atomic(lhs, rhs)
+    body = and_all([define(app, Var(v)) for v, app in defs] + [core if eq is g else Not(core)])
+    return exists_all([v for v, _ in defs], body)
+
+
 def _eliminate_negations(f: Formula, names: FreshNames) -> Formula:
     if not isinstance(f, Not):
         return rebuild(f, _eliminate_negations, names)
@@ -266,14 +297,11 @@ def _eliminate_negations(f: Formula, names: FreshNames) -> Formula:
 
 
 def _eliminate_diff(f: Formula, names: FreshNames) -> Formula:
-    if not isinstance(f, Atomic):
-        return rebuild(f, _eliminate_diff, names)
-    defs: list[tuple[str, App]] = []
-    lhs, rhs = lift(f.lhs, "diff", names, "C", defs), lift(f.rhs, "diff", names, "C", defs)
-    if not defs:
-        return f
-    body = and_all([diffdef(*app.args, Var(c)) for c, app in defs] + [Atomic(lhs, rhs)])
-    return exists_all([c for c, _ in defs], body)
+    """``f`` in negation normal form with each ``diff`` defined by
+    ``diffdef`` at its equation, outside the equation's negation."""
+    if f.__class__ is Atomic or f.__class__ is Not and f.body.__class__ is Atomic:
+        return _lift_defined(f, "diff", names, "C", lambda app, c: diffdef(*app.args, c))
+    return rebuild(f, _eliminate_diff, names)
 
 
 def to_positive_existential(f: Formula) -> Formula:
@@ -287,10 +315,7 @@ def to_positive_existential(f: Formula) -> Formula:
     foreign = formula_symbols(f) - {s for s, _ in SIG_W_DIFF.symbols}
     if foreign:
         raise FragmentError(f"not a finite-set formula: uses {sorted(foreign)}")
-    g = nnf(f)
-    for h in subformulas(g):
-        if isinstance(h, Forall):
-            raise FragmentError(f"universal quantifier on {h.var} cannot be eliminated")
+    g = _existential_nnf(f)
     names = FreshNames(all_names(g))
     g = _eliminate_negations(g, names)
     g = _eliminate_diff(g, names)
@@ -302,37 +327,46 @@ def to_positive_existential(f: Formula) -> Formula:
 # -- the interval characterization of ips --------------------------------------------
 
 
-def phi_ips() -> Formula:
-    """``ips(X, Y) = Z`` for embedded finite sets, as an interval formula.
+def phi_ips(
+    x: Term = Var("X"), y: Term = Var("Y"), z: Term = Var("Z"), e: str = "E", d: str = "D", d2: str = "D"
+) -> Formula:
+    """``ips(x, y) = z`` for embedded finite sets, as an interval formula.
 
-    Write B for Y within X.  Z collects the points of X whose successor
-    in X lands in B, which happens exactly when some unbounded interval
+    Write B for y within x.  z collects the points of x whose successor
+    in x lands in B, which happens exactly when some unbounded interval
     union D has left endpoints B (0 adjoined, and the least point of B
-    dropped when it is also the least of X), right endpoints Z, and is
-    entered by X.  Unboundedness of D matters: without it, D built from a
-    too-small Z can close off early and accept spurious triples.
+    dropped when it is also the least of x), right endpoints z, and is
+    entered by x.  Unboundedness of D matters: without it, D built from a
+    too-small z can close off early and accept spurious triples.
+
+    ``e`` and ``d`` name the binders of E and D where B's least point is
+    dropped, ``d2`` that of D where it is kept; none may occur in the
+    terms.
     """
-    x, y, z, d, e = Var("X"), Var("Y"), Var("Z"), Var("D"), Var("E")
     b = cap(y, x)
-    common = [
-        Atomic(r_t(d), z),
-        subset_atom(z, x),
-        subset_atom(x, d),
-        Atomic(max_t(d), bot()),
-    ]
+
+    def common(w: Var) -> list[Formula]:
+        return [
+            Atomic(r_t(w), z),
+            subset_atom(z, x),
+            subset_atom(x, w),
+            Atomic(max_t(w), bot()),
+        ]
+
+    ev, dv, dv2 = Var(e), Var(d), Var(d2)
     takes_least = And(
         subset_atom(min_t(x), b),
         Exists(
-            "E",
+            e,
             Exists(
-                "D",
-                and_all([diffdef(b, min_t(b), e), Atomic(l_t(d), cup(e, cz()))] + common),
+                d,
+                and_all([diffdef(b, min_t(b), ev), Atomic(l_t(dv), cup(ev, cz()))] + common(dv)),
             ),
         ),
     )
     skips_least = And(
         Atomic(cap(min_t(x), b), bot()),
-        Exists("D", and_all([Atomic(l_t(d), cup(b, cz()))] + common)),
+        Exists(d2, and_all([Atomic(l_t(dv2), cup(b, cz()))] + common(dv2))),
     )
     empty = And(Atomic(b, bot()), Atomic(z, bot()))
     return Or(empty, And(Not(Atomic(b, bot())), Or(takes_least, skips_least)))
@@ -578,48 +612,45 @@ def _finite_coords(v: str) -> Formula:
 
 
 def translate_W_to_L(f: Formula) -> Formula:
-    """Reinterpret a positive existential finite-set formula over the
-    embedded finite sets of the interval structure.
+    """Reinterpret an existential finite-set formula over the embedded
+    finite sets of the interval structure.
 
-    Shared-signature equations transfer verbatim; each ``ips`` equation
-    becomes its interval characterization; every quantifier is
-    relativized to the embedded finite sets (equal endpoint maps)."""
-    kind = classify(f)
-    if kind != "positive_existential":
-        raise FragmentError(f"input must be positive existential, got {kind}")
-    foreign = formula_symbols(f) - {s for s, _ in SIG_W.symbols}
+    After negation normal form, negation sits on equations only.  On
+    embedded finite sets ``cup``, ``cap``, ``bot``, ``cz``, ``min`` and
+    ``max`` agree with the finite-set operations, so an equation without
+    ``ips`` transfers verbatim, negated or not.  A positive equation
+    ``ips(s, t) = u`` with no other ``ips`` becomes ``phi_ips(s, t, u)``;
+    every other ``ips`` application is lifted to a fresh embedded finite
+    set U with ``phi_ips(s, t, U)`` beside the equation, outside its
+    negation: ``ips`` is a function, so ``E U. ... & !(eq[U])`` says
+    ``!eq``.  Every quantifier is relativized to the embedded finite sets
+    (equal endpoint maps).  A universal quantifier raises FragmentError."""
+    g = _existential_nnf(f)
+    foreign = formula_symbols(g) - {s for s, _ in SIG_W.symbols}
     if foreign:
         raise FragmentError(f"not a finite-set formula: uses {sorted(foreign)}")
-    names = FreshNames(all_names(f))
-    # one template per call: its variable sets are computed once, and the
-    # instances share the parts the substitution leaves alone
-    ips = phi_ips()
+    names = FreshNames(all_names(g))
 
     def phi_ips_at(s: Term, t: Term, u: Term) -> Formula:
-        return substitute(ips, {"X": s, "Y": t, "Z": u})
+        # binders of their own, so that no output binds a name twice
+        return phi_ips(s, t, u, names.fresh("E"), names.fresh("D"), names.fresh("D"))
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Exists):
-            return Exists(g.var, And(_finite_coords(g.var), walk(g.body)))
-        if isinstance(g, Atomic):
-            return atom(g)
-        return rebuild(g, walk)
+    def defined(app: App, u: Var) -> Formula:
+        return And(_finite_coords(u.name), phi_ips_at(*app.args, u))
 
-    def atom(g: Atomic) -> Formula:
-        for a, b in ((g.lhs, g.rhs), (g.rhs, g.lhs)):
-            if isinstance(a, App) and a.op == "ips" and not any("ips" in term_symbols(x) for x in (b, *a.args)):
-                return phi_ips_at(a.args[0], a.args[1], b)
-        defs: list[tuple[str, App]] = []
-        lhs, rhs = lift(g.lhs, "ips", names, "U", defs), lift(g.rhs, "ips", names, "U", defs)
-        if not defs:
-            return g
-        parts = [And(_finite_coords(u), phi_ips_at(*app.args, Var(u))) for u, app in defs]
-        body = and_all(parts + [Atomic(lhs, rhs)])
-        return exists_all([u for u, _ in defs], body)
+    def walk(h: Formula) -> Formula:
+        if isinstance(h, Exists):
+            return Exists(h.var, And(_finite_coords(h.var), walk(h.body)))
+        if isinstance(h, Atomic):
+            for a, b in ((h.lhs, h.rhs), (h.rhs, h.lhs)):
+                if isinstance(a, App) and a.op == "ips" and not any("ips" in term_symbols(x) for x in (b, *a.args)):
+                    return phi_ips_at(a.args[0], a.args[1], b)
+            return _lift_defined(h, "ips", names, "U", defined)
+        if isinstance(h, Not):
+            return _lift_defined(h, "ips", names, "U", defined)
+        return rebuild(h, walk)
 
-    # negation normal form removes double negations and implications, which
-    # classify already looked through
-    return walk(nnf(f))
+    return walk(g)
 
 
 # -- the composed pipeline -----------------------------------------------------------
@@ -693,12 +724,15 @@ def _regroup(f: Formula, coords: dict, names: FreshNames) -> Formula:
 def pipeline(f: Formula) -> Formula:
     """Turn a supported interval formula into an equivalent existential one.
 
-    Coordinates first, then negation elimination, then back to interval
-    terms; the simplifier runs between stages.  Inputs whose coordinate
-    form keeps a universal quantifier after negation normal form (the
-    bound clause of a cup or cap over sets not known to be finite, unless
-    a negation turns it existential, or one in the input) raise
-    FragmentError.
+    Coordinates first, then negation normal form, then back to interval
+    terms; the simplifier runs between stages.  Negated equations stay
+    negated: each ``diff`` the coordinate form uses is defined by
+    ``diffdef`` outside the negation of its equation, and
+    ``translate_W_to_L`` does the same for each ``ips``.  Inputs whose
+    coordinate form keeps a universal quantifier after negation normal
+    form (the bound clause of a cup or cap over sets not known to be
+    finite, unless a negation turns it existential, or one in the input)
+    raise FragmentError.
 
     Free variables come back as their endpoint maps ``l(X)`` and ``r(X)``.
     A bound interval variable comes back as an interval variable: by the
@@ -722,8 +756,9 @@ def pipeline(f: Formula) -> Formula:
     bound = bound_vars(w)
     found += [(p.left, p.right) for p in unguarded if p.left in bound and p.right in bound]
     keep = frozenset(v for pair in found for v in pair)
-    p = _simp(to_positive_existential(w), {}, keep)
-    out = _simp(translate_W_to_L(p), {}, keep)
+    g = _existential_nnf(w)
+    g = _simp(_eliminate_diff(g, FreshNames(all_names(g))), {}, keep)
+    out = _simp(translate_W_to_L(g), {}, keep)
     owner = {pr.left: v for v, pr in pairs.items()}
     # a bound clause's pair has no interval variable of its own
     coords = {v: (pair, owner.get(pair[0], "T")) for pair in found for v in pair}

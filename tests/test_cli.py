@@ -110,6 +110,11 @@ def test_translate_w2l_looks_through_double_negation(capsys, formula, expected):
     assert (code, out.strip(), err) == (0, expected, "")
 
 
+def test_translate_w2l_keeps_a_negated_equation(capsys):
+    code, out, err = run(capsys, "translate", "--dir", "w2l", "!X = bot")
+    assert (code, out.strip(), err) == (0, "!X = bot", "")
+
+
 def test_too_deep_formula_is_an_error_not_a_counterexample(capsys):
     code, out, err = run(capsys, "parse", "--sig", "w", " & ".join(["X = bot"] * 5000))
     assert code == 2

@@ -437,7 +437,7 @@ def test_guard_counts_its_candidates_before_building_them(case):
 
 @pytest.mark.parametrize(
     "sig, x, want, steps",
-    [(SIG_L, "{1}", False, 18), (SIG_W, "[1,*)", True, 14)],
+    [(SIG_L, "{1}", False, 5), (SIG_W, "[1,*)", True, 14)],
     ids=["l", "w"],
 )
 def test_solver_search_order_is_pinned(monkeypatch, sig, x, want, steps):
@@ -466,7 +466,7 @@ def test_solver_search_order_is_pinned(monkeypatch, sig, x, want, steps):
     assert calls == steps
 
 
-@pytest.mark.parametrize("suite, steps", [("pipeline", 2134), ("posex", 6815)])
+@pytest.mark.parametrize("suite, steps", [("pipeline", 368), ("posex", 6815)])
 def test_suite_search_totals_are_pinned(monkeypatch, suite, steps):
     # every _assign call of a whole suite: a change to the search order
     # moves the total even when every verdict stays right

@@ -255,6 +255,11 @@ def test_nnf_pushes_negations_to_atoms():
     assert format_formula(nnf(parse("!!X = bot", SIG_W))) == "X = bot"
 
 
+def test_nnf_returns_a_formula_in_normal_form_as_it_is():
+    g = parse("E Y. !(Y = X) & (min(Y) = cz | !(cap(Y, X) = bot))", SIG_W)
+    assert nnf(g) is g
+
+
 def test_unnest_flattens_compound_terms():
     f = parse("min(cup(X, Y)) = cz", SIG_W)
     g = unnest(f)
