@@ -35,6 +35,12 @@ from .transforms import (
 _SIGS = {"w": SIG_W, "l": SIG_L}
 
 
+def _positive(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive count, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="intlat",
@@ -77,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named equivalence suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--pool-size", type=int, default=None)
+    p.add_argument("--pool-size", type=_positive, default=None, help="points of the suite's pool")
     p.add_argument("--seed", type=int, default=None)
     return top
 

@@ -118,6 +118,9 @@ def count_fcis(n_points: int, max_segments: int, allow_ray: bool) -> int:
 
 def random_points(rng: random.Random, count: int, max_numerator: int = 24, max_denominator: int = 8) -> tuple[Point, ...]:
     """Distinct sorted nonnegative rationals."""
+    values = {Fraction(n, d) for n in range(max_numerator + 1) for d in range(1, max_denominator + 1)}
+    if count > len(values):
+        raise ValueError(f"cannot draw {count} distinct points: the bounds allow {len(values)}")
     found: set[Point] = set()
     while len(found) < count:
         found.add(Fraction(rng.randint(0, max_numerator), rng.randint(1, max_denominator)))
@@ -134,10 +137,13 @@ def random_fciset(
     max_segments: int = 3,
     allow_ray: bool = True,
 ) -> FciSet:
-    """A random normalized set with endpoints among the given points."""
+    """A random normalized set with endpoints among the given points.  A
+    draw uses each point with probability 0.4, or with less on a large pool:
+    ``2 * max_segments + 1`` points on average, so it is often accepted."""
     pool = tuple(sorted(set(points)))
+    keep = min(0.4, (2 * max_segments + 1) / max(len(pool), 1))
     while True:
-        used = tuple(p for p in pool if rng.random() < 0.4)
+        used = tuple(p for p in pool if rng.random() < keep)
         segments: list[Segment] = []
         ray_lo: Optional[Point] = None
         i = 0

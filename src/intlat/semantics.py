@@ -69,6 +69,7 @@ from .syntax import (
     _cached_hash,
     formula_symbols,
     free_vars,
+    nnf,
     operands,
     substitute,
     valid_pair,
@@ -115,6 +116,8 @@ def widened(points: Iterable[Point]) -> FinSet:
     """The points, the midpoint of each neighbouring pair, and one point
     above the largest."""
     ordered = sorted(set(points))
+    if not ordered:
+        raise ValueError("cannot widen an empty set of points")
     mids = [midpoint(x, y) for x, y in zip(ordered, ordered[1:])]
     return FinSet.of(ordered + mids + [above(ordered[-1])])
 
@@ -482,16 +485,15 @@ class EvalCache:
             got = self._nodes[f] = _Node(f, fv, tuple(sorted(fv)), rules, pair, sides)
         return got
 
-    def normalized(
-        self, f: Formula, taken: frozenset[str], negate: bool = False
-    ) -> tuple[tuple[str, ...], tuple[_Node, ...]]:
-        """Solver normal form of one conjunct, memoized: the result depends
-        on the names in scope but never on their values."""
-        key = (f, negate, taken)
+    def normalized(self, f: Formula, taken: frozenset[str]) -> tuple[tuple[str, ...], tuple[_Node, ...]]:
+        """Solver normal form of ``f``, memoized: the conjuncts of its negation
+        normal form, existentials hoisted.  The result depends on the names
+        in scope but never on their values."""
+        key = (f, taken)
         hit = self._norm.get(key)
         if hit is None:
             hoisted: list[str] = []
-            conjuncts = _normalize(hoisted, [Not(f) if negate else f], set(taken))
+            conjuncts = _normalize(hoisted, nnf(f), set(taken))
             hit = self._norm[key] = (tuple(hoisted), tuple(self.node(c) for c in conjuncts))
         return hit
 
@@ -537,7 +539,7 @@ def _eval(f: Formula, env: dict, pool: WitnessPool, sig: Signature, cache: EvalC
         out = not _eval(f.lhs, env, pool, sig, cache) or _eval(f.rhs, env, pool, sig, cache)
     elif isinstance(f, (Exists, Forall)):
         negate = isinstance(f, Forall)
-        vars, items = cache.normalized(f, frozenset(env), negate)
+        vars, items = cache.normalized(Not(f) if negate else f, frozenset(env))
         found = _assign(list(vars), list(items), env, pool, sig, cache)
         out = not found if negate else found
     else:
@@ -546,18 +548,17 @@ def _eval(f: Formula, env: dict, pool: WitnessPool, sig: Signature, cache: EvalC
     return out
 
 
-def _normalize(vars: list[str], conjuncts: list[Formula], taken: set[str]) -> list[Formula]:
-    """Flatten conjunctions, hoist existentials into the block, push
-    negations toward leaves.  Mutates ``vars`` as binders are hoisted."""
+def _normalize(vars: list[str], f: Formula, taken: set[str]) -> list[Formula]:
+    """The conjuncts of ``f``, which is in negation normal form, with each
+    existential hoisted into the block and renamed apart from the names
+    in scope.  Mutates ``vars`` as binders are hoisted."""
     out: list[Formula] = []
-    queue = deque(conjuncts)
+    queue = deque([f])
     while queue:
         c = queue.popleft()
         if isinstance(c, And):
             queue.appendleft(c.rhs)
             queue.appendleft(c.lhs)
-        elif isinstance(c, Implies):
-            queue.appendleft(Or(Not(c.lhs), c.rhs))
         elif isinstance(c, Exists):
             name, body = c.var, c.body
             if name in taken or name in vars:
@@ -565,22 +566,6 @@ def _normalize(vars: list[str], conjuncts: list[Formula], taken: set[str]) -> li
                 body = substitute(body, {c.var: Var(name)})
             vars.append(name)
             queue.appendleft(body)
-        elif isinstance(c, Not):
-            b = c.body
-            if isinstance(b, Not):
-                queue.appendleft(b.body)
-            elif isinstance(b, And):
-                queue.appendleft(Or(Not(b.lhs), Not(b.rhs)))
-            elif isinstance(b, Or):
-                queue.appendleft(Not(b.rhs))
-                queue.appendleft(Not(b.lhs))
-            elif isinstance(b, Implies):
-                queue.appendleft(Not(b.rhs))
-                queue.appendleft(b.lhs)
-            elif isinstance(b, Forall):
-                queue.appendleft(Exists(b.var, Not(b.body)))
-            else:
-                out.append(c)
         else:
             out.append(c)
     return out

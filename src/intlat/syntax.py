@@ -318,10 +318,6 @@ def formula_symbols(f: Formula) -> set[str]:
     return out
 
 
-def fits_signature(f: Formula, sig: Signature) -> bool:
-    return formula_symbols(f) <= sig.arities.keys()
-
-
 # -- variables and substitution --------------------------------------------------
 
 

@@ -52,6 +52,7 @@ from .syntax import (
     SIG_L,
     SIG_W,
     SIG_W_DIFF,
+    Signature,
     Term,
     Var,
     all_names,
@@ -65,7 +66,6 @@ from .syntax import (
     delta_domain,  # re-exported for callers of intlat.transforms
     diff_t,
     exists_all,
-    fits_signature,
     formula_symbols,
     free_vars,
     ips_t,
@@ -89,6 +89,13 @@ from .syntax import (
 
 class FragmentError(ValueError):
     """The input formula lies outside the translatable fragment."""
+
+
+def _check_signature(f: Formula, sig: Signature) -> None:
+    """Raise FragmentError naming the symbols of ``f`` outside ``sig``."""
+    if foreign := formula_symbols(f) - sig.arities.keys():
+        kind = "a finite-set" if sig.finite_sets else "an interval"
+        raise FragmentError(f"not {kind} formula: uses {sorted(foreign)}")
 
 
 # -- small definable pieces ----------------------------------------------------------
@@ -312,9 +319,7 @@ def to_positive_existential(f: Formula) -> Formula:
     differ exactly when some nonempty set fits inside their symmetric
     difference, and nonemptiness is definable positively (``notbot``).
     """
-    foreign = formula_symbols(f) - {s for s, _ in SIG_W_DIFF.symbols}
-    if foreign:
-        raise FragmentError(f"not a finite-set formula: uses {sorted(foreign)}")
+    _check_signature(f, SIG_W_DIFF)
     g = _existential_nnf(f)
     names = FreshNames(all_names(g))
     g = _eliminate_negations(g, names)
@@ -501,9 +506,7 @@ def translate_L_to_W(f: Formula) -> Formula:
 
 
 def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair], list[CoordinatePair]]:
-    if not fits_signature(f, SIG_L):
-        foreign = formula_symbols(f) - {s for s, _ in SIG_L.symbols}
-        raise FragmentError(f"not an interval formula: uses {sorted(foreign)}")
+    _check_signature(f, SIG_L)
     g = unnest(f)
     names = FreshNames(all_names(g))
     pairs: dict[str, CoordinatePair] = {}
@@ -626,9 +629,7 @@ def translate_W_to_L(f: Formula) -> Formula:
     ``!eq``.  Every quantifier is relativized to the embedded finite sets
     (equal endpoint maps).  A universal quantifier raises FragmentError."""
     g = _existential_nnf(f)
-    foreign = formula_symbols(g) - {s for s, _ in SIG_W.symbols}
-    if foreign:
-        raise FragmentError(f"not a finite-set formula: uses {sorted(foreign)}")
+    _check_signature(g, SIG_W)
     names = FreshNames(all_names(g))
 
     def phi_ips_at(s: Term, t: Term, u: Term) -> Formula:
@@ -661,40 +662,31 @@ def translate_W_to_L(f: Formula) -> Formula:
 _SELF_PAIR = simplify(valid_pair("Z", "Z"))
 
 
-def _strip_guards(f: Formula, positive: bool, found: list) -> Formula:
-    """``f`` with the validity guard dropped from each coordinate pair bound
-    existentially once negation normal form is taken: ``E Wl. E Wr.
-    valid_pair(Wl, Wr) & body`` in positive position and ``A Wl. A Wr.
-    valid_pair(Wl, Wr) -> body`` in negative position.  Appends each such
-    pair ``(Wl, Wr)`` to ``found``; the result means what ``f`` means only
-    once each pair is regrouped into one interval variable.  A guard that
-    simplify reduced to ``_SELF_PAIR`` of some variable becomes TRUE."""
+def _strip_guards(f: Formula, found: list) -> Formula:
+    """``f``, in negation normal form, with the validity guard dropped from
+    each existentially bound coordinate pair ``E Wl. E Wr. valid_pair(Wl,
+    Wr) & body``.  Appends each such pair ``(Wl, Wr)`` to ``found``; the
+    result means what ``f`` means only once each pair is regrouped into one
+    interval variable.  A guard that simplify reduced to ``_SELF_PAIR`` of
+    some variable becomes TRUE."""
     kind = f.__class__
-    if kind is Atomic:
-        return f
-    if kind is Not:
-        body = _strip_guards(f.body, not positive, found)
-        return f if body is f.body else Not(body)
-    if kind is Implies:
-        lhs, rhs = _strip_guards(f.lhs, not positive, found), _strip_guards(f.rhs, positive, found)
-        return f if lhs is f.lhs and rhs is f.rhs else Implies(lhs, rhs)
     if kind is Or:
         side = f.rhs
         if side.__class__ is Atomic and side.lhs.__class__ is Var and f == substitute(_SELF_PAIR, {"Z": side.lhs}):
             return TRUE
-    elif (kind is Exists and positive or kind is Forall and not positive) and f.body.__class__ is kind:
+    elif kind is Exists and f.body.__class__ is Exists:
         wl, wr, body = f.var, f.body.var, f.body.body
         # simplify folds nothing in the guard of two distinct variables
         guard = valid_pair(wl, wr)
-        if body.__class__ is (And if kind is Exists else Implies) and body.lhs == guard:
+        if body.__class__ is And and body.lhs == guard:
             body = body.rhs
-        elif kind is Exists and body == guard:
+        elif body == guard:
             body = TRUE
         else:
-            return rebuild(f, _strip_guards, positive, found)
+            return rebuild(f, _strip_guards, found)
         found.append((wl, wr))
-        return kind(wl, kind(wr, _strip_guards(body, positive, found)))
-    return rebuild(f, _strip_guards, positive, found)
+        return Exists(wl, Exists(wr, _strip_guards(body, found)))
+    return rebuild(f, _strip_guards, found)
 
 
 def _regroup(f: Formula, coords: dict, names: FreshNames) -> Formula:
@@ -724,15 +716,15 @@ def _regroup(f: Formula, coords: dict, names: FreshNames) -> Formula:
 def pipeline(f: Formula) -> Formula:
     """Turn a supported interval formula into an equivalent existential one.
 
-    Coordinates first, then negation normal form, then back to interval
-    terms; the simplifier runs between stages.  Negated equations stay
-    negated: each ``diff`` the coordinate form uses is defined by
-    ``diffdef`` outside the negation of its equation, and
-    ``translate_W_to_L`` does the same for each ``ips``.  Inputs whose
-    coordinate form keeps a universal quantifier after negation normal
-    form (the bound clause of a cup or cap over sets not known to be
-    finite, unless a negation turns it existential, or one in the input)
-    raise FragmentError.
+    Coordinates first, then negation normal form, where each bound pair
+    of coordinates drops its validity guard, then back to interval terms;
+    the simplifier runs between stages.  Negated equations stay negated:
+    each ``diff`` the coordinate form uses is defined by ``diffdef``
+    outside the negation of its equation, and ``translate_W_to_L`` does
+    the same for each ``ips``.  Inputs whose coordinate form keeps a
+    universal quantifier after negation normal form (the bound clause of a
+    cup or cap over sets not known to be finite, unless a negation turns
+    it existential, or one in the input) raise FragmentError.
 
     Free variables come back as their endpoint maps ``l(X)`` and ``r(X)``.
     A bound interval variable comes back as an interval variable: by the
@@ -750,14 +742,13 @@ def pipeline(f: Formula) -> Formula:
     # name tells which pair it belongs to
     w, pairs, unguarded = _l2w(rename_bound_apart(f))
     found: list[tuple[str, str]] = []
-    w = _strip_guards(simplify(w), True, found)
+    w = _strip_guards(_existential_nnf(simplify(w)), found)
     # an unguarded pair regroups as a stripped one does, unless simplify
     # inlined a coordinate: the other alone would not pin the variable
     bound = bound_vars(w)
     found += [(p.left, p.right) for p in unguarded if p.left in bound and p.right in bound]
     keep = frozenset(v for pair in found for v in pair)
-    g = _existential_nnf(w)
-    g = _simp(_eliminate_diff(g, FreshNames(all_names(g))), {}, keep)
+    g = _simp(_eliminate_diff(w, FreshNames(all_names(w))), {}, keep)
     out = _simp(translate_W_to_L(g), {}, keep)
     owner = {pr.left: v for v, pr in pairs.items()}
     # a bound clause's pair has no interval variable of its own

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output shape, and determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -175,6 +176,35 @@ def test_check_accepts_pool_size_and_seed(capsys):
     code, out, _ = run(capsys, "check", "--suite", "notbot", "--pool-size", "4")
     assert code == 0
     assert out.strip() == "checked=16 failures=0"
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+@pytest.mark.parametrize("suite", ["ipschar", "member", "subset", "l2w"])
+def test_check_takes_only_a_positive_pool_size(capsys, suite, size):
+    with pytest.raises(SystemExit) as ei:
+        main(["check", "--suite", suite, "--pool-size", size])
+    err = capsys.readouterr().err
+    assert ei.value.code == 2
+    assert "internal error" not in err
+    # argparse prints the usage above its one error line
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert errors == [f"intlat check: error: argument --pool-size: expected a positive count, got {size}"]
+
+
+def test_check_refuses_more_pipeline_points_than_it_can_draw(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--suite", "pipeline", "--pool-size", "200")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: cannot draw 200 distinct points: the bounds allow 126"]
+
+
+def test_check_draws_pipeline_values_on_a_large_pool_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", "--suite", "pipeline", "--pool-size", "40")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert out.strip().endswith("failures=0")
 
 
 def test_json_envelope(capsys):

@@ -85,6 +85,21 @@ def test_random_points_are_distinct_sorted_and_reproducible():
     assert all(p >= 0 for p in a)
 
 
+def test_random_points_refuse_more_points_than_their_bounds_allow():
+    assert len(random_points(random.Random(5), 126)) == 126
+    with pytest.raises(ValueError):
+        random_points(random.Random(5), 127)
+
+
+def test_random_fciset_draws_quickly_on_a_large_pool():
+    rng = random.Random(9)
+    pts = random_points(rng, 126)
+    for _ in range(50):
+        u = random_fciset(rng, pts, max_segments=3, allow_ray=True)
+        assert u.boundary().issubset(fs(pts))
+        assert len(u.segments) <= 3
+
+
 def test_random_values_land_in_their_universes():
     rng = random.Random(3)
     pts = random_points(rng, 5)

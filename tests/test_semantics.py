@@ -27,6 +27,7 @@ from intlat.semantics import (
     eval_qf,
     eval_term,
     universe,
+    widened,
 )
 from intlat.syntax import SIG_L, SIG_W, And, Atomic, Exists, Implies, Not, Or, parse
 from intlat.transforms import pipeline, simplify, to_positive_existential, translate_L_to_W
@@ -81,6 +82,11 @@ def test_default_pool_adds_midpoints_and_a_point_above():
     assert pool.allow_ray
     pool0 = default_pool({})
     assert pool0.points == fs([0, 1])
+
+
+def test_widened_needs_a_point():
+    with pytest.raises(ValueError):
+        widened([])
 
 
 def test_witness_pool_validation():
@@ -291,6 +297,15 @@ NAIVE_CASES = [
     # every one-point candidate, the second the empty one
     _parsed("E Y. min(Y) = Y & (cap(Y, X) = Y | Y = cz) & !(cap(Y, X) = bot)"),
     _parsed("E Y. min(Y) = Y & (cap(Y, X) = bot | Y = cz) & cup(Y, X) = X"),
+    # a negation or implication over each connective and quantifier, which
+    # the block reads in negation normal form
+    _parsed("E Y. !!(cap(Y, X) = Y) & !(Y = X) & !(Y = bot)"),
+    _parsed("E Y. (Y = X -> Y = bot) & cap(Y, X) = Y & !(Y = bot)"),
+    _parsed("E Y. !(Y = bot | Y = X) & cap(Y, X) = Y"),
+    _parsed("E Y. !(cap(Y, X) = bot & !(Y = bot)) & cup(Y, X) = Y & !(Y = X)"),
+    _parsed("E Y. !(cap(Y, X) = Y -> Y = X) & !(Y = bot)"),
+    _parsed("E Y. !(A Z. cap(Z, Y) = Z -> Z = Y | Z = bot) & cap(Y, X) = Y"),
+    _parsed("E Y. !(E Z. cap(Z, Y) = Z & !(Z = Y) & !(Z = bot)) & cap(Y, X) = Y & !(Y = bot)"),
 ]
 
 
@@ -466,7 +481,7 @@ def test_solver_search_order_is_pinned(monkeypatch, sig, x, want, steps):
     assert calls == steps
 
 
-@pytest.mark.parametrize("suite, steps", [("pipeline", 368), ("posex", 6815)])
+@pytest.mark.parametrize("suite, steps", [("pipeline", 368), ("posex", 6815), ("l2w", 153520)])
 def test_suite_search_totals_are_pinned(monkeypatch, suite, steps):
     # every _assign call of a whole suite: a change to the search order
     # moves the total even when every verdict stays right
