@@ -9,6 +9,7 @@ outside the supported fragment, 4 an unexpected internal error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Optional
@@ -84,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a named equivalence suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--pool-size", type=_positive, default=None, help="points of the suite's pool")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="seed of a suite that draws at random")
     return top
 
 
@@ -174,7 +175,11 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = SUITES[args.suite](pool_size=args.pool_size, seed=args.seed)
+    suite = SUITES[args.suite]
+    seed = {} if args.seed is None else {"seed": args.seed}
+    if seed and "seed" not in inspect.signature(suite).parameters:
+        raise ValueError(f"suite {args.suite} is exhaustive and takes no --seed")
+    report = suite(pool_size=args.pool_size, **seed)
     _emit(args, report.summary(), report.failures[:1])
     return 0 if report.ok else 1
 

@@ -11,8 +11,9 @@ a point.
 By the endpoint lemma, a set whose boundary points lie among sorted
 points p0 < ... < pn-1 is fixed by its cells: which of those points, and
 which open gaps between them, it holds, the gap above pn-1 being the
-ray.  ``_held`` writes the cells of raw parts as a mask, bit 2i for pi
-and bit 2i+1 for the gap above it, and ``_from_cells`` reads a mask back.
+ray.  ``_held`` writes the cells of raw parts as a mask, bit 2i for pi,
+bit 2i+1 for the gap above it and a ray every bit from its start up (a
+negative int), for the kernels and the solver; ``_from_cells`` reads it.
 A mask is a set exactly when it is closed: each held gap holds the points
 on both sides (below only, for the ray).  Every set-valued operation goes
 through the cells.  ``normalize`` is the OR of its raw parts' masks.  On
@@ -29,7 +30,6 @@ two endpoint sets, and the complement-of-open-gaps construction
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -179,36 +179,36 @@ def normalize(segments: Iterable[Segment | tuple[Point, Point]] = (), rays: Iter
     """
     segs = [s if isinstance(s, Segment) else Segment(*s) for s in segments]
     ray_lo = min(rays, default=None)
-    pts = _grid(segs, (ray_lo,))
-    return _from_cells(pts, _held(pts, segs, ray_lo))
+    pts, rank = _grid(segs, (ray_lo,))
+    return _from_cells(pts, _held(rank, segs, ray_lo))
 
 
 # -- cells ---------------------------------------------------------------------
 
 
-def _grid(segments: Iterable[Segment], rays: Iterable[Optional[Point]]) -> list[Point]:
-    """The sorted end points of the segments and the rays (None for no ray)."""
+def _grid(segments: Iterable[Segment], rays: Iterable[Optional[Point]]) -> tuple[list[Point], dict]:
+    """The sorted end points of the parts (None for no ray) and their ranks."""
     pts = {r for r in rays if r is not None}
     for s in segments:
         pts.add(s.lo)
         pts.add(s.hi)
-    return sorted(pts)
+    ordered = sorted(pts)
+    return ordered, {p: i for i, p in enumerate(ordered)}
 
 
-def _held(pts: Sequence[Point], segments: Iterable[Segment], ray_lo: Optional[Point]) -> int:
-    """The cells of ``pts`` that the parts hold; ``pts`` holds their end points."""
-    mask = 0
+def _held(rank: dict, segments: Iterable[Segment], ray_lo: Optional[Point]) -> int:
+    """The cells the parts hold over the points ``rank`` ranks, which
+    include their end points."""
+    mask = 0 if ray_lo is None else -1 << 2 * rank[ray_lo]
     for s in segments:
-        mask |= (2 << 2 * bisect_left(pts, s.hi)) - (1 << 2 * bisect_left(pts, s.lo))
-    if ray_lo is not None:
-        mask |= (1 << 2 * len(pts)) - (1 << 2 * bisect_left(pts, ray_lo))
+        mask |= (2 << 2 * rank[s.hi]) - (1 << 2 * rank[s.lo])
     return mask
 
 
 def _cells(a: FciSet, b: FciSet) -> tuple[list[Point], int, int]:
     """The sorted boundary points of ``a`` and ``b``, and the cells each holds."""
-    pts = _grid(a.segments + b.segments, (a.ray_lo, b.ray_lo))
-    return pts, _held(pts, a.segments, a.ray_lo), _held(pts, b.segments, b.ray_lo)
+    pts, rank = _grid(a.segments + b.segments, (a.ray_lo, b.ray_lo))
+    return pts, _held(rank, a.segments, a.ray_lo), _held(rank, b.segments, b.ray_lo)
 
 
 def _from_cells(pts: Sequence[Point], mask: int) -> Optional[FciSet]:

@@ -21,7 +21,8 @@ verdict table.
 
 The solver works on cell masks over point ranks: ``eval_bounded`` ranks
 each point of the pool and of the assigned values among them, so 0, the
-least point of every pool, has rank 0, and writes each value as one int.
+least point of every pool, has rank 0, and writes each value as one int
+(``fci._held``, the kernels' encoder, writes an interval union).
 The point of rank i is bit 2i and the open gap above it bit 2i+1; a ray
 holds every bit from its start up, a negative int, and a finite set its
 point bits only.  Union and intersection are ``|`` and ``&``, ``l``,
@@ -29,11 +30,12 @@ point bits only.  Union and intersection are ``|`` and ``&``, ``l``,
 pins, guards and universes are built as masks in the enumerators' order.
 Every operation and every witness universe depends only on the order of
 the points and on 0, and no solver step creates a point, so the verdict
-on masks is the verdict on the rationals.  Ints compare and hash
-cheaply, and every pool and assignment of one order type shares the
-pool-keyed universes and every ``EvalCache`` entry.  ``eval_term``,
-``eval_qf`` and ``universe`` keep the rational ``FinSet``/``FciSet``
-values.
+on masks is the verdict on the rationals.  The search reads one
+``_Space``: the pool's ranked points and bounds and the structure.  Ints
+compare and hash cheaply, and every pool and assignment of one order
+type shares one space, its universes and every ``EvalCache`` entry.
+``eval_term``, ``eval_qf`` and ``universe`` keep the rational
+``FinSet``/``FciSet`` values.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .fci import EMPTY_FCI, FciSet, embed_finset, zero_fci
+from .fci import EMPTY_FCI, FciSet, _held, embed_finset, zero_fci
 from .finset import EMPTY_FS, FinSet, zero_set
 from .order import ZERO, Point, above, midpoint
 from .oracle import enum_fcis, enum_finsets, fci_masks, subset_masks
@@ -66,7 +68,6 @@ from .syntax import (
     Signature,
     Term,
     Var,
-    _cached_hash,
     formula_symbols,
     free_vars,
     nnf,
@@ -108,8 +109,6 @@ class WitnessPool:
             raise ValueError("max_segments must be nonnegative")
         if self.pair_points is not None and not self.pair_points.issubset(self.points):
             raise ValueError("pair_points must be a subset of points")
-
-    __hash__ = _cached_hash  # every verdict key holds the pool
 
 
 def widened(points: Iterable[Point]) -> FinSet:
@@ -211,24 +210,12 @@ def eval_qf(f: Formula, a: Assignment, sig: Signature) -> bool:
 
 # -- witness universes --------------------------------------------------------------
 
-# Pools a caller is still using stay cached; a caller that builds a pool
-# per item (the pipeline suite does) must not grow these tables forever.
-_POOL_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=_POOL_CACHE_SIZE)
-def _universe_w(pool: WitnessPool) -> tuple[FinSet, ...]:
-    return tuple(enum_finsets(pool.points))
-
-
-@lru_cache(maxsize=_POOL_CACHE_SIZE)
-def _universe_l(pool: WitnessPool) -> tuple[FciSet, ...]:
-    return tuple(enum_fcis(pool.points, pool.max_segments, pool.allow_ray))
-
 
 def universe(pool: WitnessPool, sig: Signature) -> tuple[Value, ...]:
     """Every value a quantified variable ranges over."""
-    return _universe_w(pool) if sig.finite_sets else _universe_l(pool)
+    if sig.finite_sets:
+        return tuple(enum_finsets(pool.points))
+    return tuple(enum_fcis(pool.points, pool.max_segments, pool.allow_ray))
 
 
 # -- cell masks (see the module docstring) ------------------------------------------
@@ -303,62 +290,69 @@ def _from_endpoints(b: int, c: int) -> Optional[int]:
     return x if _left(x) == b and _right(x) == c else None
 
 
-@lru_cache(maxsize=_POOL_CACHE_SIZE)
-def _point_cells(pool: WitnessPool) -> int:
-    """The point cells of a ranked pool."""
-    return sum(1 << 2 * r for r in pool.points.elements)
+# -- the search space on point ranks ------------------------------------------------
+
+# Pools a caller is still using stay cached; a caller that builds a pool
+# per item (the pipeline suite does) must not grow these tables forever.
+_POOL_CACHE_SIZE = 32
 
 
-def _in_universe(x: int, pool: WitnessPool, finite_sets: bool) -> bool:
-    """Whether ``x`` is a value of the ranked pool's universe."""
-    outside = ~_point_cells(pool)
-    if finite_sets:
+class _Space(NamedTuple):
+    """What the search reads of a pool in one structure, points renamed to
+    ranks; pools of one order type share it and every table it keys."""
+
+    points: tuple[int, ...]
+    max_segments: int
+    allow_ray: bool
+    pair_points: tuple[int, ...]  # the points when the pool sets none
+    finite_sets: bool
+    cells: int  # the point cells
+
+
+def _in_universe(x: int, space: _Space) -> bool:
+    """Whether ``x`` is a value of the space's universe."""
+    outside = ~space.cells
+    if space.finite_sets:
         return not x & outside
     ends = _right(x)
     return (
         not (_left(x) | ends) & outside
-        and ends.bit_count() <= pool.max_segments
-        and (x >= 0 or pool.allow_ray)
+        and ends.bit_count() <= space.max_segments
+        and (x >= 0 or space.allow_ray)
     )
 
 
 @lru_cache(maxsize=_POOL_CACHE_SIZE)
-def _masks(pool: WitnessPool, finite_sets: bool) -> tuple[int, ...]:
-    """``universe`` of a ranked pool, as masks in the same order."""
-    ranks = pool.points.elements
-    if finite_sets:
-        return tuple(subset_masks(ranks))
-    return tuple(fci_masks(ranks, pool.max_segments, pool.allow_ray))
+def _masks(space: _Space) -> tuple[int, ...]:
+    """``universe`` of the space, as masks in the same order."""
+    if space.finite_sets:
+        return tuple(subset_masks(space.points))
+    return tuple(fci_masks(space.points, space.max_segments, space.allow_ray))
 
 
 @lru_cache(maxsize=_POOL_CACHE_SIZE)
-def _endpoint_pairs(pool: WitnessPool) -> tuple[tuple[int, int], ...]:
-    # one pair per interval union over the pool's pair points; covers (bot, bot)
-    points = pool.points if pool.pair_points is None else pool.pair_points
-    return tuple((_left(u), _right(u)) for u in fci_masks(points.elements, len(points), True))
-
-
-# -- point ranks --------------------------------------------------------------------
+def _endpoint_pairs(space: _Space) -> tuple[tuple[int, int], ...]:
+    # one pair per interval union over the pair points; covers (bot, bot)
+    pairs = space.pair_points
+    return tuple((_left(u), _right(u)) for u in fci_masks(pairs, len(pairs), True))
 
 
 class _Ranks(NamedTuple):
-    """Points renamed to their ranks: the rank of each point, the pool on
-    ranks, and the mask of every value already seen."""
+    """The rank of each point, the pool's space per structure (interval
+    side first) and the mask of every value already seen."""
 
     rank: dict
-    pool: WitnessPool
+    spaces: tuple[_Space, _Space]
     values: dict
-
-
-def _rank_set(s: FinSet, rank: dict) -> FinSet:
-    return FinSet(tuple(rank[p] for p in s.elements))
 
 
 def _ranks(pool: WitnessPool, points: Iterable[Point]) -> _Ranks:
     rank = {p: i for i, p in enumerate(sorted(points))}
-    pairs = None if pool.pair_points is None else _rank_set(pool.pair_points, rank)
-    ranked = WitnessPool(_rank_set(pool.points, rank), pool.max_segments, pool.allow_ray, pairs)
-    return _Ranks(rank, ranked, {})
+    ranked = tuple(rank[p] for p in pool.points.elements)
+    pairs = ranked if pool.pair_points is None else tuple(rank[p] for p in pool.pair_points.elements)
+    cells = sum(1 << 2 * r for r in ranked)
+    spaces = tuple(_Space(ranked, pool.max_segments, pool.allow_ray, pairs, w, cells) for w in (False, True))
+    return _Ranks(rank, spaces, {})
 
 
 @lru_cache(maxsize=_POOL_CACHE_SIZE)
@@ -370,15 +364,12 @@ def _mask(v: Value, rank: dict) -> int:
     """The cells ``v`` holds over the ranked points."""
     if isinstance(v, FinSet):
         return sum(1 << 2 * rank[p] for p in v.elements)
-    x = 0 if v.ray_lo is None else -1 << 2 * rank[v.ray_lo]
-    for s in v.segments:
-        x |= (2 << 2 * rank[s.hi]) - (1 << 2 * rank[s.lo])
-    return x
+    return _held(rank, v.segments, v.ray_lo)
 
 
-def _rank_assignment(a: Assignment, pool: WitnessPool) -> tuple[dict, WitnessPool]:
-    """The assignment as masks and the pool on ranks, every point renamed
-    to its rank among the pool's points and the points of the values."""
+def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tuple[dict, _Space]:
+    """The assignment as masks and the pool's space in the structure, each
+    point renamed to its rank among the pool's points and the values'."""
     ranks = _pool_ranks(pool)
     env = {}
     try:
@@ -387,11 +378,11 @@ def _rank_assignment(a: Assignment, pool: WitnessPool) -> tuple[dict, WitnessPoo
             if got is None:
                 got = ranks.values[v] = _mask(v, ranks.rank)
             env[name] = got
-        return env, ranks.pool
     except KeyError:
         # a point outside the pool: rank this call's points afresh, keep nothing
         ranks = _ranks(pool, set(pool.points.elements).union(*map(_value_points, a.values())))
-        return {name: _mask(v, ranks.rank) for name, v in a.items()}, ranks.pool
+        env = {name: _mask(v, ranks.rank) for name, v in a.items()}
+    return env, ranks.spaces[finite_sets]
 
 
 # -- the solver ---------------------------------------------------------------------
@@ -454,9 +445,9 @@ class EvalCache:
     ``_normalize`` rebuilds for each set of names in scope share one node.
     Every distinct term is interned once (``term``) and memoizes its own
     values; equations compare their memoized sides and so are kept out of
-    the verdict table, whose keys hold the pool.  Pools are on point ranks
-    and values are cell masks over them, so every pool and assignment of
-    one order type shares the same entries.
+    the verdict table, whose keys hold the search space.  Spaces are on
+    point ranks and values are cell masks over them, so every pool and
+    assignment of one order type shares the same entries.
     """
 
     def __init__(self) -> None:
@@ -516,31 +507,31 @@ def eval_bounded(
     for name, val in a.items():
         if not isinstance(val, want):
             raise EvalError(f"{name} is bound to {type(val).__name__}, expected {want.__name__}")
-    env, ranked = _rank_assignment(a, pool)
-    return _eval(f, env, ranked, sig, cache)
+    env, space = _rank_assignment(a, pool, sig.finite_sets)
+    return _eval(f, env, space, cache)
 
 
-def _eval(f: Formula, env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> bool:
+def _eval(f: Formula, env: dict, space: _Space, cache: EvalCache) -> bool:
     node = cache.node(f)
     if node.sides is not None:
         lhs, rhs = node.sides
-        return lhs.value(env, sig.finite_sets) == rhs.value(env, sig.finite_sets)
-    key = (f, tuple(env[n] for n in node.names), pool, sig.finite_sets)
+        return lhs.value(env, space.finite_sets) == rhs.value(env, space.finite_sets)
+    key = (f, tuple(env[n] for n in node.names), space)
     hit = cache._vals.get(key)
     if hit is not None:
         return hit
     if isinstance(f, Not):
-        out = not _eval(f.body, env, pool, sig, cache)
+        out = not _eval(f.body, env, space, cache)
     elif isinstance(f, And):
-        out = _eval(f.lhs, env, pool, sig, cache) and _eval(f.rhs, env, pool, sig, cache)
+        out = _eval(f.lhs, env, space, cache) and _eval(f.rhs, env, space, cache)
     elif isinstance(f, Or):
-        out = _eval(f.lhs, env, pool, sig, cache) or _eval(f.rhs, env, pool, sig, cache)
+        out = _eval(f.lhs, env, space, cache) or _eval(f.rhs, env, space, cache)
     elif isinstance(f, Implies):
-        out = not _eval(f.lhs, env, pool, sig, cache) or _eval(f.rhs, env, pool, sig, cache)
+        out = not _eval(f.lhs, env, space, cache) or _eval(f.rhs, env, space, cache)
     elif isinstance(f, (Exists, Forall)):
         negate = isinstance(f, Forall)
         vars, items = cache.normalized(Not(f) if negate else f, frozenset(env))
-        found = _assign(list(vars), list(items), env, pool, sig, cache)
+        found = _assign(list(vars), list(items), env, space, cache)
         out = not found if negate else found
     else:
         raise EvalError(f"cannot evaluate {type(f).__name__}")
@@ -571,7 +562,7 @@ def _normalize(vars: list[str], f: Formula, taken: set[str]) -> list[Formula]:
     return out
 
 
-def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, sig: Signature, cache: EvalCache) -> bool:
+def _assign(vars: list[str], items: list[_Node], env: dict, space: _Space, cache: EvalCache) -> bool:
     """Is there an assignment of pool values to ``vars`` satisfying all
     conjuncts?  Expects ``cache.node`` bundles in solver normal form.
     Each call takes the first step that applies, in this order: ready
@@ -581,7 +572,7 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
     for it in items:
         (ready if it.fv <= keys else pending).append(it)
     for it in ready:
-        if not _eval(it.formula, env, pool, sig, cache):
+        if not _eval(it.formula, env, space, cache):
             return False
     if not pending:
         return True
@@ -591,33 +582,33 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
 
     vars_set = set(vars)
     live = [r for it in pending for r in it.rules if r.var in vars_set and r.need <= keys]
-    pin = _find_pin(live, env, pool, sig)
+    pin = _find_pin(live, env, space)
     if pin is not None:
         v, candidates = pin
         rest = [u for u in vars if u != v]
-        return any(_assign(rest, pending, {**env, v: val}, pool, sig, cache) for val in candidates)
+        return any(_assign(rest, pending, {**env, v: val}, space, cache) for val in candidates)
 
     # split disjunctions only after the pins, which every branch shares; an
     # endpoint-pair relativizer stays whole for the joint enumeration below
     for i, it in enumerate(pending):
         if isinstance(it.formula, Or) and not (
-            sig.finite_sets and it.pair is not None and set(it.pair) <= vars_set
+            space.finite_sets and it.pair is not None and set(it.pair) <= vars_set
         ):
             taken = frozenset(env) | vars_set
             rest = pending[:i] + pending[i + 1 :]
             return any(
-                _assign(vars + list(hoisted), rest + list(extra), env, pool, sig, cache)
+                _assign(vars + list(hoisted), rest + list(extra), env, space, cache)
                 for hoisted, extra in (cache.normalized(p, taken) for p in operands(it.formula, Or))
             )
 
-    if sig.finite_sets:
+    if space.finite_sets:
         for it in pending:
             if it.pair is not None and set(it.pair) <= vars_set:
                 v1, v2 = it.pair
                 rest = [u for u in vars if u not in (v1, v2)]
                 return any(
-                    _assign(rest, pending, {**env, v1: b, v2: r}, pool, sig, cache)
-                    for b, r in _endpoint_pairs(pool)
+                    _assign(rest, pending, {**env, v1: b, v2: r}, space, cache)
+                    for b, r in _endpoint_pairs(space)
                 )
 
     # the fewest candidates win; ties go to the earlier variable, then rule;
@@ -626,17 +617,17 @@ def _assign(vars: list[str], items: list[_Node], env: dict, pool: WitnessPool, s
     best: Optional[tuple[int, Callable[[], Iterable[Value]]]] = None
     for v in vars:
         for r in live:
-            got = _guard(r, env, pool, sig) if r.var == v else None
+            got = _guard(r, env, space) if r.var == v else None
             if got is not None and (best is None or got[0] < best[0]):
                 best_v, best = v, got
     if best is None:
         occurrences = {v: sum(1 for it in pending if v in it.fv) for v in vars}
         best_v = max(vars, key=lambda v: occurrences[v])
-        candidates = _masks(pool, sig.finite_sets)
+        candidates = _masks(space)
     else:
         candidates = best[1]()
     rest = [u for u in vars if u != best_v]
-    return any(_assign(rest, pending, {**env, best_v: val}, pool, sig, cache) for val in candidates)
+    return any(_assign(rest, pending, {**env, best_v: val}, space, cache) for val in candidates)
 
 
 # -- pins and guards: conjuncts that force or bound a variable's value ---------------
@@ -707,11 +698,11 @@ def _atom_rules(atom: Atomic, intern: Callable[[Term], _Term]) -> tuple[_Rule, .
     return tuple(out)
 
 
-def _find_pin(live: list[_Rule], env: dict, pool: WitnessPool, sig: Signature):
-    w = sig.finite_sets
+def _find_pin(live: list[_Rule], env: dict, space: _Space):
+    w = space.finite_sets
 
     def pinned(v: str, val: Optional[int]) -> tuple[str, list[int]]:
-        return v, ([val] if val is not None and _in_universe(val, pool, w) else [])
+        return v, ([val] if val is not None and _in_universe(val, space) else [])
 
     for r in live:
         if r.kind == "eq":
@@ -734,7 +725,7 @@ def _find_pin(live: list[_Rule], env: dict, pool: WitnessPool, sig: Signature):
         if r.kind == "plus" and (r.var, r.terms[1]) in disjoint:
             x = r.terms[0].value(env, w)
             y = r.terms[1].value(env, w)
-            return pinned(r.var, x & ~y if w else _difference_closed(x, y))
+            return pinned(r.var, _difference_closed(x, y))
     return None
 
 
@@ -743,16 +734,14 @@ def _at_most(n: int, k: int) -> int:
     return sum(comb(n, i) for i in range(min(n, k) + 1))
 
 
-def _guard(
-    r: _Rule, env: dict, pool: WitnessPool, sig: Signature
-) -> Optional[tuple[int, Callable[[], Iterable[int]]]]:
+def _guard(r: _Rule, env: dict, space: _Space) -> Optional[tuple[int, Callable[[], Iterable[int]]]]:
     """The candidate count of a guard rule and a function building the
     candidates, in universe order; None when ``r`` is no guard here."""
-    w = sig.finite_sets
-    ranks = pool.points.elements
+    w = space.finite_sets
+    ranks = space.points
     if r.kind == "minself":
         # a one-point interval union is one segment
-        singles = ranks if w or pool.max_segments else ()
+        singles = ranks if w or space.max_segments else ()
         return len(singles) + 1, lambda: [0] + [1 << 2 * p for p in singles]
     if r.kind == "lreq" and not w:
         inside = ranks
@@ -764,12 +753,12 @@ def _guard(
         if w:
             return 1 << len(inside), lambda: subset_masks(inside)
         if bound & bound >> 1:  # not a finite set
-            subs = [u for u in fci_masks(inside, pool.max_segments, pool.allow_ray) if not u & ~bound]
+            subs = [u for u in fci_masks(inside, space.max_segments, space.allow_ray) if not u & ~bound]
             return len(subs), lambda: subs
     else:
         return None
     # an embedded finite set of at most max_segments points
-    most = pool.max_segments
+    most = space.max_segments
     return _at_most(len(inside), most), lambda: [s for s in subset_masks(inside) if s.bit_count() <= most]
 
 

@@ -73,7 +73,7 @@ def _fail(report: EquivReport, note: dict, lhs, rhs) -> None:
 # -- nonemptiness without negation ---------------------------------------------------
 
 
-def suite_notbot(pool_size: Optional[int] = None, seed: Optional[int] = None) -> EquivReport:
+def suite_notbot(pool_size: Optional[int] = None) -> EquivReport:
     """A is nonempty iff A = cz or cz sub ips(A cup cz, A), over all subsets."""
     if pool_size is None:
         points = FinSet.of([0, 1, 2, Fraction(5, 2), 4])
@@ -106,7 +106,7 @@ def _ips_clause(a: FinSet, b: FinSet, c: FinSet, d: FciSet) -> bool:
     return False
 
 
-def suite_ipschar(pool_size: Optional[int] = None, seed: Optional[int] = None) -> EquivReport:
+def suite_ipschar(pool_size: Optional[int] = None) -> EquivReport:
     """Both directions of the characterization of ips(A, B) = C by an
     unbounded interval witness, plus the formula version over all triples."""
     points = _ints(4 if pool_size is None else pool_size)
@@ -154,7 +154,7 @@ def suite_ipschar(pool_size: Optional[int] = None, seed: Optional[int] = None) -
 # -- endpoint pairs ------------------------------------------------------------------
 
 
-def suite_endpoints(pool_size: Optional[int] = None, seed: Optional[int] = None) -> EquivReport:
+def suite_endpoints(pool_size: Optional[int] = None) -> EquivReport:
     """The endpoint condition characterizes coordinate pairs: every set
     satisfies it and rebuilds from its own endpoints, and every pair
     satisfying it is realized (others make the builder balk)."""
@@ -204,7 +204,7 @@ def _from_pair(b: FinSet, c: FinSet) -> FciSet:
     return build_from_endpoints(b, c)
 
 
-def suite_member(pool_size: Optional[int] = None, seed: Optional[int] = None) -> EquivReport:
+def suite_member(pool_size: Optional[int] = None) -> EquivReport:
     """phi_in on coordinates agrees with pointwise membership."""
     _, sets, zs = _member_family(pool_size)
 
@@ -224,7 +224,7 @@ def suite_member(pool_size: Optional[int] = None, seed: Optional[int] = None) ->
     return check_equiv(contains, phi_in(), stream(), SIG_W, pool=pool)
 
 
-def suite_subset(pool_size: Optional[int] = None, seed: Optional[int] = None) -> EquivReport:
+def suite_subset(pool_size: Optional[int] = None) -> EquivReport:
     """phi_subseteq on coordinates agrees with containment."""
     _, sets, zs = _member_family(pool_size)
 
@@ -262,7 +262,7 @@ POSEX_CORPUS = [
 ]
 
 
-def suite_posex(pool_size: Optional[int] = None, seed: Optional[int] = None) -> EquivReport:
+def suite_posex(pool_size: Optional[int] = None) -> EquivReport:
     """Negation elimination preserves meaning on quantifier-free formulas."""
     points = _ints(4 if pool_size is None else pool_size)
     pool = WitnessPool(points=points, max_segments=len(points))
@@ -297,7 +297,7 @@ W2L_CORPUS = [
 ]
 
 
-def suite_w2l(pool_size: Optional[int] = None, seed: Optional[int] = None) -> EquivReport:
+def suite_w2l(pool_size: Optional[int] = None) -> EquivReport:
     """Each corpus formula agrees with its interval translation on all
     embedded finite sets over the pool."""
     points = _ints(4 if pool_size is None else pool_size)
@@ -344,7 +344,7 @@ L2W_CORPUS: list[tuple[str, Callable[[dict], bool]]] = [
 ]
 
 
-def suite_l2w(pool_size: Optional[int] = None, seed: Optional[int] = None) -> EquivReport:
+def suite_l2w(pool_size: Optional[int] = None) -> EquivReport:
     """Each corpus formula agrees with its coordinate translation, and
     with a directly computed predicate, over interval unions on the pool."""
     points = _ints(4 if pool_size is None else pool_size)

@@ -191,6 +191,19 @@ def test_check_takes_only_a_positive_pool_size(capsys, suite, size):
     assert errors == [f"intlat check: error: argument --pool-size: expected a positive count, got {size}"]
 
 
+@pytest.mark.parametrize("suite", ["notbot", "ipschar", "endpoints", "posex", "member", "subset", "w2l", "l2w"])
+def test_check_refuses_a_seed_for_an_exhaustive_suite(capsys, suite):
+    code, out, err = run(capsys, "check", "--suite", suite, "--seed", "3")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: suite {suite} is exhaustive and takes no --seed"]
+
+
+def test_check_passes_the_seed_to_the_pipeline_suite(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "pipeline", "--seed", "7")
+    assert code == 0
+    assert out.strip() == "checked=2214 failures=0"
+
+
 def test_check_refuses_more_pipeline_points_than_it_can_draw(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "check", "--suite", "pipeline", "--pool-size", "200")

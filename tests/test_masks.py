@@ -5,6 +5,8 @@ Inside ``eval_bounded`` every value is one int over the ranked points
 ``FinSet``/``FciSet`` kernel it stands for: exhaustively over every
 interval union on at most 4 points and every finite set on at most 5, and
 by hypothesis on up to 8 rational points, each time through the ranks.
+The kernels and the solver share one encoder, ``fci._held``, so it is
+checked on its own against membership.
 """
 
 from fractions import Fraction
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from intlat.fci import (
     EMPTY_FCI,
+    _held,
     build_from_endpoints,
     difference_closed,
     embed_finset,
@@ -85,10 +88,28 @@ def check_sets(rank: dict, a: FinSet, b: FinSet) -> None:
     assert _from_endpoints(ma, mb) == want, (a, b)
 
 
+def check_cells(points: list, a) -> None:
+    """The cells ``_held`` writes for ``a`` over ``points``, which hold its
+    end points, against membership: bit 2i is p_i, bit 2i+1 the gap above
+    it (its midpoint to the next point, or the last point plus 1), and the
+    mask is negative exactly when ``a`` has a ray."""
+    x = _held({p: i for i, p in enumerate(points)}, a.segments, a.ray_lo)
+    inside = [(p + q) / 2 for p, q in zip(points, points[1:])] + [points[-1] + 1]
+    for i, (p, gap) in enumerate(zip(points, inside)):
+        assert x >> 2 * i & 1 == a.contains(p), (a, p)
+        assert x >> 2 * i + 1 & 1 == a.contains(gap), (a, gap)
+    assert (x < 0) == (a.ray_lo is not None), a
+
+
 UNION_GRID = FinSet(tuple(map(F, range(4))))
 UNIONS = list(enum_fcis(UNION_GRID, 4, True))
 SET_GRID = FinSet(tuple(map(F, range(5))))
 SETS = list(enum_finsets(SET_GRID))
+
+
+def test_cells_agree_with_membership_on_a_small_grid():
+    for a in UNIONS:
+        check_cells(list(UNION_GRID), a)
 
 
 def test_mask_operations_agree_with_the_kernels_on_small_grids():
@@ -122,19 +143,19 @@ def test_universes_agree_with_the_kernels_through_the_ranks():
         w = sig.finite_sets
         for pool in _pools(grid):
             ranks = _ranks(pool, grid)
-            ranked = ranks.pool
+            space = ranks.spaces[w]
 
             def m(v):
                 return _mask(v, ranks.rank)
 
             inside = set(universe(pool, sig))
             for v in values:
-                assert _in_universe(m(v), ranked, w) == (v in inside), (pool, v)
+                assert _in_universe(m(v), space) == (v in inside), (pool, v)
                 checked += 1
-            assert list(_masks(ranked, w)) == [m(u) for u in universe(pool, sig)], pool
+            assert list(_masks(space)) == [m(u) for u in universe(pool, sig)], pool
             pairs = pool.points if pool.pair_points is None else pool.pair_points
             want = [(m(u.left_endpoints()), m(u.right_endpoints())) for u in enum_fcis(pairs, len(pairs), True)]
-            assert list(_endpoint_pairs(ranked)) == want, pool
+            assert list(_endpoint_pairs(space)) == want, pool
     assert checked == 64 * 55 + 144 * 32
 
 
@@ -164,7 +185,9 @@ def test_mask_operations_agree_with_the_kernels_on_rational_points(case):
     ranks = _ranks(pool, points)
     check_unions(ranks.rank, a, b)
     check_sets(ranks.rank, s, t)
+    check_cells(list(points), a)
+    check_cells(list(points), b)
     # the endpoint lemma also on the endpoints of a union
     assert _from_endpoints(_mask(a.left_endpoints(), ranks.rank), _mask(a.right_endpoints(), ranks.rank)) == _mask(a, ranks.rank)
     for v, sig in ((a, SIG_L), (b, SIG_L), (s, SIG_W), (t, SIG_W)):
-        assert _in_universe(_mask(v, ranks.rank), ranks.pool, sig.finite_sets) == (v in universe(pool, sig)), v
+        assert _in_universe(_mask(v, ranks.rank), ranks.spaces[sig.finite_sets]) == (v in universe(pool, sig)), v

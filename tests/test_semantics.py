@@ -29,7 +29,7 @@ from intlat.semantics import (
     universe,
     widened,
 )
-from intlat.syntax import SIG_L, SIG_W, And, Atomic, Exists, Implies, Not, Or, parse
+from intlat.syntax import SIG_L, SIG_W, And, Atomic, Exists, Implies, Not, Or, exists_all, parse, valid_pair
 from intlat.transforms import pipeline, simplify, to_positive_existential, translate_L_to_W
 
 F = Fraction
@@ -192,7 +192,7 @@ def test_shared_cache_raises_the_same_error_every_time():
     # min(X) is computed and kept before the unbound Y is reached
     t = term("cup(min(X), Y)", SIG_W)
     a = {"X": fs([1])}
-    env, _ = _rank_assignment(a, pool)
+    env, _ = _rank_assignment(a, pool, True)
     with pytest.raises(EvalError) as walk:
         eval_term(t, a, SIG_W)
     for _ in range(2):
@@ -391,6 +391,30 @@ def test_order_isomorphic_pools_share_the_cache(monkeypatch):
     assert (calls, len(cache._vals)) == (seen, verdicts)
 
 
+@pytest.mark.parametrize("first", [SIG_L, SIG_W], ids=["l-first", "w-first"])
+def test_one_cache_keeps_the_structures_apart(first):
+    # a ray is nonempty and has no greatest point; a finite set has one
+    pool = WitnessPool(points=fs([0, 1, 2]), max_segments=3)
+    cache = EvalCache()
+    for sig in (first, SIG_W if first is SIG_L else SIG_L):
+        f = parse("E Y. max(Y) = bot & !(Y = bot)", sig)
+        assert eval_bounded(f, {}, pool, sig, cache=cache) is (sig is SIG_L)
+
+
+@pytest.mark.parametrize("coarse_first", [True, False], ids=["coarse-first", "fine-first"])
+def test_one_cache_keeps_the_pair_points_apart(coarse_first):
+    # the two pools differ only in their pair points: 1/2 is a left
+    # endpoint of a pair over all the points, never of one over 0, 1, 2
+    points = fs(["0", "1/2", "1", "3/2", "2", "3"])
+    coarse = WitnessPool(points, len(points), True, fs([0, 1, 2]))
+    fine = WitnessPool(points, len(points))
+    f = exists_all(["Al", "Ar"], And(valid_pair("Al", "Ar"), parse("Z sub Al", SIG_W)))
+    a = {"Z": fs(["1/2"])}
+    cache = EvalCache()
+    for pool in (coarse, fine) if coarse_first else (fine, coarse):
+        assert eval_bounded(f, a, pool, SIG_W, cache=cache) is (pool is fine)
+
+
 def test_pipeline_output_of_disjoint_extremes():
     # min(X) and max(X) meet exactly when X is a nonempty finite union
     # ending in a point; the rewrite nests disjunctions under both blocks
@@ -429,12 +453,12 @@ def test_guard_counts_its_candidates_before_building_them(case):
     # a count that differs from its candidates would reorder the search
     # while every verdict stayed right
     sig, pool, bound = case
-    env, ranked = _rank_assignment({"X": bound}, pool)
+    env, space = _rank_assignment({"X": bound}, pool, sig.finite_sets)
 
     def mask(u):
         # u lies in the pool, so the ranks stay those of the pool and X
-        got, same = _rank_assignment({"X": bound, "Y": u}, pool)
-        assert same == ranked
+        got, same = _rank_assignment({"X": bound, "Y": u}, pool, sig.finite_sets)
+        assert same == space
         return got["Y"]
 
     texts = ["min(Y) = Y", "cap(Y, X) = Y"] + ([] if sig.finite_sets else ["l(Y) = r(Y)"])
@@ -442,7 +466,7 @@ def test_guard_counts_its_candidates_before_building_them(case):
         atom = parse(text, sig)
         rules = EvalCache().node(atom).rules
         (rule,) = [r for r in rules if r.kind in ("minself", "lreq", "capself")]
-        count, build = _guard(rule, env, ranked, sig)
+        count, build = _guard(rule, env, space)
         got = list(build())
         assert count == len(got), text
         # the guard keeps exactly the universe values satisfying it, in order
