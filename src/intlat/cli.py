@@ -34,6 +34,14 @@ from .transforms import (
 )
 
 _SIGS = {"w": SIG_W, "l": SIG_L}
+# each rewrite by the name ``translate --dir`` or its own subcommand gives
+# it: the signature of its input, and the rewrite
+_REWRITES = {
+    "w2l": (SIG_W, translate_W_to_L),
+    "l2w": (SIG_L, translate_L_to_W),
+    "posex": (SIG_W, to_positive_existential),
+    "pipeline": (SIG_L, pipeline),
+}
 
 
 def _positive(text: str) -> int:
@@ -152,25 +160,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_translate(args) -> int:
-    if args.dir == "w2l":
-        f = parse(args.formula, SIG_W)
-        _emit(args, format_formula(translate_W_to_L(f)))
-    else:
-        f = parse(args.formula, SIG_L)
-        _emit(args, format_formula(translate_L_to_W(f)))
-    return 0
-
-
-def _cmd_posex(args) -> int:
-    f = parse(args.formula, SIG_W)
-    _emit(args, format_formula(to_positive_existential(f)))
-    return 0
-
-
-def _cmd_pipeline(args) -> int:
-    f = parse(args.formula, SIG_L)
-    _emit(args, format_formula(pipeline(f)))
+def _cmd_rewrite(args) -> int:
+    sig, rewrite = _REWRITES[args.dir if args.command == "translate" else args.command]
+    _emit(args, format_formula(rewrite(parse(args.formula, sig))))
     return 0
 
 
@@ -187,9 +179,9 @@ def _cmd_check(args) -> int:
 _DISPATCH = {
     "parse": _cmd_parse,
     "eval": _cmd_eval,
-    "translate": _cmd_translate,
-    "posex": _cmd_posex,
-    "pipeline": _cmd_pipeline,
+    "translate": _cmd_rewrite,
+    "posex": _cmd_rewrite,
+    "pipeline": _cmd_rewrite,
     "check": _cmd_check,
 }
 

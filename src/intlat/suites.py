@@ -356,7 +356,7 @@ def suite_l2w(pool_size: Optional[int] = None) -> EquivReport:
     report = EquivReport()
     for text, predicate in L2W_CORPUS:
         f = parse(text, SIG_L)
-        g, pairs, _ = _l2w(f)
+        g, pairs = _l2w(f)
         names = sorted(free_vars(f))
         wcache = EvalCache()
         lcache = EvalCache()

@@ -15,9 +15,8 @@ its endpoint pair.  This module realizes both directions on formulas:
   coordinates, with membership and containment expressed by the
   quantifier-free equations ``phi_in`` and ``phi_subseteq``.  Each bound
   pair carries the validity guard ``valid_pair``, except the pair of an
-  ``E V`` whose block defines V by ``bot``, ``cz``, ``l``, ``r``, ``min``
-  or ``max`` of other variables: such a V is a finite set F, its pair is
-  (F, F), and that pair is always valid;
+  ``E V`` whose block makes V's two coordinates equal: such a V is a
+  finite set F, its pair is (F, F), and that pair is always valid;
 * ``pipeline`` composes ``translate_L_to_W`` and ``translate_W_to_L`` so
   that supported interval formulas come out existential.  Negated
   equations stay negated equations: only the functions ``diff`` and
@@ -25,8 +24,8 @@ its endpoint pair.  This module realizes both directions on formulas:
   negation and defined positively.  Bound interval variables stay
   interval variables: by the endpoint lemma their coordinate pairs are
   exactly the valid ones, so the validity guard of each pair is dropped
-  before the finite-set stage and the pair is regrouped into one variable
-  after.
+  before the finite-set stage, and every pair still bound is regrouped
+  into one variable after.
 
 Universal quantifiers in a coordinate form come only from the input
 itself or from the bound clause that ``translate_L_to_W`` writes for a
@@ -463,21 +462,15 @@ def _grow_finite(
     return frozenset(finite), frozenset(forced)
 
 
-def _finitely_defined(h: Exists) -> bool:
-    """A top-level conjunct of ``h``'s block, looking through the block's
-    nested ``E``s, is ``g(vars) = V`` for ``h``'s variable V, with g one of
-    ``_FINITE_OPS`` and V not among the arguments."""
-    v, body = h.var, h.body
-    while body.__class__ is Exists:
-        if body.var == v:
-            return False
+def _forced_in_block(h: Exists, finite: frozenset[str], forced: frozenset[str]) -> bool:
+    """``h``'s variable V is in the forced set ``_grow_finite`` grows over
+    V's block: the top-level conjuncts of ``h``'s body, looking through
+    nested ``E``s that do not rebind V."""
+    hidden, body = {h.var}, h.body
+    while body.__class__ is Exists and body.var != h.var:
+        hidden.add(body.var)
         body = body.body
-    for c in operands(body, And):
-        if c.__class__ is Atomic and c.rhs.__class__ is Var and c.rhs.name == v:
-            a = c.lhs
-            if a.__class__ is App and a.op in _FINITE_OPS and all(x.name != v for x in a.args):
-                return True
-    return False
+    return h.var in _grow_finite(operands(body, And), finite - hidden, forced - hidden)[1]
 
 
 def _sub_pair(p: CoordinatePair, q: CoordinatePair) -> Formula:
@@ -489,13 +482,11 @@ def translate_L_to_W(f: Formula) -> Formula:
 
     Every variable X becomes a pair (Xl, Xr) of finite-set variables;
     quantifiers are relativized to coordinate pairs of actual interval
-    unions by ``valid_pair``.  An ``E V`` whose block has a top-level
-    conjunct ``g(vars) = V``, with g one of ``bot``, ``cz``, ``l``, ``r``,
-    ``min``, ``max`` and V not among the arguments, writes no guard: that
-    conjunct makes both coordinates one finite set, a valid pair.  A
-    definition by another variable does not count, since with ``E X. E Y.
-    X = Y`` each guard would rest on the other.  Containment is the
-    quantifier-free ``phi_subseteq``.  A ``cup`` or ``cap`` whose operands
+    unions by ``valid_pair``.  An ``E V`` writes no guard when V is in the
+    forced set of its block (``_grow_finite``), looking through nested
+    ``E``s: the translated equations then make both coordinates one finite
+    set, a valid pair.  Containment is the quantifier-free
+    ``phi_subseteq``.  A ``cup`` or ``cap`` whose operands
     the conjunction around it forces finite is taken coordinatewise, with
     ``Ul = Ur`` written for each operand whose finiteness the translated
     conjuncts do not already force.  Other lattice operations are
@@ -505,7 +496,7 @@ def translate_L_to_W(f: Formula) -> Formula:
     return _l2w(f)[0]
 
 
-def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair], list[CoordinatePair]]:
+def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
     _check_signature(f, SIG_L)
     g = unnest(f)
     names = FreshNames(all_names(g))
@@ -521,8 +512,6 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair], list[Coordinat
     for v in sorted(free_vars(g)):
         pair_of(v)
 
-    unguarded: list[CoordinatePair] = []
-
     # finite and forced as _grow_finite grows them in the enclosing
     # conjunctions
     def walk(h: Formula, finite: frozenset[str], forced: frozenset[str]) -> Formula:
@@ -537,10 +526,9 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair], list[Coordinat
             body = walk(h.body, finite - hidden, forced - hidden)
             if isinstance(h, Forall):
                 return Forall(p.left, Forall(p.right, Implies(valid_pair(p.left, p.right), body)))
-            if _finitely_defined(h):
+            if _forced_in_block(h, finite, forced):
                 # its block makes both coordinates one finite set F, and
                 # (F, F) is the pair of F itself
-                unguarded.append(p)
                 return Exists(p.left, Exists(p.right, body))
             return Exists(p.left, Exists(p.right, And(valid_pair(p.left, p.right), body)))
         if isinstance(h, Atomic):
@@ -592,19 +580,19 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair], list[Coordinat
                 # input may force an operand finite through this very atom
                 own = [Atomic(Var(q.left), Var(q.right)) for x, q in {u: pu, v: pv}.items() if x not in forced]
                 return and_all([Atomic(lo, wl), Atomic(hi, wr)] + own)
-            tl, tr = names.fresh("Tl"), names.fresh("Tr")
-            tp = CoordinatePair(tl, tr)
-            rel = valid_pair(tl, tr)
+            # a pair of its own, under a name pipeline regroups it by
+            tp = pairs[names.fresh("T")] = CoordinatePair(names.fresh("Tl"), names.fresh("Tr"))
+            rel = valid_pair(tp.left, tp.right)
             if op == "cup":
                 above_both = And(_sub_pair(pu, p), _sub_pair(pv, p))
                 least_such = Implies(And(_sub_pair(pu, tp), _sub_pair(pv, tp)), _sub_pair(p, tp))
-                return And(above_both, Forall(tl, Forall(tr, Implies(rel, least_such))))
+                return And(above_both, Forall(tp.left, Forall(tp.right, Implies(rel, least_such))))
             below_both = And(_sub_pair(p, pu), _sub_pair(p, pv))
             greatest_such = Implies(And(_sub_pair(tp, pu), _sub_pair(tp, pv)), _sub_pair(tp, p))
-            return And(below_both, Forall(tl, Forall(tr, Implies(rel, greatest_such))))
+            return And(below_both, Forall(tp.left, Forall(tp.right, Implies(rel, greatest_such))))
         raise AssertionError(f"unexpected operation {op}")
 
-    return walk(g, frozenset(), frozenset()), pairs, unguarded
+    return walk(g, frozenset(), frozenset()), pairs
 
 
 # -- finite-set formulas to interval formulas ----------------------------------------
@@ -662,13 +650,12 @@ def translate_W_to_L(f: Formula) -> Formula:
 _SELF_PAIR = simplify(valid_pair("Z", "Z"))
 
 
-def _strip_guards(f: Formula, found: list) -> Formula:
+def _strip_guards(f: Formula) -> Formula:
     """``f``, in negation normal form, with the validity guard dropped from
     each existentially bound coordinate pair ``E Wl. E Wr. valid_pair(Wl,
-    Wr) & body``.  Appends each such pair ``(Wl, Wr)`` to ``found``; the
-    result means what ``f`` means only once each pair is regrouped into one
-    interval variable.  A guard that simplify reduced to ``_SELF_PAIR`` of
-    some variable becomes TRUE."""
+    Wr) & body``.  The result means what ``f`` means only once each such
+    pair is regrouped into one interval variable.  A guard that simplify
+    reduced to ``_SELF_PAIR`` of some variable becomes TRUE."""
     kind = f.__class__
     if kind is Or:
         side = f.rhs
@@ -683,27 +670,26 @@ def _strip_guards(f: Formula, found: list) -> Formula:
         elif body == guard:
             body = TRUE
         else:
-            return rebuild(f, _strip_guards, found)
-        found.append((wl, wr))
-        return Exists(wl, Exists(wr, _strip_guards(body, found)))
-    return rebuild(f, _strip_guards, found)
+            return rebuild(f, _strip_guards)
+        return Exists(wl, Exists(wr, _strip_guards(body)))
+    return rebuild(f, _strip_guards)
 
 
 def _regroup(f: Formula, coords: dict, names: FreshNames) -> Formula:
     """``f`` with each ``E Wl. l(Wl) = r(Wl) & E Wr. l(Wr) = r(Wr) & B``
-    over a stripped or unguarded pair turned into ``E W. B[l(W)/Wl,
-    r(W)/Wr]``.  ``coords`` maps each coordinate of such a pair to it and the
+    over a pair still bound turned into ``E W. B[l(W)/Wl, r(W)/Wr]``.
+    ``coords`` maps each coordinate of such a pair to the pair and the
     name of its interval variable.  A binder whose partner simplify dropped
     regroups alone: l(W) and r(W) each range over every finite set."""
     if coords.keys().isdisjoint(bound_vars(f)):
         return f
     if f.__class__ is not Exists or f.var not in coords:
         return rebuild(f, _regroup, coords, names)
-    (left, right), base = coords[f.var]
+    p, base = coords[f.var]
     w = Var(names.fresh(base))
     mapping: dict[str, Term] = {}
     g: Formula = f
-    for v, coord in ((left, l_t), (right, r_t)):
+    for v, coord in ((p.left, l_t), (p.right, r_t)):
         if g.__class__ is Exists and g.var == v:
             mapping[v] = coord(w)
             g = g.body
@@ -727,32 +713,27 @@ def pipeline(f: Formula) -> Formula:
     it existential, or one in the input) raise FragmentError.
 
     Free variables come back as their endpoint maps ``l(X)`` and ``r(X)``.
-    A bound interval variable comes back as an interval variable: by the
-    endpoint lemma its coordinate pairs are exactly the valid ones, so
-    ``E Wl. E Wr. valid_pair(Wl, Wr) & body`` is ``E W. body[l(W), r(W)]``
-    and ``valid_pair`` is never translated.  A pair that ``translate_L_to_W``
-    wrote without a guard (its variable defined by a finite value) is
-    regrouped the same way when the first simplify left both coordinates
-    bound.  The later simplify passes keep the regrouped coordinates,
-    which must stay paired.  A guarded pair the first simplify inlined
-    keeps its simplified ``valid_pair``, unless one variable stands for
-    both coordinates and the guard holds outright; an unguarded pair it
-    inlined needs no guard, as its definition still fixes it."""
+    Every pair whose two coordinates the first simplify leaves bound comes
+    back as one interval variable: by the endpoint lemma the coordinate
+    pairs are exactly the valid ones, so ``E Wl. E Wr. valid_pair(Wl, Wr) &
+    body`` is ``E W. body[l(W), r(W)]`` and ``valid_pair`` is never
+    translated, and a pair written without a guard is valid already.  The
+    later simplify passes keep the regrouped coordinates, which must stay
+    paired.  A guarded pair the first simplify inlined keeps its simplified
+    ``valid_pair``, unless one variable stands for both coordinates and the
+    guard holds outright; an unguarded pair it inlined needs no guard, as
+    its definition still fixes it."""
     # bound apart, each binder has a pair of its own, so a coordinate's
     # name tells which pair it belongs to
-    w, pairs, unguarded = _l2w(rename_bound_apart(f))
-    found: list[tuple[str, str]] = []
-    w = _strip_guards(_existential_nnf(simplify(w)), found)
-    # an unguarded pair regroups as a stripped one does, unless simplify
-    # inlined a coordinate: the other alone would not pin the variable
+    w, pairs = _l2w(rename_bound_apart(f))
+    w = _strip_guards(_existential_nnf(simplify(w)))
+    # a pair with a coordinate simplify inlined stays apart: the other
+    # alone would not pin the variable
     bound = bound_vars(w)
-    found += [(p.left, p.right) for p in unguarded if p.left in bound and p.right in bound]
-    keep = frozenset(v for pair in found for v in pair)
+    coords = {c: (p, v) for v, p in pairs.items() if p.left in bound and p.right in bound for c in (p.left, p.right)}
+    keep = frozenset(coords)
     g = _simp(_eliminate_diff(w, FreshNames(all_names(w))), {}, keep)
     out = _simp(translate_W_to_L(g), {}, keep)
-    owner = {pr.left: v for v, pr in pairs.items()}
-    # a bound clause's pair has no interval variable of its own
-    coords = {v: (pair, owner.get(pair[0], "T")) for pair in found for v in pair}
     out = _regroup(out, coords, FreshNames(all_names(out) | free_vars(f)))
     back: dict[str, Term] = {}
     for v in free_vars(f):
