@@ -23,9 +23,9 @@ its endpoint pair.  This module realizes both directions on formulas:
   ``ips``, which the interval signature lacks, are lifted out of a
   negation and defined positively.  Bound interval variables stay
   interval variables: by the endpoint lemma their coordinate pairs are
-  exactly the valid ones, so the validity guard of each pair is dropped
-  before the finite-set stage, and every pair still bound is regrouped
-  into one variable after.
+  exactly the valid ones, so each pair still bound is regrouped into one
+  variable after the finite-set stage, and each guard that then holds is
+  dropped before it.
 
 Universal quantifiers in a coordinate form come only from the input
 itself or from the bound clause that ``translate_L_to_W`` writes for a
@@ -35,6 +35,7 @@ itself or from the bound clause that ``translate_L_to_W`` writes for a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .syntax import (
@@ -462,17 +463,6 @@ def _grow_finite(
     return frozenset(finite), frozenset(forced)
 
 
-def _forced_in_block(h: Exists, finite: frozenset[str], forced: frozenset[str]) -> bool:
-    """``h``'s variable V is in the forced set ``_grow_finite`` grows over
-    V's block: the top-level conjuncts of ``h``'s body, looking through
-    nested ``E``s that do not rebind V."""
-    hidden, body = {h.var}, h.body
-    while body.__class__ is Exists and body.var != h.var:
-        hidden.add(body.var)
-        body = body.body
-    return h.var in _grow_finite(operands(body, And), finite - hidden, forced - hidden)[1]
-
-
 def _sub_pair(p: CoordinatePair, q: CoordinatePair) -> Formula:
     return phi_subseteq(Var(p.left), Var(p.right), Var(q.left), Var(q.right))
 
@@ -483,16 +473,16 @@ def translate_L_to_W(f: Formula) -> Formula:
     Every variable X becomes a pair (Xl, Xr) of finite-set variables;
     quantifiers are relativized to coordinate pairs of actual interval
     unions by ``valid_pair``.  An ``E V`` writes no guard when V is in the
-    forced set of its block (``_grow_finite``), looking through nested
-    ``E``s: the translated equations then make both coordinates one finite
-    set, a valid pair.  Containment is the quantifier-free
-    ``phi_subseteq``.  A ``cup`` or ``cap`` whose operands
-    the conjunction around it forces finite is taken coordinatewise, with
-    ``Ul = Ur`` written for each operand whose finiteness the translated
-    conjuncts do not already force.  Other lattice operations are
-    expressed order-theoretically: above (or below) both operands, and
-    least (or greatest) such, a bound clause over every coordinate pair
-    that costs a universal quantifier."""
+    forced set of its block, the conjuncts below its chain of ``E``s, which
+    ``_grow_finite`` grows once for the whole chain: the translated
+    equations then make both coordinates one finite set, a valid pair.
+    Containment is the quantifier-free ``phi_subseteq``.  A ``cup`` or
+    ``cap`` whose operands the conjunction around it forces finite is taken
+    coordinatewise, with ``Ul = Ur`` written for each operand whose
+    finiteness the translated conjuncts do not already force.  Other
+    lattice operations are expressed order-theoretically: above (or below)
+    both operands, and least (or greatest) such, a bound clause over every
+    coordinate pair that costs a universal quantifier."""
     return _l2w(f)[0]
 
 
@@ -515,25 +505,36 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
     # finite and forced as _grow_finite grows them in the enclosing
     # conjunctions
     def walk(h: Formula, finite: frozenset[str], forced: frozenset[str]) -> Formula:
-        if isinstance(h, And):
-            conj = operands(h, And)
-            grown, pinned = _grow_finite(conj, finite, forced)
-            return and_all([walk(p, grown, pinned) for p in conj])
-        if isinstance(h, (Exists, Forall)):
+        if isinstance(h, Atomic):
+            return atom(h, finite, forced)
+        if isinstance(h, (And, Exists)):
+            return block(h, finite, forced)[0]
+        if isinstance(h, Forall):
+            p = pair_of(h.var)
+            body = walk(h.body, finite - {h.var}, forced - {h.var})
+            return Forall(p.left, Forall(p.right, Implies(valid_pair(p.left, p.right), body)))
+        return rebuild(h, walk, finite, forced)
+
+    # h translated, and the forced set of the block it heads (the conjuncts
+    # below its chain of E binders, grown once) less the names the chain
+    # binds: an E V writes no guard when V is in the set its body hands up
+    def block(h: Formula, finite: frozenset[str], forced: frozenset[str]) -> tuple[Formula, frozenset[str]]:
+        if isinstance(h, Exists):
             p = pair_of(h.var)
             # an inner binder of a name is a new variable
             hidden = {h.var}
-            body = walk(h.body, finite - hidden, forced - hidden)
-            if isinstance(h, Forall):
-                return Forall(p.left, Forall(p.right, Implies(valid_pair(p.left, p.right), body)))
-            if _forced_in_block(h, finite, forced):
-                # its block makes both coordinates one finite set F, and
-                # (F, F) is the pair of F itself
-                return Exists(p.left, Exists(p.right, body))
-            return Exists(p.left, Exists(p.right, And(valid_pair(p.left, p.right), body)))
+            body, pinned = block(h.body, finite - hidden, forced - hidden)
+            if h.var not in pinned:
+                body = And(valid_pair(p.left, p.right), body)
+            return Exists(p.left, Exists(p.right, body)), pinned - hidden
+        if isinstance(h, And):
+            conj = operands(h, And)
+            grown, pinned = _grow_finite(conj, finite, forced)
+            return and_all([walk(c, grown, pinned) for c in conj]), pinned
         if isinstance(h, Atomic):
-            return atom(h, finite, forced)
-        return rebuild(h, walk, finite, forced)
+            # a lone atom is translated on the sets around it
+            return atom(h, finite, forced), _grow_finite([h], finite, forced)[1]
+        return walk(h, finite, forced), forced
 
     def atom(h: Atomic, finite: frozenset[str], forced: frozenset[str]) -> Formula:
         a, b = h.lhs, h.rhs
@@ -645,34 +646,18 @@ def translate_W_to_L(f: Formula) -> Formula:
 # -- the composed pipeline -----------------------------------------------------------
 
 
-# valid_pair(Z, Z) as simplify leaves it.  A finite set paired with itself
-# is the coordinate pair of that set, so every instance of it holds.
-_SELF_PAIR = simplify(valid_pair("Z", "Z"))
+@lru_cache(maxsize=1024)
+def _simplified_guard(left: str, right: str) -> Formula:
+    """``valid_pair(left, right)`` as simplify leaves it."""
+    return simplify(valid_pair(left, right))
 
 
-def _strip_guards(f: Formula) -> Formula:
-    """``f``, in negation normal form, with the validity guard dropped from
-    each existentially bound coordinate pair ``E Wl. E Wr. valid_pair(Wl,
-    Wr) & body``.  The result means what ``f`` means only once each such
-    pair is regrouped into one interval variable.  A guard that simplify
-    reduced to ``_SELF_PAIR`` of some variable becomes TRUE."""
-    kind = f.__class__
-    if kind is Or:
-        side = f.rhs
-        if side.__class__ is Atomic and side.lhs.__class__ is Var and f == substitute(_SELF_PAIR, {"Z": side.lhs}):
-            return TRUE
-    elif kind is Exists and f.body.__class__ is Exists:
-        wl, wr, body = f.var, f.body.var, f.body.body
-        # simplify folds nothing in the guard of two distinct variables
-        guard = valid_pair(wl, wr)
-        if body.__class__ is And and body.lhs == guard:
-            body = body.rhs
-        elif body == guard:
-            body = TRUE
-        else:
-            return rebuild(f, _strip_guards)
-        return Exists(wl, Exists(wr, _strip_guards(body)))
-    return rebuild(f, _strip_guards)
+def _strip_guards(f: Formula, holds: dict) -> Formula:
+    """``f`` with the guard of each coordinate pair in ``holds`` made TRUE.
+    ``holds`` keys each pair by its names, the free names of its guard,
+    which ``f`` caches on every node, so no term is hashed."""
+    pair = holds.get(free_vars(f))
+    return TRUE if pair is not None and f == _simplified_guard(*pair) else rebuild(f, _strip_guards, holds)
 
 
 def _regroup(f: Formula, coords: dict, names: FreshNames) -> Formula:
@@ -702,35 +687,37 @@ def _regroup(f: Formula, coords: dict, names: FreshNames) -> Formula:
 def pipeline(f: Formula) -> Formula:
     """Turn a supported interval formula into an equivalent existential one.
 
-    Coordinates first, then negation normal form, where each bound pair
-    of coordinates drops its validity guard, then back to interval terms;
-    the simplifier runs between stages.  Negated equations stay negated:
-    each ``diff`` the coordinate form uses is defined by ``diffdef``
-    outside the negation of its equation, and ``translate_W_to_L`` does
-    the same for each ``ips``.  Inputs whose coordinate form keeps a
-    universal quantifier after negation normal form (the bound clause of a
-    cup or cap over sets not known to be finite, unless a negation turns
-    it existential, or one in the input) raise FragmentError.
+    Coordinates first, then negation normal form, then back to interval
+    terms; the simplifier runs between stages.  Negated equations stay
+    negated: each ``diff`` the coordinate form uses is defined by
+    ``diffdef`` outside the negation of its equation, and
+    ``translate_W_to_L`` does the same for each ``ips``.  Inputs whose
+    coordinate form keeps a universal quantifier after negation normal form
+    (the bound clause of a cup or cap over sets not known to be finite,
+    unless a negation turns it existential, or one in the input) raise
+    FragmentError.
 
     Free variables come back as their endpoint maps ``l(X)`` and ``r(X)``.
     Every pair whose two coordinates the first simplify leaves bound comes
-    back as one interval variable: by the endpoint lemma the coordinate
-    pairs are exactly the valid ones, so ``E Wl. E Wr. valid_pair(Wl, Wr) &
-    body`` is ``E W. body[l(W), r(W)]`` and ``valid_pair`` is never
-    translated, and a pair written without a guard is valid already.  The
-    later simplify passes keep the regrouped coordinates, which must stay
-    paired.  A guarded pair the first simplify inlined keeps its simplified
-    ``valid_pair``, unless one variable stands for both coordinates and the
-    guard holds outright; an unguarded pair it inlined needs no guard, as
-    its definition still fixes it."""
+    back as one interval variable, and the later simplify passes keep its
+    coordinates paired.  By the endpoint lemma the coordinate pairs are
+    exactly the valid ones, so the guard of such a pair holds, as do those
+    of a free variable's pair and of a coordinate paired with itself: each
+    becomes TRUE, wherever the first simplify left it, and is never
+    translated.  A pair written without a guard is valid already.  Any
+    other guard, of a pair that simplify inlined onto one that stays apart,
+    stays in its simplified form."""
     # bound apart, each binder has a pair of its own, so a coordinate's
     # name tells which pair it belongs to
     w, pairs = _l2w(rename_bound_apart(f))
-    w = _strip_guards(_existential_nnf(simplify(w)))
+    w = _existential_nnf(simplify(w))
     # a pair with a coordinate simplify inlined stays apart: the other
     # alone would not pin the variable
     bound = bound_vars(w)
     coords = {c: (p, v) for v, p in pairs.items() if p.left in bound and p.right in bound for c in (p.left, p.right)}
+    whole = [pairs[v] for v in free_vars(f)] + [p for p, _ in coords.values()]
+    holds = [(p.left, p.right) for p in whole] + [(c, c) for c in bound | free_vars(w)]
+    w = _strip_guards(w, {frozenset(q): q for q in holds})
     keep = frozenset(coords)
     g = _simp(_eliminate_diff(w, FreshNames(all_names(w))), {}, keep)
     out = _simp(translate_W_to_L(g), {}, keep)

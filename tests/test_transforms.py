@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from intlat import transforms
 from intlat.fci import EMPTY_FCI, embed_finset, parse_fci
 from intlat.finset import FinSet
 from intlat.oracle import check_equiv, enum_fcis, enum_finsets
@@ -496,6 +497,29 @@ def test_pairs_their_blocks_force_finite_drop_their_guards(text, rewrite, sig, c
     _agree_on_every_small_union(f, g, sig)
 
 
+@pytest.mark.parametrize(
+    "text, calls",
+    [
+        # one block under a chain of three binders: 4 analyses while each
+        # binder grew its block again
+        ("E Y. E W. E Z. min(X) = Y & max(X) = W & cap(Y, W) = Z", 1),
+        # unnested, bot is named in a block of its own: 5 analyses before
+        ("E Y. E W. min(X) = Y & max(X) = W & cap(Y, W) = bot", 2),
+    ],
+)
+def test_l2w_analyses_each_block_once(monkeypatch, text, calls):
+    seen = 0
+
+    def counted(*args):
+        nonlocal seen
+        seen += 1
+        return _grow_finite(*args)
+
+    monkeypatch.setattr(transforms, "_grow_finite", counted)
+    translate_L_to_W(parse(text, SIG_L))
+    assert seen == calls
+
+
 def test_pipeline_takes_a_disjunct_that_folds_to_true():
     # the inner block forces Y finite, so its pair writes no guard and the
     # first disjunct folds to true; the bound clause of the cap goes with it
@@ -593,6 +617,30 @@ def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
         a = {"X": u}
         pool = default_pool(a)
         assert eval_bounded(g, a, pool, SIG_L) == eval_bounded(f, a, pool, SIG_L), u
+
+
+@pytest.mark.parametrize(
+    "text, ceiling",
+    [
+        # simplify puts X's coordinates for Y's, so Y's guard becomes that
+        # of X, which comes back as l(X) and r(X): 598 nodes translated
+        ("E Y. Y = X", 3),
+        ("E Y. E W. Y = X & W = Y", 3),
+        # 607 and 610 nodes while X's guard was translated
+        ("E Y. Y = X & min(Y) = cz", 8),
+        ("E Y. Y = X & !(Y = bot)", 11),
+    ],
+)
+def test_pipeline_drops_a_guard_inlined_onto_a_kept_pair(text, ceiling):
+    f = parse(text, SIG_L)
+    g = pipeline(f)
+    assert _count_nodes(g) <= ceiling
+    _agree_on_every_small_union(f, g, SIG_L)
+
+
+def test_pipeline_takes_a_variable_equal_to_a_free_one_to_true():
+    for text in ("E Y. Y = X", "E Y. E W. Y = X & W = Y"):
+        assert pipeline(parse(text, SIG_L)) == TRUE, text
 
 
 def _count_nodes(node) -> int:
@@ -835,7 +883,21 @@ def _composition_outputs():
 
 # (accepted outputs, SHA-256 of the lines "input TAB output") of pipeline
 # on the pipeline-generated formulas, skipped ones included
-GENERATED_DIGEST = (135, "e5ad34e31814ba9ebdc1418803755df0c4cb57023b3f6b93c9a1b6e54763a95a")
+GENERATED_DIGEST = (135, "45193bfce5951e8ae5006e03364f0ac7ee8dc92a340b4ff7068d4a26e97199f8")
+
+
+# (draws, SHA-256 of the lines "input TAB output") of the simplified
+# coordinate form of both generated draws as drawn; parsing would rename
+# apart the names some of them bind twice
+RAW_GENERATED_DIGEST = (400, "c8dea760a07e432ab4dc2b2e7184639c28f338436be5fbf6718e2e1aa8940dbc")
+
+
+def test_l2w_outputs_on_generated_formulas_that_bind_a_name_twice_are_pinned():
+    lines = []
+    for seed in ("l2w-generated", "pipeline-generated"):
+        for f in _generated_formulas(seed):
+            lines.append(f"{format_formula(f)}\t{format_formula(simplify(translate_L_to_W(f)))}\n")
+    assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == RAW_GENERATED_DIGEST
 
 
 def test_generated_pipeline_outputs_are_pinned():
@@ -848,8 +910,9 @@ def test_generated_pipeline_outputs_are_pinned():
         lines.append(f"{format_formula(f)}\t{format_formula(g)}\n")
         nodes += _count_nodes(g)
     assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == GENERATED_DIGEST
-    # 11356 when only a definition by a finite value dropped a guard
-    assert nodes <= 9618
+    # 11356 when only a definition by a finite value dropped a guard, and
+    # 9618 while a guard simplify inlined onto a kept pair was translated
+    assert nodes <= 9019
 
 
 def test_composition_rewrite_outputs_are_pinned():
