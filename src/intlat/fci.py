@@ -312,13 +312,14 @@ def parse_fci(text: str) -> FciSet:
             p = parse_point(part[1:-1])
             segments.append(Segment(p, p))
         elif part.startswith("[") and part.endswith(")"):
-            body = part[1:-1]
-            lo_text, star = body.split(",", 1)
-            if star.strip() != "*":
-                raise ValueError(f"a ray must end with '*', got {part!r}")
+            lo_text, comma, star = part[1:-1].partition(",")
+            if not comma or star.strip() != "*":
+                raise ValueError(f"a ray must read [a,*), got {part!r}")
             rays.append(parse_point(lo_text))
         elif part.startswith("[") and part.endswith("]"):
-            lo_text, hi_text = part[1:-1].split(",", 1)
+            lo_text, comma, hi_text = part[1:-1].partition(",")
+            if not comma:
+                raise ValueError(f"a segment must read [a,b], got {part!r}")
             segments.append(Segment(parse_point(lo_text), parse_point(hi_text)))
         else:
             raise ValueError(f"unrecognized interval part {part!r}")

@@ -1,29 +1,24 @@
-"""Exhaustive enumerators, random generators, and the equivalence harness.
+"""Exhaustive enumerators and random generators.
 
 The enumerators stream every structure element built from a small point
 pool, in a fixed order, so lemma-level checks can be exhaustive;
 ``subset_masks`` and ``fci_masks`` list the same elements, in the same
 order, as the solver's cell masks.  All are capped: subsets explode as
 2^n and interval unions faster still, so pools beyond the cap raise
-instead of hanging.
-
-``check_equiv`` runs a Python-level predicate against a formula over a
-stream of assignments and reports every disagreement; it is the harness
-behind each lemma suite.
+instead of hanging.  The generators draw seeded points, finite sets and
+interval unions for the checks too large to enumerate.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .fci import FciSet, Segment, _from_cells
 from .finset import FinSet
 from .order import Point
-from .syntax import Formula, Signature
 
 FINSET_POOL_CAP = 12
 FCI_POOL_CAP = 10
@@ -159,53 +154,3 @@ def random_fciset(
                 i += 1
         if len(segments) <= max_segments:
             return FciSet(tuple(segments), ray_lo)
-
-
-# -- equivalence harness -----------------------------------------------------------
-
-
-@dataclass
-class EquivReport:
-    """Outcome of comparing a predicate with a formula over many assignments."""
-
-    checked: int = 0
-    failures: list[tuple[dict, bool, bool]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        return f"checked={self.checked} failures={len(self.failures)}"
-
-
-def check_equiv(
-    predicate: Callable[[dict], bool],
-    formula: Formula,
-    assignments: Iterable[dict],
-    sig: Signature,
-    pool=None,
-    cache=None,
-) -> EquivReport:
-    """Compare a Python predicate with bounded evaluation of a formula.
-
-    ``pool`` may be a fixed WitnessPool, or None for default_pool per
-    assignment.  Evaluation errors are re-raised with the offending
-    assignment attached.
-    """
-    from .semantics import EvalCache, default_pool, eval_bounded
-
-    if cache is None:
-        cache = EvalCache()
-    report = EquivReport()
-    for a in assignments:
-        p = default_pool(a) if pool is None else pool
-        try:
-            lhs = bool(predicate(a))
-            rhs = eval_bounded(formula, a, p, sig, cache=cache)
-        except Exception as exc:
-            raise RuntimeError(f"evaluation failed at assignment {a!r}: {exc}") from exc
-        report.checked += 1
-        if lhs != rhs:
-            report.failures.append((dict(a), lhs, rhs))
-    return report

@@ -13,7 +13,6 @@ from fractions import Fraction
 Point = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def point(numerator: int | str | Fraction, denominator: int | None = None) -> Point:

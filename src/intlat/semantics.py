@@ -347,8 +347,13 @@ class _Ranks(NamedTuple):
 
 
 def _ranks(pool: WitnessPool, points: Iterable[Point]) -> _Ranks:
+    """The pool ranked among ``points``, which hold every point of the pool."""
     rank = {p: i for i, p in enumerate(sorted(points))}
-    ranked = tuple(rank[p] for p in pool.points.elements)
+    return _ranked(pool, rank, tuple(rank[p] for p in pool.points.elements))
+
+
+def _ranked(pool: WitnessPool, rank: dict, ranked: tuple[int, ...]) -> _Ranks:
+    """The pool's spaces, its points having the ranks ``ranked`` in ``rank``."""
     pairs = ranked if pool.pair_points is None else tuple(rank[p] for p in pool.pair_points.elements)
     cells = sum(1 << 2 * r for r in ranked)
     spaces = tuple(_Space(ranked, pool.max_segments, pool.allow_ray, pairs, w, cells) for w in (False, True))
@@ -357,7 +362,9 @@ def _ranks(pool: WitnessPool, points: Iterable[Point]) -> _Ranks:
 
 @lru_cache(maxsize=_POOL_CACHE_SIZE)
 def _pool_ranks(pool: WitnessPool) -> _Ranks:
-    return _ranks(pool, pool.points)
+    # the pool's points are sorted, so the i-th one has rank i
+    points = pool.points.elements
+    return _ranked(pool, dict(zip(points, range(len(points)))), tuple(range(len(points))))
 
 
 def _mask(v: Value, rank: dict) -> int:

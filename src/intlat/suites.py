@@ -1,16 +1,20 @@
 """Named check suites: each one runs a lemma or translation over an
 exhaustive (or seeded-random) family and reports every disagreement.
 
-These back both the ``check`` command and the acceptance tests.  The
-left-hand side of every comparison is computed directly on the value
-level (kernel set operations), the right-hand side by evaluating the
-formula under test, so a bug in either layer shows up as a failure.
+These back both the ``check`` command and the acceptance tests.  Each
+case pairs an assignment with its expected verdict, computed directly on
+the value level from the value the suite enumerated (kernel set
+operations, or the input formula itself where a rewrite is checked); the
+other side evaluates the formula under test, so a bug in either layer
+shows up as a failure.  ``EquivReport.add`` counts every comparison, and
+``check_equiv`` feeds it one formula's cases.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -24,17 +28,11 @@ from .fci import (
     zero_fci,
 )
 from .finset import FinSet, zero_set
-from .oracle import (
-    EquivReport,
-    check_equiv,
-    enum_fcis,
-    enum_finsets,
-    random_fciset,
-    random_points,
-)
-from .semantics import EvalCache, WitnessPool, default_pool, eval_bounded, eval_qf, widened
-from .syntax import SIG_L, SIG_W, Formula, Var, classify, delta_domain, free_vars, parse
+from .oracle import enum_fcis, enum_finsets, random_fciset, random_points
+from .semantics import Assignment, EvalCache, WitnessPool, default_pool, eval_bounded, eval_qf, widened
+from .syntax import SIG_L, SIG_W, Formula, Signature, Var, classify, delta_domain, free_vars, parse
 from .transforms import (
+    CoordinatePair,
     FragmentError,
     _l2w,
     notbot,
@@ -47,6 +45,55 @@ from .transforms import (
 )
 
 
+@dataclass
+class EquivReport:
+    """Every comparison a suite made, and the ones whose sides differ."""
+
+    checked: int = 0
+    failures: list[tuple[dict, object, object]] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def summary(self) -> str:
+        return f"checked={self.checked} failures={len(self.failures)}"
+
+    def add(self, note: dict, lhs, rhs) -> None:
+        """Count one comparison, and keep it with its note if the sides differ."""
+        self.checked += 1
+        if lhs != rhs:
+            self.failures.append((note, lhs, rhs))
+
+
+def check_equiv(
+    report: EquivReport,
+    text: str,
+    formula: Formula,
+    cases: Iterable[tuple[Assignment, bool]],
+    sig: Signature,
+    pool: Optional[WitnessPool] = None,
+    cache: Optional[EvalCache] = None,
+) -> None:
+    """Add to ``report`` one comparison per ``(assignment, expected)``
+    case: the expected verdict against bounded evaluation of ``formula``,
+    a failure noted with the assignment and ``text``.
+
+    ``pool`` may be a fixed WitnessPool, or None for default_pool per
+    assignment.  Evaluation errors are re-raised with the offending
+    assignment attached.
+    """
+    if cache is None:
+        cache = EvalCache()
+    for a, expected in cases:
+        p = default_pool(a) if pool is None else pool
+        try:
+            got = eval_bounded(formula, a, p, sig, cache=cache)
+        except Exception as exc:
+            raise RuntimeError(f"evaluation failed at assignment {a!r}: {exc}") from exc
+        report.add({**a, "formula": text}, expected, got)
+
+
 def _ints(n: int) -> FinSet:
     return FinSet.of(range(n))
 
@@ -54,20 +101,6 @@ def _ints(n: int) -> FinSet:
 def _assignments(names: Sequence[str], family: Iterable) -> Iterator[dict]:
     """Every assignment of family members to the names, first name outermost."""
     return (dict(zip(names, values)) for values in itertools.product(family, repeat=len(names)))
-
-
-def _merge(total: EquivReport, part: EquivReport, tag: str) -> None:
-    total.checked += part.checked
-    for a, lhs, rhs in part.failures:
-        noted = dict(a)
-        noted["formula"] = tag
-        total.failures.append((noted, lhs, rhs))
-
-
-def _fail(report: EquivReport, note: dict, lhs, rhs) -> None:
-    report.checked += 1
-    if lhs != rhs:
-        report.failures.append((note, lhs, rhs))
 
 
 # -- nonemptiness without negation ---------------------------------------------------
@@ -80,9 +113,10 @@ def suite_notbot(pool_size: Optional[int] = None) -> EquivReport:
     else:
         points = _ints(pool_size)
     pool = WitnessPool(points=points, max_segments=len(points))
-    formula = notbot(Var("A"))
-    assignments = ({"A": s} for s in enum_finsets(points))
-    return check_equiv(lambda a: bool(a["A"]), formula, assignments, SIG_W, pool=pool)
+    report = EquivReport()
+    cases = (({"A": s}, bool(s)) for s in enum_finsets(points))
+    check_equiv(report, "notbot(A)", notbot(Var("A")), cases, SIG_W, pool=pool)
+    return report
 
 
 # -- the interval characterization of ips --------------------------------------------
@@ -122,7 +156,7 @@ def suite_ipschar(pool_size: Optional[int] = None) -> EquivReport:
                 continue
             c = a.ips(b)
             d = witness_d(a, b, c)
-            _fail(report, {"A": a, "B": b, "C": c, "D": d}, True, _ips_clause(a, b, c, d))
+            report.add({"A": a, "B": b, "C": c, "D": d}, True, _ips_clause(a, b, c, d))
 
     # converse: over all candidate witnesses, some D fits exactly when ips(A,B)=C
     by_right: dict[FinSet, list[FciSet]] = {}
@@ -136,18 +170,15 @@ def suite_ipschar(pool_size: Optional[int] = None) -> EquivReport:
                 continue
             for c in enum_finsets(points):
                 found = any(_ips_clause(a, b, c, d) for d in by_right.get(c, ()))
-                _fail(report, {"A": a, "B": b, "C": c}, a.ips(b) == c, found)
+                report.add({"A": a, "B": b, "C": c}, a.ips(b) == c, found)
 
     # the same statement as an interval formula, on every triple
     pool = WitnessPool(points=dpoints, max_segments=len(dpoints))
-    form = phi_ips()
-    cache = EvalCache()
-    for a in enum_finsets(points):
-        for b in enum_finsets(points):
-            for c in enum_finsets(points):
-                env = {"X": embed_finset(a), "Y": embed_finset(b), "Z": embed_finset(c)}
-                got = eval_bounded(form, env, pool, SIG_L, cache=cache)
-                _fail(report, {"X": a, "Y": b, "Z": c}, a.ips(b) == c, got)
+    cases = (
+        ({"X": embed_finset(a), "Y": embed_finset(b), "Z": embed_finset(c)}, a.ips(b) == c)
+        for a, b, c in itertools.product(enum_finsets(points), repeat=3)
+    )
+    check_equiv(report, "phi_ips", phi_ips(), cases, SIG_L, pool=pool)
     return report
 
 
@@ -168,81 +199,53 @@ def suite_endpoints(pool_size: Optional[int] = None) -> EquivReport:
         b, c = x.left_endpoints(), x.right_endpoints()
         holds = endpoint_condition(b, c) and eval_qf(dom, {"B": b, "C": c}, SIG_W)
         rebuilt = build_from_endpoints(b, c)
-        _fail(report, {"A": x}, True, holds and rebuilt == x)
+        report.add({"A": x}, True, holds and rebuilt == x)
 
     for b in enum_finsets(points):
         for c in enum_finsets(points):
             value = endpoint_condition(b, c)
             formula = eval_qf(dom, {"B": b, "C": c}, SIG_W)
-            _fail(report, {"B": b, "C": c, "side": "formula"}, value, formula)
+            report.add({"B": b, "C": c, "side": "formula"}, value, formula)
             try:
                 x = build_from_endpoints(b, c)
                 realized = x.left_endpoints() == b and x.right_endpoints() == c
             except ValueError:
                 realized = None
-            _fail(
-                report,
-                {"B": b, "C": c, "side": "builder"},
-                value,
-                realized is not None and realized,
-            )
+            report.add({"B": b, "C": c, "side": "builder"}, value, realized is not None and realized)
     return report
 
 
 # -- membership and containment ------------------------------------------------------
 
 
-def _member_family(pool_size: Optional[int]) -> tuple[FinSet, list[FciSet], list]:
+def _member_family(pool_size: Optional[int]) -> tuple[list[tuple[FciSet, FinSet, FinSet]], list, WitnessPool]:
+    """Each union on the pool with its left and right endpoints, the
+    points to test them at, and a pool of those points."""
     points = _ints(5 if pool_size is None else pool_size)
-    sets = list(enum_fcis(points, 3, True))
-    return points, sets, list(widened(points))
-
-
-def _from_pair(b: FinSet, c: FinSet) -> FciSet:
-    if not b and not c:
-        return EMPTY_FCI
-    return build_from_endpoints(b, c)
+    zs = list(widened(points))
+    sets = [(x, x.left_endpoints(), x.right_endpoints()) for x in enum_fcis(points, 3, True)]
+    return sets, zs, WitnessPool(points=FinSet.of(zs), max_segments=len(zs))
 
 
 def suite_member(pool_size: Optional[int] = None) -> EquivReport:
     """phi_in on coordinates agrees with pointwise membership."""
-    _, sets, zs = _member_family(pool_size)
-
-    def stream():
-        for x in sets:
-            for z in zs:
-                yield {
-                    "Xl": x.left_endpoints(),
-                    "Xr": x.right_endpoints(),
-                    "Z": FinSet((z,)),
-                }
-
-    def contains(a: dict) -> bool:
-        return _from_pair(a["Xl"], a["Xr"]).contains(a["Z"].elements[0])
-
-    pool = WitnessPool(points=FinSet.of(zs), max_segments=len(zs))
-    return check_equiv(contains, phi_in(), stream(), SIG_W, pool=pool)
+    sets, zs, pool = _member_family(pool_size)
+    report = EquivReport()
+    cases = (({"Xl": xl, "Xr": xr, "Z": FinSet((z,))}, x.contains(z)) for x, xl, xr in sets for z in zs)
+    check_equiv(report, "phi_in", phi_in(), cases, SIG_W, pool=pool)
+    return report
 
 
 def suite_subset(pool_size: Optional[int] = None) -> EquivReport:
     """phi_subseteq on coordinates agrees with containment."""
-    _, sets, zs = _member_family(pool_size)
-
-    stream = (
-        {
-            "Xl": a["X"].left_endpoints(),
-            "Xr": a["X"].right_endpoints(),
-            "Yl": a["Y"].left_endpoints(),
-            "Yr": a["Y"].right_endpoints(),
-        }
-        for a in _assignments(("X", "Y"), sets)
+    sets, _, pool = _member_family(pool_size)
+    report = EquivReport()
+    cases = (
+        ({"Xl": xl, "Xr": xr, "Yl": yl, "Yr": yr}, x.issubset(y))
+        for (x, xl, xr), (y, yl, yr) in itertools.product(sets, repeat=2)
     )
-
-    def issub(a: dict) -> bool:
-        return _from_pair(a["Xl"], a["Xr"]).issubset(_from_pair(a["Yl"], a["Yr"]))
-
-    pool = WitnessPool(points=FinSet.of(zs), max_segments=len(zs))
-    return check_equiv(issub, phi_subseteq(), stream, SIG_W, pool=pool)
+    check_equiv(report, "phi_subseteq", phi_subseteq(), cases, SIG_W, pool=pool)
+    return report
 
 
 # -- quantifier-free negation elimination --------------------------------------------
@@ -270,12 +273,9 @@ def suite_posex(pool_size: Optional[int] = None) -> EquivReport:
     for text in POSEX_CORPUS:
         f = parse(text, SIG_W)
         g = to_positive_existential(f)
-        _fail(report, {"formula": text, "side": "shape"}, "positive_existential", classify(g))
-        stream = _assignments(sorted(free_vars(f)), enum_finsets(points))
-        part = check_equiv(
-            lambda a: eval_qf(f, a, SIG_W), g, stream, SIG_W, pool=pool, cache=EvalCache()
-        )
-        _merge(report, part, text)
+        report.add({"formula": text, "side": "shape"}, "positive_existential", classify(g))
+        cases = ((a, eval_qf(f, a, SIG_W)) for a in _assignments(sorted(free_vars(f)), enum_finsets(points)))
+        check_equiv(report, text, g, cases, SIG_W, pool=pool, cache=EvalCache())
     return report
 
 
@@ -302,21 +302,16 @@ def suite_w2l(pool_size: Optional[int] = None) -> EquivReport:
     embedded finite sets over the pool."""
     points = _ints(4 if pool_size is None else pool_size)
     pool = WitnessPool(points=points, max_segments=len(points) + 1)
-    embedded = [embed_finset(s) for s in enum_finsets(points)]
+    embedded = {s: embed_finset(s) for s in enum_finsets(points)}
     report = EquivReport()
     for text in W2L_CORPUS:
         f = parse(text, SIG_W)
-        g = translate_W_to_L(f)
         wcache = EvalCache()
-        lcache = EvalCache()
-
-        def on_finite(a: dict) -> bool:
-            finsets = {k: v.as_finset() for k, v in a.items()}
-            return eval_bounded(f, finsets, pool, SIG_W, cache=wcache)
-
-        stream = _assignments(sorted(free_vars(f)), embedded)
-        part = check_equiv(on_finite, g, stream, SIG_L, pool=pool, cache=lcache)
-        _merge(report, part, text)
+        cases = (
+            ({v: embedded[s] for v, s in a.items()}, eval_bounded(f, a, pool, SIG_W, cache=wcache))
+            for a in _assignments(sorted(free_vars(f)), embedded)
+        )
+        check_equiv(report, text, translate_W_to_L(f), cases, SIG_L, pool=pool, cache=EvalCache())
     return report
 
 
@@ -344,6 +339,15 @@ L2W_CORPUS: list[tuple[str, Callable[[dict], bool]]] = [
 ]
 
 
+def _coords(a: dict, pairs: dict[str, CoordinatePair]) -> dict:
+    """The assignment's unions as endpoint coordinates, named by their pairs."""
+    out = {}
+    for v, x in a.items():
+        out[pairs[v].left] = x.left_endpoints()
+        out[pairs[v].right] = x.right_endpoints()
+    return out
+
+
 def suite_l2w(pool_size: Optional[int] = None) -> EquivReport:
     """Each corpus formula agrees with its coordinate translation, and
     with a directly computed predicate, over interval unions on the pool."""
@@ -357,34 +361,12 @@ def suite_l2w(pool_size: Optional[int] = None) -> EquivReport:
     for text, predicate in L2W_CORPUS:
         f = parse(text, SIG_L)
         g, pairs = _l2w(f)
-        names = sorted(free_vars(f))
-        wcache = EvalCache()
-        lcache = EvalCache()
-
-        # the predicate is the reference; the interval reading must match it
-        part = check_equiv(predicate, f, _assignments(names, family), SIG_L, pool=pool, cache=lcache)
-        _merge(report, part, text + " (interval)")
-
-        def coords(a: dict) -> dict:
-            out = {}
-            for v, x in a.items():
-                out[pairs[v].left] = x.left_endpoints()
-                out[pairs[v].right] = x.right_endpoints()
-            return out
-
-        def pred_on_coords(a: dict) -> bool:
-            rebuilt = {v: _from_pair(a[p.left], a[p.right]) for v, p in pairs.items() if p.left in a}
-            return predicate(rebuilt)
-
-        part = check_equiv(
-            pred_on_coords,
-            g,
-            (coords(a) for a in _assignments(names, family)),
-            SIG_W,
-            pool=pool,
-            cache=wcache,
-        )
-        _merge(report, part, text + " (coordinates)")
+        # the predicate is the reference; the interval reading must match it,
+        # and so must the coordinate reading of the same unions
+        cases = [(a, bool(predicate(a))) for a in _assignments(sorted(free_vars(f)), family)]
+        check_equiv(report, text + " (interval)", f, cases, SIG_L, pool=pool)
+        coordinates = ((_coords(a, pairs), expected) for a, expected in cases)
+        check_equiv(report, text + " (coordinates)", g, coordinates, SIG_W, pool=pool)
     return report
 
 
@@ -421,23 +403,13 @@ def suite_pipeline(pool_size: Optional[int] = None, seed: Optional[int] = None) 
     for text in PIPELINE_CORPUS:
         f = parse(text, SIG_L)
         g = pipeline(f)
-        _fail(
-            report,
-            {"formula": text, "side": "shape"},
-            True,
-            classify(g) in ("existential", "positive_existential", "quantifier_free"),
-        )
+        shape = classify(g) in ("existential", "positive_existential", "quantifier_free")
+        report.add({"formula": text, "side": "shape"}, True, shape)
         names = sorted(free_vars(f))
         fcache = EvalCache()
         draws = ({v: random_fciset(rng, base, 3, True) for v in names} for _ in range(200))
-        part = check_equiv(
-            lambda a: eval_bounded(f, a, default_pool(a), SIG_L, cache=fcache),
-            g,
-            draws,
-            SIG_L,
-            cache=EvalCache(),
-        )
-        _merge(report, part, text)
+        cases = ((a, eval_bounded(f, a, default_pool(a), SIG_L, cache=fcache)) for a in draws)
+        check_equiv(report, text, g, cases, SIG_L)
     for text in PIPELINE_REJECTS:
         f = parse(text, SIG_L)
         try:
@@ -445,7 +417,7 @@ def suite_pipeline(pool_size: Optional[int] = None, seed: Optional[int] = None) 
             rejected = False
         except FragmentError:
             rejected = True
-        _fail(report, {"formula": text, "side": "reject"}, True, rejected)
+        report.add({"formula": text, "side": "reject"}, True, rejected)
     return report
 
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 from intlat.fci import EMPTY_FCI, format_fci, normalize, parse_fci
 from intlat.finset import EMPTY_FS, FinSet, format_finset, parse_finset
 from intlat.oracle import (
-    EquivReport,
     count_fcis,
     enum_fcis,
     enum_finsets,
@@ -22,6 +21,7 @@ from intlat.oracle import (
 )
 from intlat.suites import (
     L2W_CORPUS,
+    EquivReport,
     PIPELINE_CORPUS,
     POSEX_CORPUS,
     W2L_CORPUS,
@@ -119,11 +119,6 @@ def test_pipeline_on_seeded_random_assignments(capsys):
 def test_kernel_laws(capsys):
     report = EquivReport()
 
-    def check(ok: bool, note: dict) -> None:
-        report.checked += 1
-        if not ok:
-            report.failures.append((note, True, False))
-
     def lattice_laws(values: list, empty) -> None:
         for a in values:
             for b in values:
@@ -140,7 +135,7 @@ def test_kernel_laws(capsys):
                         and a.union(empty) == a
                         and a.intersect(empty) == empty
                     )
-                    check(ok, {"law": "lattice", "a": a, "b": b, "c": c})
+                    report.add({"law": "lattice", "a": a, "b": b, "c": c}, True, ok)
 
     # exhaustive lattice laws on both sorts
     lattice_laws(list(enum_finsets(fs([0, 1, 2]))), EMPTY_FS)
@@ -151,39 +146,37 @@ def test_kernel_laws(capsys):
     # identity, and distinct normal forms differ at some sample point
     family = list(enum_fcis(fs([0, 1, 2]), 3, True))
     assert len(family) == count_fcis(3, 3, True)
-    check(len(set(family)) == len(family), {"law": "no-duplicates"})
+    report.add({"law": "no-duplicates"}, True, len(set(family)) == len(family))
     samples = [F(0), F(1, 2), F(1), F(3, 2), F(2), F(3)]
     profiles = {}
     for u in family:
         rays = [] if u.ray_lo is None else [u.ray_lo]
-        check(
-            normalize([(s.lo, s.hi) for s in u.segments], rays=rays) == u,
-            {"law": "renormalize", "value": u},
-        )
+        renormalized = normalize([(s.lo, s.hi) for s in u.segments], rays=rays)
+        report.add({"law": "renormalize", "value": u}, True, renormalized == u)
         profiles.setdefault(tuple(u.contains(p) for p in samples), []).append(u)
     for profile, group in profiles.items():
-        check(len(group) == 1, {"law": "uniqueness", "group": group})
+        report.add({"law": "uniqueness", "group": group}, True, len(group) == 1)
 
     # parse/print round-trips: exhaustive over the enumerated family,
     # then 1000 seeded random values with larger rational endpoints
     for u in family:
-        check(parse_fci(format_fci(u)) == u, {"law": "fci-round-trip", "value": u})
+        report.add({"law": "fci-round-trip", "value": u}, True, parse_fci(format_fci(u)) == u)
     for s in enum_finsets(fs([0, F(1, 2), 2, 3])):
-        check(parse_finset(format_finset(s)) == s, {"law": "finset-round-trip", "value": s})
+        report.add({"law": "finset-round-trip", "value": s}, True, parse_finset(format_finset(s)) == s)
     rng = random.Random(1000)
     pts = random_points(rng, 8)
     for _ in range(1000):
         u = random_fciset(rng, pts)
         s = random_finset(rng, pts)
-        check(parse_fci(format_fci(u)) == u, {"law": "fci-round-trip", "value": u})
-        check(parse_finset(format_finset(s)) == s, {"law": "finset-round-trip", "value": s})
+        report.add({"law": "fci-round-trip", "value": u}, True, parse_fci(format_fci(u)) == u)
+        report.add({"law": "finset-round-trip", "value": s}, True, parse_finset(format_finset(s)) == s)
 
     # formula layer: printing and re-parsing is the identity on both corpora
     for text in POSEX_CORPUS + W2L_CORPUS:
         f = parse(text, SIG_W)
-        check(parse(format_formula(f), SIG_W) == f, {"law": "formula-round-trip", "text": text})
+        report.add({"law": "formula-round-trip", "text": text}, True, parse(format_formula(f), SIG_W) == f)
     for text in PIPELINE_CORPUS + [t for t, _ in L2W_CORPUS]:
         f = parse(text, SIG_L)
-        check(parse(format_formula(f), SIG_L) == f, {"law": "formula-round-trip", "text": text})
+        report.add({"law": "formula-round-trip", "text": text}, True, parse(format_formula(f), SIG_L) == f)
 
     _verdict(capsys, "kernel laws: lattice axioms, normal forms, round-trips", report)

@@ -85,6 +85,15 @@ def test_eval_rejects_a_repeated_binding(capsys):
 
 
 @pytest.mark.parametrize(
+    "value, message",
+    [("[1]", "a segment must read [a,b], got '[1]'"), ("[1)", "a ray must read [a,*), got '[1)'")],
+)
+def test_eval_names_a_malformed_interval_part(capsys, value, message):
+    code, out, err = run(capsys, "eval", "--sig", "l", "--let", f"X={value}", "X = X")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "formula",
     ["E X. !(X = bot)", "E X. E Y. !(X = Y) & cap(X, Y) = X"],
 )

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from intlat.fci import (
     EMPTY_FCI,
-    FciSet,
     Segment,
     build_from_endpoints,
     difference_closed,

@@ -9,6 +9,7 @@ The kernels and the solver share one encoder, ``fci._held``, so it is
 checked on its own against membership.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from intlat.semantics import (
     _in_universe,
     _mask,
     _masks,
+    _pool_ranks,
     _ranks,
     universe,
 )
@@ -157,6 +159,17 @@ def test_universes_agree_with_the_kernels_through_the_ranks():
             want = [(m(u.left_endpoints()), m(u.right_endpoints())) for u in enum_fcis(pairs, len(pairs), True)]
             assert list(_endpoint_pairs(space)) == want, pool
     assert checked == 64 * 55 + 144 * 32
+
+
+def test_a_pool_ranks_its_own_points_in_order():
+    points = [F(n, 3) for n in range(10)]
+    random.Random(5).shuffle(points)
+    pool = WitnessPool(FinSet.of(points), 3, True, FinSet.of([F(0), *points[:3]]))
+    ranks = _pool_ranks(pool)
+    assert [ranks.rank[p] for p in pool.points.elements] == list(range(10))
+    # the same ranks and spaces as ranking the pool among its points afresh
+    again = _ranks(pool, points)
+    assert (ranks.rank, ranks.spaces) == (again.rank, again.spaces)
 
 
 spots = st.fractions(min_value=0, max_value=12, max_denominator=4)

@@ -1,8 +1,7 @@
-"""Enumeration oracles and the equivalence checker.
+"""Enumeration oracles and random generators.
 
 The enumerators are what every exhaustive suite trusts, so they get
-checked against closed-form counts and against each other, and the
-equivalence checker is shown to actually catch a wrong predicate.
+checked against closed-form counts and against each other.
 """
 
 import random
@@ -13,8 +12,6 @@ import pytest
 from intlat.fci import FciSet
 from intlat.finset import FinSet
 from intlat.oracle import (
-    EquivReport,
-    check_equiv,
     count_fcis,
     enum_fcis,
     enum_finsets,
@@ -24,7 +21,6 @@ from intlat.oracle import (
     random_points,
     subset_masks,
 )
-from intlat.syntax import SIG_W, parse
 
 fs = FinSet.of
 
@@ -110,41 +106,3 @@ def test_random_values_land_in_their_universes():
         assert isinstance(u, FciSet)
         assert u.boundary().issubset(fs(pts))
         assert len(u.segments) <= 3
-
-
-def test_check_equiv_confirms_a_true_equivalence():
-    pool = fs([0, 1, 2])
-    f = parse("cup(X, Y) = cup(Y, X)", SIG_W)
-    assignments = [{"X": a, "Y": b} for a in enum_finsets(pool) for b in enum_finsets(pool)]
-    report = check_equiv(lambda a: True, f, assignments, SIG_W)
-    assert report.ok
-    assert report.checked == 64
-
-
-def test_check_equiv_catches_a_wrong_predicate():
-    # same formula, but the predicate forgets the empty case
-    pool = fs([0, 1])
-    f = parse("cap(X, X) = X", SIG_W)
-    report = check_equiv(
-        lambda a: bool(a["X"]),
-        f,
-        [{"X": s} for s in enum_finsets(pool)],
-        SIG_W,
-    )
-    assert not report.ok
-    bad, lhs, rhs = report.failures[0]
-    assert bad["X"] == FinSet()
-    assert (lhs, rhs) == (False, True)
-    assert report.summary() == "checked=4 failures=1"
-
-
-def test_check_equiv_wraps_evaluation_errors_with_the_assignment():
-    f = parse("cap(X, Y) = X", SIG_W)
-    with pytest.raises(RuntimeError, match="assignment"):
-        check_equiv(lambda a: True, f, [{"X": FinSet()}], SIG_W)
-
-
-def test_report_summary_format():
-    r = EquivReport()
-    assert r.summary() == "checked=0 failures=0"
-    assert r.ok

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from intlat import semantics, suites
 from intlat.fci import EMPTY_FCI, embed_finset, embed_point, normalize, parse_fci
-from intlat.finset import EMPTY_FS, FinSet, parse_finset
-from intlat.oracle import enum_fcis, enum_finsets
+from intlat.finset import EMPTY_FS, FinSet
+from intlat.oracle import enum_finsets
 from intlat.semantics import (
     EvalCache,
     EvalError,

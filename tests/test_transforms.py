@@ -16,9 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from intlat import transforms
-from intlat.fci import EMPTY_FCI, embed_finset, parse_fci
+from intlat.fci import embed_finset, parse_fci
 from intlat.finset import FinSet
-from intlat.oracle import check_equiv, enum_fcis, enum_finsets
+from intlat.oracle import enum_fcis, enum_finsets
 from intlat.semantics import EvalCache, WitnessPool, default_pool, eval_bounded, eval_qf, widened
 from intlat.suites import L2W_CORPUS, PIPELINE_CORPUS, PIPELINE_REJECTS, POSEX_CORPUS, SUITES, W2L_CORPUS
 from intlat.syntax import (
