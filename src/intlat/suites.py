@@ -73,7 +73,6 @@ def check_equiv(
     cases: Iterable[tuple[Assignment, bool]],
     sig: Signature,
     pool: Optional[WitnessPool] = None,
-    cache: Optional[EvalCache] = None,
 ) -> None:
     """Add to ``report`` one comparison per ``(assignment, expected)``
     case: the expected verdict against bounded evaluation of ``formula``,
@@ -83,8 +82,7 @@ def check_equiv(
     assignment.  Evaluation errors are re-raised with the offending
     assignment attached.
     """
-    if cache is None:
-        cache = EvalCache()
+    cache = EvalCache()
     for a, expected in cases:
         p = default_pool(a) if pool is None else pool
         try:
@@ -275,7 +273,7 @@ def suite_posex(pool_size: Optional[int] = None) -> EquivReport:
         g = to_positive_existential(f)
         report.add({"formula": text, "side": "shape"}, "positive_existential", classify(g))
         cases = ((a, eval_qf(f, a, SIG_W)) for a in _assignments(sorted(free_vars(f)), enum_finsets(points)))
-        check_equiv(report, text, g, cases, SIG_W, pool=pool, cache=EvalCache())
+        check_equiv(report, text, g, cases, SIG_W, pool=pool)
     return report
 
 
@@ -311,7 +309,7 @@ def suite_w2l(pool_size: Optional[int] = None) -> EquivReport:
             ({v: embedded[s] for v, s in a.items()}, eval_bounded(f, a, pool, SIG_W, cache=wcache))
             for a in _assignments(sorted(free_vars(f)), embedded)
         )
-        check_equiv(report, text, translate_W_to_L(f), cases, SIG_L, pool=pool, cache=EvalCache())
+        check_equiv(report, text, translate_W_to_L(f), cases, SIG_L, pool=pool)
     return report
 
 
