@@ -73,6 +73,7 @@ from .syntax import (
     nnf,
     operands,
     substitute,
+    term_vars,
     valid_pair,
 )
 
@@ -410,7 +411,7 @@ class _Term:
         self.var = t.name if isinstance(t, Var) else None
         self.op = None if self.var is not None else t.op
         self.args = args
-        names = sorted({self.var} if self.var is not None else set().union(*(a.names for a in args)))
+        names = sorted(term_vars(t))
         self.names = tuple(names)
         self._key = itemgetter(*names) if names else (lambda env: ())
         self.vals: dict[tuple, int] = {}
@@ -475,7 +476,7 @@ class EvalCache:
         """The solver's bundle for ``f`` and every formula equal to it."""
         got = self._nodes.get(f)
         if got is None:
-            fv = frozenset(free_vars(f))
+            fv = free_vars(f)
             atomic = isinstance(f, Atomic)
             rules = _atom_rules(f, self.term) if atomic else ()
             pair = _match_valid_pair(f) if isinstance(f, Or) else None
@@ -672,7 +673,7 @@ def _atom_rules(atom: Atomic, intern: Callable[[Term], _Term]) -> tuple[_Rule, .
 
     def rule(kind: str, var: str, *terms: Term) -> None:
         interned = tuple(map(intern, terms))
-        out.append(_Rule(kind, var, interned, frozenset().union(*(t.names for t in interned))))
+        out.append(_Rule(kind, var, interned, frozenset().union(*map(term_vars, terms))))
 
     for a, b in ((atom.lhs, atom.rhs), (atom.rhs, atom.lhs)):
         if isinstance(a, Var) and a != b:

@@ -20,19 +20,25 @@ Walkers over formulas go through four traversal helpers rather than
 dispatching on the node types themselves: ``subformulas`` and ``subterms``
 (iterative pre-order scans), ``rebuild`` (the same connective over a
 function of each immediate part) and ``lift`` (replace applications by
-fresh variables, recording their definitions).  Formulas are immutable, so
-the walkers share what they leave alone: ``rebuild``, ``substitute``,
-``substitute_term`` and ``rename_bound_apart`` return an unchanged part as
-the very same object and build new nodes only along changed paths.
-``free_vars`` returns a frozenset cached on each node, beside the set of
-names bound inside it (``bound_vars``), so each is computed once per node.
+fresh variables, recording their definitions).  No node is changed once
+built, so the walkers share what they leave alone: ``rebuild``,
+``substitute``, ``substitute_term`` and ``rename_bound_apart`` return an
+unchanged part as the very same object and build new nodes only along
+changed paths.  Nothing enforces this at run time: nodes are slotted
+dataclasses with plain stores, which are cheap to build, and
+``tests/test_node_writes.py`` checks that no module assigns a node's field
+or cache slot but the cache stores here.  ``free_vars`` returns a frozenset
+cached on each formula node, beside the set of names bound inside it
+(``bound_vars``), and ``term_vars`` one cached on each term, the union of
+its arguments' sets, so an equation's free names join its sides' sets
+without walking them; each is computed once per node.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Union
 
 
@@ -45,16 +51,22 @@ class ParseError(ValueError):
 # -- terms ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(slots=True)
+class _TermCache:
+    # the names term_vars caches on a term, None until asked
+    _vars: Optional[frozenset[str]] = field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(slots=True, unsafe_hash=True)
+class Var(_TermCache):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(slots=True, unsafe_hash=True)
+class App(_TermCache):
     op: str
     args: tuple["Term", ...] = ()
 
@@ -114,51 +126,58 @@ def diff_t(a: Term, b: Term) -> App:
 def _cached_hash(self) -> int:
     # formulas key the solver's memo tables; the generated hash would walk
     # the whole tree on every lookup
-    try:
-        return self._hash
-    except AttributeError:
-        h = hash((type(self),) + tuple(getattr(self, n) for n in self.__match_args__))
-        object.__setattr__(self, "_hash", h)
-        return h
+    h = self._hash
+    if h is None:
+        h = self._hash = hash((type(self),) + tuple(getattr(self, n) for n in self.__match_args__))
+    return h
 
 
-@dataclass(frozen=True)
-class Atomic:
+@dataclass(slots=True)
+class _FormulaCache:
+    # the names free_vars and bound_vars cache on a formula, and its hash,
+    # each None until asked
+    _free: Optional[frozenset[str]] = field(default=None, init=False, repr=False, compare=False)
+    _bound: Optional[frozenset[str]] = field(default=None, init=False, repr=False, compare=False)
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(slots=True)
+class Atomic(_FormulaCache):
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(slots=True)
+class Not(_FormulaCache):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(slots=True)
+class And(_FormulaCache):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(slots=True)
+class Or(_FormulaCache):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(slots=True)
+class Implies(_FormulaCache):
     lhs: "Formula"
     rhs: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(slots=True)
+class Exists(_FormulaCache):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+@dataclass(slots=True)
+class Forall(_FormulaCache):
     var: str
     body: "Formula"
 
@@ -167,8 +186,6 @@ Formula = Union[Atomic, Not, And, Or, Implies, Exists, Forall]
 
 for _kind in Formula.__args__:
     _kind.__hash__ = _cached_hash
-    # the names free_vars and bound_vars cache on a node, None until asked
-    _kind._free = _kind._bound = None
 
 
 def subset_atom(s: Term, t: Term) -> Atomic:
@@ -286,7 +303,7 @@ def lift(t: Term, op: Optional[str], names: "FreshNames", base: str, defs: list)
 # -- signatures ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Signature:
     name: str
     symbols: tuple[tuple[str, int], ...]
@@ -294,7 +311,7 @@ class Signature:
 
     def __post_init__(self) -> None:
         # symbol -> arity: the parser looks one up at every term token
-        object.__setattr__(self, "arities", dict(self.symbols))
+        self.arities = dict(self.symbols)
 
 
 _SHARED = (("cup", 2), ("cap", 2), ("bot", 0), ("cz", 0), ("min", 1), ("max", 1))
@@ -321,16 +338,23 @@ def formula_symbols(f: Formula) -> set[str]:
 # -- variables and substitution --------------------------------------------------
 
 
-def term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    out: set[str] = set()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
-
-
 _NO_NAMES: frozenset[str] = frozenset()
+
+
+def term_vars(t: Term) -> frozenset[str]:
+    """The variable names of ``t``, computed once per node and cached on
+    it: an application's set is the union of its arguments' cached sets."""
+    names = t._vars
+    if names is None:
+        if t.__class__ is Var:
+            names = frozenset((t.name,))
+        else:
+            names = _NO_NAMES
+            for a in t.args:
+                got = a._vars or term_vars(a)
+                names = _union(names, got) if names else got
+        t._vars = names
+    return names
 
 
 def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
@@ -347,7 +371,8 @@ def free_vars(f: Formula) -> frozenset[str]:
     # a part's cached set, computed here only when it has none (or is empty)
     kind = f.__class__
     if kind is Atomic:
-        free, bound = frozenset(term_vars(f.lhs) | term_vars(f.rhs)), _NO_NAMES
+        lhs, rhs = f.lhs, f.rhs
+        free, bound = _union(lhs._vars or term_vars(lhs), rhs._vars or term_vars(rhs)), _NO_NAMES
     elif kind is And or kind is Or or kind is Implies:
         a, b = f.lhs, f.rhs
         free = _union(a._free or free_vars(a), b._free or free_vars(b))
@@ -357,8 +382,8 @@ def free_vars(f: Formula) -> frozenset[str]:
         if kind is not Not:
             free = free - {f.var} if f.var in free else free
             bound = bound if f.var in bound else bound | {f.var}
-    object.__setattr__(f, "_free", free)
-    object.__setattr__(f, "_bound", bound)
+    f._free = free
+    f._bound = bound
     return free
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from intlat import syntax
 from intlat.syntax import (
     SIG_L,
     SIG_W,
@@ -29,6 +30,7 @@ from intlat.syntax import (
     rename_bound_apart,
     subformulas,
     substitute,
+    subterms,
     term_vars,
     unnest,
 )
@@ -195,6 +197,35 @@ def test_free_vars_are_cached_frozensets():
     # a part whose set already holds the other's lends it to the parent
     g = parse("cap(X, Y) = Z & X = bot", SIG_W)
     assert free_vars(g) is free_vars(g.lhs)
+
+
+def test_nodes_are_slotted_and_their_caches_change_nothing_they_compare():
+    f = parse("E Y. A Z. (cap(X, Y) = Z -> !min(Y) = bot | Y sub X & X = cz)", SIG_W)
+    terms = [t for g in subformulas(f) if isinstance(g, Atomic) for side in (g.lhs, g.rhs) for t in subterms(side)]
+    filled = [*subformulas(f), *terms]
+    for g in filled:
+        hash(g)
+        free_vars(g) if hasattr(g, "_free") else term_vars(g)
+    assert {type(g) for g in filled} == {Exists, Forall, Implies, Or, And, Not, Atomic, App, Var}
+    for g in filled:
+        assert not hasattr(g, "__dict__")
+        # the same node built anew, with every cache still empty
+        fresh = eval(repr(g), vars(syntax))
+        assert fresh == g and g == fresh
+        assert hash(fresh) == hash(g) and repr(fresh) == repr(g)
+    assert all(g._free is not None and g._hash is not None for g in subformulas(f))
+    a, b = f.body.body.lhs, f.body.body.rhs
+    assert And(a, b) != Or(a, b) and Var("X") != App("X")
+
+
+def test_term_vars_are_cached_and_make_the_free_set_of_an_equation():
+    f = parse("cap(X, min(Y)) = cup(Y, bot)", SIG_W)
+    t = f.lhs
+    assert term_vars(t) is term_vars(t) and term_vars(t) == {"X", "Y"}
+    assert term_vars(t.args[1]) is term_vars(t.args[1].args[0])
+    assert free_vars(f) == term_vars(f.lhs) | term_vars(f.rhs)
+    # a side whose set holds the other's lends it to the equation
+    assert free_vars(f) is term_vars(f.lhs)
 
 
 def test_all_names_are_the_free_and_the_bound():
