@@ -3,6 +3,7 @@ endpoint maps, and the reconstruction of a union from its endpoint sets.
 """
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,39 @@ def test_intersect_and_difference_agree_with_membership(pool):
             else:
                 assert closed and [d.contains(p) for p in pts] == outside, (a, b)
     assert 0 < undefined < len(unions) ** 2
+
+
+@pytest.mark.parametrize("pool", SMALL_POOLS, ids=["ints", "rationals"])
+def test_extremes_and_endpoint_maps_agree_with_membership(pool):
+    # a union's extremes and endpoints are points of the pool, so the
+    # probes next to a probe stand for every point between them
+    pts = probes(pool)
+    for a in enum_fcis(pool, len(pool), True):
+        inside = [a.contains(p) for p in pts]
+        held = [p for p, here in zip(pts, inside) if here]
+        least = held[0] if held else None
+        greatest = held[-1] if held and not inside[-1] else None  # none for a ray
+        assert [a.min_set().contains(p) for p in pts] == [p == least for p in pts], a
+        assert [a.max_set().contains(p) for p in pts] == [p == greatest for p in pts], a
+        starts = [here and not (i and inside[i - 1]) for i, here in enumerate(inside)]
+        ends = [here and i + 1 < len(pts) and not inside[i + 1] for i, here in enumerate(inside)]
+        assert [p in a.left_endpoints() for p in pts] == starts, a
+        assert [p in a.right_endpoints() for p in pts] == ends, a
+
+
+@pytest.mark.parametrize("pool", SMALL_POOLS, ids=["ints", "rationals"])
+def test_normalize_agrees_with_membership(pool):
+    # every list of at most two raw parts on the pool, overlapping,
+    # touching, nested or apart, with or without a ray
+    pts = probes(pool)
+    raw = [(lo, hi) for lo in pool for hi in pool if lo <= hi]
+    for k in range(3):
+        for parts in itertools.product(raw, repeat=k):
+            for rays in [[]] + [[p] for p in pool]:
+                got = normalize(parts, rays)
+                want = [any(lo <= p <= hi for lo, hi in parts) or any(p >= r for r in rays) for p in pts]
+                assert [got.contains(p) for p in pts] == want, (parts, rays)
+                assert normalize(got.segments, rays if got.ray_lo is None else [got.ray_lo]) == got
 
 
 @pytest.mark.parametrize("pool", SMALL_POOLS, ids=["ints", "rationals"])

@@ -12,6 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from intlat.finset import EMPTY_FS, FinSet, format_finset, parse_finset, zero_set
+from intlat.oracle import enum_finsets
+from intlat.semantics import widened
 
 points = st.fractions(min_value=0, max_value=20)
 finsets = st.frozensets(points, max_size=6).map(FinSet.of)
@@ -87,6 +89,33 @@ def test_ips_only_counts_successors_inside_the_left_set():
     # 5 is in the right set but is not the successor of 2 within {0, 2}
     a = FinSet.of([0, 2])
     assert a.ips(FinSet.of([5])) == EMPTY_FS
+
+
+# five points as plain ints and as rationals
+SMALL_POOLS = [FinSet((0, 1, 2, 3, 4)), FinSet.of([0, Fraction(1, 3), Fraction(1, 2), Fraction(7, 4), 3])]
+
+
+@pytest.mark.parametrize("pool", SMALL_POOLS, ids=["ints", "rationals"])
+def test_operations_agree_with_membership(pool):
+    # every pair of subsets of the pool, each result read at every point,
+    # every midpoint between two and one point above
+    pts = widened(pool.elements).elements
+    sets = list(enum_finsets(pool))
+    assert len(sets) == 32
+    for a in sets:
+        inside = [p in a for p in pts]
+        # ips keeps p when p lies in a and its successor inside a lies in b
+        succ = [min((q for q in a.elements if q > p), default=None) for p in pts]
+        assert [p in a.min_set() for p in pts] == [p == min(a.elements, default=None) for p in pts], a
+        assert [p in a.max_set() for p in pts] == [p == max(a.elements, default=None) for p in pts], a
+        for b in sets:
+            there = [p in b for p in pts]
+            assert [p in a.union(b) for p in pts] == [x or y for x, y in zip(inside, there)], (a, b)
+            assert [p in a.intersect(b) for p in pts] == [x and y for x, y in zip(inside, there)], (a, b)
+            assert [p in a.difference(b) for p in pts] == [x and not y for x, y in zip(inside, there)], (a, b)
+            assert a.issubset(b) == all(y for x, y in zip(inside, there) if x), (a, b)
+            want = [x and s is not None and s in b for x, s in zip(inside, succ)]
+            assert [p in a.ips(b) for p in pts] == want, (a, b)
 
 
 def test_zero_set_is_the_singleton_origin():
