@@ -8,18 +8,10 @@ next) and the ray, if present, strictly beyond the last segment.  Because
 the order is dense, two closed parts can be merged exactly when they share
 a point.
 
-By the endpoint lemma, a set whose boundary points lie among sorted
-points p0 < ... < pn-1 is fixed by its cells: which of those points, and
-which open gaps between them, it holds, the gap above pn-1 being the
-ray.  ``_held`` writes the cells of raw parts as a mask, bit 2i for pi,
-bit 2i+1 for the gap above it and a ray every bit from its start up (a
-negative int), for the kernels and the solver; ``_from_cells`` reads it.
-A mask is a set exactly when it is closed: each held gap holds the points
-on both sides (below only, for the ray).  Every set-valued operation goes
-through the cells.  ``normalize`` is the OR of its raw parts' masks.  On
-the boundary points of both operands, ``union`` is ``|``, ``intersect``
-``&``, ``difference_closed`` ``& ~`` and ``issubset`` an empty ``& ~``.
-The endpoint builder and ``witness_d`` write their masks directly.
+Every operation computes on the cell masks of its operands (see
+``cells``): ``normalize`` reads back the cells of its raw parts, and
+``issubset`` is ``cells.within``.  Membership, ``contains``, reads the
+parts directly.
 
 Besides the lattice operations the module provides the endpoint maps
 (``left_endpoints``/``right_endpoints``), the embedding of finite point
@@ -31,11 +23,11 @@ two endpoint sets, and the complement-of-open-gaps construction
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .finset import FinSet, zero_set
-from .order import Point, parse_point
+from . import cells
+from .finset import FinSet, _decode_finset
+from .order import ZERO, Point, parse_point, point
 
 
 @dataclass(frozen=True)
@@ -87,48 +79,31 @@ class FciSet:
     # -- lattice operations -------------------------------------------------
 
     def union(self, other: "FciSet") -> "FciSet":
-        pts, a, b = _cells(self, other)
-        return _from_cells(pts, a | b)
+        return _decode_fci(*cells.apply("cup", self, other))
 
     def intersect(self, other: "FciSet") -> "FciSet":
-        pts, a, b = _cells(self, other)
-        return _from_cells(pts, a & b)
+        return _decode_fci(*cells.apply("cap", self, other))
 
     def min_set(self) -> "FciSet":
         """Singleton of the least point; empty set is a fixed point."""
-        if self.segments:
-            return embed_point(self.segments[0].lo)
-        if self.ray_lo is not None:
-            return embed_point(self.ray_lo)
-        return EMPTY_FCI
+        return _decode_fci(*cells.apply("min", self))
 
     def max_set(self) -> "FciSet":
         """Singleton of the greatest point; empty for the empty set and for rays."""
-        if self.ray_lo is not None:
-            return EMPTY_FCI
-        if self.segments:
-            return embed_point(self.segments[-1].hi)
-        return EMPTY_FCI
+        return _decode_fci(*cells.apply("max", self))
 
     # -- endpoint structure --------------------------------------------------
 
     def left_endpoints(self) -> FinSet:
         """Every point that begins a maximal part; the ray contributes its start."""
-        pts = [s.lo for s in self.segments]
-        if self.ray_lo is not None:
-            pts.append(self.ray_lo)
-        return FinSet(tuple(pts))
+        return _decode_finset(*cells.apply("l", self))
 
     def right_endpoints(self) -> FinSet:
         """Every point that ends a maximal part; the ray has no right endpoint."""
-        return FinSet(tuple(s.hi for s in self.segments))
+        return _decode_finset(*cells.apply("r", self))
 
     def boundary(self) -> FinSet:
-        got = self.__dict__.get("_boundary")
-        if got is None:
-            got = self.left_endpoints().union(self.right_endpoints())
-            object.__setattr__(self, "_boundary", got)
-        return got
+        return cells.build(FinSet, elements=tuple(sorted(set(cells.ends(self)))))
 
     # -- membership ----------------------------------------------------------
 
@@ -140,8 +115,7 @@ class FciSet:
 
     def issubset(self, other: "FciSet") -> bool:
         """Whether ``other`` holds every cell this set holds."""
-        _, a, b = _cells(self, other)
-        return not a & ~b
+        return cells.within(*cells.encoded((self, other))[1])
 
     # -- finite sets inside the structure -------------------------------------
 
@@ -168,7 +142,7 @@ def embed_finset(s: FinSet) -> FciSet:
 
 
 def zero_fci() -> FciSet:
-    return embed_point(Fraction(0))
+    return embed_point(ZERO)
 
 
 def normalize(segments: Iterable[Segment | tuple[Point, Point]] = (), rays: Iterable[Point] = ()) -> FciSet:
@@ -177,74 +151,30 @@ def normalize(segments: Iterable[Segment | tuple[Point, Point]] = (), rays: Iter
     Touching counts as overlapping: ``[1,2]`` and ``[2,3]`` merge, while a
     gap of any positive length keeps parts separate.
     """
-    segs = [s if isinstance(s, Segment) else Segment(*s) for s in segments]
-    ray_lo = min(rays, default=None)
-    pts, rank = _grid(segs, (ray_lo,))
-    return _from_cells(pts, _held(rank, segs, ray_lo))
+    segs = tuple(s if isinstance(s, Segment) else Segment(*s) for s in segments)
+    ray_lo = min(map(point, rays), default=None)
+    # the raw parts as one value, not yet in normal form: only its cells are read
+    pts, (x,) = cells.encoded([cells.build(FciSet, segments=segs, ray_lo=ray_lo)])
+    return _decode_fci(pts, x)
 
 
-# -- cells ---------------------------------------------------------------------
-
-
-def _grid(segments: Iterable[Segment], rays: Iterable[Optional[Point]]) -> tuple[list[Point], dict]:
-    """The sorted end points of the parts (None for no ray) and their ranks."""
-    pts = {r for r in rays if r is not None}
-    for s in segments:
-        pts.add(s.lo)
-        pts.add(s.hi)
-    ordered = sorted(pts)
-    return ordered, {p: i for i, p in enumerate(ordered)}
-
-
-def _held(rank: dict, segments: Iterable[Segment], ray_lo: Optional[Point]) -> int:
-    """The cells the parts hold over the points ``rank`` ranks, which
-    include their end points."""
-    mask = 0 if ray_lo is None else -1 << 2 * rank[ray_lo]
-    for s in segments:
-        mask |= (2 << 2 * rank[s.hi]) - (1 << 2 * rank[s.lo])
-    return mask
-
-
-def _cells(a: FciSet, b: FciSet) -> tuple[list[Point], int, int]:
-    """The sorted boundary points of ``a`` and ``b``, and the cells each holds."""
-    pts, rank = _grid(a.segments + b.segments, (a.ray_lo, b.ray_lo))
-    return pts, _held(rank, a.segments, a.ray_lo), _held(rank, b.segments, b.ray_lo)
-
-
-def _from_cells(pts: Sequence[Point], mask: int) -> Optional[FciSet]:
-    """The set holding exactly the cells in ``mask``, or None when they
-    are not closed: a held gap lacks the point below it, or the point
-    above it short of the last point."""
-    segments: list[Segment] = []
-    lo: Optional[Point] = None
-    for p in pts:
-        if mask & 1:
-            if lo is None:
-                lo = p
-            if not mask & 2:
-                segments.append(Segment(lo, p))
-                lo = None
-        elif mask & 2 or lo is not None:
-            return None
-        mask >>= 2
-    return FciSet(tuple(segments), lo)
+def _decode_fci(pts: Sequence[Point], mask: int) -> FciSet:
+    """The union holding exactly the cells of the closed ``mask`` over ``pts``."""
+    segments, ray_lo = cells.parts(pts, mask)
+    return cells.build(
+        FciSet, segments=tuple(cells.build(Segment, lo=lo, hi=hi) for lo, hi in segments), ray_lo=ray_lo
+    )
 
 
 # -- endpoint pairing ---------------------------------------------------------
 
 
 def _from_endpoints(b: FinSet, c: FinSet) -> Optional[FciSet]:
-    """The set whose (left, right) endpoint pair is (b, c), or None.
-
-    The only candidate holds every point of b | c and the open gap above
-    each point of b - c, the gap above the last point being the ray.
-    (b, c) is a pair exactly when b is nonempty and the candidate's
-    endpoints are exactly (b, c).
-    """
-    opens = set(b.elements).difference(c.elements)
-    pts = b.union(c).elements
-    x = _from_cells(pts, sum((3 if p in opens else 1) << 2 * i for i, p in enumerate(pts)))
-    return x if b and x.left_endpoints() == b and x.right_endpoints() == c else None
+    """The nonempty set whose (left, right) endpoint pair is (b, c), or
+    None (``cells.from_endpoints``)."""
+    pts, masks = cells.encoded((b, c))
+    x = cells.from_endpoints(*masks)
+    return _decode_fci(pts, x) if x else None  # 0 is the empty union of two empty sets
 
 
 def endpoint_condition(b: FinSet, c: FinSet) -> bool:
@@ -276,10 +206,9 @@ def witness_d(a: FinSet, b: FinSet, c: FinSet) -> FciSet:
         raise ValueError(f"need a nonempty subset, got b={b} inside a={a}")
     if a.ips(b) != c:
         raise ValueError(f"ips({a}, {b}) is {a.ips(b)}, not {c}")
-    # every point of a and 0 is held, and every gap but those above c
-    pts = a.union(zero_set()).elements
-    closes = set(c.elements)
-    return _from_cells(pts, sum((1 if p in closes else 3) << 2 * i for i, p in enumerate(pts)))
+    # every cell from 0 up on the points of a, but the gaps above c
+    pts, (mc,) = cells.encoded([c], ZERO, *a.elements)
+    return _decode_fci(pts, ~cells.gaps_above(mc))
 
 
 # -- representable set difference ---------------------------------------------
@@ -292,8 +221,9 @@ def difference_closed(a: FciSet, b: FciSet) -> Optional[FciSet]:
     difference is representable only when every exposed end is degenerate.
     Returns None otherwise.
     """
-    pts, x, y = _cells(a, b)
-    return _from_cells(pts, x & ~y)
+    pts, (x, y) = cells.encoded((a, b))
+    d = cells.difference_closed(x, y)
+    return None if d is None else _decode_fci(pts, d)
 
 
 # -- text form ---------------------------------------------------------------

@@ -4,7 +4,8 @@ A ``FinSet`` stores its points as a strictly increasing tuple, so equality
 and hashing are structural and every set has exactly one representation.
 ``ips(A, B)`` collects the elements of ``A`` whose successor inside ``A``
 lands in ``B``; it is the only operation here that looks at the ordering
-of ``A`` rather than at membership alone.
+of ``A`` rather than at membership alone.  Operations compute on cell
+masks (see ``cells``); membership, ``in``, reads the elements directly.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
+from . import cells
 from .order import Point, point
 
 
@@ -57,31 +59,34 @@ class FinSet:
         return format_finset(self)
 
     def union(self, other: "FinSet") -> "FinSet":
-        return FinSet(tuple(sorted(set(self.elements) | set(other.elements))))
+        return _decode_finset(*cells.apply("cup", self, other))
 
     def intersect(self, other: "FinSet") -> "FinSet":
-        return FinSet(tuple(sorted(set(self.elements) & set(other.elements))))
+        return _decode_finset(*cells.apply("cap", self, other))
 
     def difference(self, other: "FinSet") -> "FinSet":
         """Relative complement: the unique C with (A & B) | C = A and B & C empty."""
-        return FinSet(tuple(sorted(set(self.elements) - set(other.elements))))
+        return _decode_finset(*cells.apply("diff", self, other))
 
     def min_set(self) -> "FinSet":
         """Singleton of the least element; empty set is a fixed point."""
-        return FinSet(self.elements[:1])
+        return _decode_finset(*cells.apply("min", self))
 
     def max_set(self) -> "FinSet":
         """Singleton of the greatest element; empty set is a fixed point."""
-        return FinSet(self.elements[-1:])
+        return _decode_finset(*cells.apply("max", self))
 
     def ips(self, other: "FinSet") -> "FinSet":
         """Elements of A whose successor inside A belongs to B."""
-        members = set(other.elements)
-        kept = [a for a, nxt in zip(self.elements, self.elements[1:]) if nxt in members]
-        return FinSet(tuple(kept))
+        return _decode_finset(*cells.apply("ips", self, other))
 
     def issubset(self, other: "FinSet") -> bool:
-        return set(self.elements) <= set(other.elements)
+        return cells.within(*cells.encoded((self, other))[1])
+
+
+def _decode_finset(pts: Sequence[Point], mask: int) -> FinSet:
+    """The set of the points of ``pts`` whose cells ``mask`` holds."""
+    return cells.build(FinSet, elements=cells.points(pts, mask))
 
 
 EMPTY_FS = FinSet()

@@ -3,21 +3,22 @@
 The enumerators stream every structure element built from a small point
 pool, in a fixed order, so lemma-level checks can be exhaustive;
 ``subset_masks`` and ``fci_masks`` list the same elements, in the same
-order, as the solver's cell masks.  All are capped: subsets explode as
+order, as cell masks (see ``cells``), which ``enum_finsets`` and
+``enum_fcis`` read back over the pool.  All are capped: subsets explode as
 2^n and interval unions faster still, so pools beyond the cap raise
-instead of hanging.  The generators draw seeded points, finite sets and
-interval unions for the checks too large to enumerate.
+instead of hanging.  The generators draw seeded points and interval
+unions for the checks too large to enumerate.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .fci import FciSet, Segment, _from_cells
-from .finset import FinSet
+from . import cells
+from .fci import FciSet, Segment, _decode_fci
+from .finset import FinSet, _decode_finset
 from .order import Point
 
 FINSET_POOL_CAP = 12
@@ -26,19 +27,17 @@ FCI_POOL_CAP = 10
 
 def enum_finsets(pool: FinSet) -> Iterator[FinSet]:
     """All subsets of the pool, in binary counting order on sorted elements."""
-    elements = pool.elements
-    for mask in subset_masks(range(len(elements))):
-        yield FinSet(tuple(p for i, p in enumerate(elements) if mask >> 2 * i & 1))
+    for mask in subset_masks(range(len(pool))):
+        yield _decode_finset(pool.elements, mask)
 
 
 def subset_masks(ranks: Sequence[int]) -> list[int]:
-    """What ``enum_finsets`` yields, as cell masks over ranked points:
-    the point of rank r is bit 2r."""
+    """What ``enum_finsets`` yields, as cell masks over ranked points."""
     if len(ranks) > FINSET_POOL_CAP:
         raise ValueError(f"refusing to enumerate 2^{len(ranks)} subsets (cap is {FINSET_POOL_CAP} points)")
     out = [0]
     for r in ranks:
-        bit = 1 << 2 * r
+        bit = cells.point(r)
         out += [m | bit for m in out]
     return out
 
@@ -46,16 +45,13 @@ def subset_masks(ranks: Sequence[int]) -> list[int]:
 def enum_fcis(pool: FinSet, max_segments: int, allow_ray: bool) -> Iterator[FciSet]:
     """All normalized interval unions with endpoints in the pool, in the
     order of ``fci_masks``."""
-    elements = pool.elements
-    for mask in fci_masks(range(len(elements)), max_segments, allow_ray):
-        yield _from_cells(elements, mask)
+    for mask in fci_masks(range(len(pool)), max_segments, allow_ray):
+        yield _decode_fci(pool.elements, mask)
 
 
 def fci_masks(ranks: Sequence[int], max_segments: int, allow_ray: bool) -> list[int]:
     """All normalized interval unions with endpoints among the ranked
-    points, as cell masks: the point of rank r is bit 2r, the open gap
-    above it bit 2r+1, and a ray holds every bit from its start up, so
-    it is a negative int.
+    points, as cell masks.
 
     Ordered by the subset of endpoints actually used (binary counting
     order), then by the reading of that subset.  A reading of m used
@@ -82,30 +78,16 @@ def fci_masks(ranks: Sequence[int], max_segments: int, allow_ray: bool) -> list[
                 for reading in range(0, 1 << m, 1 if allow_ray else 2)
                 if not reading & reading >> 1 and m - reading.bit_count() <= max_segments
             ]
-        points = sum(1 << 2 * r for r in used)
+        points = sum(map(cells.point, used))
         # the cells of each gap: up to and with the next used point, or the ray
-        gaps = [(2 << 2 * hi) - (1 << 2 * lo) for lo, hi in zip(used, used[1:])]
-        gaps += [-1 << 2 * r for r in used[-1:]]
+        gaps = [cells.span(lo, hi) for lo, hi in zip(used, used[1:])]
+        gaps += [cells.ray(r) for r in used[-1:]]
         for js in held:
             x = points
             for j in js:
                 x |= gaps[j]
             out.append(x)
     return out
-
-
-def count_fcis(n_points: int, max_segments: int, allow_ray: bool) -> int:
-    """Closed-form count of what enum_fcis yields for a pool of the given size.
-
-    With k segments the used endpoints form a multiset counted by
-    C(n+k, 2k); appending a ray start gives C(n+k, 2k+1).
-    """
-    total = 0
-    for k in range(max_segments + 1):
-        total += math.comb(n_points + k, 2 * k)
-        if allow_ray:
-            total += math.comb(n_points + k, 2 * k + 1)
-    return total
 
 
 # -- random generation -----------------------------------------------------------
@@ -120,10 +102,6 @@ def random_points(rng: random.Random, count: int, max_numerator: int = 24, max_d
     while len(found) < count:
         found.add(Fraction(rng.randint(0, max_numerator), rng.randint(1, max_denominator)))
     return tuple(sorted(found))
-
-
-def random_finset(rng: random.Random, points: Iterable[Point]) -> FinSet:
-    return FinSet.of(p for p in points if rng.random() < 0.5)
 
 
 def random_fciset(

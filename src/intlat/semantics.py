@@ -19,23 +19,14 @@ it takes, so the solver computes a repeated subterm once per set of
 values; equations read their sides from that memo and stay out of the
 verdict table.
 
-The solver works on cell masks over point ranks: ``eval_bounded`` ranks
-each point of the pool and of the assigned values among them, so 0, the
-least point of every pool, has rank 0, and writes each value as one int
-(``fci._held``, the kernels' encoder, writes an interval union).
-The point of rank i is bit 2i and the open gap above it bit 2i+1; a ray
-holds every bit from its start up, a negative int, and a finite set its
-point bits only.  Union and intersection are ``|`` and ``&``, ``l``,
-``r``, ``min`` and ``max`` are shifts and lowest or highest bits, and
-pins, guards and universes are built as masks in the enumerators' order.
-Every operation and every witness universe depends only on the order of
-the points and on 0, and no solver step creates a point, so the verdict
-on masks is the verdict on the rationals.  The search reads one
-``_Space``: the pool's ranked points and bounds and the structure.  Ints
-compare and hash cheaply, and every pool and assignment of one order
-type shares one space, its universes and every ``EvalCache`` entry.
-``eval_term``, ``eval_qf`` and ``universe`` keep the rational
-``FinSet``/``FciSet`` values.
+The solver works on cell masks (see ``cells``): ``eval_bounded`` ranks
+the points of the pool and of the assigned values once, 0 keeping rank
+0, and the search reads one ``_Space``, the pool's ranked points and
+bounds and the structure, so every pool and assignment of one order type
+shares one space, its universes and every ``EvalCache`` entry.  Pins,
+guards and universes are masks in the enumerators' order.  ``eval_term``
+and ``eval_qf`` rank their assignment once; ``eval_term`` and
+``universe`` return rational ``FinSet``/``FciSet`` values.
 """
 
 from __future__ import annotations
@@ -47,8 +38,10 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from .fci import EMPTY_FCI, FciSet, _held, embed_finset, zero_fci
-from .finset import EMPTY_FS, FinSet, zero_set
+from . import cells
+from .cells import OPS
+from .fci import FciSet, _decode_fci
+from .finset import FinSet, _decode_finset
 from .order import ZERO, Point, above, midpoint
 from .oracle import enum_fcis, enum_finsets, fci_masks, subset_masks
 from .syntax import (
@@ -122,18 +115,13 @@ def widened(points: Iterable[Point]) -> FinSet:
     return FinSet.of(ordered + mids + [above(ordered[-1])])
 
 
-def _value_points(v: Value) -> tuple[Point, ...]:
-    """The points a value is built from: its elements or its boundary."""
-    return v.elements if isinstance(v, FinSet) else v.boundary().elements
-
-
 def default_pool(a: Assignment) -> WitnessPool:
     """Zero and every boundary point of the assigned values, widened."""
     pts = {ZERO}
     for v in a.values():
         if not isinstance(v, (FinSet, FciSet)):
             raise TypeError(f"assignment values must be FinSet or FciSet, got {type(v).__name__}")
-        pts.update(_value_points(v))
+        pts.update(cells.ends(v))
     points = widened(pts)
     return WitnessPool(points=points, max_segments=len(points), allow_ray=True)
 
@@ -157,55 +145,66 @@ def _infer_sig(f: Formula, a: Assignment) -> Signature:
 # -- term and quantifier-free evaluation -------------------------------------------
 
 
-# op -> (the structure it belongs to, True finite sets and False interval
-# unions, None both; its value from the values of its arguments)
-_OPS: dict[str, tuple[Optional[bool], Callable[[list, bool], Value]]] = {
-    "bot": (None, lambda args, w: EMPTY_FS if w else EMPTY_FCI),
-    "cz": (None, lambda args, w: zero_set() if w else zero_fci()),
-    "cup": (None, lambda args, w: args[0].union(args[1])),
-    "cap": (None, lambda args, w: args[0].intersect(args[1])),
-    "min": (None, lambda args, w: args[0].min_set()),
-    "max": (None, lambda args, w: args[0].max_set()),
-    "ips": (True, lambda args, w: args[0].ips(args[1])),
-    "diff": (True, lambda args, w: args[0].difference(args[1])),
-    "l": (False, lambda args, w: embed_finset(args[0].left_endpoints())),
-    "r": (False, lambda args, w: embed_finset(args[0].right_endpoints())),
-}
-
-
-def _apply(op: str, args: list, finite_sets: bool, ops: dict = _OPS) -> Value:
-    """The value of ``op`` on argument values, in the structure chosen by
+def _apply(op: str, args: list[int], finite_sets: bool) -> int:
+    """The mask of ``op`` on argument masks, in the structure chosen by
     ``finite_sets``."""
     try:
-        only, fn = ops[op]
+        only, fn = OPS[op]
     except KeyError:
         raise EvalError(f"unknown operation {op}") from None
     if only is not None and only != finite_sets:
         structure = "finite-set" if finite_sets else "interval"
         raise EvalError(f"{op} is not an operation of the {structure} structure")
-    return fn(args, finite_sets)
+    return fn(*args)
+
+
+def _check_sorts(a: Assignment, sig: Signature) -> None:
+    want = FinSet if sig.finite_sets else FciSet
+    for name, val in a.items():
+        if not isinstance(val, want):
+            raise EvalError(f"{name} is bound to {type(val).__name__}, expected {want.__name__}")
+
+
+def _ranked_values(a: Assignment, sig: Signature) -> tuple[list[Point], dict]:
+    """The grid of 0 and the assigned values' points, and each value's
+    cells on it."""
+    _check_sorts(a, sig)
+    pts, masks = cells.encoded(a.values(), ZERO)
+    return pts, dict(zip(a, masks))
+
+
+def _term(t: Term, env: dict, w: bool) -> int:
+    """What ``eval_term`` computes, as a mask: the walk ``_Term.value``
+    memoizes, for one assignment."""
+    if isinstance(t, Var):
+        try:
+            return env[t.name]
+        except KeyError:
+            raise EvalError(f"unbound variable {t.name}") from None
+    return _apply(t.op, [_term(x, env, w) for x in t.args], w)
 
 
 def eval_term(t: Term, a: Assignment, sig: Signature) -> Value:
-    if isinstance(t, Var):
-        try:
-            return a[t.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {t.name}") from None
-    return _apply(t.op, [eval_term(x, a, sig) for x in t.args], sig.finite_sets)
+    pts, env = _ranked_values(a, sig)
+    mask = _term(t, env, sig.finite_sets)
+    return _decode_finset(pts, mask) if sig.finite_sets else _decode_fci(pts, mask)
 
 
 def eval_qf(f: Formula, a: Assignment, sig: Signature) -> bool:
+    return _qf(f, _ranked_values(a, sig)[1], sig.finite_sets)
+
+
+def _qf(f: Formula, env: dict, w: bool) -> bool:
     if isinstance(f, Atomic):
-        return eval_term(f.lhs, a, sig) == eval_term(f.rhs, a, sig)
+        return _term(f.lhs, env, w) == _term(f.rhs, env, w)
     if isinstance(f, Not):
-        return not eval_qf(f.body, a, sig)
+        return not _qf(f.body, env, w)
     if isinstance(f, And):
-        return eval_qf(f.lhs, a, sig) and eval_qf(f.rhs, a, sig)
+        return _qf(f.lhs, env, w) and _qf(f.rhs, env, w)
     if isinstance(f, Or):
-        return eval_qf(f.lhs, a, sig) or eval_qf(f.rhs, a, sig)
+        return _qf(f.lhs, env, w) or _qf(f.rhs, env, w)
     if isinstance(f, Implies):
-        return not eval_qf(f.lhs, a, sig) or eval_qf(f.rhs, a, sig)
+        return not _qf(f.lhs, env, w) or _qf(f.rhs, env, w)
     raise EvalError(f"quantifier on {f.var} in a quantifier-free evaluation")
 
 
@@ -217,78 +216,6 @@ def universe(pool: WitnessPool, sig: Signature) -> tuple[Value, ...]:
     if sig.finite_sets:
         return tuple(enum_finsets(pool.points))
     return tuple(enum_fcis(pool.points, pool.max_segments, pool.allow_ray))
-
-
-# -- cell masks (see the module docstring) ------------------------------------------
-
-
-def _left(x: int) -> int:
-    """``l``: every held cell whose cell below is not held."""
-    return x & ~(x << 1)
-
-
-def _right(x: int) -> int:
-    """``r``: every held cell whose cell above is not held; a ray has none."""
-    return x & ~(x >> 1)
-
-
-def _top(x: int) -> int:
-    """``max``: the highest held cell, none for a ray."""
-    return 1 << x.bit_length() - 1 if x > 0 else 0
-
-
-def _ips(a: int, b: int) -> int:
-    """The points of ``a`` whose successor inside ``a`` is a point of ``b``."""
-    out = 0
-    while a:
-        low = a & -a
-        a ^= low
-        if a & -a & b:
-            out |= low
-    return out
-
-
-# _OPS on the masks of the arguments
-_MASK_OPS: dict[str, tuple[Optional[bool], Callable[[list, bool], int]]] = {
-    "bot": (None, lambda args, w: 0),
-    "cz": (None, lambda args, w: 1),
-    "cup": (None, lambda args, w: args[0] | args[1]),
-    "cap": (None, lambda args, w: args[0] & args[1]),
-    "min": (None, lambda args, w: args[0] & -args[0]),
-    "max": (None, lambda args, w: _top(args[0])),
-    "ips": (True, lambda args, w: _ips(*args)),
-    "diff": (True, lambda args, w: args[0] & ~args[1]),
-    "l": (False, lambda args, w: _left(args[0])),
-    "r": (False, lambda args, w: _right(args[0])),
-}
-
-
-def _difference_closed(x: int, y: int) -> Optional[int]:
-    """``x`` minus ``y`` when it is a union, else None (as
-    ``difference_closed``): no run of its cells starts or ends at a gap,
-    an odd bit."""
-    d = x & ~y
-    ends = _left(d) | _right(d)
-    odd = ((4 ** ((ends.bit_length() + 1) // 2) - 1) // 3) << 1
-    return None if ends & odd else d
-
-
-def _from_endpoints(b: int, c: int) -> Optional[int]:
-    """The union whose left and right endpoints are ``b`` and ``c``, or
-    None (the endpoint lemma, as ``build_from_endpoints``; the empty union
-    for two empty sets).  The only candidate holds every point of ``b``
-    and ``c`` and, from each point of b - c, every cell up to the next of
-    those points, or up forever."""
-    if b & b >> 1 or c & c >> 1:
-        return None  # not two finite sets
-    both = x = b | c
-    opens = b & ~c
-    while opens:
-        p = opens & -opens
-        opens ^= p
-        above = both & -(p << 1)
-        x |= (above & -above) - p if above else -p
-    return x if _left(x) == b and _right(x) == c else None
 
 
 # -- the search space on point ranks ------------------------------------------------
@@ -312,12 +239,11 @@ class _Space(NamedTuple):
 
 def _in_universe(x: int, space: _Space) -> bool:
     """Whether ``x`` is a value of the space's universe."""
-    outside = ~space.cells
     if space.finite_sets:
-        return not x & outside
-    ends = _right(x)
+        return cells.within(x, space.cells)
+    ends = cells.right(x)
     return (
-        not (_left(x) | ends) & outside
+        cells.within(cells.left(x) | ends, space.cells)
         and ends.bit_count() <= space.max_segments
         and (x >= 0 or space.allow_ray)
     )
@@ -335,7 +261,7 @@ def _masks(space: _Space) -> tuple[int, ...]:
 def _endpoint_pairs(space: _Space) -> tuple[tuple[int, int], ...]:
     # one pair per interval union over the pair points; covers (bot, bot)
     pairs = space.pair_points
-    return tuple((_left(u), _right(u)) for u in fci_masks(pairs, len(pairs), True))
+    return tuple((cells.left(u), cells.right(u)) for u in fci_masks(pairs, len(pairs), True))
 
 
 class _Ranks(NamedTuple):
@@ -356,8 +282,8 @@ def _ranks(pool: WitnessPool, points: Iterable[Point]) -> _Ranks:
 def _ranked(pool: WitnessPool, rank: dict, ranked: tuple[int, ...]) -> _Ranks:
     """The pool's spaces, its points having the ranks ``ranked`` in ``rank``."""
     pairs = ranked if pool.pair_points is None else tuple(rank[p] for p in pool.pair_points.elements)
-    cells = sum(1 << 2 * r for r in ranked)
-    spaces = tuple(_Space(ranked, pool.max_segments, pool.allow_ray, pairs, w, cells) for w in (False, True))
+    point_cells = sum(map(cells.point, ranked))
+    spaces = tuple(_Space(ranked, pool.max_segments, pool.allow_ray, pairs, w, point_cells) for w in (False, True))
     return _Ranks(rank, spaces, {})
 
 
@@ -366,13 +292,6 @@ def _pool_ranks(pool: WitnessPool) -> _Ranks:
     # the pool's points are sorted, so the i-th one has rank i
     points = pool.points.elements
     return _ranked(pool, dict(zip(points, range(len(points)))), tuple(range(len(points))))
-
-
-def _mask(v: Value, rank: dict) -> int:
-    """The cells ``v`` holds over the ranked points."""
-    if isinstance(v, FinSet):
-        return sum(1 << 2 * rank[p] for p in v.elements)
-    return _held(rank, v.segments, v.ray_lo)
 
 
 def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tuple[dict, _Space]:
@@ -384,12 +303,12 @@ def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tup
         for name, v in a.items():
             got = ranks.values.get(v)
             if got is None:
-                got = ranks.values[v] = _mask(v, ranks.rank)
+                got = ranks.values[v] = cells.encode(v, ranks.rank)
             env[name] = got
     except KeyError:
         # a point outside the pool: rank this call's points afresh, keep nothing
-        ranks = _ranks(pool, set(pool.points.elements).union(*map(_value_points, a.values())))
-        env = {name: _mask(v, ranks.rank) for name, v in a.items()}
+        ranks = _ranks(pool, set(pool.points.elements).union(*map(cells.ends, a.values())))
+        env = {name: cells.encode(v, ranks.rank) for name, v in a.items()}
     return env, ranks.spaces[finite_sets]
 
 
@@ -427,10 +346,10 @@ class _Term:
             key = (self._key(env), finite_sets)
         except KeyError:
             # an unbound variable: the walk raises eval_term's error
-            return _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets, _MASK_OPS)
+            return _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets)
         got = self.vals.get(key)
         if got is None:
-            got = _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets, _MASK_OPS)
+            got = _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets)
             self.vals[key] = got
         return got
 
@@ -511,10 +430,7 @@ def eval_bounded(
     missing = cache.node(f).fv - a.keys()
     if missing:
         raise EvalError(f"assignment is missing {sorted(missing)}")
-    want = FinSet if sig.finite_sets else FciSet
-    for name, val in a.items():
-        if not isinstance(val, want):
-            raise EvalError(f"{name} is bound to {type(val).__name__}, expected {want.__name__}")
+    _check_sorts(a, sig)
     env, space = _rank_assignment(a, pool, sig.finite_sets)
     return _eval(f, env, space, cache)
 
@@ -725,7 +641,7 @@ def _find_pin(live: list[_Rule], env: dict, space: _Space):
                 ends[r.kind][r.var] = r.terms[0]
         for v, lt in ends["l"].items():
             if v in ends["r"]:
-                return pinned(v, _from_endpoints(lt.value(env, w), ends["r"][v].value(env, w)))
+                return pinned(v, cells.from_endpoints(lt.value(env, w), ends["r"][v].value(env, w)))
 
     # interned terms: identity within one cache is structural equality
     disjoint = {(r.var, r.terms[0]) for r in live if r.kind == "disj"}
@@ -733,7 +649,7 @@ def _find_pin(live: list[_Rule], env: dict, space: _Space):
         if r.kind == "plus" and (r.var, r.terms[1]) in disjoint:
             x = r.terms[0].value(env, w)
             y = r.terms[1].value(env, w)
-            return pinned(r.var, _difference_closed(x, y))
+            return pinned(r.var, cells.difference_closed(x, y))
     return None
 
 
@@ -750,18 +666,18 @@ def _guard(r: _Rule, env: dict, space: _Space) -> Optional[tuple[int, Callable[[
     if r.kind == "minself":
         # a one-point interval union is one segment
         singles = ranks if w or space.max_segments else ()
-        return len(singles) + 1, lambda: [0] + [1 << 2 * p for p in singles]
+        return len(singles) + 1, lambda: [0] + [cells.point(p) for p in singles]
     if r.kind == "lreq" and not w:
         inside = ranks
     elif r.kind == "capself":
         bound = r.terms[0].value(env, w)
         # every endpoint of a sub-union lies in the bound, and fewer points
         # keep the binary counting order of the universe
-        inside = [p for p in ranks if bound >> 2 * p & 1]
+        inside = [p for p in ranks if bound & cells.point(p)]
         if w:
             return 1 << len(inside), lambda: subset_masks(inside)
-        if bound & bound >> 1:  # not a finite set
-            subs = [u for u in fci_masks(inside, space.max_segments, space.allow_ray) if not u & ~bound]
+        if not cells.finite(bound):
+            subs = [u for u in fci_masks(inside, space.max_segments, space.allow_ray) if cells.within(u, bound)]
             return len(subs), lambda: subs
     else:
         return None

@@ -18,17 +18,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from . import cells
 from .fci import (
     EMPTY_FCI,
     FciSet,
+    _decode_fci,
     build_from_endpoints,
     embed_finset,
     endpoint_condition,
     witness_d,
     zero_fci,
 )
-from .finset import FinSet, zero_set
-from .oracle import enum_fcis, enum_finsets, random_fciset, random_points
+from .finset import FinSet, _decode_finset, zero_set
+from .oracle import enum_fcis, enum_finsets, fci_masks, random_fciset, random_points
 from .semantics import Assignment, EvalCache, WitnessPool, default_pool, eval_bounded, eval_qf, widened
 from .syntax import SIG_L, SIG_W, Formula, Signature, Var, classify, delta_domain, free_vars, parse
 from .transforms import (
@@ -120,22 +122,17 @@ def suite_notbot(pool_size: Optional[int] = None) -> EquivReport:
 # -- the interval characterization of ips --------------------------------------------
 
 
-def _ips_clause(a: FinSet, b: FinSet, c: FinSet, d: FciSet) -> bool:
+def _ips_clause(a: int, b: int, c: int, d: int) -> bool:
     """Value-level reading of the two characterizing clauses, including
-    the unboundedness of the witness."""
-    if d.right_endpoints() != c:
+    the unboundedness of the witness, on the cell masks of finite sets
+    ``a``, ``b``, ``c`` and of the interval union ``d`` over one grid
+    whose least point is 0."""
+    if cells.right(d) != c or not cells.within(c, a) or not cells.within(a, d) or cells.top(d):
         return False
-    if not c.issubset(a) or not embed_finset(a).issubset(d):
-        return False
-    if d.max_set():
-        return False
-    la = d.left_endpoints()
-    amin = a.min_set()
-    if amin.issubset(b) and la == b.difference(b.min_set()).union(zero_set()):
-        return True
-    if not amin.intersect(b) and la == b.union(zero_set()):
-        return True
-    return False
+    la, amin, zero = cells.left(d), cells.least(a), cells.point(0)
+    return (cells.within(amin, b) and la == cells.minus(b, cells.least(b)) | zero) or (
+        not amin & b and la == b | zero
+    )
 
 
 def suite_ipschar(pool_size: Optional[int] = None) -> EquivReport:
@@ -144,37 +141,35 @@ def suite_ipschar(pool_size: Optional[int] = None) -> EquivReport:
     points = _ints(4 if pool_size is None else pool_size)
     report = EquivReport()
     dpoints = widened(points)
+    # every set (the empty one first) as cells over the witnesses' points
+    rank = {p: i for i, p in enumerate(dpoints)}
+    sets = list(enum_finsets(points))
+    mask = {s: cells.encode(s, rank) for s in sets}
 
     # forward: the constructed witness satisfies a clause whenever ips(A,B)=C
-    for a in enum_finsets(points):
-        if not a:
-            continue
-        for b in enum_finsets(a):
-            if not b:
-                continue
+    for a in sets[1:]:
+        for b in itertools.islice(enum_finsets(a), 1, None):
             c = a.ips(b)
             d = witness_d(a, b, c)
-            report.add({"A": a, "B": b, "C": c, "D": d}, True, _ips_clause(a, b, c, d))
+            found = _ips_clause(mask[a], mask[b], mask[c], cells.encode(d, rank))
+            report.add({"A": a, "B": b, "C": c, "D": d}, True, found)
 
     # converse: over all candidate witnesses, some D fits exactly when ips(A,B)=C
-    by_right: dict[FinSet, list[FciSet]] = {}
-    for d in enum_fcis(dpoints, 3, True):
-        by_right.setdefault(d.right_endpoints(), []).append(d)
-    for a in enum_finsets(points):
-        if not a:
-            continue
-        for b in enum_finsets(a):
-            if not b:
-                continue
-            for c in enum_finsets(points):
-                found = any(_ips_clause(a, b, c, d) for d in by_right.get(c, ()))
-                report.add({"A": a, "B": b, "C": c}, a.ips(b) == c, found)
+    by_right: dict[int, list[int]] = {}
+    for d in fci_masks(range(len(dpoints)), 3, True):
+        by_right.setdefault(cells.right(d), []).append(d)
+    for a in sets[1:]:
+        for b in itertools.islice(enum_finsets(a), 1, None):
+            for c in sets:
+                found = any(_ips_clause(mask[a], mask[b], mask[c], d) for d in by_right.get(mask[c], ()))
+                report.add({"A": a, "B": b, "C": c}, cells.ips(mask[a], mask[b]) == mask[c], found)
 
     # the same statement as an interval formula, on every triple
     pool = WitnessPool(points=dpoints, max_segments=len(dpoints))
+    embedded = {s: embed_finset(s) for s in sets}
     cases = (
-        ({"X": embed_finset(a), "Y": embed_finset(b), "Z": embed_finset(c)}, a.ips(b) == c)
-        for a, b, c in itertools.product(enum_finsets(points), repeat=3)
+        ({"X": embedded[a], "Y": embedded[b], "Z": embedded[c]}, cells.ips(mask[a], mask[b]) == mask[c])
+        for a, b, c in itertools.product(sets, repeat=3)
     )
     check_equiv(report, "phi_ips", phi_ips(), cases, SIG_L, pool=pool)
     return report
@@ -216,12 +211,16 @@ def suite_endpoints(pool_size: Optional[int] = None) -> EquivReport:
 # -- membership and containment ------------------------------------------------------
 
 
-def _member_family(pool_size: Optional[int]) -> tuple[list[tuple[FciSet, FinSet, FinSet]], list, WitnessPool]:
-    """Each union on the pool with its left and right endpoints, the
-    points to test them at, and a pool of those points."""
-    points = _ints(5 if pool_size is None else pool_size)
+def _member_family(pool_size: Optional[int]) -> tuple[list[tuple[int, FciSet, FinSet, FinSet]], list, WitnessPool]:
+    """Each union on the pool as its cell mask, with the union and its left
+    and right endpoints read back; the points to test them at; and a pool
+    of those points."""
+    points = _ints(5 if pool_size is None else pool_size).elements
     zs = list(widened(points))
-    sets = [(x, x.left_endpoints(), x.right_endpoints()) for x in enum_fcis(points, 3, True)]
+    sets = [
+        (u, _decode_fci(points, u), _decode_finset(points, cells.left(u)), _decode_finset(points, cells.right(u)))
+        for u in fci_masks(range(len(points)), 3, True)
+    ]
     return sets, zs, WitnessPool(points=FinSet.of(zs), max_segments=len(zs))
 
 
@@ -229,7 +228,7 @@ def suite_member(pool_size: Optional[int] = None) -> EquivReport:
     """phi_in on coordinates agrees with pointwise membership."""
     sets, zs, pool = _member_family(pool_size)
     report = EquivReport()
-    cases = (({"Xl": xl, "Xr": xr, "Z": FinSet((z,))}, x.contains(z)) for x, xl, xr in sets for z in zs)
+    cases = (({"Xl": xl, "Xr": xr, "Z": FinSet((z,))}, x.contains(z)) for _, x, xl, xr in sets for z in zs)
     check_equiv(report, "phi_in", phi_in(), cases, SIG_W, pool=pool)
     return report
 
@@ -239,8 +238,8 @@ def suite_subset(pool_size: Optional[int] = None) -> EquivReport:
     sets, _, pool = _member_family(pool_size)
     report = EquivReport()
     cases = (
-        ({"Xl": xl, "Xr": xr, "Yl": yl, "Yr": yr}, x.issubset(y))
-        for (x, xl, xr), (y, yl, yr) in itertools.product(sets, repeat=2)
+        ({"Xl": xl, "Xr": xr, "Yl": yl, "Yr": yr}, cells.within(u, v))
+        for (u, _, xl, xr), (v, _, yl, yr) in itertools.product(sets, repeat=2)
     )
     check_equiv(report, "phi_subseteq", phi_subseteq(), cases, SIG_W, pool=pool)
     return report

@@ -745,7 +745,3 @@ def unnest(f: Formula) -> Formula:
         return rebuild(g, walk)
 
     return walk(f)
-
-
-def is_unnested(f: Formula) -> bool:
-    return all(is_unnested_atom(g) for g in subformulas(f) if isinstance(g, Atomic))

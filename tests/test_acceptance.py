@@ -9,14 +9,13 @@ visible in the terminal even when pytest captures output.
 import random
 from fractions import Fraction
 
+from helpers import count_fcis, random_finset
 from intlat.fci import EMPTY_FCI, format_fci, normalize, parse_fci
 from intlat.finset import EMPTY_FS, FinSet, format_finset, parse_finset
 from intlat.oracle import (
-    count_fcis,
     enum_fcis,
     enum_finsets,
     random_fciset,
-    random_finset,
     random_points,
 )
 from intlat.suites import (

@@ -50,6 +50,12 @@ def test_segment_rejects_inverted_bounds():
         Segment(F(2), F(1))
 
 
+def test_normalize_rejects_negative_points():
+    for segments, rays in [([(F(-1), F(0))], []), ([], [F(-1)]), ([(F(0), F(1))], [F(2), F(-1, 2)])]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            normalize(segments, rays)
+
+
 def test_normalize_merges_touching_and_overlapping_parts():
     got = normalize([(F(0), F(1)), (F(1), F(2)), (F(4), F(5))], rays=[F(7)])
     assert format_fci(got) == "[0,2] + [4,5] + [7,*)"

@@ -1,0 +1,50 @@
+"""The cell layout stays behind one module.
+
+A cell mask puts the point of rank i at bit 2i (see ``intlat.cells``),
+so a shift by twice a rank, or a step of two bits, is the layout itself.
+This reads each module's syntax tree: only ``cells.py`` may shift by
+``2 * r`` (``<< 2 * r``, ``>> 2 * r``) or step a mask by ``>>= 2``;
+every other module writes and reads cells through ``cells``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MASK_MODULE = "src/intlat/cells.py"
+
+
+def _is_two(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 2
+
+
+def _twice(node: ast.expr) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and (_is_two(node.left) or _is_two(node.right))
+
+
+def _rank_shifts(tree: ast.Module) -> list[int]:
+    """The lines that shift by twice something or step by two bits."""
+    shifts = (ast.LShift, ast.RShift)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, shifts) and _twice(node.right):
+            found.append(node.lineno)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, shifts) and (_twice(node.value) or _is_two(node.value)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_the_mask_module_knows_the_cell_layout():
+    found = {}
+    for path in sorted(ROOT.glob("src/intlat/*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        lines = _rank_shifts(ast.parse(path.read_text(), rel))
+        if lines and rel != MASK_MODULE:
+            found[rel] = lines
+    assert not found
+    assert _rank_shifts(ast.parse((ROOT / MASK_MODULE).read_text()))
+
+
+def test_the_check_sees_a_planted_shift():
+    tree = ast.parse("a = 1 << 2 * r\nb = m >> r * 2 & 1\nm >>= 2\nm <<= 2 * k\nc = x << 1\nd = x >> 2\n")
+    assert _rank_shifts(tree) == [1, 2, 3, 4]

@@ -1,12 +1,17 @@
-"""Cell masks: the solver's values agree with the kernels.
+"""Cell masks: every mask operation against point membership.
 
-Inside ``eval_bounded`` every value is one int over the ranked points
-(see ``intlat.semantics``).  Each mask operation is checked against the
-``FinSet``/``FciSet`` kernel it stands for: exhaustively over every
-interval union on at most 4 points and every finite set on at most 5, and
-by hypothesis on up to 8 rational points, each time through the ranks.
-The kernels and the solver share one encoder, ``fci._held``, so it is
-checked on its own against membership.
+The kernels, ``eval_term``, ``eval_qf`` and the solver all compute on
+cell masks with the one set of operations in ``intlat.cells``.  So each
+operation is checked here against the point semantics, which is written
+on rationals apart from the masks: ``FciSet.contains`` and ``in`` on a
+``FinSet``.  A mask is read cell by cell at one probe inside each cell
+(its point, the midpoint of the gap above it, or a point above the last
+one) and compared with what the operation means on the operands'
+membership at the same probes: exhaustively over every interval union on
+4 points and every finite set on 5, and by hypothesis on up to 8
+rational points.  The encoder is checked the same way, and the pools'
+spaces, universes and endpoint pairs against the enumerators through the
+ranks.
 """
 
 import random
@@ -15,25 +20,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intlat.fci import (
-    EMPTY_FCI,
-    _held,
-    build_from_endpoints,
-    difference_closed,
-    embed_finset,
-    endpoint_condition,
-    normalize,
-)
+from intlat.cells import OPS, difference_closed, encode, from_endpoints
+from intlat.fci import normalize
 from intlat.finset import FinSet
 from intlat.oracle import enum_fcis, enum_finsets
 from intlat.semantics import (
-    _MASK_OPS,
     WitnessPool,
-    _difference_closed,
     _endpoint_pairs,
-    _from_endpoints,
     _in_universe,
-    _mask,
     _masks,
     _pool_ranks,
     _ranks,
@@ -45,61 +39,129 @@ F = Fraction
 
 
 def op(name: str, *args: int) -> int:
-    return _MASK_OPS[name][1](list(args), None)
+    return OPS[name][1](*args)
 
 
-def check_unions(rank: dict, a, b) -> None:
-    """Every interval-side mask operation on a and b against the kernels."""
-
-    def m(v):
-        return _mask(v, rank)
-
-    ma, mb = m(a), m(b)
-    assert op("bot") == m(EMPTY_FCI)
-    assert op("cz") == m(embed_finset(FinSet((F(0),))))
-    assert op("cup", ma, mb) == m(a.union(b)), (a, b)
-    assert op("cap", ma, mb) == m(a.intersect(b)), (a, b)
-    assert op("min", ma) == m(a.min_set()), a
-    assert op("max", ma) == m(a.max_set()), a
-    assert op("l", ma) == m(embed_finset(a.left_endpoints())), a
-    assert op("r", ma) == m(embed_finset(a.right_endpoints())), a
-    d = difference_closed(a, b)
-    assert _difference_closed(ma, mb) == (None if d is None else m(d)), (a, b)
+def probes(points: list) -> list:
+    """One point inside each cell over the sorted points, in cell order."""
+    out = []
+    for p, q in zip(points, points[1:] + [points[-1] + 2]):
+        out += [p, (p + q) / 2]
+    return out
 
 
-def check_sets(rank: dict, a: FinSet, b: FinSet) -> None:
-    """Every finite-set mask operation on a and b, and the endpoint lemma
-    on the pair (a, b), against the kernels."""
+def member(v, at: list) -> list[bool]:
+    """Which probes the FciSet or FinSet ``v`` holds."""
+    return [v.contains(p) if hasattr(v, "contains") else p in v for p in at]
 
-    def m(v):
-        return _mask(v, rank)
 
-    ma, mb = m(a), m(b)
-    assert op("bot") == m(FinSet())
-    assert op("cz") == m(FinSet((F(0),)))
-    assert op("cup", ma, mb) == m(a.union(b)), (a, b)
-    assert op("cap", ma, mb) == m(a.intersect(b)), (a, b)
-    assert op("min", ma) == m(a.min_set()), a
-    assert op("max", ma) == m(a.max_set()), a
-    assert op("ips", ma, mb) == m(a.ips(b)), (a, b)
-    assert op("diff", ma, mb) == m(a.difference(b)), (a, b)
-    if endpoint_condition(a, b):
-        want = m(build_from_endpoints(a, b))
+def reading(x: int, n: int) -> list[bool]:
+    """The cells the mask ``x`` holds over n points; None when its sign
+    disagrees with its top cell, the gap above the last point, which a
+    ray alone holds."""
+    cells = [bool(x >> k & 1) for k in range(2 * n)]
+    return cells if (x < 0) == cells[-1] else None
+
+
+# what each operation means on the cells a value holds, read at the probes
+
+
+def first(u: list) -> list:
+    return [i == u.index(True) for i in range(len(u))] if any(u) else u
+
+
+def last(u: list) -> list:
+    # a ray has no greatest point
+    return first(u[::-1])[::-1] if not u[-1] else [False] * len(u)
+
+
+def starts(u: list) -> list:
+    return [here and not (i and u[i - 1]) for i, here in enumerate(u)]
+
+
+def ends(u: list) -> list:
+    # the top cell reaches up forever: it ends nothing
+    return [here and i + 1 < len(u) and not u[i + 1] for i, here in enumerate(u)]
+
+
+def closed(u: list) -> bool:
+    """Each held gap holds the point below it and the point above it, if any."""
+    return all(u[i - 1] and (i + 1 == len(u) or u[i + 1]) for i in range(1, len(u), 2) if u[i])
+
+
+def successor_in(u: list, v: list) -> list:
+    """The held points of u whose next held point of u is held in v."""
+    out = []
+    for i, here in enumerate(u):
+        nxt = next((j for j in range(i + 1, len(u)) if u[j]), None)
+        out.append(here and nxt is not None and v[nxt])
+    return out
+
+
+def candidate(b: list, c: list) -> list:
+    """The endpoint lemma's one candidate: every endpoint, and every cell
+    whose greatest endpoint at or below it is a left endpoint only."""
+    out, opens = [], False
+    for i in range(len(b)):
+        if b[i] or c[i]:
+            opens = b[i] and not c[i]
+            out.append(True)
+        else:
+            out.append(opens)
+    return out
+
+
+def check_unions(points: list, a, b) -> None:
+    """Every interval-side mask operation on a and b against membership."""
+    rank = {p: i for i, p in enumerate(points)}
+    n, at = len(points), probes(points)
+    u, v = member(a, at), member(b, at)
+    x, y = encode(a, rank), encode(b, rank)
+    nothing = [False] * 2 * n
+    assert reading(op("bot"), n) == nothing
+    assert reading(op("cz"), n) == [k == 0 for k in range(2 * n)]
+    assert reading(op("cup", x, y), n) == [p or q for p, q in zip(u, v)], (a, b)
+    assert reading(op("cap", x, y), n) == [p and q for p, q in zip(u, v)], (a, b)
+    assert reading(op("min", x), n) == first(u), a
+    assert reading(op("max", x), n) == last(u), a
+    assert reading(op("l", x), n) == starts(u), a
+    assert reading(op("r", x), n) == ends(u), a
+    d = [p and not q for p, q in zip(u, v)]
+    got = difference_closed(x, y)
+    assert (reading(got, n) == d) if closed(d) else got is None, (a, b)
+
+
+def check_sets(points: list, s: FinSet, t: FinSet) -> None:
+    """Every finite-set mask operation on s and t, and the endpoint lemma
+    on the pair (s, t), against membership."""
+    rank = {p: i for i, p in enumerate(points)}
+    n, at = len(points), probes(points)
+    u, v = member(s, at), member(t, at)
+    x, y = encode(s, rank), encode(t, rank)
+    assert reading(op("cup", x, y), n) == [p or q for p, q in zip(u, v)], (s, t)
+    assert reading(op("cap", x, y), n) == [p and q for p, q in zip(u, v)], (s, t)
+    assert reading(op("diff", x, y), n) == [p and not q for p, q in zip(u, v)], (s, t)
+    assert reading(op("min", x), n) == first(u), s
+    assert reading(op("max", x), n) == last(u), s
+    assert reading(op("ips", x, y), n) == successor_in(u, v), (s, t)
+    # (s, t) is the endpoint pair of the candidate exactly when the
+    # candidate's endpoints are (s, t); two empty sets give the empty union
+    w = candidate(u, v)
+    got = from_endpoints(x, y)
+    if not s and not t:
+        assert got == 0
+    elif starts(w) == u and ends(w) == v:
+        assert reading(got, n) == w, (s, t)
     else:
-        want = 0 if not a and not b else None
-    assert _from_endpoints(ma, mb) == want, (a, b)
+        assert got is None, (s, t)
 
 
 def check_cells(points: list, a) -> None:
-    """The cells ``_held`` writes for ``a`` over ``points``, which hold its
-    end points, against membership: bit 2i is p_i, bit 2i+1 the gap above
-    it (its midpoint to the next point, or the last point plus 1), and the
-    mask is negative exactly when ``a`` has a ray."""
-    x = _held({p: i for i, p in enumerate(points)}, a.segments, a.ray_lo)
-    inside = [(p + q) / 2 for p, q in zip(points, points[1:])] + [points[-1] + 1]
-    for i, (p, gap) in enumerate(zip(points, inside)):
-        assert x >> 2 * i & 1 == a.contains(p), (a, p)
-        assert x >> 2 * i + 1 & 1 == a.contains(gap), (a, gap)
+    """The cells ``encode`` writes for ``a`` over ``points``, which hold
+    its end points, against membership: bit 2i is p_i, bit 2i+1 the gap
+    above it, and the mask is negative exactly when ``a`` has a ray."""
+    x = encode(a, {p: i for i, p in enumerate(points)})
+    assert reading(x, len(points)) == member(a, probes(points)), a
     assert (x < 0) == (a.ray_lo is not None), a
 
 
@@ -112,18 +174,23 @@ SETS = list(enum_finsets(SET_GRID))
 def test_cells_agree_with_membership_on_a_small_grid():
     for a in UNIONS:
         check_cells(list(UNION_GRID), a)
+    for s in SETS:
+        assert reading(encode(s, {p: i for i, p in enumerate(SET_GRID)}), 5) == member(s, probes(list(SET_GRID)))
 
 
-def test_mask_operations_agree_with_the_kernels_on_small_grids():
+def test_mask_operations_agree_with_membership_on_small_grids():
     assert len(UNIONS) == 55 and len(SETS) == 32
-    rank = {p: i for i, p in enumerate(UNION_GRID)}
     for a in UNIONS:
         for b in UNIONS:
-            check_unions(rank, a, b)
+            check_unions(list(UNION_GRID), a, b)
+    for s in SETS:
+        for t in SETS:
+            check_sets(list(SET_GRID), s, t)
+    # the subsets of the first four points pair up as the endpoints of
+    # every nonempty union on them
     rank = {p: i for i, p in enumerate(SET_GRID)}
-    for a in SETS:
-        for b in SETS:
-            check_sets(rank, a, b)
+    pairs = [(s, t) for s in SETS[:16] for t in SETS[:16] if s and from_endpoints(encode(s, rank), encode(t, rank))]
+    assert len(pairs) == len(UNIONS) - 1
 
 
 def _pools(grid: FinSet):
@@ -148,7 +215,7 @@ def test_universes_agree_with_the_kernels_through_the_ranks():
             space = ranks.spaces[w]
 
             def m(v):
-                return _mask(v, ranks.rank)
+                return encode(v, ranks.rank)
 
             inside = set(universe(pool, sig))
             for v in values:
@@ -188,19 +255,20 @@ def rational_cases(draw):
     sets = [FinSet.of(draw(st.frozensets(near, max_size=5))) for _ in range(2)]
     chosen = FinSet.of({F(0)} | draw(st.frozensets(near, max_size=5)))
     pool = WitnessPool(chosen, draw(st.integers(0, 4)), draw(st.booleans()))
-    return FinSet(tuple(points)), unions, sets, pool
+    return points, unions, sets, pool
 
 
 @settings(deadline=None)
 @given(rational_cases())
-def test_mask_operations_agree_with_the_kernels_on_rational_points(case):
+def test_mask_operations_agree_with_membership_on_rational_points(case):
     points, (a, b), (s, t), pool = case
-    ranks = _ranks(pool, points)
-    check_unions(ranks.rank, a, b)
-    check_sets(ranks.rank, s, t)
-    check_cells(list(points), a)
-    check_cells(list(points), b)
+    check_unions(points, a, b)
+    check_sets(points, s, t)
+    check_cells(points, a)
+    check_cells(points, b)
     # the endpoint lemma also on the endpoints of a union
-    assert _from_endpoints(_mask(a.left_endpoints(), ranks.rank), _mask(a.right_endpoints(), ranks.rank)) == _mask(a, ranks.rank)
+    ranks = _ranks(pool, points)
+    ends_of_a = [encode(e, ranks.rank) for e in (a.left_endpoints(), a.right_endpoints())]
+    assert from_endpoints(*ends_of_a) == encode(a, ranks.rank)
     for v, sig in ((a, SIG_L), (b, SIG_L), (s, SIG_W), (t, SIG_W)):
-        assert _in_universe(_mask(v, ranks.rank), ranks.spaces[sig.finite_sets]) == (v in universe(pool, sig)), v
+        assert _in_universe(encode(v, ranks.rank), ranks.spaces[sig.finite_sets]) == (v in universe(pool, sig)), v

@@ -9,15 +9,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import count_fcis, random_finset
 from intlat.fci import FciSet
 from intlat.finset import FinSet
 from intlat.oracle import (
-    count_fcis,
     enum_fcis,
     enum_finsets,
     fci_masks,
     random_fciset,
-    random_finset,
     random_points,
     subset_masks,
 )

@@ -66,6 +66,14 @@ def test_eval_term_rejects_unbound_variables():
         eval_term(term("cup(X, Y)", SIG_W), {"X": EMPTY_FS}, SIG_W)
 
 
+def test_term_and_qf_evaluation_refuse_values_of_the_other_structure():
+    # an interval union read as a finite set would lose its segments
+    with pytest.raises(EvalError, match="X is bound to FciSet, expected FinSet"):
+        eval_term(term("cup(X, cz)", SIG_W), {"X": parse_fci("[0,1]")}, SIG_W)
+    with pytest.raises(EvalError, match="X is bound to FinSet, expected FciSet"):
+        eval_qf(parse("X = bot", SIG_L), {"X": fs([1])}, SIG_L)
+
+
 def test_eval_qf():
     a = {"X": fs([0, 2]), "Y": fs([2])}
     assert eval_qf(parse("cap(X, Y) = Y", SIG_W), a, SIG_W)

@@ -23,7 +23,6 @@ from intlat.syntax import (
     classify,
     format_formula,
     free_vars,
-    is_unnested,
     is_unnested_atom,
     nnf,
     parse,
@@ -289,6 +288,10 @@ def test_nnf_pushes_negations_to_atoms():
 def test_nnf_returns_a_formula_in_normal_form_as_it_is():
     g = parse("E Y. !(Y = X) & (min(Y) = cz | !(cap(Y, X) = bot))", SIG_W)
     assert nnf(g) is g
+
+
+def is_unnested(f) -> bool:
+    return all(is_unnested_atom(g) for g in subformulas(f) if isinstance(g, Atomic))
 
 
 def test_unnest_flattens_compound_terms():
