@@ -336,12 +336,12 @@ L2W_CORPUS: list[tuple[str, Callable[[dict], bool]]] = [
 ]
 
 
-def _coords(a: dict, pairs: dict[str, CoordinatePair]) -> dict:
-    """The assignment's unions as endpoint coordinates, named by their pairs."""
+def _coords(a: dict, pairs: dict[str, CoordinatePair], ends: dict) -> dict:
+    """The assignment's unions as endpoint coordinates, named by their
+    pairs; ``ends`` holds each union's left and right endpoints."""
     out = {}
     for v, x in a.items():
-        out[pairs[v].left] = x.left_endpoints()
-        out[pairs[v].right] = x.right_endpoints()
+        out[pairs[v].left], out[pairs[v].right] = ends[x]
     return out
 
 
@@ -354,6 +354,7 @@ def suite_l2w(pool_size: Optional[int] = None) -> EquivReport:
     # coordinate-pair witnesses (lub/glb tests) stay on the assignment grid
     pool = WitnessPool(points=dense, max_segments=len(dense), pair_points=points)
     family = list(enum_fcis(points, 2, True))
+    ends = {x: (x.left_endpoints(), x.right_endpoints()) for x in family}
     report = EquivReport()
     for text, predicate in L2W_CORPUS:
         f = parse(text, SIG_L)
@@ -362,7 +363,7 @@ def suite_l2w(pool_size: Optional[int] = None) -> EquivReport:
         # and so must the coordinate reading of the same unions
         cases = [(a, bool(predicate(a))) for a in _assignments(sorted(free_vars(f)), family)]
         check_equiv(report, text + " (interval)", f, cases, SIG_L, pool=pool)
-        coordinates = ((_coords(a, pairs), expected) for a, expected in cases)
+        coordinates = ((_coords(a, pairs, ends), expected) for a, expected in cases)
         check_equiv(report, text + " (coordinates)", g, coordinates, SIG_W, pool=pool)
     return report
 
