@@ -11,38 +11,29 @@ Only this module shifts by a rank.
 
 Each operation of both lattices is written here once, on masks (``OPS``,
 ``within``, ``difference_closed``, ``from_endpoints``); the kernels,
-``eval_term``, ``eval_qf`` and the solver all call them.  No operation
-creates a point, and each depends only on the order of the points and on
-0, rank 0 on every grid holding it, so the result on the grid is the
-result on the rationals.
+``eval_term``, ``eval_qf`` and the solver all call them, the kernels
+through ``apply``, and the witness universes are listed here as masks
+(``subset_masks``, ``fci_masks``).  No operation creates a point, and
+each depends only on the order of the points and on 0, rank 0 on every
+grid holding it, so the result on the grid is the result on the
+rationals.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import lcm
 from operator import and_, or_
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .order import Point
+
+T = TypeVar("T")
 
 
 def point(r: int) -> int:
     """The cell of the point of rank ``r``."""
     return 1 << 2 * r
-
-
-def span(lo: int, hi: int) -> int:
-    """The cells from the point of rank ``lo`` up to that of rank ``hi``."""
-    return (2 << 2 * hi) - (1 << 2 * lo)
-
-
-def ray(r: int) -> int:
-    """The cells from the point of rank ``r`` up."""
-    return -1 << 2 * r
-
-
-def gaps_above(x: int) -> int:
-    """The open gaps just above the points ``x`` holds."""
-    return x << 1
 
 
 # -- encoding and decoding ----------------------------------------------------------
@@ -56,30 +47,29 @@ def ends(value) -> Sequence[Point]:
     return out if value.ray_lo is None else out + [value.ray_lo]
 
 
-def encode(value, rank: dict) -> int:
-    """The cells ``value`` holds over the points ``rank`` ranks, which
+def encode(value, rank: Callable[[Point], int]) -> int:
+    """The cells ``value`` holds over the points that ``rank`` ranks, which
     include its ``ends``."""
     if not hasattr(value, "segments"):
-        return sum(1 << 2 * rank[p] for p in value.elements)
-    mask = 0 if value.ray_lo is None else -1 << 2 * rank[value.ray_lo]
+        return sum(1 << 2 * rank(p) for p in value.elements)
+    mask = 0 if value.ray_lo is None else -1 << 2 * rank(value.ray_lo)
     for s in value.segments:
-        mask |= (2 << 2 * rank[s.hi]) - (1 << 2 * rank[s.lo])
+        mask |= (2 << 2 * rank(s.hi)) - (1 << 2 * rank(s.lo))
     return mask
 
 
-def encoded(values: Iterable, *extra: Point) -> tuple[list[Point], list[int]]:
+def apply(fn: Callable[..., T], *values, extra: Sequence[Point] = ()) -> tuple[list[Point], T]:
     """The grid of the values' ends and ``extra``, their distinct points in
-    order, and the values' cells on it."""
-    values = list(values)
-    pts = sorted({*extra, *(p for v in values for p in ends(v))})
-    rank = {p: i for i, p in enumerate(pts)}
-    return pts, [encode(v, rank) for v in values]
-
-
-def apply(op: str, *values) -> tuple[list[Point], int]:
-    """The grid of the values' ends, and ``OPS[op]`` on their cells on it."""
-    pts, masks = encoded(values)
-    return pts, OPS[op][1](*masks)
+    order, and ``fn`` of the values' cells on it.  The points are ranked
+    by exact integer keys, each scaled to their common denominator, so no
+    ``Fraction`` is hashed or compared."""
+    every = [*extra, *chain.from_iterable(map(ends, values))]
+    scale = lcm(*[p.denominator for p in every])
+    at = {p.numerator * (scale // p.denominator): p for p in every}
+    order = sorted(at)
+    rank = dict(zip(order, range(len(order))))
+    masks = [encode(v, lambda p: rank[p.numerator * (scale // p.denominator)]) for v in values]
+    return list(map(at.__getitem__, order)), fn(*masks)
 
 
 def points(pts: Sequence[Point], mask: int) -> tuple[Point, ...]:
@@ -105,10 +95,73 @@ def parts(pts: Sequence[Point], mask: int) -> tuple[list[tuple[Point, Point]], O
 
 def build(cls: type, **fields):
     """A ``cls`` holding ``fields``, without the checks of its
-    ``__post_init__``: for values valid by construction."""
+    ``__post_init__``: for values valid by construction.  It fills the
+    instance ``__dict__``, which ``FinSet``, ``Segment`` and ``FciSet``
+    keep (their hash caches live there), so they must not take slots."""
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
+
+
+# -- the enumerators ----------------------------------------------------------------
+
+# subsets explode as 2^n and interval unions faster still, so pools beyond
+# these raise instead of hanging
+FINSET_POOL_CAP = 12
+FCI_POOL_CAP = 10
+
+
+def subset_masks(ranks: Sequence[int]) -> list[int]:
+    """Every set of the ranked points, in binary counting order on the
+    ranks, as cell masks."""
+    if len(ranks) > FINSET_POOL_CAP:
+        raise ValueError(f"refusing to enumerate 2^{len(ranks)} subsets (cap is {FINSET_POOL_CAP} points)")
+    out = [0]
+    for r in ranks:
+        bit = 1 << 2 * r
+        out += [m | bit for m in out]
+    return out
+
+
+def fci_masks(ranks: Sequence[int], max_segments: int, allow_ray: bool) -> list[int]:
+    """All normalized interval unions with endpoints among the ranked
+    points, as cell masks.
+
+    Ordered by the subset of endpoints actually used (binary counting
+    order), then by the reading of that subset.  A reading of m used
+    points holds all of them and a set of the open gaps above them, no
+    two adjacent; bit m-1-j holds the gap above the j-th point, so the
+    first point varies slowest and bit 0 is the ray.  Each held gap joins
+    two points into a segment or makes the last one the ray, so a reading
+    has m - popcount segments.  Distinct readings give distinct sets, so
+    the list is duplicate-free.
+    """
+    n = len(ranks)
+    if n > FCI_POOL_CAP:
+        raise ValueError(f"refusing to enumerate interval unions over {n} points (cap is {FCI_POOL_CAP})")
+    # m -> the held gaps of each reading of m used points, in order
+    readings: dict[int, list[list[int]]] = {}
+    out = []
+    for used_mask in range(1 << n):
+        used = [ranks[i] for i in range(n) if used_mask >> i & 1]
+        m = len(used)
+        held = readings.get(m)
+        if held is None:
+            held = readings[m] = [
+                [j for j in range(m) if reading >> m - 1 - j & 1]
+                for reading in range(0, 1 << m, 1 if allow_ray else 2)
+                if not reading & reading >> 1 and m - reading.bit_count() <= max_segments
+            ]
+        points = sum(1 << 2 * r for r in used)
+        # the cells of each gap: up to and with the next used point, or the ray
+        gaps = [(2 << 2 * hi) - (1 << 2 * lo) for lo, hi in zip(used, used[1:])]
+        gaps += [-1 << 2 * r for r in used[-1:]]
+        for js in held:
+            x = points
+            for j in js:
+                x |= gaps[j]
+            out.append(x)
+    return out
 
 
 # -- the operations -----------------------------------------------------------------
@@ -191,6 +244,8 @@ def from_endpoints(b: int, c: int) -> Optional[int]:
     only candidate holds every point of ``b`` and ``c`` and, from each
     point of b - c, every cell up to the next of those points, or up
     forever."""
+    if not (finite(b) and finite(c)):
+        return None  # a ray or a segment is no set of end points
     both = x = b | c
     opens = b & ~c
     while opens:

@@ -23,6 +23,8 @@ two endpoint sets, and the complement-of-open-gaps construction
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
 from . import cells
@@ -79,28 +81,28 @@ class FciSet:
     # -- lattice operations -------------------------------------------------
 
     def union(self, other: "FciSet") -> "FciSet":
-        return _decode_fci(*cells.apply("cup", self, other))
+        return _decode_fci(*cells.apply(or_, self, other))
 
     def intersect(self, other: "FciSet") -> "FciSet":
-        return _decode_fci(*cells.apply("cap", self, other))
+        return _decode_fci(*cells.apply(and_, self, other))
 
     def min_set(self) -> "FciSet":
         """Singleton of the least point; empty set is a fixed point."""
-        return _decode_fci(*cells.apply("min", self))
+        return _decode_fci(*cells.apply(cells.least, self))
 
     def max_set(self) -> "FciSet":
         """Singleton of the greatest point; empty for the empty set and for rays."""
-        return _decode_fci(*cells.apply("max", self))
+        return _decode_fci(*cells.apply(cells.top, self))
 
     # -- endpoint structure --------------------------------------------------
 
     def left_endpoints(self) -> FinSet:
         """Every point that begins a maximal part; the ray contributes its start."""
-        return _decode_finset(*cells.apply("l", self))
+        return _decode_finset(*cells.apply(cells.left, self))
 
     def right_endpoints(self) -> FinSet:
         """Every point that ends a maximal part; the ray has no right endpoint."""
-        return _decode_finset(*cells.apply("r", self))
+        return _decode_finset(*cells.apply(cells.right, self))
 
     def boundary(self) -> FinSet:
         return cells.build(FinSet, elements=tuple(sorted(set(cells.ends(self)))))
@@ -115,7 +117,7 @@ class FciSet:
 
     def issubset(self, other: "FciSet") -> bool:
         """Whether ``other`` holds every cell this set holds."""
-        return cells.within(*cells.encoded((self, other))[1])
+        return cells.apply(cells.within, self, other)[1]
 
     # -- finite sets inside the structure -------------------------------------
 
@@ -151,11 +153,9 @@ def normalize(segments: Iterable[Segment | tuple[Point, Point]] = (), rays: Iter
     Touching counts as overlapping: ``[1,2]`` and ``[2,3]`` merge, while a
     gap of any positive length keeps parts separate.
     """
-    segs = tuple(s if isinstance(s, Segment) else Segment(*s) for s in segments)
-    ray_lo = min(map(point, rays), default=None)
-    # the raw parts as one value, not yet in normal form: only its cells are read
-    pts, (x,) = cells.encoded([cells.build(FciSet, segments=segs, ray_lo=ray_lo)])
-    return _decode_fci(pts, x)
+    parts = [FciSet((s if isinstance(s, Segment) else Segment(*s),)) for s in segments]
+    parts += [FciSet((), r) for r in map(point, rays)]
+    return _decode_fci(*cells.apply(lambda *masks: reduce(or_, masks, 0), *parts))
 
 
 def _decode_fci(pts: Sequence[Point], mask: int) -> FciSet:
@@ -169,17 +169,10 @@ def _decode_fci(pts: Sequence[Point], mask: int) -> FciSet:
 # -- endpoint pairing ---------------------------------------------------------
 
 
-def _from_endpoints(b: FinSet, c: FinSet) -> Optional[FciSet]:
-    """The nonempty set whose (left, right) endpoint pair is (b, c), or
-    None (``cells.from_endpoints``)."""
-    pts, masks = cells.encoded((b, c))
-    x = cells.from_endpoints(*masks)
-    return _decode_fci(pts, x) if x else None  # 0 is the empty union of two empty sets
-
-
 def endpoint_condition(b: FinSet, c: FinSet) -> bool:
-    """Whether (b, c) is the (left, right) endpoint pair of some nonempty set."""
-    return _from_endpoints(b, c) is not None
+    """Whether (b, c) is the (left, right) endpoint pair of some nonempty
+    set (``cells.from_endpoints``; 0 is the empty union of two empty sets)."""
+    return bool(cells.apply(cells.from_endpoints, b, c)[1])
 
 
 def build_from_endpoints(b: FinSet, c: FinSet) -> FciSet:
@@ -188,10 +181,10 @@ def build_from_endpoints(b: FinSet, c: FinSet) -> FciSet:
     Raises ValueError when there is none, that is unless
     ``endpoint_condition(b, c)``.
     """
-    x = _from_endpoints(b, c)
-    if x is None:
+    pts, x = cells.apply(cells.from_endpoints, b, c)
+    if not x:
         raise ValueError(f"no interval union has left endpoints {b} and right endpoints {c}")
-    return x
+    return _decode_fci(pts, x)
 
 
 def witness_d(a: FinSet, b: FinSet, c: FinSet) -> FciSet:
@@ -206,9 +199,8 @@ def witness_d(a: FinSet, b: FinSet, c: FinSet) -> FciSet:
         raise ValueError(f"need a nonempty subset, got b={b} inside a={a}")
     if a.ips(b) != c:
         raise ValueError(f"ips({a}, {b}) is {a.ips(b)}, not {c}")
-    # every cell from 0 up on the points of a, but the gaps above c
-    pts, (mc,) = cells.encoded([c], ZERO, *a.elements)
-    return _decode_fci(pts, ~cells.gaps_above(mc))
+    # every cell from 0 up on the points of a, but the open gaps above c
+    return _decode_fci(*cells.apply(lambda mc: ~(mc << 1), c, extra=(ZERO, *a.elements)))
 
 
 # -- representable set difference ---------------------------------------------
@@ -221,8 +213,7 @@ def difference_closed(a: FciSet, b: FciSet) -> Optional[FciSet]:
     difference is representable only when every exposed end is degenerate.
     Returns None otherwise.
     """
-    pts, (x, y) = cells.encoded((a, b))
-    d = cells.difference_closed(x, y)
+    pts, d = cells.apply(cells.difference_closed, a, b)
     return None if d is None else _decode_fci(pts, d)
 
 

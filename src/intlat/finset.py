@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from . import cells
@@ -59,29 +60,29 @@ class FinSet:
         return format_finset(self)
 
     def union(self, other: "FinSet") -> "FinSet":
-        return _decode_finset(*cells.apply("cup", self, other))
+        return _decode_finset(*cells.apply(or_, self, other))
 
     def intersect(self, other: "FinSet") -> "FinSet":
-        return _decode_finset(*cells.apply("cap", self, other))
+        return _decode_finset(*cells.apply(and_, self, other))
 
     def difference(self, other: "FinSet") -> "FinSet":
         """Relative complement: the unique C with (A & B) | C = A and B & C empty."""
-        return _decode_finset(*cells.apply("diff", self, other))
+        return _decode_finset(*cells.apply(cells.minus, self, other))
 
     def min_set(self) -> "FinSet":
         """Singleton of the least element; empty set is a fixed point."""
-        return _decode_finset(*cells.apply("min", self))
+        return _decode_finset(*cells.apply(cells.least, self))
 
     def max_set(self) -> "FinSet":
         """Singleton of the greatest element; empty set is a fixed point."""
-        return _decode_finset(*cells.apply("max", self))
+        return _decode_finset(*cells.apply(cells.top, self))
 
     def ips(self, other: "FinSet") -> "FinSet":
         """Elements of A whose successor inside A belongs to B."""
-        return _decode_finset(*cells.apply("ips", self, other))
+        return _decode_finset(*cells.apply(cells.ips, self, other))
 
     def issubset(self, other: "FinSet") -> bool:
-        return cells.within(*cells.encoded((self, other))[1])
+        return cells.apply(cells.within, self, other)[1]
 
 
 def _decode_finset(pts: Sequence[Point], mask: int) -> FinSet:

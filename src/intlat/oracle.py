@@ -1,12 +1,10 @@
 """Exhaustive enumerators and random generators.
 
 The enumerators stream every structure element built from a small point
-pool, in a fixed order, so lemma-level checks can be exhaustive;
-``subset_masks`` and ``fci_masks`` list the same elements, in the same
-order, as cell masks (see ``cells``), which ``enum_finsets`` and
-``enum_fcis`` read back over the pool.  All are capped: subsets explode as
-2^n and interval unions faster still, so pools beyond the cap raise
-instead of hanging.  The generators draw seeded points and interval
+pool, in a fixed order, so lemma-level checks can be exhaustive: they
+read back over the pool the cell masks that ``cells.subset_masks`` and
+``cells.fci_masks`` list, so they share those lists' order and their
+caps on the pool size.  The generators draw seeded points and interval
 unions for the checks too large to enumerate.
 """
 
@@ -14,15 +12,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
-from . import cells
+from .cells import fci_masks, subset_masks
 from .fci import FciSet, Segment, _decode_fci
 from .finset import FinSet, _decode_finset
 from .order import Point
-
-FINSET_POOL_CAP = 12
-FCI_POOL_CAP = 10
 
 
 def enum_finsets(pool: FinSet) -> Iterator[FinSet]:
@@ -31,63 +26,11 @@ def enum_finsets(pool: FinSet) -> Iterator[FinSet]:
         yield _decode_finset(pool.elements, mask)
 
 
-def subset_masks(ranks: Sequence[int]) -> list[int]:
-    """What ``enum_finsets`` yields, as cell masks over ranked points."""
-    if len(ranks) > FINSET_POOL_CAP:
-        raise ValueError(f"refusing to enumerate 2^{len(ranks)} subsets (cap is {FINSET_POOL_CAP} points)")
-    out = [0]
-    for r in ranks:
-        bit = cells.point(r)
-        out += [m | bit for m in out]
-    return out
-
-
 def enum_fcis(pool: FinSet, max_segments: int, allow_ray: bool) -> Iterator[FciSet]:
     """All normalized interval unions with endpoints in the pool, in the
     order of ``fci_masks``."""
     for mask in fci_masks(range(len(pool)), max_segments, allow_ray):
         yield _decode_fci(pool.elements, mask)
-
-
-def fci_masks(ranks: Sequence[int], max_segments: int, allow_ray: bool) -> list[int]:
-    """All normalized interval unions with endpoints among the ranked
-    points, as cell masks.
-
-    Ordered by the subset of endpoints actually used (binary counting
-    order), then by the reading of that subset.  A reading of m used
-    points holds all of them and a set of the open gaps above them, no
-    two adjacent; bit m-1-j holds the gap above the j-th point, so the
-    first point varies slowest and bit 0 is the ray.  Each held gap joins
-    two points into a segment or makes the last one the ray, so a reading
-    has m - popcount segments.  Distinct readings give distinct sets, so
-    the list is duplicate-free.
-    """
-    n = len(ranks)
-    if n > FCI_POOL_CAP:
-        raise ValueError(f"refusing to enumerate interval unions over {n} points (cap is {FCI_POOL_CAP})")
-    # m -> the held gaps of each reading of m used points, in order
-    readings: dict[int, list[list[int]]] = {}
-    out = []
-    for used_mask in range(1 << n):
-        used = [ranks[i] for i in range(n) if used_mask >> i & 1]
-        m = len(used)
-        held = readings.get(m)
-        if held is None:
-            held = readings[m] = [
-                [j for j in range(m) if reading >> m - 1 - j & 1]
-                for reading in range(0, 1 << m, 1 if allow_ray else 2)
-                if not reading & reading >> 1 and m - reading.bit_count() <= max_segments
-            ]
-        points = sum(map(cells.point, used))
-        # the cells of each gap: up to and with the next used point, or the ray
-        gaps = [cells.span(lo, hi) for lo, hi in zip(used, used[1:])]
-        gaps += [cells.ray(r) for r in used[-1:]]
-        for js in held:
-            x = points
-            for j in js:
-                x |= gaps[j]
-            out.append(x)
-    return out
 
 
 # -- random generation -----------------------------------------------------------

@@ -39,11 +39,11 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from . import cells
-from .cells import OPS
+from .cells import OPS, fci_masks, subset_masks
 from .fci import FciSet, _decode_fci
 from .finset import FinSet, _decode_finset
 from .order import ZERO, Point, above, midpoint
-from .oracle import enum_fcis, enum_finsets, fci_masks, subset_masks
+from .oracle import enum_fcis, enum_finsets
 from .syntax import (
     And,
     App,
@@ -169,8 +169,7 @@ def _ranked_values(a: Assignment, sig: Signature) -> tuple[list[Point], dict]:
     """The grid of 0 and the assigned values' points, and each value's
     cells on it."""
     _check_sorts(a, sig)
-    pts, masks = cells.encoded(a.values(), ZERO)
-    return pts, dict(zip(a, masks))
+    return cells.apply(lambda *masks: dict(zip(a, masks)), *a.values(), extra=(ZERO,))
 
 
 def _term(t: Term, env: dict, w: bool) -> int:
@@ -303,12 +302,12 @@ def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tup
         for name, v in a.items():
             got = ranks.values.get(v)
             if got is None:
-                got = ranks.values[v] = cells.encode(v, ranks.rank)
+                got = ranks.values[v] = cells.encode(v, ranks.rank.__getitem__)
             env[name] = got
     except KeyError:
         # a point outside the pool: rank this call's points afresh, keep nothing
         ranks = _ranks(pool, set(pool.points.elements).union(*map(cells.ends, a.values())))
-        env = {name: cells.encode(v, ranks.rank) for name, v in a.items()}
+        env = {name: cells.encode(v, ranks.rank.__getitem__) for name, v in a.items()}
     return env, ranks.spaces[finite_sets]
 
 

@@ -30,7 +30,7 @@ from .fci import (
     zero_fci,
 )
 from .finset import FinSet, _decode_finset, zero_set
-from .oracle import enum_fcis, enum_finsets, fci_masks, random_fciset, random_points
+from .oracle import enum_fcis, enum_finsets, random_fciset, random_points
 from .semantics import Assignment, EvalCache, WitnessPool, default_pool, eval_bounded, eval_qf, widened
 from .syntax import SIG_L, SIG_W, Formula, Signature, Var, classify, delta_domain, free_vars, parse
 from .transforms import (
@@ -144,19 +144,19 @@ def suite_ipschar(pool_size: Optional[int] = None) -> EquivReport:
     # every set (the empty one first) as cells over the witnesses' points
     rank = {p: i for i, p in enumerate(dpoints)}
     sets = list(enum_finsets(points))
-    mask = {s: cells.encode(s, rank) for s in sets}
+    mask = {s: cells.encode(s, rank.__getitem__) for s in sets}
 
     # forward: the constructed witness satisfies a clause whenever ips(A,B)=C
     for a in sets[1:]:
         for b in itertools.islice(enum_finsets(a), 1, None):
             c = a.ips(b)
             d = witness_d(a, b, c)
-            found = _ips_clause(mask[a], mask[b], mask[c], cells.encode(d, rank))
+            found = _ips_clause(mask[a], mask[b], mask[c], cells.encode(d, rank.__getitem__))
             report.add({"A": a, "B": b, "C": c, "D": d}, True, found)
 
     # converse: over all candidate witnesses, some D fits exactly when ips(A,B)=C
     by_right: dict[int, list[int]] = {}
-    for d in fci_masks(range(len(dpoints)), 3, True):
+    for d in cells.fci_masks(range(len(dpoints)), 3, True):
         by_right.setdefault(cells.right(d), []).append(d)
     for a in sets[1:]:
         for b in itertools.islice(enum_finsets(a), 1, None):
@@ -219,7 +219,7 @@ def _member_family(pool_size: Optional[int]) -> tuple[list[tuple[int, FciSet, Fi
     zs = list(widened(points))
     sets = [
         (u, _decode_fci(points, u), _decode_finset(points, cells.left(u)), _decode_finset(points, cells.right(u)))
-        for u in fci_masks(range(len(points)), 3, True)
+        for u in cells.fci_masks(range(len(points)), 3, True)
     ]
     return sets, zs, WitnessPool(points=FinSet.of(zs), max_segments=len(zs))
 

@@ -10,16 +10,10 @@ from fractions import Fraction
 import pytest
 
 from helpers import count_fcis, random_finset
+from intlat.cells import fci_masks, subset_masks
 from intlat.fci import FciSet
 from intlat.finset import FinSet
-from intlat.oracle import (
-    enum_fcis,
-    enum_finsets,
-    fci_masks,
-    random_fciset,
-    random_points,
-    subset_masks,
-)
+from intlat.oracle import enum_fcis, enum_finsets, random_fciset, random_points
 
 fs = FinSet.of
 

@@ -149,6 +149,17 @@ def test_quantifiers_over_interval_unions():
     assert not eval_bounded(parse("E Y. max(X) = Y & Y = bot & !X = bot", SIG_L), a, pool)
 
 
+def test_endpoint_pins_refuse_sides_that_are_no_finite_sets():
+    # the endpoint lemma pairs two finite sets; a ray or a segment on
+    # either side of l(V) = t or r(V) = t pins V to nothing
+    pool = WitnessPool(points=fs([0, 1, 2]), max_segments=3)
+    f = parse("E V. l(V) = X & r(V) = Y", SIG_L)
+    for x, y in (("[0,*)", "empty"), ("{0}", "[1,*)"), ("[0,1]", "{1}"), ("{0}", "[0,1]")):
+        assert not eval_bounded(f, {"X": parse_fci(x), "Y": parse_fci(y)}, pool), (x, y)
+    assert eval_bounded(f, {"X": parse_fci("{0}"), "Y": parse_fci("{1}")}, pool)
+    assert eval_bounded(parse("E Y. E V. l(V) = Y & r(V) = cz", SIG_L), {}, pool)
+
+
 def test_bounded_agreement_with_direct_enumeration():
     # E Y. cup(X, Y) = X & min(Y) = cz  says: X has a sub-part containing 0,
     # which over any pool just means 0 is a member of X
