@@ -36,35 +36,38 @@ def enum_fcis(pool: FinSet, max_segments: int, allow_ray: bool) -> Iterator[FciS
 # -- random generation -----------------------------------------------------------
 
 
-def random_points(rng: random.Random, count: int, max_numerator: int = 24, max_denominator: int = 8) -> tuple[Point, ...]:
+# the bounds of a drawn point's numerator and denominator, and of a drawn
+# union's segment count
+MAX_NUMERATOR = 24
+MAX_DENOMINATOR = 8
+MAX_SEGMENTS = 3
+
+
+def random_points(rng: random.Random, count: int) -> tuple[Point, ...]:
     """Distinct sorted nonnegative rationals."""
-    values = {Fraction(n, d) for n in range(max_numerator + 1) for d in range(1, max_denominator + 1)}
+    values = {Fraction(n, d) for n in range(MAX_NUMERATOR + 1) for d in range(1, MAX_DENOMINATOR + 1)}
     if count > len(values):
         raise ValueError(f"cannot draw {count} distinct points: the bounds allow {len(values)}")
     found: set[Point] = set()
     while len(found) < count:
-        found.add(Fraction(rng.randint(0, max_numerator), rng.randint(1, max_denominator)))
+        found.add(Fraction(rng.randint(0, MAX_NUMERATOR), rng.randint(1, MAX_DENOMINATOR)))
     return tuple(sorted(found))
 
 
-def random_fciset(
-    rng: random.Random,
-    points: Iterable[Point],
-    max_segments: int = 3,
-    allow_ray: bool = True,
-) -> FciSet:
-    """A random normalized set with endpoints among the given points.  A
-    draw uses each point with probability 0.4, or with less on a large pool:
-    ``2 * max_segments + 1`` points on average, so it is often accepted."""
+def random_fciset(rng: random.Random, points: Iterable[Point]) -> FciSet:
+    """A random normalized set of at most ``MAX_SEGMENTS`` segments and
+    maybe a ray, with endpoints among the given points.  A draw uses each
+    point with probability 0.4, or with less on a large pool:
+    ``2 * MAX_SEGMENTS + 1`` points on average, so it is often accepted."""
     pool = tuple(sorted(set(points)))
-    keep = min(0.4, (2 * max_segments + 1) / max(len(pool), 1))
+    keep = min(0.4, (2 * MAX_SEGMENTS + 1) / max(len(pool), 1))
     while True:
         used = tuple(p for p in pool if rng.random() < keep)
         segments: list[Segment] = []
         ray_lo: Optional[Point] = None
         i = 0
         while i < len(used):
-            if allow_ray and i == len(used) - 1 and rng.random() < 0.25:
+            if i == len(used) - 1 and rng.random() < 0.25:
                 ray_lo = used[i]
                 i += 1
             elif i + 1 < len(used) and rng.random() < 0.5:
@@ -73,5 +76,5 @@ def random_fciset(
             else:
                 segments.append(Segment(used[i], used[i]))
                 i += 1
-        if len(segments) <= max_segments:
+        if len(segments) <= MAX_SEGMENTS:
             return FciSet(tuple(segments), ray_lo)

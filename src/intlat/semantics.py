@@ -111,8 +111,9 @@ def widened(points: Iterable[Point]) -> FinSet:
     ordered = sorted(set(points))
     if not ordered:
         raise ValueError("cannot widen an empty set of points")
-    mids = [midpoint(x, y) for x, y in zip(ordered, ordered[1:])]
-    return FinSet.of(ordered + mids + [above(ordered[-1])])
+    # in order by construction: each point, then the midpoint above it
+    out = [p for x, y in zip(ordered, ordered[1:]) for p in (x, midpoint(x, y))]
+    return cells.build(FinSet, elements=(*out, ordered[-1], above(ordered[-1])))
 
 
 def default_pool(a: Assignment) -> WitnessPool:

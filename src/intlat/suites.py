@@ -123,15 +123,17 @@ def suite_notbot(pool_size: Optional[int] = None) -> EquivReport:
 
 
 def _ips_clause(a: int, b: int, c: int, d: int) -> bool:
-    """Value-level reading of the two characterizing clauses, including
-    the unboundedness of the witness, on the cell masks of finite sets
-    ``a``, ``b``, ``c`` and of the interval union ``d`` over one grid
-    whose least point is 0."""
-    if cells.right(d) != c or not cells.within(c, a) or not cells.within(a, d) or cells.top(d):
-        return False
-    la, amin, zero = cells.left(d), cells.least(a), cells.point(0)
-    return (cells.within(amin, b) and la == cells.minus(b, cells.least(b)) | zero) or (
-        not amin & b and la == b | zero
+    """Value-level reading of the characterizing clause, including the
+    unboundedness of the witness, on the cell masks of finite sets ``a``,
+    ``b``, ``c`` and of the interval union ``d`` over one grid whose least
+    point is 0: d has left endpoints b less the least point of a, with 0
+    adjoined, and right endpoints c, holds a, and has no greatest point."""
+    return (
+        cells.left(d) == cells.minus(b, cells.least(a)) | cells.point(0)
+        and cells.right(d) == c
+        and cells.within(c, a)
+        and cells.within(a, d)
+        and not cells.top(d)
     )
 
 
@@ -154,9 +156,10 @@ def suite_ipschar(pool_size: Optional[int] = None) -> EquivReport:
             found = _ips_clause(mask[a], mask[b], mask[c], cells.encode(d, rank.__getitem__))
             report.add({"A": a, "B": b, "C": c, "D": d}, True, found)
 
-    # converse: over all candidate witnesses, some D fits exactly when ips(A,B)=C
+    # converse: over all candidate witnesses, some D fits exactly when
+    # ips(A,B)=C; the clause puts every end of D among the points
     by_right: dict[int, list[int]] = {}
-    for d in cells.fci_masks(range(len(dpoints)), 3, True):
+    for d in cells.fci_masks([rank[p] for p in points], len(points), True):
         by_right.setdefault(cells.right(d), []).append(d)
     for a in sets[1:]:
         for b in itertools.islice(enum_finsets(a), 1, None):
@@ -405,7 +408,7 @@ def suite_pipeline(pool_size: Optional[int] = None, seed: Optional[int] = None) 
         report.add({"formula": text, "side": "shape"}, True, shape)
         names = sorted(free_vars(f))
         fcache = EvalCache()
-        draws = ({v: random_fciset(rng, base, 3, True) for v in names} for _ in range(200))
+        draws = ({v: random_fciset(rng, base) for v in names} for _ in range(200))
         cases = ((a, eval_bounded(f, a, default_pool(a), SIG_L, cache=fcache)) for a in draws)
         check_equiv(report, text, g, cases, SIG_L)
     for text in PIPELINE_REJECTS:

@@ -194,18 +194,17 @@ def subset_atom(s: Term, t: Term) -> Atomic:
 
 
 def delta_domain(b: Term = Var("B"), c: Term = Var("C")) -> Formula:
-    """(b, c) is the endpoint pair of some nonempty interval union."""
+    """(b, c) is the endpoint pair of some nonempty interval union: b
+    holds the least boundary point, and the points of b - c, which open a
+    segment or the ray, are those followed by a point of c - b, and the
+    greatest boundary point when it opens the ray.  That point closes a
+    segment (it is in c) or opens the ray (it is in b - c), never both, so
+    one equation covers both cases."""
     bd = cup(b, c)
-    gained = diff_t(c, b)
     kept = diff_t(b, c)
-    closed = And(subset_atom(max_t(bd), c), Atomic(ips_t(bd, gained), kept))
-    open_end = And(
-        subset_atom(max_t(bd), kept),
-        Atomic(cup(ips_t(bd, gained), max_t(bd)), kept),
-    )
     return And(
         Not(Atomic(b, bot())),
-        And(subset_atom(min_t(bd), b), Or(closed, open_end)),
+        And(subset_atom(min_t(bd), b), Atomic(cup(ips_t(bd, diff_t(c, b)), cap(max_t(bd), kept)), kept)),
     )
 
 

@@ -6,14 +6,16 @@ its endpoint pair.  This module realizes both directions on formulas:
 
 * ``to_positive_existential`` removes negated equations from finite-set
   formulas (a nonempty witness inside the symmetric difference replaces
-  each one);
+  each one, nonemptiness being the single equation ``notbot``);
 * ``translate_W_to_L`` rewrites an existential finite-set formula over
   embedded finite sets, defining each ``ips`` application by its interval
-  characterization ``phi_ips``, outside the negation of a negated
-  equation;
+  characterization ``phi_ips`` (one existential block, no disjunction),
+  outside the negation of a negated equation;
 * ``translate_L_to_W`` rewrites an interval formula in terms of endpoint
   coordinates, with membership and containment expressed by the
-  quantifier-free equations ``phi_in`` and ``phi_subseteq``.  Each bound
+  quantifier-free equations ``phi_in`` and ``phi_subseteq``, and each
+  finite-valued operation by one term of its operand's coordinates that
+  both coordinates of the value equal (``_FINITE_VALUED``).  Each bound
   pair carries the validity guard ``valid_pair``, except the pair of an
   ``E V`` whose block makes V's two coordinates equal: such a V is a
   finite set F, its pair is (F, F), and that pair is always valid;
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .syntax import (
     And,
@@ -113,9 +115,9 @@ def delta_term(q1: Term, q2: Term) -> Term:
 
 
 def notbot(y: Term) -> Formula:
-    """Nonemptiness without negation: y is {0}, or some element of y has
-    its successor within y once 0 is adjoined."""
-    return Or(Atomic(y, cz()), subset_atom(cz(), ips_t(cup(y, cz()), y)))
+    """Nonemptiness without negation: 0 is in y, or its successor within
+    y once 0 is adjoined, the least point of y, is."""
+    return subset_atom(cz(), cup(ips_t(cup(y, cz()), y), cap(y, cz())))
 
 
 # -- simplifier ----------------------------------------------------------------------
@@ -332,49 +334,33 @@ def to_positive_existential(f: Formula) -> Formula:
 # -- the interval characterization of ips --------------------------------------------
 
 
-def phi_ips(
-    x: Term = Var("X"), y: Term = Var("Y"), z: Term = Var("Z"), e: str = "E", d: str = "D", d2: str = "D"
-) -> Formula:
+def phi_ips(x: Term = Var("X"), y: Term = Var("Y"), z: Term = Var("Z"), e: str = "E", d: str = "D") -> Formula:
     """``ips(x, y) = z`` for embedded finite sets, as an interval formula.
 
-    Write B for y within x.  z collects the points of x whose successor
-    in x lands in B, which happens exactly when some unbounded interval
-    union D has left endpoints B (0 adjoined, and the least point of B
-    dropped when it is also the least of x), right endpoints z, and is
-    entered by x.  Unboundedness of D matters: without it, D built from a
-    too-small z can close off early and accept spurious triples.
+    Write B for y within x, and E for B less the least point of x.  z
+    collects the points of x whose successor in x lands in B, which
+    happens exactly when some unbounded interval union D has left
+    endpoints E with 0 adjoined, right endpoints z, and holds x.  For an
+    empty B that D is the ray [0,*), which forces z empty, so the witness
+    pool must allow rays.  Unboundedness of D matters: without it, D
+    built from a too-small z can close off early and accept spurious
+    triples.
 
-    ``e`` and ``d`` name the binders of E and D where B's least point is
-    dropped, ``d2`` that of D where it is kept; none may occur in the
+    ``e`` and ``d`` name the binders of E and D; neither may occur in the
     terms.
     """
-    b = cap(y, x)
-
-    def common(w: Var) -> list[Formula]:
-        return [
-            Atomic(r_t(w), z),
+    b, ev, dv = cap(y, x), Var(e), Var(d)
+    body = and_all(
+        [
+            diffdef(b, cap(min_t(x), b), ev),
+            Atomic(l_t(dv), cup(ev, cz())),
+            Atomic(r_t(dv), z),
             subset_atom(z, x),
-            subset_atom(x, w),
-            Atomic(max_t(w), bot()),
+            subset_atom(x, dv),
+            Atomic(max_t(dv), bot()),
         ]
-
-    ev, dv, dv2 = Var(e), Var(d), Var(d2)
-    takes_least = And(
-        subset_atom(min_t(x), b),
-        Exists(
-            e,
-            Exists(
-                d,
-                and_all([diffdef(b, min_t(b), ev), Atomic(l_t(dv), cup(ev, cz()))] + common(dv)),
-            ),
-        ),
     )
-    skips_least = And(
-        Atomic(cap(min_t(x), b), bot()),
-        Exists(d2, and_all([Atomic(l_t(dv2), cup(b, cz()))] + common(dv2))),
-    )
-    empty = And(Atomic(b, bot()), Atomic(z, bot()))
-    return Or(empty, And(Not(Atomic(b, bot())), Or(takes_least, skips_least)))
+    return Exists(e, Exists(d, body))
 
 
 # -- membership and containment through endpoint coordinates -------------------------
@@ -420,8 +406,18 @@ class CoordinatePair:
     right: str
 
 
-# operations whose every value is a finite set
-_FINITE_OPS = frozenset(("bot", "cz", "l", "r", "min", "max"))
+# each operation whose every value is a finite set F, as the term F is of
+# the coordinates (left, right) of its operand, if it has one: both
+# coordinates of the value are F.  The greatest point of a union is the
+# greatest boundary point when that closes a segment, and none under a ray.
+_FINITE_VALUED: dict[str, Callable[..., Term]] = {
+    "bot": bot,
+    "cz": cz,
+    "l": lambda xl, xr: xl,
+    "r": lambda xl, xr: xr,
+    "min": lambda xl, xr: min_t(cup(xl, xr)),
+    "max": lambda xl, xr: cap(max_t(cup(xl, xr)), xr),
+}
 
 
 def _grow_finite(
@@ -430,10 +426,11 @@ def _grow_finite(
     """``finite`` and ``forced`` grown over the unnested equations of one
     conjunction.  Finite: the variables the conjunction forces to be
     finite sets.  Forced: those whose two coordinates the translated
-    equations make equal, namely one a finite-valued operation defines,
-    one equal to such a variable, and a coordinatewise ``cup`` or ``cap``
-    of two such variables.  Only finite reasons back from an atom to its
-    operands, so only forced holds of the translation as well."""
+    equations make equal, namely one an operation of ``_FINITE_VALUED``
+    defines (its atom sets both coordinates to one term), one equal to
+    such a variable, and a coordinatewise ``cup`` or ``cap`` of two such
+    variables.  Only finite reasons back from an atom to its operands, so
+    only forced holds of the translation as well."""
     finite, forced = set(finite), set(forced)
     size = -1
     while size < len(finite) + len(forced):
@@ -446,7 +443,7 @@ def _grow_finite(
                 for known in (finite, forced):
                     if a.name in known or w in known:
                         known.update((a.name, w))
-            elif a.op in _FINITE_OPS:
+            elif a.op in _FINITE_VALUED:
                 finite.add(w)
                 forced.add(w)
             else:
@@ -548,29 +545,10 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
         p = pair_of(b.name)
         wl, wr = Var(p.left), Var(p.right)
         op = a.op
-        if op == "bot":
-            return And(Atomic(wl, bot()), Atomic(wr, bot()))
-        if op == "cz":
-            return And(Atomic(wl, cz()), Atomic(wr, cz()))
-        if op == "l":
-            q = pair_of(a.args[0].name)
-            return And(Atomic(wl, Var(q.left)), Atomic(wr, Var(q.left)))
-        if op == "r":
-            q = pair_of(a.args[0].name)
-            return And(Atomic(wl, Var(q.right)), Atomic(wr, Var(q.right)))
-        if op == "min":
-            q = pair_of(a.args[0].name)
-            least = min_t(cup(Var(q.left), Var(q.right)))
-            return And(Atomic(least, wl), Atomic(least, wr))
-        if op == "max":
-            q = pair_of(a.args[0].name)
-            bd = cup(Var(q.left), Var(q.right))
-            bounded = subset_atom(max_t(bd), Var(q.right))
-            greatest = max_t(Var(q.right))
-            return Or(
-                and_all([bounded, Atomic(greatest, wl), Atomic(greatest, wr)]),
-                and_all([Not(bounded), Atomic(wl, bot()), Atomic(wr, bot())]),
-            )
+        if op in _FINITE_VALUED:
+            qs = [pair_of(x.name) for x in a.args]
+            value = _FINITE_VALUED[op](*(Var(c) for q in qs for c in (q.left, q.right)))
+            return And(Atomic(value, wl), Atomic(value, wr))
         if op in ("cup", "cap"):
             u, v = (x.name for x in a.args)
             pu, pv = pair_of(u), pair_of(v)
@@ -623,7 +601,7 @@ def translate_W_to_L(f: Formula) -> Formula:
 
     def phi_ips_at(s: Term, t: Term, u: Term) -> Formula:
         # binders of their own, so that no output binds a name twice
-        return phi_ips(s, t, u, names.fresh("E"), names.fresh("D"), names.fresh("D"))
+        return phi_ips(s, t, u, names.fresh("E"), names.fresh("D"))
 
     def defined(app: App, u: Var) -> Formula:
         return And(_finite_coords(u.name), phi_ips_at(*app.args, u))

@@ -84,7 +84,7 @@ def test_random_fciset_draws_quickly_on_a_large_pool():
     rng = random.Random(9)
     pts = random_points(rng, 126)
     for _ in range(50):
-        u = random_fciset(rng, pts, max_segments=3, allow_ray=True)
+        u = random_fciset(rng, pts)
         assert u.boundary().issubset(fs(pts))
         assert len(u.segments) <= 3
 
@@ -95,7 +95,7 @@ def test_random_values_land_in_their_universes():
     for _ in range(50):
         s = random_finset(rng, pts)
         assert s.issubset(fs(pts))
-        u = random_fciset(rng, pts, max_segments=3, allow_ray=True)
+        u = random_fciset(rng, pts)
         assert isinstance(u, FciSet)
         assert u.boundary().issubset(fs(pts))
         assert len(u.segments) <= 3

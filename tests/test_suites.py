@@ -80,3 +80,9 @@ def test_coordinate_suites_never_rebuild_a_union_from_its_endpoints(monkeypatch,
     monkeypatch.setattr(fci, "build_from_endpoints", refuse)
     monkeypatch.setattr(suites, "build_from_endpoints", refuse)
     assert suites.SUITES[suite](pool_size).ok
+
+
+def test_ipschar_takes_witnesses_with_a_segment_per_point():
+    # on 5 points, A = {0,...,4}, B = {1,...,4}, C = {0,...,3} holds only
+    # with a witness of 4 segments
+    assert suites.suite_ipschar(5).summary() == "checked=39731 failures=0"

@@ -19,7 +19,7 @@ from intlat import transforms
 from intlat.fci import embed_finset, parse_fci
 from intlat.finset import FinSet
 from intlat.oracle import enum_fcis, enum_finsets
-from intlat.semantics import EvalCache, WitnessPool, default_pool, eval_bounded, eval_qf, widened
+from intlat.semantics import EvalCache, WitnessPool, default_pool, eval_bounded, eval_qf, eval_term, widened
 from intlat.suites import L2W_CORPUS, PIPELINE_CORPUS, PIPELINE_REJECTS, POSEX_CORPUS, SUITES, W2L_CORPUS
 from intlat.syntax import (
     SIG_L,
@@ -59,6 +59,7 @@ from intlat.syntax import (
     valid_pair,
 )
 from intlat.transforms import (
+    _FINITE_VALUED,
     TRUE,
     CoordinatePair,
     FragmentError,
@@ -134,7 +135,7 @@ def test_eliminate_diff_defines_diff_outside_a_negation():
 
 def test_phi_ips_frozen_instances():
     f = phi_ips()
-    assert classify(f) == "existential"  # one guarded negation survives
+    assert classify(f) == "positive_existential"  # one block, no case split
 
     def holds(x, y, z):
         a = {"X": embed_finset(fs(x)), "Y": embed_finset(fs(y)), "Z": embed_finset(fs(z))}
@@ -147,6 +148,9 @@ def test_phi_ips_frozen_instances():
     # a bounded witness set would wrongly accept these two
     assert not holds([1], [1], [1])
     assert not holds([1, 2, 3], [2], [1, 3])
+    # an empty B takes the ray [0,*) as its witness, which forces Z empty
+    assert holds([1, 2], [], [])
+    assert not holds([1, 2], [], [1])
 
 
 def test_phi_ips_agrees_with_the_operation_on_a_small_grid():
@@ -231,6 +235,29 @@ def test_l2w_agreement_on_finiteness():
         a = {"Xl": u.left_endpoints(), "Xr": u.right_endpoints()}
         got = eval_bounded(g, a, default_pool(a), SIG_W)
         assert got == u.is_finite_set(), u
+
+
+def test_finite_valued_table_agrees_with_the_kernels_on_coordinates():
+    # op(X) is a finite set, and it is the table's term of X's coordinates,
+    # on every union over 5 points
+    for op, value_of in _FINITE_VALUED.items():
+        app = App(op, (Var("X"),) * SIG_L.arities[op])
+        t = value_of(Var("Xl"), Var("Xr")) if app.args else value_of()
+        for u in enum_fcis(fs(range(5)), 5, True):
+            value = eval_term(app, {"X": u}, SIG_L)
+            assert value.is_finite_set(), (op, u)
+            assert eval_term(t, _coords(u), SIG_W) == value.left_endpoints(), (op, u)
+
+
+def test_every_interval_operation_is_finite_valued_or_cup_or_cap():
+    assert set(SIG_L.arities) == set(_FINITE_VALUED) | {"cup", "cap"}
+
+
+def test_definable_pieces_are_single_cases():
+    atoms = [translate_L_to_W(Atomic(App(op, (Var("X"),) * SIG_L.arities[op]), Var("W"))) for op in _FINITE_VALUED]
+    for f in [phi_ips(), delta_domain(), notbot(Var("A")), *atoms]:
+        assert not any(isinstance(g, Or) for g in subformulas(f)), format_formula(f)
+    assert classify(phi_ips()) == "positive_existential"
 
 
 def test_grow_finite_spreads_finiteness_through_cup_and_cap():
@@ -810,10 +837,10 @@ _REWRITES = {
 # (outputs, SHA-256 of the lines "input TAB output"), inputs the rewrite
 # refuses left out: a change to any printed output must update these on purpose
 REWRITE_DIGESTS = {
-    "pipeline": (19, "faf1a329216a8157ed092d49bb49c248cd38f8c3fcd2ad1af8f84ad1bd66f30a"),
-    "simplify-l2w": (23, "ed84eac8345c3011758c55551735d25ad69336faf7bba250cd09c766d8b5eb30"),
-    "posex": (23, "3295705ffc52a80c2a728044504789973fa0c345d6cd64c7ebb18ab7a1805657"),
-    "simplify-w2l": (23, "4be2e668e2707098ec1e6c90c81272f257253e51ad9a6516dbd56d6e85371bfc"),
+    "pipeline": (19, "b21956571baa113f05dbabbf1e18d8a611071fa3201547de3eea2e9684866db4"),
+    "simplify-l2w": (23, "f7cb8c107c9c69e1a18a535aadbf0e489dcdd2fcaf79670f345f380a3585b710"),
+    "posex": (23, "9110583f876cbee549bba9e5283ea373c6ab9b5d8755cd80b8ee074b98f57b0c"),
+    "simplify-w2l": (23, "69221d924d5b78dbbe4a58fdc7ede49479a7acb963b485ef9d35a888f92e4edb"),
 }
 
 
@@ -867,7 +894,7 @@ def _rewrites(side: str, f):
 
 
 # (outputs, SHA-256 of the lines "input TAB output TAB simplified TAB reparsed")
-COMPOSITION_DIGEST = (30, "b64aa03cb83fa26049af4940cea359cf02d80ee2ca66cca52ba654164f3f46d7")
+COMPOSITION_DIGEST = (30, "b1a66f1602b47730ea4aec3baf519ba311db442e461c8b28ee1a4bfe232c18aa")
 
 
 def _composition_outputs():
@@ -883,13 +910,13 @@ def _composition_outputs():
 
 # (accepted outputs, SHA-256 of the lines "input TAB output") of pipeline
 # on the pipeline-generated formulas, skipped ones included
-GENERATED_DIGEST = (135, "45193bfce5951e8ae5006e03364f0ac7ee8dc92a340b4ff7068d4a26e97199f8")
+GENERATED_DIGEST = (135, "041a0940aa0aba1775aefa47bc2490271c5a4a26c059e9eefb64ad42397a03a9")
 
 
 # (draws, SHA-256 of the lines "input TAB output") of the simplified
 # coordinate form of both generated draws as drawn; parsing would rename
 # apart the names some of them bind twice
-RAW_GENERATED_DIGEST = (400, "c8dea760a07e432ab4dc2b2e7184639c28f338436be5fbf6718e2e1aa8940dbc")
+RAW_GENERATED_DIGEST = (400, "29721b3b29756cc6156af8028827deb0b25f6ee1c80b1eb967dc59889dca8eef")
 
 
 def test_l2w_outputs_on_generated_formulas_that_bind_a_name_twice_are_pinned():
@@ -910,9 +937,10 @@ def test_generated_pipeline_outputs_are_pinned():
         lines.append(f"{format_formula(f)}\t{format_formula(g)}\n")
         nodes += _count_nodes(g)
     assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == GENERATED_DIGEST
-    # 11356 when only a definition by a finite value dropped a guard, and
-    # 9618 while a guard simplify inlined onto a kept pair was translated
-    assert nodes <= 9019
+    # 11356 when only a definition by a finite value dropped a guard, 9618
+    # while a guard simplify inlined onto a kept pair was translated, and
+    # 9019 while phi_ips, delta_domain and the max atom split into cases
+    assert nodes <= 6796
 
 
 def test_composition_rewrite_outputs_are_pinned():
