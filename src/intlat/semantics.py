@@ -11,9 +11,10 @@ the answer, it only skips values that could not satisfy the conjuncts.
 Each step of the search checks the conjuncts already decided, applies a
 pin, splits a disjunction, enumerates a valid endpoint pair, applies a
 guard, or else ranges over the universe.
-``_Rule`` lists the pin and guard patterns.  Every guard is sized before
-any candidate is built, and only the smallest is built, so a pool over an
-enumeration cap is refused only when the chosen step must enumerate it.
+``_Rule`` lists the pin, pair and guard patterns, each read off one
+equation.  Every guard is sized before any candidate is built, and only
+the smallest is built, so a pool over an enumeration cap is refused only
+when the chosen step must enumerate it.
 An ``EvalCache`` interns each distinct term once and memoizes the values
 it takes, so the solver computes a repeated subterm once per set of
 values; equations read their sides from that memo and stay out of the
@@ -361,7 +362,6 @@ class _Node(NamedTuple):
     fv: frozenset[str]
     names: tuple[str, ...]  # fv sorted: the order of the values in a verdict key
     rules: tuple[_Rule, ...]  # of an equation
-    pair: Optional[tuple[str, str]]  # of a disjunction that is a valid-pair relativizer
     sides: Optional[tuple[_Term, _Term]]  # of an equation, interned
 
 
@@ -398,9 +398,8 @@ class EvalCache:
             fv = free_vars(f)
             atomic = isinstance(f, Atomic)
             rules = _atom_rules(f, self.term) if atomic else ()
-            pair = _match_valid_pair(f) if isinstance(f, Or) else None
             sides = (self.term(f.lhs), self.term(f.rhs)) if atomic else None
-            got = self._nodes[f] = _Node(f, fv, tuple(sorted(fv)), rules, pair, sides)
+            got = self._nodes[f] = _Node(f, fv, tuple(sorted(fv)), rules, sides)
         return got
 
     def normalized(self, f: Formula, taken: frozenset[str]) -> tuple[tuple[str, ...], tuple[_Node, ...]]:
@@ -512,12 +511,9 @@ def _assign(vars: list[str], items: list[_Node], env: dict, space: _Space, cache
         rest = [u for u in vars if u != v]
         return any(_assign(rest, pending, {**env, v: val}, space, cache) for val in candidates)
 
-    # split disjunctions only after the pins, which every branch shares; an
-    # endpoint-pair relativizer stays whole for the joint enumeration below
+    # split disjunctions only after the pins, which every branch shares
     for i, it in enumerate(pending):
-        if isinstance(it.formula, Or) and not (
-            space.finite_sets and it.pair is not None and set(it.pair) <= vars_set
-        ):
+        if isinstance(it.formula, Or):
             taken = frozenset(env) | vars_set
             rest = pending[:i] + pending[i + 1 :]
             return any(
@@ -526,13 +522,13 @@ def _assign(vars: list[str], items: list[_Node], env: dict, space: _Space, cache
             )
 
     if space.finite_sets:
-        for it in pending:
-            if it.pair is not None and set(it.pair) <= vars_set:
-                v1, v2 = it.pair
+        for r in live:
+            if r.kind == "pair" and r.terms[0].var in vars_set:
+                v1, v2 = r.var, r.terms[0].var
                 rest = [u for u in vars if u not in (v1, v2)]
                 return any(
-                    _assign(rest, pending, {**env, v1: b, v2: r}, space, cache)
-                    for b, r in _endpoint_pairs(space)
+                    _assign(rest, pending, {**env, v1: b, v2: c}, space, cache)
+                    for b, c in _endpoint_pairs(space)
                 )
 
     # the fewest candidates win; ties go to the earlier variable, then rule;
@@ -560,7 +556,8 @@ def _assign(vars: list[str], items: list[_Node], env: dict, space: _Space, cache
 class _Rule(NamedTuple):
     """One pattern an equation offers for block variable ``var``, read off
     the syntax once.  ``need`` holds the variables of ``terms``, so a rule
-    is usable as soon as they are bound.  Pins (``_find_pin``):
+    is usable as soon as they are bound; a ``pair`` rule needs none.
+    Pins (``_find_pin``):
 
     - ``eq``: ``var = t``
     - ``l``, ``r``: ``l(var) = t``, ``r(var) = t``; both of one variable
@@ -575,6 +572,10 @@ class _Rule(NamedTuple):
     - ``minself``: ``min(var) = var``, so ``var`` is empty or one point
     - ``lreq``: ``l(var) = r(var)``, so ``var`` is an embedded finite set
     - ``capself``: ``cap(var, t) = var``, so ``var`` lies below ``t``
+
+    Pair (``_assign``): ``valid_pair(var, v)`` with ``terms`` the variable
+    v, so (var, v) ranges jointly over the endpoint pairs of the unions
+    over the pair points; v is assigned with ``var``, hence no ``need``.
     """
 
     kind: str
@@ -586,6 +587,11 @@ class _Rule(NamedTuple):
 def _atom_rules(atom: Atomic, intern: Callable[[Term], _Term]) -> tuple[_Rule, ...]:
     """The rules of ``atom``, their terms interned by ``intern``."""
     out: list[_Rule] = []
+    kept = atom.rhs  # valid_pair(v1, v2) ends in "= diff(v1, v2)"
+    if isinstance(kept, App) and kept.op == "diff" and all(isinstance(x, Var) for x in kept.args):
+        v1, v2 = kept.args
+        if v1 != v2 and atom == valid_pair(v1.name, v2.name):
+            out.append(_Rule("pair", v1.name, (intern(v2),), frozenset()))
 
     def rule(kind: str, var: str, *terms: Term) -> None:
         interned = tuple(map(intern, terms))
@@ -684,16 +690,3 @@ def _guard(r: _Rule, env: dict, space: _Space) -> Optional[tuple[int, Callable[[
     # an embedded finite set of at most max_segments points
     most = space.max_segments
     return _at_most(len(inside), most), lambda: [s for s in subset_masks(inside) if s.bit_count() <= most]
-
-
-def _match_valid_pair(c: Or) -> Optional[tuple[str, str]]:
-    """Recognize the relativizer marking two variables as the endpoint
-    pair of one interval union, so they can be enumerated jointly."""
-    both_bot = c.rhs
-    if not isinstance(both_bot, And):
-        return None
-    sides = (both_bot.lhs, both_bot.rhs)
-    if not all(isinstance(at, Atomic) and isinstance(at.lhs, Var) for at in sides):
-        return None
-    v1, v2 = (at.lhs.name for at in sides)
-    return (v1, v2) if v1 != v2 and c == valid_pair(v1, v2) else None

@@ -193,25 +193,29 @@ def subset_atom(s: Term, t: Term) -> Atomic:
     return Atomic(cap(s, t), s)
 
 
-def delta_domain(b: Term = Var("B"), c: Term = Var("C")) -> Formula:
-    """(b, c) is the endpoint pair of some nonempty interval union: b
-    holds the least boundary point, and the points of b - c, which open a
-    segment or the ray, are those followed by a point of c - b, and the
-    greatest boundary point when it opens the ray.  That point closes a
-    segment (it is in c) or opens the ray (it is in b - c), never both, so
-    one equation covers both cases."""
+def _endpoint_pair(b: Term, c: Term) -> Atomic:
+    """The endpoint lemma as one equation: (b, c) is the endpoint pair of
+    some interval union.  With K = b - c, the points of b - c open a
+    segment or the ray; they are those followed by a point of c - b, and
+    the greatest boundary point when it opens the ray (that point closes a
+    segment, in c, or opens the ray, in K, never both).  The term
+    ``min(b cup c) - b`` lies in c - b, which K misses, so it adds that b
+    holds the least boundary point; an empty b then forces an empty c."""
     bd = cup(b, c)
     kept = diff_t(b, c)
-    return And(
-        Not(Atomic(b, bot())),
-        And(subset_atom(min_t(bd), b), Atomic(cup(ips_t(bd, diff_t(c, b)), cap(max_t(bd), kept)), kept)),
-    )
+    return Atomic(cup(cup(ips_t(bd, diff_t(c, b)), cap(max_t(bd), kept)), diff_t(min_t(bd), b)), kept)
 
 
-def valid_pair(vl: str, vr: str) -> Formula:
-    """(vl, vr) is the coordinate image of some interval union."""
-    left, right = Var(vl), Var(vr)
-    return Or(delta_domain(left, right), And(Atomic(left, bot()), Atomic(right, bot())))
+def delta_domain(b: Term = Var("B"), c: Term = Var("C")) -> Formula:
+    """(b, c) is the endpoint pair of some nonempty interval union: b is
+    not empty and the endpoint equation of ``valid_pair`` holds."""
+    return And(Not(Atomic(b, bot())), _endpoint_pair(b, c))
+
+
+def valid_pair(vl: str, vr: str) -> Atomic:
+    """(vl, vr) is the coordinate image of some interval union, the empty
+    one included: one equation, no case split."""
+    return _endpoint_pair(Var(vl), Var(vr))
 
 
 def and_all(parts: list) -> Formula:

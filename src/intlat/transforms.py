@@ -16,9 +16,10 @@ its endpoint pair.  This module realizes both directions on formulas:
   quantifier-free equations ``phi_in`` and ``phi_subseteq``, and each
   finite-valued operation by one term of its operand's coordinates that
   both coordinates of the value equal (``_FINITE_VALUED``).  Each bound
-  pair carries the validity guard ``valid_pair``, except the pair of an
-  ``E V`` whose block makes V's two coordinates equal: such a V is a
-  finite set F, its pair is (F, F), and that pair is always valid;
+  pair carries the validity guard ``valid_pair``, the endpoint lemma as
+  one equation, except the pair of an ``E V`` whose block makes V's two
+  coordinates equal: such a V is a finite set F, its pair is (F, F), and
+  that pair is always valid;
 * ``pipeline`` composes ``translate_L_to_W`` and ``translate_W_to_L`` so
   that supported interval formulas come out existential.  Negated
   equations stay negated equations: only the functions ``diff`` and

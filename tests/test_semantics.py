@@ -20,6 +20,7 @@ from intlat.semantics import (
     EvalCache,
     EvalError,
     WitnessPool,
+    _atom_rules,
     _guard,
     _rank_assignment,
     default_pool,
@@ -29,7 +30,21 @@ from intlat.semantics import (
     universe,
     widened,
 )
-from intlat.syntax import SIG_L, SIG_W, And, Atomic, Exists, Implies, Not, Or, exists_all, parse, valid_pair
+from intlat.syntax import (
+    SIG_L,
+    SIG_W,
+    SIG_W_DIFF,
+    And,
+    Atomic,
+    Exists,
+    Implies,
+    Not,
+    Or,
+    Var,
+    exists_all,
+    parse,
+    valid_pair,
+)
 from intlat.transforms import pipeline, simplify, to_positive_existential, translate_L_to_W
 
 F = Fraction
@@ -437,6 +452,21 @@ def test_one_cache_keeps_the_pair_points_apart(coarse_first):
     cache = EvalCache()
     for pool in (coarse, fine) if coarse_first else (fine, coarse):
         assert eval_bounded(f, a, pool, SIG_W, cache=cache) is (pool is fine)
+
+
+def test_only_the_validity_guard_offers_a_pair_rule():
+    # the pair rule assigns both coordinates at once, so it needs nothing
+    cache = EvalCache()
+    guard = valid_pair("Al", "Ar")
+    rules = _atom_rules(guard, cache.term)
+    assert [(r.kind, r.var, r.terms, r.need) for r in rules] == [("pair", "Al", (cache.term(Var("Ar")),), frozenset())]
+    assert not _atom_rules(valid_pair("Al", "Al"), cache.term)
+    # without min(b cup c) - b the equation admits (bot, {p}), no endpoint
+    # pair, so enumerating only endpoint pairs there would be unsound
+    near_miss = Atomic(guard.lhs.args[0], guard.rhs)
+    assert eval_qf(near_miss, {"Al": EMPTY_FS, "Ar": fs([1])}, SIG_W_DIFF)
+    assert not eval_qf(guard, {"Al": EMPTY_FS, "Ar": fs([1])}, SIG_W_DIFF)
+    assert not any(r.kind == "pair" for r in _atom_rules(near_miss, cache.term))
 
 
 def test_pipeline_output_of_disjoint_extremes():

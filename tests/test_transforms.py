@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intlat import transforms
+from intlat import cells, transforms
 from intlat.fci import embed_finset, parse_fci
 from intlat.finset import FinSet
 from intlat.oracle import enum_fcis, enum_finsets
@@ -258,6 +258,11 @@ def test_definable_pieces_are_single_cases():
     for f in [phi_ips(), delta_domain(), notbot(Var("A")), *atoms]:
         assert not any(isinstance(g, Or) for g in subformulas(f)), format_formula(f)
     assert classify(phi_ips()) == "positive_existential"
+    # the validity guard is one equation; only nonemptiness negates
+    guard = valid_pair("Bl", "Br")
+    assert isinstance(guard, Atomic)
+    assert not any(isinstance(g, (Or, Not, And)) for g in subformulas(guard))
+    assert sum(isinstance(g, Not) for g in subformulas(delta_domain())) == 1
 
 
 def test_grow_finite_spreads_finiteness_through_cup_and_cap():
@@ -638,8 +643,8 @@ def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
     f = parse("E Y. l(Y) = r(Y) & !(Y = X)", SIG_L)
     assert simplify(valid_pair("Yl", "Yl")) in subformulas(simplify(translate_L_to_W(f)))
     g = pipeline(f)
-    # translated instead, the guard would take the output to 699 nodes
-    assert _count_nodes(g) <= 480
+    # translated instead, the guard would take the output from 18 to 26 nodes
+    assert _count_nodes(g) <= 18
     for u in enum_fcis(fs([0, 1, 2]), 2, True):
         a = {"X": u}
         pool = default_pool(a)
@@ -650,10 +655,10 @@ def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
     "text, ceiling",
     [
         # simplify puts X's coordinates for Y's, so Y's guard becomes that
-        # of X, which comes back as l(X) and r(X): 598 nodes translated
+        # of X, which comes back as l(X) and r(X): 224 nodes translated
         ("E Y. Y = X", 3),
         ("E Y. E W. Y = X & W = Y", 3),
-        # 607 and 610 nodes while X's guard was translated
+        # 233 and 236 nodes were X's guard translated
         ("E Y. Y = X & min(Y) = cz", 8),
         ("E Y. Y = X & !(Y = bot)", 11),
     ],
@@ -792,6 +797,19 @@ def test_coordinate_templates_are_quantifier_free():
         assert not any(isinstance(g, (Exists, Forall)) for g in subformulas(f))
 
 
+def test_endpoint_pair_guards_agree_with_the_kernels():
+    # every pair of subsets of 6 points: valid_pair holds exactly on the
+    # endpoint pairs of unions, the empty one included, and delta_domain
+    # on those of nonempty unions
+    sets = list(enum_finsets(fs(range(6))))
+    guard, nonempty = valid_pair("Bl", "Br"), delta_domain()
+    for b in sets:
+        for c in sets:
+            valid = cells.apply(cells.from_endpoints, b, c)[1] is not None
+            assert eval_qf(guard, {"Bl": b, "Br": c}, SIG_W_DIFF) is valid, (b, c)
+            assert eval_qf(nonempty, {"B": b, "C": c}, SIG_W_DIFF) is (valid and bool(b)), (b, c)
+
+
 def _coords(u, l="Xl", r="Xr"):
     return {l: u.left_endpoints(), r: u.right_endpoints()}
 
@@ -838,7 +856,7 @@ _REWRITES = {
 # refuses left out: a change to any printed output must update these on purpose
 REWRITE_DIGESTS = {
     "pipeline": (19, "b21956571baa113f05dbabbf1e18d8a611071fa3201547de3eea2e9684866db4"),
-    "simplify-l2w": (23, "f7cb8c107c9c69e1a18a535aadbf0e489dcdd2fcaf79670f345f380a3585b710"),
+    "simplify-l2w": (23, "bdc7ed0f4f5cd27230acc042f1130d37c9e39be37383421c07cebf3878529f9e"),
     "posex": (23, "9110583f876cbee549bba9e5283ea373c6ab9b5d8755cd80b8ee074b98f57b0c"),
     "simplify-w2l": (23, "69221d924d5b78dbbe4a58fdc7ede49479a7acb963b485ef9d35a888f92e4edb"),
 }
@@ -894,7 +912,7 @@ def _rewrites(side: str, f):
 
 
 # (outputs, SHA-256 of the lines "input TAB output TAB simplified TAB reparsed")
-COMPOSITION_DIGEST = (30, "b1a66f1602b47730ea4aec3baf519ba311db442e461c8b28ee1a4bfe232c18aa")
+COMPOSITION_DIGEST = (30, "995266932517e0678f24fc069953d36511ef20d9f80c5e1f375f9ec74a1a9ebb")
 
 
 def _composition_outputs():
@@ -916,7 +934,7 @@ GENERATED_DIGEST = (135, "041a0940aa0aba1775aefa47bc2490271c5a4a26c059e9eefb64ad
 # (draws, SHA-256 of the lines "input TAB output") of the simplified
 # coordinate form of both generated draws as drawn; parsing would rename
 # apart the names some of them bind twice
-RAW_GENERATED_DIGEST = (400, "29721b3b29756cc6156af8028827deb0b25f6ee1c80b1eb967dc59889dca8eef")
+RAW_GENERATED_DIGEST = (400, "90b1ee23494a03eb4170f8b5b9040fb8525dc2dd516fe4bec400756db52e67f2")
 
 
 def test_l2w_outputs_on_generated_formulas_that_bind_a_name_twice_are_pinned():
