@@ -10,13 +10,14 @@ whose held gaps hold the points on both sides (below only, for the ray).
 Only this module shifts by a rank.
 
 Each operation of both lattices is written here once, on masks (``OPS``,
-``within``, ``difference_closed``, ``from_endpoints``); the kernels,
-``eval_term``, ``eval_qf`` and the solver all call them, the kernels
-through ``apply``, and the witness universes are listed here as masks
-(``subset_masks``, ``fci_masks``).  No operation creates a point, and
-each depends only on the order of the points and on 0, rank 0 on every
-grid holding it, so the result on the grid is the result on the
-rationals.
+``within``, ``difference_closed``, ``from_endpoints``).  The kernels call
+them through ``apply``.  The one evaluator of terms, ``semantics._Term``,
+behind ``eval_term``, ``eval_qf`` and the solver alike, binds each ``OPS``
+entry once, and no other code reads ``OPS``.  The witness universes are
+listed here as masks (``subset_masks``, ``fci_masks``).  No operation
+creates a point, and each depends only on the order of the points and
+on 0, rank 0 on every grid holding it, so the result on the grid is the
+result on the rationals.
 """
 
 from __future__ import annotations

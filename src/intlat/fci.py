@@ -125,11 +125,6 @@ class FciSet:
         """True when the set is a finite union of degenerate segments."""
         return self.ray_lo is None and all(s.lo == s.hi for s in self.segments)
 
-    def as_finset(self) -> FinSet:
-        if not self.is_finite_set():
-            raise ValueError(f"not a finite point set: {self}")
-        return FinSet(tuple(s.lo for s in self.segments))
-
 
 EMPTY_FCI = FciSet()
 

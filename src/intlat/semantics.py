@@ -20,14 +20,21 @@ it takes, so the solver computes a repeated subterm once per set of
 values; equations read their sides from that memo and stay out of the
 verdict table.
 
+There is one evaluator: ``eval_term``, ``eval_qf`` and ``eval_bounded``
+all evaluate through ``EvalCache``'s interned terms (``_Term``) and
+``_eval``.  Each entry point checks its inputs once, before evaluating
+(``_check``: every name bound, every value of the structure's sort), so
+evaluation itself meets neither error.
+
 The solver works on cell masks (see ``cells``): ``eval_bounded`` ranks
 the points of the pool and of the assigned values once, 0 keeping rank
 0, and the search reads one ``_Space``, the pool's ranked points and
 bounds and the structure, so every pool and assignment of one order type
 shares one space, its universes and every ``EvalCache`` entry.  Pins,
 guards and universes are masks in the enumerators' order.  ``eval_term``
-and ``eval_qf`` rank their assignment once; ``eval_term`` and
-``universe`` return rational ``FinSet``/``FciSet`` values.
+and ``eval_qf`` rank their assignment once and evaluate on that grid
+with a fresh cache; ``eval_term`` and ``universe`` return rational
+``FinSet``/``FciSet`` values.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from .syntax import (
     free_vars,
     nnf,
     operands,
+    subformulas,
     substitute,
     term_vars,
     valid_pair,
@@ -147,66 +155,41 @@ def _infer_sig(f: Formula, a: Assignment) -> Signature:
 # -- term and quantifier-free evaluation -------------------------------------------
 
 
-def _apply(op: str, args: list[int], finite_sets: bool) -> int:
-    """The mask of ``op`` on argument masks, in the structure chosen by
-    ``finite_sets``."""
-    try:
-        only, fn = OPS[op]
-    except KeyError:
-        raise EvalError(f"unknown operation {op}") from None
-    if only is not None and only != finite_sets:
-        structure = "finite-set" if finite_sets else "interval"
-        raise EvalError(f"{op} is not an operation of the {structure} structure")
-    return fn(*args)
-
-
-def _check_sorts(a: Assignment, sig: Signature) -> None:
+def _check(names: Iterable[str], a: Assignment, sig: Signature) -> None:
+    """The one input check of every entry point: each of ``names`` is
+    bound, and every value is of the structure's sort, so evaluation meets
+    neither an unbound name nor a value of the other structure."""
+    missing = set(names) - a.keys()
+    if missing:
+        raise EvalError(f"assignment is missing {sorted(missing)}")
     want = FinSet if sig.finite_sets else FciSet
     for name, val in a.items():
         if not isinstance(val, want):
             raise EvalError(f"{name} is bound to {type(val).__name__}, expected {want.__name__}")
 
 
-def _ranked_values(a: Assignment, sig: Signature) -> tuple[list[Point], dict]:
+def _ranked_values(names: Iterable[str], a: Assignment, sig: Signature) -> tuple[list[Point], dict]:
     """The grid of 0 and the assigned values' points, and each value's
-    cells on it."""
-    _check_sorts(a, sig)
+    cells on it; ``names`` and ``a`` must first pass ``_check``."""
+    _check(names, a, sig)
     return cells.apply(lambda *masks: dict(zip(a, masks)), *a.values(), extra=(ZERO,))
 
 
-def _term(t: Term, env: dict, w: bool) -> int:
-    """What ``eval_term`` computes, as a mask: the walk ``_Term.value``
-    memoizes, for one assignment."""
-    if isinstance(t, Var):
-        try:
-            return env[t.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {t.name}") from None
-    return _apply(t.op, [_term(x, env, w) for x in t.args], w)
-
-
 def eval_term(t: Term, a: Assignment, sig: Signature) -> Value:
-    pts, env = _ranked_values(a, sig)
-    mask = _term(t, env, sig.finite_sets)
+    pts, env = _ranked_values(term_vars(t), a, sig)
+    mask = EvalCache().term(t).value(env, sig.finite_sets)
     return _decode_finset(pts, mask) if sig.finite_sets else _decode_fci(pts, mask)
 
 
 def eval_qf(f: Formula, a: Assignment, sig: Signature) -> bool:
-    return _qf(f, _ranked_values(a, sig)[1], sig.finite_sets)
-
-
-def _qf(f: Formula, env: dict, w: bool) -> bool:
-    if isinstance(f, Atomic):
-        return _term(f.lhs, env, w) == _term(f.rhs, env, w)
-    if isinstance(f, Not):
-        return not _qf(f.body, env, w)
-    if isinstance(f, And):
-        return _qf(f.lhs, env, w) and _qf(f.rhs, env, w)
-    if isinstance(f, Or):
-        return _qf(f.lhs, env, w) or _qf(f.rhs, env, w)
-    if isinstance(f, Implies):
-        return not _qf(f.lhs, env, w) or _qf(f.rhs, env, w)
-    raise EvalError(f"quantifier on {f.var} in a quantifier-free evaluation")
+    for g in subformulas(f):
+        if isinstance(g, (Exists, Forall)):
+            raise EvalError(f"quantifier on {g.var} in a quantifier-free evaluation")
+    pts, env = _ranked_values(free_vars(f), a, sig)
+    # the grid's own space: no quantifier reads it
+    ranks = tuple(range(len(pts)))
+    space = _Space(ranks, len(ranks), True, ranks, sig.finite_sets, sum(map(cells.point, ranks)))
+    return _eval(f, env, space, EvalCache())
 
 
 # -- witness universes --------------------------------------------------------------
@@ -317,41 +300,47 @@ def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tup
 
 
 class _Term:
-    """One term interned in an ``EvalCache``, with the values it has taken.
+    """One term interned in an ``EvalCache``, with the values it has taken:
+    the one evaluator of terms, which ``eval_term``, ``eval_qf`` and the
+    solver all call.
 
-    ``vals`` maps the values of ``names`` (the term's variables, sorted) and
-    ``finite_sets`` to the term's value, so a subterm repeated across
-    conjuncts and assignments is computed once per set of values.  Values
-    are cell masks, as everywhere in the solver, so ``cz`` is 1.  An error
-    is raised again on every call, never memoized."""
+    An application binds its ``cells.OPS`` entry when it is interned, so an
+    unknown operation is refused there, never stored and refused again on
+    every call.  ``vals`` maps the values of the term's variables (sorted)
+    and ``finite_sets`` to the term's value, so a subterm repeated across
+    conjuncts and assignments is computed once per set of values; each
+    miss checks that the operation belongs to the structure, which the key
+    keeps apart.  Values are cell masks, as everywhere in the solver, so
+    ``cz`` is 1.  Every variable is bound when ``value`` is called: the
+    entry points check their inputs once (``_check``), and the solver
+    evaluates a term only once its variables are assigned."""
 
-    __slots__ = ("var", "op", "args", "names", "_key", "vals")
+    __slots__ = ("var", "op", "only", "fn", "args", "_key", "vals")
 
     def __init__(self, t: Term, args: tuple[_Term, ...]) -> None:
         self.var = t.name if isinstance(t, Var) else None
         self.op = None if self.var is not None else t.op
+        if self.op is not None:
+            try:
+                self.only, self.fn = OPS[self.op]
+            except KeyError:
+                raise EvalError(f"unknown operation {self.op}") from None
         self.args = args
         names = sorted(term_vars(t))
-        self.names = tuple(names)
         self._key = itemgetter(*names) if names else (lambda env: ())
         self.vals: dict[tuple, int] = {}
 
     def value(self, env: dict, finite_sets: bool) -> int:
         """What ``eval_term`` returns for this term, as a mask."""
         if self.var is not None:
-            try:
-                return env[self.var]
-            except KeyError:
-                raise EvalError(f"unbound variable {self.var}") from None
-        try:
-            key = (self._key(env), finite_sets)
-        except KeyError:
-            # an unbound variable: the walk raises eval_term's error
-            return _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets)
+            return env[self.var]
+        key = (self._key(env), finite_sets)
         got = self.vals.get(key)
         if got is None:
-            got = _apply(self.op, [a.value(env, finite_sets) for a in self.args], finite_sets)
-            self.vals[key] = got
+            if self.only is not None and self.only != finite_sets:
+                structure = "finite-set" if finite_sets else "interval"
+                raise EvalError(f"{self.op} is not an operation of the {structure} structure")
+            got = self.vals[key] = self.fn(*[a.value(env, finite_sets) for a in self.args])
         return got
 
 
@@ -426,10 +415,7 @@ def eval_bounded(
         sig = _infer_sig(f, a)
     if cache is None:
         cache = EvalCache()
-    missing = cache.node(f).fv - a.keys()
-    if missing:
-        raise EvalError(f"assignment is missing {sorted(missing)}")
-    _check_sorts(a, sig)
+    _check(cache.node(f).fv, a, sig)
     env, space = _rank_assignment(a, pool, sig.finite_sets)
     return _eval(f, env, space, cache)
 

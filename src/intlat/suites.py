@@ -31,7 +31,7 @@ from .fci import (
 )
 from .finset import FinSet, _decode_finset, zero_set
 from .oracle import enum_fcis, enum_finsets, random_fciset, random_points
-from .semantics import Assignment, EvalCache, WitnessPool, default_pool, eval_bounded, eval_qf, widened
+from .semantics import Assignment, EvalCache, WitnessPool, default_pool, eval_bounded, widened
 from .syntax import SIG_L, SIG_W, Formula, Signature, Var, classify, delta_domain, free_vars, parse
 from .transforms import (
     CoordinatePair,
@@ -188,19 +188,24 @@ def suite_endpoints(pool_size: Optional[int] = None) -> EquivReport:
     points = _ints(5 if pool_size is None else pool_size)
     report = EquivReport()
     dom = delta_domain()
+    pool = WitnessPool(points=points, max_segments=len(points))
+    cache = EvalCache()
+
+    def domain(b: FinSet, c: FinSet) -> bool:
+        return eval_bounded(dom, {"B": b, "C": c}, pool, SIG_W, cache=cache)
 
     for x in enum_fcis(points, 3, True):
         if not x:
             continue
         b, c = x.left_endpoints(), x.right_endpoints()
-        holds = endpoint_condition(b, c) and eval_qf(dom, {"B": b, "C": c}, SIG_W)
+        holds = endpoint_condition(b, c) and domain(b, c)
         rebuilt = build_from_endpoints(b, c)
         report.add({"A": x}, True, holds and rebuilt == x)
 
     for b in enum_finsets(points):
         for c in enum_finsets(points):
             value = endpoint_condition(b, c)
-            formula = eval_qf(dom, {"B": b, "C": c}, SIG_W)
+            formula = domain(b, c)
             report.add({"B": b, "C": c, "side": "formula"}, value, formula)
             try:
                 x = build_from_endpoints(b, c)
@@ -270,11 +275,13 @@ def suite_posex(pool_size: Optional[int] = None) -> EquivReport:
     points = _ints(4 if pool_size is None else pool_size)
     pool = WitnessPool(points=points, max_segments=len(points))
     report = EquivReport()
+    cache = EvalCache()
     for text in POSEX_CORPUS:
         f = parse(text, SIG_W)
         g = to_positive_existential(f)
         report.add({"formula": text, "side": "shape"}, "positive_existential", classify(g))
-        cases = ((a, eval_qf(f, a, SIG_W)) for a in _assignments(sorted(free_vars(f)), enum_finsets(points)))
+        assignments = _assignments(sorted(free_vars(f)), enum_finsets(points))
+        cases = ((a, eval_bounded(f, a, pool, SIG_W, cache=cache)) for a in assignments)
         check_equiv(report, text, g, cases, SIG_W, pool=pool)
     return report
 

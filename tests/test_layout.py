@@ -5,6 +5,10 @@ so a shift by twice a rank, or a step of two bits, is the layout itself.
 This reads each module's syntax tree: only ``cells.py`` may shift by
 ``2 * r`` (``<< 2 * r``, ``>> 2 * r``) or step a mask by ``>>= 2``;
 every other module writes and reads cells through ``cells``.
+
+The operation table ``OPS`` stays behind one evaluator the same way:
+outside ``cells.py`` only ``semantics.py`` reads it, and only in
+``_Term``, so no second walk over terms can compute what ``_Term`` does.
 """
 
 import ast
@@ -12,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MASK_MODULE = "src/intlat/cells.py"
+EVAL_MODULE = "src/intlat/semantics.py"
 
 
 def _is_two(node: ast.expr) -> bool:
@@ -48,3 +53,53 @@ def test_only_the_mask_module_knows_the_cell_layout():
 def test_the_check_sees_a_planted_shift():
     tree = ast.parse("a = 1 << 2 * r\nb = m >> r * 2 & 1\nm >>= 2\nm <<= 2 * k\nc = x << 1\nd = x >> 2\n")
     assert _rank_shifts(tree) == [1, 2, 3, 4]
+
+
+def _ops_reads(tree: ast.Module) -> list[tuple[int, str]]:
+    """The lines that read ``OPS`` or import it under another name, each
+    with the class it is read in ("" outside every class)."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if (
+            isinstance(node, ast.Name)
+            and node.id == "OPS"
+            or isinstance(node, ast.Attribute)
+            and node.attr == "OPS"
+            or isinstance(node, ast.alias)
+            and node.name == "OPS"
+            and node.asname not in (None, "OPS")
+        ):
+            found.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_only_the_interned_term_reads_the_operation_table():
+    found = {}
+    for path in sorted(ROOT.glob("src/intlat/*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        if rel == MASK_MODULE:
+            continue
+        reads = _ops_reads(ast.parse(path.read_text(), rel))
+        lines = [line for line, owner in reads if (rel, owner) != (EVAL_MODULE, "_Term")]
+        if lines:
+            found[rel] = lines
+    assert not found
+    assert {owner for _, owner in _ops_reads(ast.parse((ROOT / EVAL_MODULE).read_text()))} == {"_Term"}
+
+
+def test_the_check_sees_a_planted_read():
+    tree = ast.parse(
+        "from .cells import OPS\n"
+        "class _Term:\n    fn = OPS['cup']\n"
+        "class Other:\n    g = cells.OPS\n"
+        "h = OPS\n"
+        "from .cells import OPS as table\n"
+    )
+    assert _ops_reads(tree) == [(3, "_Term"), (5, "Other"), (6, ""), (7, "")]

@@ -1,7 +1,8 @@
 """Cell masks: every mask operation against point membership.
 
-The kernels, ``eval_term``, ``eval_qf`` and the solver all compute on
-cell masks with the one set of operations in ``intlat.cells``.  So each
+The kernels and the one evaluator of terms (``semantics._Term``, behind
+``eval_term``, ``eval_qf`` and the solver alike) all compute on cell
+masks with the one set of operations in ``intlat.cells``.  So each
 operation is checked here against the point semantics, which is written
 on rationals apart from the masks: ``FciSet.contains`` and ``in`` on a
 ``FinSet``.  A mask is read cell by cell at one probe inside each cell

@@ -35,6 +35,7 @@ from intlat.syntax import (
     SIG_W,
     SIG_W_DIFF,
     And,
+    App,
     Atomic,
     Exists,
     Implies,
@@ -95,8 +96,11 @@ def test_eval_qf():
     assert eval_qf(parse("!X = bot", SIG_W), a, SIG_W)
     assert not eval_qf(parse("min(X) = max(X)", SIG_W), a, SIG_W)
     assert eval_qf(parse("X = bot | Y sub X", SIG_W), a, SIG_W)
-    with pytest.raises(EvalError):
+    with pytest.raises(EvalError, match="^quantifier on Z in a quantifier-free evaluation$"):
         eval_qf(parse("E Z. Z = X", SIG_W), a, SIG_W)
+    # refused up front, even where the formula is decided before the quantifier
+    with pytest.raises(EvalError, match="^quantifier on Z in a quantifier-free evaluation$"):
+        eval_qf(parse("X = bot & A Z. Z = X", SIG_W), a, SIG_W)
 
 
 def test_default_pool_adds_midpoints_and_a_point_above():
@@ -228,22 +232,53 @@ def test_shared_cache_keeps_term_values_apart_per_structure():
 def test_shared_cache_raises_the_same_error_every_time():
     pool = WitnessPool(points=fs([0, 1]), max_segments=1)
     cache = EvalCache()
-    # min(X) is computed and kept before the unbound Y is reached
-    t = term("cup(min(X), Y)", SIG_W)
     a = {"X": fs([1])}
-    env, _ = _rank_assignment(a, pool, True)
-    with pytest.raises(EvalError) as walk:
-        eval_term(t, a, SIG_W)
-    for _ in range(2):
-        with pytest.raises(EvalError) as memo:
-            cache.term(t).value(env, True)
-        assert str(memo.value) == str(walk.value) == "unbound variable Y"
-    # l is no operation of the finite-set structure, whatever its argument
+    # min(X) is computed and kept before any call meets the unbound Y; each
+    # entry point refuses Y before it evaluates anything
+    assert eval_bounded(parse("min(X) = X", SIG_W), a, pool, SIG_W, cache=cache) is True
+    t = term("cup(min(X), Y)", SIG_W)
+    f = Atomic(t, Var("X"))
+    calls = (
+        lambda: eval_term(t, a, SIG_W),
+        lambda: eval_qf(f, a, SIG_W),
+        lambda: eval_bounded(f, a, pool, SIG_W, cache=cache),
+    )
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(EvalError, match=r"^assignment is missing \['Y'\]$"):
+                call()
+
+
+def test_shared_cache_checks_the_structure_of_an_operation_in_both_orders():
+    # X's cells are the same in both structures, so only the structure in
+    # the memo key keeps an interval value of l(min(X)) from a finite-set call
+    pool = WitnessPool(points=fs([0, 1]), max_segments=1)
     f = parse("l(min(X)) = X", SIG_L)
-    for _ in range(2):
-        with pytest.raises(EvalError, match="l is not an operation of the finite-set structure"):
-            eval_bounded(f, {"X": fs([1])}, pool, SIG_W, cache=cache)
-    assert eval_bounded(f, {"X": embed_point(1)}, pool, SIG_L, cache=cache) is True
+    finite, interval = {"X": fs([1])}, {"X": embed_point(1)}
+    for interval_first in (False, True):
+        cache = EvalCache()
+        if interval_first:
+            assert eval_bounded(f, interval, pool, SIG_L, cache=cache) is True
+        for _ in range(2):
+            with pytest.raises(EvalError, match="^l is not an operation of the finite-set structure$"):
+                eval_bounded(f, finite, pool, SIG_W, cache=cache)
+        assert eval_bounded(f, interval, pool, SIG_L, cache=cache) is True
+
+
+def test_an_unknown_operation_is_refused_on_every_call():
+    pool = WitnessPool(points=fs([0, 1]), max_segments=1)
+    cache = EvalCache()
+    foo = App("foo", ())
+    calls = (
+        lambda: eval_term(foo, {}, SIG_W),
+        lambda: eval_qf(Atomic(foo, Var("X")), {"X": EMPTY_FS}, SIG_W),
+        lambda: eval_bounded(Atomic(foo, Var("X")), {"X": EMPTY_FS}, pool, SIG_W, cache=cache),
+        lambda: cache.term(foo),
+    )
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(EvalError, match="^unknown operation foo$"):
+                call()
 
 
 def test_min_guard_respects_a_zero_segment_cap():
