@@ -7,7 +7,10 @@ up forever.  A mask writes them as one int: bit 2i is pi, bit 2i+1 the
 gap above it, and a ray every bit from its start up, a negative int.  A
 finite set holds point bits only; an interval union is a closed mask,
 whose held gaps hold the points on both sides (below only, for the ray).
-Only this module shifts by a rank.
+Only this module shifts by a rank, and only it makes a point's exact key,
+its numerator and denominator in lowest terms, by which grids are ranked
+(``apply``, ``ranking``) and both set types hashed (``digest``), so neither
+hashes or compares a ``Fraction``.
 
 Each operation of both lattices is written here once, on masks (``OPS``,
 ``within``, ``difference_closed``, ``from_endpoints``).  The kernels call
@@ -61,9 +64,15 @@ def encode(value, rank: Callable[[Point], int]) -> int:
 
 def apply(fn: Callable[..., T], *values, extra: Sequence[Point] = ()) -> tuple[list[Point], T]:
     """The grid of the values' ends and ``extra``, their distinct points in
-    order, and ``fn`` of the values' cells on it.  The points are ranked
-    by exact integer keys, each scaled to their common denominator, so no
-    ``Fraction`` is hashed or compared."""
+    order, and ``fn`` of the values' cells on it.  No ``Fraction`` is
+    hashed or compared: a lone operand's ends are in order already, with
+    any repeat beside its twin, so its grid keeps the first of each exact
+    key (see ``ranking``); otherwise each point is scaled to the common
+    denominator and the grid sorts those integers."""
+    if len(values) == 1 and not extra:
+        (value,) = values
+        grid = list({p.as_integer_ratio(): p for p in ends(value)}.values())
+        return grid, fn(encode(value, ranking(grid)))
     every = [*extra, *chain.from_iterable(map(ends, values))]
     scale = lcm(*[p.denominator for p in every])
     at = {p.numerator * (scale // p.denominator): p for p in every}
@@ -71,6 +80,23 @@ def apply(fn: Callable[..., T], *values, extra: Sequence[Point] = ()) -> tuple[l
     rank = dict(zip(order, range(len(order))))
     masks = [encode(v, lambda p: rank[p.numerator * (scale // p.denominator)]) for v in values]
     return list(map(at.__getitem__, order)), fn(*masks)
+
+
+def ranking(grid: Sequence[Point]) -> Callable[[Point], int]:
+    """The rank of each point of ``grid``, distinct points in order, as a
+    function: its index, looked up by the point's exact key, its numerator
+    and denominator in lowest terms, so no ``Fraction`` is hashed.  A point
+    off the grid raises KeyError."""
+    rank = {p.as_integer_ratio(): i for i, p in enumerate(grid)}
+    return lambda p: rank[p.as_integer_ratio()]
+
+
+def digest(value) -> int:
+    """The hash of a ``FinSet`` or ``FciSet``: of its ``ends`` by their
+    exact keys.  A ``Fraction`` is always in lowest terms, so equal values
+    hash equal, and no ``Fraction`` is hashed (each of its hashes costs a
+    modular inverse)."""
+    return hash(tuple([p.as_integer_ratio() for p in ends(value)]))
 
 
 def points(pts: Sequence[Point], mask: int) -> tuple[Point, ...]:

@@ -65,10 +65,10 @@ class FciSet:
                 raise ValueError("ray must start strictly after the last segment")
 
     def __hash__(self) -> int:
-        # same caching trick as FinSet: these land in evaluator cache keys
+        # kept and made as FinSet's is: of the points' exact keys
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.segments, self.ray_lo))
+            h = cells.digest(self)
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -105,7 +105,8 @@ class FciSet:
         return _decode_finset(*cells.apply(cells.right, self))
 
     def boundary(self) -> FinSet:
-        return cells.build(FinSet, elements=tuple(sorted(set(cells.ends(self)))))
+        """Every endpoint of a maximal part, left or right."""
+        return _decode_finset(*cells.apply(lambda x: cells.left(x) | cells.right(x), self))
 
     # -- membership ----------------------------------------------------------
 

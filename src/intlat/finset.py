@@ -32,10 +32,11 @@ class FinSet:
             raise ValueError(f"points must be nonnegative, got {self.elements[0]}")
 
     def __hash__(self) -> int:
-        # hashing Fractions is costly and sets get used as cache keys a lot
+        # sets key caches (a pool holds one), so the hash is kept; it hashes
+        # the points' exact keys, as a Fraction's own hash is costly
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash(self.elements)
+            h = cells.digest(self)
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -27,14 +27,19 @@ all evaluate through ``EvalCache``'s interned terms (``_Term``) and
 evaluation itself meets neither error.
 
 The solver works on cell masks (see ``cells``): ``eval_bounded`` ranks
-the points of the pool and of the assigned values once, 0 keeping rank
-0, and the search reads one ``_Space``, the pool's ranked points and
+the points of the pool and of the assigned values, 0 keeping rank 0,
+and the search reads one ``_Space``, the pool's ranked points and
 bounds and the structure, so every pool and assignment of one order type
-shares one space, its universes and every ``EvalCache`` entry.  Pins,
-guards and universes are masks in the enumerators' order.  ``eval_term``
-and ``eval_qf`` rank their assignment once and evaluate on that grid
-with a fresh cache; ``eval_term`` and ``universe`` return rational
-``FinSet``/``FciSet`` values.
+shares one space, its universes and every ``EvalCache`` entry.  Each
+distinct pool is ranked once (``_pool_ranks``), into a function from a
+point to its rank by the point's exact key (``cells.ranking``), through
+which each value object is encoded once and kept with the ranking; a
+value with a point outside the pool puts the pool's points and the
+values on one grid (``cells.apply``) for that call alone.  No step
+hashes a ``Fraction``.  Pins, guards and universes are masks in the
+enumerators' order.  ``eval_term`` and ``eval_qf`` rank their assignment
+once and evaluate on that grid with a fresh cache; ``eval_term`` and
+``universe`` return rational ``FinSet``/``FciSet`` values.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import cells
 from .cells import OPS, fci_masks, subset_masks
@@ -249,23 +254,25 @@ def _endpoint_pairs(space: _Space) -> tuple[tuple[int, int], ...]:
 
 
 class _Ranks(NamedTuple):
-    """The rank of each point, the pool's space per structure (interval
-    side first) and the mask of every value already seen."""
+    """The rank of each point, as a function, the pool's space per
+    structure (interval side first) and, by the id of every value object
+    already seen, that object and its mask."""
 
-    rank: dict
+    rank: Callable[[Point], int]
     spaces: tuple[_Space, _Space]
-    values: dict
+    values: dict[int, tuple[Value, int]]
 
 
-def _ranks(pool: WitnessPool, points: Iterable[Point]) -> _Ranks:
-    """The pool ranked among ``points``, which hold every point of the pool."""
-    rank = {p: i for i, p in enumerate(sorted(points))}
-    return _ranked(pool, rank, tuple(rank[p] for p in pool.points.elements))
+def _ranks(pool: WitnessPool, grid: Sequence[Point]) -> _Ranks:
+    """The pool ranked on ``grid``, distinct points in order that hold
+    every point of the pool."""
+    rank = cells.ranking(grid)
+    return _ranked(pool, rank, tuple(map(rank, pool.points.elements)))
 
 
-def _ranked(pool: WitnessPool, rank: dict, ranked: tuple[int, ...]) -> _Ranks:
-    """The pool's spaces, its points having the ranks ``ranked`` in ``rank``."""
-    pairs = ranked if pool.pair_points is None else tuple(rank[p] for p in pool.pair_points.elements)
+def _ranked(pool: WitnessPool, rank: Callable[[Point], int], ranked: tuple[int, ...]) -> _Ranks:
+    """The pool's spaces, its points having the ranks ``ranked`` under ``rank``."""
+    pairs = ranked if pool.pair_points is None else tuple(map(rank, pool.pair_points.elements))
     point_cells = sum(map(cells.point, ranked))
     spaces = tuple(_Space(ranked, pool.max_segments, pool.allow_ray, pairs, w, point_cells) for w in (False, True))
     return _Ranks(rank, spaces, {})
@@ -273,9 +280,10 @@ def _ranked(pool: WitnessPool, rank: dict, ranked: tuple[int, ...]) -> _Ranks:
 
 @lru_cache(maxsize=_POOL_CACHE_SIZE)
 def _pool_ranks(pool: WitnessPool) -> _Ranks:
-    # the pool's points are sorted, so the i-th one has rank i
+    # equal pools share one ranking, and a pool's points are sorted, so the
+    # i-th one has rank i
     points = pool.points.elements
-    return _ranked(pool, dict(zip(points, range(len(points)))), tuple(range(len(points))))
+    return _ranked(pool, cells.ranking(points), tuple(range(len(points))))
 
 
 def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tuple[dict, _Space]:
@@ -284,15 +292,18 @@ def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tup
     ranks = _pool_ranks(pool)
     env = {}
     try:
+        # suites reuse a value across many assignments; the memo is keyed by
+        # the value object, which its entry keeps alive, so nothing is hashed
         for name, v in a.items():
-            got = ranks.values.get(v)
+            got = ranks.values.get(id(v))
             if got is None:
-                got = ranks.values[v] = cells.encode(v, ranks.rank.__getitem__)
-            env[name] = got
+                got = ranks.values[id(v)] = (v, cells.encode(v, ranks.rank))
+            env[name] = got[1]
     except KeyError:
-        # a point outside the pool: rank this call's points afresh, keep nothing
-        ranks = _ranks(pool, set(pool.points.elements).union(*map(cells.ends, a.values())))
-        env = {name: cells.encode(v, ranks.rank.__getitem__) for name, v in a.items()}
+        # a point outside the pool: rank this call's points afresh on one
+        # grid, keep nothing
+        grid, env = cells.apply(lambda *masks: dict(zip(a, masks)), *a.values(), extra=pool.points.elements)
+        ranks = _ranks(pool, grid)
     return env, ranks.spaces[finite_sets]
 
 

@@ -51,13 +51,23 @@ class ParseError(ValueError):
 # -- terms ---------------------------------------------------------------------
 
 
+def _cached_hash(self) -> int:
+    # terms and formulas key the solver's memo tables; the generated hash
+    # would walk the whole tree on every lookup
+    h = self._hash
+    if h is None:
+        h = self._hash = hash((type(self),) + tuple(getattr(self, n) for n in self.__match_args__))
+    return h
+
+
 @dataclass(slots=True)
 class _TermCache:
-    # the names term_vars caches on a term, None until asked
+    # the names term_vars caches on a term, and its hash, each None until asked
     _vars: Optional[frozenset[str]] = field(default=None, init=False, repr=False, compare=False)
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class Var(_TermCache):
     name: str
 
@@ -65,7 +75,7 @@ class Var(_TermCache):
         return self.name
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True)
 class App(_TermCache):
     op: str
     args: tuple["Term", ...] = ()
@@ -77,6 +87,9 @@ class App(_TermCache):
 
 
 Term = Union[Var, App]
+
+for _kind in Term.__args__:
+    _kind.__hash__ = _cached_hash
 
 
 def cup(a: Term, b: Term) -> App:
@@ -121,15 +134,6 @@ def diff_t(a: Term, b: Term) -> App:
 
 
 # -- formulas ------------------------------------------------------------------
-
-
-def _cached_hash(self) -> int:
-    # formulas key the solver's memo tables; the generated hash would walk
-    # the whole tree on every lookup
-    h = self._hash
-    if h is None:
-        h = self._hash = hash((type(self),) + tuple(getattr(self, n) for n in self.__match_args__))
-    return h
 
 
 @dataclass(slots=True)

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from intlat import cells
 from intlat.fci import (
     EMPTY_FCI,
+    FciSet,
     Segment,
     build_from_endpoints,
     difference_closed,
@@ -43,6 +45,31 @@ def seg_pairs():
 fcis = st.tuples(
     seg_pairs(), st.none() | st.fractions(min_value=0, max_value=12)
 ).map(lambda t: normalize(t[0], rays=[] if t[1] is None else [t[1]]))
+
+
+def _twin(p: Fraction) -> Fraction:
+    """A new Fraction equal to ``p``, reduced from thrice its terms."""
+    return Fraction(3 * p.numerator, 3 * p.denominator)
+
+
+@given(fcis, st.frozensets(st.fractions(min_value=0, max_value=12), max_size=6))
+def test_equal_sets_hash_equal(a, points):
+    # the hash reads the points' exact keys, so equal sets of new Fractions,
+    # made by the constructor, by cells.build or by an operation, agree
+    s = fs(points)
+    twins = tuple(map(_twin, s.elements))
+    sets = [s, FinSet(twins), cells.build(FinSet, elements=twins), s.union(s)]
+    segments = [(_twin(x.lo), _twin(x.hi)) for x in a.segments]
+    ray = None if a.ray_lo is None else _twin(a.ray_lo)
+    unions = [
+        a,
+        FciSet(tuple(Segment(lo, hi) for lo, hi in segments), ray),
+        cells.build(FciSet, segments=tuple(cells.build(Segment, lo=lo, hi=hi) for lo, hi in segments), ray_lo=ray),
+        a.union(a),
+    ]
+    for same in (sets, unions):
+        assert all(v == same[0] for v in same)
+        assert len({hash(v) for v in same}) == 1
 
 
 def test_segment_rejects_inverted_bounds():
@@ -117,6 +144,12 @@ def test_membership_and_finiteness():
     b = embed_finset(fs([1, 2]))
     assert b.is_finite_set()
     assert zero_fci() == embed_point(F(0))
+
+
+@given(fcis)
+def test_boundary_holds_every_end_point(a):
+    ends = {p for s in a.segments for p in (s.lo, s.hi)} | ({a.ray_lo} - {None})
+    assert a.boundary() == fs(ends)
 
 
 def test_endpoint_condition_requires_alternation_from_the_left():

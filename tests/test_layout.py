@@ -9,6 +9,12 @@ every other module writes and reads cells through ``cells``.
 The operation table ``OPS`` stays behind one evaluator the same way:
 outside ``cells.py`` only ``semantics.py`` reads it, and only in
 ``_Term``, so no second walk over terms can compute what ``_Term`` does.
+
+The exact keys that rank and hash points without hashing a ``Fraction``
+are made in ``cells.py`` alone: no other module calls
+``as_integer_ratio``, names ``lcm`` or reads a ``numerator`` or
+``denominator``, so the kernels, the two set hashes and the solver all
+go through ``cells``.
 """
 
 import ast
@@ -103,3 +109,50 @@ def test_the_check_sees_a_planted_read():
         "from .cells import OPS as table\n"
     )
     assert _ops_reads(tree) == [(3, "_Term"), (5, "Other"), (6, ""), (7, "")]
+
+
+_KEY_PARTS = {"numerator", "denominator"}
+
+
+def _point_keys(tree: ast.Module) -> list[int]:
+    """The lines that make a point key: an ``as_integer_ratio`` call, any
+    ``lcm``, or a read of a ``numerator`` or ``denominator``."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "as_integer_ratio"
+            or isinstance(node, ast.Name)
+            and node.id == "lcm"
+            or isinstance(node, ast.Attribute)
+            and (node.attr == "lcm" or node.attr in _KEY_PARTS)
+            or isinstance(node, ast.alias)
+            and node.name == "lcm"
+        ):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_only_the_mask_module_makes_point_keys():
+    found = {}
+    for path in sorted(ROOT.glob("src/intlat/*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        lines = _point_keys(ast.parse(path.read_text(), rel))
+        if lines and rel != MASK_MODULE:
+            found[rel] = lines
+    assert not found
+    assert _point_keys(ast.parse((ROOT / MASK_MODULE).read_text()))
+
+
+def test_the_check_sees_a_planted_key():
+    tree = ast.parse(
+        "k = p.as_integer_ratio()\n"
+        "from math import lcm\n"
+        "s = math.lcm(*ds)\n"
+        "n = p.numerator * (s // p.denominator)\n"
+        "f = lcm\n"
+        "ok = ratio(p)\n"
+        "numerator = 1\n"
+    )
+    assert _point_keys(tree) == [1, 2, 3, 4, 5]

@@ -18,9 +18,11 @@ ranks.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intlat import cells
 from intlat.cells import OPS, difference_closed, encode, from_endpoints
 from intlat.fci import normalize
 from intlat.finset import FinSet
@@ -220,7 +222,7 @@ def test_universes_agree_with_the_kernels_through_the_ranks():
             space = ranks.spaces[w]
 
             def m(v):
-                return encode(v, ranks.rank.__getitem__)
+                return encode(v, ranks.rank)
 
             inside = set(universe(pool, sig))
             for v in values:
@@ -238,10 +240,15 @@ def test_a_pool_ranks_its_own_points_in_order():
     random.Random(5).shuffle(points)
     pool = WitnessPool(FinSet.of(points), 3, True, FinSet.of([F(0), *points[:3]]))
     ranks = _pool_ranks(pool)
-    assert [ranks.rank[p] for p in pool.points.elements] == list(range(10))
+    assert [ranks.rank(p) for p in pool.points.elements] == list(range(10))
     # the same ranks and spaces as ranking the pool among its points afresh
-    again = _ranks(pool, points)
-    assert (ranks.rank, ranks.spaces) == (again.rank, again.spaces)
+    again = _ranks(pool, cells.apply(lambda: None, extra=points)[0])
+    assert [again.rank(p) for p in points] == [ranks.rank(p) for p in points]
+    assert ranks.spaces == again.spaces
+    # and neither ranks a point off the pool
+    for rank in (ranks.rank, again.rank):
+        with pytest.raises(KeyError):
+            rank(F(1, 7))
 
 
 spots = st.fractions(min_value=0, max_value=12, max_denominator=4)
@@ -273,7 +280,7 @@ def test_mask_operations_agree_with_membership_on_rational_points(case):
     check_cells(points, b)
     # the endpoint lemma also on the endpoints of a union
     ranks = _ranks(pool, points)
-    ends_of_a = [encode(e, ranks.rank.__getitem__) for e in (a.left_endpoints(), a.right_endpoints())]
-    assert from_endpoints(*ends_of_a) == encode(a, ranks.rank.__getitem__)
+    ends_of_a = [encode(e, ranks.rank) for e in (a.left_endpoints(), a.right_endpoints())]
+    assert from_endpoints(*ends_of_a) == encode(a, ranks.rank)
     for v, sig in ((a, SIG_L), (b, SIG_L), (s, SIG_W), (t, SIG_W)):
-        assert _in_universe(encode(v, ranks.rank.__getitem__), ranks.spaces[sig.finite_sets]) == (v in universe(pool, sig)), v
+        assert _in_universe(encode(v, ranks.rank), ranks.spaces[sig.finite_sets]) == (v in universe(pool, sig)), v

@@ -620,3 +620,53 @@ def test_ten_point_pools_range_over_interval_unions():
     f = parse("E Y. E W. r(l(cz)) = max(Y)", SIG_L)
     assert eval_bounded(f, {"X": x}, pool, SIG_L) is True
     assert len(universe(pool, SIG_L)) == 17711
+
+
+def test_the_solver_hashes_no_fraction(monkeypatch):
+    # the solver works on ranks, found by exact keys: every pool and value
+    # here is built afresh, so no hash kept on a set can hide a Fraction's
+    def fresh(*texts):
+        return FinSet(tuple(map(Fraction, texts)))
+
+    pairs = exists_all(["Al", "Ar"], And(valid_pair("Al", "Ar"), parse("Z sub Al", SIG_W)))
+    extremes = pipeline(parse("E Y. E W. min(X) = Y & max(X) = W & cap(Y, W) = bot", SIG_L))
+    cases = []
+    # a point outside the pool: 1/3 and 5/2 lie outside {0, 1, 2}
+    inside = {sig: parse("E Y. cap(Y, X) = Y & !(Y = bot)", sig) for sig in (SIG_W, SIG_L)}
+    for sig, x, want in [
+        (SIG_W, fresh("1/3"), False),
+        (SIG_W, fresh("1/3", "1", "5/2"), True),
+        (SIG_L, parse_fci("{1/3}"), False),
+        (SIG_L, parse_fci("[1/3,5/2]"), True),
+    ]:
+        cases.append((inside[sig], {"X": x}, WitnessPool(fresh("0", "1", "2"), 2), sig, want))
+    for _ in range(2):
+        points = ("0", "1/2", "1", "3/2", "2", "3")
+        coarse = WitnessPool(fresh(*points), len(points), True, fresh("0", "1", "2"))
+        fine = WitnessPool(fresh(*points), len(points))
+        cases += [(pairs, {"Z": fresh("1/2")}, coarse, SIG_W, False), (pairs, {"Z": fresh("1/2")}, fine, SIG_W, True)]
+        for text, want in [("empty", True), ("{1}", False), ("[1,*)", True)]:
+            cases.append((extremes, {"X": parse_fci(text)}, WitnessPool(fresh("0", "1", "2"), 3), SIG_L, want))
+    hashed = 0
+    plain = Fraction.__hash__
+
+    def counted(self):
+        nonlocal hashed
+        hashed += 1
+        return plain(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    got = [eval_bounded(h, a, pool, sig) for h, a, pool, sig, _ in cases]
+    monkeypatch.undo()
+    assert got == [want for *_, want in cases]
+    assert hashed == 0
+
+
+def test_a_new_value_never_reads_an_old_values_mask():
+    # a pool keeps each value object's mask by its id; were the object let
+    # go, a new value could take its id and read its mask
+    pool = WitnessPool(fs([0, 1, 2, 3]), 2)
+    f = parse("min(X) = cz", SIG_L)
+    for _ in range(50):
+        for text, want in (("[0,1]", True), ("{2}", False), ("[0,*)", True), ("[1,3]", False)):
+            assert eval_bounded(f, {"X": parse_fci(text)}, pool, SIG_L) is want, text
