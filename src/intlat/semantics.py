@@ -22,7 +22,8 @@ verdict table.
 
 There is one evaluator: ``eval_term``, ``eval_qf`` and ``eval_bounded``
 all evaluate through ``EvalCache``'s interned terms (``_Term``) and
-``_eval``.  Each entry point checks its inputs once, before evaluating
+``_eval``, in the structure the caller names by its signature; none
+guesses one.  Each entry point checks its inputs once, before evaluating
 (``_check``: every name bound, every value of the structure's sort), so
 evaluation itself meets neither error.
 
@@ -35,11 +36,12 @@ distinct pool is ranked once (``_pool_ranks``), into a function from a
 point to its rank by the point's exact key (``cells.ranking``), through
 which each value object is encoded once and kept with the ranking; a
 value with a point outside the pool puts the pool's points and the
-values on one grid (``cells.apply``) for that call alone.  No step
-hashes a ``Fraction``.  Pins, guards and universes are masks in the
-enumerators' order.  ``eval_term`` and ``eval_qf`` rank their assignment
-once and evaluate on that grid with a fresh cache; ``eval_term`` and
-``universe`` return rational ``FinSet``/``FciSet`` values.
+values on one grid (``_grid``) for that call alone.  No step hashes a
+``Fraction``.  Pins, guards and universes are masks in the enumerators'
+order.  ``eval_term`` and ``eval_qf`` put 0 and their assignment on one
+grid the same way and evaluate there with a fresh cache, ``eval_qf`` in
+a fixed space per structure (no quantifier reads its points);
+``eval_term`` and ``universe`` return ``FinSet``/``FciSet`` values.
 """
 
 from __future__ import annotations
@@ -68,13 +70,9 @@ from .syntax import (
     Implies,
     Not,
     Or,
-    SIG_L,
-    SIG_W,
-    SIG_W_DIFF,
     Signature,
     Term,
     Var,
-    formula_symbols,
     free_vars,
     nnf,
     operands,
@@ -141,22 +139,6 @@ def default_pool(a: Assignment) -> WitnessPool:
     return WitnessPool(points=points, max_segments=len(points), allow_ray=True)
 
 
-def _infer_sig(f: Formula, a: Assignment) -> Signature:
-    for v in a.values():
-        if isinstance(v, FinSet):
-            return SIG_W
-        if isinstance(v, FciSet):
-            return SIG_L
-    syms = formula_symbols(f)
-    if "diff" in syms:
-        return SIG_W_DIFF
-    if "ips" in syms:
-        return SIG_W
-    if syms & {"l", "r"}:
-        return SIG_L
-    raise EvalError("cannot infer the signature from the assignment or symbols; pass sig")
-
-
 # -- term and quantifier-free evaluation -------------------------------------------
 
 
@@ -173,15 +155,15 @@ def _check(names: Iterable[str], a: Assignment, sig: Signature) -> None:
             raise EvalError(f"{name} is bound to {type(val).__name__}, expected {want.__name__}")
 
 
-def _ranked_values(names: Iterable[str], a: Assignment, sig: Signature) -> tuple[list[Point], dict]:
-    """The grid of 0 and the assigned values' points, and each value's
-    cells on it; ``names`` and ``a`` must first pass ``_check``."""
-    _check(names, a, sig)
-    return cells.apply(lambda *masks: dict(zip(a, masks)), *a.values(), extra=(ZERO,))
+def _grid(a: Assignment, extra: Sequence[Point]) -> tuple[list[Point], dict]:
+    """The grid of ``extra`` and the assigned values' points, and each
+    value's cells on it."""
+    return cells.apply(lambda *masks: dict(zip(a, masks)), *a.values(), extra=extra)
 
 
 def eval_term(t: Term, a: Assignment, sig: Signature) -> Value:
-    pts, env = _ranked_values(term_vars(t), a, sig)
+    _check(term_vars(t), a, sig)
+    pts, env = _grid(a, (ZERO,))
     mask = EvalCache().term(t).value(env, sig.finite_sets)
     return _decode_finset(pts, mask) if sig.finite_sets else _decode_fci(pts, mask)
 
@@ -190,11 +172,8 @@ def eval_qf(f: Formula, a: Assignment, sig: Signature) -> bool:
     for g in subformulas(f):
         if isinstance(g, (Exists, Forall)):
             raise EvalError(f"quantifier on {g.var} in a quantifier-free evaluation")
-    pts, env = _ranked_values(free_vars(f), a, sig)
-    # the grid's own space: no quantifier reads it
-    ranks = tuple(range(len(pts)))
-    space = _Space(ranks, len(ranks), True, ranks, sig.finite_sets, sum(map(cells.point, ranks)))
-    return _eval(f, env, space, EvalCache())
+    _check(free_vars(f), a, sig)
+    return _eval(f, _grid(a, (ZERO,))[1], _QF_SPACES[sig.finite_sets], EvalCache())
 
 
 # -- witness universes --------------------------------------------------------------
@@ -286,6 +265,10 @@ def _pool_ranks(pool: WitnessPool) -> _Ranks:
     return _ranked(pool, cells.ranking(points), tuple(range(len(points))))
 
 
+# eval_qf's space per structure: no quantifier reads its points
+_QF_SPACES = _ranks(WitnessPool(points=FinSet((ZERO,)), max_segments=0), (ZERO,)).spaces
+
+
 def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tuple[dict, _Space]:
     """The assignment as masks and the pool's space in the structure, each
     point renamed to its rank among the pool's points and the values'."""
@@ -302,7 +285,7 @@ def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tup
     except KeyError:
         # a point outside the pool: rank this call's points afresh on one
         # grid, keep nothing
-        grid, env = cells.apply(lambda *masks: dict(zip(a, masks)), *a.values(), extra=pool.points.elements)
+        grid, env = _grid(a, pool.points.elements)
         ranks = _ranks(pool, grid)
     return env, ranks.spaces[finite_sets]
 
@@ -419,11 +402,9 @@ def eval_bounded(
     f: Formula,
     a: Assignment,
     pool: WitnessPool,
-    sig: Optional[Signature] = None,
+    sig: Signature,
     cache: Optional[EvalCache] = None,
 ) -> bool:
-    if sig is None:
-        sig = _infer_sig(f, a)
     if cache is None:
         cache = EvalCache()
     _check(cache.node(f).fv, a, sig)

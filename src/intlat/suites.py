@@ -144,22 +144,22 @@ def suite_ipschar(pool_size: Optional[int] = None) -> EquivReport:
     report = EquivReport()
     dpoints = widened(points)
     # every set (the empty one first) as cells over the witnesses' points
-    rank = {p: i for i, p in enumerate(dpoints)}
+    rank = cells.ranking(dpoints.elements)
     sets = list(enum_finsets(points))
-    mask = {s: cells.encode(s, rank.__getitem__) for s in sets}
+    mask = {s: cells.encode(s, rank) for s in sets}
 
     # forward: the constructed witness satisfies a clause whenever ips(A,B)=C
     for a in sets[1:]:
         for b in itertools.islice(enum_finsets(a), 1, None):
             c = a.ips(b)
             d = witness_d(a, b, c)
-            found = _ips_clause(mask[a], mask[b], mask[c], cells.encode(d, rank.__getitem__))
+            found = _ips_clause(mask[a], mask[b], mask[c], cells.encode(d, rank))
             report.add({"A": a, "B": b, "C": c, "D": d}, True, found)
 
     # converse: over all candidate witnesses, some D fits exactly when
     # ips(A,B)=C; the clause puts every end of D among the points
     by_right: dict[int, list[int]] = {}
-    for d in cells.fci_masks([rank[p] for p in points], len(points), True):
+    for d in cells.fci_masks([rank(p) for p in points], len(points), True):
         by_right.setdefault(cells.right(d), []).append(d)
     for a in sets[1:]:
         for b in itertools.islice(enum_finsets(a), 1, None):

@@ -270,13 +270,17 @@ def simplify(f: Formula) -> Formula:
 # -- negation elimination ------------------------------------------------------------
 
 
+def _universal(g: Formula) -> Optional[str]:
+    """The variable of the first universal quantifier of ``g``, if any."""
+    return next((h.var for h in subformulas(g) if isinstance(h, Forall)), None)
+
+
 def _existential_nnf(f: Formula) -> Formula:
     """Negation normal form of ``f``, which must have no universal
     quantifier there."""
     g = nnf(f)
-    for h in subformulas(g):
-        if isinstance(h, Forall):
-            raise FragmentError(f"universal quantifier on {h.var} cannot be eliminated")
+    if (v := _universal(g)) is not None:
+        raise FragmentError(f"universal quantifier on {v} cannot be eliminated")
     return g
 
 
@@ -663,6 +667,17 @@ def _regroup(f: Formula, coords: dict, names: FreshNames) -> Formula:
     return Exists(w.name, _regroup(substitute(g, mapping), coords, names))
 
 
+def _universal_pair(c: str, f: Formula, pairs: dict[str, CoordinatePair]) -> str:
+    """Why coordinate ``c`` of ``_l2w(f)`` stays universal, said of ``f``: its
+    pair's interval variable, a nested term ``unnest`` bound, or a bound clause."""
+    v = next(v for v, p in pairs.items() if c in (p.left, p.right))
+    if v in all_names(f):
+        return f"universal quantifier on {v} cannot be eliminated"
+    if v in all_names(unnest(f)):
+        return "universal quantifier on the value of a nested term cannot be eliminated"
+    return "the bound clause of a cup or cap needs a universal quantifier, which cannot be eliminated"
+
+
 def pipeline(f: Formula) -> Formula:
     """Turn a supported interval formula into an equivalent existential one.
 
@@ -688,8 +703,11 @@ def pipeline(f: Formula) -> Formula:
     stays in its simplified form."""
     # bound apart, each binder has a pair of its own, so a coordinate's
     # name tells which pair it belongs to
-    w, pairs = _l2w(rename_bound_apart(f))
-    w = _existential_nnf(simplify(w))
+    g = rename_bound_apart(f)
+    w, pairs = _l2w(g)
+    w = nnf(simplify(w))
+    if (c := _universal(w)) is not None:
+        raise FragmentError(_universal_pair(c, g, pairs))
     # a pair with a coordinate simplify inlined stays apart: the other
     # alone would not pin the variable
     bound = bound_vars(w)

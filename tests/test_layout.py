@@ -15,6 +15,10 @@ are made in ``cells.py`` alone: no other module calls
 ``as_integer_ratio``, names ``lcm`` or reads a ``numerator`` or
 ``denominator``, so the kernels, the two set hashes and the solver all
 go through ``cells``.
+
+The evaluator never picks a structure itself: ``semantics.py`` names no
+``SIG_*`` signature and calls no ``formula_symbols``, so each caller
+names the structure by the signature it passes.
 """
 
 import ast
@@ -156,3 +160,38 @@ def test_the_check_sees_a_planted_key():
         "numerator = 1\n"
     )
     assert _point_keys(tree) == [1, 2, 3, 4, 5]
+
+
+def _structure_picks(tree: ast.Module) -> list[int]:
+    """The lines that name a ``SIG_*`` signature or ``formula_symbols``,
+    read, imported or called."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name.startswith("SIG_") or name == "formula_symbols":
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_the_evaluator_picks_no_structure_itself():
+    assert _structure_picks(ast.parse((ROOT / EVAL_MODULE).read_text())) == []
+
+
+def test_the_check_sees_a_planted_pick():
+    tree = ast.parse(
+        "from .syntax import SIG_L\n"
+        "s = syntax.SIG_W_DIFF\n"
+        "syms = formula_symbols(f)\n"
+        "from .syntax import formula_symbols as fs\n"
+        "sig = SIG_W if w else other\n"
+        "ok = sig.finite_sets\n"
+        "symbols = term_symbols(t)\n"
+    )
+    assert _structure_picks(tree) == [1, 2, 3, 4, 5]

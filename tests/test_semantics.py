@@ -6,16 +6,18 @@ for the relativized semantics: a formula holds over the pool iff the
 solver says so, which the hand-checked examples here pin down.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
+from helpers import random_finset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intlat import semantics, suites
 from intlat.fci import EMPTY_FCI, embed_finset, embed_point, normalize, parse_fci
 from intlat.finset import EMPTY_FS, FinSet
-from intlat.oracle import enum_finsets
+from intlat.oracle import enum_finsets, random_fciset, random_points
 from intlat.semantics import (
     EvalCache,
     EvalError,
@@ -42,7 +44,9 @@ from intlat.syntax import (
     Not,
     Or,
     Var,
+    bound_vars,
     exists_all,
+    free_vars,
     parse,
     valid_pair,
 )
@@ -103,6 +107,28 @@ def test_eval_qf():
         eval_qf(parse("X = bot & A Z. Z = X", SIG_W), a, SIG_W)
 
 
+def test_eval_qf_agrees_with_the_solver_on_every_quantifier_free_corpus_formula():
+    # random rational points: the solver ranks them on their own pool, and
+    # off a one-point pool on the grid eval_qf puts them on
+    rng = random.Random(34)
+    one_point = WitnessPool(points=fs([0]), max_segments=0)
+    corpora = ((suites.POSEX_CORPUS, SIG_W, random_finset), (suites.PIPELINE_CORPUS, SIG_L, random_fciset))
+    formulas = 0
+    for corpus, sig, draw in corpora:
+        for text in corpus:
+            f = parse(text, sig)
+            if bound_vars(f):
+                continue
+            formulas += 1
+            for _ in range(25):
+                points = random_points(rng, 5)
+                a = {v: draw(rng, points) for v in sorted(free_vars(f))}
+                want = eval_qf(f, a, sig)
+                assert eval_bounded(f, a, default_pool(a), sig) is want, (text, a)
+                assert eval_bounded(f, a, one_point, sig) is want, (text, a)
+    assert formulas == 19
+
+
 def test_default_pool_adds_midpoints_and_a_point_above():
     pool = default_pool({"X": parse_fci("[1,2]")})
     assert pool.points == fs([0, F(1, 2), 1, F(3, 2), 2, 3])
@@ -143,18 +169,18 @@ def test_universe_sizes():
 def test_exists_finds_a_witness_inside_the_pool():
     pool = WitnessPool(points=fs([0, 1, 2]), max_segments=3)
     a = {"X": fs([1, 2])}
-    assert eval_bounded(parse("E Y. cup(Y, X) = X & !Y = bot & cap(Y, max(X)) = bot", SIG_W), a, pool)
-    assert not eval_bounded(parse("E Y. cap(Y, X) = Y & min(Y) = cz", SIG_W), a, pool)
+    assert eval_bounded(parse("E Y. cup(Y, X) = X & !Y = bot & cap(Y, max(X)) = bot", SIG_W), a, pool, SIG_W)
+    assert not eval_bounded(parse("E Y. cap(Y, X) = Y & min(Y) = cz", SIG_W), a, pool, SIG_W)
 
 
 def test_forall_is_exact_over_the_pool():
     pool = WitnessPool(points=fs([0, 1]), max_segments=2)
     a = {"X": fs([0, 1])}
     # every subset of X is a subset of X: trivially true
-    assert eval_bounded(parse("A Y. (cap(Y, X) = Y -> Y sub X)", SIG_W), a, pool)
+    assert eval_bounded(parse("A Y. (cap(Y, X) = Y -> Y sub X)", SIG_W), a, pool, SIG_W)
     # every set is a subset of X: false, the pool holds sets beyond X
     smaller = {"X": fs([0])}
-    assert not eval_bounded(parse("A Y. Y sub X", SIG_W), smaller, pool)
+    assert not eval_bounded(parse("A Y. Y sub X", SIG_W), smaller, pool, SIG_W)
 
 
 def test_nested_quantifiers_and_reused_names():
@@ -167,10 +193,10 @@ def test_nested_quantifiers_and_reused_names():
 def test_quantifiers_over_interval_unions():
     pool = WitnessPool(points=fs([0, 1, 2]), max_segments=3)
     a = {"X": parse_fci("[0,2]")}
-    assert eval_bounded(parse("E Y. min(X) = Y & min(Y) = Y", SIG_L), a, pool)
-    assert eval_bounded(parse("E Y. l(Y) = r(Y) & cap(Y, X) = Y & !Y = bot", SIG_L), a, pool)
+    assert eval_bounded(parse("E Y. min(X) = Y & min(Y) = Y", SIG_L), a, pool, SIG_L)
+    assert eval_bounded(parse("E Y. l(Y) = r(Y) & cap(Y, X) = Y & !Y = bot", SIG_L), a, pool, SIG_L)
     # [0,2] is bounded, so its max is a point, never bot
-    assert not eval_bounded(parse("E Y. max(X) = Y & Y = bot & !X = bot", SIG_L), a, pool)
+    assert not eval_bounded(parse("E Y. max(X) = Y & Y = bot & !X = bot", SIG_L), a, pool, SIG_L)
 
 
 def test_endpoint_pins_refuse_sides_that_are_no_finite_sets():
@@ -179,9 +205,9 @@ def test_endpoint_pins_refuse_sides_that_are_no_finite_sets():
     pool = WitnessPool(points=fs([0, 1, 2]), max_segments=3)
     f = parse("E V. l(V) = X & r(V) = Y", SIG_L)
     for x, y in (("[0,*)", "empty"), ("{0}", "[1,*)"), ("[0,1]", "{1}"), ("{0}", "[0,1]")):
-        assert not eval_bounded(f, {"X": parse_fci(x), "Y": parse_fci(y)}, pool), (x, y)
-    assert eval_bounded(f, {"X": parse_fci("{0}"), "Y": parse_fci("{1}")}, pool)
-    assert eval_bounded(parse("E Y. E V. l(V) = Y & r(V) = cz", SIG_L), {}, pool)
+        assert not eval_bounded(f, {"X": parse_fci(x), "Y": parse_fci(y)}, pool, SIG_L), (x, y)
+    assert eval_bounded(f, {"X": parse_fci("{0}"), "Y": parse_fci("{1}")}, pool, SIG_L)
+    assert eval_bounded(parse("E Y. E V. l(V) = Y & r(V) = cz", SIG_L), {}, pool, SIG_L)
 
 
 def test_bounded_agreement_with_direct_enumeration():
@@ -193,7 +219,7 @@ def test_bounded_agreement_with_direct_enumeration():
         direct = any(
             y.union(x) == x and y and min(y) == 0 for y in enum_finsets(pool.points)
         )
-        assert eval_bounded(f, {"X": x}, pool) == direct
+        assert eval_bounded(f, {"X": x}, pool, SIG_W) == direct
 
 
 def test_shared_cache_is_consistent_across_assignments():

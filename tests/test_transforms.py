@@ -595,6 +595,33 @@ def test_pipeline_rejects_what_it_cannot_rewrite():
             pipeline(parse(text, SIG_L))
 
 
+_ON_Y = "universal quantifier on Y cannot be eliminated"
+_BOUND_CLAUSE = "the bound clause of a cup or cap needs a universal quantifier, which cannot be eliminated"
+_REJECTIONS = [
+    ("A Y. (Y sub X -> Y = X)", _ON_Y),
+    ("cup(X, Y) = Y", _BOUND_CLAUSE),
+    ("!(E Y. !(Y = X))", _ON_Y),
+    ("A Y. Y = X", _ON_Y),
+    ("X = max(cup(X, Y))", _BOUND_CLAUSE),
+    ("!(!(X = max(cup(X, Y))))", "universal quantifier on the value of a nested term cannot be eliminated"),
+]
+
+
+@pytest.mark.parametrize("text, message", _REJECTIONS)
+def test_pipeline_names_what_it_cannot_eliminate_in_the_input_s_terms(text, message):
+    # never a coordinate (Yl, Tl) of the translation
+    with pytest.raises(FragmentError) as err:
+        pipeline(parse(text, SIG_L))
+    assert str(err.value) == message
+
+
+def test_the_pinned_rejections_cover_every_pipeline_reject():
+    assert set(PIPELINE_REJECTS) <= {text for text, _ in _REJECTIONS}
+    # the finite-set rewrites keep naming the binder as written
+    with pytest.raises(FragmentError, match=f"^{_ON_Y}$"):
+        to_positive_existential(parse("A Y. Y = X", SIG_W))
+
+
 def test_pipeline_takes_a_negated_containment():
     # under the negation the bound clause turns existential, and
     # containment itself needs no quantifier
