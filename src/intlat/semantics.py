@@ -189,8 +189,10 @@ def universe(pool: WitnessPool, sig: Signature) -> tuple[Value, ...]:
 # -- the search space on point ranks ------------------------------------------------
 
 # Pools a caller is still using stay cached; a caller that builds a pool
-# per item (the pipeline suite does) must not grow these tables forever.
-_POOL_CACHE_SIZE = 32
+# per item (the pipeline suite does) must not grow these tables forever,
+# nor one that ranks a fresh value per call a pool's value memo: past this
+# many values it starts afresh (a census suite keeps at most 1,596 apiece).
+_POOL_CACHE_SIZE, _VALUE_MEMO_SIZE = 32, 4096
 
 
 class _Space(NamedTuple):
@@ -280,6 +282,8 @@ def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tup
         for name, v in a.items():
             got = ranks.values.get(id(v))
             if got is None:
+                if len(ranks.values) >= _VALUE_MEMO_SIZE:
+                    ranks.values.clear()
                 got = ranks.values[id(v)] = (v, cells.encode(v, ranks.rank))
             env[name] = got[1]
     except KeyError:

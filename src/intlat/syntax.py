@@ -292,15 +292,15 @@ def operands(f: Formula, kind: type) -> list[Formula]:
     return out
 
 
-def lift(t: Term, op: Optional[str], names: "FreshNames", base: str, defs: list) -> Term:
-    """``t`` with each application of ``op`` (of any operation when ``op``
-    is None) replaced, innermost first, by a fresh variable named after
-    ``base``.  Appends ``(name, application)`` to ``defs`` for each, the
-    application taken over the already-lifted arguments."""
+def lift(t: Term, ops: tuple[str, ...], names: "FreshNames", base: str, defs: list) -> Term:
+    """``t`` with each application of an operation in ``ops`` replaced,
+    innermost first, by a fresh variable named after ``base``.  Appends
+    ``(name, application)`` to ``defs`` for each, the application taken
+    over the already-lifted arguments."""
     if isinstance(t, Var):
         return t
-    app = App(t.op, tuple(lift(a, op, names, base, defs) for a in t.args))
-    if op is not None and t.op != op:
+    app = App(t.op, tuple(lift(a, ops, names, base, defs) for a in t.args))
+    if t.op not in ops:
         return app
     name = names.fresh(base)
     defs.append((name, app))
@@ -322,6 +322,7 @@ class Signature:
 
 
 _SHARED = (("cup", 2), ("cap", 2), ("bot", 0), ("cz", 0), ("min", 1), ("max", 1))
+_LATTICE = ("cup", "cap")  # join and meet, the only operations unnest lifts
 
 SIG_W = Signature("w", _SHARED + (("ips", 2),), True)
 SIG_L = Signature("l", _SHARED + (("l", 1), ("r", 1)), False)
@@ -709,36 +710,34 @@ def classify(f: Formula) -> str:
 
 
 def is_unnested_atom(a: Atomic) -> bool:
-    """Shapes v = w, c = v, or g(vars) = w."""
-    lhs, rhs = a.lhs, a.rhs
-    if isinstance(lhs, Var) and isinstance(rhs, Var):
-        return True
-    if not isinstance(rhs, Var):
-        return False
-    if isinstance(lhs, App):
-        return all(isinstance(arg, Var) for arg in lhs.args)
-    return False
+    """Shapes s = t and g(s, t) = u, g a ``cup`` or ``cap`` and no ``cup``
+    or ``cap`` in s, t or u."""
+    lhs = a.lhs
+    sides = lhs.args if lhs.__class__ is App and lhs.op in _LATTICE else (lhs,)
+    return not any(term_symbols(t).intersection(_LATTICE) for t in (*sides, a.rhs))
 
 
 def unnest(f: Formula) -> Formula:
-    """Flatten every atom to v = w, c = v, or g(vars) = w.
+    """Flatten every atom to s = t or g(s, t) = u, g a ``cup`` or ``cap``
+    and no ``cup`` or ``cap`` in s, t or u.
 
-    Nested arguments get definitional existentials placed at the atom, and
-    for a directly negated atom the definitions go outside the negation, so
-    a formula without negations stays without negations.
+    Each nested ``cup`` or ``cap`` gets a definitional existential placed
+    at the atom, and for a directly negated atom the definitions go outside
+    the negation (a double negation is dropped, so an atom keeps its
+    polarity), so a formula without negations stays without negations.
     """
     names = FreshNames(all_names(f))
 
     def flat(a: Atomic, negate: bool) -> Formula:
         defs: list[tuple[str, App]] = []
         lhs, rhs = a.lhs, a.rhs
-        if isinstance(lhs, Var) and isinstance(rhs, App):
+        if rhs.__class__ is App and (lhs.__class__ is Var or rhs.op in _LATTICE):
             lhs, rhs = rhs, lhs
         core = Atomic(lhs, rhs)
         if not is_unnested_atom(core):
-            # flatten arguments of the head application, then the other side
-            head = App(lhs.op, tuple(lift(x, None, names, "U", defs) for x in lhs.args))
-            core = Atomic(head, lift(rhs, None, names, "U", defs))
+            # lift inside the head application, then the other side
+            head = App(lhs.op, tuple(lift(x, _LATTICE, names, "U", defs) for x in lhs.args))
+            core = Atomic(head, lift(rhs, _LATTICE, names, "U", defs))
         wrapped: Formula = Not(core) if negate else core
         if defs:
             wrapped = and_all([Atomic(app, Var(u)) for u, app in defs] + [wrapped])
@@ -749,6 +748,8 @@ def unnest(f: Formula) -> Formula:
             return flat(g, negate=False)
         if isinstance(g, Not) and isinstance(g.body, Atomic):
             return flat(g.body, negate=True)
+        if isinstance(g, Not) and isinstance(g.body, Not):
+            return walk(g.body.body)
         return rebuild(g, walk)
 
     return walk(f)

@@ -15,7 +15,8 @@ its endpoint pair.  This module realizes both directions on formulas:
   coordinates, with membership and containment expressed by the
   quantifier-free equations ``phi_in`` and ``phi_subseteq``, and each
   finite-valued operation by one term of its operand's coordinates that
-  both coordinates of the value equal (``_FINITE_VALUED``).  Each bound
+  both coordinates of the value equal (``_FINITE_VALUED``), written in
+  place: only a nested ``cup`` or ``cap`` gets a variable.  Each bound
   pair carries the validity guard ``valid_pair``, the endpoint lemma as
   one equation, except the pair of an ``E V`` whose block makes V's two
   coordinates equal: such a V is a finite set F, its pair is (F, F), and
@@ -292,7 +293,7 @@ def _lift_defined(g: Formula, op: str, names: FreshNames, base: str, define) -> 
     result means what ``g`` means, negated or not."""
     eq = g.body if g.__class__ is Not else g
     defs: list[tuple[str, App]] = []
-    lhs, rhs = lift(eq.lhs, op, names, base, defs), lift(eq.rhs, op, names, base, defs)
+    lhs, rhs = lift(eq.lhs, (op,), names, base, defs), lift(eq.rhs, (op,), names, base, defs)
     if not defs:
         return g
     core = Atomic(lhs, rhs)
@@ -425,48 +426,45 @@ _FINITE_VALUED: dict[str, Callable[..., Term]] = {
 }
 
 
+def _name(t: Term) -> Optional[str]:
+    return t.name if t.__class__ is Var else None
+
+
 def _grow_finite(
     conjuncts: list[Formula], finite: frozenset[str], forced: frozenset[str]
 ) -> tuple[frozenset[str], frozenset[str]]:
     """``finite`` and ``forced`` grown over the unnested equations of one
     conjunction.  Finite: the variables the conjunction forces to be
     finite sets.  Forced: those whose two coordinates the translated
-    equations make equal, namely one an operation of ``_FINITE_VALUED``
-    defines (its atom sets both coordinates to one term), one equal to
-    such a variable, and a coordinatewise ``cup`` or ``cap`` of two such
-    variables.  Only finite reasons back from an atom to its operands, so
-    only forced holds of the translation as well."""
-    finite, forced = set(finite), set(forced)
+    equations make equal, namely one equal to a term other than a variable
+    (its two coordinates are one term), one equal to such a variable, and a
+    coordinatewise ``cup`` or ``cap`` of two such.  Only finite reasons back
+    from an atom to its operands, so only forced holds of the translation."""
+    # None stands for every term but a variable, which is finite and forced
+    finite, forced = {None, *finite}, {None, *forced}
     size = -1
     while size < len(finite) + len(forced):
         size = len(finite) + len(forced)
         for c in conjuncts:
             if c.__class__ is not Atomic:
                 continue
-            a, w = c.lhs, c.rhs.name
-            if a.__class__ is Var:
+            a, w = c.lhs, _name(c.rhs)
+            if a.__class__ is Var or a.op in _FINITE_VALUED:
                 for known in (finite, forced):
-                    if a.name in known or w in known:
-                        known.update((a.name, w))
-            elif a.op in _FINITE_VALUED:
-                finite.add(w)
+                    if _name(a) in known or w in known:
+                        known.update((_name(a), w))
+                continue
+            u, v = map(_name, a.args)
+            if u in forced and v in forced:
                 forced.add(w)
-            else:
-                u, v = (x.name for x in a.args)
-                if u in forced and v in forced:
-                    forced.add(w)
-                if a.op == "cap":
-                    if u in finite or v in finite:
-                        finite.add(w)
-                elif u in finite and v in finite:
+            if a.op == "cap":
+                if u in finite or v in finite:
                     finite.add(w)
-                elif w in finite:
-                    finite.update((u, v))
-    return frozenset(finite), frozenset(forced)
-
-
-def _sub_pair(p: CoordinatePair, q: CoordinatePair) -> Formula:
-    return phi_subseteq(Var(p.left), Var(p.right), Var(q.left), Var(q.right))
+            elif u in finite and v in finite:
+                finite.add(w)
+            elif w in finite:
+                finite.update((u, v))
+    return frozenset(finite - {None}), frozenset(forced - {None})
 
 
 def translate_L_to_W(f: Formula) -> Formula:
@@ -474,17 +472,21 @@ def translate_L_to_W(f: Formula) -> Formula:
 
     Every variable X becomes a pair (Xl, Xr) of finite-set variables;
     quantifiers are relativized to coordinate pairs of actual interval
-    unions by ``valid_pair``.  An ``E V`` writes no guard when V is in the
-    forced set of its block, the conjuncts below its chain of ``E``s, which
-    ``_grow_finite`` grows once for the whole chain: the translated
-    equations then make both coordinates one finite set, a valid pair.
-    Containment is the quantifier-free ``phi_subseteq``.  A ``cup`` or
-    ``cap`` whose operands the conjunction around it forces finite is taken
-    coordinatewise, with ``Ul = Ur`` written for each operand whose
-    finiteness the translated conjuncts do not already force.  Other
-    lattice operations are expressed order-theoretically: above (or below)
-    both operands, and least (or greatest) such, a bound clause over every
-    coordinate pair that costs a universal quantifier."""
+    unions by ``valid_pair``.  Any other term but a ``cup`` or ``cap`` is
+    translated in place: both its coordinates are the one term its
+    ``_FINITE_VALUED`` entries make of its arguments' coordinates, and an
+    equation equates its sides' left and right coordinates.  An ``E V``
+    writes no guard when V is in the forced set of its block, the conjuncts
+    below its chain of ``E``s, which ``_grow_finite`` grows once for the
+    whole chain (a lone equation grows its own): the translated equations
+    then make both coordinates one finite set, a valid pair.  Containment
+    is the quantifier-free ``phi_subseteq``.  A ``cup`` or ``cap`` whose
+    operands the conjunction around it forces finite is taken
+    coordinatewise, with ``Ul = Ur`` for each operand whose finiteness the
+    translated conjuncts do not already force.  Other lattice operations
+    are expressed order-theoretically: above (or below) both operands, and
+    least (or greatest) such, a bound clause over every coordinate pair
+    that costs a universal quantifier."""
     return _l2w(f)[0]
 
 
@@ -497,18 +499,29 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
     def pair_of(v: str) -> CoordinatePair:
         got = pairs.get(v)
         if got is None:
-            got = CoordinatePair(names.fresh(v + "l"), names.fresh(v + "r"))
-            pairs[v] = got
+            got = pairs[v] = CoordinatePair(names.fresh(v + "l"), names.fresh(v + "r"))
         return got
 
     for v in sorted(free_vars(g)):
         pair_of(v)
 
+    def coords(t: Term) -> tuple[Term, Term]:
+        # a variable's pair, else the one term both coordinates equal
+        if t.__class__ is Var:
+            p = pair_of(t.name)
+            return Var(p.left), Var(p.right)
+        value = _FINITE_VALUED[t.op](*(c for x in t.args for c in coords(x)))
+        return value, value
+
     # finite and forced as _grow_finite grows them in the enclosing
     # conjunctions
     def walk(h: Formula, finite: frozenset[str], forced: frozenset[str]) -> Formula:
         if isinstance(h, Atomic):
-            return atom(h, finite, forced)
+            # a lone atom is translated on the sets it grows itself, a
+            # negated one, which forces nothing, on the sets around it
+            return atom(h, *_grow_finite([h], finite, forced))
+        if isinstance(h, Not) and isinstance(h.body, Atomic):
+            return Not(atom(h.body, finite, forced))
         if isinstance(h, (And, Exists)):
             return block(h, finite, forced)[0]
         if isinstance(h, Forall):
@@ -529,52 +542,34 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
             if h.var not in pinned:
                 body = And(valid_pair(p.left, p.right), body)
             return Exists(p.left, Exists(p.right, body)), pinned - hidden
-        if isinstance(h, And):
+        if isinstance(h, (And, Atomic)):
             conj = operands(h, And)
             grown, pinned = _grow_finite(conj, finite, forced)
-            return and_all([walk(c, grown, pinned) for c in conj]), pinned
-        if isinstance(h, Atomic):
-            # a lone atom is translated on the sets around it
-            return atom(h, finite, forced), _grow_finite([h], finite, forced)[1]
+            parts = [atom(c, grown, pinned) if c.__class__ is Atomic else walk(c, grown, pinned) for c in conj]
+            return and_all(parts), pinned
         return walk(h, finite, forced), forced
 
     def atom(h: Atomic, finite: frozenset[str], forced: frozenset[str]) -> Formula:
-        a, b = h.lhs, h.rhs
-        if isinstance(a, Var) and isinstance(b, Var):
-            pa, pb = pair_of(a.name), pair_of(b.name)
-            return And(
-                Atomic(Var(pa.left), Var(pb.left)), Atomic(Var(pa.right), Var(pb.right))
-            )
-        if not (isinstance(a, App) and isinstance(b, Var)):
-            raise AssertionError("atom not in unnested shape")
-        p = pair_of(b.name)
-        wl, wr = Var(p.left), Var(p.right)
-        op = a.op
-        if op in _FINITE_VALUED:
-            qs = [pair_of(x.name) for x in a.args]
-            value = _FINITE_VALUED[op](*(Var(c) for q in qs for c in (q.left, q.right)))
-            return And(Atomic(value, wl), Atomic(value, wr))
-        if op in ("cup", "cap"):
-            u, v = (x.name for x in a.args)
-            pu, pv = pair_of(u), pair_of(v)
-            if u in finite and v in finite:
-                lo = App(op, (Var(pu.left), Var(pv.left)))
-                hi = App(op, (Var(pu.right), Var(pv.right)))
-                # coordinatewise is right only on finite operands, and the
-                # input may force an operand finite through this very atom
-                own = [Atomic(Var(q.left), Var(q.right)) for x, q in {u: pu, v: pv}.items() if x not in forced]
-                return and_all([Atomic(lo, wl), Atomic(hi, wr)] + own)
-            # a pair of its own, under a name pipeline regroups it by
-            tp = pairs[names.fresh("T")] = CoordinatePair(names.fresh("Tl"), names.fresh("Tr"))
-            rel = valid_pair(tp.left, tp.right)
-            if op == "cup":
-                above_both = And(_sub_pair(pu, p), _sub_pair(pv, p))
-                least_such = Implies(And(_sub_pair(pu, tp), _sub_pair(pv, tp)), _sub_pair(p, tp))
-                return And(above_both, Forall(tp.left, Forall(tp.right, Implies(rel, least_such))))
-            below_both = And(_sub_pair(p, pu), _sub_pair(p, pv))
-            greatest_such = Implies(And(_sub_pair(tp, pu), _sub_pair(tp, pv)), _sub_pair(tp, p))
-            return And(below_both, Forall(tp.left, Forall(tp.right, Implies(rel, greatest_such))))
-        raise AssertionError(f"unexpected operation {op}")
+        a, w = h.lhs, coords(h.rhs)
+        if a.__class__ is Var or a.op in _FINITE_VALUED:
+            return and_all([Atomic(s, t) for s, t in zip(coords(a), w)])
+        x, y = a.args
+        cx, cy = coords(x), coords(y)
+        if all(t.__class__ is not Var or t.name in finite for t in (x, y)):
+            # coordinatewise is right only on finite operands, and the
+            # input may force an operand finite through this very atom
+            own = {t.name: Atomic(*c) for t, c in ((x, cx), (y, cy)) if t.__class__ is Var and t.name not in forced}
+            return and_all([Atomic(App(a.op, (s, t)), v) for s, t, v in zip(cx, cy, w)] + list(own.values()))
+        # a pair of its own, under a name pipeline regroups it by
+        tp = pairs[names.fresh("T")] = CoordinatePair(names.fresh("Tl"), names.fresh("Tr"))
+        t, rel = (Var(tp.left), Var(tp.right)), valid_pair(tp.left, tp.right)
+        if a.op == "cup":
+            above_both = And(phi_subseteq(*cx, *w), phi_subseteq(*cy, *w))
+            least_such = Implies(And(phi_subseteq(*cx, *t), phi_subseteq(*cy, *t)), phi_subseteq(*w, *t))
+            return And(above_both, Forall(tp.left, Forall(tp.right, Implies(rel, least_such))))
+        below_both = And(phi_subseteq(*w, *cx), phi_subseteq(*w, *cy))
+        greatest_such = Implies(And(phi_subseteq(*t, *cx), phi_subseteq(*t, *cy)), phi_subseteq(*t, *w))
+        return And(below_both, Forall(tp.left, Forall(tp.right, Implies(rel, greatest_such))))
 
     return walk(g, frozenset(), frozenset()), pairs
 
@@ -669,7 +664,7 @@ def _regroup(f: Formula, coords: dict, names: FreshNames) -> Formula:
 
 def _universal_pair(c: str, f: Formula, pairs: dict[str, CoordinatePair]) -> str:
     """Why coordinate ``c`` of ``_l2w(f)`` stays universal, said of ``f``: its
-    pair's interval variable, a nested term ``unnest`` bound, or a bound clause."""
+    pair's interval variable, a nested ``cup`` or ``cap``, or a bound clause."""
     v = next(v for v, p in pairs.items() if c in (p.left, p.right))
     if v in all_names(f):
         return f"universal quantifier on {v} cannot be eliminated"

@@ -55,6 +55,7 @@ from intlat.syntax import (
     rename_bound_apart,
     subformulas,
     substitute,
+    term_vars,
     unnest,
     valid_pair,
 )
@@ -63,6 +64,7 @@ from intlat.transforms import (
     TRUE,
     CoordinatePair,
     FragmentError,
+    _definition,
     _eliminate_diff,
     _grow_finite,
     _l2w,
@@ -237,16 +239,39 @@ def test_l2w_agreement_on_finiteness():
         assert got == u.is_finite_set(), u
 
 
+def _finite_valued_terms(depth: int) -> list:
+    """Every term of depth at most ``depth`` over X, ``bot`` and ``cz``
+    built from the ``_FINITE_VALUED`` operations."""
+    terms = [Var("X"), bot(), cz()]
+    for _ in range(depth):
+        terms = [Var("X"), bot(), cz()] + [App(op, (t,)) for op in _FINITE_VALUED if SIG_L.arities[op] for t in terms]
+    return terms
+
+
 def test_finite_valued_table_agrees_with_the_kernels_on_coordinates():
     # op(X) is a finite set, and it is the table's term of X's coordinates,
     # on every union over 5 points
+    unions = list(enum_fcis(fs(range(5)), 5, True))
     for op, value_of in _FINITE_VALUED.items():
         app = App(op, (Var("X"),) * SIG_L.arities[op])
         t = value_of(Var("Xl"), Var("Xr")) if app.args else value_of()
-        for u in enum_fcis(fs(range(5)), 5, True):
+        for u in unions:
             value = eval_term(app, {"X": u}, SIG_L)
             assert value.is_finite_set(), (op, u)
             assert eval_term(t, _coords(u), SIG_W) == value.left_endpoints(), (op, u)
+    # a nested term translates in place: the coordinates _l2w writes for it
+    # are its value's endpoint sets
+    terms = _finite_valued_terms(2)
+    assert len(terms) == 63
+    for t in terms:
+        g, pairs = _l2w(Atomic(t, Var("W")))
+        (tl, wl), (tr, wr) = ((c.lhs, c.rhs) for c in operands(g, And))
+        assert (wl, wr) == (Var(pairs["W"].left), Var(pairs["W"].right))
+        for u in unions:
+            value = eval_term(t, {"X": u}, SIG_L)
+            c = _coords(u, pairs["X"].left, pairs["X"].right) if "X" in pairs else {}
+            assert eval_term(tl, c, SIG_W) == value.left_endpoints(), (format_formula(g), u)
+            assert eval_term(tr, c, SIG_W) == value.right_endpoints(), (format_formula(g), u)
 
 
 def test_every_interval_operation_is_finite_valued_or_cup_or_cap():
@@ -367,8 +392,8 @@ def _guarded(g, pair) -> bool:
         # a universal binder, and the bound clause of a cup
         ("A Y. (min(X) = Y -> Y = X)", set()),
         ("cup(X, Y) = Z", set()),
-        # unnested, l(X) = r(X) binds a helper U with l(X) = U & r(X) = U
-        ("l(X) = r(X)", {"U"}),
+        # one equation between X's coordinates, with no helper to bind
+        ("l(X) = r(X)", set()),
     ],
 )
 def test_l2w_guards_every_pair_but_one_its_block_forces_finite(text, unguarded):
@@ -392,17 +417,25 @@ def test_l2w_names_the_pair_of_a_bound_clause_for_regrouping():
 
 
 def _defined_by_finite_value(h: Exists) -> bool:
+    """Whether a conjunct of ``h``'s block equates its variable with a term
+    of other variables that is no variable and applies ``cup`` or ``cap``
+    only to such terms or to variables defined so in the block."""
     body = h.body
     while isinstance(body, Exists):
         body = body.body
-    return any(
-        isinstance(c, Atomic)
-        and c.rhs == Var(h.var)
-        and isinstance(c.lhs, App)
-        and c.lhs.op in ("bot", "cz", "l", "r", "min", "max")
-        and Var(h.var) not in c.lhs.args
-        for c in operands(body, And)
-    )
+    conj = [c for c in operands(body, And) if isinstance(c, Atomic)]
+
+    def defined(v: str, seen: frozenset) -> bool:
+        for c in conj:
+            for x, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
+                if x != Var(v) or not isinstance(t, App) or v in term_vars(t):
+                    continue
+                args = t.args if t.op in ("cup", "cap") else ()
+                if all(isinstance(a, App) or a.name not in seen and defined(a.name, seen | {a.name}) for a in args):
+                    return True
+        return False
+
+    return defined(h.var, frozenset({h.var}))
 
 
 def test_l2w_guards_on_the_corpora_follow_the_definitions():
@@ -450,6 +483,32 @@ def _generated_formulas(seed: str) -> list:
     return [_generated_formula(rng, 3, ("X",)) for _ in range(200)]
 
 
+def test_simplify_inlines_no_pair_made_for_a_constant_or_a_finite_value(monkeypatch):
+    # constants and finite values are translated in place, so unnest binds
+    # only cup and cap; a pair made for any other term would be inlined
+    # again (1,646 coordinates on these inputs).  A cup or cap that folds
+    # (cap(X, bot)) or an operand's own Ul = Ur may still be inlined
+    hits = []
+
+    def recorded(g):
+        found = _definition(g)
+        if found is not None:
+            hits.append(g.var)
+        return found
+
+    monkeypatch.setattr(transforms, "_definition", recorded)
+    inputs = [parse(text, SIG_L) for text in _L_TEXTS]
+    for f in inputs + _generated_formulas("l2w-generated") + _generated_formulas("pipeline-generated"):
+        g, pairs = _l2w(f)
+        # the operation each variable unnest binds stands for
+        atoms = [h for h in subformulas(unnest(f)) if isinstance(h, Atomic)]
+        ops = {h.rhs.name: h.lhs.op for h in atoms if isinstance(h.lhs, App) and isinstance(h.rhs, Var)}
+        made = {c: ops.get(v) for v, p in pairs.items() if v not in all_names(f) for c in (p.left, p.right)}
+        hits.clear()
+        simplify(g)
+        assert all(made[c] in ("cup", "cap") for c in hits if c in made), format_formula(f)
+
+
 def test_l2w_agrees_with_generated_formulas_on_every_small_union():
     points = fs([0, 1, 2])
     dense = widened(points)
@@ -470,7 +529,7 @@ def test_l2w_agrees_with_generated_formulas_on_every_small_union():
             want = eval_bounded(f, {"X": u}, pool, SIG_L, cache=lcache)
             assert eval_bounded(g, coords, pool, SIG_W, cache=wcache) == want, (format_formula(f), u)
             checked += 1
-    assert (checked, universal) == (2814, 66)
+    assert (checked, universal) == (3150, 50)
 
 
 def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
@@ -496,7 +555,7 @@ def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
             want = eval_bounded(f, {"X": u}, pool, SIG_L, cache=fcache)
             assert eval_bounded(g, {"X": u}, pool, SIG_L, cache=gcache) == want, (format_formula(f), u)
             checked += 1
-    assert (accepted, skipped, rejected, checked) == (125, 10, 65, 2625)
+    assert (accepted, skipped, rejected, checked) == (126, 15, 59, 2646)
 
 
 def _agree_on_every_small_union(f, g, sig) -> None:
@@ -535,8 +594,9 @@ def test_pairs_their_blocks_force_finite_drop_their_guards(text, rewrite, sig, c
         # one block under a chain of three binders: 4 analyses while each
         # binder grew its block again
         ("E Y. E W. E Z. min(X) = Y & max(X) = W & cap(Y, W) = Z", 1),
-        # unnested, bot is named in a block of its own: 5 analyses before
-        ("E Y. E W. min(X) = Y & max(X) = W & cap(Y, W) = bot", 2),
+        # bot is translated in place: 2 analyses while unnest bound it in a
+        # block of its own, 5 before
+        ("E Y. E W. min(X) = Y & max(X) = W & cap(Y, W) = bot", 1),
     ],
 )
 def test_l2w_analyses_each_block_once(monkeypatch, text, calls):
@@ -603,7 +663,9 @@ _REJECTIONS = [
     ("!(E Y. !(Y = X))", _ON_Y),
     ("A Y. Y = X", _ON_Y),
     ("X = max(cup(X, Y))", _BOUND_CLAUSE),
-    ("!(!(X = max(cup(X, Y))))", "universal quantifier on the value of a nested term cannot be eliminated"),
+    # a double negation keeps its atom's polarity
+    ("!(!(X = max(cup(X, Y))))", _BOUND_CLAUSE),
+    ("!(X = max(cup(X, Y)) & X = Y)", "universal quantifier on the value of a nested term cannot be eliminated"),
 ]
 
 
@@ -620,6 +682,17 @@ def test_the_pinned_rejections_cover_every_pipeline_reject():
     # the finite-set rewrites keep naming the binder as written
     with pytest.raises(FragmentError, match=f"^{_ON_Y}$"):
         to_positive_existential(parse("A Y. Y = X", SIG_W))
+
+
+def test_pipeline_walks_through_a_double_negation():
+    # the atom's cup is bound outside both negations, not between them,
+    # where negation normal form would make it universal
+    f = parse("min(cup(min(X), cz)) = l(X)", SIG_L)
+    twice = Not(Not(f))
+    assert unnest(twice) == unnest(f)
+    g = pipeline(twice)
+    assert g == pipeline(f)
+    _agree_on_every_small_union(twice, g, SIG_L)
 
 
 def test_pipeline_takes_a_negated_containment():
@@ -664,9 +737,8 @@ def test_pipeline_keeps_bound_interval_variables(text):
 
 
 def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
-    # unnested, l(Y) = r(Y) binds a helper U with l(Y) = U and r(Y) = U;
-    # simplify puts Yl for both of U's coordinates and then for Yr, so
-    # Y's guard becomes valid_pair(Yl, Yl), which holds outright
+    # l(Y) = r(Y) translates to Yl = Yr; simplify puts Yl for Yr, so Y's
+    # guard becomes valid_pair(Yl, Yl), which holds outright
     f = parse("E Y. l(Y) = r(Y) & !(Y = X)", SIG_L)
     assert simplify(valid_pair("Yl", "Yl")) in subformulas(simplify(translate_L_to_W(f)))
     g = pipeline(f)
@@ -882,8 +954,8 @@ _REWRITES = {
 # (outputs, SHA-256 of the lines "input TAB output"), inputs the rewrite
 # refuses left out: a change to any printed output must update these on purpose
 REWRITE_DIGESTS = {
-    "pipeline": (19, "b21956571baa113f05dbabbf1e18d8a611071fa3201547de3eea2e9684866db4"),
-    "simplify-l2w": (23, "bdc7ed0f4f5cd27230acc042f1130d37c9e39be37383421c07cebf3878529f9e"),
+    "pipeline": (19, "b770dbb5585d21a69ca45d046b8713043dc699e69636f97f2185534f8fa853e5"),
+    "simplify-l2w": (23, "e007b230aaa333ce81d89d014abbd1f312439683c7dae51d279bc02825e0aef8"),
     "posex": (23, "9110583f876cbee549bba9e5283ea373c6ab9b5d8755cd80b8ee074b98f57b0c"),
     "simplify-w2l": (23, "69221d924d5b78dbbe4a58fdc7ede49479a7acb963b485ef9d35a888f92e4edb"),
 }
@@ -939,7 +1011,7 @@ def _rewrites(side: str, f):
 
 
 # (outputs, SHA-256 of the lines "input TAB output TAB simplified TAB reparsed")
-COMPOSITION_DIGEST = (30, "995266932517e0678f24fc069953d36511ef20d9f80c5e1f375f9ec74a1a9ebb")
+COMPOSITION_DIGEST = (30, "e584710ea6026847afd48e16c0399d8aacab984146edd16144e24e8645edb44d")
 
 
 def _composition_outputs():
@@ -955,13 +1027,13 @@ def _composition_outputs():
 
 # (accepted outputs, SHA-256 of the lines "input TAB output") of pipeline
 # on the pipeline-generated formulas, skipped ones included
-GENERATED_DIGEST = (135, "041a0940aa0aba1775aefa47bc2490271c5a4a26c059e9eefb64ad42397a03a9")
+GENERATED_DIGEST = (141, "bb0067982b0e490248fde984809288239a8e21ee938abf1a90450978856909a0")
 
 
 # (draws, SHA-256 of the lines "input TAB output") of the simplified
 # coordinate form of both generated draws as drawn; parsing would rename
 # apart the names some of them bind twice
-RAW_GENERATED_DIGEST = (400, "90b1ee23494a03eb4170f8b5b9040fb8525dc2dd516fe4bec400756db52e67f2")
+RAW_GENERATED_DIGEST = (400, "4a427cc627e31b1b41fae06442743be5f6a9a2f420d675488c9580c4ad7f98c8")
 
 
 def test_l2w_outputs_on_generated_formulas_that_bind_a_name_twice_are_pinned():
@@ -983,9 +1055,10 @@ def test_generated_pipeline_outputs_are_pinned():
         nodes += _count_nodes(g)
     assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == GENERATED_DIGEST
     # 11356 when only a definition by a finite value dropped a guard, 9618
-    # while a guard simplify inlined onto a kept pair was translated, and
-    # 9019 while phi_ips, delta_domain and the max atom split into cases
-    assert nodes <= 6796
+    # while a guard simplify inlined onto a kept pair was translated, 9019
+    # while phi_ips, delta_domain and the max atom split into cases, and
+    # 6796 over 135 outputs while unnest named every nested term
+    assert nodes <= 4425
 
 
 def test_composition_rewrite_outputs_are_pinned():
