@@ -129,6 +129,18 @@ FALSE = Atomic(cz(), bot())
 _BOT, _CZ = bot(), cz()
 
 
+def _absorb(op: str, a: Term, b: Term) -> Optional[Term]:
+    """``op(a, b)``, ``op`` a ``cup`` or ``cap``, by absorption when one side
+    is a ``cup`` or ``cap`` with the other side among its arguments:
+    ``cap(a, cup(a, c))`` and ``cup(a, cap(a, c))`` are ``a``, and
+    ``cap(a, cap(a, c))`` and ``cup(a, cup(a, c))`` are the inner term, in
+    every argument order; None when neither side is such."""
+    for x, y in ((a, b), (b, a)):
+        if y.__class__ is App and y.op in ("cup", "cap") and x in y.args:
+            return y if y.op == op else x
+    return None
+
+
 def _simp_term(t: Term, memo: dict) -> Term:
     # memo as in _simp: terms the rewrites share are folded once per call
     if t.__class__ is Var or not t.args:
@@ -148,11 +160,15 @@ def _simp_term(t: Term, memo: dict) -> Term:
                 out = b
             elif kb == "bot" or a == b:
                 out = a
+            elif (absorbed := _absorb(op, a, b)) is not None:
+                out = absorbed
         elif op == "cap":
             if ka == "bot" or kb == "bot":
                 out = _BOT
             elif a == b:
                 out = a
+            elif (absorbed := _absorb(op, a, b)) is not None:
+                out = absorbed
         elif op == "ips":
             if ka == "bot" or kb == "bot" or ka == "cz":
                 out = _BOT
@@ -181,17 +197,25 @@ def _simp_term(t: Term, memo: dict) -> Term:
     return out
 
 
-def _definition(g: Exists) -> Optional[tuple[list[Formula], Term]]:
-    """The other conjuncts of ``g``'s body and the term t of its first
-    conjunct X = t, for X the bound variable and t a variable or constant
-    other than X; None when no conjunct has that shape."""
-    conj = operands(g.body, And)
+def _definition(g: Exists) -> Optional[tuple[list[str], list[Formula], Term]]:
+    """The chain of ``E`` binders directly under ``g``, the other conjuncts
+    of the body below that chain, and the term t of the body's first
+    conjunct X = t, for X the variable ``g`` binds and t a variable or
+    constant other than X and not bound in the chain; None when no conjunct
+    has that shape."""
+    chain, body = [], g.body
+    while body.__class__ is Exists and body.var != g.var:
+        chain.append(body.var)
+        body = body.body
+    conj = operands(body, And)
     for i, c in enumerate(conj):
         if not isinstance(c, Atomic):
             continue
         for x, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
-            if isinstance(x, Var) and x.name == g.var and (isinstance(t, Var) or not t.args) and x != t:
-                return conj[:i] + conj[i + 1 :], t
+            if not (isinstance(x, Var) and x.name == g.var and x != t):
+                continue
+            if isinstance(t, Var) and t.name not in chain or isinstance(t, App) and not t.args:
+                return chain, conj[:i] + conj[i + 1 :], t
     return None
 
 
@@ -232,8 +256,8 @@ def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
         elif kind is Exists and f.var not in keep and (found := _definition(g)) is not None:
             # put the defining term for the variable and simplify again;
             # the memo skips the parts the substitution left alone
-            rest, t = found
-            out = _simp(substitute(and_all(rest), {f.var: t}), memo, keep) if rest else TRUE
+            chain, rest, t = found
+            out = _simp(substitute(exists_all(chain, and_all(rest)), {f.var: t}), memo, keep) if rest else TRUE
     else:
         a, b = _simp(f.lhs, memo, keep), _simp(f.rhs, memo, keep)
         unit, zero = (FALSE, TRUE) if kind is Or else (TRUE, FALSE)
@@ -258,9 +282,13 @@ def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
 
 
 def simplify(f: Formula) -> Formula:
-    """Constant folding plus inlining of definitional equations under
-    their own quantifier.  Equivalence-preserving in both structures, and
-    idempotent: one pass reaches the fixpoint.
+    """Constant folding, lattice absorption (``cap(a, cup(a, b))`` is
+    ``a``, ``cap(a, cap(a, b))`` is ``cap(a, b)``, and the same with
+    ``cup`` and ``cap`` swapped, in every argument order), and inlining of
+    definitional equations X = t, t a variable or constant, under their own
+    quantifier, read below the chain of ``E`` binders directly under it (t
+    is then no variable that chain binds).  Equivalence-preserving in both
+    structures, and idempotent: one pass reaches the fixpoint.
 
     A per-call memo visits each node once: after an inlined definition
     only the paths the substitution changed are simplified again, and a
@@ -430,18 +458,33 @@ def _name(t: Term) -> Optional[str]:
     return t.name if t.__class__ is Var else None
 
 
+def _endpoints_agree(c: Atomic) -> bool:
+    """Whether ``c`` is l(V) = r(V) or r(V) = l(V) for a variable V."""
+    a, b = c.lhs, c.rhs
+    return (
+        a.__class__ is App is b.__class__
+        and {a.op, b.op} == {"l", "r"}
+        and a.args == b.args
+        and a.args[0].__class__ is Var
+    )
+
+
 def _grow_finite(
     conjuncts: list[Formula], finite: frozenset[str], forced: frozenset[str]
 ) -> tuple[frozenset[str], frozenset[str]]:
     """``finite`` and ``forced`` grown over the unnested equations of one
     conjunction.  Finite: the variables the conjunction forces to be
     finite sets.  Forced: those whose two coordinates the translated
-    equations make equal, namely one equal to a term other than a variable
-    (its two coordinates are one term), one equal to such a variable, and a
-    coordinatewise ``cup`` or ``cap`` of two such.  Only finite reasons back
-    from an atom to its operands, so only forced holds of the translation."""
-    # None stands for every term but a variable, which is finite and forced
-    finite, forced = {None, *finite}, {None, *forced}
+    equations make equal, namely a V with l(V) = r(V), in either order (the
+    finite sets of the interval structure, translated as Vl = Vr), one
+    equal to a term other than a variable (its two coordinates are one
+    term), one equal to such a variable, and a coordinatewise ``cup`` or
+    ``cap`` of two such.  Only finite reasons back from an atom to its
+    operands, so only forced holds of the translation."""
+    # None stands for every term but a variable, which is finite and forced;
+    # l(V) = r(V), either way round, makes V finite, translated as Vl = Vr
+    agree = {c.lhs.args[0].name for c in conjuncts if c.__class__ is Atomic and _endpoints_agree(c)}
+    finite, forced = {None, *finite, *agree}, {None, *forced, *agree}
     size = -1
     while size < len(finite) + len(forced):
         size = len(finite) + len(forced)
@@ -472,15 +515,18 @@ def translate_L_to_W(f: Formula) -> Formula:
 
     Every variable X becomes a pair (Xl, Xr) of finite-set variables;
     quantifiers are relativized to coordinate pairs of actual interval
-    unions by ``valid_pair``.  Any other term but a ``cup`` or ``cap`` is
-    translated in place: both its coordinates are the one term its
-    ``_FINITE_VALUED`` entries make of its arguments' coordinates, and an
-    equation equates its sides' left and right coordinates.  An ``E V``
-    writes no guard when V is in the forced set of its block, the conjuncts
-    below its chain of ``E``s, which ``_grow_finite`` grows once for the
-    whole chain (a lone equation grows its own): the translated equations
-    then make both coordinates one finite set, a valid pair.  Containment
-    is the quantifier-free ``phi_subseteq``.  A ``cup`` or ``cap`` whose
+    unions by ``valid_pair``.  The terms of each equation are folded as
+    ``simplify`` folds them before ``unnest``, so a ``cup`` or ``cap`` that
+    folds (``cap(X, bot)``) gets no variable.  Any other term but a ``cup``
+    or ``cap`` is translated in place: both its coordinates are the one
+    term its ``_FINITE_VALUED`` entries make of its arguments' coordinates,
+    and an equation equates its sides' left and right coordinates.  An
+    ``E V`` writes no guard when V is in the forced set of its block, the
+    conjuncts below its chain of ``E``s, which ``_grow_finite`` grows once
+    for the whole chain (a lone equation grows its own), as for a conjunct
+    l(V) = r(V), translated Vl = Vr: the translated equations then make
+    both coordinates one finite set, a valid pair.  Containment is the
+    quantifier-free ``phi_subseteq``.  A ``cup`` or ``cap`` whose
     operands the conjunction around it forces finite is taken
     coordinatewise, with ``Ul = Ur`` for each operand whose finiteness the
     translated conjuncts do not already force.  Other lattice operations
@@ -490,9 +536,24 @@ def translate_L_to_W(f: Formula) -> Formula:
     return _l2w(f)[0]
 
 
+def _fold_terms(f: Formula, memo: dict) -> Formula:
+    """``f`` with the terms of each equation folded as ``simplify`` folds
+    them."""
+    if f.__class__ is Atomic:
+        lhs, rhs = _simp_term(f.lhs, memo), _simp_term(f.rhs, memo)
+        return f if lhs is f.lhs and rhs is f.rhs else Atomic(lhs, rhs)
+    return rebuild(f, _fold_terms, memo)
+
+
+def _unnested(f: Formula) -> Formula:
+    """``unnest`` of ``f`` with its terms folded first, so that no ``cup``
+    or ``cap`` that folds (``cap(X, bot)``) gets a variable."""
+    return unnest(_fold_terms(f, {}))
+
+
 def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
     _check_signature(f, SIG_L)
-    g = unnest(f)
+    g = _unnested(f)
     names = FreshNames(all_names(g))
     pairs: dict[str, CoordinatePair] = {}
 
@@ -502,7 +563,8 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
             got = pairs[v] = CoordinatePair(names.fresh(v + "l"), names.fresh(v + "r"))
         return got
 
-    for v in sorted(free_vars(g)):
+    # folding may drop a free variable, which keeps its pair
+    for v in sorted(free_vars(f)):
         pair_of(v)
 
     def coords(t: Term) -> tuple[Term, Term]:
@@ -552,7 +614,12 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
     def atom(h: Atomic, finite: frozenset[str], forced: frozenset[str]) -> Formula:
         a, w = h.lhs, coords(h.rhs)
         if a.__class__ is Var or a.op in _FINITE_VALUED:
-            return and_all([Atomic(s, t) for s, t in zip(coords(a), w)])
+            (al, ar), (wl, wr) = coords(a), w
+            if al is ar and wl is wr:
+                # both sides have one term for both coordinates (l(V) = r(V)
+                # is Vl = Vr): one equation says it
+                return Atomic(al, wl)
+            return And(Atomic(al, wl), Atomic(ar, wr))
         x, y = a.args
         cx, cy = coords(x), coords(y)
         if all(t.__class__ is not Var or t.name in finite for t in (x, y)):
@@ -593,8 +660,10 @@ def translate_W_to_L(f: Formula) -> Formula:
     every other ``ips`` application is lifted to a fresh embedded finite
     set U with ``phi_ips(s, t, U)`` beside the equation, outside its
     negation: ``ips`` is a function, so ``E U. ... & !(eq[U])`` says
-    ``!eq``.  Every quantifier is relativized to the embedded finite sets
-    (equal endpoint maps).  A universal quantifier raises FragmentError."""
+    ``!eq``.  Every quantifier of the input is relativized to the embedded
+    finite sets (equal endpoint maps); a lifted U is not, since
+    ``phi_ips`` makes it the right endpoints of its D, a finite set.  A
+    universal quantifier raises FragmentError."""
     g = _existential_nnf(f)
     _check_signature(g, SIG_W)
     names = FreshNames(all_names(g))
@@ -604,7 +673,7 @@ def translate_W_to_L(f: Formula) -> Formula:
         return phi_ips(s, t, u, names.fresh("E"), names.fresh("D"))
 
     def defined(app: App, u: Var) -> Formula:
-        return And(_finite_coords(u.name), phi_ips_at(*app.args, u))
+        return phi_ips_at(*app.args, u)
 
     def walk(h: Formula) -> Formula:
         if isinstance(h, Exists):
@@ -668,7 +737,7 @@ def _universal_pair(c: str, f: Formula, pairs: dict[str, CoordinatePair]) -> str
     v = next(v for v, p in pairs.items() if c in (p.left, p.right))
     if v in all_names(f):
         return f"universal quantifier on {v} cannot be eliminated"
-    if v in all_names(unnest(f)):
+    if v in all_names(_unnested(f)):
         return "universal quantifier on the value of a nested term cannot be eliminated"
     return "the bound clause of a cup or cap needs a universal quantifier, which cannot be eliminated"
 

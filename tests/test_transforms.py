@@ -47,14 +47,17 @@ from intlat.syntax import (
     diff_t,
     format_formula,
     free_vars,
+    ips_t,
     l_t,
     min_t,
     nnf,
     operands,
     parse,
+    r_t,
     rename_bound_apart,
     subformulas,
     substitute,
+    term_symbols,
     term_vars,
     unnest,
     valid_pair,
@@ -69,6 +72,9 @@ from intlat.transforms import (
     _grow_finite,
     _l2w,
     _misses,
+    _simp,
+    _simp_term,
+    _unnested,
     delta_domain,
     notbot,
     phi_in,
@@ -205,6 +211,24 @@ def test_w2l_lifts_ips_out_of_a_negation():
     # the negation keeps the equation, with ips(X, Y) named outside it
     assert isinstance(g, Exists) and g.var == "U"
     assert format_formula(operands(g.body, And)[-1]) == "!cup(U, cz) = Z"
+
+
+def test_w2l_relativizes_no_variable_it_lifts_for_an_ips():
+    # phi_ips makes a lifted U the right endpoints of its D, a finite set
+    lifted = 0
+    for text in _W_TEXTS:
+        f = parse(text, SIG_W)
+        try:
+            inputs = [f, to_positive_existential(f)]
+        except FragmentError:
+            continue
+        for g in inputs:
+            out = translate_W_to_L(g)
+            for u in bound_vars(out) - all_names(g):
+                if u.startswith("U"):
+                    lifted += 1
+                    assert Atomic(l_t(Var(u)), r_t(Var(u))) not in subformulas(out), (text, u)
+    assert lifted
 
 
 def test_w2l_relativizes_quantifiers_to_embedded_finite_sets():
@@ -394,6 +418,9 @@ def _guarded(g, pair) -> bool:
         ("cup(X, Y) = Z", set()),
         # one equation between X's coordinates, with no helper to bind
         ("l(X) = r(X)", set()),
+        # equal endpoint maps, in either order, make Y a finite set
+        ("E Y. l(Y) = r(Y) & !(Y = X)", {"Y"}),
+        ("E Y. E W. r(Y) = l(Y) & cup(Y, W) = X", {"Y"}),
     ],
 )
 def test_l2w_guards_every_pair_but_one_its_block_forces_finite(text, unguarded):
@@ -404,6 +431,34 @@ def test_l2w_guards_every_pair_but_one_its_block_forces_finite(text, unguarded):
     for h in subformulas(g):
         if isinstance(h, Forall) and isinstance(h.body, Forall):
             assert isinstance(h.body.body, Implies) and h.body.body.lhs == valid_pair(h.var, h.body.var)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "E Y. l(Y) = r(Y) & cup(Y, cz) = Y",
+        "l(X) = r(X) & cup(X, cz) = X",
+        # 1,173 nodes translated (436 simplified) while Y kept its guard
+        # and the cap its bound clause
+        "E Y. r(Y) = l(Y) & cup(Y, cz) = Y & cap(Y, min(X)) = bot",
+    ],
+)
+def test_equal_endpoint_maps_make_a_set_finite(text):
+    # l(V) = r(V) is Vl = Vr: V's pair needs no guard, and its cup and cap
+    # are taken coordinatewise, with no bound clause, so pipeline takes it
+    f = parse(text, SIG_L)
+    g, pairs = _l2w(f)
+    assert not any(_guarded(g, pairs[v]) for v in bound_vars(f))
+    assert not any(isinstance(h, Forall) for h in subformulas(g))
+    _agree_on_every_small_union(f, g, SIG_W)
+    _agree_on_every_small_union(f, pipeline(f), SIG_L)
+
+
+def test_l2w_folds_the_input_s_terms_before_naming_them():
+    # cap(X, bot) = Y means bot = Y: named, its cap would cost a bound clause
+    f, folded = parse("cap(X, bot) = Y", SIG_L), parse("bot = Y", SIG_L)
+    assert translate_L_to_W(f) == translate_L_to_W(folded)
+    assert pipeline(f) == pipeline(folded)
 
 
 def test_l2w_names_the_pair_of_a_bound_clause_for_regrouping():
@@ -417,15 +472,19 @@ def test_l2w_names_the_pair_of_a_bound_clause_for_regrouping():
 
 
 def _defined_by_finite_value(h: Exists) -> bool:
-    """Whether a conjunct of ``h``'s block equates its variable with a term
-    of other variables that is no variable and applies ``cup`` or ``cap``
-    only to such terms or to variables defined so in the block."""
+    """Whether a conjunct of ``h``'s block equates its variable's two
+    endpoint maps, or equates its variable with a term of other variables
+    that is no variable and applies ``cup`` or ``cap`` only to such terms
+    or to variables defined so in the block."""
     body = h.body
     while isinstance(body, Exists):
         body = body.body
     conj = [c for c in operands(body, And) if isinstance(c, Atomic)]
 
     def defined(v: str, seen: frozenset) -> bool:
+        ends = {l_t(Var(v)), r_t(Var(v))}
+        if any({c.lhs, c.rhs} == ends for c in conj):
+            return True
         for c in conj:
             for x, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
                 if x != Var(v) or not isinstance(t, App) or v in term_vars(t):
@@ -486,9 +545,11 @@ def _generated_formulas(seed: str) -> list:
 def test_simplify_inlines_no_pair_made_for_a_constant_or_a_finite_value(monkeypatch):
     # constants and finite values are translated in place, so unnest binds
     # only cup and cap; a pair made for any other term would be inlined
-    # again (1,646 coordinates on these inputs).  A cup or cap that folds
-    # (cap(X, bot)) or an operand's own Ul = Ur may still be inlined
-    hits = []
+    # again (1,646 coordinates on these inputs).  The terms are folded
+    # before unnest, so no cup or cap that folds (cap(X, bot)) is bound:
+    # 162 coordinates were inlined while such pairs were.  An operand's own
+    # Ul = Ur, or an l or r atom that defines a coordinate, is still inlined
+    hits, inlined = [], 0
 
     def recorded(g):
         found = _definition(g)
@@ -501,12 +562,14 @@ def test_simplify_inlines_no_pair_made_for_a_constant_or_a_finite_value(monkeypa
     for f in inputs + _generated_formulas("l2w-generated") + _generated_formulas("pipeline-generated"):
         g, pairs = _l2w(f)
         # the operation each variable unnest binds stands for
-        atoms = [h for h in subformulas(unnest(f)) if isinstance(h, Atomic)]
+        atoms = [h for h in subformulas(_unnested(f)) if isinstance(h, Atomic)]
         ops = {h.rhs.name: h.lhs.op for h in atoms if isinstance(h.lhs, App) and isinstance(h.rhs, Var)}
         made = {c: ops.get(v) for v, p in pairs.items() if v not in all_names(f) for c in (p.left, p.right)}
         hits.clear()
         simplify(g)
         assert all(made[c] in ("cup", "cap") for c in hits if c in made), format_formula(f)
+        inlined += sum(c in made for c in hits)
+    assert inlined <= 5
 
 
 def test_l2w_agrees_with_generated_formulas_on_every_small_union():
@@ -529,7 +592,7 @@ def test_l2w_agrees_with_generated_formulas_on_every_small_union():
             want = eval_bounded(f, {"X": u}, pool, SIG_L, cache=lcache)
             assert eval_bounded(g, coords, pool, SIG_W, cache=wcache) == want, (format_formula(f), u)
             checked += 1
-    assert (checked, universal) == (3150, 50)
+    assert (checked, universal) == (3717, 23)
 
 
 def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
@@ -555,7 +618,7 @@ def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
             want = eval_bounded(f, {"X": u}, pool, SIG_L, cache=fcache)
             assert eval_bounded(g, {"X": u}, pool, SIG_L, cache=gcache) == want, (format_formula(f), u)
             checked += 1
-    assert (accepted, skipped, rejected, checked) == (126, 15, 59, 2646)
+    assert (accepted, skipped, rejected, checked) == (150, 11, 39, 3150)
 
 
 def _agree_on_every_small_union(f, g, sig) -> None:
@@ -615,7 +678,7 @@ def test_l2w_analyses_each_block_once(monkeypatch, text, calls):
 def test_pipeline_takes_a_disjunct_that_folds_to_true():
     # the inner block forces Y finite, so its pair writes no guard and the
     # first disjunct folds to true; the bound clause of the cap goes with it
-    f = parse("E Y. (E Y. r(cap(Y, Y)) = Y) | cap(cz, cap(X, bot)) = r(bot)", SIG_L)
+    f = parse("E Y. (E Y. r(cap(Y, Y)) = Y) | cap(cz, X) = r(bot)", SIG_L)
     assert any(isinstance(h, Forall) for h in subformulas(translate_L_to_W(f)))
     g = pipeline(f)
     assert g == TRUE
@@ -737,13 +800,14 @@ def test_pipeline_keeps_bound_interval_variables(text):
 
 
 def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
-    # l(Y) = r(Y) translates to Yl = Yr; simplify puts Yl for Yr, so Y's
+    # the coordinatewise cup states Yl = Yr, as min(X) forces Y finite but
+    # nothing forces its coordinates equal; simplify puts Yl for Yr, so Y's
     # guard becomes valid_pair(Yl, Yl), which holds outright
-    f = parse("E Y. l(Y) = r(Y) & !(Y = X)", SIG_L)
+    f = parse("E Y. cup(Y, min(X)) = min(X) & !(Y = X)", SIG_L)
     assert simplify(valid_pair("Yl", "Yl")) in subformulas(simplify(translate_L_to_W(f)))
     g = pipeline(f)
-    # translated instead, the guard would take the output from 18 to 26 nodes
-    assert _count_nodes(g) <= 18
+    # translated instead, the guard would take the output from 50 to 58 nodes
+    assert _count_nodes(g) <= 50
     for u in enum_fcis(fs([0, 1, 2]), 2, True):
         a = {"X": u}
         pool = default_pool(a)
@@ -815,6 +879,20 @@ def test_l2w_outputs_stay_within_their_size_ceilings():
     assert sum(sizes) <= 2176
 
 
+def test_corpus_rewrite_outputs_stay_within_their_size_ceiling():
+    # every corpus formula through its rewrites, summed as the rewrite
+    # benchmark's output_nodes sums them: 5134 while l(V) = r(V) did not
+    # make V finite, a lifted ips variable was relativized and simplify
+    # had no absorption
+    total = sum(
+        _count_nodes(out)
+        for side, sig, texts in (("w", SIG_W, _W_TEXTS), ("l", SIG_L, _L_TEXTS))
+        for text in texts
+        for out, _ in _rewrites(side, parse(text, sig))
+    )
+    assert total <= 4335
+
+
 def test_simplify_keeps_meaning_while_shrinking():
     f = parse("E Y. Y = X & cup(Y, Y) = Y & !(Y = bot) | X = bot & X = bot", SIG_W)
     g = simplify(f)
@@ -823,6 +901,67 @@ def test_simplify_keeps_meaning_while_shrinking():
         a = {"X": x}
         p = default_pool(a)
         assert eval_bounded(f, a, p, SIG_W) == eval_bounded(g, a, p, SIG_W), x
+
+
+_A, _B = Var("A"), Var("B")
+# each fold of _simp_term, as (term, what it folds to)
+_TERM_FOLDS = [
+    (cup(bot(), _A), _A),
+    (cup(_A, bot()), _A),
+    (cup(_A, _A), _A),
+    (cap(bot(), _A), bot()),
+    (cap(_A, bot()), bot()),
+    (cap(_A, _A), _A),
+    (ips_t(bot(), _A), bot()),
+    (ips_t(_A, bot()), bot()),
+    (ips_t(cz(), _A), bot()),
+    (diff_t(_A, bot()), _A),
+    (diff_t(bot(), _A), bot()),
+    (diff_t(_A, _A), bot()),
+    *[(App(op, (c,)), c) for op in ("min", "max", "l", "r") for c in (bot(), cz())],
+    *[(App(op, (App(inner, (_A,)),)), App(inner, (_A,))) for op in ("min", "max") for inner in ("min", "max")],
+    # absorption, in every argument order: the inner term when both
+    # operations are one, else the shared argument
+    *[
+        (App(op, pair), inner if inner.op == op else _A)
+        for op in ("cup", "cap")
+        for inner in (App(k, args) for k in ("cup", "cap") for args in ((_A, _B), (_B, _A)))
+        for pair in ((_A, inner), (inner, _A))
+    ],
+]
+
+
+@pytest.mark.parametrize("term, folded", _TERM_FOLDS, ids=str)
+def test_each_term_fold_holds_in_both_structures(term, folded):
+    # on every assignment of A and B over 4 points, in each structure
+    # whose signature has the term's operations
+    assert _simp_term(term, {}) == folded
+    points = fs(range(4))
+    for sig, values in ((SIG_W_DIFF, list(enum_finsets(points))), (SIG_L, list(enum_fcis(points, 4, True)))):
+        if not term_symbols(term) <= sig.arities.keys():
+            continue
+        for a in values:
+            for b in values if "B" in term_vars(term) else values[:1]:
+                env = {"A": a, "B": b}
+                assert eval_term(term, env, sig) == eval_term(folded, env, sig), (a, b)
+
+
+def test_simplify_reads_a_definition_below_a_chain_of_binders():
+    # U = cz sits under V's binder, which cannot be inlined; both binder
+    # orders give one output
+    texts = ["E U. E V. U = cz & cup(U, X) = V & max(V) = X", "E V. E U. U = cz & cup(U, X) = V & max(V) = X"]
+    outs = {simplify(parse(text, SIG_W)) for text in texts}
+    assert outs == {parse("E V. cup(cz, X) = V & max(V) = X", SIG_W)}
+
+
+def test_simplify_puts_no_variable_of_the_chain_for_the_binder_above_it():
+    # V is kept, so U = V is the only definition; putting V for U would
+    # take V out of its own binder's scope
+    f = parse("E U. E V. U = V & cup(U, X) = V", SIG_W)
+    assert _simp(f, {}, frozenset({"V"})) == f
+    # a kept U is never inlined, however it is defined
+    g = parse("E U. E V. U = cz & cup(U, X) = V", SIG_W)
+    assert _simp(g, {}, frozenset({"U"})) == g
 
 
 _NAMES = ("X", "Y", "V")
@@ -954,10 +1093,10 @@ _REWRITES = {
 # (outputs, SHA-256 of the lines "input TAB output"), inputs the rewrite
 # refuses left out: a change to any printed output must update these on purpose
 REWRITE_DIGESTS = {
-    "pipeline": (19, "b770dbb5585d21a69ca45d046b8713043dc699e69636f97f2185534f8fa853e5"),
-    "simplify-l2w": (23, "e007b230aaa333ce81d89d014abbd1f312439683c7dae51d279bc02825e0aef8"),
+    "pipeline": (20, "c8756e14469f0a5a176bbdcde21181f2b8f0d77687caee6487da50916bdb9a56"),
+    "simplify-l2w": (23, "9a838e456a71fc96a94391c91eb43524bc521a3017abec3a2dccdc58db1a3521"),
     "posex": (23, "9110583f876cbee549bba9e5283ea373c6ab9b5d8755cd80b8ee074b98f57b0c"),
-    "simplify-w2l": (23, "69221d924d5b78dbbe4a58fdc7ede49479a7acb963b485ef9d35a888f92e4edb"),
+    "simplify-w2l": (23, "d1351e08269aa5d423a571a089d30a6c1752fdf9f23cef7ff60c3e912b9d35f7"),
 }
 
 
@@ -1011,7 +1150,7 @@ def _rewrites(side: str, f):
 
 
 # (outputs, SHA-256 of the lines "input TAB output TAB simplified TAB reparsed")
-COMPOSITION_DIGEST = (30, "e584710ea6026847afd48e16c0399d8aacab984146edd16144e24e8645edb44d")
+COMPOSITION_DIGEST = (31, "dda0c3d0ee5ec4815ab47762d20b06454867b0fa5c08b768f1b90bcae567030f")
 
 
 def _composition_outputs():
@@ -1027,13 +1166,13 @@ def _composition_outputs():
 
 # (accepted outputs, SHA-256 of the lines "input TAB output") of pipeline
 # on the pipeline-generated formulas, skipped ones included
-GENERATED_DIGEST = (141, "bb0067982b0e490248fde984809288239a8e21ee938abf1a90450978856909a0")
+GENERATED_DIGEST = (161, "3a65faacea3c03c1be59103d7cc60ac936e14cb658606a7798a1fece4077d712")
 
 
 # (draws, SHA-256 of the lines "input TAB output") of the simplified
 # coordinate form of both generated draws as drawn; parsing would rename
 # apart the names some of them bind twice
-RAW_GENERATED_DIGEST = (400, "4a427cc627e31b1b41fae06442743be5f6a9a2f420d675488c9580c4ad7f98c8")
+RAW_GENERATED_DIGEST = (400, "d2594c71da7a21f1dd479f4c923c9a1f60969ede6e51589f96425c0f09a48164")
 
 
 def test_l2w_outputs_on_generated_formulas_that_bind_a_name_twice_are_pinned():
@@ -1057,8 +1196,13 @@ def test_generated_pipeline_outputs_are_pinned():
     # 11356 when only a definition by a finite value dropped a guard, 9618
     # while a guard simplify inlined onto a kept pair was translated, 9019
     # while phi_ips, delta_domain and the max atom split into cases, and
-    # 6796 over 135 outputs while unnest named every nested term
-    assert nodes <= 4425
+    # 6796 over 135 outputs while unnest named every nested term.  4425
+    # over 141 outputs while unnest named a cup or cap that folds: those
+    # inputs now give 4022 nodes, and the 20 inputs the folding lets through
+    # give 4387, 2768 and 1355 of them a bound clause under a negation
+    # (E Z. !cap(cup(bot, X), min(Z)) = max(Z) and
+    # E Y. !cap(cup(X, bot), cup(bot, Y)) = bot)
+    assert nodes <= 8409
 
 
 def test_composition_rewrite_outputs_are_pinned():
