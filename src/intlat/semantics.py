@@ -67,7 +67,6 @@ from .syntax import (
     Forall,
     Formula,
     FreshNames,
-    Implies,
     Not,
     Or,
     Signature,
@@ -431,8 +430,6 @@ def _eval(f: Formula, env: dict, space: _Space, cache: EvalCache) -> bool:
         out = _eval(f.lhs, env, space, cache) and _eval(f.rhs, env, space, cache)
     elif isinstance(f, Or):
         out = _eval(f.lhs, env, space, cache) or _eval(f.rhs, env, space, cache)
-    elif isinstance(f, Implies):
-        out = not _eval(f.lhs, env, space, cache) or _eval(f.rhs, env, space, cache)
     elif isinstance(f, (Exists, Forall)):
         negate = isinstance(f, Forall)
         vars, items = cache.normalized(Not(f) if negate else f, frozenset(env))

@@ -2,9 +2,11 @@
 
 Terms are variables and prefix applications; atomic formulas are equations
 between terms, with ``t sub u`` accepted as input sugar for the equation
-``cap(t, u) = t``.  Connectives are ``!``, ``&``, ``|``, ``->`` in rising
-binding order (``!`` strongest) and quantifiers ``E X.`` / ``A X.`` whose
-scope extends as far right as possible.
+``cap(t, u) = t``.  Connectives are ``!``, ``&``, ``|`` and ``->``, from
+the tightest binding to the loosest, and quantifiers ``E X.`` / ``A X.``
+whose scope extends as far right as possible.  Implication is input sugar:
+``a -> b`` groups to the right and is read as ``!a | b``, which is how it
+prints, so a formula has six kinds of node.
 
 The two signatures share the lattice symbols; ``ips`` belongs only to the
 finite-set signature and the endpoint maps ``l``/``r`` only to the
@@ -169,12 +171,6 @@ class Or(_FormulaCache):
 
 
 @dataclass(slots=True)
-class Implies(_FormulaCache):
-    lhs: "Formula"
-    rhs: "Formula"
-
-
-@dataclass(slots=True)
 class Exists(_FormulaCache):
     var: str
     body: "Formula"
@@ -186,7 +182,7 @@ class Forall(_FormulaCache):
     body: "Formula"
 
 
-Formula = Union[Atomic, Not, And, Or, Implies, Exists, Forall]
+Formula = Union[Atomic, Not, And, Or, Exists, Forall]
 
 for _kind in Formula.__args__:
     _kind.__hash__ = _cached_hash
@@ -246,7 +242,7 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     while stack:
         g = stack.pop()
         yield g
-        if isinstance(g, (And, Or, Implies)):
+        if isinstance(g, (And, Or)):
             stack += (g.rhs, g.lhs)
         elif not isinstance(g, Atomic):
             stack.append(g.body)
@@ -270,7 +266,7 @@ def rebuild(f: Formula, fn, *args) -> Formula:
     which would cost a stack frame per level of nesting."""
     if isinstance(f, Atomic):
         return f
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, (And, Or)):
         lhs, rhs = fn(f.lhs, *args), fn(f.rhs, *args)
         return f if lhs is f.lhs and rhs is f.rhs else type(f)(lhs, rhs)
     body = fn(f.body, *args)
@@ -381,7 +377,7 @@ def free_vars(f: Formula) -> frozenset[str]:
     if kind is Atomic:
         lhs, rhs = f.lhs, f.rhs
         free, bound = _union(lhs._vars or term_vars(lhs), rhs._vars or term_vars(rhs)), _NO_NAMES
-    elif kind is And or kind is Or or kind is Implies:
+    elif kind is And or kind is Or:
         a, b = f.lhs, f.rhs
         free = _union(a._free or free_vars(a), b._free or free_vars(b))
         bound = _union(a._bound, b._bound)
@@ -507,12 +503,12 @@ def rename_bound_apart(f: Formula) -> Formula:
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|->|[().,=!&|]|\S")
 _LETTERS = frozenset(string.ascii_letters)
 _PUNCT = frozenset(("->", "(", ")", ".", ",", "=", "!", "&", "|"))
-# how tightly each binary connective binds; ``->`` groups to the right.  A
-# pending ``!`` binds tighter than all, a quantifier looser than all, and an
-# open parenthesis is closed only by its ``)``
-_BINARY = {"&": (3, And), "|": (2, Or), "->": (1, Implies)}
+# how tightly each binary connective binds; ``->`` groups to the right and
+# builds ``!a | b``.  A pending ``!`` binds tighter than all, a quantifier
+# looser than all, and an open parenthesis is closed only by its ``)``
+_BINARY = {"&": (3, And), "|": (2, Or), "->": (1, lambda a, b: Or(Not(a), b))}
 _PREFIX = {"!": (4, Not, None), "(": (-2, None, None)}
-_CONNECTIVE = {connective: (tok, strength) for tok, (strength, connective) in _BINARY.items()}
+_CONNECTIVE = {And: ("&", 3), Or: ("|", 2)}
 
 
 def _error(text: str, index: int, message: str) -> ParseError:
@@ -642,13 +638,13 @@ def format_formula(f: Formula) -> str:
                 body = f"({body})"
             return f"!{body}", 4
         if type(g) in _CONNECTIVE:
+            # & and | group to the left
             op, strength = _CONNECTIVE[type(g)]
-            left = strength > 1  # & and | group to the left, -> to the right
             lhs, lp = binary(g.lhs)
             rhs, rp = binary(g.rhs)
-            if lp < strength + (not left):
+            if lp < strength:
                 lhs = f"({lhs})"
-            if rp < strength + left:
+            if rp <= strength:
                 rhs = f"({rhs})"
             return f"{lhs} {op} {rhs}", strength
         letter = "E" if isinstance(g, Exists) else "A"
@@ -663,15 +659,14 @@ def format_formula(f: Formula) -> str:
 
 
 def nnf(f: Formula) -> Formula:
-    """Negation normal form: no implications, negation only on atoms.  A
-    part already in that form comes back as the same object."""
+    """Negation normal form: negation only on atoms.  A part already in
+    that form comes back as the same object.  There is no implication to
+    remove: the parser reads ``a -> b`` as ``!a | b``, which prints so."""
 
     def pos(g: Formula) -> Formula:
         if isinstance(g, Not):
             # a negated equation is in normal form already
             return g if isinstance(g.body, Atomic) else neg(g.body)
-        if isinstance(g, Implies):
-            return Or(neg(g.lhs), pos(g.rhs))
         return rebuild(g, pos)
 
     def neg(g: Formula) -> Formula:
@@ -683,8 +678,6 @@ def nnf(f: Formula) -> Formula:
             return Or(neg(g.lhs), neg(g.rhs))
         if isinstance(g, Or):
             return And(neg(g.lhs), neg(g.rhs))
-        if isinstance(g, Implies):
-            return And(pos(g.lhs), neg(g.rhs))
         if isinstance(g, Exists):
             return Forall(g.var, neg(g.body))
         return Exists(g.var, neg(g.body))

@@ -50,7 +50,6 @@ from .syntax import (
     Forall,
     Formula,
     FreshNames,
-    Implies,
     Not,
     Or,
     SIG_L,
@@ -261,19 +260,14 @@ def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
     else:
         a, b = _simp(f.lhs, memo, keep), _simp(f.rhs, memo, keep)
         unit, zero = (FALSE, TRUE) if kind is Or else (TRUE, FALSE)
-        out = None
-        if kind is Implies:
-            if a is FALSE or b is TRUE:
-                out = TRUE
-            elif a is TRUE:
-                out = b
-        elif a is zero or b is zero:
+        if a is zero or b is zero:
             out = zero
-        elif a is unit:
+        elif a is unit or b.__class__ is kind and b.lhs == a:
+            # a & (a & c) is a & c, and a | (a | c) is a | c
             out = b
         elif b is unit or a == b:
             out = a
-        if out is None:
+        else:
             out = f if a is f.lhs and b is f.rhs else kind(a, b)
     memo[id(f)] = (f, out)
     # one pass reaches the fixpoint, so a result simplifies to itself
@@ -517,32 +511,35 @@ def translate_L_to_W(f: Formula) -> Formula:
     quantifiers are relativized to coordinate pairs of actual interval
     unions by ``valid_pair``.  The terms of each equation are folded as
     ``simplify`` folds them before ``unnest``, so a ``cup`` or ``cap`` that
-    folds (``cap(X, bot)``) gets no variable.  Any other term but a ``cup``
-    or ``cap`` is translated in place: both its coordinates are the one
-    term its ``_FINITE_VALUED`` entries make of its arguments' coordinates,
-    and an equation equates its sides' left and right coordinates.  An
-    ``E V`` writes no guard when V is in the forced set of its block, the
-    conjuncts below its chain of ``E``s, which ``_grow_finite`` grows once
-    for the whole chain (a lone equation grows its own), as for a conjunct
-    l(V) = r(V), translated Vl = Vr: the translated equations then make
-    both coordinates one finite set, a valid pair.  Containment is the
-    quantifier-free ``phi_subseteq``.  A ``cup`` or ``cap`` whose
-    operands the conjunction around it forces finite is taken
-    coordinatewise, with ``Ul = Ur`` for each operand whose finiteness the
-    translated conjuncts do not already force.  Other lattice operations
+    folds (``cap(X, bot)``) gets no variable, and a binder whose variable
+    folding removes (``E Z. cap(Z, bot) = Y``) no pair.  Any other term but
+    a ``cup`` or ``cap`` is translated in place: both its coordinates are
+    the one term its ``_FINITE_VALUED`` entries make of its arguments'
+    coordinates, and an equation equates its sides' left and right
+    coordinates.  An ``E V`` writes no guard when V is in the forced set of
+    its block, the conjuncts below its chain of ``E``s, which
+    ``_grow_finite`` grows once for the whole chain (a lone equation grows
+    its own), as for a conjunct l(V) = r(V), translated Vl = Vr: the
+    translated equations then make both coordinates one finite set, a valid
+    pair.  Containment is the quantifier-free ``phi_subseteq``.  A ``cup``
+    or ``cap`` whose operands the conjunction around it forces finite is
+    taken coordinatewise, with ``Ul = Ur`` for each operand whose finiteness
+    the translated conjuncts do not already force.  Other lattice operations
     are expressed order-theoretically: above (or below) both operands, and
-    least (or greatest) such, a bound clause over every coordinate pair
-    that costs a universal quantifier."""
+    least (or greatest) such, a bound clause over every coordinate pair that
+    costs a universal quantifier."""
     return _l2w(f)[0]
 
 
 def _fold_terms(f: Formula, memo: dict) -> Formula:
     """``f`` with the terms of each equation folded as ``simplify`` folds
-    them."""
+    them, and each quantifier whose variable the folded body no longer
+    names dropped."""
     if f.__class__ is Atomic:
         lhs, rhs = _simp_term(f.lhs, memo), _simp_term(f.rhs, memo)
         return f if lhs is f.lhs and rhs is f.rhs else Atomic(lhs, rhs)
-    return rebuild(f, _fold_terms, memo)
+    g = rebuild(f, _fold_terms, memo)
+    return g.body if g.__class__ in (Exists, Forall) and g.var not in free_vars(g.body) else g
 
 
 def _unnested(f: Formula) -> Formula:
@@ -589,7 +586,7 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
         if isinstance(h, Forall):
             p = pair_of(h.var)
             body = walk(h.body, finite - {h.var}, forced - {h.var})
-            return Forall(p.left, Forall(p.right, Implies(valid_pair(p.left, p.right), body)))
+            return Forall(p.left, Forall(p.right, Or(Not(valid_pair(p.left, p.right)), body)))
         return rebuild(h, walk, finite, forced)
 
     # h translated, and the forced set of the block it heads (the conjuncts
@@ -632,11 +629,11 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
         t, rel = (Var(tp.left), Var(tp.right)), valid_pair(tp.left, tp.right)
         if a.op == "cup":
             above_both = And(phi_subseteq(*cx, *w), phi_subseteq(*cy, *w))
-            least_such = Implies(And(phi_subseteq(*cx, *t), phi_subseteq(*cy, *t)), phi_subseteq(*w, *t))
-            return And(above_both, Forall(tp.left, Forall(tp.right, Implies(rel, least_such))))
+            least_such = Or(Not(And(phi_subseteq(*cx, *t), phi_subseteq(*cy, *t))), phi_subseteq(*w, *t))
+            return And(above_both, Forall(tp.left, Forall(tp.right, Or(Not(rel), least_such))))
         below_both = And(phi_subseteq(*w, *cx), phi_subseteq(*w, *cy))
-        greatest_such = Implies(And(phi_subseteq(*t, *cx), phi_subseteq(*t, *cy)), phi_subseteq(*t, *w))
-        return And(below_both, Forall(tp.left, Forall(tp.right, Implies(rel, greatest_such))))
+        greatest_such = Or(Not(And(phi_subseteq(*t, *cx), phi_subseteq(*t, *cy))), phi_subseteq(*t, *w))
+        return And(below_both, Forall(tp.left, Forall(tp.right, Or(Not(rel), greatest_such))))
 
     return walk(g, frozenset(), frozenset()), pairs
 

@@ -19,10 +19,15 @@ go through ``cells``.
 The evaluator never picks a structure itself: ``semantics.py`` names no
 ``SIG_*`` signature and calls no ``formula_symbols``, so each caller
 names the structure by the signature it passes.
+
+Implication is parse sugar for ``!a | b``: ``syntax.Formula`` has six
+kinds of node, and no module defines, imports or reads an ``Implies``.
 """
 
 import ast
 from pathlib import Path
+
+from intlat import syntax
 
 ROOT = Path(__file__).resolve().parent.parent
 MASK_MODULE = "src/intlat/cells.py"
@@ -195,3 +200,41 @@ def test_the_check_sees_a_planted_pick():
         "symbols = term_symbols(t)\n"
     )
     assert _structure_picks(tree) == [1, 2, 3, 4, 5]
+
+
+def _implies_names(tree: ast.Module) -> list[int]:
+    """The lines that define, import or read a name ``Implies``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, (ast.alias, ast.ClassDef)):
+            name = node.name
+        else:
+            continue
+        if name == "Implies":
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_a_formula_has_six_kinds_and_no_implication():
+    assert len(syntax.Formula.__args__) == 6
+    found = {}
+    for path in sorted(ROOT.glob("src/intlat/*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        if lines := _implies_names(ast.parse(path.read_text(), rel)):
+            found[rel] = lines
+    assert not found
+
+
+def test_the_check_sees_a_planted_implication():
+    tree = ast.parse(
+        "from .syntax import Implies\n"
+        "class Implies:\n    pass\n"
+        "g = syntax.Implies(a, b)\n"
+        "ok = isinstance(f, Implies)\n"
+        "implies = Or(Not(a), b)\n"
+    )
+    assert _implies_names(tree) == [1, 2, 4, 5]

@@ -40,7 +40,6 @@ from intlat.syntax import (
     App,
     Atomic,
     Exists,
-    Implies,
     Not,
     Or,
     Var,
@@ -335,8 +334,6 @@ def _naive(f, env, pool, sig):
         return _naive(f.lhs, env, pool, sig) and _naive(f.rhs, env, pool, sig)
     if isinstance(f, Or):
         return _naive(f.lhs, env, pool, sig) or _naive(f.rhs, env, pool, sig)
-    if isinstance(f, Implies):
-        return not _naive(f.lhs, env, pool, sig) or _naive(f.rhs, env, pool, sig)
     branches = (_naive(f.body, {**env, f.var: u}, pool, sig) for u in universe(pool, sig))
     return any(branches) if isinstance(f, Exists) else all(branches)
 

@@ -14,7 +14,6 @@ from intlat.syntax import (
     Exists,
     Forall,
     FreshNames,
-    Implies,
     Not,
     Or,
     ParseError,
@@ -90,6 +89,27 @@ def test_precedence_and_is_tighter_than_or():
 def test_quantifier_scope_extends_right():
     f = parse("E Y. Y = X & Y = bot", SIG_W)
     assert isinstance(f, Exists) and isinstance(f.body, And)
+
+
+# each implication as the parser reads it: ! on the left operand, grouped
+# to the right, and looser than & and |
+IMPLICATIONS = [
+    ("X = bot -> Y = bot", "!X = bot | Y = bot"),
+    ("X = bot -> Y = bot -> Z = bot", "!X = bot | (!Y = bot | Z = bot)"),
+    ("(X = bot -> Y = bot) -> Z = bot", "!(!X = bot | Y = bot) | Z = bot"),
+    ("X = bot | Y = bot -> Z = bot", "!(X = bot | Y = bot) | Z = bot"),
+    ("X = bot & Y = bot -> Z = bot", "!(X = bot & Y = bot) | Z = bot"),
+    ("X = bot -> Y = bot | Z = bot", "!X = bot | (Y = bot | Z = bot)"),
+    ("!X = bot -> E Y. Y = X -> Y = bot", "!!X = bot | (E Y. !Y = X | Y = bot)"),
+]
+
+
+@pytest.mark.parametrize("text, sugar_free", IMPLICATIONS)
+def test_implication_is_read_as_not_a_or_b(text, sugar_free):
+    f = parse(text, SIG_W)
+    assert f == parse(sugar_free, SIG_W)
+    printed = format_formula(f)
+    assert "->" not in printed and parse(printed, SIG_W) == f
 
 
 # (signature, text, position, message) of each kind of parse error: an
@@ -205,7 +225,7 @@ def test_nodes_are_slotted_and_their_caches_change_nothing_they_compare():
     for g in filled:
         hash(g)
         free_vars(g) if hasattr(g, "_free") else term_vars(g)
-    assert {type(g) for g in filled} == {Exists, Forall, Implies, Or, And, Not, Atomic, App, Var}
+    assert {type(g) for g in filled} == {Exists, Forall, Or, And, Not, Atomic, App, Var}
     for g in filled:
         assert not hasattr(g, "__dict__")
         # the same node built anew, with every cache still empty
@@ -340,7 +360,7 @@ def _substitute_unpruned(f, mapping):
         return Atomic(_substitute_term_unpruned(f.lhs, mapping), _substitute_term_unpruned(f.rhs, mapping))
     if isinstance(f, Not):
         return Not(_substitute_unpruned(f.body, mapping))
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, (And, Or)):
         return type(f)(_substitute_unpruned(f.lhs, mapping), _substitute_unpruned(f.rhs, mapping))
     live = {k: v for k, v in mapping.items() if k != f.var}
     if not live:
@@ -370,7 +390,7 @@ _sub_formulas = st.recursive(
         st.builds(Not, sub),
         st.builds(And, sub, sub),
         st.builds(Or, sub, sub),
-        st.builds(Implies, sub, sub),
+        st.builds(lambda a, b: Or(Not(a), b), sub, sub),
         st.builds(Exists, st.sampled_from(_SUB_NAMES), sub),
         st.builds(Forall, st.sampled_from(_SUB_NAMES), sub),
     ),
