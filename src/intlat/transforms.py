@@ -29,7 +29,8 @@ its endpoint pair.  This module realizes both directions on formulas:
   interval variables: by the endpoint lemma their coordinate pairs are
   exactly the valid ones, so each pair still bound is regrouped into one
   variable after the finite-set stage, and each guard that then holds is
-  dropped before it.
+  dropped before it.  Once the endpoint maps are back, the simplifier's
+  interval laws fold the coordinate idioms into interval terms.
 
 Universal quantifiers in a coordinate form come only from the input
 itself or from the bound clause that ``translate_L_to_W`` writes for a
@@ -78,12 +79,14 @@ from .syntax import (
     min_t,
     nnf,
     operands,
+    parse,
     r_t,
     rebuild,
     rename_bound_apart,
     subformulas,
     subset_atom,
     substitute,
+    substitute_term,
     term_symbols,
     unnest,
     valid_pair,
@@ -140,6 +143,42 @@ def _absorb(op: str, a: Term, b: Term) -> Optional[Term]:
     return None
 
 
+# interval laws as data, each an equation pattern = replacement read in the
+# interval signature, its variables standing for any terms.  Each
+# replacement is smaller than its pattern, so folding ends, and each
+# pattern's first argument is an application, which _simp_term tests before
+# matching; the tests check every law on the kernels.
+_LAWS = tuple(
+    parse(text, SIG_L)
+    for text in (
+        # the inverses of _FINITE_VALUED's min and max on a term's endpoints
+        "min(cup(l(T), r(T))) = min(T)",
+        "cap(max(cup(l(T), r(T))), r(T)) = max(T)",
+        # 0 is the least point of the half line
+        "min(cup(T, cz)) = cz",
+        "min(cup(cz, T)) = cz",
+    )
+)
+# the laws by the operation at the head of their pattern
+_LAWS_BY_OP: dict[str, list[tuple[App, Term]]] = {}
+for _law in _LAWS:
+    _LAWS_BY_OP.setdefault(_law.lhs.op, []).append((_law.lhs, _law.rhs))
+
+
+def _match(p: Term, t: Term, env: dict) -> bool:
+    """Whether ``t`` is an instance of the pattern ``p``, binding each
+    pattern variable in ``env`` to its subterm; a repeated variable must
+    bind equal subterms."""
+    if p.__class__ is Var:
+        return env.setdefault(p.name, t) == t
+    if t.__class__ is not App or t.op != p.op:
+        return False
+    for a, b in zip(p.args, t.args):
+        if not _match(a, b, env):
+            return False
+    return True
+
+
 def _simp_term(t: Term, memo: dict) -> Term:
     # memo as in _simp: terms the rewrites share are folded once per call
     if t.__class__ is Var or not t.args:
@@ -192,6 +231,15 @@ def _simp_term(t: Term, memo: dict) -> Term:
             out = a
         elif a is not a0:
             out = App(op, (a,))
+    # a folded term is simplified already; one no fold took has a as its
+    # first argument
+    laws = _LAWS_BY_OP.get(op)
+    if laws is not None and out.__class__ is App and out.op == op:
+        for pattern, replacement in laws:
+            env: dict[str, Term] = {}
+            if pattern.args[0].op == ka and _match(pattern, out, env):
+                out = _simp_term(substitute_term(replacement, env), memo)
+                break
     memo[id(t)] = (t, out)
     return out
 
@@ -215,6 +263,40 @@ def _definition(g: Exists) -> Optional[tuple[list[str], list[Formula], Term]]:
                 continue
             if isinstance(t, Var) and t.name not in chain or isinstance(t, App) and not t.args:
                 return chain, conj[:i] + conj[i + 1 :], t
+    return None
+
+
+def _endpoint_readings(c: Atomic):
+    """Each reading of ``c`` as m(u) = F, m the endpoint map l or r and F
+    an application of a ``_FINITE_VALUED`` operation: (m, u, F, whether F is
+    the left side)."""
+    for m, v, v_left in ((c.lhs, c.rhs, False), (c.rhs, c.lhs, True)):
+        if m.__class__ is App is v.__class__ and m.op in ("l", "r") and v.op in _FINITE_VALUED:
+            yield m.op, m.args[0], v, v_left
+
+
+def _pair_fold(kind: type, a: Formula, b: Formula) -> Optional[Formula]:
+    """``kind(a, b)`` with l(u) = F & r(u) = F as u = F, and
+    !(l(u) = F) | !(r(u) = F) as !(u = F): in either order, with F on
+    either side, and with the second at the head of b's chain.  F applies a
+    ``_FINITE_VALUED`` operation, so it is a finite set and l(F) = r(F) = F;
+    conversely a set whose endpoint maps agree is made of its points.  None
+    unless ``a`` and ``b`` hold such a pair."""
+    rest = None
+    if b.__class__ is kind:
+        b, rest = b.lhs, b.rhs
+    if kind is Or:
+        if a.__class__ is not Not or b.__class__ is not Not:
+            return None
+        a, b = a.body, b.body
+    if a.__class__ is not Atomic or b.__class__ is not Atomic:
+        return None
+    for m, u, v, v_left in _endpoint_readings(a):
+        for n, w, x, _ in _endpoint_readings(b):
+            if m != n and u == w and v == x:
+                eq = Atomic(v, u) if v_left else Atomic(u, v)
+                eq = Not(eq) if kind is Or else eq
+                return eq if rest is None else kind(eq, rest)
     return None
 
 
@@ -260,13 +342,16 @@ def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
     else:
         a, b = _simp(f.lhs, memo, keep), _simp(f.rhs, memo, keep)
         unit, zero = (FALSE, TRUE) if kind is Or else (TRUE, FALSE)
-        if a is zero or b is zero:
+        if a is zero or b is zero or a.__class__ is Not and a.body == b or b.__class__ is Not and b.body == a:
+            # !a | a is TRUE and a & !a FALSE, in either order
             out = zero
         elif a is unit or b.__class__ is kind and b.lhs == a:
             # a & (a & c) is a & c, and a | (a | c) is a | c
             out = b
         elif b is unit or a == b:
             out = a
+        elif (pair := _pair_fold(kind, a, b)) is not None:
+            out = _simp(pair, memo, keep)
         else:
             out = f if a is f.lhs and b is f.rhs else kind(a, b)
     memo[id(f)] = (f, out)
@@ -278,11 +363,16 @@ def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
 def simplify(f: Formula) -> Formula:
     """Constant folding, lattice absorption (``cap(a, cup(a, b))`` is
     ``a``, ``cap(a, cap(a, b))`` is ``cap(a, b)``, and the same with
-    ``cup`` and ``cap`` swapped, in every argument order), and inlining of
-    definitional equations X = t, t a variable or constant, under their own
-    quantifier, read below the chain of ``E`` binders directly under it (t
-    is then no variable that chain binds).  Equivalence-preserving in both
-    structures, and idempotent: one pass reaches the fixpoint.
+    ``cup`` and ``cap`` swapped, in every argument order), the interval laws
+    of ``_LAWS`` (``min(cup(l(T), r(T)))`` is ``min(T)``), the endpoint
+    pair fold (``l(u) = F & r(u) = F`` is ``u = F`` for F a finite value,
+    and its negation likewise), ``!a | a`` as TRUE and ``a & !a`` as FALSE,
+    and inlining of definitional equations X = t, t a variable or constant,
+    under their own quantifier, read below the chain of ``E`` binders
+    directly under it (t is then no variable that chain binds).
+    Equivalence-preserving in both structures, and idempotent: one pass
+    reaches the fixpoint.  It writes no negation and no ``A`` the input
+    lacks.
 
     A per-call memo visits each node once: after an inlined definition
     only the paths the substitution changed are simplified again, and a
@@ -348,12 +438,13 @@ def to_positive_existential(f: Formula) -> Formula:
     Each negated equation becomes an existential witness: the two sides
     differ exactly when some nonempty set fits inside their symmetric
     difference, and nonemptiness is definable positively (``notbot``).
+    The output comes back simplified.
     """
     _check_signature(f, SIG_W_DIFF)
     g = _existential_nnf(f)
     names = FreshNames(all_names(g))
     g = _eliminate_negations(g, names)
-    g = _eliminate_diff(g, names)
+    g = simplify(_eliminate_diff(g, names))
     if classify(g) != "positive_existential":
         raise AssertionError("negation elimination left a non-positive formula")
     return g
@@ -752,9 +843,12 @@ def pipeline(f: Formula) -> Formula:
     unless a negation turns it existential, or one in the input) raise
     FragmentError.
 
-    Free variables come back as their endpoint maps ``l(X)`` and ``r(X)``.
-    Every pair whose two coordinates the first simplify leaves bound comes
-    back as one interval variable, and the later simplify passes keep its
+    Free variables come back as their endpoint maps ``l(X)`` and ``r(X)``,
+    and the output is simplified once more after that, so that the interval
+    laws fold the coordinate idioms back (``bot = l(X) & bot = r(X)`` is
+    ``bot = X``, ``min(cup(l(X), r(X)))`` is ``min(X)``).  Every pair whose
+    two coordinates the first simplify leaves bound comes back as one
+    interval variable, and the simplify pass before that keeps its
     coordinates paired.  By the endpoint lemma the coordinate pairs are
     exactly the valid ones, so the guard of such a pair holds, as do those
     of a free variable's pair and of a coordinate paired with itself: each
@@ -778,13 +872,14 @@ def pipeline(f: Formula) -> Formula:
     w = _strip_guards(w, {frozenset(q): q for q in holds})
     keep = frozenset(coords)
     g = _simp(_eliminate_diff(w, FreshNames(all_names(w))), {}, keep)
-    out = _simp(translate_W_to_L(g), {}, keep)
+    out = translate_W_to_L(g)
     out = _regroup(out, coords, FreshNames(all_names(out) | free_vars(f)))
     back: dict[str, Term] = {}
     for v in free_vars(f):
         back[pairs[v].left] = l_t(Var(v))
         back[pairs[v].right] = r_t(Var(v))
-    out = substitute(out, back)
+    # the laws see the endpoint maps only once they are back
+    out = simplify(substitute(out, back))
     if classify(out) not in ("positive_existential", "existential", "quantifier_free"):
         raise AssertionError("pipeline produced a non-existential formula")
     return out

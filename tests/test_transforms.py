@@ -7,6 +7,7 @@ output, which inputs are rejected).
 """
 
 import hashlib
+import itertools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -63,6 +64,7 @@ from intlat.syntax import (
 )
 from intlat.transforms import (
     _FINITE_VALUED,
+    _LAWS,
     TRUE,
     CoordinatePair,
     FragmentError,
@@ -610,7 +612,7 @@ def test_l2w_agrees_with_generated_formulas_on_every_small_union():
             want = eval_bounded(f, {"X": u}, pool, SIG_L, cache=lcache)
             assert eval_bounded(g, coords, pool, SIG_W, cache=wcache) == want, (format_formula(f), u)
             checked += 1
-    assert (checked, universal) == (3759, 21)
+    assert (checked, universal) == (3780, 20)
 
 
 def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
@@ -636,7 +638,7 @@ def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
             want = eval_bounded(f, {"X": u}, pool, SIG_L, cache=fcache)
             assert eval_bounded(g, {"X": u}, pool, SIG_L, cache=gcache) == want, (format_formula(f), u)
             checked += 1
-    assert (accepted, skipped, rejected, checked) == (157, 12, 31, 3297)
+    assert (accepted, skipped, rejected, checked) == (158, 11, 31, 3318)
 
 
 def _agree_on_every_small_union(f, g, sig) -> None:
@@ -890,6 +892,13 @@ def test_pipeline_outputs_stay_within_their_size_ceilings():
 _L2W_SIZE_CEILINGS = [7, 38, 8, 47, 14, 77, 232, 38, 138, 232, 11, 38, 7, 29, 6, 461, 469, 707, 138, 116, 3, 109, 167]
 
 
+def test_pipeline_outputs_come_back_near_their_inputs_size():
+    # 254 nodes against 99 while the endpoint maps came back unfolded
+    sizes = [(_count_nodes(f), _count_nodes(pipeline(f))) for f in (parse(t, SIG_L) for t in PIPELINE_CORPUS)]
+    nodes_in, nodes_out = map(sum, zip(*sizes))
+    assert nodes_out <= 1.25 * nodes_in
+
+
 def test_l2w_outputs_stay_within_their_size_ceilings():
     sizes = [_count_nodes(simplify(translate_L_to_W(parse(text, SIG_L)))) for text in _L_TEXTS]
     assert len(sizes) == len(_L2W_SIZE_CEILINGS)
@@ -902,15 +911,16 @@ def test_corpus_rewrite_outputs_stay_within_their_size_ceiling():
     # benchmark's output_nodes sums them: 5134 while l(V) = r(V) did not
     # make V finite, a lifted ips variable was relativized and simplify
     # had no absorption.  A bound clause's implications print as !a | b,
-    # each one node larger: 4341 then, before simplify folded a conjunct
-    # repeated one level down
+    # each one node larger: 4341 then, 4308 before simplify folded the
+    # coordinate forms back by its interval laws, and posex left its
+    # output unsimplified
     total = sum(
         _count_nodes(out)
         for side, sig, texts in (("w", SIG_W, _W_TEXTS), ("l", SIG_L, _L_TEXTS))
         for text in texts
         for out, _ in _rewrites(side, parse(text, sig))
     )
-    assert total <= 4335
+    assert total <= 3556
 
 
 def test_simplify_keeps_meaning_while_shrinking():
@@ -948,22 +958,96 @@ _TERM_FOLDS = [
         for inner in (App(k, args) for k in ("cup", "cap") for args in ((_A, _B), (_B, _A)))
         for pair in ((_A, inner), (inner, _A))
     ],
+    # a law's repeated variable binds equal subterms only
+    (min_t(cup(l_t(_A), r_t(_B))), min_t(cup(l_t(_A), r_t(_B)))),
 ]
+
+
+def _agree_in_both_structures(term: Term, folded: Term) -> None:
+    """``term`` and ``folded`` take one value on every assignment of the
+    variables of ``term`` over 4 points, in each structure whose signature
+    has the term's operations."""
+    points = fs(range(4))
+    names = sorted(term_vars(term))
+    for sig, values in ((SIG_W_DIFF, list(enum_finsets(points))), (SIG_L, list(enum_fcis(points, 4, True)))):
+        if not term_symbols(term) <= sig.arities.keys():
+            continue
+        for chosen in itertools.product(values, repeat=len(names)):
+            env = dict(zip(names, chosen))
+            assert eval_term(term, env, sig) == eval_term(folded, env, sig), (sig.name, env)
 
 
 @pytest.mark.parametrize("term, folded", _TERM_FOLDS, ids=str)
 def test_each_term_fold_holds_in_both_structures(term, folded):
-    # on every assignment of A and B over 4 points, in each structure
-    # whose signature has the term's operations
     assert _simp_term(term, {}) == folded
-    points = fs(range(4))
-    for sig, values in ((SIG_W_DIFF, list(enum_finsets(points))), (SIG_L, list(enum_fcis(points, 4, True)))):
-        if not term_symbols(term) <= sig.arities.keys():
-            continue
-        for a in values:
-            for b in values if "B" in term_vars(term) else values[:1]:
-                env = {"A": a, "B": b}
-                assert eval_term(term, env, sig) == eval_term(folded, env, sig), (a, b)
+    _agree_in_both_structures(term, folded)
+
+
+@pytest.mark.parametrize("law", _LAWS, ids=format_formula)
+def test_each_interval_law_holds_in_both_structures(law):
+    # a new entry of the table is checked here with no new test
+    assert _simp_term(law.lhs, {}) == law.rhs
+    _agree_in_both_structures(law.lhs, law.rhs)
+
+
+@pytest.mark.parametrize("law", _LAWS, ids=format_formula)
+def test_each_interval_law_is_well_formed(law):
+    # read in the interval signature, it shrinks what it matches, so folding
+    # ends, and it names no variable its pattern does not bind; _simp_term
+    # reads the operation of the pattern's first argument
+    assert parse(format_formula(law), SIG_L) == law
+    assert isinstance(law.lhs, App) and isinstance(law.lhs.args[0], App)
+    assert _count_nodes(law.rhs) < _count_nodes(law.lhs)
+    assert term_vars(law.rhs) <= term_vars(law.lhs)
+
+
+def test_each_finite_value_on_endpoint_maps_folds_back():
+    # _FINITE_VALUED's term of l(T) and r(T) is op(T) again
+    t = Var("T")
+    for op, value_of in _FINITE_VALUED.items():
+        args = (t,) * SIG_L.arities[op]
+        assert _simp_term(value_of(*(c for _ in args for c in (l_t(t), r_t(t)))), {}) == App(op, args), op
+
+
+_FINITE_VALUES = ["bot", "cz", "min(A)", "max(A)", "l(A)", "r(A)"]
+
+
+@pytest.mark.parametrize("value", _FINITE_VALUES)
+def test_the_endpoint_pair_fold_holds_for_each_finite_value(value):
+    # either order, F on either side, negated under a disjunction, and at
+    # the head of a chain
+    forms = {
+        f"l(U) = {value} & r(U) = {value}": f"U = {value}",
+        f"r(U) = {value} & l(U) = {value}": f"U = {value}",
+        f"{value} = l(U) & r(U) = {value}": f"{value} = U",
+        f"!l(U) = {value} | !{value} = r(U)": f"!U = {value}",
+        f"l(U) = {value} & r(U) = {value} & U = B": f"U = {value} & U = B",
+        f"!r(U) = {value} | !l(U) = {value} | U = B": f"!U = {value} | U = B",
+    }
+    for text, folded in forms.items():
+        assert simplify(parse(text, SIG_L)) == parse(folded, SIG_L), text
+    pair, folded = parse(f"l(U) = {value} & r(U) = {value}", SIG_L), parse(f"U = {value}", SIG_L)
+    unions = list(enum_fcis(fs(range(4)), 4, True))
+    for u in unions:
+        for a in unions if "A" in value else unions[:1]:
+            env = {"U": u, "A": a}
+            assert eval_qf(pair, env, SIG_L) == eval_qf(folded, env, SIG_L), (u, a)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # V may have a segment
+        "l(U) = V & r(U) = V",
+        # one endpoint map twice, two sets, two values
+        "l(U) = cz & cz = l(U)",
+        "l(U) = cz & r(W) = cz",
+        "l(U) = cz & r(U) = min(A)",
+    ],
+)
+def test_the_endpoint_pair_fold_needs_both_maps_of_one_set_at_one_finite_value(text):
+    f = parse(text, SIG_L)
+    assert simplify(f) is f
 
 
 # each connective fold of _simp, as (formula, what it folds to); bot = bot
@@ -979,12 +1063,25 @@ _FORMULA_FOLDS = [
     # an operand repeated at the head of the other side's chain
     ("X = Y & (X = Y & Y = cz)", "X = Y & Y = cz"),
     ("X = Y | (X = Y | Y = cz)", "X = Y | Y = cz"),
+    # an operand against its own negation, in either order
+    ("!X = Y | X = Y", "bot = bot"),
+    ("X = Y | !X = Y", "bot = bot"),
+    ("X = Y & !X = Y", "cz = bot"),
+    ("!X = Y & X = Y", "cz = bot"),
 ]
 
 
 @pytest.mark.parametrize("text, folded", _FORMULA_FOLDS)
 def test_each_connective_fold_of_simplify(text, folded):
     assert simplify(parse(text, SIG_W)) == parse(folded, SIG_W)
+
+
+def test_simplify_takes_a_tautology_under_a_universal_to_true():
+    # the coordinate form ends !(Yl = Xl & Yr = Xr) | Yl = Xl & Yr = Xr, so
+    # the universal goes and pipeline takes the formula
+    f = parse("A Y. (l(Y) = l(X) & r(Y) = r(X) -> Y = X)", SIG_L)
+    assert simplify(translate_L_to_W(f)) == TRUE
+    assert pipeline(f) == TRUE
 
 
 def test_simplify_reads_a_definition_below_a_chain_of_binders():
@@ -1134,10 +1231,10 @@ _REWRITES = {
 # (outputs, SHA-256 of the lines "input TAB output"), inputs the rewrite
 # refuses left out: a change to any printed output must update these on purpose
 REWRITE_DIGESTS = {
-    "pipeline": (20, "a9d29681d361a06a134db75847db721b0da4e910862d18ab385e984750bdbc43"),
-    "simplify-l2w": (23, "1a42d16d10f8a59f99a9fcd9b6c95d90acd4ae1c5c6c55c0b4e77673404125d3"),
-    "posex": (23, "9110583f876cbee549bba9e5283ea373c6ab9b5d8755cd80b8ee074b98f57b0c"),
-    "simplify-w2l": (23, "d1351e08269aa5d423a571a089d30a6c1752fdf9f23cef7ff60c3e912b9d35f7"),
+    "pipeline": (21, "116df5560022c7682896f5717314712ebd276a1e80c1a1fb69835ccb50ee2823"),
+    "simplify-l2w": (23, "5f91a9d94bc5ec31ee14340fa036c7c638f3854adbedb2782fb3bfa00a487c0d"),
+    "posex": (23, "230ecbe7f21f7775d6092d9e9309334b2163e1b82526cf1b42af9a47f95b43cb"),
+    "simplify-w2l": (23, "74ee9cdb97d2bf781cb4b6130a7769102e791cc38dca178a72b093a6e3fda220"),
 }
 
 
@@ -1191,7 +1288,7 @@ def _rewrites(side: str, f):
 
 
 # (outputs, SHA-256 of the lines "input TAB output TAB simplified TAB reparsed")
-COMPOSITION_DIGEST = (31, "4bdfa7fcc4b3116ab701c195d3903763692f3c3f5fb7190bdfbf6dd9ea8cc399")
+COMPOSITION_DIGEST = (31, "6452b22609a46252c114f3dd08067d73707ccbde5f98bf313c22351a4ded7870")
 
 
 def _composition_outputs():
@@ -1207,13 +1304,13 @@ def _composition_outputs():
 
 # (accepted outputs, SHA-256 of the lines "input TAB output") of pipeline
 # on the pipeline-generated formulas, skipped ones included
-GENERATED_DIGEST = (169, "0ca7449ea2101d5e6959ee565d85e241d3ba7d876d60e67e738058561c75b24e")
+GENERATED_DIGEST = (169, "24e57cd6842e69e020d32365089f76be1ee2ea9331fa7063a3466905b937c0c6")
 
 
 # (draws, SHA-256 of the lines "input TAB output") of the simplified
 # coordinate form of both generated draws as drawn; parsing would rename
 # apart the names some of them bind twice
-RAW_GENERATED_DIGEST = (400, "d1f1a9a98fe48b749366af74d533c021e96ead8fbc20369079430856cbce5663")
+RAW_GENERATED_DIGEST = (400, "a7af1d8a9f437ea1a76e9f054e572c861470119716118f3c61ab20a8199fcf21")
 
 
 def test_l2w_outputs_on_generated_formulas_that_bind_a_name_twice_are_pinned():
@@ -1262,8 +1359,9 @@ def test_generated_pipeline_outputs_are_pinned():
     # give 4387, 2768 and 1355 of them a bound clause under a negation
     # (E Z. !cap(cup(bot, X), min(Z)) = max(Z) and
     # E Y. !cap(cup(X, bot), cup(bot, Y)) = bot).  The other 161 inputs
-    # gave 8409 nodes while simplify kept a conjunct repeated one level down
-    assert nodes <= 8409
+    # gave 8409 nodes while simplify kept a conjunct repeated one level down,
+    # and 8399 before pipeline folded its endpoint maps back by the laws
+    assert nodes <= 7315
 
 
 def test_composition_rewrite_outputs_are_pinned():
