@@ -22,6 +22,7 @@ from .syntax import (
     SIG_L,
     SIG_W,
     ParseError,
+    count_nodes,
     format_formula,
     parse,
 )
@@ -111,7 +112,9 @@ def _render_assignment(a: dict) -> str:
     return " ".join(f"{k}={_render(v)}" for k, v in sorted(a.items()))
 
 
-def _emit(args, result: str, failures: Optional[list] = None) -> None:
+def _emit(args, result: str, failures: Optional[list] = None, **fields) -> None:
+    """Print ``result`` and any counterexamples; with ``--json``, one
+    envelope that also carries ``fields``."""
     if args.json:
         envelope = {
             "command": args.command,
@@ -121,6 +124,7 @@ def _emit(args, result: str, failures: Optional[list] = None) -> None:
                  "lhs": _render(x), "rhs": _render(y)}
                 for a, x, y in (failures or [])
             ],
+            **fields,
         }
         print(json.dumps(envelope, sort_keys=True))
     else:
@@ -162,7 +166,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_rewrite(args) -> int:
     sig, rewrite = _REWRITES[args.dir if args.command == "translate" else args.command]
-    _emit(args, format_formula(rewrite(parse(args.formula, sig))))
+    f = parse(args.formula, sig)
+    out = rewrite(f)
+    _emit(args, format_formula(out), nodes_in=count_nodes(f), nodes_out=count_nodes(out))
     return 0
 
 

@@ -22,7 +22,9 @@ Walkers over formulas go through four traversal helpers rather than
 dispatching on the node types themselves: ``subformulas`` and ``subterms``
 (iterative pre-order scans), ``rebuild`` (the same connective over a
 function of each immediate part) and ``lift`` (replace applications by
-fresh variables, recording their definitions).  No node is changed once
+fresh variables, recording their definitions).  ``count_nodes`` sizes a
+formula or term on a stack of its own: each connective, quantifier,
+equation, application and variable is one node.  No node is changed once
 built, so the walkers share what they leave alone: ``rebuild``,
 ``substitute``, ``substitute_term`` and ``rename_bound_apart`` return an
 unchanged part as the very same object and build new nodes only along
@@ -256,6 +258,23 @@ def subterms(t: Term) -> Iterator[Term]:
         yield s
         if isinstance(s, App):
             stack.extend(reversed(s.args))
+
+
+def count_nodes(node: Union[Formula, Term]) -> int:
+    """The size of a formula or term: each connective, quantifier,
+    equation, application and variable is one node."""
+    total, stack = 0, [node]
+    while stack:
+        n = stack.pop()
+        total += 1
+        kind = n.__class__
+        if kind is App:
+            stack += n.args
+        elif kind is Atomic or kind is And or kind is Or:
+            stack += (n.lhs, n.rhs)
+        elif kind is not Var:
+            stack.append(n.body)
+    return total
 
 
 def rebuild(f: Formula, fn, *args) -> Formula:

@@ -30,7 +30,8 @@ its endpoint pair.  This module realizes both directions on formulas:
   exactly the valid ones, so each pair still bound is regrouped into one
   variable after the finite-set stage, and each guard that then holds is
   dropped before it.  Once the endpoint maps are back, the simplifier's
-  interval laws fold the coordinate idioms into interval terms.
+  interval laws fold the coordinate idioms into interval terms, and a
+  variable a finite value defines is inlined.
 
 Universal quantifiers in a coordinate form come only from the input
 itself or from the bound clause that ``translate_L_to_W`` writes for a
@@ -65,6 +66,7 @@ from .syntax import (
     bot,
     cap,
     classify,
+    count_nodes,
     cup,
     cz,
     delta_domain,  # re-exported for callers of intlat.transforms
@@ -88,6 +90,7 @@ from .syntax import (
     substitute,
     substitute_term,
     term_symbols,
+    term_vars,
     unnest,
     valid_pair,
 )
@@ -157,6 +160,8 @@ _LAWS = tuple(
         # 0 is the least point of the half line
         "min(cup(T, cz)) = cz",
         "min(cup(cz, T)) = cz",
+        # l and r leave a finite value as it is: l(min(T)) is min(T)
+        *(f"{m}({v}(T)) = {v}(T)" for m in "lr" for v in ("min", "max", "l", "r")),
     )
 )
 # the laws by the operation at the head of their pattern
@@ -244,44 +249,87 @@ def _simp_term(t: Term, memo: dict) -> Term:
     return out
 
 
-def _definition(g: Exists) -> Optional[tuple[list[str], list[Formula], Term]]:
+def _occurs_at_most(x: str, parts: list, most: int) -> bool:
+    """Whether the variable ``x`` occurs free at most ``most`` times in
+    ``parts``.  The walk skips a part whose cached names lack ``x`` and
+    stops at the first occurrence past ``most``."""
+    n, stack = 0, list(parts)
+    while stack:
+        p = stack.pop()
+        kind = p.__class__
+        if kind is Var:
+            n += p.name == x
+            if n > most:
+                return False
+        elif kind is App:
+            if x in term_vars(p):
+                stack += p.args
+        elif x in free_vars(p):
+            if kind is Atomic or kind is And or kind is Or:
+                stack += (p.lhs, p.rhs)
+            else:
+                stack.append(p.body)
+    return True
+
+
+def _definition(g: Exists, terms: bool) -> Optional[tuple[list[str], list[Formula], Term]]:
     """The chain of ``E`` binders directly under ``g``, the other conjuncts
     of the body below that chain, and the term t of the body's first
-    conjunct X = t, for X the variable ``g`` binds and t a variable or
-    constant other than X and not bound in the chain; None when no conjunct
-    has that shape."""
-    chain, body = [], g.body
-    while body.__class__ is Exists and body.var != g.var:
+    conjunct X = t that may be inlined, for X the variable ``g`` binds: t
+    does not name X or a variable of the chain, and putting t for each
+    occurrence of X in the other conjuncts adds no more nodes than the
+    equation, the binder and the ``&`` take away.  A variable or constant
+    always may; an application only when ``terms`` is set.  None when no
+    conjunct has that shape."""
+    x, chain, body = g.var, [], g.body
+    while body.__class__ is Exists and body.var != x:
         chain.append(body.var)
         body = body.body
     conj = operands(body, And)
     for i, c in enumerate(conj):
-        if not isinstance(c, Atomic):
+        if c.__class__ is not Atomic or x not in free_vars(c):
             continue
-        for x, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
-            if not (isinstance(x, Var) and x.name == g.var and x != t):
+        for v, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
+            if v.__class__ is not Var or v.name != x or x in term_vars(t) or not term_vars(t).isdisjoint(chain):
                 continue
-            if isinstance(t, Var) and t.name not in chain or isinstance(t, App) and not t.args:
-                return chain, conj[:i] + conj[i + 1 :], t
+            rest = conj[:i] + conj[i + 1 :]
+            # each occurrence grows by |t| - 1; X = t, E X and & free |t| + 4
+            size = count_nodes(t)
+            if size == 1 or terms and _occurs_at_most(x, rest, (size + 4) // (size - 1)):
+                return chain, rest, t
     return None
+
+
+def _finite_term(t: Term) -> bool:
+    """Whether every value of ``t`` is a finite set: ``t`` applies a
+    ``_FINITE_VALUED`` operation, or is a ``cup`` of two such terms or a
+    ``cap`` with one."""
+    if t.__class__ is not App:
+        return False
+    if t.op == "cup":
+        return _finite_term(t.args[0]) and _finite_term(t.args[1])
+    if t.op == "cap":
+        return _finite_term(t.args[0]) or _finite_term(t.args[1])
+    return t.op in _FINITE_VALUED
 
 
 def _endpoint_readings(c: Atomic):
     """Each reading of ``c`` as m(u) = F, m the endpoint map l or r and F
-    an application of a ``_FINITE_VALUED`` operation: (m, u, F, whether F is
-    the left side)."""
+    a finite-valued term (``_finite_term``): (m, u, F, whether F is the
+    left side)."""
     for m, v, v_left in ((c.lhs, c.rhs, False), (c.rhs, c.lhs, True)):
-        if m.__class__ is App is v.__class__ and m.op in ("l", "r") and v.op in _FINITE_VALUED:
+        if m.__class__ is App and m.op in ("l", "r") and _finite_term(v):
             yield m.op, m.args[0], v, v_left
 
 
 def _pair_fold(kind: type, a: Formula, b: Formula) -> Optional[Formula]:
     """``kind(a, b)`` with l(u) = F & r(u) = F as u = F, and
     !(l(u) = F) | !(r(u) = F) as !(u = F): in either order, with F on
-    either side, and with the second at the head of b's chain.  F applies a
-    ``_FINITE_VALUED`` operation, so it is a finite set and l(F) = r(F) = F;
-    conversely a set whose endpoint maps agree is made of its points.  None
-    unless ``a`` and ``b`` hold such a pair."""
+    either side, and with the second at the head of b's chain.  F is a
+    finite-valued term, so l(F) = r(F) = F; conversely a set whose endpoint
+    maps agree is made of its points.  This inverts the coordinatewise
+    equation ``_l2w`` writes for u = F.  None unless ``a`` and ``b`` hold
+    such a pair."""
     rest = None
     if b.__class__ is kind:
         b, rest = b.lhs, b.rhs
@@ -300,13 +348,14 @@ def _pair_fold(kind: type, a: Formula, b: Formula) -> Optional[Formula]:
     return None
 
 
-def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
+def _simp(f: Formula, memo: dict, keep: frozenset, terms: bool) -> Formula:
     # memo: id of each node met in this call -> (node, result); holding the
     # node keeps its id from passing to a later temporary.  Every part comes
     # back from _simp, where an equation that folds becomes TRUE or FALSE
     # itself, so the folds test those by identity.  They stay inline: in a
     # helper, their comparisons would run one frame deeper and lower the
-    # nesting limit.  A variable named in keep is never inlined.
+    # nesting limit.  A variable named in keep is never inlined, and one
+    # defined by an application only when terms is set.
     got = memo.get(id(f))
     if got is not None:
         return got[1]
@@ -320,7 +369,7 @@ def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
         else:
             out = f if lhs is f.lhs and rhs is f.rhs else Atomic(lhs, rhs)
     elif kind is Not:
-        body = _simp(f.body, memo, keep)
+        body = _simp(f.body, memo, keep, terms)
         if body is TRUE:
             out = FALSE
         elif body is FALSE:
@@ -330,17 +379,17 @@ def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
         else:
             out = f if body is f.body else Not(body)
     elif kind is Exists or kind is Forall:
-        body = _simp(f.body, memo, keep)
+        body = _simp(f.body, memo, keep, terms)
         g = out = f if body is f.body else kind(f.var, body)
         if f.var not in free_vars(body):
             out = body
-        elif kind is Exists and f.var not in keep and (found := _definition(g)) is not None:
+        elif kind is Exists and f.var not in keep and (found := _definition(g, terms)) is not None:
             # put the defining term for the variable and simplify again;
             # the memo skips the parts the substitution left alone
             chain, rest, t = found
-            out = _simp(substitute(exists_all(chain, and_all(rest)), {f.var: t}), memo, keep) if rest else TRUE
+            out = _simp(substitute(exists_all(chain, and_all(rest)), {f.var: t}), memo, keep, terms) if rest else TRUE
     else:
-        a, b = _simp(f.lhs, memo, keep), _simp(f.rhs, memo, keep)
+        a, b = _simp(f.lhs, memo, keep, terms), _simp(f.rhs, memo, keep, terms)
         unit, zero = (FALSE, TRUE) if kind is Or else (TRUE, FALSE)
         if a is zero or b is zero or a.__class__ is Not and a.body == b or b.__class__ is Not and b.body == a:
             # !a | a is TRUE and a & !a FALSE, in either order
@@ -351,7 +400,7 @@ def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
         elif b is unit or a == b:
             out = a
         elif (pair := _pair_fold(kind, a, b)) is not None:
-            out = _simp(pair, memo, keep)
+            out = _simp(pair, memo, keep, terms)
         else:
             out = f if a is f.lhs and b is f.rhs else kind(a, b)
     memo[id(f)] = (f, out)
@@ -364,20 +413,25 @@ def simplify(f: Formula) -> Formula:
     """Constant folding, lattice absorption (``cap(a, cup(a, b))`` is
     ``a``, ``cap(a, cap(a, b))`` is ``cap(a, b)``, and the same with
     ``cup`` and ``cap`` swapped, in every argument order), the interval laws
-    of ``_LAWS`` (``min(cup(l(T), r(T)))`` is ``min(T)``), the endpoint
-    pair fold (``l(u) = F & r(u) = F`` is ``u = F`` for F a finite value,
-    and its negation likewise), ``!a | a`` as TRUE and ``a & !a`` as FALSE,
-    and inlining of definitional equations X = t, t a variable or constant,
-    under their own quantifier, read below the chain of ``E`` binders
-    directly under it (t is then no variable that chain binds).
-    Equivalence-preserving in both structures, and idempotent: one pass
-    reaches the fixpoint.  It writes no negation and no ``A`` the input
+    of ``_LAWS`` (``min(cup(l(T), r(T)))`` is ``min(T)``, ``l(min(T))`` is
+    ``min(T)``), the endpoint pair fold (``l(u) = F & r(u) = F`` is
+    ``u = F`` for F a finite-valued term, and its negation likewise),
+    ``!a | a`` as TRUE and ``a & !a`` as FALSE, and inlining of
+    definitional equations X = t under their own quantifier, read below the
+    chain of ``E`` binders directly under it (t names neither X nor a
+    variable of that chain).  A definition is inlined when that makes the
+    formula no larger, counted by ``count_nodes``: always for t a variable
+    or constant, and for an application t when the occurrences of X grow by
+    no more than the equation, the binder and its ``&`` take away, so
+    ``E Y. l(Y) = r(Y) & min(X) = Y`` is TRUE.  Equivalence-preserving in
+    both structures, idempotent (one pass reaches the fixpoint), and never
+    larger than its input.  It writes no negation and no ``A`` the input
     lacks.
 
     A per-call memo visits each node once: after an inlined definition
     only the paths the substitution changed are simplified again, and a
     formula already simplified comes back as the same object."""
-    return _simp(f, {}, frozenset())
+    return _simp(f, {}, frozenset(), True)
 
 
 # -- negation elimination ------------------------------------------------------------
@@ -846,9 +900,16 @@ def pipeline(f: Formula) -> Formula:
     Free variables come back as their endpoint maps ``l(X)`` and ``r(X)``,
     and the output is simplified once more after that, so that the interval
     laws fold the coordinate idioms back (``bot = l(X) & bot = r(X)`` is
-    ``bot = X``, ``min(cup(l(X), r(X)))`` is ``min(X)``).  Every pair whose
-    two coordinates the first simplify leaves bound comes back as one
-    interval variable, and the simplify pass before that keeps its
+    ``bot = X``, ``min(cup(l(X), r(X)))`` is ``min(X)``).  Only that last
+    pass inlines a variable defined by an application, so a variable a
+    finite value defines goes (``E Y. l(Y) = r(Y) & min(X) = Y`` is TRUE)
+    and the pair fold takes a coordinatewise ``cup`` or ``cap`` of finite
+    operands back to one equation: ``E Y. E W. min(X) = Y & max(X) = W &
+    cap(Y, W) = bot`` comes back as ``cap(min(X), max(X)) = bot``.  The
+    passes before it inline variables and constants only, since there a
+    term would replace one coordinate of a pair and not the other.  Every
+    pair whose two coordinates the first simplify leaves bound comes back
+    as one interval variable, and the simplify pass before that keeps its
     coordinates paired.  By the endpoint lemma the coordinate pairs are
     exactly the valid ones, so the guard of such a pair holds, as do those
     of a free variable's pair and of a coordinate paired with itself: each
@@ -860,7 +921,7 @@ def pipeline(f: Formula) -> Formula:
     # name tells which pair it belongs to
     g = rename_bound_apart(f)
     w, pairs = _l2w(g)
-    w = nnf(simplify(w))
+    w = nnf(_simp(w, {}, frozenset(), False))
     if (c := _universal(w)) is not None:
         raise FragmentError(_universal_pair(c, g, pairs))
     # a pair with a coordinate simplify inlined stays apart: the other
@@ -871,7 +932,7 @@ def pipeline(f: Formula) -> Formula:
     holds = [(p.left, p.right) for p in whole] + [(c, c) for c in bound | free_vars(w)]
     w = _strip_guards(w, {frozenset(q): q for q in holds})
     keep = frozenset(coords)
-    g = _simp(_eliminate_diff(w, FreshNames(all_names(w))), {}, keep)
+    g = _simp(_eliminate_diff(w, FreshNames(all_names(w))), {}, keep, False)
     out = translate_W_to_L(g)
     out = _regroup(out, coords, FreshNames(all_names(out) | free_vars(f)))
     back: dict[str, Term] = {}

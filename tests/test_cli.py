@@ -1,12 +1,15 @@
 """Command line interface: exit codes, output shape, and determinism."""
 
 import json
+import random
 import time
 
 import pytest
+from helpers import FINITE_SET_OPS, INTERVAL_OPS, generated_formula
 
 from intlat import cli
 from intlat.cli import main
+from intlat.syntax import format_formula
 
 
 def run(capsys, *argv):
@@ -280,3 +283,55 @@ def test_unexpected_error_has_its_own_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "parse", "--sig", "w", "X = bot")
     assert (code, out) == (4, "")
     assert err.strip() == "internal error: TypeError: boom"
+
+
+def test_json_envelope_of_a_rewrite_counts_nodes(capsys):
+    # a variable a finite value defines is inlined, and the coordinatewise
+    # cap folds back: 17 nodes in, 7 out
+    formula = "E Y. E W. min(X) = Y & max(X) = W & cap(Y, W) = bot"
+    code, out, _ = run(capsys, "--json", "pipeline", formula)
+    assert code == 0
+    got = json.loads(out)
+    assert got["result"] == "cap(min(X), max(X)) = bot"
+    assert (got["nodes_in"], got["nodes_out"]) == (17, 7)
+    for argv in (["translate", "--dir", "l2w"], ["translate", "--dir", "w2l"], ["posex"]):
+        code, out, _ = run(capsys, "--json", *argv, "min(X) = X")
+        assert code == 0 and json.loads(out)["nodes_in"] == 4, argv
+
+
+_FUZZ_TOKENS = (
+    "X", "Y", "Z", "E", "A", "bot", "cz", "min", "max", "l", "r", "ips", "cup", "cap", "diff", "sub",
+    "(", ")", ",", ".", "=", "!", "&", "|", "->", "-", "1", "#",
+)
+_FUZZ_COMMANDS = (
+    ["parse", "--sig", "w"],
+    ["parse", "--sig", "l"],
+    ["posex"],
+    ["pipeline"],
+    ["translate", "--dir", "w2l"],
+    ["translate", "--dir", "l2w"],
+)
+
+
+def _fuzz_inputs() -> list:
+    """200 seeded inputs: random token strings, and as many generated
+    formulas, interval and finite-set ones in turn, printed."""
+    rng = random.Random("cli-fuzz")
+    texts = [" ".join(rng.choice(_FUZZ_TOKENS) for _ in range(rng.randint(1, 12))) for _ in range(100)]
+    for i in range(100):
+        ops = INTERVAL_OPS if i % 2 else FINITE_SET_OPS
+        texts.append(format_formula(generated_formula(rng, 3, ("X",), ops)))
+    return texts
+
+
+def test_no_input_crashes_a_rewrite_or_parse(capsys):
+    # exit 0, 2 (parse error) or 3 (outside the fragment), never 4 and
+    # never a traceback; "--" keeps a formula that starts with "-" an
+    # argument
+    seen = set()
+    for text in _fuzz_inputs():
+        for argv in _FUZZ_COMMANDS:
+            code, _, err = run(capsys, *argv, "--", text)
+            assert code in (0, 2, 3) and "Traceback" not in err, (argv, text, err)
+            seen.add(code)
+    assert seen == {0, 2, 3}

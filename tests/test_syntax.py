@@ -20,6 +20,7 @@ from intlat.syntax import (
     Var,
     all_names,
     classify,
+    count_nodes,
     format_formula,
     free_vars,
     is_unnested_atom,
@@ -245,6 +246,32 @@ def test_term_vars_are_cached_and_make_the_free_set_of_an_equation():
     assert free_vars(f) == term_vars(f.lhs) | term_vars(f.rhs)
     # a side whose set holds the other's lends it to the equation
     assert free_vars(f) is term_vars(f.lhs)
+
+
+def _size(node) -> int:
+    # the node count by its recursive definition
+    if isinstance(node, Var):
+        return 1
+    if isinstance(node, App):
+        return 1 + sum(map(_size, node.args))
+    if isinstance(node, (Atomic, And, Or)):
+        return 1 + _size(node.lhs) + _size(node.rhs)
+    return 1 + _size(node.body)
+
+
+@pytest.mark.parametrize("text", W_TEXTS + ["A X. !(E Y. X = Y | cap(X, Y) = X) & ips(X, cz) = bot"])
+def test_count_nodes_counts_every_node_once(text):
+    f = parse(text, SIG_W)
+    assert count_nodes(f) == _size(f)
+    assert all(count_nodes(a.lhs) == _size(a.lhs) for a in subformulas(f) if isinstance(a, Atomic))
+    # X = bot is 3 nodes, its negation 4
+    assert count_nodes(parse("!X = bot", SIG_W)) == 4
+
+
+def test_count_nodes_takes_any_depth():
+    # it keeps its own stack, so no nesting reaches the recursion limit
+    f = parse("!" * 5000 + "X = bot", SIG_W)
+    assert count_nodes(f) == 5003
 
 
 def test_all_names_are_the_free_and_the_bound():
