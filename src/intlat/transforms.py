@@ -21,17 +21,18 @@ its endpoint pair.  This module realizes both directions on formulas:
   one equation, except the pair of an ``E V`` whose block makes V's two
   coordinates equal: such a V is a finite set F, its pair is (F, F), and
   that pair is always valid;
-* ``pipeline`` composes ``translate_L_to_W`` and ``translate_W_to_L`` so
-  that supported interval formulas come out existential.  Negated
-  equations stay negated equations: only the functions ``diff`` and
-  ``ips``, which the interval signature lacks, are lifted out of a
-  negation and defined positively.  Bound interval variables stay
-  interval variables: by the endpoint lemma their coordinate pairs are
-  exactly the valid ones, so each pair still bound is regrouped into one
-  variable after the finite-set stage, and each guard that then holds is
-  dropped before it.  Once the endpoint maps are back, the simplifier's
-  interval laws fold the coordinate idioms into interval terms, and a
-  variable a finite value defines is inlined.
+* ``pipeline`` returns the simplified interval formula when its negation
+  normal form has no universal quantifier, and otherwise composes
+  ``translate_L_to_W`` and ``translate_W_to_L`` (``_coordinate_route``)
+  so that supported interval formulas come out existential.  On that route negated equations stay negated equations:
+  only the functions ``diff`` and ``ips``, which the interval signature
+  lacks, are lifted out of a negation and defined positively.  Bound
+  interval variables stay interval variables: by the endpoint lemma their
+  coordinate pairs are exactly the valid ones, so each pair still bound is
+  regrouped into one variable after the finite-set stage, and each guard
+  that then holds is dropped before it.  Once the endpoint maps are back,
+  the simplifier's interval laws fold the coordinate idioms into interval
+  terms.
 
 Universal quantifiers in a coordinate form come only from the input
 itself or from the bound clause that ``translate_L_to_W`` writes for a
@@ -272,15 +273,14 @@ def _occurs_at_most(x: str, parts: list, most: int) -> bool:
     return True
 
 
-def _definition(g: Exists, terms: bool) -> Optional[tuple[list[str], list[Formula], Term]]:
+def _definition(g: Exists) -> Optional[tuple[list[str], list[Formula], Term]]:
     """The chain of ``E`` binders directly under ``g``, the other conjuncts
     of the body below that chain, and the term t of the body's first
     conjunct X = t that may be inlined, for X the variable ``g`` binds: t
     does not name X or a variable of the chain, and putting t for each
     occurrence of X in the other conjuncts adds no more nodes than the
-    equation, the binder and the ``&`` take away.  A variable or constant
-    always may; an application only when ``terms`` is set.  None when no
-    conjunct has that shape."""
+    equation, the binder and the ``&`` take away, as a variable or constant
+    always does.  None when no conjunct has that shape."""
     x, chain, body = g.var, [], g.body
     while body.__class__ is Exists and body.var != x:
         chain.append(body.var)
@@ -295,67 +295,18 @@ def _definition(g: Exists, terms: bool) -> Optional[tuple[list[str], list[Formul
             rest = conj[:i] + conj[i + 1 :]
             # each occurrence grows by |t| - 1; X = t, E X and & free |t| + 4
             size = count_nodes(t)
-            if size == 1 or terms and _occurs_at_most(x, rest, (size + 4) // (size - 1)):
+            if size == 1 or _occurs_at_most(x, rest, (size + 4) // (size - 1)):
                 return chain, rest, t
     return None
 
 
-def _finite_term(t: Term) -> bool:
-    """Whether every value of ``t`` is a finite set: ``t`` applies a
-    ``_FINITE_VALUED`` operation, or is a ``cup`` of two such terms or a
-    ``cap`` with one."""
-    if t.__class__ is not App:
-        return False
-    if t.op == "cup":
-        return _finite_term(t.args[0]) and _finite_term(t.args[1])
-    if t.op == "cap":
-        return _finite_term(t.args[0]) or _finite_term(t.args[1])
-    return t.op in _FINITE_VALUED
-
-
-def _endpoint_readings(c: Atomic):
-    """Each reading of ``c`` as m(u) = F, m the endpoint map l or r and F
-    a finite-valued term (``_finite_term``): (m, u, F, whether F is the
-    left side)."""
-    for m, v, v_left in ((c.lhs, c.rhs, False), (c.rhs, c.lhs, True)):
-        if m.__class__ is App and m.op in ("l", "r") and _finite_term(v):
-            yield m.op, m.args[0], v, v_left
-
-
-def _pair_fold(kind: type, a: Formula, b: Formula) -> Optional[Formula]:
-    """``kind(a, b)`` with l(u) = F & r(u) = F as u = F, and
-    !(l(u) = F) | !(r(u) = F) as !(u = F): in either order, with F on
-    either side, and with the second at the head of b's chain.  F is a
-    finite-valued term, so l(F) = r(F) = F; conversely a set whose endpoint
-    maps agree is made of its points.  This inverts the coordinatewise
-    equation ``_l2w`` writes for u = F.  None unless ``a`` and ``b`` hold
-    such a pair."""
-    rest = None
-    if b.__class__ is kind:
-        b, rest = b.lhs, b.rhs
-    if kind is Or:
-        if a.__class__ is not Not or b.__class__ is not Not:
-            return None
-        a, b = a.body, b.body
-    if a.__class__ is not Atomic or b.__class__ is not Atomic:
-        return None
-    for m, u, v, v_left in _endpoint_readings(a):
-        for n, w, x, _ in _endpoint_readings(b):
-            if m != n and u == w and v == x:
-                eq = Atomic(v, u) if v_left else Atomic(u, v)
-                eq = Not(eq) if kind is Or else eq
-                return eq if rest is None else kind(eq, rest)
-    return None
-
-
-def _simp(f: Formula, memo: dict, keep: frozenset, terms: bool) -> Formula:
+def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
     # memo: id of each node met in this call -> (node, result); holding the
     # node keeps its id from passing to a later temporary.  Every part comes
     # back from _simp, where an equation that folds becomes TRUE or FALSE
     # itself, so the folds test those by identity.  They stay inline: in a
     # helper, their comparisons would run one frame deeper and lower the
-    # nesting limit.  A variable named in keep is never inlined, and one
-    # defined by an application only when terms is set.
+    # nesting limit.  A variable named in keep is never inlined.
     got = memo.get(id(f))
     if got is not None:
         return got[1]
@@ -369,7 +320,7 @@ def _simp(f: Formula, memo: dict, keep: frozenset, terms: bool) -> Formula:
         else:
             out = f if lhs is f.lhs and rhs is f.rhs else Atomic(lhs, rhs)
     elif kind is Not:
-        body = _simp(f.body, memo, keep, terms)
+        body = _simp(f.body, memo, keep)
         if body is TRUE:
             out = FALSE
         elif body is FALSE:
@@ -379,17 +330,17 @@ def _simp(f: Formula, memo: dict, keep: frozenset, terms: bool) -> Formula:
         else:
             out = f if body is f.body else Not(body)
     elif kind is Exists or kind is Forall:
-        body = _simp(f.body, memo, keep, terms)
+        body = _simp(f.body, memo, keep)
         g = out = f if body is f.body else kind(f.var, body)
         if f.var not in free_vars(body):
             out = body
-        elif kind is Exists and f.var not in keep and (found := _definition(g, terms)) is not None:
+        elif kind is Exists and f.var not in keep and (found := _definition(g)) is not None:
             # put the defining term for the variable and simplify again;
             # the memo skips the parts the substitution left alone
             chain, rest, t = found
-            out = _simp(substitute(exists_all(chain, and_all(rest)), {f.var: t}), memo, keep, terms) if rest else TRUE
+            out = _simp(substitute(exists_all(chain, and_all(rest)), {f.var: t}), memo, keep) if rest else TRUE
     else:
-        a, b = _simp(f.lhs, memo, keep, terms), _simp(f.rhs, memo, keep, terms)
+        a, b = _simp(f.lhs, memo, keep), _simp(f.rhs, memo, keep)
         unit, zero = (FALSE, TRUE) if kind is Or else (TRUE, FALSE)
         if a is zero or b is zero or a.__class__ is Not and a.body == b or b.__class__ is Not and b.body == a:
             # !a | a is TRUE and a & !a FALSE, in either order
@@ -399,8 +350,6 @@ def _simp(f: Formula, memo: dict, keep: frozenset, terms: bool) -> Formula:
             out = b
         elif b is unit or a == b:
             out = a
-        elif (pair := _pair_fold(kind, a, b)) is not None:
-            out = _simp(pair, memo, keep, terms)
         else:
             out = f if a is f.lhs and b is f.rhs else kind(a, b)
     memo[id(f)] = (f, out)
@@ -414,9 +363,7 @@ def simplify(f: Formula) -> Formula:
     ``a``, ``cap(a, cap(a, b))`` is ``cap(a, b)``, and the same with
     ``cup`` and ``cap`` swapped, in every argument order), the interval laws
     of ``_LAWS`` (``min(cup(l(T), r(T)))`` is ``min(T)``, ``l(min(T))`` is
-    ``min(T)``), the endpoint pair fold (``l(u) = F & r(u) = F`` is
-    ``u = F`` for F a finite-valued term, and its negation likewise),
-    ``!a | a`` as TRUE and ``a & !a`` as FALSE, and inlining of
+    ``min(T)``), ``!a | a`` as TRUE and ``a & !a`` as FALSE, and inlining of
     definitional equations X = t under their own quantifier, read below the
     chain of ``E`` binders directly under it (t names neither X nor a
     variable of that chain).  A definition is inlined when that makes the
@@ -431,7 +378,7 @@ def simplify(f: Formula) -> Formula:
     A per-call memo visits each node once: after an inlined definition
     only the paths the substitution changed are simplified again, and a
     formula already simplified comes back as the same object."""
-    return _simp(f, {}, frozenset(), True)
+    return _simp(f, {}, frozenset())
 
 
 # -- negation elimination ------------------------------------------------------------
@@ -887,6 +834,22 @@ def _universal_pair(c: str, f: Formula, pairs: dict[str, CoordinatePair]) -> str
 def pipeline(f: Formula) -> Formula:
     """Turn a supported interval formula into an equivalent existential one.
 
+    The simplified input is the answer when its negation normal form has no
+    universal quantifier, as for almost every input (``!(X = bot)`` comes
+    back as ``!X = bot``).  Only a formula whose universal ``simplify``
+    keeps takes the coordinate round trip, ``_coordinate_route``, which
+    raises FragmentError where it cannot eliminate that universal.  A
+    symbol outside the interval signature raises FragmentError either way."""
+    _check_signature(f, SIG_L)
+    s = simplify(f)
+    return s if _universal(nnf(s)) is None else _coordinate_route(f)
+
+
+def _coordinate_route(f: Formula) -> Formula:
+    """An equivalent existential form of the interval formula ``f`` through
+    endpoint coordinates, the paper's machinery for eliminating a universal
+    quantifier.
+
     Coordinates first, then negation normal form, then back to interval
     terms; the simplifier runs between stages.  Negated equations stay
     negated: each ``diff`` the coordinate form uses is defined by
@@ -899,29 +862,21 @@ def pipeline(f: Formula) -> Formula:
 
     Free variables come back as their endpoint maps ``l(X)`` and ``r(X)``,
     and the output is simplified once more after that, so that the interval
-    laws fold the coordinate idioms back (``bot = l(X) & bot = r(X)`` is
-    ``bot = X``, ``min(cup(l(X), r(X)))`` is ``min(X)``).  Only that last
-    pass inlines a variable defined by an application, so a variable a
-    finite value defines goes (``E Y. l(Y) = r(Y) & min(X) = Y`` is TRUE)
-    and the pair fold takes a coordinatewise ``cup`` or ``cap`` of finite
-    operands back to one equation: ``E Y. E W. min(X) = Y & max(X) = W &
-    cap(Y, W) = bot`` comes back as ``cap(min(X), max(X)) = bot``.  The
-    passes before it inline variables and constants only, since there a
-    term would replace one coordinate of a pair and not the other.  Every
-    pair whose two coordinates the first simplify leaves bound comes back
-    as one interval variable, and the simplify pass before that keeps its
-    coordinates paired.  By the endpoint lemma the coordinate pairs are
-    exactly the valid ones, so the guard of such a pair holds, as do those
-    of a free variable's pair and of a coordinate paired with itself: each
-    becomes TRUE, wherever the first simplify left it, and is never
-    translated.  A pair written without a guard is valid already.  Any
-    other guard, of a pair that simplify inlined onto one that stays apart,
-    stays in its simplified form."""
+    laws fold the coordinate idioms back (``min(cup(l(X), r(X)))`` is
+    ``min(X)``).  Every pair whose two coordinates the first simplify
+    leaves bound comes back as one interval variable, and the simplify pass
+    before that keeps its coordinates paired.  By the endpoint lemma the
+    coordinate pairs are exactly the valid ones, so the guard of such a
+    pair holds, as do those of a free variable's pair and of a coordinate
+    paired with itself: each becomes TRUE, wherever the first simplify left
+    it, and is never translated.  A pair written without a guard is valid
+    already.  Any other guard, of a pair one of whose coordinates simplify
+    inlined, stays in its simplified form."""
     # bound apart, each binder has a pair of its own, so a coordinate's
     # name tells which pair it belongs to
     g = rename_bound_apart(f)
     w, pairs = _l2w(g)
-    w = nnf(_simp(w, {}, frozenset(), False))
+    w = nnf(simplify(w))
     if (c := _universal(w)) is not None:
         raise FragmentError(_universal_pair(c, g, pairs))
     # a pair with a coordinate simplify inlined stays apart: the other
@@ -932,7 +887,7 @@ def pipeline(f: Formula) -> Formula:
     holds = [(p.left, p.right) for p in whole] + [(c, c) for c in bound | free_vars(w)]
     w = _strip_guards(w, {frozenset(q): q for q in holds})
     keep = frozenset(coords)
-    g = _simp(_eliminate_diff(w, FreshNames(all_names(w))), {}, keep, False)
+    g = _simp(_eliminate_diff(w, FreshNames(all_names(w))), {}, keep)
     out = translate_W_to_L(g)
     out = _regroup(out, coords, FreshNames(all_names(out) | free_vars(f)))
     back: dict[str, Term] = {}
@@ -942,5 +897,5 @@ def pipeline(f: Formula) -> Formula:
     # the laws see the endpoint maps only once they are back
     out = simplify(substitute(out, back))
     if classify(out) not in ("positive_existential", "existential", "quantifier_free"):
-        raise AssertionError("pipeline produced a non-existential formula")
+        raise AssertionError("the coordinate route produced a non-existential formula")
     return out

@@ -153,6 +153,13 @@ def test_pipeline_rejects_universal_input_with_exit_3(capsys):
     assert "fragment error" in err
 
 
+def test_pipeline_refuses_a_finite_set_symbol_in_one_line(capsys):
+    # the interval parser refuses ips before pipeline sees the formula
+    code, out, err = run(capsys, "pipeline", "ips(X, Y) = Z")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "unknown symbol 'ips'" in err
+
+
 def test_pipeline_takes_a_negated_containment(capsys):
     code, out, err = run(capsys, "pipeline", "!(X sub Y)")
     assert code == 0

@@ -69,6 +69,7 @@ from intlat.transforms import (
     TRUE,
     CoordinatePair,
     FragmentError,
+    _coordinate_route,
     _definition,
     _eliminate_diff,
     _grow_finite,
@@ -352,7 +353,7 @@ def test_coordinatewise_lattice_operations_force_their_operands_finite(text, x):
     a = {"X": parse_fci(x)}
     pool = default_pool(a)
     assert not eval_bounded(f, a, pool, SIG_L)
-    assert not eval_bounded(pipeline(f), a, pool, SIG_L)
+    assert not eval_bounded(_coordinate_route(f), a, pool, SIG_L)
     g, pairs = _l2w(f)
     c = _coords(a["X"], pairs["X"].left, pairs["X"].right)
     assert not eval_bounded(g, c, default_pool(c), SIG_W)
@@ -448,20 +449,21 @@ def test_l2w_guards_every_pair_but_one_its_block_forces_finite(text, unguarded):
 )
 def test_equal_endpoint_maps_make_a_set_finite(text):
     # l(V) = r(V) is Vl = Vr: V's pair needs no guard, and its cup and cap
-    # are taken coordinatewise, with no bound clause, so pipeline takes it
+    # are taken coordinatewise, with no bound clause, so the coordinate
+    # route takes it
     f = parse(text, SIG_L)
     g, pairs = _l2w(f)
     assert not any(_guarded(g, pairs[v]) for v in bound_vars(f))
     assert not any(isinstance(h, Forall) for h in subformulas(g))
     _agree_on_every_small_union(f, g, SIG_W)
-    _agree_on_every_small_union(f, pipeline(f), SIG_L)
+    _agree_on_every_small_union(f, _coordinate_route(f), SIG_L)
 
 
 def test_l2w_folds_the_input_s_terms_before_naming_them():
     # cap(X, bot) = Y means bot = Y: named, its cap would cost a bound clause
     f, folded = parse("cap(X, bot) = Y", SIG_L), parse("bot = Y", SIG_L)
     assert translate_L_to_W(f) == translate_L_to_W(folded)
-    assert pipeline(f) == pipeline(folded)
+    assert _coordinate_route(f) == _coordinate_route(folded)
 
 
 @pytest.mark.parametrize(
@@ -469,11 +471,12 @@ def test_l2w_folds_the_input_s_terms_before_naming_them():
     [("!(E Z. bot = X)", "!bot = X"), ("!(E Z. cap(Z, bot) = X)", "!bot = X"), ("A Z. bot = X", "bot = X")],
 )
 def test_pipeline_drops_a_binder_that_term_folding_empties(text, free):
-    # a pair for Z would keep a universal quantifier: pipeline rejected these
+    # a pair for Z would keep a universal quantifier: the coordinate route
+    # rejected these
     f, g = parse(text, SIG_L), parse(free, SIG_L)
-    assert pipeline(f) == pipeline(g)
+    assert _coordinate_route(f) == _coordinate_route(g)
     _agree_on_every_small_union(f, g, SIG_L)
-    _agree_on_every_small_union(f, pipeline(f), SIG_L)
+    _agree_on_every_small_union(f, _coordinate_route(f), SIG_L)
 
 
 def test_l2w_writes_no_pair_for_a_binder_term_folding_empties():
@@ -488,7 +491,7 @@ def test_l2w_names_the_pair_of_a_bound_clause_for_regrouping():
     assert _guarded(g, pairs["T"])
     # under a negation the clause turns existential, and its pair comes
     # back as one interval variable under the pair's own name
-    out = pipeline(parse("!(X sub Y)", SIG_L))
+    out = _coordinate_route(parse("!(X sub Y)", SIG_L))
     assert "T" in bound_vars(out) and not {"Tl", "Tr"} & all_names(out)
 
 
@@ -530,10 +533,17 @@ def test_l2w_guards_on_the_corpora_follow_the_definitions():
                 assert _guarded(g, pairs[h.var]) == want, (text, h.var)
 
 
-def _generated_formulas(seed: str) -> list:
-    """200 depth-3 ``generated_formula`` draws over X from ``seed``."""
+def _generated_formulas(seed: str, names: tuple = ("X",)) -> list:
+    """200 depth-3 ``generated_formula`` draws over ``names`` from ``seed``."""
     rng = random.Random(seed)
-    return [generated_formula(rng, 3, ("X",)) for _ in range(200)]
+    return [generated_formula(rng, 3, names) for _ in range(200)]
+
+
+def _universal_formulas(seed: str) -> list:
+    """300 depth-2 ``generated_formula`` draws over X and Y from ``seed``,
+    each under ``A Y``."""
+    rng = random.Random(seed)
+    return [Forall("Y", generated_formula(rng, 2, ("X", "Y"))) for _ in range(300)]
 
 
 def test_simplify_inlines_no_pair_made_for_a_constant_or_a_finite_value(monkeypatch):
@@ -600,7 +610,7 @@ def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
     accepted = skipped = rejected = checked = 0
     for f in _generated_formulas("pipeline-generated"):
         try:
-            g = pipeline(f)
+            g = _coordinate_route(f)
         except FragmentError:
             rejected += 1
             continue
@@ -618,17 +628,73 @@ def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
     assert (accepted, skipped, rejected, checked) == (158, 11, 31, 3318)
 
 
+def _outcome(rewrite, f):
+    """``rewrite(f)``, or the message of the FragmentError it raises."""
+    try:
+        return rewrite(f)
+    except FragmentError as err:
+        return str(err)
+
+
+# the generated draws, and how many of each simplify leaves with no
+# universal quantifier in negation normal form
+_PIPELINE_DRAWS = {
+    "pipeline-generated": (lambda: _generated_formulas("pipeline-generated"), 196),
+    "l2w-generated": (lambda: _generated_formulas("l2w-generated"), 195),
+    "pipeline-generated-xy": (lambda: _generated_formulas("pipeline-generated-xy", ("X", "Y")), 190),
+    "universal-xy": (lambda: _universal_formulas("universal-xy"), 177),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PIPELINE_DRAWS))
+def test_pipeline_takes_the_coordinate_route_only_for_a_universal_simplify_keeps(seed):
+    draws, want = _PIPELINE_DRAWS[seed]
+    simplified = 0
+    for f in draws():
+        s = simplify(f)
+        if any(isinstance(h, Forall) for h in subformulas(nnf(s))):
+            assert _outcome(pipeline, f) == _outcome(_coordinate_route, f), format_formula(f)
+        else:
+            assert pipeline(f) == s, format_formula(f)
+            simplified += 1
+    assert simplified == want
+
+
+def test_pipeline_outputs_agree_with_generated_formulas_on_every_small_union():
+    points = fs([0, 1, 2])
+    dense = widened(points)
+    pool = WitnessPool(points=dense, max_segments=len(dense))
+    unions = list(enum_fcis(points, 3, True))
+    accepted = checked = 0
+    for f in _generated_formulas("pipeline-generated"):
+        try:
+            g = pipeline(f)
+        except FragmentError:
+            continue
+        accepted += 1
+        fcache, gcache = EvalCache(), EvalCache()
+        for u in unions:
+            want = eval_bounded(f, {"X": u}, pool, SIG_L, cache=fcache)
+            assert eval_bounded(g, {"X": u}, pool, SIG_L, cache=gcache) == want, (format_formula(f), u)
+            checked += 1
+    assert (accepted, checked) == (196, 4116)
+
+
 def _agree_on_every_small_union(f, g, sig) -> None:
     """``g``, read in ``sig``, means what the interval formula ``f`` means
-    at every union X on three points, as the generated checks read them."""
+    at every assignment of unions on three points to X and the other free
+    variables of ``f``, as the generated checks read them; read in the
+    finite-set signature, V stands for the coordinates Vl and Vr."""
     points = fs([0, 1, 2])
     dense = widened(points)
     pool = WitnessPool(points=dense, max_segments=len(dense), pair_points=points)
+    names = sorted(free_vars(f) | {"X"})
     fcache, gcache = EvalCache(), EvalCache()
-    for u in enum_fcis(points, 3, True):
-        a = {"X": u} if sig is SIG_L else _coords(u)
-        want = eval_bounded(f, {"X": u}, pool, SIG_L, cache=fcache)
-        assert eval_bounded(g, a, pool, sig, cache=gcache) == want, u
+    for chosen in itertools.product(list(enum_fcis(points, 3, True)), repeat=len(names)):
+        a = dict(zip(names, chosen))
+        coords = a if sig is SIG_L else {k: c for v, u in a.items() for k, c in _coords(u, v + "l", v + "r").items()}
+        want = eval_bounded(f, a, pool, SIG_L, cache=fcache)
+        assert eval_bounded(g, coords, pool, sig, cache=gcache) == want, a
 
 
 @pytest.mark.parametrize(
@@ -636,7 +702,7 @@ def _agree_on_every_small_union(f, g, sig) -> None:
     [
         # a coordinatewise cap of variables finite values define: 706
         # nodes while only a definition by a finite value dropped a guard
-        ("cap(r(bot), max(X)) = cup(X, X)", pipeline, SIG_L, 120),
+        ("cap(r(bot), max(X)) = cup(X, X)", _coordinate_route, SIG_L, 120),
         # the variable among its own arguments: 95 nodes under its guard
         ("E Y. min(Y) = Y", lambda f: simplify(translate_L_to_W(f)), SIG_W, 20),
     ],
@@ -677,7 +743,7 @@ def test_pipeline_takes_a_disjunct_that_folds_to_true():
     # first disjunct folds to true; the bound clause of the cap goes with it
     f = parse("E Y. (E Y. r(cap(Y, Y)) = Y) | cap(cz, X) = r(bot)", SIG_L)
     assert any(isinstance(h, Forall) for h in subformulas(translate_L_to_W(f)))
-    g = pipeline(f)
+    g = _coordinate_route(f)
     assert g == TRUE
     _agree_on_every_small_union(f, g, SIG_L)
 
@@ -685,14 +751,16 @@ def test_pipeline_takes_a_disjunct_that_folds_to_true():
 # -- the composed rewrite -----------------------------------------------------------
 
 
-def test_pipeline_output_is_existential_interval_formula():
+@pytest.mark.parametrize("rewrite", [pipeline, _coordinate_route], ids=["pipeline", "route"])
+def test_pipeline_output_is_existential_interval_formula(rewrite):
     for text in ["X = bot", "l(X) = r(X)", "!(X = bot)", "min(X) = max(X)"]:
-        g = pipeline(parse(text, SIG_L))
+        g = rewrite(parse(text, SIG_L))
         assert classify(g) in ("positive_existential", "existential", "quantifier_free")
         assert free_vars(g) == free_vars(parse(text, SIG_L))
 
 
-def test_pipeline_preserves_meaning_on_hand_cases():
+@pytest.mark.parametrize("rewrite", [pipeline, _coordinate_route], ids=["pipeline", "route"])
+def test_pipeline_preserves_meaning_on_hand_cases(rewrite):
     cases = [
         ("!(X = bot)", lambda u: bool(u)),
         ("l(X) = r(X)", lambda u: u.is_finite_set()),
@@ -701,18 +769,18 @@ def test_pipeline_preserves_meaning_on_hand_cases():
     ]
     family = list(enum_fcis(fs([0, 1]), 2, True))
     for text, pred in cases:
-        g = pipeline(parse(text, SIG_L))
+        g = rewrite(parse(text, SIG_L))
         for u in family:
             a = {"X": u}
             assert eval_bounded(g, a, default_pool(a), SIG_L) == pred(u), (text, u)
 
 
 def test_pipeline_rejects_what_it_cannot_rewrite():
-    # a cup or cap over sets not known to be finite still costs a bound
-    # clause with a universal quantifier
+    # a cup or cap over sets not known to be finite still costs the
+    # coordinate route a bound clause with a universal quantifier
     for text in ["X sub Y", *PIPELINE_REJECTS]:
         with pytest.raises(FragmentError):
-            pipeline(parse(text, SIG_L))
+            _coordinate_route(parse(text, SIG_L))
 
 
 _ON_Y = "universal quantifier on Y cannot be eliminated"
@@ -733,8 +801,36 @@ _REJECTIONS = [
 def test_pipeline_names_what_it_cannot_eliminate_in_the_input_s_terms(text, message):
     # never a coordinate (Yl, Tl) of the translation
     with pytest.raises(FragmentError) as err:
-        pipeline(parse(text, SIG_L))
+        _coordinate_route(parse(text, SIG_L))
     assert str(err.value) == message
+
+
+# inputs pipeline rejected while it sent every input through coordinates,
+# with their outputs now: simplify leaves no quantifier, so pipeline never
+# reaches the route.  The last one the route rejected while its first
+# simplify inlined no coordinate a term defines, which left a bound clause
+# universal under the negation
+_SIMPLIFIED_REJECTIONS = {
+    "cup(X, Y) = Y": "cup(X, Y) = Y",
+    "X = max(cup(X, Y))": "X = max(cup(X, Y))",
+    "!(!(X = max(cup(X, Y))))": "X = max(cup(X, Y))",
+    "!(X = max(cup(X, Y)) & X = Y)": "!(X = max(cup(X, Y)) & X = Y)",
+    "!((E Y. Y = max(X)) & (bot = cup(X, X) & X = r(bot)))": "!(bot = X & X = bot)",
+}
+
+
+@pytest.mark.parametrize("text", sorted(_SIMPLIFIED_REJECTIONS))
+def test_pipeline_takes_a_rejection_that_simplify_leaves_quantifier_free(text):
+    f = parse(text, SIG_L)
+    g = pipeline(f)
+    assert g == simplify(f) == parse(_SIMPLIFIED_REJECTIONS[text], SIG_L)
+    _agree_on_every_small_union(f, g, SIG_L)
+
+
+def test_pipeline_checks_the_signature_before_it_simplifies():
+    # ips(X, Y) = Z simplifies to itself, with no universal to send on
+    with pytest.raises(FragmentError, match=r"^not an interval formula: uses \['ips'\]$"):
+        pipeline(parse("ips(X, Y) = Z", SIG_W))
 
 
 def test_the_pinned_rejections_cover_every_pipeline_reject():
@@ -750,17 +846,19 @@ def test_pipeline_walks_through_a_double_negation():
     f = parse("min(cup(min(X), cz)) = l(X)", SIG_L)
     twice = Not(Not(f))
     assert unnest(twice) == unnest(f)
-    g = pipeline(twice)
-    assert g == pipeline(f)
+    g = _coordinate_route(twice)
+    assert g == _coordinate_route(f)
     _agree_on_every_small_union(twice, g, SIG_L)
 
 
 def test_pipeline_takes_a_negated_containment():
-    # under the negation the bound clause turns existential, and
-    # containment itself needs no quantifier
-    g = pipeline(parse("!(X sub Y)", SIG_L))
-    assert classify(g) == "existential"
-    assert free_vars(g) == {"X", "Y"}
+    # simplify leaves no quantifier, so pipeline never sends it through
+    # coordinates, where the output was too large for the solver
+    f = parse("!(X sub Y)", SIG_L)
+    g = pipeline(f)
+    assert classify(g) == "quantifier_free"
+    assert g == parse("!X sub Y", SIG_L)
+    _agree_on_every_small_union(f, g, SIG_L)
 
 
 @pytest.mark.parametrize(
@@ -789,7 +887,7 @@ def test_pipeline_takes_a_negated_containment():
 )
 def test_pipeline_keeps_bound_interval_variables(text):
     f = parse(text, SIG_L)
-    g = pipeline(f)
+    g = _coordinate_route(f)
     for u in enum_fcis(fs([0, 1, 2]), 2, True):
         a = {"X": u}
         pool = default_pool(a)
@@ -802,7 +900,7 @@ def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
     # guard becomes valid_pair(Yl, Yl), which holds outright
     f = parse("E Y. cup(Y, min(X)) = min(X) & !(Y = X)", SIG_L)
     assert simplify(valid_pair("Yl", "Yl")) in subformulas(simplify(translate_L_to_W(f)))
-    g = pipeline(f)
+    g = _coordinate_route(f)
     # translated instead, the guard would take the output from 50 to 58 nodes
     assert count_nodes(g) <= 50
     for u in enum_fcis(fs([0, 1, 2]), 2, True):
@@ -825,14 +923,15 @@ def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
 )
 def test_pipeline_drops_a_guard_inlined_onto_a_kept_pair(text, ceiling):
     f = parse(text, SIG_L)
-    g = pipeline(f)
+    g = _coordinate_route(f)
     assert count_nodes(g) <= ceiling
     _agree_on_every_small_union(f, g, SIG_L)
 
 
 def test_pipeline_takes_a_variable_equal_to_a_free_one_to_true():
     for text in ("E Y. Y = X", "E Y. E W. Y = X & W = Y"):
-        assert pipeline(parse(text, SIG_L)) == TRUE, text
+        for rewrite in (pipeline, _coordinate_route):
+            assert rewrite(parse(text, SIG_L)) == TRUE, text
 
 
 # each PIPELINE_CORPUS output's size when every bound interval variable
@@ -840,8 +939,9 @@ def test_pipeline_takes_a_variable_equal_to_a_free_one_to_true():
 _PIPELINE_SIZE_CEILINGS = [9, 234, 379, 614, 18, 453, 1696, 687, 1025, 1723, 209]
 
 
-def test_pipeline_outputs_stay_within_their_size_ceilings():
-    sizes = [count_nodes(pipeline(parse(text, SIG_L))) for text in PIPELINE_CORPUS]
+@pytest.mark.parametrize("rewrite", [pipeline, _coordinate_route], ids=["pipeline", "route"])
+def test_pipeline_outputs_stay_within_their_size_ceilings(rewrite):
+    sizes = [count_nodes(rewrite(parse(text, SIG_L))) for text in PIPELINE_CORPUS]
     assert len(sizes) == len(_PIPELINE_SIZE_CEILINGS)
     assert all(n <= ceiling for n, ceiling in zip(sizes, _PIPELINE_SIZE_CEILINGS)), sizes
     assert sum(sizes) <= 3675
@@ -854,7 +954,9 @@ _L2W_SIZE_CEILINGS = [7, 38, 8, 47, 14, 77, 232, 38, 138, 232, 11, 38, 7, 29, 6,
 
 def test_pipeline_outputs_come_back_near_their_inputs_size():
     # 254 nodes against 99 while the endpoint maps came back unfolded, and
-    # 119 while a variable a finite value defines stayed bound
+    # 119 while a variable a finite value defines stayed bound.  The
+    # coordinate route alone gives 145, and 72 while it had the endpoint pair
+    # fold
     sizes = [(count_nodes(f), count_nodes(pipeline(f))) for f in (parse(t, SIG_L) for t in PIPELINE_CORPUS)]
     nodes_in, nodes_out = map(sum, zip(*sizes))
     assert nodes_out <= nodes_in
@@ -875,13 +977,17 @@ def test_corpus_rewrite_outputs_stay_within_their_size_ceiling():
     # each one node larger: 4341 then, 4308 before simplify folded the
     # coordinate forms back by its interval laws, and posex left its
     # output unsimplified; 3556 while simplify inlined no variable a term
-    # defines
-    total = sum(
-        count_nodes(out)
-        for side, sig, texts in (("w", SIG_W, _W_TEXTS), ("l", SIG_L, _L_TEXTS))
-        for text in texts
-        for out, _ in _rewrites(side, parse(text, sig))
-    )
+    # defines.  Two L2W_CORPUS inputs pipeline takes since it sends only a
+    # universal simplify keeps through coordinates are pinned apart
+    newly = {"X sub Y": "X sub Y", "E W. cup(X, cz) = W & W = X": "cup(X, cz) = X"}
+    total = 0
+    for side, sig, texts in (("w", SIG_W, _W_TEXTS), ("l", SIG_L, _L_TEXTS)):
+        for text in texts:
+            outs = _rewrites(side, parse(text, sig))
+            if text in newly:
+                out = outs.pop()[0]
+                assert out == parse(newly[text], SIG_L) and count_nodes(out) == 5, text
+            total += sum(count_nodes(out) for out, _ in outs)
     assert total <= 3400
 
 
@@ -971,84 +1077,6 @@ def test_each_finite_value_on_endpoint_maps_folds_back():
         assert _simp_term(value_of(*(c for _ in args for c in (l_t(t), r_t(t)))), {}) == App(op, args), op
 
 
-_FINITE_VALUES = ["bot", "cz", "min(A)", "max(A)", "l(A)", "r(A)"]
-
-
-@pytest.mark.parametrize("value", _FINITE_VALUES)
-def test_the_endpoint_pair_fold_holds_for_each_finite_value(value):
-    # either order, F on either side, negated under a disjunction, and at
-    # the head of a chain
-    forms = {
-        f"l(U) = {value} & r(U) = {value}": f"U = {value}",
-        f"r(U) = {value} & l(U) = {value}": f"U = {value}",
-        f"{value} = l(U) & r(U) = {value}": f"{value} = U",
-        f"!l(U) = {value} | !{value} = r(U)": f"!U = {value}",
-        f"l(U) = {value} & r(U) = {value} & U = B": f"U = {value} & U = B",
-        f"!r(U) = {value} | !l(U) = {value} | U = B": f"!U = {value} | U = B",
-    }
-    for text, folded in forms.items():
-        assert simplify(parse(text, SIG_L)) == parse(folded, SIG_L), text
-    pair, folded = parse(f"l(U) = {value} & r(U) = {value}", SIG_L), parse(f"U = {value}", SIG_L)
-    unions = list(enum_fcis(fs(range(4)), 4, True))
-    for u in unions:
-        for a in unions if "A" in value else unions[:1]:
-            env = {"U": u, "A": a}
-            assert eval_qf(pair, env, SIG_L) == eval_qf(folded, env, SIG_L), (u, a)
-
-
-def _pair_fold_disagreements(value: str) -> int:
-    """The assignments over 4-point unions on which l(U) = F & r(U) = F
-    and U = F differ, F the term ``value``: U ranges over every union, the
-    variables of F over one assignment for each value F takes, since both
-    formulas read F only as a whole."""
-    term = parse(f"{value} = bot", SIG_L).lhs
-    names = sorted(term_vars(term))
-    unions = list(enum_fcis(fs(range(4)), 4, True))
-    envs = {}
-    for chosen in itertools.product(unions, repeat=len(names)):
-        env = dict(zip(names, chosen))
-        envs.setdefault(eval_term(term, env, SIG_L), env)
-    pair, folded = parse(f"l(U) = {value} & r(U) = {value}", SIG_L), parse(f"U = {value}", SIG_L)
-    return sum(
-        eval_qf(pair, {"U": u, **env}, SIG_L) != eval_qf(folded, {"U": u, **env}, SIG_L)
-        for u in unions
-        for env in envs.values()
-    )
-
-
-@pytest.mark.parametrize("value", ["cup(min(A), cz)", "cap(min(A), B)", "cap(B, max(A))", "cup(l(A), r(B))"])
-def test_the_endpoint_pair_fold_takes_a_cup_or_cap_of_finite_values(value):
-    # a cup of two finite values, or a cap with one, is finite
-    forms = {f"l(U) = {value} & r(U) = {value}": f"U = {value}", f"!{value} = l(U) | !r(U) = {value}": f"!{value} = U"}
-    for text, folded in forms.items():
-        assert simplify(parse(text, SIG_L)) == parse(folded, SIG_L), text
-    assert _pair_fold_disagreements(value) == 0
-
-
-@pytest.mark.parametrize("value", ["cup(min(A), B)", "cap(B, A)"])
-def test_the_endpoint_pair_fold_needs_a_finite_value(value):
-    # B may have a segment, and U = F then holds where l(U) = F cannot
-    f = parse(f"l(U) = {value} & r(U) = {value}", SIG_L)
-    assert simplify(f) is f
-    assert _pair_fold_disagreements(value) > 0
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        # V may have a segment
-        "l(U) = V & r(U) = V",
-        # one endpoint map twice, two sets, two values
-        "l(U) = cz & cz = l(U)",
-        "l(U) = cz & r(W) = cz",
-        "l(U) = cz & r(U) = min(A)",
-    ],
-)
-def test_the_endpoint_pair_fold_needs_both_maps_of_one_set_at_one_finite_value(text):
-    f = parse(text, SIG_L)
-    assert simplify(f) is f
-
-
 # each connective fold of _simp, as (formula, what it folds to); bot = bot
 # is TRUE and cz = bot FALSE
 _FORMULA_FOLDS = [
@@ -1084,12 +1112,10 @@ def test_simplify_takes_a_tautology_under_a_universal_to_true():
 
 
 def test_simplify_reads_a_definition_below_a_chain_of_binders():
-    # U = cz sits under V's binder, which inlining variables and constants
-    # only keeps; both binder orders give one output.  simplify then
-    # inlines V's definition by a term too
+    # U = cz sits under V's binder; both binder orders give one output, with
+    # V's definition by a term inlined too
     texts = ["E U. E V. U = cz & cup(U, X) = V & max(V) = X", "E V. E U. U = cz & cup(U, X) = V & max(V) = X"]
     forms = [parse(text, SIG_W) for text in texts]
-    assert {_simp(f, {}, frozenset(), False) for f in forms} == {parse("E V. cup(cz, X) = V & max(V) = X", SIG_W)}
     assert {simplify(f) for f in forms} == {parse("max(cup(cz, X)) = X", SIG_W)}
 
 
@@ -1097,12 +1123,11 @@ def test_simplify_puts_no_variable_of_the_chain_for_the_binder_above_it():
     # V is kept, so U = V is the only definition; putting V for U would
     # take V out of its own binder's scope
     f = parse("E U. E V. U = V & cup(U, X) = V", SIG_W)
-    assert _simp(f, {}, frozenset({"V"}), True) == f
+    assert _simp(f, {}, frozenset({"V"})) == f
     # a kept U is never inlined, however it is defined; V, defined by a
     # term of U, is
     g = parse("E U. E V. U = cz & cup(U, X) = V", SIG_W)
-    assert _simp(g, {}, frozenset({"U"}), False) == g
-    assert _simp(g, {}, frozenset({"U"}), True) == parse("E U. U = cz", SIG_W)
+    assert _simp(g, {}, frozenset({"U"})) == parse("E U. U = cz", SIG_W)
 
 
 _NAMES = ("X", "Y", "V")
@@ -1268,6 +1293,7 @@ _L_TEXTS = list(PIPELINE_CORPUS) + [t for t, _ in L2W_CORPUS]
 _W_TEXTS = list(POSEX_CORPUS) + list(W2L_CORPUS)
 _REWRITES = {
     "pipeline": (pipeline, SIG_L, _L_TEXTS),
+    "coordinate-route": (_coordinate_route, SIG_L, _L_TEXTS),
     "simplify-l2w": (lambda f: simplify(translate_L_to_W(f)), SIG_L, _L_TEXTS),
     "posex": (to_positive_existential, SIG_W, _W_TEXTS),
     "simplify-w2l": (lambda f: simplify(translate_W_to_L(f)), SIG_W, _W_TEXTS),
@@ -1275,7 +1301,8 @@ _REWRITES = {
 # (outputs, SHA-256 of the lines "input TAB output"), inputs the rewrite
 # refuses left out: a change to any printed output must update these on purpose
 REWRITE_DIGESTS = {
-    "pipeline": (21, "d64dbd0c7f0ce9ce001b43b2967bfef79ea726b93204b23bbaec239276c13d94"),
+    "pipeline": (23, "f7f265ed988351a1d3a40d927db2b90c8de96711953eda1734a43b7c7b2d02d9"),
+    "coordinate-route": (21, "8d1e22833b9062ccd2abe8efd953f57ab484459ca588f166b7c14f62e2d78423"),
     "simplify-l2w": (23, "3bd93b35a2bf60ac00f62d168f8a9d2b18ce09300243ea70cd6868f2a2235412"),
     "posex": (23, "d7308485d36622a0e7ec1d10f54d2619a8b7fc91bc422bf11888b0130576f520"),
     "simplify-w2l": (23, "b14db5a8cfe07bbc0e3f64262efada1038f2d9cadf4f4fc31b65300674eb5113"),
@@ -1332,7 +1359,7 @@ def _rewrites(side: str, f):
 
 
 # (outputs, SHA-256 of the lines "input TAB output TAB simplified TAB reparsed")
-COMPOSITION_DIGEST = (31, "c1f1434b27ba3298be682971aba793d58e0233485afc0c7cfba062eb187002a9")
+COMPOSITION_DIGEST = (36, "9bea00242cce8d7c57da7e03587ebcce5c2f96c2db1d402a96d00e9a7b4ac188")
 
 
 def _composition_outputs():
@@ -1347,8 +1374,10 @@ def _composition_outputs():
 
 
 # (accepted outputs, SHA-256 of the lines "input TAB output") of pipeline
-# on the pipeline-generated formulas, skipped ones included
-GENERATED_DIGEST = (169, "a2815a672737725b20432cef49795512d2a3925091448ac4366a433c5138fd21")
+# and of its coordinate route on the pipeline-generated formulas, skipped
+# ones included
+GENERATED_DIGEST = (196, "a3de79a9a81ed8c12eb5d6d1e20798efb9eb227017bd4bcd325cbfefcd9d182b")
+GENERATED_ROUTE_DIGEST = (169, "ccb2d0f820827cc7c6ccfcf4d2c4c9a0c94ef4bf542e3b58f16cd37028896338")
 
 
 # (draws, SHA-256 of the lines "input TAB output") of the simplified
@@ -1379,11 +1408,14 @@ _ACCEPTED_ONCE_EMPTIED_BINDERS_DROP = {
 }
 
 
-def test_generated_pipeline_outputs_are_pinned():
+def _generated_outputs(rewrite) -> tuple:
+    """(the lines "input TAB output" of ``rewrite`` on the
+    pipeline-generated formulas it takes, the nodes of its outputs but those
+    for _ACCEPTED_ONCE_EMPTIED_BINDERS_DROP, the sizes of those)."""
     lines, nodes, newly = [], 0, []
     for f in _generated_formulas("pipeline-generated"):
         try:
-            g = pipeline(f)
+            g = rewrite(f)
         except FragmentError:
             continue
         text = format_formula(f)
@@ -1392,8 +1424,22 @@ def test_generated_pipeline_outputs_are_pinned():
             newly.append(count_nodes(g))
         else:
             nodes += count_nodes(g)
-    assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == GENERATED_DIGEST
     assert len(newly) == len(_ACCEPTED_ONCE_EMPTIED_BINDERS_DROP) and sum(newly) <= 42
+    return lines, nodes
+
+
+def test_generated_pipeline_outputs_are_pinned():
+    lines, nodes = _generated_outputs(pipeline)
+    assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == GENERATED_DIGEST
+    # 7306 over 161 outputs while pipeline sent every input through
+    # coordinates; the 27 inputs it has taken since have no universal
+    # once simplified
+    assert nodes <= 1045
+
+
+def test_generated_route_outputs_are_pinned():
+    lines, nodes = _generated_outputs(_coordinate_route)
+    assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == GENERATED_ROUTE_DIGEST
     # 11356 when only a definition by a finite value dropped a guard, 9618
     # while a guard simplify inlined onto a kept pair was translated, 9019
     # while phi_ips, delta_domain and the max atom split into cases, and
@@ -1404,9 +1450,11 @@ def test_generated_pipeline_outputs_are_pinned():
     # (E Z. !cap(cup(bot, X), min(Z)) = max(Z) and
     # E Y. !cap(cup(X, bot), cup(bot, Y)) = bot).  The other 161 inputs
     # gave 8409 nodes while simplify kept a conjunct repeated one level down,
-    # 8399 before pipeline folded its endpoint maps back by the laws, and
-    # 7315 before its last simplify inlined a variable a term defines
-    assert nodes <= 7306
+    # 8399 before the endpoint maps were folded back by the laws, 7315
+    # before the last simplify inlined a variable a term defines, and 7306
+    # while the endpoint pair fold took l(u) = F & r(u) = F to u = F and
+    # only the last simplify inlined a term
+    assert nodes <= 7565
 
 
 def test_composition_rewrite_outputs_are_pinned():
@@ -1459,9 +1507,10 @@ def test_simplify_takes_a_chain_of_490_conjuncts():
     assert got == parse("min(X) = X", SIG_W)
 
 
-def test_pipeline_takes_a_chain_of_489_conjuncts():
-    got = _on_fresh_stack(lambda: format_formula(pipeline(parse(_chain(489), SIG_L))))
-    assert got == format_formula(pipeline(parse("min(X) = X", SIG_L)))
+@pytest.mark.parametrize("rewrite, depth", [(pipeline, 986), (_coordinate_route, 491)], ids=["pipeline", "route"])
+def test_pipeline_takes_a_chain_of_conjuncts(rewrite, depth):
+    got = _on_fresh_stack(lambda: format_formula(rewrite(parse(_chain(depth), SIG_L))))
+    assert got == format_formula(rewrite(parse("min(X) = X", SIG_L)))
 
 
 # each shape of nesting with a depth parse must reach at the default
