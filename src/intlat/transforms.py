@@ -11,9 +11,10 @@ its endpoint pair.  This module realizes both directions on formulas:
   embedded finite sets, defining each ``ips`` application by its interval
   characterization ``phi_ips`` (one existential block, no disjunction),
   outside the negation of a negated equation;
-* ``translate_L_to_W`` rewrites an interval formula in terms of endpoint
-  coordinates, with membership and containment expressed by the
-  quantifier-free equations ``phi_in`` and ``phi_subseteq``, and each
+* ``translate_L_to_W`` rewrites an interval formula, simplified first, in
+  terms of endpoint coordinates, with membership and containment
+  expressed by the quantifier-free equations ``phi_in`` and
+  ``phi_subseteq``, and each
   finite-valued operation by one term of its operand's coordinates that
   both coordinates of the value equal (``_FINITE_VALUED``), written in
   place: only a nested ``cup`` or ``cap`` gets a variable.  Each bound
@@ -300,13 +301,13 @@ def _definition(g: Exists) -> Optional[tuple[list[str], list[Formula], Term]]:
     return None
 
 
-def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
+def _simp(f: Formula, memo: dict) -> Formula:
     # memo: id of each node met in this call -> (node, result); holding the
     # node keeps its id from passing to a later temporary.  Every part comes
     # back from _simp, where an equation that folds becomes TRUE or FALSE
     # itself, so the folds test those by identity.  They stay inline: in a
     # helper, their comparisons would run one frame deeper and lower the
-    # nesting limit.  A variable named in keep is never inlined.
+    # nesting limit.
     got = memo.get(id(f))
     if got is not None:
         return got[1]
@@ -320,7 +321,7 @@ def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
         else:
             out = f if lhs is f.lhs and rhs is f.rhs else Atomic(lhs, rhs)
     elif kind is Not:
-        body = _simp(f.body, memo, keep)
+        body = _simp(f.body, memo)
         if body is TRUE:
             out = FALSE
         elif body is FALSE:
@@ -330,17 +331,17 @@ def _simp(f: Formula, memo: dict, keep: frozenset) -> Formula:
         else:
             out = f if body is f.body else Not(body)
     elif kind is Exists or kind is Forall:
-        body = _simp(f.body, memo, keep)
+        body = _simp(f.body, memo)
         g = out = f if body is f.body else kind(f.var, body)
         if f.var not in free_vars(body):
             out = body
-        elif kind is Exists and f.var not in keep and (found := _definition(g)) is not None:
+        elif kind is Exists and (found := _definition(g)) is not None:
             # put the defining term for the variable and simplify again;
             # the memo skips the parts the substitution left alone
             chain, rest, t = found
-            out = _simp(substitute(exists_all(chain, and_all(rest)), {f.var: t}), memo, keep) if rest else TRUE
+            out = _simp(substitute(exists_all(chain, and_all(rest)), {f.var: t}), memo) if rest else TRUE
     else:
-        a, b = _simp(f.lhs, memo, keep), _simp(f.rhs, memo, keep)
+        a, b = _simp(f.lhs, memo), _simp(f.rhs, memo)
         unit, zero = (FALSE, TRUE) if kind is Or else (TRUE, FALSE)
         if a is zero or b is zero or a.__class__ is Not and a.body == b or b.__class__ is Not and b.body == a:
             # !a | a is TRUE and a & !a FALSE, in either order
@@ -377,8 +378,9 @@ def simplify(f: Formula) -> Formula:
 
     A per-call memo visits each node once: after an inlined definition
     only the paths the substitution changed are simplified again, and a
-    formula already simplified comes back as the same object."""
-    return _simp(f, {}, frozenset())
+    formula already simplified comes back as the same object.  It is the
+    one term folder: ``translate_L_to_W`` reads its input through it."""
+    return _simp(f, {})
 
 
 # -- negation elimination ------------------------------------------------------------
@@ -601,10 +603,10 @@ def translate_L_to_W(f: Formula) -> Formula:
 
     Every variable X becomes a pair (Xl, Xr) of finite-set variables;
     quantifiers are relativized to coordinate pairs of actual interval
-    unions by ``valid_pair``.  The terms of each equation are folded as
-    ``simplify`` folds them before ``unnest``, so a ``cup`` or ``cap`` that
-    folds (``cap(X, bot)``) gets no variable, and a binder whose variable
-    folding removes (``E Z. cap(Z, bot) = Y``) no pair.  Any other term but
+    unions by ``valid_pair``.  The input is simplified first, before
+    ``unnest``, so a ``cup`` or ``cap`` that folds (``cap(X, bot)``) gets no
+    variable, and a binder that ``simplify`` removes (``E Z. cap(Z, bot) =
+    Y``, or a variable it inlines) no pair.  Any other term but
     a ``cup`` or ``cap`` is translated in place: both its coordinates are
     the one term its ``_FINITE_VALUED`` entries make of its arguments'
     coordinates, and an equation equates its sides' left and right
@@ -623,26 +625,9 @@ def translate_L_to_W(f: Formula) -> Formula:
     return _l2w(f)[0]
 
 
-def _fold_terms(f: Formula, memo: dict) -> Formula:
-    """``f`` with the terms of each equation folded as ``simplify`` folds
-    them, and each quantifier whose variable the folded body no longer
-    names dropped."""
-    if f.__class__ is Atomic:
-        lhs, rhs = _simp_term(f.lhs, memo), _simp_term(f.rhs, memo)
-        return f if lhs is f.lhs and rhs is f.rhs else Atomic(lhs, rhs)
-    g = rebuild(f, _fold_terms, memo)
-    return g.body if g.__class__ in (Exists, Forall) and g.var not in free_vars(g.body) else g
-
-
-def _unnested(f: Formula) -> Formula:
-    """``unnest`` of ``f`` with its terms folded first, so that no ``cup``
-    or ``cap`` that folds (``cap(X, bot)``) gets a variable."""
-    return unnest(_fold_terms(f, {}))
-
-
 def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
     _check_signature(f, SIG_L)
-    g = _unnested(f)
+    g = unnest(simplify(f))
     names = FreshNames(all_names(g))
     pairs: dict[str, CoordinatePair] = {}
 
@@ -826,7 +811,7 @@ def _universal_pair(c: str, f: Formula, pairs: dict[str, CoordinatePair]) -> str
     v = next(v for v, p in pairs.items() if c in (p.left, p.right))
     if v in all_names(f):
         return f"universal quantifier on {v} cannot be eliminated"
-    if v in all_names(_unnested(f)):
+    if v in all_names(unnest(simplify(f))):
         return "universal quantifier on the value of a nested term cannot be eliminated"
     return "the bound clause of a cup or cap needs a universal quantifier, which cannot be eliminated"
 
@@ -851,7 +836,8 @@ def _coordinate_route(f: Formula) -> Formula:
     quantifier.
 
     Coordinates first, then negation normal form, then back to interval
-    terms; the simplifier runs between stages.  Negated equations stay
+    terms; the simplifier runs on the coordinate form and on the interval
+    output.  Negated equations stay
     negated: each ``diff`` the coordinate form uses is defined by
     ``diffdef`` outside the negation of its equation, and
     ``translate_W_to_L`` does the same for each ``ips``.  Inputs whose
@@ -861,11 +847,12 @@ def _coordinate_route(f: Formula) -> Formula:
     FragmentError.
 
     Free variables come back as their endpoint maps ``l(X)`` and ``r(X)``,
-    and the output is simplified once more after that, so that the interval
-    laws fold the coordinate idioms back (``min(cup(l(X), r(X)))`` is
-    ``min(X)``).  Every pair whose two coordinates the first simplify
-    leaves bound comes back as one interval variable, and the simplify pass
-    before that keeps its coordinates paired.  By the endpoint lemma the
+    and the output is simplified once more after that, at the interval
+    level, so that the interval laws fold the coordinate idioms back
+    (``min(cup(l(X), r(X)))`` is ``min(X)``).  Every pair whose two
+    coordinates the first simplify leaves bound comes back as one interval
+    variable: nothing simplifies between that simplify and the regrouping,
+    so its coordinates stay paired.  By the endpoint lemma the
     coordinate pairs are exactly the valid ones, so the guard of such a
     pair holds, as do those of a free variable's pair and of a coordinate
     paired with itself: each becomes TRUE, wherever the first simplify left
@@ -886,9 +873,7 @@ def _coordinate_route(f: Formula) -> Formula:
     whole = [pairs[v] for v in free_vars(f)] + [p for p, _ in coords.values()]
     holds = [(p.left, p.right) for p in whole] + [(c, c) for c in bound | free_vars(w)]
     w = _strip_guards(w, {frozenset(q): q for q in holds})
-    keep = frozenset(coords)
-    g = _simp(_eliminate_diff(w, FreshNames(all_names(w))), {}, keep)
-    out = translate_W_to_L(g)
+    out = translate_W_to_L(_eliminate_diff(w, FreshNames(all_names(w))))
     out = _regroup(out, coords, FreshNames(all_names(out) | free_vars(f)))
     back: dict[str, Term] = {}
     for v in free_vars(f):

@@ -22,6 +22,11 @@ names the structure by the signature it passes.
 
 Implication is parse sugar for ``!a | b``: ``syntax.Formula`` has six
 kinds of node, and no module defines, imports or reads an ``Implies``.
+
+Terms are folded in one place: only ``transforms._simp`` (and the folder
+itself, recursively) names ``_simp_term``, and ``_simp`` takes exactly
+``(f, memo)``, so no second folder and no option on the simplifier can
+come back.
 """
 
 import ast
@@ -32,6 +37,7 @@ from intlat import syntax
 ROOT = Path(__file__).resolve().parent.parent
 MASK_MODULE = "src/intlat/cells.py"
 EVAL_MODULE = "src/intlat/semantics.py"
+FOLD_MODULE = "src/intlat/transforms.py"
 
 
 def _is_two(node: ast.expr) -> bool:
@@ -238,3 +244,55 @@ def test_the_check_sees_a_planted_implication():
         "implies = Or(Not(a), b)\n"
     )
     assert _implies_names(tree) == [1, 2, 4, 5]
+
+
+def _namings(tree: ast.Module, name: str) -> list[tuple[int, str]]:
+    """The lines that name ``name``, read, called or imported, each with
+    the function it is named in ("" outside every function)."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (
+            isinstance(node, ast.Name)
+            and node.id == name
+            or isinstance(node, ast.Attribute)
+            and node.attr == name
+            or isinstance(node, ast.alias)
+            and node.name == name
+        ):
+            found.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_one_simplifier_folds_terms():
+    found = {}
+    for path in sorted(ROOT.glob("src/intlat/*.py")):
+        rel = path.relative_to(ROOT).as_posix()
+        names = _namings(ast.parse(path.read_text(), rel), "_simp_term")
+        lines = [line for line, owner in names if rel != FOLD_MODULE or owner not in ("_simp", "_simp_term")]
+        if lines:
+            found[rel] = lines
+    assert not found
+    tree = ast.parse((ROOT / FOLD_MODULE).read_text())
+    assert {owner for _, owner in _namings(tree, "_simp_term")} == {"_simp", "_simp_term"}
+    (simp,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_simp"]
+    args = simp.args
+    assert [a.arg for a in args.posonlyargs + args.args] == ["f", "memo"]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
+
+
+def test_the_check_sees_a_planted_folder():
+    tree = ast.parse(
+        "def _simp(f, memo):\n    return _simp_term(f, memo)\n"
+        "def _fold_terms(f, memo):\n    return _simp_term(f.lhs, memo)\n"
+        "g = rebuild(f, transforms._simp_term)\n"
+        "from .transforms import _simp_term as fold\n"
+        "def _simp_terms(f):\n    return f\n"
+    )
+    assert _namings(tree, "_simp_term") == [(2, "_simp"), (4, "_fold_terms"), (5, ""), (6, "")]

@@ -75,9 +75,7 @@ from intlat.transforms import (
     _grow_finite,
     _l2w,
     _misses,
-    _simp,
     _simp_term,
-    _unnested,
     delta_domain,
     notbot,
     phi_in,
@@ -373,11 +371,14 @@ def test_l2w_forgets_finiteness_at_an_inner_binder_of_the_same_name():
 
 def test_l2w_forgets_forced_coordinates_at_an_inner_binder_of_the_same_name():
     # min(X) = Y forces the outer Y's coordinates equal, but V's block
-    # equates V with a cap of the inner Y, any union, so V keeps its guard.
+    # equates V with a cap of the inner Y, any union, and cz, so V keeps its
+    # guard; were the inner Y forced, that cap would force V.  The
+    # definition names the inner Y, bound below V, so simplify keeps both.
     # The parser renames such binders apart, so this one is built by hand
     x, y, v = Var("X"), Var("Y"), Var("V")
-    inner = Exists("V", Exists("Y", and_all([Atomic(cap(y, y), v), Not(Atomic(v, x)), Atomic(y, x)])))
+    inner = Exists("V", Exists("Y", and_all([Atomic(cap(y, cz()), v), Not(Atomic(v, x)), Atomic(l_t(y), l_t(x))])))
     f = And(Atomic(min_t(x), y), Not(inner))
+    assert simplify(f) == f
     g, pairs = _l2w(f)
     assert _guarded(g, pairs["V"])
     points = fs([0, 1, 2])
@@ -401,36 +402,45 @@ def _guarded(g, pair) -> bool:
     raise AssertionError(f"{pair} is not bound as a pair")
 
 
-@pytest.mark.parametrize(
-    "text, unguarded",
-    [
-        ("E Y. min(X) = Y & cup(Y, X) = X", {"Y"}),
-        # looking through the nested E, and a definition by a bound variable
-        ("E Y. E W. max(X) = Y & l(Y) = W", {"Y", "W"}),
-        ("E Y. cz = Y & (E W. r(W) = Y)", {"Y"}),
-        # each guard would rest on the other
-        ("E Y. E W. Y = W & cup(Y, X) = W", set()),
-        # the variable among its own arguments, and equal to a variable a
-        # finite value defines
-        ("E Y. min(Y) = Y", {"Y"}),
-        ("E Y. E W. min(X) = Y & W = Y & !(W = X)", {"Y", "W"}),
-        # a definition under a negation or in one disjunct only
-        ("E Y. !(min(X) = Y)", set()),
-        ("E Y. min(X) = Y | Y = X", set()),
-        # a universal binder, and the bound clause of a cup
-        ("A Y. (min(X) = Y -> Y = X)", set()),
-        ("cup(X, Y) = Z", set()),
-        # one equation between X's coordinates, with no helper to bind
-        ("l(X) = r(X)", set()),
-        # equal endpoint maps, in either order, make Y a finite set
-        ("E Y. l(Y) = r(Y) & !(Y = X)", {"Y"}),
-        ("E Y. E W. r(Y) = l(Y) & cup(Y, W) = X", {"Y"}),
-    ],
-)
+# _l2w reads its input through simplify, which inlines a definition X = t
+# unless t names a variable bound below X or X occurs besides more often
+# than t's size allows (three times for three nodes, six for two, any
+# number for one).  So each definition below is by a three-node term whose
+# variable is named four more times (cap(Y, l(Y)) = r(Y) names it thrice),
+# or its term names a variable bound below it
+_GUARD_CASES = [
+    ("E Y. min(l(X)) = Y & cup(Y, X) = X & cap(Y, l(Y)) = r(Y)", {"Y"}),
+    # looking through the nested E, and a definition by a bound variable
+    ("E W. E Y. max(r(X)) = Y & l(Y) = W & cap(Y, l(Y)) = r(Y)", {"Y", "W"}),
+    ("E Y. min(l(X)) = Y & (E W. r(W) = Y) & cap(Y, l(Y)) = r(Y)", {"Y"}),
+    # each guard would rest on the other
+    ("E Y. E W. cup(W, X) = Y & cap(Y, W) = W", set()),
+    # the variable among its own arguments, and defined by a finite
+    # value of a variable equal endpoint maps make finite (simplify
+    # inlines every equation between a bound variable and a variable)
+    ("E Y. min(Y) = Y", {"Y"}),
+    ("E W. E Y. l(Y) = r(Y) & l(Y) = W & !(W = X)", {"Y", "W"}),
+    # a definition under a negation or in one disjunct only
+    ("E Y. !(min(X) = Y)", set()),
+    ("E Y. min(X) = Y | Y = X", set()),
+    # a universal binder, and the bound clause of a cup
+    ("A Y. (min(X) = Y -> Y = X)", set()),
+    ("cup(X, Y) = Z", set()),
+    # one equation between X's coordinates, with no helper to bind
+    ("l(X) = r(X)", set()),
+    # equal endpoint maps, in either order, make Y a finite set
+    ("E Y. l(Y) = r(Y) & !(Y = X)", {"Y"}),
+    ("E Y. E W. r(Y) = l(Y) & cup(Y, W) = X", {"Y"}),
+]
+
+
+@pytest.mark.parametrize("text, unguarded", _GUARD_CASES)
 def test_l2w_guards_every_pair_but_one_its_block_forces_finite(text, unguarded):
     f = parse(text, SIG_L)
+    # _l2w reads the simplified input, which binds what the input binds
+    assert bound_vars(simplify(f)) == bound_vars(f)
     g, pairs = _l2w(f)
-    assert {v for v in bound_vars(unnest(f)) if not _guarded(g, pairs[v])} == unguarded
+    assert {v for v in bound_vars(unnest(simplify(f))) if not _guarded(g, pairs[v])} == unguarded
     # the bound clause of a cup or cap binds a pair of its own
     for h in subformulas(g):
         if isinstance(h, Forall) and isinstance(h.body, Forall):
@@ -479,6 +489,15 @@ def test_pipeline_drops_a_binder_that_term_folding_empties(text, free):
     _agree_on_every_small_union(f, _coordinate_route(f), SIG_L)
 
 
+def test_l2w_reads_its_input_through_simplify():
+    # a formula and its simplified form have one translation, on the
+    # corpora and the one- and two-variable draws
+    draws = _generated_formulas("pipeline-generated") + _generated_formulas("l2w-generated")
+    draws += _generated_formulas("pipeline-generated-xy", ("X", "Y"))
+    for f in [parse(text, SIG_L) for text in _L_TEXTS] + draws:
+        assert translate_L_to_W(f) == translate_L_to_W(simplify(f)), format_formula(f)
+
+
 def test_l2w_writes_no_pair_for_a_binder_term_folding_empties():
     g = simplify(translate_L_to_W(parse("E Z. cap(Z, bot) = Y", SIG_L)))
     assert g == simplify(translate_L_to_W(parse("bot = Y", SIG_L)))
@@ -497,9 +516,9 @@ def test_l2w_names_the_pair_of_a_bound_clause_for_regrouping():
 
 def _defined_by_finite_value(h: Exists) -> bool:
     """Whether a conjunct of ``h``'s block equates its variable's two
-    endpoint maps, or equates its variable with a term of other variables
-    that is no variable and applies ``cup`` or ``cap`` only to such terms
-    or to variables defined so in the block."""
+    endpoint maps, or equates its variable with a term that is no variable
+    and applies ``cup`` or ``cap`` only to such terms or to other variables
+    defined so in the block."""
     body = h.body
     while isinstance(body, Exists):
         body = body.body
@@ -511,7 +530,7 @@ def _defined_by_finite_value(h: Exists) -> bool:
             return True
         for c in conj:
             for x, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
-                if x != Var(v) or not isinstance(t, App) or v in term_vars(t):
+                if x != Var(v) or not isinstance(t, App):
                     continue
                 args = t.args if t.op in ("cup", "cap") else ()
                 if all(isinstance(a, App) or a.name not in seen and defined(a.name, seen | {a.name}) for a in args):
@@ -522,15 +541,21 @@ def _defined_by_finite_value(h: Exists) -> bool:
 
 
 def test_l2w_guards_on_the_corpora_follow_the_definitions():
-    # on the corpora a block forces finite exactly the variables a finite
-    # value of other variables defines
-    for text in _L_TEXTS:
-        f = unnest(parse(text, SIG_L))
+    # on the corpora and the guard cases a block forces finite exactly the
+    # variables a finite value defines.  simplify inlines 7 of the 10
+    # corpus binders, so the guard cases, which it leaves bound, are read
+    # too
+    checked = 0
+    for text in _L_TEXTS + [text for text, _ in _GUARD_CASES]:
+        # the binders _l2w reads: those of the simplified input
+        f = parse(text, SIG_L)
         g, pairs = _l2w(f)
-        for h in subformulas(f):
+        for h in subformulas(unnest(simplify(f))):
             if isinstance(h, (Exists, Forall)):
                 want = isinstance(h, Forall) or not _defined_by_finite_value(h)
                 assert _guarded(g, pairs[h.var]) == want, (text, h.var)
+                checked += 1
+    assert checked == 19
 
 
 def _generated_formulas(seed: str, names: tuple = ("X",)) -> list:
@@ -549,11 +574,14 @@ def _universal_formulas(seed: str) -> list:
 def test_simplify_inlines_no_pair_made_for_a_constant_or_a_finite_value(monkeypatch):
     # constants and finite values are translated in place, so unnest binds
     # only cup and cap; a pair made for any other term would be inlined
-    # again (1,646 coordinates on these inputs).  The terms are folded
+    # again (1,646 coordinates on these inputs).  The input is simplified
     # before unnest, so no cup or cap that folds (cap(X, bot)) is bound:
     # 162 coordinates were inlined while such pairs were.  An operand's own
     # Ul = Ur, or an l or r atom that defines a coordinate, is still inlined,
-    # and so is Ul = cup(cz, Xl), a coordinate defined by a term
+    # and so is Ul = cup(cz, Xl), a coordinate defined by a term.  6 were
+    # inlined while only the input's terms were folded: simplify inlines
+    # the W of E Y. E W. min(X) = Y & cup(Y, cz) = W & max(W) = Y, so unnest
+    # names that cup itself, and both its coordinates are inlined
     hits, inlined = [], 0
 
     def recorded(g, *args):
@@ -567,14 +595,14 @@ def test_simplify_inlines_no_pair_made_for_a_constant_or_a_finite_value(monkeypa
     for f in inputs + _generated_formulas("l2w-generated") + _generated_formulas("pipeline-generated"):
         g, pairs = _l2w(f)
         # the operation each variable unnest binds stands for
-        atoms = [h for h in subformulas(_unnested(f)) if isinstance(h, Atomic)]
+        atoms = [h for h in subformulas(unnest(simplify(f))) if isinstance(h, Atomic)]
         ops = {h.rhs.name: h.lhs.op for h in atoms if isinstance(h.lhs, App) and isinstance(h.rhs, Var)}
         made = {c: ops.get(v) for v, p in pairs.items() if v not in all_names(f) for c in (p.left, p.right)}
         hits.clear()
         simplify(g)
         assert all(made[c] in ("cup", "cap") for c in hits if c in made), format_formula(f)
         inlined += sum(c in made for c in hits)
-    assert inlined <= 6
+    assert inlined <= 8
 
 
 def test_l2w_agrees_with_generated_formulas_on_every_small_union():
@@ -598,8 +626,9 @@ def test_l2w_agrees_with_generated_formulas_on_every_small_union():
             assert eval_bounded(g, coords, pool, SIG_W, cache=wcache) == want, (format_formula(f), u)
             checked += 1
     # 20 universal while simplify kept E Y. Y = max(X), which a negation
-    # around it turned universal
-    assert (checked, universal) == (3801, 19)
+    # around it turned universal; (3801, 19) while _l2w folded only the
+    # input's terms, not its definitions, before unnest
+    assert (checked, universal) == (3843, 17)
 
 
 def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
@@ -615,7 +644,10 @@ def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
             rejected += 1
             continue
         # an output from a bound clause under a negation is too large for
-        # the solver to decide here
+        # the solver to decide here.  6 more were skipped while _l2w folded
+        # only the input's terms: simplify now drops the atom whose cup or
+        # cap cost the bound clause, beside a true disjunct (cz = cz | ...)
+        # or a false conjunct (cz = cup(bot, bot) & ...)
         if any(isinstance(h, Forall) for h in subformulas(translate_L_to_W(f))):
             skipped += 1
             continue
@@ -625,7 +657,7 @@ def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
             want = eval_bounded(f, {"X": u}, pool, SIG_L, cache=fcache)
             assert eval_bounded(g, {"X": u}, pool, SIG_L, cache=gcache) == want, (format_formula(f), u)
             checked += 1
-    assert (accepted, skipped, rejected, checked) == (158, 11, 31, 3318)
+    assert (accepted, skipped, rejected, checked) == (164, 5, 31, 3444)
 
 
 def _outcome(rewrite, f):
@@ -1120,14 +1152,13 @@ def test_simplify_reads_a_definition_below_a_chain_of_binders():
 
 
 def test_simplify_puts_no_variable_of_the_chain_for_the_binder_above_it():
-    # V is kept, so U = V is the only definition; putting V for U would
-    # take V out of its own binder's scope
-    f = parse("E U. E V. U = V & cup(U, X) = V", SIG_W)
-    assert _simp(f, {}, frozenset({"V"})) == f
-    # a kept U is never inlined, however it is defined; V, defined by a
-    # term of U, is
-    g = parse("E U. E V. U = cz & cup(U, X) = V", SIG_W)
-    assert _simp(g, {}, frozenset({"U"})) == parse("E U. U = cz", SIG_W)
+    # min(V) = U is U's only definition, and V has none: putting min(V) for
+    # U would take V out of its own binder's scope
+    f = parse("E U. E V. min(V) = U & cup(U, X) = cap(V, X)", SIG_W)
+    assert simplify(f) == f
+    # with the binders swapped, V is bound above U, and U is inlined
+    g = parse("E V. E U. min(V) = U & cup(U, X) = cap(V, X)", SIG_W)
+    assert simplify(g) == parse("E V. cup(min(V), X) = cap(V, X)", SIG_W)
 
 
 _NAMES = ("X", "Y", "V")
@@ -1302,8 +1333,8 @@ _REWRITES = {
 # refuses left out: a change to any printed output must update these on purpose
 REWRITE_DIGESTS = {
     "pipeline": (23, "f7f265ed988351a1d3a40d927db2b90c8de96711953eda1734a43b7c7b2d02d9"),
-    "coordinate-route": (21, "8d1e22833b9062ccd2abe8efd953f57ab484459ca588f166b7c14f62e2d78423"),
-    "simplify-l2w": (23, "3bd93b35a2bf60ac00f62d168f8a9d2b18ce09300243ea70cd6868f2a2235412"),
+    "coordinate-route": (21, "caf0a5659a4efb29b1f5fee1a9b558f7f2ac51e90163645dc0157eff9bad81fc"),
+    "simplify-l2w": (23, "70fbb09ad23764bc9f1a22e58e9d708ca0e4c1b8c64d0dffabdc7ca1c4a6aad4"),
     "posex": (23, "d7308485d36622a0e7ec1d10f54d2619a8b7fc91bc422bf11888b0130576f520"),
     "simplify-w2l": (23, "b14db5a8cfe07bbc0e3f64262efada1038f2d9cadf4f4fc31b65300674eb5113"),
 }
@@ -1359,7 +1390,7 @@ def _rewrites(side: str, f):
 
 
 # (outputs, SHA-256 of the lines "input TAB output TAB simplified TAB reparsed")
-COMPOSITION_DIGEST = (36, "9bea00242cce8d7c57da7e03587ebcce5c2f96c2db1d402a96d00e9a7b4ac188")
+COMPOSITION_DIGEST = (36, "8c4b7bef7ac4ae0fd8c06cb2e1356ad7a51afd7d45261ae057d5ff49d88d6140")
 
 
 def _composition_outputs():
@@ -1383,7 +1414,7 @@ GENERATED_ROUTE_DIGEST = (169, "ccb2d0f820827cc7c6ccfcf4d2c4c9a0c94ef4bf542e3b58
 # (draws, SHA-256 of the lines "input TAB output") of the simplified
 # coordinate form of both generated draws as drawn; parsing would rename
 # apart the names some of them bind twice
-RAW_GENERATED_DIGEST = (400, "dfbc4e8efd311996d45e4ccf00329412a5ae06682cc5928d4ae7ed450181183a")
+RAW_GENERATED_DIGEST = (400, "3c82f4629b8ad94f3f8dbd7ddd91e42845452457e97c80ca01b24151fd543d6d")
 
 
 def test_l2w_outputs_on_generated_formulas_that_bind_a_name_twice_are_pinned():
@@ -1507,10 +1538,32 @@ def test_simplify_takes_a_chain_of_490_conjuncts():
     assert got == parse("min(X) = X", SIG_W)
 
 
-@pytest.mark.parametrize("rewrite, depth", [(pipeline, 986), (_coordinate_route, 491)], ids=["pipeline", "route"])
+# the route took 491 while _l2w folded only the input's terms; it takes 985
+# only because simplify collapses the chain to one conjunct before
+# translating it, so the chain of distinct conjuncts below pins the depth the
+# translation itself reaches
+@pytest.mark.parametrize("rewrite, depth", [(pipeline, 986), (_coordinate_route, 985)], ids=["pipeline", "route"])
 def test_pipeline_takes_a_chain_of_conjuncts(rewrite, depth):
     got = _on_fresh_stack(lambda: format_formula(rewrite(parse(_chain(depth), SIG_L))))
     assert got == format_formula(rewrite(parse("min(X) = X", SIG_L)))
+
+
+def _distinct_chain(n: int) -> str:
+    return " & ".join(f"min(X{i}) = X{i}" for i in range(n))
+
+
+# each depth must not fall: simplify leaves a chain of distinct conjuncts
+# as it is, so it reaches translate_L_to_W whole
+@pytest.mark.parametrize(
+    "rewrite, depth, ends", [(translate_L_to_W, 491, ("l", "r")), (_coordinate_route, 490, ("",))], ids=["l2w", "route"]
+)
+def test_coordinate_rewrites_take_a_chain_of_distinct_conjuncts(rewrite, depth, ends):
+    def names():
+        g = rewrite(parse(_distinct_chain(depth), SIG_L))
+        format_formula(g)
+        return free_vars(g)
+
+    assert _on_fresh_stack(names) == {f"X{i}{end}" for i in range(depth) for end in ends}
 
 
 # each shape of nesting with a depth parse must reach at the default
