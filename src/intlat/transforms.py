@@ -23,17 +23,10 @@ its endpoint pair.  This module realizes both directions on formulas:
   coordinates equal: such a V is a finite set F, its pair is (F, F), and
   that pair is always valid;
 * ``pipeline`` returns the simplified interval formula when its negation
-  normal form has no universal quantifier, and otherwise composes
-  ``translate_L_to_W`` and ``translate_W_to_L`` (``_coordinate_route``)
-  so that supported interval formulas come out existential.  On that route negated equations stay negated equations:
-  only the functions ``diff`` and ``ips``, which the interval signature
-  lacks, are lifted out of a negation and defined positively.  Bound
-  interval variables stay interval variables: by the endpoint lemma their
-  coordinate pairs are exactly the valid ones, so each pair still bound is
-  regrouped into one variable after the finite-set stage, and each guard
-  that then holds is dropped before it.  Once the endpoint maps are back,
-  the simplifier's interval laws fold the coordinate idioms into interval
-  terms.
+  normal form has no universal quantifier.  Otherwise it decides each
+  universal subformula whose simplified coordinate form has no quantifier
+  (TRUE or FALSE above all), in place, and keeps the rest of the formula
+  in interval syntax; a universal quantifier left after that is refused.
 
 Universal quantifiers in a coordinate form come only from the input
 itself or from the bound clause that ``translate_L_to_W`` writes for a
@@ -43,7 +36,6 @@ itself or from the bound clause that ``translate_L_to_W`` writes for a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .syntax import (
@@ -71,7 +63,6 @@ from .syntax import (
     count_nodes,
     cup,
     cz,
-    delta_domain,  # re-exported for callers of intlat.transforms
     diff_t,
     exists_all,
     formula_symbols,
@@ -86,7 +77,6 @@ from .syntax import (
     parse,
     r_t,
     rebuild,
-    rename_bound_apart,
     subformulas,
     subset_atom,
     substitute,
@@ -701,16 +691,16 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
             # input may force an operand finite through this very atom
             own = {t.name: Atomic(*c) for t, c in ((x, cx), (y, cy)) if t.__class__ is Var and t.name not in forced}
             return and_all([Atomic(App(a.op, (s, t)), v) for s, t, v in zip(cx, cy, w)] + list(own.values()))
-        # a pair of its own, under a name pipeline regroups it by
-        tp = pairs[names.fresh("T")] = CoordinatePair(names.fresh("Tl"), names.fresh("Tr"))
-        t, rel = (Var(tp.left), Var(tp.right)), valid_pair(tp.left, tp.right)
+        # a pair of its own for the bound clause
+        tl, tr = names.fresh("Tl"), names.fresh("Tr")
+        t, rel = (Var(tl), Var(tr)), valid_pair(tl, tr)
         if a.op == "cup":
             above_both = And(phi_subseteq(*cx, *w), phi_subseteq(*cy, *w))
             least_such = Or(Not(And(phi_subseteq(*cx, *t), phi_subseteq(*cy, *t))), phi_subseteq(*w, *t))
-            return And(above_both, Forall(tp.left, Forall(tp.right, Or(Not(rel), least_such))))
+            return And(above_both, Forall(tl, Forall(tr, Or(Not(rel), least_such))))
         below_both = And(phi_subseteq(*w, *cx), phi_subseteq(*w, *cy))
         greatest_such = Or(Not(And(phi_subseteq(*t, *cx), phi_subseteq(*t, *cy))), phi_subseteq(*t, *w))
-        return And(below_both, Forall(tp.left, Forall(tp.right, Or(Not(rel), greatest_such))))
+        return And(below_both, Forall(tl, Forall(tr, Or(Not(rel), greatest_such))))
 
     return walk(g, frozenset(), frozenset()), pairs
 
@@ -767,53 +757,28 @@ def translate_W_to_L(f: Formula) -> Formula:
 # -- the composed pipeline -----------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
-def _simplified_guard(left: str, right: str) -> Formula:
-    """``valid_pair(left, right)`` as simplify leaves it."""
-    return simplify(valid_pair(left, right))
-
-
-def _strip_guards(f: Formula, holds: dict) -> Formula:
-    """``f`` with the guard of each coordinate pair in ``holds`` made TRUE.
-    ``holds`` keys each pair by its names, the free names of its guard,
-    which ``f`` caches on every node, so no term is hashed."""
-    pair = holds.get(free_vars(f))
-    return TRUE if pair is not None and f == _simplified_guard(*pair) else rebuild(f, _strip_guards, holds)
-
-
-def _regroup(f: Formula, coords: dict, names: FreshNames) -> Formula:
-    """``f`` with each ``E Wl. l(Wl) = r(Wl) & E Wr. l(Wr) = r(Wr) & B``
-    over a pair still bound turned into ``E W. B[l(W)/Wl, r(W)/Wr]``.
-    ``coords`` maps each coordinate of such a pair to the pair and the
-    name of its interval variable.  A binder whose partner simplify dropped
-    regroups alone: l(W) and r(W) each range over every finite set."""
-    if coords.keys().isdisjoint(bound_vars(f)):
-        return f
-    if f.__class__ is not Exists or f.var not in coords:
-        return rebuild(f, _regroup, coords, names)
-    p, base = coords[f.var]
-    w = Var(names.fresh(base))
-    mapping: dict[str, Term] = {}
-    g: Formula = f
-    for v, coord in ((p.left, l_t), (p.right, r_t)):
-        if g.__class__ is Exists and g.var == v:
-            mapping[v] = coord(w)
-            g = g.body
-            # translate_W_to_L put l(v) = r(v) first; l(W) and r(W) are finite
-            if g.__class__ is And and g.lhs == _finite_coords(v):
-                g = g.rhs
-    return Exists(w.name, _regroup(substitute(g, mapping), coords, names))
-
-
-def _universal_pair(c: str, f: Formula, pairs: dict[str, CoordinatePair]) -> str:
-    """Why coordinate ``c`` of ``_l2w(f)`` stays universal, said of ``f``: its
-    pair's interval variable, a nested ``cup`` or ``cap``, or a bound clause."""
-    v = next(v for v, p in pairs.items() if c in (p.left, p.right))
-    if v in all_names(f):
-        return f"universal quantifier on {v} cannot be eliminated"
-    if v in all_names(unnest(simplify(f))):
-        return "universal quantifier on the value of a nested term cannot be eliminated"
-    return "the bound clause of a cup or cap needs a universal quantifier, which cannot be eliminated"
+def _decided(f: Formula, negated: bool) -> Formula:
+    """``f`` with each universal subformula q, an ``A`` under an even number
+    of negations or an ``E`` under an odd number, decided by its coordinate
+    form w = ``simplify(translate_L_to_W(q))`` when w has no quantifier and
+    no ``ips`` or ``diff``: w with each free coordinate back as its endpoint
+    map, ``l(X)`` or ``r(X)``, takes q's place.  w holds exactly at the
+    endpoint coordinates of q's free variables, and on the finite sets
+    ``l(X)`` and ``r(X)`` the shared operations agree in both structures,
+    so that is q; a constant w (TRUE or FALSE) says q holds everywhere or
+    nowhere.  ``negated`` tells whether an odd number of negations stand
+    above ``f``."""
+    if f.__class__ is Not:
+        return rebuild(f, _decided, not negated)
+    if f.__class__ is (Exists if negated else Forall):
+        w, pairs = _l2w(f)
+        w = simplify(w)
+        if not bound_vars(w) and formula_symbols(w) <= SIG_L.arities.keys():
+            back: dict[str, Term] = {}
+            for v in free_vars(f):
+                back[pairs[v].left], back[pairs[v].right] = l_t(Var(v)), r_t(Var(v))
+            return substitute(w, back)
+    return rebuild(f, _decided, negated)
 
 
 def pipeline(f: Formula) -> Formula:
@@ -821,66 +786,15 @@ def pipeline(f: Formula) -> Formula:
 
     The simplified input is the answer when its negation normal form has no
     universal quantifier, as for almost every input (``!(X = bot)`` comes
-    back as ``!X = bot``).  Only a formula whose universal ``simplify``
-    keeps takes the coordinate round trip, ``_coordinate_route``, which
-    raises FragmentError where it cannot eliminate that universal.  A
-    symbol outside the interval signature raises FragmentError either way."""
+    back as ``!X = bot``).  Otherwise each universal subformula whose
+    simplified endpoint coordinate form is quantifier-free in the shared
+    operations, TRUE or FALSE above all, is decided by it (``_decided``),
+    the rest stays in interval syntax, and the result is simplified again;
+    a universal left after that raises FragmentError, as does a symbol
+    outside the interval signature."""
     _check_signature(f, SIG_L)
     s = simplify(f)
-    return s if _universal(nnf(s)) is None else _coordinate_route(f)
-
-
-def _coordinate_route(f: Formula) -> Formula:
-    """An equivalent existential form of the interval formula ``f`` through
-    endpoint coordinates, the paper's machinery for eliminating a universal
-    quantifier.
-
-    Coordinates first, then negation normal form, then back to interval
-    terms; the simplifier runs on the coordinate form and on the interval
-    output.  Negated equations stay
-    negated: each ``diff`` the coordinate form uses is defined by
-    ``diffdef`` outside the negation of its equation, and
-    ``translate_W_to_L`` does the same for each ``ips``.  Inputs whose
-    coordinate form keeps a universal quantifier after negation normal form
-    (the bound clause of a cup or cap over sets not known to be finite,
-    unless a negation turns it existential, or one in the input) raise
-    FragmentError.
-
-    Free variables come back as their endpoint maps ``l(X)`` and ``r(X)``,
-    and the output is simplified once more after that, at the interval
-    level, so that the interval laws fold the coordinate idioms back
-    (``min(cup(l(X), r(X)))`` is ``min(X)``).  Every pair whose two
-    coordinates the first simplify leaves bound comes back as one interval
-    variable: nothing simplifies between that simplify and the regrouping,
-    so its coordinates stay paired.  By the endpoint lemma the
-    coordinate pairs are exactly the valid ones, so the guard of such a
-    pair holds, as do those of a free variable's pair and of a coordinate
-    paired with itself: each becomes TRUE, wherever the first simplify left
-    it, and is never translated.  A pair written without a guard is valid
-    already.  Any other guard, of a pair one of whose coordinates simplify
-    inlined, stays in its simplified form."""
-    # bound apart, each binder has a pair of its own, so a coordinate's
-    # name tells which pair it belongs to
-    g = rename_bound_apart(f)
-    w, pairs = _l2w(g)
-    w = nnf(simplify(w))
-    if (c := _universal(w)) is not None:
-        raise FragmentError(_universal_pair(c, g, pairs))
-    # a pair with a coordinate simplify inlined stays apart: the other
-    # alone would not pin the variable
-    bound = bound_vars(w)
-    coords = {c: (p, v) for v, p in pairs.items() if p.left in bound and p.right in bound for c in (p.left, p.right)}
-    whole = [pairs[v] for v in free_vars(f)] + [p for p, _ in coords.values()]
-    holds = [(p.left, p.right) for p in whole] + [(c, c) for c in bound | free_vars(w)]
-    w = _strip_guards(w, {frozenset(q): q for q in holds})
-    out = translate_W_to_L(_eliminate_diff(w, FreshNames(all_names(w))))
-    out = _regroup(out, coords, FreshNames(all_names(out) | free_vars(f)))
-    back: dict[str, Term] = {}
-    for v in free_vars(f):
-        back[pairs[v].left] = l_t(Var(v))
-        back[pairs[v].right] = r_t(Var(v))
-    # the laws see the endpoint maps only once they are back
-    out = simplify(substitute(out, back))
-    if classify(out) not in ("positive_existential", "existential", "quantifier_free"):
-        raise AssertionError("the coordinate route produced a non-existential formula")
-    return out
+    if _universal(nnf(s)) is not None:
+        s = simplify(_decided(s, False))
+        _existential_nnf(s)
+    return s

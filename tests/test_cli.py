@@ -153,6 +153,19 @@ def test_pipeline_rejects_universal_input_with_exit_3(capsys):
     assert "fragment error" in err
 
 
+def test_pipeline_decides_a_universal_by_its_coordinate_form(capsys):
+    code, out, err = run(capsys, "--json", "pipeline", "A Y. (l(Y) = l(X) & r(Y) = r(X) -> Y = X)")
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    assert (got["result"], got["nodes_out"]) == ("bot = bot", 3)
+
+
+def test_pipeline_names_a_universal_it_cannot_decide_in_one_line(capsys):
+    code, out, err = run(capsys, "pipeline", "A Y. cup(Y, cz) = cz")
+    assert (code, out) == (3, "")
+    assert err == "fragment error: universal quantifier on Y cannot be eliminated\n"
+
+
 def test_pipeline_refuses_a_finite_set_symbol_in_one_line(capsys):
     # the interval parser refuses ips before pipeline sees the formula
     code, out, err = run(capsys, "pipeline", "ips(X, Y) = Z")

@@ -1,17 +1,14 @@
 """Every import in the package and its tests is used.
 
 No linter ships with the project, so this reads each module's syntax tree:
-a name bound by an import must be read somewhere in the module, listed in
-its ``__all__``, or be a deliberate re-export named below.
+a name bound by an import must be read somewhere in the module or listed
+in its ``__all__``.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# names a module imports only so that callers can import them from it
-RE_EXPORTS = {"src/intlat/transforms.py": {"delta_domain"}}
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
@@ -32,7 +29,7 @@ def test_no_module_imports_a_name_it_does_not_use():
     found = {}
     for path in sorted([*ROOT.glob("src/intlat/*.py"), *ROOT.glob("tests/*.py")]):
         rel = path.relative_to(ROOT).as_posix()
-        unused = _unused_imports(ast.parse(path.read_text(), rel)) - RE_EXPORTS.get(rel, set())
+        unused = _unused_imports(ast.parse(path.read_text(), rel))
         if unused:
             found[rel] = sorted(unused)
     assert not found

@@ -45,6 +45,7 @@ from intlat.syntax import (
     count_nodes,
     cup,
     cz,
+    delta_domain,
     diff_t,
     format_formula,
     free_vars,
@@ -69,14 +70,12 @@ from intlat.transforms import (
     TRUE,
     CoordinatePair,
     FragmentError,
-    _coordinate_route,
     _definition,
     _eliminate_diff,
     _grow_finite,
     _l2w,
     _misses,
     _simp_term,
-    delta_domain,
     notbot,
     phi_in,
     phi_ips,
@@ -351,7 +350,6 @@ def test_coordinatewise_lattice_operations_force_their_operands_finite(text, x):
     a = {"X": parse_fci(x)}
     pool = default_pool(a)
     assert not eval_bounded(f, a, pool, SIG_L)
-    assert not eval_bounded(_coordinate_route(f), a, pool, SIG_L)
     g, pairs = _l2w(f)
     c = _coords(a["X"], pairs["X"].left, pairs["X"].right)
     assert not eval_bounded(g, c, default_pool(c), SIG_W)
@@ -460,20 +458,18 @@ def test_l2w_guards_every_pair_but_one_its_block_forces_finite(text, unguarded):
 def test_equal_endpoint_maps_make_a_set_finite(text):
     # l(V) = r(V) is Vl = Vr: V's pair needs no guard, and its cup and cap
     # are taken coordinatewise, with no bound clause, so the coordinate
-    # route takes it
+    # form has no universal quantifier
     f = parse(text, SIG_L)
     g, pairs = _l2w(f)
     assert not any(_guarded(g, pairs[v]) for v in bound_vars(f))
     assert not any(isinstance(h, Forall) for h in subformulas(g))
     _agree_on_every_small_union(f, g, SIG_W)
-    _agree_on_every_small_union(f, _coordinate_route(f), SIG_L)
 
 
 def test_l2w_folds_the_input_s_terms_before_naming_them():
     # cap(X, bot) = Y means bot = Y: named, its cap would cost a bound clause
     f, folded = parse("cap(X, bot) = Y", SIG_L), parse("bot = Y", SIG_L)
     assert translate_L_to_W(f) == translate_L_to_W(folded)
-    assert _coordinate_route(f) == _coordinate_route(folded)
 
 
 @pytest.mark.parametrize(
@@ -481,12 +477,11 @@ def test_l2w_folds_the_input_s_terms_before_naming_them():
     [("!(E Z. bot = X)", "!bot = X"), ("!(E Z. cap(Z, bot) = X)", "!bot = X"), ("A Z. bot = X", "bot = X")],
 )
 def test_pipeline_drops_a_binder_that_term_folding_empties(text, free):
-    # a pair for Z would keep a universal quantifier: the coordinate route
-    # rejected these
+    # a pair for Z would keep a universal quantifier: pipeline rejected
+    # these while it sent every input through coordinates
     f, g = parse(text, SIG_L), parse(free, SIG_L)
-    assert _coordinate_route(f) == _coordinate_route(g)
+    assert pipeline(f) == g
     _agree_on_every_small_union(f, g, SIG_L)
-    _agree_on_every_small_union(f, _coordinate_route(f), SIG_L)
 
 
 def test_l2w_reads_its_input_through_simplify():
@@ -504,14 +499,10 @@ def test_l2w_writes_no_pair_for_a_binder_term_folding_empties():
     assert not bound_vars(g)
 
 
-def test_l2w_names_the_pair_of_a_bound_clause_for_regrouping():
+def test_l2w_guards_the_pair_of_a_bound_clause():
     g, pairs = _l2w(parse("X sub Y", SIG_L))
-    assert pairs["T"] == CoordinatePair("Tl", "Tr")
-    assert _guarded(g, pairs["T"])
-    # under a negation the clause turns existential, and its pair comes
-    # back as one interval variable under the pair's own name
-    out = _coordinate_route(parse("!(X sub Y)", SIG_L))
-    assert "T" in bound_vars(out) and not {"Tl", "Tr"} & all_names(out)
+    assert set(pairs) == {"X", "Y"}
+    assert _guarded(g, CoordinatePair("Tl", "Tr"))
 
 
 def _defined_by_finite_value(h: Exists) -> bool:
@@ -631,65 +622,33 @@ def test_l2w_agrees_with_generated_formulas_on_every_small_union():
     assert (checked, universal) == (3843, 17)
 
 
-def test_pipeline_agrees_with_generated_formulas_on_every_small_union():
-    points = fs([0, 1, 2])
-    dense = widened(points)
-    pool = WitnessPool(points=dense, max_segments=len(dense))
-    unions = list(enum_fcis(points, 3, True))
-    accepted = skipped = rejected = checked = 0
-    for f in _generated_formulas("pipeline-generated"):
-        try:
-            g = _coordinate_route(f)
-        except FragmentError:
-            rejected += 1
-            continue
-        # an output from a bound clause under a negation is too large for
-        # the solver to decide here.  6 more were skipped while _l2w folded
-        # only the input's terms: simplify now drops the atom whose cup or
-        # cap cost the bound clause, beside a true disjunct (cz = cz | ...)
-        # or a false conjunct (cz = cup(bot, bot) & ...)
-        if any(isinstance(h, Forall) for h in subformulas(translate_L_to_W(f))):
-            skipped += 1
-            continue
-        accepted += 1
-        fcache, gcache = EvalCache(), EvalCache()
-        for u in unions:
-            want = eval_bounded(f, {"X": u}, pool, SIG_L, cache=fcache)
-            assert eval_bounded(g, {"X": u}, pool, SIG_L, cache=gcache) == want, (format_formula(f), u)
-            checked += 1
-    assert (accepted, skipped, rejected, checked) == (164, 5, 31, 3444)
-
-
-def _outcome(rewrite, f):
-    """``rewrite(f)``, or the message of the FragmentError it raises."""
-    try:
-        return rewrite(f)
-    except FragmentError as err:
-        return str(err)
-
-
-# the generated draws, and how many of each simplify leaves with no
-# universal quantifier in negation normal form
+# the generated draws, how many of each simplify leaves with no universal
+# quantifier in negation normal form, and how many of each pipeline takes:
+# as many as while it sent every such universal through the coordinate
+# round trip
 _PIPELINE_DRAWS = {
-    "pipeline-generated": (lambda: _generated_formulas("pipeline-generated"), 196),
-    "l2w-generated": (lambda: _generated_formulas("l2w-generated"), 195),
-    "pipeline-generated-xy": (lambda: _generated_formulas("pipeline-generated-xy", ("X", "Y")), 190),
-    "universal-xy": (lambda: _universal_formulas("universal-xy"), 177),
+    "pipeline-generated": (lambda: _generated_formulas("pipeline-generated"), 196, 196),
+    "l2w-generated": (lambda: _generated_formulas("l2w-generated"), 195, 196),
+    "pipeline-generated-xy": (lambda: _generated_formulas("pipeline-generated-xy", ("X", "Y")), 190, 191),
+    "universal-xy": (lambda: _universal_formulas("universal-xy"), 177, 178),
 }
 
 
 @pytest.mark.parametrize("seed", sorted(_PIPELINE_DRAWS))
-def test_pipeline_takes_the_coordinate_route_only_for_a_universal_simplify_keeps(seed):
-    draws, want = _PIPELINE_DRAWS[seed]
-    simplified = 0
+def test_pipeline_decides_only_a_universal_simplify_keeps(seed):
+    draws, want_simplified, want_accepted = _PIPELINE_DRAWS[seed]
+    simplified = accepted = 0
     for f in draws():
+        try:
+            g = pipeline(f)
+        except FragmentError:
+            continue
+        accepted += 1
         s = simplify(f)
-        if any(isinstance(h, Forall) for h in subformulas(nnf(s))):
-            assert _outcome(pipeline, f) == _outcome(_coordinate_route, f), format_formula(f)
-        else:
-            assert pipeline(f) == s, format_formula(f)
+        if not any(isinstance(h, Forall) for h in subformulas(nnf(s))):
+            assert g == s, format_formula(f)
             simplified += 1
-    assert simplified == want
+    assert (simplified, accepted) == (want_simplified, want_accepted)
 
 
 def test_pipeline_outputs_agree_with_generated_formulas_on_every_small_union():
@@ -732,9 +691,8 @@ def _agree_on_every_small_union(f, g, sig) -> None:
 @pytest.mark.parametrize(
     "text, rewrite, sig, ceiling",
     [
-        # a coordinatewise cap of variables finite values define: 706
-        # nodes while only a definition by a finite value dropped a guard
-        ("cap(r(bot), max(X)) = cup(X, X)", _coordinate_route, SIG_L, 120),
+        # a coordinatewise cap of variables finite values define
+        ("cap(r(bot), max(X)) = cup(X, X)", lambda f: simplify(translate_L_to_W(f)), SIG_W, 7),
         # the variable among its own arguments: 95 nodes under its guard
         ("E Y. min(Y) = Y", lambda f: simplify(translate_L_to_W(f)), SIG_W, 20),
     ],
@@ -770,29 +728,27 @@ def test_l2w_analyses_each_block_once(monkeypatch, text, calls):
     assert seen == calls
 
 
-def test_pipeline_takes_a_disjunct_that_folds_to_true():
+def test_coordinates_take_a_disjunct_that_folds_to_true():
     # the inner block forces Y finite, so its pair writes no guard and the
     # first disjunct folds to true; the bound clause of the cap goes with it
     f = parse("E Y. (E Y. r(cap(Y, Y)) = Y) | cap(cz, X) = r(bot)", SIG_L)
     assert any(isinstance(h, Forall) for h in subformulas(translate_L_to_W(f)))
-    g = _coordinate_route(f)
+    g = simplify(translate_L_to_W(f))
     assert g == TRUE
-    _agree_on_every_small_union(f, g, SIG_L)
+    _agree_on_every_small_union(f, g, SIG_W)
 
 
 # -- the composed rewrite -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("rewrite", [pipeline, _coordinate_route], ids=["pipeline", "route"])
-def test_pipeline_output_is_existential_interval_formula(rewrite):
+def test_pipeline_output_is_existential_interval_formula():
     for text in ["X = bot", "l(X) = r(X)", "!(X = bot)", "min(X) = max(X)"]:
-        g = rewrite(parse(text, SIG_L))
+        g = pipeline(parse(text, SIG_L))
         assert classify(g) in ("positive_existential", "existential", "quantifier_free")
         assert free_vars(g) == free_vars(parse(text, SIG_L))
 
 
-@pytest.mark.parametrize("rewrite", [pipeline, _coordinate_route], ids=["pipeline", "route"])
-def test_pipeline_preserves_meaning_on_hand_cases(rewrite):
+def test_pipeline_preserves_meaning_on_hand_cases():
     cases = [
         ("!(X = bot)", lambda u: bool(u)),
         ("l(X) = r(X)", lambda u: u.is_finite_set()),
@@ -801,47 +757,47 @@ def test_pipeline_preserves_meaning_on_hand_cases(rewrite):
     ]
     family = list(enum_fcis(fs([0, 1]), 2, True))
     for text, pred in cases:
-        g = rewrite(parse(text, SIG_L))
+        g = pipeline(parse(text, SIG_L))
         for u in family:
             a = {"X": u}
             assert eval_bounded(g, a, default_pool(a), SIG_L) == pred(u), (text, u)
 
 
 def test_pipeline_rejects_what_it_cannot_rewrite():
-    # a cup or cap over sets not known to be finite still costs the
-    # coordinate route a bound clause with a universal quantifier
-    for text in ["X sub Y", *PIPELINE_REJECTS]:
+    # a universal whose coordinate form keeps a quantifier: a bound clause
+    # for a cup or cap over sets not known to be finite, or the universal
+    # itself
+    for text in PIPELINE_REJECTS:
         with pytest.raises(FragmentError):
-            _coordinate_route(parse(text, SIG_L))
+            pipeline(parse(text, SIG_L))
 
 
 _ON_Y = "universal quantifier on Y cannot be eliminated"
-_BOUND_CLAUSE = "the bound clause of a cup or cap needs a universal quantifier, which cannot be eliminated"
 _REJECTIONS = [
     ("A Y. (Y sub X -> Y = X)", _ON_Y),
-    ("cup(X, Y) = Y", _BOUND_CLAUSE),
+    ("A Y. cup(Y, cz) = cz", _ON_Y),
     ("!(E Y. !(Y = X))", _ON_Y),
     ("A Y. Y = X", _ON_Y),
-    ("X = max(cup(X, Y))", _BOUND_CLAUSE),
-    # a double negation keeps its atom's polarity
-    ("!(!(X = max(cup(X, Y))))", _BOUND_CLAUSE),
-    ("!(X = max(cup(X, Y)) & X = Y)", "universal quantifier on the value of a nested term cannot be eliminated"),
+    ("!(E Z. !(Z = X))", "universal quantifier on Z cannot be eliminated"),
+    # the universal on Y is decided, so the one on Z is named
+    ("(A Y. (l(Y) = l(X) & r(Y) = r(X) -> Y = X)) & (A Z. cup(Z, cz) = cz)", "universal quantifier on Z cannot be eliminated"),
 ]
 
 
 @pytest.mark.parametrize("text, message", _REJECTIONS)
 def test_pipeline_names_what_it_cannot_eliminate_in_the_input_s_terms(text, message):
-    # never a coordinate (Yl, Tl) of the translation
+    # the binder as the simplified input writes it, never a coordinate
+    # (Yl, Tl) of the translation
     with pytest.raises(FragmentError) as err:
-        _coordinate_route(parse(text, SIG_L))
+        pipeline(parse(text, SIG_L))
     assert str(err.value) == message
 
 
 # inputs pipeline rejected while it sent every input through coordinates,
-# with their outputs now: simplify leaves no quantifier, so pipeline never
-# reaches the route.  The last one the route rejected while its first
-# simplify inlined no coordinate a term defines, which left a bound clause
-# universal under the negation
+# with their outputs now: simplify leaves no quantifier, so pipeline has
+# nothing to decide.  The last one the coordinate round trip rejected while
+# its first simplify inlined no coordinate a term defines, which left a
+# bound clause universal under the negation
 _SIMPLIFIED_REJECTIONS = {
     "cup(X, Y) = Y": "cup(X, Y) = Y",
     "X = max(cup(X, Y))": "X = max(cup(X, Y))",
@@ -872,15 +828,16 @@ def test_the_pinned_rejections_cover_every_pipeline_reject():
         to_positive_existential(parse("A Y. Y = X", SIG_W))
 
 
-def test_pipeline_walks_through_a_double_negation():
+def test_l2w_walks_through_a_double_negation():
     # the atom's cup is bound outside both negations, not between them,
     # where negation normal form would make it universal
     f = parse("min(cup(min(X), cz)) = l(X)", SIG_L)
     twice = Not(Not(f))
     assert unnest(twice) == unnest(f)
-    g = _coordinate_route(twice)
-    assert g == _coordinate_route(f)
-    _agree_on_every_small_union(twice, g, SIG_L)
+    g = translate_L_to_W(twice)
+    assert g == translate_L_to_W(f)
+    assert not any(isinstance(h, Forall) for h in subformulas(nnf(g)))
+    _agree_on_every_small_union(twice, simplify(g), SIG_W)
 
 
 def test_pipeline_takes_a_negated_containment():
@@ -893,77 +850,45 @@ def test_pipeline_takes_a_negated_containment():
     _agree_on_every_small_union(f, g, SIG_L)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        # the first simplify inlines the right coordinate, so the pair
-        # keeps its validity guard
-        "E Y. r(Y) = r(X) & !(Y = X)",
-        # a shadowed binder: the inner pair is inlined into one variable,
-        # whose guard then holds outright
-        "E Y. min(Y) = X & (E Y. l(Y) = r(Y) & cup(Y, X) = X)",
-        # a universal under negation
-        "!(A Y. !(min(Y) = X))",
-        # coordinates defined only after negation normal form: inlining
-        # them would drop the pair's validity (no Y has l(Y) = bot and a
-        # nonempty r(Y))
-        "!(A Y. !(l(Y) = bot & r(Y) = r(X)))",
-        # a pair that simplify inlines away
-        "E Y. cz = Y & min(X) = Y",
-        # two pairs regrouped whole
-        "E Y. E W. l(W) = r(Y) & !(W = Y)",
-        # a pair regrouped from its left binder alone, then from its right
-        "E Y. !(l(Y) = r(X))",
-        "E Y. !(r(Y) = l(X))",
-    ],
-)
-def test_pipeline_keeps_bound_interval_variables(text):
+# a universal that every pair of unions satisfies: its coordinate form
+# simplifies to TRUE
+_DECIDED_TRUE = "(A Y. (l(Y) = l(X) & r(Y) = r(X) -> Y = X))"
+# inputs whose universal simplify keeps, with pipeline's output: each
+# universal subformula is decided by its coordinate form, the rest stays
+# in interval syntax
+_DECISIONS = [
+    (_DECIDED_TRUE, "bot = bot"),
+    ("!(E Z. r(Z) = l(Z))", "cz = bot"),
+    ("!(E Y. r(Y) = Y)", "cz = bot"),
+    ("A Y. !cup(cz, Y) = bot", "bot = bot"),
+    # an undecided universal beside a TRUE disjunct
+    ("(A Y. cup(Y, X) = X) | (A Z. !cup(cz, Z) = bot)", "bot = bot"),
+    # the outer universal keeps a bound clause in coordinates; the inner
+    # one is FALSE, which leaves Y defined by a term and inlined
+    ("!(E Y. Y = cup(X, cz) & (min(Y) = cz | (E W. l(W) = l(Y) & r(W) = r(Y) & !W = Y)))", "cz = bot"),
+    # a coordinate form with no quantifier comes back on l(X) and r(X)
+    ("!(E Y. bot = min(X) & Y = cap(Y, cz) & bot = l(Y))", "!bot = min(X)"),
+    # the one output that grows: the coordinate round trip took the whole
+    # formula to TRUE, here the E over X1 stays
+    (
+        "(E X1. (A Y. !(l(Y) = l(X1) & r(Y) = r(X1)) | Y = X1) & l(X1) = r(X1)) | max(X) = bot",
+        "(E X1. l(X1) = r(X1)) | max(X) = bot",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, out", _DECISIONS)
+def test_pipeline_decides_each_universal_by_its_coordinate_form(text, out):
     f = parse(text, SIG_L)
-    g = _coordinate_route(f)
-    for u in enum_fcis(fs([0, 1, 2]), 2, True):
-        a = {"X": u}
-        pool = default_pool(a)
-        assert eval_bounded(g, a, pool, SIG_L) == eval_bounded(f, a, pool, SIG_L), u
-
-
-def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
-    # the coordinatewise cup states Yl = Yr, as min(X) forces Y finite but
-    # nothing forces its coordinates equal; simplify puts Yl for Yr, so Y's
-    # guard becomes valid_pair(Yl, Yl), which holds outright
-    f = parse("E Y. cup(Y, min(X)) = min(X) & !(Y = X)", SIG_L)
-    assert simplify(valid_pair("Yl", "Yl")) in subformulas(simplify(translate_L_to_W(f)))
-    g = _coordinate_route(f)
-    # translated instead, the guard would take the output from 50 to 58 nodes
-    assert count_nodes(g) <= 50
-    for u in enum_fcis(fs([0, 1, 2]), 2, True):
-        a = {"X": u}
-        pool = default_pool(a)
-        assert eval_bounded(g, a, pool, SIG_L) == eval_bounded(f, a, pool, SIG_L), u
-
-
-@pytest.mark.parametrize(
-    "text, ceiling",
-    [
-        # simplify puts X's coordinates for Y's, so Y's guard becomes that
-        # of X, which comes back as l(X) and r(X): 224 nodes translated
-        ("E Y. Y = X", 3),
-        ("E Y. E W. Y = X & W = Y", 3),
-        # 233 and 236 nodes were X's guard translated
-        ("E Y. Y = X & min(Y) = cz", 8),
-        ("E Y. Y = X & !(Y = bot)", 11),
-    ],
-)
-def test_pipeline_drops_a_guard_inlined_onto_a_kept_pair(text, ceiling):
-    f = parse(text, SIG_L)
-    g = _coordinate_route(f)
-    assert count_nodes(g) <= ceiling
+    assert any(isinstance(h, Forall) for h in subformulas(nnf(simplify(f))))
+    g = pipeline(f)
+    assert format_formula(g) == out
     _agree_on_every_small_union(f, g, SIG_L)
 
 
 def test_pipeline_takes_a_variable_equal_to_a_free_one_to_true():
     for text in ("E Y. Y = X", "E Y. E W. Y = X & W = Y"):
-        for rewrite in (pipeline, _coordinate_route):
-            assert rewrite(parse(text, SIG_L)) == TRUE, text
+        assert pipeline(parse(text, SIG_L)) == TRUE, text
 
 
 # each PIPELINE_CORPUS output's size when every bound interval variable
@@ -971,9 +896,8 @@ def test_pipeline_takes_a_variable_equal_to_a_free_one_to_true():
 _PIPELINE_SIZE_CEILINGS = [9, 234, 379, 614, 18, 453, 1696, 687, 1025, 1723, 209]
 
 
-@pytest.mark.parametrize("rewrite", [pipeline, _coordinate_route], ids=["pipeline", "route"])
-def test_pipeline_outputs_stay_within_their_size_ceilings(rewrite):
-    sizes = [count_nodes(rewrite(parse(text, SIG_L))) for text in PIPELINE_CORPUS]
+def test_pipeline_outputs_stay_within_their_size_ceilings():
+    sizes = [count_nodes(pipeline(parse(text, SIG_L))) for text in PIPELINE_CORPUS]
     assert len(sizes) == len(_PIPELINE_SIZE_CEILINGS)
     assert all(n <= ceiling for n, ceiling in zip(sizes, _PIPELINE_SIZE_CEILINGS)), sizes
     assert sum(sizes) <= 3675
@@ -987,8 +911,7 @@ _L2W_SIZE_CEILINGS = [7, 38, 8, 47, 14, 77, 232, 38, 138, 232, 11, 38, 7, 29, 6,
 def test_pipeline_outputs_come_back_near_their_inputs_size():
     # 254 nodes against 99 while the endpoint maps came back unfolded, and
     # 119 while a variable a finite value defines stayed bound.  The
-    # coordinate route alone gives 145, and 72 while it had the endpoint pair
-    # fold
+    # coordinate round trip alone gave 110
     sizes = [(count_nodes(f), count_nodes(pipeline(f))) for f in (parse(t, SIG_L) for t in PIPELINE_CORPUS)]
     nodes_in, nodes_out = map(sum, zip(*sizes))
     assert nodes_out <= nodes_in
@@ -1324,7 +1247,6 @@ _L_TEXTS = list(PIPELINE_CORPUS) + [t for t, _ in L2W_CORPUS]
 _W_TEXTS = list(POSEX_CORPUS) + list(W2L_CORPUS)
 _REWRITES = {
     "pipeline": (pipeline, SIG_L, _L_TEXTS),
-    "coordinate-route": (_coordinate_route, SIG_L, _L_TEXTS),
     "simplify-l2w": (lambda f: simplify(translate_L_to_W(f)), SIG_L, _L_TEXTS),
     "posex": (to_positive_existential, SIG_W, _W_TEXTS),
     "simplify-w2l": (lambda f: simplify(translate_W_to_L(f)), SIG_W, _W_TEXTS),
@@ -1333,7 +1255,6 @@ _REWRITES = {
 # refuses left out: a change to any printed output must update these on purpose
 REWRITE_DIGESTS = {
     "pipeline": (23, "f7f265ed988351a1d3a40d927db2b90c8de96711953eda1734a43b7c7b2d02d9"),
-    "coordinate-route": (21, "caf0a5659a4efb29b1f5fee1a9b558f7f2ac51e90163645dc0157eff9bad81fc"),
     "simplify-l2w": (23, "70fbb09ad23764bc9f1a22e58e9d708ca0e4c1b8c64d0dffabdc7ca1c4a6aad4"),
     "posex": (23, "d7308485d36622a0e7ec1d10f54d2619a8b7fc91bc422bf11888b0130576f520"),
     "simplify-w2l": (23, "b14db5a8cfe07bbc0e3f64262efada1038f2d9cadf4f4fc31b65300674eb5113"),
@@ -1405,10 +1326,8 @@ def _composition_outputs():
 
 
 # (accepted outputs, SHA-256 of the lines "input TAB output") of pipeline
-# and of its coordinate route on the pipeline-generated formulas, skipped
-# ones included
+# on the pipeline-generated formulas
 GENERATED_DIGEST = (196, "a3de79a9a81ed8c12eb5d6d1e20798efb9eb227017bd4bcd325cbfefcd9d182b")
-GENERATED_ROUTE_DIGEST = (169, "ccb2d0f820827cc7c6ccfcf4d2c4c9a0c94ef4bf542e3b58f16cd37028896338")
 
 
 # (draws, SHA-256 of the lines "input TAB output") of the simplified
@@ -1439,14 +1358,11 @@ _ACCEPTED_ONCE_EMPTIED_BINDERS_DROP = {
 }
 
 
-def _generated_outputs(rewrite) -> tuple:
-    """(the lines "input TAB output" of ``rewrite`` on the
-    pipeline-generated formulas it takes, the nodes of its outputs but those
-    for _ACCEPTED_ONCE_EMPTIED_BINDERS_DROP, the sizes of those)."""
+def test_generated_pipeline_outputs_are_pinned():
     lines, nodes, newly = [], 0, []
     for f in _generated_formulas("pipeline-generated"):
         try:
-            g = rewrite(f)
+            g = pipeline(f)
         except FragmentError:
             continue
         text = format_formula(f)
@@ -1455,37 +1371,12 @@ def _generated_outputs(rewrite) -> tuple:
             newly.append(count_nodes(g))
         else:
             nodes += count_nodes(g)
-    assert len(newly) == len(_ACCEPTED_ONCE_EMPTIED_BINDERS_DROP) and sum(newly) <= 42
-    return lines, nodes
-
-
-def test_generated_pipeline_outputs_are_pinned():
-    lines, nodes = _generated_outputs(pipeline)
     assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == GENERATED_DIGEST
+    assert len(newly) == len(_ACCEPTED_ONCE_EMPTIED_BINDERS_DROP) and sum(newly) <= 42
     # 7306 over 161 outputs while pipeline sent every input through
     # coordinates; the 27 inputs it has taken since have no universal
     # once simplified
     assert nodes <= 1045
-
-
-def test_generated_route_outputs_are_pinned():
-    lines, nodes = _generated_outputs(_coordinate_route)
-    assert (len(lines), hashlib.sha256("".join(lines).encode()).hexdigest()) == GENERATED_ROUTE_DIGEST
-    # 11356 when only a definition by a finite value dropped a guard, 9618
-    # while a guard simplify inlined onto a kept pair was translated, 9019
-    # while phi_ips, delta_domain and the max atom split into cases, and
-    # 6796 over 135 outputs while unnest named every nested term.  4425
-    # over 141 outputs while unnest named a cup or cap that folds: those
-    # inputs now give 4022 nodes, and the 20 inputs the folding lets through
-    # give 4387, 2768 and 1355 of them a bound clause under a negation
-    # (E Z. !cap(cup(bot, X), min(Z)) = max(Z) and
-    # E Y. !cap(cup(X, bot), cup(bot, Y)) = bot).  The other 161 inputs
-    # gave 8409 nodes while simplify kept a conjunct repeated one level down,
-    # 8399 before the endpoint maps were folded back by the laws, 7315
-    # before the last simplify inlined a variable a term defines, and 7306
-    # while the endpoint pair fold took l(u) = F & r(u) = F to u = F and
-    # only the last simplify inlined a term
-    assert nodes <= 7565
 
 
 def test_composition_rewrite_outputs_are_pinned():
@@ -1538,14 +1429,11 @@ def test_simplify_takes_a_chain_of_490_conjuncts():
     assert got == parse("min(X) = X", SIG_W)
 
 
-# the route took 491 while _l2w folded only the input's terms; it takes 985
-# only because simplify collapses the chain to one conjunct before
-# translating it, so the chain of distinct conjuncts below pins the depth the
-# translation itself reaches
-@pytest.mark.parametrize("rewrite, depth", [(pipeline, 986), (_coordinate_route, 985)], ids=["pipeline", "route"])
-def test_pipeline_takes_a_chain_of_conjuncts(rewrite, depth):
-    got = _on_fresh_stack(lambda: format_formula(rewrite(parse(_chain(depth), SIG_L))))
-    assert got == format_formula(rewrite(parse("min(X) = X", SIG_L)))
+# simplify collapses the chain to one conjunct, so the chains of distinct
+# conjuncts below pin the depths the translation and the decision reach
+def test_pipeline_takes_a_chain_of_conjuncts():
+    got = _on_fresh_stack(lambda: format_formula(pipeline(parse(_chain(986), SIG_L))))
+    assert got == format_formula(pipeline(parse("min(X) = X", SIG_L)))
 
 
 def _distinct_chain(n: int) -> str:
@@ -1554,16 +1442,23 @@ def _distinct_chain(n: int) -> str:
 
 # each depth must not fall: simplify leaves a chain of distinct conjuncts
 # as it is, so it reaches translate_L_to_W whole
-@pytest.mark.parametrize(
-    "rewrite, depth, ends", [(translate_L_to_W, 491, ("l", "r")), (_coordinate_route, 490, ("",))], ids=["l2w", "route"]
-)
-def test_coordinate_rewrites_take_a_chain_of_distinct_conjuncts(rewrite, depth, ends):
+def test_l2w_takes_a_chain_of_distinct_conjuncts():
     def names():
-        g = rewrite(parse(_distinct_chain(depth), SIG_L))
+        g = translate_L_to_W(parse(_distinct_chain(491), SIG_L))
         format_formula(g)
         return free_vars(g)
 
-    assert _on_fresh_stack(names) == {f"X{i}{end}" for i in range(depth) for end in ends}
+    assert _on_fresh_stack(names) == {f"X{i}{end}" for i in range(491) for end in "lr"}
+
+
+def test_pipeline_decides_a_universal_before_a_chain_of_distinct_conjuncts():
+    # 486 also while the coordinate round trip took the whole formula
+    depth = 486
+
+    def printed():
+        return format_formula(pipeline(parse(f"{_DECIDED_TRUE} & {_distinct_chain(depth)}", SIG_L)))
+
+    assert _on_fresh_stack(printed) == _distinct_chain(depth)
 
 
 # each shape of nesting with a depth parse must reach at the default
