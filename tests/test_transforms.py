@@ -840,6 +840,84 @@ def test_l2w_walks_through_a_double_negation():
     _agree_on_every_small_union(twice, simplify(g), SIG_W)
 
 
+def test_pipeline_walks_through_a_double_negation():
+    f = parse("min(cup(min(X), cz)) = l(X)", SIG_L)
+    twice = Not(Not(f))
+    g = pipeline(twice)
+    assert g == pipeline(f)
+    _agree_on_every_small_union(twice, g, SIG_L)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a pair whose right coordinate a term of X defines
+        "E Y. r(Y) = r(X) & !(Y = X)",
+        # a shadowed binder, the inner one forced finite
+        "E Y. min(Y) = X & (E Y. l(Y) = r(Y) & cup(Y, X) = X)",
+        # a universal under negation
+        "!(A Y. !(min(Y) = X))",
+        # coordinates defined only after negation normal form (no Y has
+        # l(Y) = bot and a nonempty r(Y))
+        "!(A Y. !(l(Y) = bot & r(Y) = r(X)))",
+        # a variable simplify inlines away
+        "E Y. cz = Y & min(X) = Y",
+        # two bound variables, and one under a negated endpoint atom, left
+        # or right
+        "E Y. E W. l(W) = r(Y) & !(W = Y)",
+        "E Y. !(l(Y) = r(X))",
+        "E Y. !(r(Y) = l(X))",
+    ],
+)
+def test_pipeline_keeps_bound_interval_variables(text):
+    # simplify leaves each of these existential, so pipeline returns it in
+    # interval syntax with its bound variables, never their coordinates
+    f = parse(text, SIG_L)
+    g = pipeline(f)
+    assert g == simplify(f)
+    assert not {v + c for v in bound_vars(f) for c in "lr"} & all_names(g)
+    for u in enum_fcis(fs([0, 1, 2]), 2, True):
+        a = {"X": u}
+        pool = default_pool(a)
+        assert eval_bounded(g, a, pool, SIG_L) == eval_bounded(f, a, pool, SIG_L), u
+
+
+def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
+    # the coordinatewise cup states Yl = Yr, as min(X) forces Y finite but
+    # nothing forces its coordinates equal; simplify puts Yl for Yr, so Y's
+    # guard becomes valid_pair(Yl, Yl), which holds outright
+    f = parse("E Y. cup(Y, min(X)) = min(X) & !(Y = X)", SIG_L)
+    assert simplify(valid_pair("Yl", "Yl")) in subformulas(simplify(translate_L_to_W(f)))
+    # pipeline writes no guard at all: the input stays in interval syntax.
+    # 50 nodes came back through the coordinate round trip, 58 with the
+    # guard translated
+    g = pipeline(f)
+    assert count_nodes(g) <= count_nodes(f)
+    for u in enum_fcis(fs([0, 1, 2]), 2, True):
+        a = {"X": u}
+        pool = default_pool(a)
+        assert eval_bounded(g, a, pool, SIG_L) == eval_bounded(f, a, pool, SIG_L), u
+
+
+@pytest.mark.parametrize(
+    "text, ceiling",
+    [
+        # Y's guard would be that of X, which came back as l(X) and r(X):
+        # 224 nodes translated
+        ("E Y. Y = X", 3),
+        ("E Y. E W. Y = X & W = Y", 3),
+        # 233 and 236 nodes were X's guard translated
+        ("E Y. Y = X & min(Y) = cz", 8),
+        ("E Y. Y = X & !(Y = bot)", 11),
+    ],
+)
+def test_pipeline_drops_a_guard_inlined_onto_a_kept_pair(text, ceiling):
+    f = parse(text, SIG_L)
+    g = pipeline(f)
+    assert count_nodes(g) <= ceiling
+    _agree_on_every_small_union(f, g, SIG_L)
+
+
 def test_pipeline_takes_a_negated_containment():
     # simplify leaves no quantifier, so pipeline never sends it through
     # coordinates, where the output was too large for the solver
