@@ -361,7 +361,8 @@ def suite_l2w(pool_size: Optional[int] = None) -> EquivReport:
     points = _ints(4 if pool_size is None else pool_size)
     dense = widened(points)
     # point witnesses need the in-between points to tell sets apart, but
-    # coordinate-pair witnesses (lub/glb tests) stay on the assignment grid
+    # the coordinate pairs of bound variables stay on the assignment grid,
+    # which keeps the pair enumeration small
     pool = WitnessPool(points=dense, max_segments=len(dense), pair_points=points)
     family = list(enum_fcis(points, 2, True))
     ends = {x: (x.left_endpoints(), x.right_endpoints()) for x in family}

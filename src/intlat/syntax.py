@@ -342,7 +342,8 @@ _LATTICE = ("cup", "cap")  # join and meet, the only operations unnest lifts
 SIG_W = Signature("w", _SHARED + (("ips", 2),), True)
 SIG_L = Signature("l", _SHARED + (("l", 1), ("r", 1)), False)
 
-# internal extension used while eliminating relative complements
+# the finite-set signature with relative complement, in which the coordinate
+# forms of interval formulas print: their guards and templates use diff
 SIG_W_DIFF = Signature("w+diff", SIG_W.symbols + (("diff", 2),), True)
 
 
@@ -737,10 +738,13 @@ def unnest(f: Formula) -> Formula:
     at the atom, and for a directly negated atom the definitions go outside
     the negation (a double negation is dropped, so an atom keeps its
     polarity), so a formula without negations stays without negations.
+    Under an odd number of negations an atom ``a`` is written
+    ``!(E U. defs & !a)``, so negation normal form keeps every definitional
+    quantifier existential: an existential formula unnests to one.
     """
     names = FreshNames(all_names(f))
 
-    def flat(a: Atomic, negate: bool) -> Formula:
+    def flat(a: Atomic, negate: bool, odd: bool) -> Formula:
         defs: list[tuple[str, App]] = []
         lhs, rhs = a.lhs, a.rhs
         if rhs.__class__ is App and (lhs.__class__ is Var or rhs.op in _LATTICE):
@@ -750,18 +754,21 @@ def unnest(f: Formula) -> Formula:
             # lift inside the head application, then the other side
             head = App(lhs.op, tuple(lift(x, _LATTICE, names, "U", defs) for x in lhs.args))
             core = Atomic(head, lift(rhs, _LATTICE, names, "U", defs))
-        wrapped: Formula = Not(core) if negate else core
-        if defs:
-            wrapped = and_all([Atomic(app, Var(u)) for u, app in defs] + [wrapped])
-        return exists_all([u for u, _ in defs], wrapped)
+        if not defs:
+            return Not(core) if negate else core
+        wrapped: Formula = Not(core) if negate != odd else core
+        block = exists_all([u for u, _ in defs], and_all([Atomic(app, Var(u)) for u, app in defs] + [wrapped]))
+        return Not(block) if odd else block
 
-    def walk(g: Formula) -> Formula:
+    def walk(g: Formula, odd: bool) -> Formula:
         if isinstance(g, Atomic):
-            return flat(g, negate=False)
-        if isinstance(g, Not) and isinstance(g.body, Atomic):
-            return flat(g.body, negate=True)
-        if isinstance(g, Not) and isinstance(g.body, Not):
-            return walk(g.body.body)
-        return rebuild(g, walk)
+            return flat(g, False, odd)
+        if isinstance(g, Not):
+            if isinstance(g.body, Atomic):
+                return flat(g.body, True, odd)
+            if isinstance(g.body, Not):
+                return walk(g.body.body, odd)
+            return Not(walk(g.body, not odd))
+        return rebuild(g, walk, odd)
 
-    return walk(f)
+    return walk(f, False)

@@ -5,8 +5,9 @@ right endpoint maps agree; conversely an interval union is pinned down by
 its endpoint pair.  This module realizes both directions on formulas:
 
 * ``to_positive_existential`` removes negated equations from finite-set
-  formulas (a nonempty witness inside the symmetric difference replaces
-  each one, nonemptiness being the single equation ``notbot``);
+  formulas (a nonempty witness inside the union of the two sides and
+  outside their meet replaces each one, nonemptiness being the single
+  equation ``notbot``);
 * ``translate_W_to_L`` rewrites an existential finite-set formula over
   embedded finite sets, defining each ``ips`` application by its interval
   characterization ``phi_ips`` (one existential block, no disjunction),
@@ -14,10 +15,12 @@ its endpoint pair.  This module realizes both directions on formulas:
 * ``translate_L_to_W`` rewrites an interval formula, simplified first, in
   terms of endpoint coordinates, with membership and containment
   expressed by the quantifier-free equations ``phi_in`` and
-  ``phi_subseteq``, and each
+  ``phi_subseteq``, each
   finite-valued operation by one term of its operand's coordinates that
   both coordinates of the value equal (``_FINITE_VALUED``), written in
-  place: only a nested ``cup`` or ``cap`` gets a variable.  Each bound
+  place, and each ``cup`` or ``cap`` by a quantifier-free template on the
+  coordinates of its operands and value (``_lattice``): only a nested
+  ``cup`` or ``cap`` gets a variable.  Each bound
   pair carries the validity guard ``valid_pair``, the endpoint lemma as
   one equation, except the pair of an ``E V`` whose block makes V's two
   coordinates equal: such a V is a finite set F, its pair is (F, F), and
@@ -28,9 +31,9 @@ its endpoint pair.  This module realizes both directions on formulas:
   (TRUE or FALSE above all), in place, and keeps the rest of the formula
   in interval syntax; a universal quantifier left after that is refused.
 
-Universal quantifiers in a coordinate form come only from the input
-itself or from the bound clause that ``translate_L_to_W`` writes for a
-``cup`` or ``cap`` over sets not known to be finite.
+No translation writes a quantifier the input does not call for: a
+universal quantifier in an output is the relativized image of one in the
+input, so an existential input has an existential coordinate form.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .syntax import (
     Or,
     SIG_L,
     SIG_W,
-    SIG_W_DIFF,
     Signature,
     Term,
     Var,
@@ -100,17 +102,6 @@ def _check_signature(f: Formula, sig: Signature) -> None:
 
 
 # -- small definable pieces ----------------------------------------------------------
-
-
-def diffdef(a: Term, b: Term, c: Term) -> Formula:
-    """``c`` is the set difference ``a`` minus ``b``: the unique solution of
-    ``(a cap b) cup c = a`` and ``b cap c = bot``."""
-    return And(Atomic(cup(cap(a, b), c), a), Atomic(cap(b, c), bot()))
-
-
-def delta_term(q1: Term, q2: Term) -> Term:
-    """Symmetric difference, in the signature extended with ``diff``."""
-    return cup(diff_t(q1, q2), diff_t(q2, q1))
 
 
 def notbot(y: Term) -> Formula:
@@ -210,7 +201,8 @@ def _simp_term(t: Term, memo: dict) -> Term:
         elif op == "diff":
             if kb == "bot":
                 out = a
-            elif ka == "bot" or a == b:
+            elif ka == "bot" or a == b or ka == "min" and a.args[0] == b:
+                # min(T) lies in T
                 out = _BOT
         if out is t and not (a is a0 and b is b0):
             out = App(op, (a, b))
@@ -390,54 +382,30 @@ def _existential_nnf(f: Formula) -> Formula:
     return g
 
 
-def _lift_defined(g: Formula, op: str, names: FreshNames, base: str, define) -> Formula:
-    """The equation or negated equation ``g`` with each application of
-    ``op`` lifted, innermost first, to a fresh variable named after
-    ``base``, bound around ``g`` beside ``define(application, variable)``.
-    Where ``define`` makes the variable the application's unique value, the
-    result means what ``g`` means, negated or not."""
-    eq = g.body if g.__class__ is Not else g
-    defs: list[tuple[str, App]] = []
-    lhs, rhs = lift(eq.lhs, (op,), names, base, defs), lift(eq.rhs, (op,), names, base, defs)
-    if not defs:
-        return g
-    core = Atomic(lhs, rhs)
-    body = and_all([define(app, Var(v)) for v, app in defs] + [core if eq is g else Not(core)])
-    return exists_all([v for v, _ in defs], body)
-
-
 def _eliminate_negations(f: Formula, names: FreshNames) -> Formula:
     if not isinstance(f, Not):
         return rebuild(f, _eliminate_negations, names)
     if not isinstance(f.body, Atomic):
         raise AssertionError("negation not at an equation after nnf")
-    y = names.fresh("Y")
-    witness = And(notbot(Var(y)), subset_atom(Var(y), delta_term(f.body.lhs, f.body.rhs)))
-    return Exists(y, witness)
-
-
-def _eliminate_diff(f: Formula, names: FreshNames) -> Formula:
-    """``f`` in negation normal form with each ``diff`` defined by
-    ``diffdef`` at its equation, outside the equation's negation."""
-    if f.__class__ is Atomic or f.__class__ is Not and f.body.__class__ is Atomic:
-        return _lift_defined(f, "diff", names, "C", lambda app, c: diffdef(*app.args, c))
-    return rebuild(f, _eliminate_diff, names)
+    # Y inside the symmetric difference of a and b, written without diff
+    a, b, y = f.body.lhs, f.body.rhs, Var(names.fresh("Y"))
+    return Exists(y.name, and_all([notbot(y), subset_atom(y, cup(a, b)), Atomic(cap(y, cap(a, b)), bot())]))
 
 
 def to_positive_existential(f: Formula) -> Formula:
     """Rewrite a finite-set formula without universal quantifiers into an
     equivalent one with no negation at all.
 
-    Each negated equation becomes an existential witness: the two sides
-    differ exactly when some nonempty set fits inside their symmetric
-    difference, and nonemptiness is definable positively (``notbot``).
-    The output comes back simplified.
+    Each negated equation ``!(a = b)`` becomes an existential witness,
+    ``E Y. notbot(Y) & Y sub cup(a, b) & cap(Y, cap(a, b)) = bot``: the two
+    sides differ exactly when some nonempty set fits inside their union and
+    misses their meet, and nonemptiness is definable positively
+    (``notbot``).  No ``diff`` is written, so input and output are both in
+    the finite-set signature.  The output comes back simplified.
     """
-    _check_signature(f, SIG_W_DIFF)
+    _check_signature(f, SIG_W)
     g = _existential_nnf(f)
-    names = FreshNames(all_names(g))
-    g = _eliminate_negations(g, names)
-    g = simplify(_eliminate_diff(g, names))
+    g = simplify(_eliminate_negations(g, FreshNames(all_names(g))))
     if classify(g) != "positive_existential":
         raise AssertionError("negation elimination left a non-positive formula")
     return g
@@ -462,9 +430,12 @@ def phi_ips(x: Term = Var("X"), y: Term = Var("Y"), z: Term = Var("Z"), e: str =
     terms.
     """
     b, ev, dv = cap(y, x), Var(e), Var(d)
+    m = cap(min_t(x), b)
     body = and_all(
         [
-            diffdef(b, cap(min_t(x), b), ev),
+            # E is B less m, the unique solution of (B cap m) cup E = B and
+            # m cap E = bot
+            And(Atomic(cup(cap(b, m), ev), b), Atomic(cap(m, ev), bot())),
             Atomic(l_t(dv), cup(ev, cz())),
             Atomic(r_t(dv), z),
             subset_atom(z, x),
@@ -505,6 +476,28 @@ def phi_subseteq(
     the endpoints of the first lie in the second, and no right endpoint of
     the second that does not close the first lies in the first."""
     return And(phi_in(yl, yr, cup(xl, xr)), _misses(xl, xr, diff_t(yr, xr)))
+
+
+def _lattice(op: str, u: tuple, v: tuple, w: tuple) -> Formula:
+    """``op(U, V) = W``, ``op`` a ``cup`` or ``cap``, on the coordinates
+    (left, right) of U, V and W, with no quantifier.
+
+    ``cup``: U and V lie in W, each left endpoint of W is one of U's or
+    V's, and a right endpoint of one operand that W drops lies in the
+    other, off its right endpoints.  ``cap``: each endpoint of W is one of
+    U's or V's on the same side, and an endpoint of one operand lies in
+    the other exactly when W keeps it."""
+    if op == "cup":
+        parts = [phi_subseteq(*u, *w), phi_subseteq(*v, *w), subset_atom(w[0], cup(u[0], v[0]))]
+        for x, y in ((u, v), (v, u)):
+            dropped = diff_t(x[1], w[1])
+            parts += [phi_in(*y, dropped), Atomic(cap(dropped, y[1]), bot())]
+        return and_all(parts)
+    parts = [subset_atom(ws, cup(us, vs)) for us, vs, ws in zip(u, v, w)]
+    for x, y in ((u, v), (v, u)):
+        for xs, ws in zip(x, w):
+            parts += [phi_in(*y, cap(xs, ws)), _misses(*y, diff_t(xs, ws))]
+    return and_all(parts)
 
 
 # -- interval formulas to finite-set formulas ----------------------------------------
@@ -608,10 +601,11 @@ def translate_L_to_W(f: Formula) -> Formula:
     pair.  Containment is the quantifier-free ``phi_subseteq``.  A ``cup``
     or ``cap`` whose operands the conjunction around it forces finite is
     taken coordinatewise, with ``Ul = Ur`` for each operand whose finiteness
-    the translated conjuncts do not already force.  Other lattice operations
-    are expressed order-theoretically: above (or below) both operands, and
-    least (or greatest) such, a bound clause over every coordinate pair that
-    costs a universal quantifier."""
+    the translated conjuncts do not already force.  Any other ``cup`` or
+    ``cap`` is the quantifier-free template ``_lattice`` on the coordinates
+    of its operands and value.  So the output has a universal quantifier
+    in negation normal form only where the input has one: ``unnest`` keeps
+    the definitions of nested terms existential there too."""
     return _l2w(f)[0]
 
 
@@ -691,16 +685,7 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
             # input may force an operand finite through this very atom
             own = {t.name: Atomic(*c) for t, c in ((x, cx), (y, cy)) if t.__class__ is Var and t.name not in forced}
             return and_all([Atomic(App(a.op, (s, t)), v) for s, t, v in zip(cx, cy, w)] + list(own.values()))
-        # a pair of its own for the bound clause
-        tl, tr = names.fresh("Tl"), names.fresh("Tr")
-        t, rel = (Var(tl), Var(tr)), valid_pair(tl, tr)
-        if a.op == "cup":
-            above_both = And(phi_subseteq(*cx, *w), phi_subseteq(*cy, *w))
-            least_such = Or(Not(And(phi_subseteq(*cx, *t), phi_subseteq(*cy, *t))), phi_subseteq(*w, *t))
-            return And(above_both, Forall(tl, Forall(tr, Or(Not(rel), least_such))))
-        below_both = And(phi_subseteq(*w, *cx), phi_subseteq(*w, *cy))
-        greatest_such = Or(Not(And(phi_subseteq(*t, *cx), phi_subseteq(*t, *cy))), phi_subseteq(*t, *w))
-        return And(below_both, Forall(tl, Forall(tr, Or(Not(rel), greatest_such))))
+        return _lattice(a.op, cx, cy, w)
 
     return walk(g, frozenset(), frozenset()), pairs
 
@@ -732,24 +717,26 @@ def translate_W_to_L(f: Formula) -> Formula:
     _check_signature(g, SIG_W)
     names = FreshNames(all_names(g))
 
-    def phi_ips_at(s: Term, t: Term, u: Term) -> Formula:
-        # binders of their own, so that no output binds a name twice
-        return phi_ips(s, t, u, names.fresh("E"), names.fresh("D"))
-
-    def defined(app: App, u: Var) -> Formula:
-        return phi_ips_at(*app.args, u)
-
     def walk(h: Formula) -> Formula:
         if isinstance(h, Exists):
             return Exists(h.var, And(_finite_coords(h.var), walk(h.body)))
-        if isinstance(h, Atomic):
+        if not isinstance(h, (Atomic, Not)):
+            return rebuild(h, walk)
+        eq = h.body if isinstance(h, Not) else h
+        if eq is h:
             for a, b in ((h.lhs, h.rhs), (h.rhs, h.lhs)):
                 if isinstance(a, App) and a.op == "ips" and not any("ips" in term_symbols(x) for x in (b, *a.args)):
-                    return phi_ips_at(a.args[0], a.args[1], b)
-            return _lift_defined(h, "ips", names, "U", defined)
-        if isinstance(h, Not):
-            return _lift_defined(h, "ips", names, "U", defined)
-        return rebuild(h, walk)
+                    # binders of their own, so that no output binds a name twice
+                    return phi_ips(a.args[0], a.args[1], b, names.fresh("E"), names.fresh("D"))
+        # each other ips application, innermost first, as a fresh U that
+        # phi_ips defines outside the negation
+        defs: list[tuple[str, App]] = []
+        lhs, rhs = lift(eq.lhs, ("ips",), names, "U", defs), lift(eq.rhs, ("ips",), names, "U", defs)
+        if not defs:
+            return h
+        core = Atomic(lhs, rhs)
+        parts = [phi_ips(*app.args, Var(u), names.fresh("E"), names.fresh("D")) for u, app in defs]
+        return exists_all([u for u, _ in defs], and_all(parts + [core if eq is h else Not(core)]))
 
     return walk(g)
 
@@ -761,8 +748,10 @@ def _decided(f: Formula, negated: bool) -> Formula:
     """``f`` with each universal subformula q, an ``A`` under an even number
     of negations or an ``E`` under an odd number, decided by its coordinate
     form w = ``simplify(translate_L_to_W(q))`` when w has no quantifier and
-    no ``ips`` or ``diff``: w with each free coordinate back as its endpoint
-    map, ``l(X)`` or ``r(X)``, takes q's place.  w holds exactly at the
+    no ``ips`` or ``diff``.  The translation adds no universal to q's own,
+    so that takes a ``simplify`` that removes q's.  w with each free
+    coordinate back as its endpoint map, ``l(X)`` or ``r(X)``, takes q's
+    place.  w holds exactly at the
     endpoint coordinates of q's free variables, and on the finite sets
     ``l(X)`` and ``r(X)`` the shared operations agree in both structures,
     so that is q; a constant w (TRUE or FALSE) says q holds everywhere or

@@ -27,6 +27,11 @@ Terms are folded in one place: only ``transforms._simp`` (and the folder
 itself, recursively) names ``_simp_term``, and ``_simp`` takes exactly
 ``(f, memo)``, so no second folder and no option on the simplifier can
 come back.
+
+The translations write no universal of their own: ``transforms.py``
+builds a ``Forall`` in one statement only, the relativized image of an
+input universal in ``_l2w``'s walk, and imports ``Forall`` under no
+other name.
 """
 
 import ast
@@ -296,3 +301,43 @@ def test_the_check_sees_a_planted_folder():
         "def _simp_terms(f):\n    return f\n"
     )
     assert _namings(tree, "_simp_term") == [(2, "_simp"), (4, "_fold_terms"), (5, ""), (6, "")]
+
+
+def _forall_builds(tree: ast.Module) -> list[tuple[int, str]]:
+    """The lines that call ``Forall`` or import it under another name, each
+    with the path of functions it sits in, joined by dots ("" outside
+    every function)."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "Forall" or isinstance(func, ast.Attribute) and func.attr == "Forall":
+                found.append((node.lineno, owner))
+        elif isinstance(node, ast.alias) and node.name == "Forall" and node.asname not in (None, "Forall"):
+            found.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_the_translations_build_a_universal_at_one_site():
+    builds = _forall_builds(ast.parse((ROOT / FOLD_MODULE).read_text()))
+    # the pair of an input universal: A Vl. A Vr. !valid_pair(Vl, Vr) | ...
+    assert len(builds) == 2
+    assert {owner for _, owner in builds} == {"_l2w.walk"}
+    assert len({line for line, _ in builds}) == 1
+
+
+def test_the_check_sees_a_planted_universal():
+    tree = ast.parse(
+        "def _l2w(f):\n    def walk(h):\n        return Forall(a, Forall(b, h))\n"
+        "def _bound(w):\n    return And(w, syntax.Forall(t, w))\n"
+        "from .syntax import Forall as All\n"
+        "g = isinstance(f, Forall)\n"
+    )
+    assert _forall_builds(tree) == [(3, "_l2w.walk"), (3, "_l2w.walk"), (5, "_bound"), (6, "")]

@@ -32,7 +32,6 @@ from intlat.syntax import (
     Atomic,
     Exists,
     Forall,
-    FreshNames,
     Not,
     Or,
     Term,
@@ -48,6 +47,7 @@ from intlat.syntax import (
     delta_domain,
     diff_t,
     format_formula,
+    formula_symbols,
     free_vars,
     ips_t,
     l_t,
@@ -68,10 +68,8 @@ from intlat.transforms import (
     _FINITE_VALUED,
     _LAWS,
     TRUE,
-    CoordinatePair,
     FragmentError,
     _definition,
-    _eliminate_diff,
     _grow_finite,
     _l2w,
     _misses,
@@ -125,17 +123,27 @@ def test_to_positive_existential_preserves_meaning():
             assert eval_qf(f, a, SIG_W) == eval_bounded(g, a, default_pool(a), SIG_W), (text, x)
 
 
-def test_eliminate_diff_defines_diff_outside_a_negation():
-    f = Not(Atomic(diff_t(Var("X"), Var("Y")), Var("Z")))
-    g = _eliminate_diff(f, FreshNames(all_names(f)))
-    assert isinstance(g, Exists) and g.var == "C"
-    assert operands(g.body, And)[-1] == Not(Atomic(Var("C"), Var("Z")))
-    pool = fs([0, 1, 2])
-    for x in enum_finsets(pool):
-        for y in enum_finsets(pool):
-            for z in enum_finsets(pool):
-                a = {"X": x, "Y": y, "Z": z}
-                assert eval_bounded(g, a, default_pool(a), SIG_W) == eval_qf(f, a, SIG_W_DIFF), a
+def test_posex_outputs_write_no_diff():
+    # the witness of a negated equation lies in the union of its sides and
+    # misses their meet, so posex stays in the finite-set signature, on the
+    # corpora and on the finite-set draws
+    rng = random.Random("posex-no-diff")
+    inputs = [parse(text, SIG_W) for text in _W_TEXTS]
+    inputs += [generated_formula(rng, 3, ("X",), FINITE_SET_OPS) for _ in range(200)]
+    taken = 0
+    for f in inputs:
+        try:
+            g = to_positive_existential(f)
+        except FragmentError:
+            continue
+        taken += 1
+        assert "diff" not in formula_symbols(g), format_formula(f)
+    assert taken > len(_W_TEXTS)
+
+
+def test_posex_takes_only_finite_set_formulas():
+    with pytest.raises(FragmentError, match=r"^not a finite-set formula: uses \['diff'\]$"):
+        to_positive_existential(Not(Atomic(diff_t(Var("X"), Var("Y")), Var("Z"))))
 
 
 # -- the successor-preimage characterization --------------------------------------
@@ -421,7 +429,7 @@ _GUARD_CASES = [
     # a definition under a negation or in one disjunct only
     ("E Y. !(min(X) = Y)", set()),
     ("E Y. min(X) = Y | Y = X", set()),
-    # a universal binder, and the bound clause of a cup
+    # a universal binder, and a cup, whose template binds nothing
     ("A Y. (min(X) = Y -> Y = X)", set()),
     ("cup(X, Y) = Z", set()),
     # one equation between X's coordinates, with no helper to bind
@@ -439,7 +447,7 @@ def test_l2w_guards_every_pair_but_one_its_block_forces_finite(text, unguarded):
     assert bound_vars(simplify(f)) == bound_vars(f)
     g, pairs = _l2w(f)
     assert {v for v in bound_vars(unnest(simplify(f))) if not _guarded(g, pairs[v])} == unguarded
-    # the bound clause of a cup or cap binds a pair of its own
+    # each universal pair relativizes a universal of the input
     for h in subformulas(g):
         if isinstance(h, Forall) and isinstance(h.body, Forall):
             assert h.body.body.__class__ is Or and h.body.body.lhs == Not(valid_pair(h.var, h.body.var))
@@ -451,14 +459,14 @@ def test_l2w_guards_every_pair_but_one_its_block_forces_finite(text, unguarded):
         "E Y. l(Y) = r(Y) & cup(Y, cz) = Y",
         "l(X) = r(X) & cup(X, cz) = X",
         # 1,173 nodes translated (436 simplified) while Y kept its guard
-        # and the cap its bound clause
+        # and the cap took a universal bound clause
         "E Y. r(Y) = l(Y) & cup(Y, cz) = Y & cap(Y, min(X)) = bot",
     ],
 )
 def test_equal_endpoint_maps_make_a_set_finite(text):
     # l(V) = r(V) is Vl = Vr: V's pair needs no guard, and its cup and cap
-    # are taken coordinatewise, with no bound clause, so the coordinate
-    # form has no universal quantifier
+    # are taken coordinatewise, not by the template, so the coordinate form
+    # has no quantifier but V's own
     f = parse(text, SIG_L)
     g, pairs = _l2w(f)
     assert not any(_guarded(g, pairs[v]) for v in bound_vars(f))
@@ -467,7 +475,7 @@ def test_equal_endpoint_maps_make_a_set_finite(text):
 
 
 def test_l2w_folds_the_input_s_terms_before_naming_them():
-    # cap(X, bot) = Y means bot = Y: named, its cap would cost a bound clause
+    # cap(X, bot) = Y means bot = Y: named, its cap would cost a template
     f, folded = parse("cap(X, bot) = Y", SIG_L), parse("bot = Y", SIG_L)
     assert translate_L_to_W(f) == translate_L_to_W(folded)
 
@@ -499,10 +507,67 @@ def test_l2w_writes_no_pair_for_a_binder_term_folding_empties():
     assert not bound_vars(g)
 
 
-def test_l2w_guards_the_pair_of_a_bound_clause():
+_KERNELS = {"cup": "union", "cap": "intersect"}
+
+
+def _lattice_verdicts(op: str, triples) -> set:
+    """The verdicts of ``translate_L_to_W`` of ``op(X, Y) = Z`` on the
+    coordinates of each triple of unions, each checked against the kernel
+    of ``op``."""
+    g = translate_L_to_W(parse(f"{op}(X, Y) = Z", SIG_L))
+    assert not bound_vars(g)
+    verdicts = set()
+    for x, y, z in triples:
+        want = getattr(x, _KERNELS[op])(y) == z
+        verdicts.add(want)
+        assert eval_qf(g, {**_coords(x), **_coords(y, "Yl", "Yr"), **_coords(z, "Zl", "Zr")}, SIG_W_DIFF) == want, (x, y, z)
+    return verdicts
+
+
+@pytest.mark.parametrize("op", sorted(_KERNELS))
+def test_l2w_lattice_template_agrees_with_the_kernels_on_every_small_triple(op):
+    unions = list(enum_fcis(fs(range(3)), 3, True))
+    assert len(unions) == 21
+    assert _lattice_verdicts(op, itertools.product(unions, repeat=3)) == {True, False}
+
+
+@pytest.mark.parametrize("op", sorted(_KERNELS))
+def test_l2w_lattice_template_agrees_with_the_kernels_on_seeded_triples(op):
+    rng = random.Random(f"lattice-template/{op}")
+    unions = list(enum_fcis(fs(range(8)), 8, True))
+    triples = []
+    for i in range(1000):
+        x, y = rng.choice(unions), rng.choice(unions)
+        # half the triples hold, so both verdicts occur
+        triples.append((x, y, getattr(x, _KERNELS[op])(y) if i % 2 else rng.choice(unions)))
+    assert _lattice_verdicts(op, triples) == {True, False}
+
+
+def _existential(f) -> bool:
+    return not any(isinstance(h, Forall) for h in subformulas(nnf(f)))
+
+
+def test_l2w_of_an_existential_formula_is_existential():
+    # the translation writes a universal only where its input has one, on
+    # the corpora and the generated draws.  The hand case names a cup under
+    # a negation of a conjunction, whose definition unnest writes as the
+    # negation of an existential
+    hand = "!(max(X) = X & cup(r(X), min(X)) = cup(Y, cz))"
+    draws = _generated_formulas("l2w-generated") + _generated_formulas("pipeline-generated")
+    draws += _generated_formulas("pipeline-generated-xy", ("X", "Y"))
+    existential = 0
+    for f in [parse(text, SIG_L) for text in _L_TEXTS + [hand]] + draws:
+        if _existential(f):
+            existential += 1
+            assert _existential(translate_L_to_W(f)), format_formula(f)
+    assert existential > 500
+
+
+def test_l2w_binds_no_pair_for_a_cup_or_cap():
+    # the template says cap(X, Y) = X on the coordinates alone
     g, pairs = _l2w(parse("X sub Y", SIG_L))
     assert set(pairs) == {"X", "Y"}
-    assert _guarded(g, CoordinatePair("Tl", "Tr"))
+    assert not bound_vars(g)
 
 
 def _defined_by_finite_value(h: Exists) -> bool:
@@ -572,7 +637,10 @@ def test_simplify_inlines_no_pair_made_for_a_constant_or_a_finite_value(monkeypa
     # and so is Ul = cup(cz, Xl), a coordinate defined by a term.  6 were
     # inlined while only the input's terms were folded: simplify inlines
     # the W of E Y. E W. min(X) = Y & cup(Y, cz) = W & max(W) = Y, so unnest
-    # names that cup itself, and both its coordinates are inlined
+    # names that cup itself, and both its coordinates are inlined.  One more
+    # is inlined since simplify takes diff(min(T), T) to bot: a guard that
+    # named a cup's left coordinate folds away, so that coordinate occurs
+    # few enough times to inline
     hits, inlined = [], 0
 
     def recorded(g, *args):
@@ -593,7 +661,7 @@ def test_simplify_inlines_no_pair_made_for_a_constant_or_a_finite_value(monkeypa
         simplify(g)
         assert all(made[c] in ("cup", "cap") for c in hits if c in made), format_formula(f)
         inlined += sum(c in made for c in hits)
-    assert inlined <= 8
+    assert inlined <= 9
 
 
 def test_l2w_agrees_with_generated_formulas_on_every_small_union():
@@ -618,8 +686,10 @@ def test_l2w_agrees_with_generated_formulas_on_every_small_union():
             checked += 1
     # 20 universal while simplify kept E Y. Y = max(X), which a negation
     # around it turned universal; (3801, 19) while _l2w folded only the
-    # input's terms, not its definitions, before unnest
-    assert (checked, universal) == (3843, 17)
+    # input's terms, not its definitions, before unnest, and (3843, 17)
+    # while a cup or cap over sets not known to be finite cost a universal
+    # bound clause.  The 4 left are universals of the input
+    assert (checked, universal) == (4116, 4)
 
 
 # the generated draws, how many of each simplify leaves with no universal
@@ -730,9 +800,8 @@ def test_l2w_analyses_each_block_once(monkeypatch, text, calls):
 
 def test_coordinates_take_a_disjunct_that_folds_to_true():
     # the inner block forces Y finite, so its pair writes no guard and the
-    # first disjunct folds to true; the bound clause of the cap goes with it
+    # first disjunct folds to true; the template of the cap goes with it
     f = parse("E Y. (E Y. r(cap(Y, Y)) = Y) | cap(cz, X) = r(bot)", SIG_L)
-    assert any(isinstance(h, Forall) for h in subformulas(translate_L_to_W(f)))
     g = simplify(translate_L_to_W(f))
     assert g == TRUE
     _agree_on_every_small_union(f, g, SIG_W)
@@ -764,9 +833,7 @@ def test_pipeline_preserves_meaning_on_hand_cases():
 
 
 def test_pipeline_rejects_what_it_cannot_rewrite():
-    # a universal whose coordinate form keeps a quantifier: a bound clause
-    # for a cup or cap over sets not known to be finite, or the universal
-    # itself
+    # a universal whose coordinate form keeps its quantifier
     for text in PIPELINE_REJECTS:
         with pytest.raises(FragmentError):
             pipeline(parse(text, SIG_L))
@@ -885,9 +952,12 @@ def test_pipeline_keeps_bound_interval_variables(text):
 def test_pipeline_drops_the_guard_of_a_set_paired_with_itself():
     # the coordinatewise cup states Yl = Yr, as min(X) forces Y finite but
     # nothing forces its coordinates equal; simplify puts Yl for Yr, so Y's
-    # guard becomes valid_pair(Yl, Yl), which holds outright
+    # guard becomes valid_pair(Yl, Yl), which holds outright: simplify
+    # takes it to TRUE, as diff(min(Yl), Yl) is bot, so no guard is left
     f = parse("E Y. cup(Y, min(X)) = min(X) & !(Y = X)", SIG_L)
-    assert simplify(valid_pair("Yl", "Yl")) in subformulas(simplify(translate_L_to_W(f)))
+    assert simplify(valid_pair("Yl", "Yl")) == TRUE
+    g = simplify(translate_L_to_W(f))
+    assert bound_vars(g) == {"Yl"} and "diff" not in formula_symbols(g)
     # pipeline writes no guard at all: the input stays in interval syntax.
     # 50 nodes came back through the coordinate round trip, 58 with the
     # guard translated
@@ -941,11 +1011,18 @@ _DECISIONS = [
     ("A Y. !cup(cz, Y) = bot", "bot = bot"),
     # an undecided universal beside a TRUE disjunct
     ("(A Y. cup(Y, X) = X) | (A Z. !cup(cz, Z) = bot)", "bot = bot"),
-    # the outer universal keeps a bound clause in coordinates; the inner
+    # the outer universal keeps its quantifier in coordinates; the inner
     # one is FALSE, which leaves Y defined by a term and inlined
     ("!(E Y. Y = cup(X, cz) & (min(Y) = cz | (E W. l(W) = l(Y) & r(W) = r(Y) & !W = Y)))", "cz = bot"),
     # a coordinate form with no quantifier comes back on l(X) and r(X)
     ("!(E Y. bot = min(X) & Y = cap(Y, cz) & bot = l(Y))", "!bot = min(X)"),
+    # Y's coordinatewise cup forces Yl = Yr, so its guard is valid_pair(F,
+    # F), TRUE once simplify takes diff(min(F), F) to bot; refused before
+    (
+        "!(E Y. cup(cap(bot, cz), X) = r(Y) & cup(min(cz), Y) = cup(cz, cz) | (E Y. min(min(bot)) = l(cz)))"
+        " | !l(X) = r(X) | !cup(cz, l(X)) = cz",
+        "!(l(X) = r(X) & cup(cz, l(X)) = cz) | !l(X) = r(X) | !cup(cz, l(X)) = cz",
+    ),
     # the one output that grows: the coordinate round trip took the whole
     # formula to TRUE, here the E over X1 stays
     (
@@ -1010,8 +1087,10 @@ def test_corpus_rewrite_outputs_stay_within_their_size_ceiling():
     # each one node larger: 4341 then, 4308 before simplify folded the
     # coordinate forms back by its interval laws, and posex left its
     # output unsimplified; 3556 while simplify inlined no variable a term
-    # defines.  Two L2W_CORPUS inputs pipeline takes since it sends only a
-    # universal simplify keeps through coordinates are pinned apart
+    # defines; 3323 while a cup or cap over sets not known to be finite
+    # cost a universal bound clause and posex wrote its witness with diff.
+    # Two L2W_CORPUS inputs pipeline takes since it sends only a universal
+    # simplify keeps through coordinates are pinned apart
     newly = {"X sub Y": "X sub Y", "E W. cup(X, cz) = W & W = X": "cup(X, cz) = X"}
     total = 0
     for side, sig, texts in (("w", SIG_W, _W_TEXTS), ("l", SIG_L, _L_TEXTS)):
@@ -1021,7 +1100,7 @@ def test_corpus_rewrite_outputs_stay_within_their_size_ceiling():
                 out = outs.pop()[0]
                 assert out == parse(newly[text], SIG_L) and count_nodes(out) == 5, text
             total += sum(count_nodes(out) for out, _ in outs)
-    assert total <= 3400
+    assert total <= 2690
 
 
 def test_simplify_keeps_meaning_while_shrinking():
@@ -1059,6 +1138,8 @@ _TERM_FOLDS = [
         for inner in (App(k, args) for k in ("cup", "cap") for args in ((_A, _B), (_B, _A)))
         for pair in ((_A, inner), (inner, _A))
     ],
+    # min(A) lies in A
+    (diff_t(min_t(_A), _A), bot()),
     # a law's repeated variable binds equal subterms only
     (min_t(cup(l_t(_A), r_t(_B))), min_t(cup(l_t(_A), r_t(_B)))),
 ]
@@ -1333,8 +1414,8 @@ _REWRITES = {
 # refuses left out: a change to any printed output must update these on purpose
 REWRITE_DIGESTS = {
     "pipeline": (23, "f7f265ed988351a1d3a40d927db2b90c8de96711953eda1734a43b7c7b2d02d9"),
-    "simplify-l2w": (23, "70fbb09ad23764bc9f1a22e58e9d708ca0e4c1b8c64d0dffabdc7ca1c4a6aad4"),
-    "posex": (23, "d7308485d36622a0e7ec1d10f54d2619a8b7fc91bc422bf11888b0130576f520"),
+    "simplify-l2w": (23, "5dea728fa57f2c4af7c145b906d8974b919e559cf36980c4dc2dfeada7bc9cfc"),
+    "posex": (23, "3deed7f9fdcf083536316056ab9ecc8b5f3c6a38e8e93cead8bc1386b83a1433"),
     "simplify-w2l": (23, "b14db5a8cfe07bbc0e3f64262efada1038f2d9cadf4f4fc31b65300674eb5113"),
 }
 
@@ -1389,7 +1470,7 @@ def _rewrites(side: str, f):
 
 
 # (outputs, SHA-256 of the lines "input TAB output TAB simplified TAB reparsed")
-COMPOSITION_DIGEST = (36, "8c4b7bef7ac4ae0fd8c06cb2e1356ad7a51afd7d45261ae057d5ff49d88d6140")
+COMPOSITION_DIGEST = (36, "4fbfb05ea2a69d1512d289b701659643cc469ae77175b0e7d0b4df04ed7d774b")
 
 
 def _composition_outputs():
@@ -1411,7 +1492,7 @@ GENERATED_DIGEST = (196, "a3de79a9a81ed8c12eb5d6d1e20798efb9eb227017bd4bcd325cbf
 # (draws, SHA-256 of the lines "input TAB output") of the simplified
 # coordinate form of both generated draws as drawn; parsing would rename
 # apart the names some of them bind twice
-RAW_GENERATED_DIGEST = (400, "3c82f4629b8ad94f3f8dbd7ddd91e42845452457e97c80ca01b24151fd543d6d")
+RAW_GENERATED_DIGEST = (400, "4ee29d823d2646994b2a90145b2111bb4d6659b888445f21e034d2b42cfc59f8")
 
 
 def test_l2w_outputs_on_generated_formulas_that_bind_a_name_twice_are_pinned():
