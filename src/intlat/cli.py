@@ -29,6 +29,7 @@ from .syntax import (
 from .transforms import (
     FragmentError,
     pipeline,
+    simplify,
     to_positive_existential,
     translate_L_to_W,
     translate_W_to_L,
@@ -36,10 +37,11 @@ from .transforms import (
 
 _SIGS = {"w": SIG_W, "l": SIG_L}
 # each rewrite by the name ``translate --dir`` or its own subcommand gives
-# it: the signature of its input, and the rewrite
+# it: the signature of its input, and the rewrite; the coordinate form is
+# printed simplified, as every other reader of it takes it
 _REWRITES = {
     "w2l": (SIG_W, translate_W_to_L),
-    "l2w": (SIG_L, translate_L_to_W),
+    "l2w": (SIG_L, lambda f: simplify(translate_L_to_W(f))),
     "posex": (SIG_W, to_positive_existential),
     "pipeline": (SIG_L, pipeline),
 }

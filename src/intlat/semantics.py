@@ -17,8 +17,9 @@ the smallest is built, so a pool over an enumeration cap is refused only
 when the chosen step must enumerate it.
 An ``EvalCache`` interns each distinct term once and memoizes the values
 it takes, so the solver computes a repeated subterm once per set of
-values; equations read their sides from that memo and stay out of the
-verdict table.
+values.  Term values are all it memoizes: an equation compares its two
+memoized sides, and a connective or quantifier is decided afresh on every
+call.
 
 There is one evaluator: ``eval_term``, ``eval_qf`` and ``eval_bounded``
 all evaluate through ``EvalCache``'s interned terms (``_Term``) and
@@ -346,7 +347,6 @@ class _Node(NamedTuple):
 
     formula: Formula
     fv: frozenset[str]
-    names: tuple[str, ...]  # fv sorted: the order of the values in a verdict key
     rules: tuple[_Rule, ...]  # of an equation
     sides: Optional[tuple[_Term, _Term]]  # of an equation, interned
 
@@ -357,14 +357,12 @@ class EvalCache:
     Structurally equal formulas share every entry, so the conjuncts
     ``_normalize`` rebuilds for each set of names in scope share one node.
     Every distinct term is interned once (``term``) and memoizes its own
-    values; equations compare their memoized sides and so are kept out of
-    the verdict table, whose keys hold the search space.  Spaces are on
-    point ranks and values are cell masks over them, so every pool and
-    assignment of one order type shares the same entries.
+    values, the only values kept: no verdict of a formula is stored.
+    Values are cell masks over point ranks, so every pool and assignment
+    of one order type shares the same entries.
     """
 
     def __init__(self) -> None:
-        self._vals: dict[tuple, bool] = {}
         self._norm: dict[tuple, tuple[tuple[str, ...], tuple[_Node, ...]]] = {}
         self._nodes: dict[Formula, _Node] = {}
         self._terms: dict[Term, _Term] = {}
@@ -385,7 +383,7 @@ class EvalCache:
             atomic = isinstance(f, Atomic)
             rules = _atom_rules(f, self.term) if atomic else ()
             sides = (self.term(f.lhs), self.term(f.rhs)) if atomic else None
-            got = self._nodes[f] = _Node(f, fv, tuple(sorted(fv)), rules, sides)
+            got = self._nodes[f] = _Node(f, fv, rules, sides)
         return got
 
     def normalized(self, f: Formula, taken: frozenset[str]) -> tuple[tuple[str, ...], tuple[_Node, ...]]:
@@ -416,29 +414,22 @@ def eval_bounded(
 
 
 def _eval(f: Formula, env: dict, space: _Space, cache: EvalCache) -> bool:
-    node = cache.node(f)
-    if node.sides is not None:
-        lhs, rhs = node.sides
+    if isinstance(f, Atomic):
+        lhs, rhs = cache.node(f).sides
         return lhs.value(env, space.finite_sets) == rhs.value(env, space.finite_sets)
-    key = (f, tuple(env[n] for n in node.names), space)
-    hit = cache._vals.get(key)
-    if hit is not None:
-        return hit
     if isinstance(f, Not):
-        out = not _eval(f.body, env, space, cache)
-    elif isinstance(f, And):
-        out = _eval(f.lhs, env, space, cache) and _eval(f.rhs, env, space, cache)
-    elif isinstance(f, Or):
-        out = _eval(f.lhs, env, space, cache) or _eval(f.rhs, env, space, cache)
-    elif isinstance(f, (Exists, Forall)):
-        negate = isinstance(f, Forall)
-        vars, items = cache.normalized(Not(f) if negate else f, frozenset(env))
-        found = _assign(list(vars), list(items), env, space, cache)
-        out = not found if negate else found
-    else:
-        raise EvalError(f"cannot evaluate {type(f).__name__}")
-    cache._vals[key] = out
-    return out
+        return not _eval(f.body, env, space, cache)
+    if isinstance(f, And):
+        return _eval(f.lhs, env, space, cache) and _eval(f.rhs, env, space, cache)
+    if isinstance(f, Or):
+        return _eval(f.lhs, env, space, cache) or _eval(f.rhs, env, space, cache)
+    if isinstance(f, Exists):
+        vars, items = cache.normalized(f, frozenset(env))
+        return _assign(list(vars), list(items), env, space, cache)
+    if isinstance(f, Forall):
+        vars, items = cache.normalized(Not(f), frozenset(env))
+        return not _assign(list(vars), list(items), env, space, cache)
+    raise EvalError(f"cannot evaluate {type(f).__name__}")
 
 
 def _normalize(vars: list[str], f: Formula, taken: set[str]) -> list[Formula]:

@@ -9,7 +9,8 @@ from helpers import FINITE_SET_OPS, INTERVAL_OPS, generated_formula
 
 from intlat import cli
 from intlat.cli import main
-from intlat.syntax import format_formula
+from intlat.syntax import SIG_L, format_formula, parse
+from intlat.transforms import simplify, translate_L_to_W
 
 
 def run(capsys, *argv):
@@ -139,6 +140,17 @@ def test_translate_l2w_emits_coordinate_pairs(capsys):
     code, out, _ = run(capsys, "translate", "--dir", "l2w", "X = bot")
     assert code == 0
     assert "Xl" in out and "Xr" in out
+
+
+def test_translate_l2w_prints_the_simplified_coordinate_form(capsys):
+    # as pipeline and the tests read it: the raw translation of X sub Y has
+    # 395 nodes and terms such as cap(Xl, Xl) that simplify folds away
+    code, out, _ = run(capsys, "--json", "translate", "--dir", "l2w", "X sub Y")
+    assert code == 0
+    got = json.loads(out)
+    assert got["result"] == format_formula(simplify(translate_L_to_W(parse("X sub Y", SIG_L))))
+    assert got["nodes_out"] == 291
+    assert "cap(Xl, Xl)" not in got["result"]
 
 
 def test_posex_output_reparses_positive(capsys):

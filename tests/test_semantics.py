@@ -467,7 +467,9 @@ def test_eval_bounded_sees_points_only_up_to_order(case):
     assert eval_bounded(f, {"X": _stretched(x)}, image, sig, cache=cache) == got
 
 
-def test_order_isomorphic_pools_share_the_cache(monkeypatch):
+@pytest.fixture
+def assign_calls(monkeypatch):
+    """The number of ``_assign`` calls made so far, read by calling it."""
     calls = 0
     inner = semantics._assign
 
@@ -477,15 +479,21 @@ def test_order_isomorphic_pools_share_the_cache(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(semantics, "_assign", counted)
+    return lambda: calls
+
+
+def test_order_isomorphic_pools_share_the_cache(assign_calls):
     f = parse("E Y. cap(Y, X) = Y & !(Y = X) & !(Y = bot)", SIG_L)
     cache = EvalCache()
     pool = WitnessPool(points=fs([0, 1, 2]), max_segments=2)
     assert eval_bounded(f, {"X": parse_fci("[1,2]")}, pool, SIG_L, cache=cache) is True
-    seen, verdicts = calls, len(cache._vals)
-    assert seen > 0
+    values = sum(len(t.vals) for t in cache._terms.values())
+    assert (assign_calls(), values > 0) == (3, True)
+    # the image pool ranks to the same space: every term value it needs is
+    # already kept, while its search, which no verdict memo spares, runs again
     image = WitnessPool(points=fs([0, F(5, 2), 7]), max_segments=2)
     assert eval_bounded(f, {"X": parse_fci("[5/2,7]")}, image, SIG_L, cache=cache) is True
-    assert (calls, len(cache._vals)) == (seen, verdicts)
+    assert (assign_calls(), sum(len(t.vals) for t in cache._terms.values())) == (6, values)
 
 
 def test_a_pool_s_value_memo_stays_bounded():
@@ -613,18 +621,9 @@ _EXTREMES_SEARCHED = {
 
 
 @pytest.mark.parametrize("sig, x, want", [(SIG_L, "{1}", False), (SIG_W, "[1,*)", True)], ids=["l", "w"])
-def test_solver_search_order_is_pinned(monkeypatch, sig, x, want):
+def test_solver_search_order_is_pinned(assign_calls, sig, x, want):
     # a change to which variable is bound next or which candidates it
     # tries moves the count even when every verdict stays right
-    calls = 0
-    inner = semantics._assign
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return inner(*args)
-
-    monkeypatch.setattr(semantics, "_assign", counted)
     f = parse("E Y. E W. min(X) = Y & max(X) = W & cap(Y, W) = bot", SIG_L)
     pool = WitnessPool(points=fs([0, 1, 2]), max_segments=3)
     x = parse_fci(x)
@@ -634,33 +633,43 @@ def test_solver_search_order_is_pinned(monkeypatch, sig, x, want):
     else:
         g, a = pipeline(f), {"X": x}
     assert eval_bounded(g, a, pool, sig) is want
-    assert (bound_vars(g), calls) == (frozenset(), 0)
+    assert (bound_vars(g), assign_calls()) == (frozenset(), 0)
     text, steps = _EXTREMES_SEARCHED[sig.name]
     assert eval_bounded(parse(text, sig), a, pool, sig) is want
-    assert calls == steps
+    assert assign_calls() == steps
 
 
-@pytest.mark.parametrize("suite, steps", [("pipeline", 150), ("posex", 3218), ("l2w", 14010)])
-def test_suite_search_totals_are_pinned(monkeypatch, suite, steps):
+@pytest.mark.parametrize(
+    "suite, steps",
+    [("pipeline", 1600), ("posex", 4761), ("l2w", 14010), ("w2l", 45050), ("ipschar", 6052)],
+)
+def test_suite_search_totals_are_pinned(assign_calls, suite, steps):
     # every _assign call of a whole suite: a change to the search order
     # moves the total even when every verdict stays right.  The pipeline
-    # suite took 150 while its coordinate route had the endpoint pair fold,
-    # and 204 and the l2w suite 146,723 while translate_L_to_W folded only
-    # its input's terms, not its definitions, before unnest.  The l2w suite
-    # took 146,310 while a cup or cap over sets not known to be finite cost a
-    # universal bound clause, and the posex suite 4,256 while its witness
-    # sat in a symmetric difference written with diff
-    calls = 0
-    inner = semantics._assign
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return inner(*args)
-
-    monkeypatch.setattr(semantics, "_assign", counted)
+    # suite took 204 and the l2w suite 146,723 while translate_L_to_W
+    # folded only its input's terms, not its definitions, before unnest.
+    # The l2w suite took 146,310 while a cup or cap over sets not known to
+    # be finite cost a universal bound clause, and the posex suite 4,256
+    # while its witness sat in a symmetric difference written with diff.
+    # The pipeline suite took 150 and the posex suite 3,218 while a verdict
+    # memo kept the decided connectives and quantifiers: a quantifier
+    # repeated under many assignments was searched once per set of values
     assert getattr(suites, f"suite_{suite}")().ok
-    assert calls == steps
+    assert assign_calls() == steps
+
+
+def test_a_quantifier_is_searched_again_under_each_outer_value(assign_calls):
+    # the search binds Z, then V, then Y, and only then is the universal,
+    # which names Z and Y but not V, ready: its whole search runs again for
+    # each value V takes, since no verdict is kept to spare it
+    f = parse(
+        "E Z. E Y. E V. min(Z) = Z & min(V) = V & cap(Y, X) = Y & !(cap(Z, Y) = Z)"
+        " & (A W. (cap(W, Y) = W -> cup(W, Z) = Y))",
+        SIG_L,
+    )
+    a = {"X": parse_fci("[0,1]")}
+    assert eval_bounded(f, a, default_pool(a), SIG_L) is False
+    assert assign_calls() == 626
 
 
 def test_ten_point_pools_range_over_interval_unions():
