@@ -32,7 +32,7 @@ from .fci import (
 from .finset import FinSet, _decode_finset, zero_set
 from .oracle import enum_fcis, enum_finsets, random_fciset, random_points
 from .semantics import Assignment, EvalCache, WitnessPool, default_pool, eval_bounded, widened
-from .syntax import SIG_L, SIG_W, Formula, Signature, Var, classify, delta_domain, free_vars, parse
+from .syntax import SIG_L, SIG_W, SIG_W_DIFF, Formula, Signature, Var, classify, delta_domain, free_vars, parse
 from .transforms import (
     CoordinatePair,
     FragmentError,
@@ -192,7 +192,7 @@ def suite_endpoints(pool_size: Optional[int] = None) -> EquivReport:
     cache = EvalCache()
 
     def domain(b: FinSet, c: FinSet) -> bool:
-        return eval_bounded(dom, {"B": b, "C": c}, pool, SIG_W, cache=cache)
+        return eval_bounded(dom, {"B": b, "C": c}, pool, SIG_W_DIFF, cache=cache)
 
     for x in enum_fcis(points, 3, True):
         if not x:
@@ -237,7 +237,7 @@ def suite_member(pool_size: Optional[int] = None) -> EquivReport:
     sets, zs, pool = _member_family(pool_size)
     report = EquivReport()
     cases = (({"Xl": xl, "Xr": xr, "Z": FinSet((z,))}, x.contains(z)) for _, x, xl, xr in sets for z in zs)
-    check_equiv(report, "phi_in", phi_in(), cases, SIG_W, pool=pool)
+    check_equiv(report, "phi_in", phi_in(), cases, SIG_W_DIFF, pool=pool)
     return report
 
 
@@ -249,7 +249,7 @@ def suite_subset(pool_size: Optional[int] = None) -> EquivReport:
         ({"Xl": xl, "Xr": xr, "Yl": yl, "Yr": yr}, cells.within(u, v))
         for (u, _, xl, xr), (v, _, yl, yr) in itertools.product(sets, repeat=2)
     )
-    check_equiv(report, "phi_subseteq", phi_subseteq(), cases, SIG_W, pool=pool)
+    check_equiv(report, "phi_subseteq", phi_subseteq(), cases, SIG_W_DIFF, pool=pool)
     return report
 
 
@@ -375,7 +375,7 @@ def suite_l2w(pool_size: Optional[int] = None) -> EquivReport:
         cases = [(a, bool(predicate(a))) for a in _assignments(sorted(free_vars(f)), family)]
         check_equiv(report, text + " (interval)", f, cases, SIG_L, pool=pool)
         coordinates = ((_coords(a, pairs, ends), expected) for a, expected in cases)
-        check_equiv(report, text + " (coordinates)", g, coordinates, SIG_W, pool=pool)
+        check_equiv(report, text + " (coordinates)", g, coordinates, SIG_W_DIFF, pool=pool)
     return report
 
 

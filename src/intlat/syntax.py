@@ -17,6 +17,7 @@ symbol and arity against the requested signature; a token's position is
 found only to report an error.  Each node it builds caches its free and
 bound names, so only a formula that binds a name twice or also free is
 walked by ``rename_bound_apart``: a parsed formula never shadows a name.
+``format_formula`` prints on a stack of its own, so it takes any depth.
 
 Walkers over formulas go through four traversal helpers rather than
 dispatching on the node types themselves: ``subformulas`` and ``subterms``
@@ -85,9 +86,10 @@ class App(_TermCache):
     args: tuple["Term", ...] = ()
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.op
-        return f"{self.op}({', '.join(str(a) for a in self.args)})"
+        args = self.args
+        if len(args) == 2:  # no operation takes more than two arguments
+            return f"{self.op}({args[0]}, {args[1]})"
+        return f"{self.op}({args[0]})" if args else self.op
 
 
 Term = Union[Var, App]
@@ -528,7 +530,11 @@ _PUNCT = frozenset(("->", "(", ")", ".", ",", "=", "!", "&", "|"))
 # looser than all, and an open parenthesis is closed only by its ``)``
 _BINARY = {"&": (3, And), "|": (2, Or), "->": (1, lambda a, b: Or(Not(a), b))}
 _PREFIX = {"!": (4, Not, None), "(": (-2, None, None)}
-_CONNECTIVE = {And: ("&", 3), Or: ("|", 2)}
+_CONNECTIVE = {And: "&", Or: "|"}
+# how tightly the printed text of each kind of node binds, as the parser
+# reads it: parenthesized as an operand of a connective binding tighter
+_STRENGTH = {Atomic: 4, Not: 4, And: 3, Or: 2, Exists: 0, Forall: 0}
+_JOIN = object()  # on the printer's stack: the node below has its parts printed
 
 
 def _error(text: str, index: int, message: str) -> ParseError:
@@ -644,35 +650,35 @@ def format_formula(f: Formula) -> str:
     """Render with minimal parentheses.  ``parse(format_formula(f), sig)``
     is ``rename_bound_apart(f)``: it is ``f`` itself only when ``f`` binds
     no name twice and binds no name that is also free."""
-
-    def binary(g: Formula) -> tuple[str, int]:
-        # binding strength as the parser reads it: ! and atoms 4 over the
-        # binary connectives, quantifiers 0, parenthesized as operands
-        if isinstance(g, Atomic):
-            if isinstance(g.lhs, App) and g.lhs.op == "cap" and g.lhs.args[0] == g.rhs:
-                return f"{g.rhs} sub {g.lhs.args[1]}", 4
-            return f"{g.lhs} = {g.rhs}", 4
-        if isinstance(g, Not):
-            body, prec = binary(g.body)
-            if prec < 4:
-                body = f"({body})"
-            return f"!{body}", 4
-        if type(g) in _CONNECTIVE:
-            # & and | group to the left
-            op, strength = _CONNECTIVE[type(g)]
-            lhs, lp = binary(g.lhs)
-            rhs, rp = binary(g.rhs)
-            if lp < strength:
-                lhs = f"({lhs})"
-            if rp <= strength:
-                rhs = f"({rhs})"
-            return f"{lhs} {op} {rhs}", strength
-        letter = "E" if isinstance(g, Exists) else "A"
-        body, _ = binary(g.body)
-        return f"{letter} {g.var}. {body}", 0
-
-    text, _ = binary(f)
-    return text
+    # on a stack of its own, so any depth prints: a node comes off it once
+    # to push its parts and again, after _JOIN, to join their texts
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if g is _JOIN:
+            g = stack.pop()
+            kind = g.__class__
+            if kind is Not:
+                body = out.pop()
+                out.append(f"!{body}" if _STRENGTH[g.body.__class__] == 4 else f"!({body})")
+            elif kind in _CONNECTIVE:
+                # & and | group to the left
+                strength, rhs, lhs = _STRENGTH[kind], out.pop(), out.pop()
+                lhs = f"({lhs})" if _STRENGTH[g.lhs.__class__] < strength else lhs
+                rhs = f"({rhs})" if _STRENGTH[g.rhs.__class__] <= strength else rhs
+                out.append(f"{lhs} {_CONNECTIVE[kind]} {rhs}")
+            else:
+                out.append(f"{'E' if kind is Exists else 'A'} {g.var}. {out.pop()}")
+        elif g.__class__ is Atomic:
+            lhs = g.lhs
+            if lhs.__class__ is App and lhs.op == "cap" and lhs.args[0] == g.rhs:
+                out.append(f"{g.rhs} sub {lhs.args[1]}")
+            else:
+                out.append(f"{lhs} = {g.rhs}")
+        else:
+            stack += (g, _JOIN, g.rhs, g.lhs) if g.__class__ in _CONNECTIVE else (g, _JOIN, g.body)
+    return out[0]
 
 
 # -- normal forms ----------------------------------------------------------------

@@ -233,37 +233,13 @@ def _simp_term(t: Term, memo: dict) -> Term:
     return out
 
 
-def _occurs_at_most(x: str, parts: list, most: int) -> bool:
-    """Whether the variable ``x`` occurs free at most ``most`` times in
-    ``parts``.  The walk skips a part whose cached names lack ``x`` and
-    stops at the first occurrence past ``most``."""
-    n, stack = 0, list(parts)
-    while stack:
-        p = stack.pop()
-        kind = p.__class__
-        if kind is Var:
-            n += p.name == x
-            if n > most:
-                return False
-        elif kind is App:
-            if x in term_vars(p):
-                stack += p.args
-        elif x in free_vars(p):
-            if kind is Atomic or kind is And or kind is Or:
-                stack += (p.lhs, p.rhs)
-            else:
-                stack.append(p.body)
-    return True
-
-
-def _definition(g: Exists) -> Optional[tuple[list[str], list[Formula], Term]]:
-    """The chain of ``E`` binders directly under ``g``, the other conjuncts
-    of the body below that chain, and the term t of the body's first
-    conjunct X = t that may be inlined, for X the variable ``g`` binds: t
-    does not name X or a variable of the chain, and putting t for each
-    occurrence of X in the other conjuncts adds no more nodes than the
-    equation, the binder and the ``&`` take away, as a variable or constant
-    always does.  None when no conjunct has that shape."""
+def _definition(g: Exists) -> Optional[Formula]:
+    """The chain of ``E`` binders directly under ``g`` over the body's other
+    conjuncts (TRUE when none is left), with t put in for X, for the first
+    conjunct X = t, X the variable ``g`` binds, where t names neither X nor
+    a chain variable and the result has no more nodes than ``g`` by
+    ``count_nodes``; a variable or constant t, which never grows it, is
+    taken without counting.  None when no definition qualifies."""
     x, chain, body = g.var, [], g.body
     while body.__class__ is Exists and body.var != x:
         chain.append(body.var)
@@ -276,10 +252,9 @@ def _definition(g: Exists) -> Optional[tuple[list[str], list[Formula], Term]]:
             if v.__class__ is not Var or v.name != x or x in term_vars(t) or not term_vars(t).isdisjoint(chain):
                 continue
             rest = conj[:i] + conj[i + 1 :]
-            # each occurrence grows by |t| - 1; X = t, E X and & free |t| + 4
-            size = count_nodes(t)
-            if size == 1 or _occurs_at_most(x, rest, (size + 4) // (size - 1)):
-                return chain, rest, t
+            block = substitute(exists_all(chain, and_all(rest)), {x: t}) if rest else TRUE
+            if t.__class__ is Var or not t.args or count_nodes(block) <= count_nodes(g):
+                return block
     return None
 
 
@@ -318,10 +293,9 @@ def _simp(f: Formula, memo: dict) -> Formula:
         if f.var not in free_vars(body):
             out = body
         elif kind is Exists and (found := _definition(g)) is not None:
-            # put the defining term for the variable and simplify again;
-            # the memo skips the parts the substitution left alone
-            chain, rest, t = found
-            out = _simp(substitute(exists_all(chain, and_all(rest)), {f.var: t}), memo) if rest else TRUE
+            # simplify the block with the definition put in; the memo skips
+            # the parts the substitution left alone
+            out = _simp(found, memo)
     else:
         a, b = _simp(f.lhs, memo), _simp(f.rhs, memo)
         unit, zero = (FALSE, TRUE) if kind is Or else (TRUE, FALSE)
@@ -349,11 +323,11 @@ def simplify(f: Formula) -> Formula:
     ``min(T)``), ``!a | a`` as TRUE and ``a & !a`` as FALSE, and inlining of
     definitional equations X = t under their own quantifier, read below the
     chain of ``E`` binders directly under it (t names neither X nor a
-    variable of that chain).  A definition is inlined when that makes the
-    formula no larger, counted by ``count_nodes``: always for t a variable
-    or constant, and for an application t when the occurrences of X grow by
-    no more than the equation, the binder and its ``&`` take away, so
-    ``E Y. l(Y) = r(Y) & min(X) = Y`` is TRUE.  Equivalence-preserving in
+    variable of that chain).  A definition is inlined when the block with t
+    put in for X has no more nodes than the ``E X`` it replaces, measured
+    by ``count_nodes`` before that block is simplified (``_definition``);
+    a variable or constant t always qualifies, so ``E Y. l(Y) = r(Y) &
+    min(X) = Y`` is TRUE.  Equivalence-preserving in
     both structures, idempotent (one pass reaches the fixpoint), and never
     larger than its input.  It writes no negation and no ``A`` the input
     lacks.
@@ -636,13 +610,11 @@ def _l2w(f: Formula) -> tuple[Formula, dict[str, CoordinatePair]]:
     # finite and forced as _grow_finite grows them in the enclosing
     # conjunctions
     def walk(h: Formula, finite: frozenset[str], forced: frozenset[str]) -> Formula:
-        if isinstance(h, Atomic):
-            # a lone atom is translated on the sets it grows itself, a
-            # negated one, which forces nothing, on the sets around it
-            return atom(h, *_grow_finite([h], finite, forced))
         if isinstance(h, Not) and isinstance(h.body, Atomic):
+            # a negated atom forces nothing: it is translated on the sets
+            # around it, a lone atom as a block of one conjunct
             return Not(atom(h.body, finite, forced))
-        if isinstance(h, (And, Exists)):
+        if isinstance(h, (And, Exists, Atomic)):
             return block(h, finite, forced)[0]
         if isinstance(h, Forall):
             p = pair_of(h.var)

@@ -9,7 +9,7 @@ from helpers import FINITE_SET_OPS, INTERVAL_OPS, generated_formula
 
 from intlat import cli
 from intlat.cli import main
-from intlat.syntax import SIG_L, format_formula, parse
+from intlat.syntax import SIG_L, SIG_W, format_formula, parse
 from intlat.transforms import simplify, translate_L_to_W
 
 
@@ -130,10 +130,21 @@ def test_translate_w2l_keeps_a_negated_equation(capsys):
 
 
 def test_too_deep_formula_is_an_error_not_a_counterexample(capsys):
-    code, out, err = run(capsys, "parse", "--sig", "w", " & ".join(["X = bot"] * 5000))
+    code, out, err = run(capsys, "pipeline", " & ".join(["X = bot"] * 5000))
     assert code == 2
     assert out == ""
     assert err.strip() == "error: formula nested too deeply"
+
+
+def test_parse_prints_back_the_longest_chain_it_reads(capsys):
+    # the printer keeps its own stack, so it takes every depth parse takes
+    text = " & ".join(["X = bot"] * 5000)
+    code, out, err = run(capsys, "parse", "--sig", "w", text)
+    assert code == 0
+    assert err == ""
+    # the chain prints as it is written and reads back to the same text
+    assert out.strip() == text
+    assert format_formula(parse(out, SIG_W)) == text
 
 
 def test_translate_l2w_emits_coordinate_pairs(capsys):

@@ -46,6 +46,7 @@ from intlat.syntax import (
     cz,
     delta_domain,
     diff_t,
+    exists_all,
     format_formula,
     formula_symbols,
     free_vars,
@@ -59,6 +60,7 @@ from intlat.syntax import (
     rename_bound_apart,
     subformulas,
     substitute,
+    subterms,
     term_symbols,
     term_vars,
     unnest,
@@ -641,7 +643,7 @@ def test_simplify_inlines_no_pair_made_for_a_constant_or_a_finite_value(monkeypa
     # is inlined since simplify takes diff(min(T), T) to bot: a guard that
     # named a cup's left coordinate folds away, so that coordinate occurs
     # few enough times to inline
-    hits, inlined = [], 0
+    hits, inlined, seen = [], 0, 0
 
     def recorded(g, *args):
         found = _definition(g, *args)
@@ -661,7 +663,11 @@ def test_simplify_inlines_no_pair_made_for_a_constant_or_a_finite_value(monkeypa
         simplify(g)
         assert all(made[c] in ("cup", "cap") for c in hits if c in made), format_formula(f)
         inlined += sum(c in made for c in hits)
+        seen += len(hits)
     assert inlined <= 9
+    # simplify reaches every inlining through the patched name: 35 of any
+    # variable on these coordinate forms
+    assert seen == 35
 
 
 def test_l2w_agrees_with_generated_formulas_on_every_small_union():
@@ -1243,6 +1249,104 @@ def test_simplify_puts_no_variable_of_the_chain_for_the_binder_above_it():
     assert simplify(g) == parse("E V. cup(min(V), X) = cap(V, X)", SIG_W)
 
 
+def _free_occurrences(x: str, f) -> int:
+    if isinstance(f, Atomic):
+        return sum(s == Var(x) for side in (f.lhs, f.rhs) for s in subterms(side))
+    if isinstance(f, (And, Or)):
+        return _free_occurrences(x, f.lhs) + _free_occurrences(x, f.rhs)
+    return 0 if isinstance(f, (Exists, Forall)) and f.var == x else _free_occurrences(x, f.body)
+
+
+def _budget_definition(g: Exists):
+    """The block ``_definition`` returns, by the rule it replaced: X = t is
+    inlined when |t| = 1, or when the occurrences of X in the other
+    conjuncts, each grown by |t| - 1, grow the block by no more than the
+    |t| + 4 nodes of the equation, its ``&`` and the binder."""
+    x, chain, body = g.var, [], g.body
+    while isinstance(body, Exists) and body.var != x:
+        chain.append(body.var)
+        body = body.body
+    conj = operands(body, And)
+    for i, c in enumerate(conj):
+        if not isinstance(c, Atomic):
+            continue
+        for v, t in ((c.lhs, c.rhs), (c.rhs, c.lhs)):
+            if v != Var(x) or x in term_vars(t) or not term_vars(t).isdisjoint(chain):
+                continue
+            rest, size = conj[:i] + conj[i + 1 :], count_nodes(t)
+            if size == 1 or sum(_free_occurrences(x, r) for r in rest) * (size - 1) <= size + 4:
+                return substitute(exists_all(chain, and_all(rest)), {x: t}) if rest else TRUE
+    return None
+
+
+def test_definition_inlines_exactly_when_the_occurrence_budget_does(monkeypatch):
+    # every block simplify meets in the rewrites of the corpora and of three
+    # draw sets: measuring the substituted block inlines the same definition
+    # as counting occurrences against the budget did
+    calls, inlined = [], 0
+
+    def compared(g):
+        found = _definition(g)
+        assert found == _budget_definition(g), format_formula(g)
+        calls.append(found is not None)
+        return found
+
+    monkeypatch.setattr(transforms, "_definition", compared)
+    for rewrite, sig, texts in _REWRITES.values():
+        for text in texts:
+            try:
+                rewrite(parse(text, sig))
+            except FragmentError:
+                continue
+    draws = _generated_formulas("l2w-generated") + _generated_formulas("pipeline-generated")
+    for f in draws + _universal_formulas("universal-xy"):
+        for rewrite in (pipeline, lambda f: simplify(translate_L_to_W(f))):
+            try:
+                rewrite(f)
+            except FragmentError:
+                continue
+    assert (len(calls), sum(calls)) == (1107, 212)
+
+
+def test_definition_inlines_a_block_no_larger_and_no_more():
+    # |t| = 6 and two occurrences of X: the block loses the 10 nodes of
+    # X = t, its & and E X and gains 5 per occurrence, so it keeps 16
+    g = parse("E X. X = cup(cap(Y, Z), min(Y)) & max(X) = cap(X, Y)", SIG_W)
+    block = _definition(g)
+    assert block == parse("max(cup(cap(Y, Z), min(Y))) = cap(cup(cap(Y, Z), min(Y)), Y)", SIG_W)
+    assert count_nodes(block) == count_nodes(g) == 16
+    assert simplify(g) == block
+    # a third occurrence, for Y: one node more in g and six in the block
+    h = parse("E X. X = cup(cap(Y, Z), min(Y)) & max(X) = cap(X, min(X))", SIG_W)
+    assert _definition(h) is None
+    assert simplify(h) is h
+
+
+def test_simplify_substitutes_once_for_each_nested_block_it_keeps(monkeypatch):
+    # each level defines Yi by a term of the level above that every level
+    # rejects; keeping an inlining whose simplified result is no larger
+    # would simplify each inner level again for each outer one
+    depth, calls = 12, []
+
+    def counted(*args):
+        calls.append(args)
+        return substitute(*args)
+
+    text, prev = "cap({}, X) = X", "X"
+    levels = []
+    for i in range(depth):
+        y = f"Y{i}"
+        levels.append(
+            f"E {y}. {y} = cup(cup({prev}, min({prev})), max({prev})) & l({y}) = r({y}) & "
+            f"cup({y}, cz) = max({y}) & min({y}) = cap({y}, cz) & "
+        )
+        prev = y
+    f = parse("".join(f"{level}(" for level in levels) + text.format(prev) + ")" * depth, SIG_L)
+    monkeypatch.setattr(transforms, "substitute", counted)
+    assert simplify(f) is f
+    assert len(calls) <= depth
+
+
 _NAMES = ("X", "Y", "V")
 
 
@@ -1636,3 +1740,14 @@ def test_parse_reaches_its_nesting_depth(shape):
     depth, text, size = _PARSE_NESTING[shape]
     f = _on_fresh_stack(lambda: parse(text(depth), SIG_W))
     assert sum(1 for _ in subformulas(f)) == size(depth)
+
+
+@pytest.mark.parametrize("shape", sorted(_PARSE_NESTING))
+def test_format_formula_prints_every_depth_parse_reaches(shape):
+    # the printer keeps its own stack; the text parses back to a formula
+    # of the same size that prints the same
+    depth, text, size = _PARSE_NESTING[shape]
+    printed = _on_fresh_stack(lambda: format_formula(parse(text(depth), SIG_W)))
+    g = parse(printed, SIG_W)
+    assert sum(1 for _ in subformulas(g)) == size(depth)
+    assert _on_fresh_stack(lambda: format_formula(g)) == printed
