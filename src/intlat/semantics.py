@@ -19,14 +19,20 @@ An ``EvalCache`` interns each distinct term once and memoizes the values
 it takes, so the solver computes a repeated subterm once per set of
 values.  Term values are all it memoizes: an equation compares its two
 memoized sides, and a connective or quantifier is decided afresh on every
-call.
+call.  A quantifier-free formula handed to ``eval_bounded`` meets each
+set of values once, so ``EvalCache.compiled`` composes it, once per
+structure, into one closure over its equations' term closures
+(``_Term.closure``), which memoize nothing; the search, and ``eval_qf``
+on its fresh cache, walk formulas (``_eval``) and keep the term memo.
 
 There is one evaluator: ``eval_term``, ``eval_qf`` and ``eval_bounded``
 all evaluate through ``EvalCache``'s interned terms (``_Term``) and
 ``_eval``, in the structure the caller names by its signature; none
 guesses one.  Each entry point checks its inputs once, before evaluating
 (``_check``: every name bound, every value of the structure's sort), so
-evaluation itself meets neither error.
+evaluation itself meets neither error.  An unknown operation, or one of
+the other structure, is refused only where evaluation reaches it, by a
+closure as by ``_eval``.
 
 The solver works on cell masks (see ``cells``): ``eval_bounded`` ranks
 the points of the pool and of the assigned values, 0 keeping rank 0,
@@ -43,6 +49,7 @@ order.  ``eval_term`` and ``eval_qf`` put 0 and their assignment on one
 grid the same way and evaluate there with a fresh cache, ``eval_qf`` in
 a fixed space per structure (no quantifier reads its points);
 ``eval_term`` and ``universe`` return ``FinSet``/``FciSet`` values.
+``_spaces`` keeps one pair of space objects per order type.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import cells
 from .cells import OPS, fci_masks, subset_masks
@@ -73,6 +80,7 @@ from .syntax import (
     Signature,
     Term,
     Var,
+    bound_vars,
     free_vars,
     nnf,
     operands,
@@ -254,9 +262,16 @@ def _ranks(pool: WitnessPool, grid: Sequence[Point]) -> _Ranks:
 def _ranked(pool: WitnessPool, rank: Callable[[Point], int], ranked: tuple[int, ...]) -> _Ranks:
     """The pool's spaces, its points having the ranks ``ranked`` under ``rank``."""
     pairs = ranked if pool.pair_points is None else tuple(map(rank, pool.pair_points.elements))
+    return _Ranks(rank, _spaces(ranked, pool.max_segments, pool.allow_ray, pairs), {})
+
+
+@lru_cache(maxsize=_POOL_CACHE_SIZE)
+def _spaces(
+    ranked: tuple[int, ...], max_segments: int, allow_ray: bool, pairs: tuple[int, ...]
+) -> tuple[_Space, _Space]:
+    # one pair of spaces per order type, however many pools have it
     point_cells = sum(map(cells.point, ranked))
-    spaces = tuple(_Space(ranked, pool.max_segments, pool.allow_ray, pairs, w, point_cells) for w in (False, True))
-    return _Ranks(rank, spaces, {})
+    return tuple(_Space(ranked, max_segments, allow_ray, pairs, w, point_cells) for w in (False, True))
 
 
 @lru_cache(maxsize=_POOL_CACHE_SIZE)
@@ -300,7 +315,7 @@ def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tup
 class _Term:
     """One term interned in an ``EvalCache``, with the values it has taken:
     the one evaluator of terms, which ``eval_term``, ``eval_qf`` and the
-    solver all call.
+    solver all call, through ``value`` or ``closure``.
 
     An application binds its ``cells.OPS`` entry when it is interned, so an
     unknown operation is refused there, never stored and refused again on
@@ -311,9 +326,14 @@ class _Term:
     keeps apart.  Values are cell masks, as everywhere in the solver, so
     ``cz`` is 1.  Every variable is bound when ``value`` is called: the
     entry points check their inputs once (``_check``), and the solver
-    evaluates a term only once its variables are assigned."""
+    evaluates a term only once its variables are assigned.
 
-    __slots__ = ("var", "op", "only", "fn", "args", "_key", "vals")
+    ``closure`` gives the same mask with no memo, built once per structure:
+    ``itemgetter`` of a variable, a constant, or the operation over its
+    arguments' closures; an operation outside the structure gives one
+    that raises what ``value`` raises."""
+
+    __slots__ = ("var", "op", "only", "fn", "args", "_key", "vals", "_closures")
 
     def __init__(self, t: Term, args: tuple[_Term, ...]) -> None:
         self.var = t.name if isinstance(t, Var) else None
@@ -327,6 +347,15 @@ class _Term:
         names = sorted(term_vars(t))
         self._key = itemgetter(*names) if names else (lambda env: ())
         self.vals: dict[tuple, int] = {}
+        self._closures: list[Optional[Callable[[dict], int]]] = [None, None]
+
+    def _refused(self, finite_sets: bool) -> Optional[str]:
+        """Why the operation cannot be applied in the structure, or None
+        when it is one of the structure's."""
+        if self.only is None or self.only == finite_sets:
+            return None
+        structure = "finite-set" if finite_sets else "interval"
+        return f"{self.op} is not an operation of the {structure} structure"
 
     def value(self, env: dict, finite_sets: bool) -> int:
         """What ``eval_term`` returns for this term, as a mask."""
@@ -335,11 +364,44 @@ class _Term:
         key = (self._key(env), finite_sets)
         got = self.vals.get(key)
         if got is None:
-            if self.only is not None and self.only != finite_sets:
-                structure = "finite-set" if finite_sets else "interval"
-                raise EvalError(f"{self.op} is not an operation of the {structure} structure")
+            if (refused := self._refused(finite_sets)) is not None:
+                raise EvalError(refused)
             got = self.vals[key] = self.fn(*[a.value(env, finite_sets) for a in self.args])
         return got
+
+    def closure(self, finite_sets: bool) -> Callable[[dict], int]:
+        """``value`` in the structure as a function of ``env`` alone."""
+        got = self._closures[finite_sets]
+        if got is None:
+            got = self._closures[finite_sets] = self._compose(finite_sets)
+        return got
+
+    def _compose(self, finite_sets: bool) -> Callable[[dict], int]:
+        if self.var is not None:
+            return itemgetter(self.var)
+        refused = self._refused(finite_sets)
+        if refused is not None:
+            return _refusal(refused)
+        fn, args = self.fn, self.args
+        if not args:
+            const = fn()
+            return lambda env: const
+        x = args[0].closure(finite_sets)
+        if len(args) == 1:
+            return lambda env: fn(x(env))
+        y = args[1].closure(finite_sets)
+        if len(args) == 2:
+            return lambda env: fn(x(env), y(env))
+        rest = [a.closure(finite_sets) for a in args]
+        return lambda env: fn(*[z(env) for z in rest])
+
+
+def _refusal(message: str) -> Callable[[dict], Any]:
+    # an error the walk meets only where it evaluates, kept until then
+    def refuse(env: dict) -> Any:
+        raise EvalError(message)
+
+    return refuse
 
 
 class _Node(NamedTuple):
@@ -359,13 +421,16 @@ class EvalCache:
     Every distinct term is interned once (``term``) and memoizes its own
     values, the only values kept: no verdict of a formula is stored.
     Values are cell masks over point ranks, so every pool and assignment
-    of one order type shares the same entries.
+    of one order type shares the same entries.  A quantifier-free formula
+    is composed once per structure into one closure (``compiled``), kept
+    per structure and keyed by formula structure like the nodes.
     """
 
     def __init__(self) -> None:
         self._norm: dict[tuple, tuple[tuple[str, ...], tuple[_Node, ...]]] = {}
         self._nodes: dict[Formula, _Node] = {}
         self._terms: dict[Term, _Term] = {}
+        self._compiled: tuple[dict, dict] = ({}, {})  # per structure, interval side first
 
     def term(self, t: Term) -> _Term:
         """The one interned ``_Term`` of ``t`` and of every term equal to it."""
@@ -385,6 +450,40 @@ class EvalCache:
             sides = (self.term(f.lhs), self.term(f.rhs)) if atomic else None
             got = self._nodes[f] = _Node(f, fv, rules, sides)
         return got
+
+    def compiled(self, f: Formula, finite_sets: bool) -> Optional[Callable[[dict], bool]]:
+        """What ``_eval`` returns for ``f`` in the structure, as one
+        function of ``env`` composed of its atoms' term closures, built
+        once; None when ``f`` has a quantifier."""
+        table = self._compiled[finite_sets]
+        try:
+            return table[f]
+        except KeyError:
+            got = table[f] = None if bound_vars(f) else self._compose(f, finite_sets)
+            return got
+
+    def _compose(self, f: Formula, finite_sets: bool) -> Callable[[dict], bool]:
+        kind = f.__class__
+        if kind is Atomic:
+            # the sides alone: the rules ``node`` reads are the search's
+            try:
+                lhs, rhs = self.term(f.lhs), self.term(f.rhs)
+            except EvalError:
+                # an unknown operation, named as the walk names it: the
+                # first one ``node`` interns
+                try:
+                    self.node(f)
+                except EvalError as error:
+                    return _refusal(str(error))
+            x, y = lhs.closure(finite_sets), rhs.closure(finite_sets)
+            return lambda env: x(env) == y(env)
+        if kind is Not:
+            x = self._compose(f.body, finite_sets)
+            return lambda env: not x(env)
+        x, y = self._compose(f.lhs, finite_sets), self._compose(f.rhs, finite_sets)
+        if kind is And:
+            return lambda env: x(env) and y(env)
+        return lambda env: x(env) or y(env)
 
     def normalized(self, f: Formula, taken: frozenset[str]) -> tuple[tuple[str, ...], tuple[_Node, ...]]:
         """Solver normal form of ``f``, memoized: the conjuncts of its negation
@@ -410,7 +509,8 @@ def eval_bounded(
         cache = EvalCache()
     _check(cache.node(f).fv, a, sig)
     env, space = _rank_assignment(a, pool, sig.finite_sets)
-    return _eval(f, env, space, cache)
+    run = cache.compiled(f, sig.finite_sets)
+    return _eval(f, env, space, cache) if run is None else run(env)
 
 
 def _eval(f: Formula, env: dict, space: _Space, cache: EvalCache) -> bool:

@@ -25,7 +25,8 @@ dispatching on the node types themselves: ``subformulas`` and ``subterms``
 function of each immediate part) and ``lift`` (replace applications by
 fresh variables, recording their definitions).  ``count_nodes`` sizes a
 formula or term on a stack of its own: each connective, quantifier,
-equation, application and variable is one node.  No node is changed once
+equation, application and variable is one node; ``formula_symbols``
+gathers a formula's operation symbols in the same walk.  No node is changed once
 built, so the walkers share what they leave alone: ``rebuild``,
 ``substitute``, ``substitute_term`` and ``rename_bound_apart`` return an
 unchanged part as the very same object and build new nodes only along
@@ -354,10 +355,20 @@ def term_symbols(t: Term) -> set[str]:
 
 
 def formula_symbols(f: Formula) -> set[str]:
+    """The operation symbols of ``f``'s terms, in one walk on a stack of
+    its own, shaped like ``count_nodes``."""
     out: set[str] = set()
-    for g in subformulas(f):
-        if isinstance(g, Atomic):
-            out |= term_symbols(g.lhs) | term_symbols(g.rhs)
+    stack = [f]
+    while stack:
+        n = stack.pop()
+        kind = n.__class__
+        if kind is App:
+            out.add(n.op)
+            stack += n.args
+        elif kind is Atomic or kind is And or kind is Or:
+            stack += (n.lhs, n.rhs)
+        elif kind is not Var:
+            stack.append(n.body)
     return out
 
 

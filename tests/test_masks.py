@@ -12,7 +12,7 @@ membership at the same probes: exhaustively over every interval union on
 4 points and every finite set on 5, and by hypothesis on up to 8
 rational points.  The encoder is checked the same way, and the pools'
 spaces, universes and endpoint pairs against the enumerators through the
-ranks.
+ranks; pools of one order type share the very same spaces.
 """
 
 import random
@@ -28,12 +28,14 @@ from intlat.fci import normalize
 from intlat.finset import FinSet
 from intlat.oracle import enum_fcis, enum_finsets
 from intlat.semantics import (
+    _POOL_CACHE_SIZE,
     WitnessPool,
     _endpoint_pairs,
     _in_universe,
     _masks,
     _pool_ranks,
     _ranks,
+    _spaces,
     universe,
 )
 from intlat.syntax import SIG_L, SIG_W
@@ -268,6 +270,21 @@ def rational_cases(draw):
     chosen = FinSet.of({F(0)} | draw(st.frozensets(near, max_size=5)))
     pool = WitnessPool(chosen, draw(st.integers(0, 4)), draw(st.booleans()))
     return points, unions, sets, pool
+
+
+def test_pools_of_one_order_type_share_their_spaces():
+    one = _pool_ranks(WitnessPool(FinSet.of([0, 1, 3]), 2, True, FinSet.of([0, 3])))
+    other = _pool_ranks(WitnessPool(FinSet.of([0, F(1, 2), 7]), 2, True, FinSet.of([0, 7])))
+    assert one is not other
+    assert all(x is y for x, y in zip(one.spaces, other.spaces))
+    # another segment cap or other pair points make another space
+    for pool in (WitnessPool(FinSet.of([0, 1, 3]), 1), WitnessPool(FinSet.of([0, 1, 3]), 2)):
+        assert _pool_ranks(pool).spaces != one.spaces
+    # a pool per item must not grow the table past its bound
+    for k in range(2 * _POOL_CACHE_SIZE):
+        _pool_ranks(WitnessPool(FinSet.of(range(k % 4 + 1)), k))
+    info = _spaces.cache_info()
+    assert info.currsize == info.maxsize == _POOL_CACHE_SIZE
 
 
 @settings(deadline=None)

@@ -8,9 +8,10 @@ solver says so, which the hand-checked examples here pin down.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from helpers import random_finset
+from helpers import generated_formula, random_finset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,10 @@ from intlat.semantics import (
     EvalError,
     WitnessPool,
     _atom_rules,
+    _eval,
     _guard,
+    _masks,
+    _pool_ranks,
     _rank_assignment,
     default_pool,
     eval_bounded,
@@ -44,12 +48,22 @@ from intlat.syntax import (
     Or,
     Var,
     bound_vars,
+    delta_domain,
     exists_all,
+    format_formula,
     free_vars,
     parse,
     valid_pair,
 )
-from intlat.transforms import pipeline, simplify, to_positive_existential, translate_L_to_W
+from intlat.transforms import (
+    _lattice,
+    phi_in,
+    phi_subseteq,
+    pipeline,
+    simplify,
+    to_positive_existential,
+    translate_L_to_W,
+)
 
 F = Fraction
 fs = FinSet.of
@@ -304,6 +318,48 @@ def test_an_unknown_operation_is_refused_on_every_call():
         for _ in range(2):
             with pytest.raises(EvalError, match="^unknown operation foo$"):
                 call()
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        (Atomic(App("foo", (Var("X"),)), Var("X")), "^unknown operation foo$"),
+        (parse("ips(X, X) = X", SIG_W), "^ips is not an operation of the interval structure$"),
+    ],
+    ids=["unknown", "foreign"],
+)
+def test_an_operation_is_refused_only_where_the_evaluation_reaches_it(part, message):
+    # & and | decide on their left part first: with X empty neither formula
+    # evaluates the part that cannot be evaluated, with X not empty both do
+    pool = WitnessPool(points=fs([0, 1]), max_segments=1)
+    empty, full = {"X": EMPTY_FCI}, {"X": parse_fci("[0,1]")}
+    for f, decided in ((Or(parse("X = bot", SIG_L), part), True), (And(parse("!(X = bot)", SIG_L), part), False)):
+        cache = EvalCache()
+        for _ in range(2):
+            assert eval_bounded(f, empty, pool, SIG_L, cache=cache) is decided
+            assert eval_qf(f, empty, SIG_L) is decided
+            with pytest.raises(EvalError, match=message):
+                eval_bounded(f, full, pool, SIG_L, cache=cache)
+            with pytest.raises(EvalError, match=message):
+                eval_qf(f, full, SIG_L)
+
+
+def test_an_equation_of_two_unknown_operations_is_refused_by_the_walk_s_message():
+    # the search's rule for cup(cap(x, y), V) = y interns y = bar(X) before
+    # the sides are interned, so the walk names bar, not foo
+    foo, bar = App("foo", (Var("X"),)), App("bar", (Var("X"),))
+    f = Atomic(App("cup", (App("cap", (foo, bar)), Var("V"))), bar)
+    pool = WitnessPool(points=fs([0, 1]), max_segments=1)
+    a = {"X": EMPTY_FCI, "V": EMPTY_FCI}
+    calls = (
+        lambda: eval_qf(f, a, SIG_L),
+        lambda: eval_bounded(f, a, pool, SIG_L),
+        lambda: eval_bounded(Or(parse("!(X = bot)", SIG_L), f), a, pool, SIG_L),
+        lambda: eval_bounded(Exists("V", f), {"X": EMPTY_FCI}, pool, SIG_L),
+    )
+    for call in calls:
+        with pytest.raises(EvalError, match="^unknown operation bar$"):
+            call()
 
 
 def test_min_guard_respects_a_zero_segment_cap():
@@ -731,3 +787,70 @@ def test_a_new_value_never_reads_an_old_values_mask():
     for _ in range(50):
         for text, want in (("[0,1]", True), ("{2}", False), ("[0,*)", True), ("[1,3]", False)):
             assert eval_bounded(f, {"X": parse_fci(text)}, pool, SIG_L) is want, text
+
+
+def _compiled_inputs() -> list:
+    """Formulas the compiled entry must read as the walk does, each with
+    the signature it is evaluated under."""
+    out = []
+    corpora = (
+        (suites.POSEX_CORPUS, SIG_W),
+        (suites.W2L_CORPUS, SIG_W),
+        ([text for text, _ in suites.L2W_CORPUS], SIG_L),
+        (suites.PIPELINE_CORPUS, SIG_L),
+    )
+    for corpus, sig in corpora:
+        out += [(parse(text, sig), sig) for text in corpus]
+    out += [(pipeline(parse(text, SIG_L)), SIG_L) for text in suites.PIPELINE_CORPUS]
+    coords = [(Var(name + "l"), Var(name + "r")) for name in "UVW"]
+    coordinate_forms = (phi_in(), phi_subseteq(), delta_domain(), _lattice("cup", *coords), _lattice("cap", *coords))
+    out += [(g, SIG_W_DIFF) for g in coordinate_forms]
+    out += [(simplify(translate_L_to_W(parse(text, SIG_L))), SIG_W_DIFF) for text, _ in suites.L2W_CORPUS]
+    rng = random.Random("pipeline-generated")
+    out += [(generated_formula(rng, 3, ("X",)), SIG_L) for _ in range(200)]
+    return out
+
+
+def test_the_compiled_entry_agrees_with_the_walk():
+    # every interval union over 3 points, or every finite set on a 4-point
+    # grid, for each variable; past 4,096 assignments, 4,096 seeded draws
+    # of them.  The walk runs on a cache of its own
+    rng = random.Random(48)
+    compiled = walked = 0
+    for f, sig in _compiled_inputs():
+        w = sig.finite_sets
+        run = EvalCache().compiled(f, w)
+        if bound_vars(f):
+            assert run is None, format_formula(f)
+            continue
+        n = 4 if w else 3
+        space = _pool_ranks(WitnessPool(points=fs(range(n)), max_segments=n)).spaces[w]
+        values, names = _masks(space), sorted(free_vars(f))
+        if len(values) ** len(names) <= 4096:
+            assignments = product(values, repeat=len(names))
+        else:
+            assignments = ([rng.choice(values) for _ in names] for _ in range(4096))
+        walk = EvalCache()
+        for masks in assignments:
+            env = dict(zip(names, masks))
+            assert run(env) is _eval(f, env, space, walk), (format_formula(f), env)
+            walked += 1
+        compiled += 1
+    assert (compiled, walked) == (157, 43847)
+
+
+def test_only_a_quantified_formula_is_walked(monkeypatch):
+    walked = []
+
+    def counted(f, *args):
+        walked.append(f)
+        return _eval(f, *args)
+
+    monkeypatch.setattr(semantics, "_eval", counted)
+    pool = WitnessPool(points=fs([0, 1]), max_segments=1)
+    a = {"X": parse_fci("[0,1]")}
+    assert eval_bounded(parse("min(X) = cz | X = bot", SIG_L), a, pool, SIG_L) is True
+    assert walked == []
+    f = parse("E Y. min(X) = Y & !(Y = bot)", SIG_L)
+    assert eval_bounded(f, a, pool, SIG_L) is True
+    assert walked[0] == f

@@ -22,6 +22,7 @@ from intlat.syntax import (
     classify,
     count_nodes,
     format_formula,
+    formula_symbols,
     free_vars,
     is_unnested_atom,
     nnf,
@@ -272,6 +273,18 @@ def test_count_nodes_takes_any_depth():
     # it keeps its own stack, so no nesting reaches the recursion limit
     f = parse("!" * 5000 + "X = bot", SIG_W)
     assert count_nodes(f) == 5003
+
+
+@pytest.mark.parametrize("text", W_TEXTS + L_TEXTS + ["A X. !(E Y. X = Y | cap(X, Y) = X) & ips(X, cz) = bot"])
+def test_formula_symbols_are_the_operations_of_every_term(text):
+    f = parse(text, SIG_L if text in L_TEXTS else SIG_W)
+    terms = [t for g in subformulas(f) if isinstance(g, Atomic) for side in (g.lhs, g.rhs) for t in subterms(side)]
+    assert formula_symbols(f) == {t.op for t in terms if isinstance(t, App)}
+
+
+def test_formula_symbols_take_any_depth():
+    f = parse("!" * 5000 + "min(cup(X, cz)) = bot", SIG_W)
+    assert formula_symbols(f) == {"min", "cup", "cz", "bot"}
 
 
 def test_all_names_are_the_free_and_the_bound():
