@@ -22,7 +22,8 @@ memoized sides, and a connective or quantifier is decided afresh on every
 call.  A quantifier-free formula handed to ``eval_bounded`` meets each
 set of values once, so ``EvalCache.compiled`` composes it, once per
 structure, into one closure over its equations' term closures
-(``_Term.closure``), which memoize nothing; the search, and ``eval_qf``
+(``_Term.closure``), which memoize nothing, a chain of ``&`` or ``|``
+into one closure over its operands; the search, and ``eval_qf``
 on its fresh cache, walk formulas (``_eval``) and keep the term memo.
 
 There is one evaluator: ``eval_term``, ``eval_qf`` and ``eval_bounded``
@@ -30,26 +31,29 @@ all evaluate through ``EvalCache``'s interned terms (``_Term``) and
 ``_eval``, in the structure the caller names by its signature; none
 guesses one.  Each entry point checks its inputs once, before evaluating
 (``_check``: every name bound, every value of the structure's sort), so
-evaluation itself meets neither error.  An unknown operation, or one of
-the other structure, is refused only where evaluation reaches it, by a
-closure as by ``_eval``.
+evaluation itself meets neither error; ``eval_bounded`` reads the names
+off the formula's cached ``free_vars`` and checks each value's sort as it
+encodes it, with ``_check``'s messages in ``_check``'s order.  An
+unknown operation, or one of the other structure, is refused only where
+evaluation reaches it, by a closure as by ``_eval``.
 
 The solver works on cell masks (see ``cells``): ``eval_bounded`` ranks
 the points of the pool and of the assigned values, 0 keeping rank 0,
 and the search reads one ``_Space``, the pool's ranked points and
 bounds and the structure, so every pool and assignment of one order type
-shares one space, its universes and every ``EvalCache`` entry.  Each
-distinct pool is ranked once (``_pool_ranks``), into a function from a
-point to its rank by the point's exact key (``cells.ranking``), through
-which each value object is encoded once and kept with the ranking; a
-value with a point outside the pool puts the pool's points and the
-values on one grid (``_grid``) for that call alone.  No step hashes a
-``Fraction``.  Pins, guards and universes are masks in the enumerators'
-order.  ``eval_term`` and ``eval_qf`` put 0 and their assignment on one
-grid the same way and evaluate there with a fresh cache, ``eval_qf`` in
-a fixed space per structure (no quantifier reads its points);
-``eval_term`` and ``universe`` return ``FinSet``/``FciSet`` values.
-``_spaces`` keeps one pair of space objects per order type.
+shares one space, its universes and every ``EvalCache`` entry.  A pool
+keeps its ranking from its first use (``_pool_ranks``), and equal pools
+share one: a function from a point to its rank by the point's exact key
+(``cells.ranking``), through which each value object is encoded once and
+kept with the ranking; a value with a point outside the pool puts the
+pool's points and the values on one grid (``_grid``) for that call
+alone.  No step hashes a ``Fraction``.  Pins, guards and universes are
+masks in the enumerators' order.  ``eval_term`` and ``eval_qf`` put 0
+and their assignment on one grid the same way and evaluate there with a
+fresh cache, ``eval_qf`` in a fixed space per structure (no quantifier
+reads its points); ``eval_term`` and ``universe`` return
+``FinSet``/``FciSet`` values.  ``_spaces`` keeps one pair of space
+objects per order type.
 """
 
 from __future__ import annotations
@@ -124,6 +128,11 @@ class WitnessPool:
         if self.pair_points is not None and not self.pair_points.issubset(self.points):
             raise ValueError("pair_points must be a subset of points")
 
+    def __getstate__(self) -> dict:
+        # the ranking ``_pool_ranks`` keeps on the pool memoizes values by
+        # object id, which a copy must not inherit; the copy ranks afresh
+        return {k: v for k, v in self.__dict__.items() if k != "_ranks"}
+
 
 def widened(points: Iterable[Point]) -> FinSet:
     """The points, the midpoint of each neighbouring pair, and one point
@@ -153,14 +162,20 @@ def default_pool(a: Assignment) -> WitnessPool:
 def _check(names: Iterable[str], a: Assignment, sig: Signature) -> None:
     """The one input check of every entry point: each of ``names`` is
     bound, and every value is of the structure's sort, so evaluation meets
-    neither an unbound name nor a value of the other structure."""
+    neither an unbound name nor a value of the other structure.
+    ``eval_bounded`` makes the same checks in the same order, the sorts
+    while it encodes the values (``_rank_assignment``)."""
     missing = set(names) - a.keys()
     if missing:
         raise EvalError(f"assignment is missing {sorted(missing)}")
     want = FinSet if sig.finite_sets else FciSet
     for name, val in a.items():
         if not isinstance(val, want):
-            raise EvalError(f"{name} is bound to {type(val).__name__}, expected {want.__name__}")
+            raise _wrong_sort(name, val, want)
+
+
+def _wrong_sort(name: str, val: Any, want: type) -> EvalError:
+    return EvalError(f"{name} is bound to {type(val).__name__}, expected {want.__name__}")
 
 
 def _grid(a: Assignment, extra: Sequence[Point]) -> tuple[list[Point], dict]:
@@ -196,10 +211,12 @@ def universe(pool: WitnessPool, sig: Signature) -> tuple[Value, ...]:
 
 # -- the search space on point ranks ------------------------------------------------
 
-# Pools a caller is still using stay cached; a caller that builds a pool
-# per item (the pipeline suite does) must not grow these tables forever,
-# nor one that ranks a fresh value per call a pool's value memo: past this
-# many values it starts afresh (a census suite keeps at most 1,596 apiece).
+# Order types and pools a caller is still using stay cached; a caller that
+# builds a pool per item (the pipeline suite does) must not grow these
+# tables forever, nor one that ranks a fresh value per call a pool's value
+# memo: past this many values it starts afresh (a census suite keeps at
+# most 1,596 apiece).  A pool keeps its own ranking besides, so a pool
+# evaluated on again never looks it up here.
 _POOL_CACHE_SIZE, _VALUE_MEMO_SIZE = 32, 4096
 
 
@@ -274,10 +291,20 @@ def _spaces(
     return tuple(_Space(ranked, max_segments, allow_ray, pairs, w, point_cells) for w in (False, True))
 
 
-@lru_cache(maxsize=_POOL_CACHE_SIZE)
 def _pool_ranks(pool: WitnessPool) -> _Ranks:
-    # equal pools share one ranking, and a pool's points are sorted, so the
-    # i-th one has rank i
+    """The pool's ranking, kept on the pool object from its first use, so
+    a pool is hashed at most once however often it is evaluated on."""
+    got = pool.__dict__.get("_ranks")
+    if got is None:
+        got = _shared_ranks(pool)
+        object.__setattr__(pool, "_ranks", got)
+    return got
+
+
+@lru_cache(maxsize=_POOL_CACHE_SIZE)
+def _shared_ranks(pool: WitnessPool) -> _Ranks:
+    # equal pools share one ranking and its value memo, and a pool's points
+    # are sorted, so the i-th one has rank i
     points = pool.points.elements
     return _ranked(pool, cells.ranking(points), tuple(range(len(points))))
 
@@ -288,20 +315,30 @@ _QF_SPACES = _ranks(WitnessPool(points=FinSet((ZERO,)), max_segments=0), (ZERO,)
 
 def _rank_assignment(a: Assignment, pool: WitnessPool, finite_sets: bool) -> tuple[dict, _Space]:
     """The assignment as masks and the pool's space in the structure, each
-    point renamed to its rank among the pool's points and the values'."""
+    point renamed to its rank among the pool's points and the values'.
+    Refuses a value of the other structure's sort as ``_check`` does,
+    before its memo entry is read: the cells of a value do not tell the
+    structures apart."""
     ranks = _pool_ranks(pool)
-    env = {}
-    try:
-        # suites reuse a value across many assignments; the memo is keyed by
-        # the value object, which its entry keeps alive, so nothing is hashed
-        for name, v in a.items():
-            got = ranks.values.get(id(v))
-            if got is None:
-                if len(ranks.values) >= _VALUE_MEMO_SIZE:
-                    ranks.values.clear()
-                got = ranks.values[id(v)] = (v, cells.encode(v, ranks.rank))
-            env[name] = got[1]
-    except KeyError:
+    memo, want = ranks.values, FinSet if finite_sets else FciSet
+    env, outside = {}, False
+    # suites reuse a value across many assignments; the memo is keyed by
+    # the value object, which its entry keeps alive, so nothing is hashed
+    for name, v in a.items():
+        if not isinstance(v, want):
+            raise _wrong_sort(name, v, want)
+        got = memo.get(id(v))
+        if got is None:
+            try:
+                mask = cells.encode(v, ranks.rank)
+            except KeyError:
+                outside = True
+                continue
+            if len(memo) >= _VALUE_MEMO_SIZE:
+                memo.clear()
+            got = memo[id(v)] = (v, mask)
+        env[name] = got[1]
+    if outside:
         # a point outside the pool: rank this call's points afresh on one
         # grid, keep nothing
         grid, env = _grid(a, pool.points.elements)
@@ -480,10 +517,26 @@ class EvalCache:
         if kind is Not:
             x = self._compose(f.body, finite_sets)
             return lambda env: not x(env)
-        x, y = self._compose(f.lhs, finite_sets), self._compose(f.rhs, finite_sets)
+        # a chain of one connective is one closure, so its length costs no
+        # depth, here or where the closure runs
+        xs = [self._compose(g, finite_sets) for g in operands(f, kind)]
         if kind is And:
-            return lambda env: x(env) and y(env)
-        return lambda env: x(env) or y(env)
+
+            def every(env: dict) -> bool:
+                for x in xs:
+                    if not x(env):
+                        return False
+                return True
+
+            return every
+
+        def some(env: dict) -> bool:
+            for x in xs:
+                if x(env):
+                    return True
+            return False
+
+        return some
 
     def normalized(self, f: Formula, taken: frozenset[str]) -> tuple[tuple[str, ...], tuple[_Node, ...]]:
         """Solver normal form of ``f``, memoized: the conjuncts of its negation
@@ -507,7 +560,9 @@ def eval_bounded(
 ) -> bool:
     if cache is None:
         cache = EvalCache()
-    _check(cache.node(f).fv, a, sig)
+    fv = free_vars(f)
+    if not a.keys() >= fv:
+        _check(fv, a, sig)  # names what is missing; the sorts are checked as they are encoded
     env, space = _rank_assignment(a, pool, sig.finite_sets)
     run = cache.compiled(f, sig.finite_sets)
     return _eval(f, env, space, cache) if run is None else run(env)

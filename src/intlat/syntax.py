@@ -17,7 +17,9 @@ symbol and arity against the requested signature; a token's position is
 found only to report an error.  Each node it builds caches its free and
 bound names, so only a formula that binds a name twice or also free is
 walked by ``rename_bound_apart``: a parsed formula never shadows a name.
-``format_formula`` prints on a stack of its own, so it takes any depth.
+``format_formula`` prints on a stack of its own, so it takes any depth,
+and so does a node's first hash, which it keeps: the parts that keep
+none yet are hashed first, deepest first, on a stack of their own.
 
 Walkers over formulas go through four traversal helpers rather than
 dispatching on the node types themselves: ``subformulas`` and ``subterms``
@@ -59,11 +61,49 @@ class ParseError(ValueError):
 
 def _cached_hash(self) -> int:
     # terms and formulas key the solver's memo tables; the generated hash
-    # would walk the whole tree on every lookup
+    # would walk the whole tree on every lookup.  A node hashes its fields,
+    # so when a part keeps no hash yet the parts are hashed first, on a
+    # stack of our own: no depth reaches the recursion limit
     h = self._hash
     if h is None:
-        h = self._hash = hash((type(self),) + tuple(getattr(self, n) for n in self.__match_args__))
+        fields, parts = _fields(self)
+        for p in parts:
+            if p._hash is None:
+                _hash_parts(parts)
+                break
+        h = self._hash = hash((self.__class__, *fields))
     return h
+
+
+def _fields(node) -> tuple[tuple, tuple]:
+    """The fields of a term or formula in order, and the terms and
+    formulas among them."""
+    kind = node.__class__
+    if kind is Var:
+        return (node.name,), ()
+    if kind is App:
+        return (node.op, node.args), node.args
+    if kind is Not:
+        parts = (node.body,)
+        return parts, parts
+    if kind is Exists or kind is Forall:
+        return (node.var, node.body), (node.body,)
+    parts = (node.lhs, node.rhs)
+    return parts, parts
+
+
+def _hash_parts(parts: tuple) -> None:
+    """Hash each of ``parts`` and every node below them that keeps no hash
+    yet, each after the nodes below it, so that each hash reads kept
+    hashes only and stores its own; a shared node is hashed once."""
+    stack = [(p, False) for p in parts]
+    while stack:
+        node, below_hashed = stack.pop()
+        if below_hashed:
+            hash(node)
+        elif node._hash is None:
+            stack.append((node, True))
+            stack += [(p, False) for p in _fields(node)[1]]
 
 
 @dataclass(slots=True)

@@ -1,9 +1,11 @@
 """Helpers that only the tests use: a closed-form count of the interval
-unions ``enum_fcis`` yields, a seeded random finite set, and seeded random
-formulas."""
+unions ``enum_fcis`` yields, a seeded random finite set, seeded random
+formulas, and a call on a fresh stack at the default recursion limit."""
 
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable
 
 from intlat.finset import FinSet
@@ -56,3 +58,16 @@ def generated_formula(rng: random.Random, depth: int, names: tuple, ops: tuple =
         return Exists(v, generated_formula(rng, depth - 1, names + (v,), ops))
     parts = (generated_formula(rng, depth - 1, names, ops), generated_formula(rng, depth - 1, names, ops))
     return And(*parts) if kind == "&" else Or(*parts)
+
+
+def on_fresh_stack(fn):
+    """``fn()`` on a new thread at the default recursion limit of 1000.  A
+    thread's stack starts empty, so the nesting reached does not depend on
+    how deep the test runner calls the test."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(fn).result(timeout=120)
+    finally:
+        sys.setrecursionlimit(limit)

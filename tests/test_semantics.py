@@ -6,12 +6,14 @@ for the relativized semantics: a formula holds over the pool iff the
 solver says so, which the hand-checked examples here pin down.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from helpers import generated_formula, random_finset
+from helpers import generated_formula, on_fresh_stack, random_finset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +26,7 @@ from intlat.semantics import (
     EvalError,
     WitnessPool,
     _atom_rules,
+    _check,
     _eval,
     _guard,
     _masks,
@@ -47,6 +50,7 @@ from intlat.syntax import (
     Not,
     Or,
     Var,
+    and_all,
     bound_vars,
     delta_domain,
     exists_all,
@@ -380,6 +384,66 @@ def test_missing_assignment_and_wrong_sort_raise():
         eval_bounded(parse("X = bot", SIG_W), {"X": EMPTY_FCI}, pool, SIG_W)
 
 
+def _check_message(f, a, sig) -> str:
+    with pytest.raises(EvalError) as refused:
+        _check(free_vars(f), a, sig)
+    return str(refused.value)
+
+
+@pytest.mark.parametrize(
+    "text, sig, a, message",
+    [
+        ("X = Y", SIG_W, {"X": EMPTY_FS}, r"assignment is missing ['Y']"),
+        ("X = bot", SIG_W, {"X": EMPTY_FCI}, "X is bound to FciSet, expected FinSet"),
+        ("X = bot", SIG_L, {"X": EMPTY_FS}, "X is bound to FinSet, expected FciSet"),
+        # both at once: the missing name first
+        ("X = Y", SIG_W, {"X": EMPTY_FCI}, r"assignment is missing ['Y']"),
+        # the first value of the wrong sort in the assignment's order
+        ("X = Y", SIG_W, {"Y": EMPTY_FCI, "X": parse_fci("[0,1]")}, "Y is bound to FciSet, expected FinSet"),
+        # a point outside the pool, which puts the values on a grid of their own
+        ("X = bot", SIG_W, {"X": parse_fci("[5,7]")}, "X is bound to FciSet, expected FinSet"),
+        ("X = Y", SIG_W, {"X": fs([5]), "Y": parse_fci("[5,7]")}, "Y is bound to FciSet, expected FinSet"),
+        ("X = Y", SIG_L, {"X": parse_fci("[5,7]"), "Y": fs([0])}, "Y is bound to FinSet, expected FciSet"),
+    ],
+    ids=["missing", "sort-w", "sort-l", "both", "first-sort", "outside", "outside-first", "outside-first-l"],
+)
+def test_eval_bounded_refuses_its_inputs_as_the_shared_check_does(text, sig, a, message):
+    f = parse(text, sig)
+    pool = WitnessPool(points=fs([0, 1]), max_segments=1)
+    assert _check_message(f, a, sig) == message
+    for cache in (None, EvalCache()):
+        with pytest.raises(EvalError) as refused:
+            eval_bounded(f, a, pool, sig, cache=cache)
+        assert str(refused.value) == message
+
+
+def test_a_value_the_pool_memoized_in_one_structure_is_refused_in_the_other():
+    # the pool's value memo keeps X's cells from the interval-side call;
+    # cells do not tell the structures apart, so the sort is checked first
+    pool = WitnessPool(points=fs([0, 1, 2]), max_segments=2)
+    x = parse_fci("[0,1]")
+    assert eval_bounded(parse("X = X", SIG_L), {"X": x}, pool, SIG_L) is True
+    assert id(x) in _pool_ranks(pool).values
+    with pytest.raises(EvalError) as refused:
+        eval_bounded(parse("X = X", SIG_W), {"X": x}, pool, SIG_W)
+    assert str(refused.value) == _check_message(parse("X = X", SIG_W), {"X": x}, SIG_W)
+    assert str(refused.value) == "X is bound to FciSet, expected FinSet"
+
+
+def test_a_quantifier_free_formula_builds_no_solver_node():
+    pool = WitnessPool(points=fs([0, 1]), max_segments=1)
+    cache = EvalCache()
+    for text in ("min(X) = X", "min(X) = X & !(X = bot) | X = cz"):
+        assert eval_bounded(parse(text, SIG_W), {"X": fs([1])}, pool, SIG_W, cache=cache) is True
+    assert cache._nodes == {}
+
+
+def test_eval_bounded_takes_a_chain_of_990_conjuncts():
+    pool = WitnessPool(points=fs([0]), max_segments=1)
+    f = and_all([parse("X = X", SIG_W) for _ in range(990)])
+    assert on_fresh_stack(lambda: eval_bounded(f, {"X": EMPTY_FS}, pool, SIG_W)) is True
+
+
 def _naive(f, env, pool, sig):
     """Reference semantics: every quantifier ranges over the whole universe."""
     if isinstance(f, Atomic):
@@ -560,6 +624,55 @@ def test_a_pool_s_value_memo_stays_bounded():
     for _ in range(20_000):
         assert not eval_bounded(f, {"X": fs([1])}, pool, SIG_W, cache=cache)
     assert 0 < len(semantics._pool_ranks(pool).values) <= semantics._VALUE_MEMO_SIZE
+
+
+def test_a_pool_is_ranked_and_hashed_once(monkeypatch):
+    ranked, hashed = [], []
+    shared, pool_hash = semantics._shared_ranks, WitnessPool.__hash__
+
+    def counted_ranks(pool):
+        ranked.append(pool)
+        return shared(pool)
+
+    def counted_hash(pool):
+        hashed.append(pool)
+        return pool_hash(pool)
+
+    monkeypatch.setattr(semantics, "_shared_ranks", counted_ranks)
+    monkeypatch.setattr(WitnessPool, "__hash__", counted_hash)
+    pool = WitnessPool(points=fs([0, F(1, 13), F(2, 13)]), max_segments=2)
+    f, x = parse("E Y. cap(Y, X) = Y & !(Y = bot)", SIG_L), parse_fci("[1/13,2/13]")
+    for _ in range(2):
+        assert eval_bounded(f, {"X": x}, pool, SIG_L) is True
+        assert eval_bounded(parse("X = bot", SIG_L), {"X": x}, pool, SIG_L) is False
+    assert [id(p) for p in ranked] == [id(pool)]
+    assert len(hashed) == 1
+    # an equal pool object is ranked through the shared table, to the same
+    # ranking and value memo
+    twin = WitnessPool(points=fs([0, F(1, 13), F(2, 13)]), max_segments=2)
+    assert eval_bounded(f, {"X": x}, twin, SIG_L) is True
+    assert _pool_ranks(twin) is _pool_ranks(pool)
+    assert [id(p) for p in ranked] == [id(pool), id(twin)]
+
+
+def test_a_used_pool_is_like_an_unused_equal_one():
+    def make():
+        return WitnessPool(points=fs([0, F(1, 11), 1]), max_segments=1, pair_points=fs([0, 1]))
+
+    used, unused = make(), make()
+    x = fs([F(1, 11)])
+    assert eval_bounded(parse("E Y. cap(Y, X) = Y & !(Y = bot)", SIG_W), {"X": x}, used, SIG_W) is True
+    assert "_ranks" in used.__dict__ and "_ranks" not in unused.__dict__
+    assert used == unused and unused == used
+    assert hash(used) == hash(unused)
+    assert repr(used) == repr(unused) and str(used) == str(unused)
+    # a copy ranks afresh: the value memo is keyed by object ids, which
+    # mean nothing in another process
+    for copied in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+        assert "_ranks" not in copied.__dict__
+        assert copied == used and hash(copied) == hash(used)
+        assert eval_bounded(parse("X = bot", SIG_W), {"X": x}, copied, SIG_W) is False
+    assert "_ranks" in used.__dict__
 
 
 @pytest.mark.parametrize("first", [SIG_L, SIG_W], ids=["l-first", "w-first"])

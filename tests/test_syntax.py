@@ -1,6 +1,7 @@
 """Formula layer: parsing, printing, classification, and unnesting."""
 
 import pytest
+from helpers import on_fresh_stack
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -273,6 +274,46 @@ def test_count_nodes_takes_any_depth():
     # it keeps its own stack, so no nesting reaches the recursion limit
     f = parse("!" * 5000 + "X = bot", SIG_W)
     assert count_nodes(f) == 5003
+
+
+def _nested_min(n: int) -> Atomic:
+    # parse computes the free names of what it reads, which recurses on terms
+    t = Var("X")
+    for _ in range(n):
+        t = App("min", (t,))
+    return Atomic(Var("X"), t)
+
+
+_DEEP = {
+    "negations": lambda: parse("!" * 5000 + "X = bot", SIG_W),
+    "conjuncts": lambda: parse(" & ".join(["X = bot"] * 5000), SIG_W),
+    "quantifiers": lambda: parse("".join(f"E X{i}. " for i in range(3000)) + "X = bot", SIG_W),
+    "applications": lambda: _nested_min(5000),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_the_first_hash_takes_any_depth(shape):
+    # the unhashed parts are hashed deepest first from a stack of their
+    # own, each from its parts' kept hashes, so an equal formula hashed
+    # bottom-up one node at a time gets the same hash
+    f, g = _DEEP[shape](), _DEEP[shape]()
+    h = on_fresh_stack(lambda: hash(f))
+    assert all(n._hash is not None for n in subformulas(f))
+    atoms = [a for a in subformulas(g) if isinstance(a, Atomic)]
+    nodes = [*subformulas(g), *(t for a in atoms for side in (a.lhs, a.rhs) for t in subterms(side))]
+    assert all(n._hash is None for n in nodes)
+    for n in reversed(nodes):
+        hash(n)
+    assert h == hash(g) == hash((type(g),) + tuple(getattr(g, name) for name in g.__match_args__))
+
+
+def test_the_first_hash_visits_a_shared_part_once():
+    # 2**200 paths down, 201 distinct nodes
+    f = parse("X = bot", SIG_W)
+    for _ in range(200):
+        f = And(f, f)
+    assert hash(f) == hash(And(f.lhs, f.lhs))
 
 
 @pytest.mark.parametrize("text", W_TEXTS + L_TEXTS + ["A X. !(E Y. X = Y | cap(X, Y) = X) & ips(X, cz) = bot"])

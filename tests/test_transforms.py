@@ -9,11 +9,9 @@ output, which inputs are rejected).
 import hashlib
 import itertools
 import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from helpers import FINITE_SET_OPS, generated_formula
+from helpers import FINITE_SET_OPS, generated_formula, on_fresh_stack
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -1670,32 +1668,19 @@ def test_rewrite_outputs_bind_each_name_once():
 # -- nesting limits -------------------------------------------------------------------
 
 
-def _on_fresh_stack(fn):
-    """``fn()`` on a new thread at the default recursion limit of 1000.  A
-    thread's stack starts empty, so the nesting reached does not depend on
-    how deep the test runner calls the test."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        with ThreadPoolExecutor(1) as pool:
-            return pool.submit(fn).result(timeout=120)
-    finally:
-        sys.setrecursionlimit(limit)
-
-
 def _chain(n: int) -> str:
     return " & ".join(["min(X) = X"] * n)
 
 
 def test_simplify_takes_a_chain_of_490_conjuncts():
-    got = _on_fresh_stack(lambda: simplify(parse(_chain(490), SIG_W)))
+    got = on_fresh_stack(lambda: simplify(parse(_chain(490), SIG_W)))
     assert got == parse("min(X) = X", SIG_W)
 
 
 # simplify collapses the chain to one conjunct, so the chains of distinct
 # conjuncts below pin the depths the translation and the decision reach
 def test_pipeline_takes_a_chain_of_conjuncts():
-    got = _on_fresh_stack(lambda: format_formula(pipeline(parse(_chain(986), SIG_L))))
+    got = on_fresh_stack(lambda: format_formula(pipeline(parse(_chain(986), SIG_L))))
     assert got == format_formula(pipeline(parse("min(X) = X", SIG_L)))
 
 
@@ -1711,7 +1696,7 @@ def test_l2w_takes_a_chain_of_distinct_conjuncts():
         format_formula(g)
         return free_vars(g)
 
-    assert _on_fresh_stack(names) == {f"X{i}{end}" for i in range(491) for end in "lr"}
+    assert on_fresh_stack(names) == {f"X{i}{end}" for i in range(491) for end in "lr"}
 
 
 def test_pipeline_decides_a_universal_before_a_chain_of_distinct_conjuncts():
@@ -1721,7 +1706,7 @@ def test_pipeline_decides_a_universal_before_a_chain_of_distinct_conjuncts():
     def printed():
         return format_formula(pipeline(parse(f"{_DECIDED_TRUE} & {_distinct_chain(depth)}", SIG_L)))
 
-    assert _on_fresh_stack(printed) == _distinct_chain(depth)
+    assert on_fresh_stack(printed) == _distinct_chain(depth)
 
 
 # each shape of nesting with a depth parse must reach at the default
@@ -1738,7 +1723,7 @@ _PARSE_NESTING = {
 @pytest.mark.parametrize("shape", sorted(_PARSE_NESTING))
 def test_parse_reaches_its_nesting_depth(shape):
     depth, text, size = _PARSE_NESTING[shape]
-    f = _on_fresh_stack(lambda: parse(text(depth), SIG_W))
+    f = on_fresh_stack(lambda: parse(text(depth), SIG_W))
     assert sum(1 for _ in subformulas(f)) == size(depth)
 
 
@@ -1747,7 +1732,7 @@ def test_format_formula_prints_every_depth_parse_reaches(shape):
     # the printer keeps its own stack; the text parses back to a formula
     # of the same size that prints the same
     depth, text, size = _PARSE_NESTING[shape]
-    printed = _on_fresh_stack(lambda: format_formula(parse(text(depth), SIG_W)))
+    printed = on_fresh_stack(lambda: format_formula(parse(text(depth), SIG_W)))
     g = parse(printed, SIG_W)
     assert sum(1 for _ in subformulas(g)) == size(depth)
-    assert _on_fresh_stack(lambda: format_formula(g)) == printed
+    assert on_fresh_stack(lambda: format_formula(g)) == printed
